@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,7 +31,8 @@ from .solver import FlowParams, picard_solve
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: the config's, else 0)")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--grid", type=int, default=1024, help="points per axis")
     p.add_argument("--extent", type=float, default=16.0)
@@ -89,7 +91,7 @@ def _cmd_norm(args) -> int:
     idx = SobolevIndex(args.delta, args.k)
     f = gaussian_density(grid, args.mean, args.var, normalize=True)
     print(f"local_neg_norm  = {local_neg_norm(f, idx):.6g}")
-    br = measure_dual_bracket(f, idx, seed=args.seed)
+    br = measure_dual_bracket(f, idx, seed=args.seed or 0)
     print(f"dual bracket    = [{br['probe']:.6g}, {br['amalgam']:.6g}] "
           f"(ratio {br['ratio']:.3f})")
     return 0
@@ -101,7 +103,7 @@ def _cmd_kernel_study(args) -> int:
     eps_list = [float(x) for x in args.eps_list.split(",")]
     study = kernel_norm_study(spec, SobolevIndex(args.delta, args.k), eps_list, grid)
     rows = study.rows()
-    path = f"{args.out}/kernel_study.csv"
+    path = os.path.join(args.out or ".", "kernel_study.csv")
     write_csv_rows(path, ["eps", "norm", "verdict"], rows)
     for eps, nrm, verdict in rows:
         print(f"eps={eps:<10g} norm={nrm:<12.6g} {verdict}")
@@ -138,7 +140,7 @@ def _experiment_config(args, default_name) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        seed = args.seed if args.seed else cfg.seed
+        seed = cfg.seed if args.seed is None else args.seed
         out = args.out if args.out is not None else cfg.output_dir
         options = cfg.options
         if args.threads > 1 and cfg.opt("threads") is None:
@@ -149,7 +151,7 @@ def _experiment_config(args, default_name) -> ExperimentConfig:
         raise SystemExit("experiment name or --config required")
     options = [("grid_n", args.grid), ("grid_extent", args.extent),
                ("threads", args.threads)]
-    return ExperimentConfig(name, args.seed, args.out or ".", tuple(options))
+    return ExperimentConfig(name, args.seed or 0, args.out or ".", tuple(options))
 
 
 def _cmd_experiment(args, default_name=None) -> int:

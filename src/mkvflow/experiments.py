@@ -9,6 +9,7 @@ experiment targets are refused up front with the violated condition named.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -561,6 +562,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 # emission
 
 
+_REPORT_HEADER = ["quantity", "theory", "measured", "tol", "pass"]
+
+
 def emit_report(report: RunReport, out_dir, name: str = "report",
                 formats=("csv", "json")):
     """Write the report as CSV (fixed column order), a JSON mirror, and
@@ -572,10 +576,12 @@ def emit_report(report: RunReport, out_dir, name: str = "report",
     if "csv" in formats:
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", newline="") as fh:
-            fh.write("quantity,theory,measured,tol,pass\n")
+            # labels such as "norm(delta=1, k=2)" carry commas; csv quotes them
+            wr = csv.writer(fh, lineterminator="\n")
+            wr.writerow(_REPORT_HEADER)
             for r in report.rows:
-                fh.write(f"{r.quantity},{r.theory:.17g},{r.measured:.17g},"
-                         f"{r.tol:.17g},{str(r.passed).lower()}\n")
+                wr.writerow([r.quantity, f"{r.theory:.17g}", f"{r.measured:.17g}",
+                             f"{r.tol:.17g}", str(r.passed).lower()])
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{name}.json")
@@ -610,12 +616,12 @@ def _safe_name(s: str) -> str:
 
 def parse_report_csv(path) -> RunReport:
     rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["quantity", "theory", "measured", "tol", "pass"]:
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, [])
+        if header != _REPORT_HEADER:
             raise ValueError(f"unexpected report header {header}")
-        for line in fh:
-            q, th, me, tol, ps = line.rstrip("\n").split(",")
+        for q, th, me, tol, ps in rd:
             rows.append(ReportRow(q, float(th), float(me), float(tol),
                                   ps == "true"))
     return RunReport(rows=rows, provenance={})

@@ -48,17 +48,25 @@ def read_flow(path) -> MeasureFlow:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path} is not a flow binary")
-        version, dim, n = struct.unpack("<III", fh.read(12))
+
+        def read(size: int, what: str) -> bytes:
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"truncated flow binary {path}: {what} needs "
+                                 f"{size} bytes, {len(buf)} left")
+            return buf
+
+        version, dim, n = struct.unpack("<III", read(12, "header"))
         if version != VERSION:
             raise ValueError(f"unsupported flow binary version {version}")
-        (extent,) = struct.unpack("<d", fh.read(8))
-        (m,) = struct.unpack("<I", fh.read(4))
-        times = np.frombuffer(fh.read(8 * m), dtype="<f8").copy()
+        (extent,) = struct.unpack("<d", read(8, "header"))
+        (m,) = struct.unpack("<I", read(4, "header"))
+        times = np.frombuffer(read(8 * m, "times"), dtype="<f8").copy()
         grid = GridSpec(dim, n, extent)
         count = n**dim
         densities = []
         for _ in range(m):
-            vals = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
+            vals = np.frombuffer(read(8 * count, "data"), dtype="<f8").copy()
             densities.append(ScalarField(grid, vals.reshape(grid.shape)))
     return MeasureFlow(times, densities, densities[0])
 

@@ -9,6 +9,7 @@ operators up to FFT roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
     "bessel_apply",
     "bessel_sharpen",
     "field_derivative",
+    "rfft_wavenumbers",
     "gaussian_density",
     "grid_delta",
     "random_band_limited",
@@ -117,6 +119,30 @@ class GridSpec:
             return ax
         a, b = np.meshgrid(ax, ax, indexing="ij")
         return np.hypot(a, b)
+
+
+@functools.lru_cache(maxsize=16)
+def rfft_wavenumbers(grid: GridSpec) -> tuple:
+    """``(i xi_1, ..., i xi_d)`` and ``|xi|^2`` on the real-FFT lattice of ``grid``.
+
+    The derivative multipliers vanish at the Nyquist frequency of their own
+    axis, which keeps the derivative of a real field real.  The arrays are
+    shared between callers and read-only.  ``points_per_dim`` is even, so
+    ``irfftn`` of such a spectrum restores the grid shape without ``s``.
+    """
+    n = grid.points_per_dim
+    axes = [grid.freq_axis()] * (grid.dim - 1)
+    axes.append(2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing))
+    xi = np.meshgrid(*axes, indexing="ij")
+    ixi = []
+    for j, x in enumerate(xi):
+        ik = 1j * x
+        ik[(slice(None),) * j + (n // 2,)] = 0.0
+        ixi.append(ik)
+    xi_sq = sum(x**2 for x in xi)
+    for a in ixi + [xi_sq]:
+        a.setflags(write=False)
+    return tuple(ixi), xi_sq
 
 
 class ScalarField:

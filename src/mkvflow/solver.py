@@ -7,22 +7,27 @@ whose mild form is
     rho_t = H_t rho_0 - int_0^t div( H_{t-s} (b_s rho_s) ) ds,
 
 with ``H`` the heat semigroup.  ``phi_apply`` marches this Volterra identity
-with a second-order exponential Heun step on a graded internal grid; the
-Picard loop feeds the output flow back in until the weighted flow distance
-stalls below tolerance.  Rough initial data enters through the time-shift
-route: pure diffusion on [0, r], drift switched on afterwards with shifted
-time argument.
+with a second-order exponential Heun step on a graded internal grid, keeping
+the real-FFT spectrum of the density as its state: heat is a multiplier and
+mass projection pins the zero mode.  Convolution drifts come from the kernel
+spectrum times the frozen densities' spectra, interpolated in time, which is
+exact; Nemytskii and callable drifts are evaluated in physical space on the
+interpolated density.  The Picard loop feeds the output flow back in until
+the weighted flow distance stalls below tolerance.  Rough initial data enters
+through the time-shift route: pure diffusion on [0, r], drift switched on
+afterwards with shifted time argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, VectorField, field_derivative
-from .kernels import KernelSpec, NemytskiiSpec, drift_from_kernel, nemytskii_drift
+from .grids import GridSpec, ScalarField, VectorField, rfft_wavenumbers
+from .kernels import (KernelSpec, NemytskiiSpec, drift_from_kernel, nemytskii_drift,
+                      realize_kernel)
 from .norms import SobolevIndex, measure_dual_norm
 
 __all__ = [
@@ -183,26 +188,24 @@ class MeasureFlow:
 
     def density_at(self, t: float) -> ScalarField:
         """Linear interpolation in time; the initial datum anchors t=0."""
-        ts = np.concatenate([[0.0], self.times])
         fields = [self.initial] + list(self.densities)
-        if t <= ts[0]:
-            return fields[0]
-        if t >= ts[-1]:
-            return fields[-1]
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        t0, t1 = ts[j], ts[j + 1]
-        w = (t - t0) / (t1 - t0)
-        vals = (1 - w) * fields[j].values + w * fields[j + 1].values
-        return ScalarField(self.grid, vals)
+        j, w = self._bracket(t)
+        if w == 0.0 or w == 1.0:
+            return fields[j + int(w)]
+        return ScalarField(self.grid, (1 - w) * fields[j].values + w * fields[j + 1].values)
+
+    def _bracket(self, t: float) -> tuple:
+        """``(j, w)`` with the flow at ``t`` equal to ``(1-w) f_j + w f_{j+1}``,
+        where ``f`` is the initial datum followed by the densities and ``t`` is
+        clamped to ``[0, times[-1]]``."""
+        ts = np.concatenate([[0.0], self.times])
+        j = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), ts.size - 2)
+        return j, min(max(float((t - ts[j]) / (ts[j + 1] - ts[j])), 0.0), 1.0)
 
     def l1_increments(self) -> np.ndarray:
         w = self.grid.cell_volume
-        out = []
-        prev = self.densities[0]
-        for rho in self.densities[1:]:
-            out.append(float(np.abs(rho.values - prev.values).sum()) * w)
-            prev = rho
-        return np.asarray(out)
+        return np.asarray([float(np.abs(b.values - a.values).sum()) * w
+                           for a, b in zip(self.densities, self.densities[1:])])
 
 
 @dataclass
@@ -238,18 +241,34 @@ def _drift_field(drift, rho: ScalarField, t: float) -> VectorField:
     raise TypeError(f"unsupported drift spec {type(drift).__name__}")
 
 
-def _divergence(grid: GridSpec, comps) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for j, c in enumerate(comps):
-        order = [0] * grid.dim
-        order[j] = 1
-        out += field_derivative(ScalarField(grid, c), tuple(order)).values
-    return out
+def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec):
+    """``s -> drift components`` of ``drift`` with the flow frozen at ``mu``.
 
+    A convolution drift is linear in the density and ``density_at`` is linear
+    in time, so interpolating the spectra ``cell_volume K^ rho^_j`` between
+    the flow's times gives it exactly at any ``s``.  Each frozen field passes
+    the density check once: every marching node sees a convex combination of
+    two of them, whose minimum and mass lie between theirs.  Other drifts are
+    evaluated in physical space on the interpolated density.
+    """
+    if not isinstance(drift, KernelSpec):
+        return lambda s: _drift_field(drift, mu.density_at(s), s).components
+    fields = [mu.initial] + list(mu.densities)
+    for f in fields:
+        f.require_density()
+    # ifftshift re-roots the kernel at zero displacement
+    k_hat = [grid.cell_volume * np.fft.rfftn(np.fft.ifftshift(c))
+             for c in realize_kernel(drift, grid).components]
+    prods = [[kh * r_hat for kh in k_hat]
+             for r_hat in (np.fft.rfftn(f.values) for f in fields)]
 
-def _transport_term(grid: GridSpec, b: VectorField, rho_vals: np.ndarray) -> np.ndarray:
-    """- div(b rho), pseudo-spectral."""
-    return -_divergence(grid, [c * rho_vals for c in b.components])
+    def at(s: float) -> list:
+        j, w = mu._bracket(s)
+        factor = drift.modulation.factor(s)
+        return [factor * np.fft.irfftn((1 - w) * p0 + w * p1)
+                for p0, p1 in zip(prods[j], prods[j + 1])]
+
+    return at
 
 
 def _internal_grid(out_times, steps: int, grading: float,
@@ -273,10 +292,9 @@ def _internal_grid(out_times, steps: int, grading: float,
     return nodes
 
 
-def _mass_project(vals: np.ndarray, grid: GridSpec, log: dict):
-    m = float(vals.sum()) * grid.cell_volume
-    log["renorm_drift"] = max(log["renorm_drift"], abs(m - 1.0))
-    return vals / m
+def _renormalize(arr: np.ndarray, mass: float, log: dict) -> np.ndarray:
+    log["renorm_drift"] = max(log["renorm_drift"], abs(mass - 1.0))
+    return arr / mass
 
 
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
@@ -291,7 +309,7 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     if neg.any():
         log["clip_mass"] += float((clip_level - vals[neg]).sum()) * grid.cell_volume
         vals = np.where(neg, clip_level, vals)
-    return _mass_project(vals, grid, log)
+    return _renormalize(vals, float(vals.sum()) * grid.cell_volume, log)
 
 
 def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
@@ -300,17 +318,20 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     """Law flow of the diffusion whose drift is frozen from the flow ``mu``.
 
     Marches the mild identity with an exponential Heun (predictor-corrector)
-    step: heat is applied exactly in Fourier space, the transport term is
-    integrated by the trapezoid rule inside each step, second order overall.
-    ``mu=None`` means zero interaction (the map's base point, the plain heat
-    flow of the initial datum).  The frozen flow enters through linear
-    interpolation between its grid times, so the output grid density is an
-    accuracy parameter of the fixed point, not just a sampling choice.
+    step on the density's real-FFT spectrum: heat is applied exactly, the
+    transport term is integrated by the trapezoid rule inside each step,
+    second order overall.  ``mu=None`` means zero interaction (the map's base
+    point, the plain heat flow of the initial datum).  The frozen flow enters
+    through linear interpolation between its grid times, so the output grid
+    density is an accuracy parameter of the fixed point, not just a sampling
+    choice.
 
     Raises
     ------
     DegradedAccuracyError
         If the accumulated negative undershoot exceeds 1e-3 in mass.
+    ValueError
+        If a frozen density is not a density or the march state turns non-finite.
     """
     grid = gamma.grid
     gamma.require_density()
@@ -324,35 +345,34 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
             raise RuntimeError(f"output time {t} missing from the marching grid")
         out_slot[j] = i
     log = {"clip_mass": 0.0, "renorm_drift": 0.0}
+    ixi, xi_sq = rfft_wavenumbers(grid)
+    drift_at = None if mu is None else _frozen_drift(drift, mu, grid)
 
-    def drift_at(s: float) -> VectorField | None:
-        if mu is None:
-            return None
-        return _drift_field(drift, mu.density_at(s), s)
+    def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
+        return -sum(ik * np.fft.rfftn(c * vals) for ik, c in zip(ixi, b))
 
-    rho = gamma.values.copy()
+    rho = gamma.values
+    rho_hat = np.fft.rfftn(rho)
     densities = [None] * out_times.size
-    b_next = None
+    b_next = None if drift_at is None else drift_at(nodes[0])
     for m_idx in range(len(nodes) - 1):
         s0, s1 = nodes[m_idx], nodes[m_idx + 1]
         h = s1 - s0
-        mult = np.exp(-0.5 * h * grid.freq_sq())
-        rho_hat = np.fft.fftn(rho)
-        if mu is None:
-            rho = np.fft.ifftn(rho_hat * mult).real
-        else:
-            b0 = b_next if b_next is not None else drift_at(s0)
-            F0 = _transport_term(grid, b0, rho)
-            heated = np.fft.ifftn(rho_hat * mult).real
-            heated_F0 = np.fft.ifftn(np.fft.fftn(F0) * mult).real
-            predictor = heated + h * heated_F0
+        mult = np.exp(-0.5 * h * xi_sq)
+        rho_hat = rho_hat * mult
+        if drift_at is not None:
+            heated_F0 = transport(b_next, rho) * mult
+            predictor = np.fft.irfftn(rho_hat + h * heated_F0)
             b_next = drift_at(s1)
-            F1 = _transport_term(grid, b_next, predictor)
-            rho = heated + 0.5 * h * (heated_F0 + F1)
-        rho = _mass_project(rho, grid, log)
-        if m_idx + 1 in out_slot:
-            densities[out_slot[m_idx + 1]] = ScalarField(
-                grid, _clip_output(rho.copy(), grid, log))
+            rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
+        rho_hat = _renormalize(rho_hat, rho_hat.flat[0].real * grid.cell_volume, log)
+        slot = out_slot.get(m_idx + 1)
+        if drift_at is not None or slot is not None:
+            rho = np.fft.irfftn(rho_hat)
+            if not np.all(np.isfinite(rho)):
+                raise ValueError(f"march state is not finite at t={s1:.6g}")
+        if slot is not None:
+            densities[slot] = ScalarField(grid, _clip_output(rho.copy(), grid, log))
     if log["clip_mass"] > 1e-3:
         raise DegradedAccuracyError(
             f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3",
@@ -361,11 +381,9 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
 
 
 def _dual_norm_series(mu: MeasureFlow, nu: MeasureFlow, idx: SobolevIndex) -> np.ndarray:
-    out = []
-    for a, b in zip(mu.densities, nu.densities):
-        diff = ScalarField(a.grid, a.values - b.values)
-        out.append(measure_dual_norm(diff, idx, "amalgam"))
-    return np.asarray(out)
+    return np.asarray([measure_dual_norm(ScalarField(a.grid, a.values - b.values), idx,
+                                         "amalgam")
+                       for a, b in zip(mu.densities, nu.densities)])
 
 
 def _weight(params: FlowParams, times: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -460,6 +478,13 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     residual = math.inf
     clip_mass = current.meta.get("clip_mass", 0.0)
     renorm = current.meta.get("renorm_drift", 0.0)
+
+    def dist(j, lam_):
+        return float(np.max(_weight(params, times, lam_) * gap_series[j]))
+
+    def ratios_at(lam_):
+        return [dist(j, lam_) / max(dist(j - 1, lam_), 1e-300) for j in range(1, iterations)]
+
     for it in range(max_iter):
         nxt = phi_apply(gamma, current, drift, params, steps, grading, graded_from)
         clip_mass = max(clip_mass, nxt.meta.get("clip_mass", 0.0))
@@ -467,15 +492,10 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
         gap_series.append(_dual_norm_series(nxt, current, params.running_index))
         current = nxt
         iterations = it + 1
-
-        def dist(j, lam_):
-            return float(np.max(_weight(params, times, lam_) * gap_series[j]))
-
         residual = dist(iterations - 1, lam)
         if residual < tol:
             break
-        ratios = [dist(j, lam) / max(dist(j - 1, lam), 1e-300)
-                  for j in range(1, iterations)]
+        ratios = ratios_at(lam)
         if auto_lambda and len(ratios) >= 2 and min(ratios[-2:]) >= 0.9:
             lam = max(2.0 * lam, 1.0)
             continue
@@ -484,11 +504,7 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
                 f"no contraction after {iterations} iterations "
                 f"(last ratios {[f'{r:.3f}' for r in ratios[-3:]]}); "
                 f"increase the metric weight lambda or shorten the horizon T")
-    ratios = []
-    for j in range(1, iterations):
-        d0 = float(np.max(_weight(params, times, lam) * gap_series[j - 1]))
-        d1 = float(np.max(_weight(params, times, lam) * gap_series[j]))
-        ratios.append(d1 / max(d0, 1e-300))
+    ratios = ratios_at(lam)
     if gamma_norm is None:
         try:
             gamma_norm = measure_dual_norm(gamma, params.initial_index, "amalgam")
@@ -501,38 +517,23 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     except ValueError:
         tau_est = float("nan")  # inadmissible indices carry no lifetime bound
     report = SolveReport(
-        iterations=iterations,
-        contraction_ratios=ratios,
-        decay_times=times,
-        decay_trajectory=traj,
-        fitted_B=fitted_B,
-        fitted_rate=rate,
-        blowup=blow,
-        blowup_time=blow_time,
-        tau_n_estimate=tau_est,
-        k_traj=k_traj,
-        s_traj=s_traj,
-        lam_used=lam,
-        renorm_drift=renorm,
-        clip_mass=clip_mass,
-        residual=residual,
-        gap_series=gap_series,
-    )
+        iterations=iterations, contraction_ratios=ratios, decay_times=times,
+        decay_trajectory=traj, fitted_B=fitted_B, fitted_rate=rate, blowup=blow,
+        blowup_time=blow_time, tau_n_estimate=tau_est, k_traj=k_traj, s_traj=s_traj,
+        lam_used=lam, renorm_drift=renorm, clip_mass=clip_mass, residual=residual,
+        gap_series=gap_series)
     return current, report
 
 
-class _ShiftedDrift:
+def _shifted_drift(drift, r: float):
     """Drift switched off before the shift time, time argument shifted after."""
 
-    def __init__(self, drift, r: float):
-        self.drift = drift
-        self.r = r
+    def shifted(rho: ScalarField, t: float) -> VectorField:
+        if t < r:
+            return VectorField(rho.grid, [np.zeros(rho.grid.shape)] * rho.grid.dim)
+        return _drift_field(drift, rho, t - r)
 
-    def __call__(self, rho: ScalarField, t: float) -> VectorField:
-        if t < self.r:
-            zero = np.zeros(rho.grid.shape)
-            return VectorField(rho.grid, [zero.copy() for _ in range(rho.grid.dim)])
-        return _drift_field(self.drift, rho, t - self.r)
+    return shifted
 
 
 def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
@@ -552,10 +553,8 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     # the switch-on time joins the grid so the frozen-flow interpolation just
     # after it anchors at the diffused law, not at the rough initial spike
     shifted_times = (r,) + tuple(r + t for t in params.time_grid)
-    inner = FlowParams(delta=params.delta, k=params.k, eps=params.eps, p=params.p,
-                       kappa=params.kappa, T=params.T + r, time_grid=shifted_times,
-                       lam=params.lam, dim=params.dim)
-    flow, report = picard_solve(gamma0, _ShiftedDrift(drift, r), inner, tol=tol,
+    inner = replace(params, T=params.T + r, time_grid=shifted_times)
+    flow, report = picard_solve(gamma0, _shifted_drift(drift, r), inner, tol=tol,
                                 max_iter=max_iter, steps=steps, grading=grading,
                                 graded_from=r)
     out = MeasureFlow(np.asarray(params.time_grid), flow.densities[1:],

@@ -226,6 +226,20 @@ class TestFlowBinary:
         with pytest.raises(ValueError, match="not a flow binary"):
             read_flow(path)
 
+    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067])
+    def test_rejects_truncated(self, tmp_path, cut):
+        # header is 28 bytes, the two times end at 44, the data runs to 1068
+        grid = GridSpec(1, 64, 8.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
+        flow = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=50)
+        path = tmp_path / "flow.bin"
+        write_flow(flow, path)
+        data = path.read_bytes()
+        assert len(data) == 44 + 2 * 64 * 8
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated flow binary"):
+            read_flow(path)
+
 
 class TestCli:
     def test_norm_command(self, capsys):
@@ -260,6 +274,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "refused" in err
+
+    def test_kernel_study_default_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["kernel-study", "--grid", "1024", "--kernel", "dirac",
+                       "--delta", "1.5"])
+        capsys.readouterr()
+        assert rc == 0
+        assert (tmp_path / "kernel_study.csv").exists()
+        assert not (tmp_path / "None").exists()
+
+    def test_seed_zero_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = kernel_membership\nseed = 5\ngrid_n = 1024\n"
+                       "kernel = dirac\ndeltas = 1.5\nks = inf\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out),
+                       "--seed", "0", "--formats", "json"])
+        capsys.readouterr()
+        assert rc == 0
+        (path,) = out.glob("*.json")
+        assert json.loads(path.read_text())["provenance"]["seed"] == 0
+
+    def test_report_command_comma_labels(self, tmp_path, capsys):
+        rep = RunReport(rows=[ReportRow("norm(delta=1, k=2)", 1.0, 1.25, 0.5, True),
+                              ReportRow("plain", 0.0, 0.5, 0.1, False)], provenance={})
+        emit_report(rep, tmp_path, name="r", formats=("csv",))
+        text = (tmp_path / "r.csv").read_text()
+        assert text.splitlines()[2] == "plain,0,0.5,0.10000000000000001,false"
+        rc = cli_main(["report", str(tmp_path / "r.csv")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[PASS] norm(delta=1, k=2): measured 1.25" in out
+        back = parse_report_csv(tmp_path / "r.csv")
+        assert [r.quantity for r in back.rows] == ["norm(delta=1, k=2)", "plain"]
+        assert back.rows[0].measured == 1.25
 
     def test_report_command(self, tmp_path, capsys):
         rep = RunReport(rows=[ReportRow("x", 0.0, 0.5, 0.1, False)], provenance={})

@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from mkvflow.grids import GridSpec, ScalarField, gaussian_density, grid_delta, heat_apply
+from mkvflow.grids import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    gaussian_density,
+    grid_delta,
+    heat_apply,
+    random_band_limited,
+)
 from mkvflow.kernels import (
     ConstantVector,
+    GridSampled,
     KernelSpec,
     RieszOrder,
     TimeModulation,
+    drift_from_kernel,
     realize_kernel,
 )
 from mkvflow.solver import (
+    _frozen_drift,
     DegradedAccuracyError,
     FlowParams,
     MeasureFlow,
@@ -195,6 +206,57 @@ class TestWeightedFlowDistance:
         f2 = phi_apply(gamma, None, None, p2, steps=50)
         with pytest.raises(ValueError):
             weighted_flow_distance(f1, f2, p1)
+
+
+class TestSpectralMarch:
+    """The spectral-state march against the per-call physical drift."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_interpolated_drift_matches_drift_from_kernel(self, dim):
+        modulation = TimeModulation(kappa=0.75, table=((0.0, 1.0), (0.5, 2.0)))
+        if dim == 1:
+            grid, gamma, spec = GRID, gaussian_density(GRID, 0.0, 0.04), small_kernel()
+            spec = KernelSpec(spec.variant, spec.mollification_eps, modulation)
+        else:
+            grid = GridSpec(2, 64, 8.0)
+            gamma = gaussian_density(grid, [0.3, -0.2], 0.09)
+            rng = np.random.default_rng(3)
+            field = VectorField(grid, [random_band_limited(grid, 8, rng).values
+                                       for _ in range(2)])
+            spec = KernelSpec(GridSampled(field), 0.1, modulation)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
+                            time_grid=(0.1, 0.25, 0.5), dim=dim)
+        mu = phi_apply(gamma, None, None, params, steps=60)
+        drift_at = _frozen_drift(spec, mu, grid)
+        for s in (0.0, 0.03, 0.1, 0.17, 0.3337, 0.49, 0.5):
+            got = drift_at(s)
+            want = drift_from_kernel(spec, mu.density_at(s), s).components
+            scale = max(np.abs(c).max() for c in want)
+            assert scale > 0 or s == 0.0
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12 * max(scale, 1e-300)
+
+    def test_negative_frozen_density_rejected(self):
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        params = params_for(n=2)
+        mu = phi_apply(gamma, None, None, params, steps=20)
+        vals = mu.densities[0].values.copy()
+        vals[0] = -1e-7
+        mu.densities[0] = ScalarField(GRID, vals / (vals.sum() * GRID.cell_volume))
+        with pytest.raises(ValueError, match="not a density"):
+            phi_apply(gamma, mu, small_kernel(), params, steps=20)
+
+    def test_non_finite_state_rejected(self):
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        params = params_for(n=2)
+        mu = phi_apply(gamma, None, None, params, steps=20)
+
+        def huge(rho, t):
+            return VectorField(rho.grid, [np.full(rho.grid.shape, 1e300)])
+
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            phi_apply(gamma, mu, huge, params, steps=20)
 
 
 class TestPicardSolve:

@@ -214,6 +214,15 @@ def _apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.fftn(values) * mult).real
 
 
+def _apply_half(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Apply a real radial multiplier given on the real-FFT half lattice.
+
+    Such a multiplier keeps the spectrum of a real field Hermitian, so this
+    equals the full-lattice product, Nyquist modes included.
+    """
+    return np.fft.irfftn(np.fft.rfftn(values) * mult)
+
+
 def _check_resolution(grid: GridSpec, t: float):
     """Flag heat times whose Gaussian std is under ~2 grid cells."""
     return math.sqrt(t) < _RESOLUTION_CELLS * grid.spacing
@@ -235,8 +244,8 @@ def heat_apply(f: ScalarField, t: float) -> ScalarField:
     """
     if not (t > 0 and np.isfinite(t)):
         raise ValueError(f"heat time must be positive and finite, got {t}")
-    mult = np.exp(-0.5 * t * f.grid.freq_sq())
-    out = ScalarField(f.grid, _apply_multiplier(f.values, mult), f.meta)
+    mult = np.exp(-0.5 * t * rfft_wavenumbers(f.grid)[1])
+    out = ScalarField(f.grid, _apply_half(f.values, mult), f.meta)
     if _check_resolution(f.grid, t):
         warnings.warn(f"heat kernel under-resolved: std {math.sqrt(t):.3g} < "
                       f"{_RESOLUTION_CELLS:g} * spacing {f.grid.spacing:.3g}", stacklevel=2)
@@ -303,20 +312,20 @@ def bessel_apply(f: ScalarField, r: float, mode: str = "spectral",
     """
     if r < 0:
         raise ValueError(f"Bessel order must be nonnegative, got {r}")
+    xi_sq = rfft_wavenumbers(f.grid)[1]
     if mode == "spectral":
         if r == 0:
             return f.copy()
-        mult = (1.0 + f.grid.freq_sq()) ** (-r)
+        mult = (1.0 + xi_sq) ** (-r)
     elif mode == "gamma_quadrature":
         if r == 0:
             raise ValueError("gamma_quadrature mode requires r > 0")
         s, w = _exp_sinh_nodes(r, nodes)
-        xi_sq = f.grid.freq_sq()
         # sum_i w_i exp(-s_i |xi|^2): heat_apply(., 2 s_i) stacked in one pass
         mult = np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
     else:
         raise ValueError(f"unknown bessel mode {mode!r}")
-    return ScalarField(f.grid, _apply_multiplier(f.values, mult), f.meta)
+    return ScalarField(f.grid, _apply_half(f.values, mult), f.meta)
 
 
 def bessel_sharpen(f: ScalarField, r: float) -> ScalarField:
@@ -325,8 +334,8 @@ def bessel_sharpen(f: ScalarField, r: float) -> ScalarField:
         raise ValueError(f"order must be nonnegative, got {r}")
     if r == 0:
         return f.copy()
-    mult = (1.0 + f.grid.freq_sq()) ** r
-    return ScalarField(f.grid, _apply_multiplier(f.values, mult), f.meta)
+    mult = (1.0 + rfft_wavenumbers(f.grid)[1]) ** r
+    return ScalarField(f.grid, _apply_half(f.values, mult), f.meta)
 
 
 def field_derivative(f: ScalarField, order) -> ScalarField:

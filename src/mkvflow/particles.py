@@ -3,7 +3,11 @@
 Euler-Maruyama with the empirical-measure drift; additive unit noise makes
 higher-order schemes pointless.  Each particle owns a counter-based RNG
 stream keyed by (master seed, particle index), so any particle's path is
-reproducible independently of how many particles run alongside it.
+reproducible independently of how many particles run alongside it.  A run
+realizes those streams with one Philox generator that it re-keys to
+``[seed, index]`` (counter 0) per particle; the draws are bit-identical to a
+fresh ``Generator(Philox(key=[seed, index]))`` per particle.  The binned drift
+convolves the ensemble histogram with the kernel on the real-FFT half lattice.
 """
 
 from __future__ import annotations
@@ -90,10 +94,27 @@ class SimConfig:
         return out
 
 
-def _particle_rngs(seed: int, count: int):
-    """One Philox stream per particle keyed by (seed, index)."""
-    return [np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(i)]))
-            for i in range(count)]
+def _particle_increments(seed: int, count: int, steps: int, dim: int) -> np.ndarray:
+    """Standard normal increments ``(count, steps, dim)``, one Philox stream per
+    particle keyed by (seed, index).
+
+    One generator serves the whole run: before each particle's draw its bit
+    generator is reset to counter 0 under key ``[seed, index]``, which is the
+    state ``Philox(key=[seed, index])`` starts from.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = np.array([seed, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((count, steps, dim))
+    for i in range(count):
+        key[1] = i
+        bitgen.state = state
+        rng.standard_normal((steps, dim), out=out[i])
+    return out
 
 
 def _sample_initial(cfg: SimConfig, N: int, rng) -> np.ndarray:
@@ -117,15 +138,19 @@ def _sample_initial(cfg: SimConfig, N: int, rng) -> np.ndarray:
 
 def _bin_positions(positions: np.ndarray, grid: GridSpec) -> ScalarField:
     """Histogram of the ensemble as a unit-mass grid density."""
-    n, L, h = grid.points_per_dim, grid.extent, grid.spacing
-    idx = np.floor((positions + 0.5 * L) / h + 0.5).astype(int) % n
-    vals = np.zeros(grid.shape)
-    if grid.dim == 1:
-        np.add.at(vals, idx[:, 0], 1.0)
-    else:
-        np.add.at(vals, (idx[:, 0], idx[:, 1]), 1.0)
-    vals /= positions.shape[0] * grid.cell_volume
-    return ScalarField(grid, vals)
+    L, h = grid.extent, grid.spacing
+    idx = np.floor((positions + 0.5 * L) / h + 0.5).astype(int)
+    # nearest grid point, taken modulo n per axis (index n wraps to 0)
+    flat = np.ravel_multi_index(tuple(idx.T), grid.shape, mode="wrap")
+    vals = np.bincount(flat, minlength=grid.num_points).reshape(grid.shape)
+    return ScalarField(grid, vals / (positions.shape[0] * grid.cell_volume))
+
+
+def _kernel_spectra(kern_field) -> list:
+    """Half-lattice spectra of the kernel components, scaled by the cell volume
+    so that ``irfftn(spectrum * rfftn(density))`` is the periodic convolution."""
+    h = kern_field.grid.cell_volume
+    return [h * np.fft.rfftn(np.fft.ifftshift(c)) for c in kern_field.components]
 
 
 def _interp_field(values: np.ndarray, grid: GridSpec, positions: np.ndarray) -> np.ndarray:
@@ -164,12 +189,10 @@ def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
                 vals = _interp_field(comp, grid, z)
                 out[i, j] = vals.mean()
         return factor * out
-    hist = _bin_positions(positions, grid)
-    rho_hat = np.fft.fftn(hist.values)
+    rho_hat = np.fft.rfftn(_bin_positions(positions, grid).values)
     out = np.empty_like(positions)
     for j, chat in enumerate(kern_hat):
-        conv = np.fft.ifftn(chat * rho_hat).real * grid.cell_volume
-        out[:, j] = _interp_field(conv, grid, positions)
+        out[:, j] = _interp_field(np.fft.irfftn(chat * rho_hat), grid, positions)
     return factor * out
 
 
@@ -184,21 +207,17 @@ def simulate_particles(cfg: SimConfig, N: int):
     if N < 2:
         raise ValueError("need at least 2 particles")
     grid = cfg.grid
-    rngs = _particle_rngs(cfg.seed, N)
     init_rng = np.random.Generator(np.random.Philox(
         key=[np.uint64(cfg.seed), np.uint64(2**63)]))
     positions = _sample_initial(cfg, N, init_rng)
     steps = cfg.steps
     dim = grid.dim
-    # per-particle increment blocks, drawn in one call per particle
-    increments = np.empty((N, steps, dim))
-    for i, rng in enumerate(rngs):
-        increments[i] = rng.standard_normal((steps, dim))
+    increments = _particle_increments(cfg.seed, N, steps, dim)
     kern_field = None
     kern_hat = None
     if cfg.kernel is not None:
         kern_field = realize_kernel(cfg.kernel, grid)
-        kern_hat = [np.fft.fftn(np.fft.ifftshift(c)) for c in kern_field.components]
+        kern_hat = _kernel_spectra(kern_field)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
     wrap_count = 0

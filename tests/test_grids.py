@@ -8,6 +8,7 @@ from mkvflow.grids import (
     GridSpec,
     ScalarField,
     bessel_apply,
+    bessel_sharpen,
     field_derivative,
     gaussian_density,
     grid_delta,
@@ -15,6 +16,7 @@ from mkvflow.grids import (
     heat_gradient,
     random_band_limited,
 )
+from mkvflow.grids import _exp_sinh_nodes
 
 GRID1 = GridSpec(1, 1024, 16.0)
 
@@ -169,6 +171,42 @@ class TestBesselApply:
         a = bessel_apply(field_derivative(f, (1,)), 0.7)
         b = field_derivative(bessel_apply(f, 0.7), (1,))
         assert np.max(np.abs(a.values - b.values)) < 1e-10
+
+
+def _quadrature_mult(r, nodes):
+    s, w = _exp_sinh_nodes(r, nodes)
+    return lambda xi_sq: np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
+
+
+# operator under test and its multiplier as a function of |xi|^2
+HALF_LATTICE_CASES = {
+    "heat": (lambda f: heat_apply(f, 0.01), lambda q: np.exp(-0.005 * q)),
+    "bessel_spectral": (lambda f: bessel_apply(f, 0.75), lambda q: (1.0 + q) ** -0.75),
+    "bessel_gamma_quadrature": (
+        lambda f: bessel_apply(f, 0.75, mode="gamma_quadrature", nodes=120),
+        _quadrature_mult(0.75, 120)),
+    "bessel_sharpen": (lambda f: bessel_sharpen(f, 1.25), lambda q: (1.0 + q) ** 1.25),
+}
+
+
+class TestHalfLatticeMultipliers:
+    """Real radial multipliers applied on the real-FFT half lattice agree with
+    the full complex lattice, Nyquist modes included."""
+
+    @pytest.mark.filterwarnings("ignore:heat kernel under-resolved")
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 8.0), GridSpec(2, 32, 8.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("case", sorted(HALF_LATTICE_CASES))
+    def test_matches_complex_oracle(self, case, grid):
+        apply, mult = HALF_LATTICE_CASES[case]
+        n = grid.points_per_dim
+        f = random_band_limited(grid, n // 2, np.random.default_rng(21))
+        spec = np.fft.fftn(f.values)
+        # the field carries content at the last axis's Nyquist frequency
+        assert np.abs(np.take(spec, n // 2, axis=-1)).max() > 1e-3 * np.abs(spec).max()
+        want = np.fft.ifftn(spec * mult(grid.freq_sq())).real
+        got = apply(f).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestFieldDerivative:

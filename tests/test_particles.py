@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from mkvflow.metrics import GaussianSpec
 from mkvflow.particles import (
     ParticleEnsemble,
     SimConfig,
+    _bin_positions,
+    _particle_increments,
     chaos_convergence_study,
     empirical_density,
     simulate_particles,
@@ -79,10 +82,10 @@ class TestSimulate:
         base = simulate_particles(cfg, 64)
         # drift field depends on the empirical measure only; verify the drift
         # seen by particle 0 is unchanged when the others are relabeled
-        from mkvflow.particles import _empirical_drift
+        from mkvflow.particles import _empirical_drift, _kernel_spectra
         from mkvflow.kernels import realize_kernel
         kf = realize_kernel(kern, GRID)
-        khat = [np.fft.fftn(np.fft.ifftshift(c)) for c in kf.components]
+        khat = _kernel_spectra(kf)
         pos = base[-1].positions
         perm = np.random.default_rng(0).permutation(pos.shape[0])
         d1 = _empirical_drift(cfg, pos, 0.01, kf, khat)
@@ -108,6 +111,48 @@ class TestSimulate:
         snaps = simulate_particles(cfg, 50)
         assert np.all(np.abs(snaps[-1].positions) <= GRID.extent / 2)
         assert snaps[-1].wrap_count > 0
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 7])
+    def test_increments_match_per_particle_generators(self, seed, dim):
+        N, steps = 37, 9
+        got = _particle_increments(seed, N, steps, dim)
+        for i in range(N):
+            oracle = np.random.Generator(np.random.Philox(
+                key=[np.uint64(seed), np.uint64(i)])).standard_normal((steps, dim))
+            assert np.array_equal(got[i], oracle)
+
+
+class TestBinPositions:
+    @staticmethod
+    def add_at_oracle(positions, grid):
+        n, L, h = grid.points_per_dim, grid.extent, grid.spacing
+        idx = np.floor((positions + 0.5 * L) / h + 0.5).astype(int) % n
+        vals = np.zeros(grid.shape)
+        np.add.at(vals, tuple(idx.T), 1.0)
+        return vals / (positions.shape[0] * grid.cell_volume)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 32, 4.0), GridSpec(2, 16, 4.0)],
+                             ids=["1d", "2d"])
+    def test_matches_add_at(self, grid):
+        L, h = grid.extent, grid.spacing
+        rng = np.random.default_rng(8)
+        edges = np.array([-L / 2, L / 2, -L / 2 + h / 2, L / 2 - h / 2, h / 2, -h / 2,
+                          0.0, L / 2 - h / 4])
+        pts = [rng.uniform(-L / 2, L / 2, size=(200, grid.dim)),
+               np.repeat(edges[:, None], grid.dim, axis=1)]
+        if grid.dim == 2:
+            a, b = np.meshgrid(edges, edges, indexing="ij")
+            pts.append(np.column_stack([a.ravel(), b.ravel()]))
+        positions = np.concatenate(pts)
+        hist = _bin_positions(positions, grid)
+        want = self.add_at_oracle(positions, grid)
+        assert np.array_equal(hist.values, want)
+        # +L/2 and the last half cell wrap to index 0
+        top = _bin_positions(np.full((2, grid.dim), L / 2 - h / 4), grid)
+        assert top.values[(0,) * grid.dim] == pytest.approx(1.0 / grid.cell_volume)
 
 
 class TestEmpiricalDensity:
@@ -165,6 +210,25 @@ class TestChaosStudy:
         a = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         b = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         assert a["rows"] == b["rows"]
+
+    def test_threads_match_serial(self, heat_flow):
+        # each run draws from its own generator, so thread scheduling cannot
+        # change any particle path; more threads than cores and a short switch
+        # interval make a generator shared between runs show up as a mismatch
+        eps = 16 * GRID.spacing**2
+        cfg = SimConfig(grid=GRID, dt=0.0025, T=0.25, seed=4,
+                        kernel=KernelSpec(RieszOrder((0.2,), 0, 1.0), eps),
+                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.25,))
+        serial = chaos_convergence_study(cfg, [300, 600], heat_flow, repeats=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = chaos_convergence_study(cfg, [300, 600], heat_flow, repeats=4,
+                                               threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not serial["failures"]
+        assert threaded["rows"] == serial["rows"]
 
     def test_sd_shrinks_with_repeats(self, heat_flow):
         # repeated studies: the spread of the mean across study replicas

@@ -18,6 +18,7 @@ density as the anchor.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -32,9 +33,15 @@ MAGIC = b"MKVF"
 VERSION = 1
 
 
+def _create(path, mode: str, **kw):
+    """Open ``path`` for writing, creating its parent directory if missing."""
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+    return open(path, mode, **kw)
+
+
 def write_flow(flow: MeasureFlow, path):
     grid = flow.grid
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", VERSION, grid.dim, grid.points_per_dim))
         fh.write(struct.pack("<d", grid.extent))
@@ -75,7 +82,7 @@ def flow_density_table(flow: MeasureFlow, path):
     """Per-time CSV density table: columns t, x[, y], density."""
     grid = flow.grid
     coords = grid.coords()
-    with open(path, "w", newline="") as fh:
+    with _create(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         if grid.dim == 1:
             wr.writerow(["t", "x", "density"])
@@ -92,7 +99,7 @@ def flow_density_table(flow: MeasureFlow, path):
 
 
 def write_csv_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _create(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
         for row in rows:

@@ -4,7 +4,8 @@ Everything lives on a uniform grid over a centered torus ``[-L/2, L/2)^d``
 with ``d`` in {1, 2}.  The heat semigroup, its gradient, Bessel-potential
 smoothing and spatial derivatives are all Fourier multipliers, so they are
 exact on band-limited data and mass/positivity behave as for the continuum
-operators up to FFT roundoff.
+operators up to FFT roundoff.  All of them act on the real-FFT half lattice
+through read-only arrays cached per ``GridSpec``, shared with other modules.
 """
 
 from __future__ import annotations
@@ -121,28 +122,44 @@ class GridSpec:
         return np.hypot(a, b)
 
 
+@functools.lru_cache(maxsize=64)
+def _derivative_multiplier(grid: GridSpec, order: tuple) -> np.ndarray:
+    """``prod_j (i xi_j)^o_j`` on the real-FFT half lattice, read-only.
+
+    Every axis, the last included, carries its Nyquist frequency with the
+    ``fftfreq`` sign (-pi/h).  A Nyquist index is its own mirror image, so
+    where the orders of the axes at their Nyquist index add up to an odd
+    number, ``.real`` of the full-lattice product drops the mode; zeroing it
+    here makes the two routes agree exactly.
+    """
+    n = grid.points_per_dim
+    axis = grid.freq_axis()
+    xi = np.meshgrid(*([axis] * (grid.dim - 1) + [axis[: n // 2 + 1]]), indexing="ij")
+    mult = np.ones(xi[0].shape, dtype=complex)
+    odd = np.zeros(xi[0].shape, dtype=int)
+    for x, o in zip(xi, order):
+        if o:
+            mult = mult * (1j * x) ** o
+            odd = odd + o * (x == axis[n // 2])
+    mult[odd % 2 == 1] = 0.0
+    mult.setflags(write=False)
+    return mult
+
+
 @functools.lru_cache(maxsize=16)
 def rfft_wavenumbers(grid: GridSpec) -> tuple:
     """``(i xi_1, ..., i xi_d)`` and ``|xi|^2`` on the real-FFT lattice of ``grid``.
 
-    The derivative multipliers vanish at the Nyquist frequency of their own
-    axis, which keeps the derivative of a real field real.  The arrays are
-    shared between callers and read-only.  ``points_per_dim`` is even, so
-    ``irfftn`` of such a spectrum restores the grid shape without ``s``.
+    These are the first-order derivative multipliers, which vanish at the
+    Nyquist frequency of their own axis, and minus the Laplacian's.  The
+    arrays are shared between callers and read-only.  ``points_per_dim`` is
+    even, so ``irfftn`` of a half-lattice spectrum restores the grid shape
+    without ``s``.
     """
-    n = grid.points_per_dim
-    axes = [grid.freq_axis()] * (grid.dim - 1)
-    axes.append(2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing))
-    xi = np.meshgrid(*axes, indexing="ij")
-    ixi = []
-    for j, x in enumerate(xi):
-        ik = 1j * x
-        ik[(slice(None),) * j + (n // 2,)] = 0.0
-        ixi.append(ik)
-    xi_sq = sum(x**2 for x in xi)
-    for a in ixi + [xi_sq]:
-        a.setflags(write=False)
-    return tuple(ixi), xi_sq
+    units = [tuple(int(i == j) for i in range(grid.dim)) for j in range(grid.dim)]
+    xi_sq = -sum(_derivative_multiplier(grid, tuple(2 * o for o in u)).real for u in units)
+    xi_sq.setflags(write=False)
+    return tuple(_derivative_multiplier(grid, u) for u in units), xi_sq
 
 
 class ScalarField:
@@ -210,15 +227,12 @@ class VectorField:
         return float(self.magnitude().max())
 
 
-def _apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.fft.fftn(values) * mult).real
-
-
 def _apply_half(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply a real radial multiplier given on the real-FFT half lattice.
+    """Apply a multiplier given on the real-FFT half lattice.
 
-    Such a multiplier keeps the spectrum of a real field Hermitian, so this
-    equals the full-lattice product, Nyquist modes included.
+    A real radial multiplier, or one from ``_derivative_multiplier``, keeps
+    the spectrum of a real field Hermitian, so this equals the full-lattice
+    product followed by ``.real``, Nyquist modes included.
     """
     return np.fft.irfftn(np.fft.rfftn(values) * mult)
 
@@ -257,9 +271,9 @@ def heat_gradient(f: ScalarField, t: float) -> VectorField:
     """Gradient of the heat-evolved field, multiplier ``i xi exp(-t|xi|^2/2)``."""
     if not (t > 0 and np.isfinite(t)):
         raise ValueError(f"heat time must be positive and finite, got {t}")
-    spec = np.fft.fftn(f.values)
-    damp = np.exp(-0.5 * t * f.grid.freq_sq())
-    comps = [np.fft.ifftn(1j * xi * damp * spec).real for xi in f.grid.freqs()]
+    ixi, xi_sq = rfft_wavenumbers(f.grid)
+    spec = np.fft.rfftn(f.values) * np.exp(-0.5 * t * xi_sq)
+    comps = [np.fft.irfftn(ik * spec) for ik in ixi]
     meta = dict(f.meta)
     if _check_resolution(f.grid, t):
         warnings.warn(f"heat kernel under-resolved at t={t:.3g}", stacklevel=2)
@@ -357,11 +371,8 @@ def field_derivative(f: ScalarField, order) -> ScalarField:
         raise ValueError(f"unsupported derivative order |{order}| = {total} > {MAX_DERIVATIVE_ORDER}")
     if total == 0:
         return f.copy()
-    mult = np.ones(f.grid.shape, dtype=complex)
-    for xi, o in zip(f.grid.freqs(), order):
-        if o:
-            mult = mult * (1j * xi) ** o
-    return ScalarField(f.grid, _apply_multiplier(f.values, mult), f.meta)
+    return ScalarField(f.grid, _apply_half(f.values, _derivative_multiplier(f.grid, order)),
+                       f.meta)
 
 
 def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,

@@ -5,11 +5,13 @@ order (`RieszOrder`), derivatives of a point mass (`DiracDerivative`),
 constant vectors and arbitrary grid-sampled fields.  Singular variants are
 realized after heat mollification at time ``mollification_eps``.  The
 convolution drift and the pointwise density-derivative (Nemytskii) drift
-both carry a ``K(t) * t**kappa`` time envelope.
+both carry a ``K(t) * t**kappa`` time envelope.  Every user of the kernel's
+real-FFT spectrum takes it from ``kernel_spectra``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ from .grids import (
     VectorField,
     field_derivative,
     heat_apply,
+    rfft_wavenumbers,
 )
 from .norms import BallLattice, SobolevIndex, local_neg_norm
 
@@ -36,6 +39,7 @@ __all__ = [
     "NemytskiiSpec",
     "MollificationError",
     "realize_kernel",
+    "kernel_spectra",
     "riesz_direct",
     "drift_from_kernel",
     "nemytskii_drift",
@@ -170,19 +174,13 @@ def _riesz_symbol_route(spec: RieszOrder, grid: GridSpec, eps: float):
     The zero mode vanishes (odd kernel).
     """
     power = 2 * spec.n0 + spec.eps0 - 2.0
-    xi = grid.freqs()
-    xi_sq = grid.freq_sq()
+    ixi, xi_sq = rfft_wavenumbers(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         radial = np.where(xi_sq > 0, xi_sq ** (0.5 * power), 0.0)
-    damp = np.exp(-0.5 * eps * xi_sq)
-    comps = []
-    for j in range(grid.dim):
-        sym = 1j * xi[j] * radial * damp
-        # inverse transform lands in displacement indexing; shift the origin
-        # to the grid center to match the coordinate convention
-        vals = np.fft.ifftn(sym * np.ones(grid.shape, dtype=complex)).real
-        comps.append(np.fft.fftshift(vals) / grid.cell_volume)
-    return comps
+    radial = radial * np.exp(-0.5 * eps * xi_sq)
+    # inverse transform lands in displacement indexing; shift the origin to
+    # the grid center to match the coordinate convention
+    return [np.fft.fftshift(np.fft.irfftn(ik * radial)) / grid.cell_volume for ik in ixi]
 
 
 def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
@@ -252,7 +250,16 @@ def _riesz_calibration_scale(spec: RieszOrder, grid: GridSpec, eps: float,
     return num / den
 
 
-_RIESZ_CACHE: dict = {}
+@functools.lru_cache(maxsize=32)
+def _riesz_components(spec: RieszOrder, grid: GridSpec, eps: float) -> tuple:
+    """Calibrated Riesz kernel components, shared between callers and read-only."""
+    raw = _riesz_symbol_route(spec, grid, eps)
+    scale = _riesz_calibration_scale(spec, grid, eps, raw)
+    comps = tuple((spec.c[j] if j < len(spec.c) else spec.c[0]) * scale * raw[j]
+                  for j in range(grid.dim))
+    for c in comps:
+        c.setflags(write=False)
+    return comps
 
 
 def realize_kernel(spec: KernelSpec, grid: GridSpec) -> VectorField:
@@ -292,18 +299,7 @@ def realize_kernel(spec: KernelSpec, grid: GridSpec) -> VectorField:
                  for j in range(grid.dim)]
         return VectorField(grid, comps)
     if isinstance(v, RieszOrder):
-        key = (v, grid.dim, grid.points_per_dim, grid.extent, eps)
-        if key not in _RIESZ_CACHE:
-            if len(_RIESZ_CACHE) > 32:
-                _RIESZ_CACHE.clear()
-            raw = _riesz_symbol_route(v, grid, eps)
-            scale = _riesz_calibration_scale(v, grid, eps, raw)
-            comps = []
-            for j in range(grid.dim):
-                cj = v.c[j] if j < len(v.c) else v.c[0]
-                comps.append(cj * scale * raw[j])
-            _RIESZ_CACHE[key] = comps
-        return VectorField(grid, [c.copy() for c in _RIESZ_CACHE[key]])
+        return VectorField(grid, [c.copy() for c in _riesz_components(v, grid, eps)])
     raise TypeError(f"unknown kernel variant {type(v).__name__}")
 
 
@@ -312,6 +308,17 @@ def _unit_spike(grid: GridSpec) -> ScalarField:
     idx = tuple(int(np.argmin(np.abs(grid.axis_coords()))) for _ in range(grid.dim))
     vals[idx] = 1.0 / grid.cell_volume
     return ScalarField(grid, vals)
+
+
+def kernel_spectra(spec: KernelSpec, grid: GridSpec) -> list:
+    """Half-lattice spectra of the realized kernel components.
+
+    Each is re-rooted at zero displacement and scaled by the cell volume, so
+    ``irfftn(spectrum * rfftn(rho))`` is the periodic convolution of that
+    component with the density ``rho``.
+    """
+    return [grid.cell_volume * np.fft.rfftn(np.fft.ifftshift(c))
+            for c in realize_kernel(spec, grid).components]
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +334,9 @@ def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float,
     """
     rho.require_density()
     factor = spec.modulation.factor(t)
-    kern = realize_kernel(spec, rho.grid)
-    if kern.grid != rho.grid:
-        raise ValueError("kernel and density grids differ")
-    rho_hat = np.fft.fftn(rho.values)
-    comps = []
-    for c in kern.components:
-        # ifftshift re-roots the kernel at zero displacement before the
-        # circular convolution
-        conv = np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(c)) * rho_hat).real
-        comps.append(factor * conv * rho.grid.cell_volume)
-    out = VectorField(rho.grid, comps)
+    rho_hat = np.fft.rfftn(rho.values)
+    out = VectorField(rho.grid, [factor * np.fft.irfftn(k_hat * rho_hat)
+                                 for k_hat in kernel_spectra(spec, rho.grid)])
     if report_sensitivity and spec.mollification_eps > 0:
         half = KernelSpec(spec.variant, spec.mollification_eps / 2.0, spec.modulation)
         other = drift_from_kernel(half, rho, t)

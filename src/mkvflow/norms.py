@@ -10,6 +10,7 @@ Inequality checks elsewhere always use the bracket conservatively.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -92,23 +93,17 @@ class BallLattice:
         return max(1, int(self.spacing / grid.spacing))
 
 
-def _ball_indicator_fft(grid: GridSpec):
-    rad = grid.periodic_radius()
-    ind = (rad <= BALL_RADIUS).astype(float)
-    return np.fft.fftn(ind)
-
-
-_BALL_CACHE: dict = {}
+@functools.lru_cache(maxsize=16)
+def _ball_spectrum(grid: GridSpec) -> np.ndarray:
+    """Half-lattice spectrum of the unit-ball indicator (real: the ball is even)."""
+    spec = np.fft.rfftn((grid.periodic_radius() <= BALL_RADIUS).astype(float))
+    spec.setflags(write=False)
+    return spec
 
 
 def _windowed_power_sums(grid: GridSpec, power_values: np.ndarray) -> np.ndarray:
     """Integral of ``power_values`` over the unit ball around every grid point."""
-    key = (grid.dim, grid.points_per_dim, grid.extent)
-    if key not in _BALL_CACHE:
-        if len(_BALL_CACHE) > 16:
-            _BALL_CACHE.clear()
-        _BALL_CACHE[key] = _ball_indicator_fft(grid)
-    conv = np.fft.ifftn(np.fft.fftn(power_values) * _BALL_CACHE[key]).real
+    conv = np.fft.irfftn(np.fft.rfftn(power_values) * _ball_spectrum(grid))
     return np.maximum(conv, 0.0) * grid.cell_volume
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec, ScalarField, heat_apply
-from .kernels import KernelSpec, realize_kernel
+from .kernels import KernelSpec, kernel_spectra, realize_kernel
 from .metrics import wasserstein_1d_empirical
 from .solver import MeasureFlow
 
@@ -146,13 +146,6 @@ def _bin_positions(positions: np.ndarray, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, vals / (positions.shape[0] * grid.cell_volume))
 
 
-def _kernel_spectra(kern_field) -> list:
-    """Half-lattice spectra of the kernel components, scaled by the cell volume
-    so that ``irfftn(spectrum * rfftn(density))`` is the periodic convolution."""
-    h = kern_field.grid.cell_volume
-    return [h * np.fft.rfftn(np.fft.ifftshift(c)) for c in kern_field.components]
-
-
 def _interp_field(values: np.ndarray, grid: GridSpec, positions: np.ndarray) -> np.ndarray:
     """Periodic linear interpolation of a grid field at particle positions."""
     n, L, h = grid.points_per_dim, grid.extent, grid.spacing
@@ -213,11 +206,11 @@ def simulate_particles(cfg: SimConfig, N: int):
     steps = cfg.steps
     dim = grid.dim
     increments = _particle_increments(cfg.seed, N, steps, dim)
-    kern_field = None
-    kern_hat = None
-    if cfg.kernel is not None:
+    kern_field = kern_hat = None
+    if cfg.kernel is not None and cfg.drift_mode == "pairwise":
         kern_field = realize_kernel(cfg.kernel, grid)
-        kern_hat = _kernel_spectra(kern_field)
+    elif cfg.kernel is not None:
+        kern_hat = kernel_spectra(cfg.kernel, grid)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
     wrap_count = 0

@@ -15,7 +15,8 @@ exact; Nemytskii and callable drifts are evaluated in physical space on the
 interpolated density.  The Picard loop feeds the output flow back in until
 the weighted flow distance stalls below tolerance.  Rough initial data enters
 through the time-shift route: pure diffusion on [0, r], drift switched on
-afterwards with shifted time argument.
+afterwards with shifted time argument.  The shift lives in the march itself
+(``graded_from``), so a shifted convolution drift keeps the spectral path.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, VectorField, rfft_wavenumbers
-from .kernels import (KernelSpec, NemytskiiSpec, drift_from_kernel, nemytskii_drift,
-                      realize_kernel)
+from .grids import GridSpec, ScalarField, rfft_wavenumbers
+from .kernels import KernelSpec, NemytskiiSpec, kernel_spectra, nemytskii_drift
 from .norms import SobolevIndex, measure_dual_norm
 
 __all__ = [
@@ -231,44 +231,41 @@ class SolveReport:
         return float(np.max(self.decay_trajectory))
 
 
-def _drift_field(drift, rho: ScalarField, t: float) -> VectorField:
-    if isinstance(drift, KernelSpec):
-        return drift_from_kernel(drift, rho, t)
-    if isinstance(drift, NemytskiiSpec):
-        return nemytskii_drift(drift, rho, t)
-    if callable(drift):
-        return drift(rho, t)
-    raise TypeError(f"unsupported drift spec {type(drift).__name__}")
-
-
-def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec):
+def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
     """``s -> drift components`` of ``drift`` with the flow frozen at ``mu``.
 
-    A convolution drift is linear in the density and ``density_at`` is linear
-    in time, so interpolating the spectra ``cell_volume K^ rho^_j`` between
-    the flow's times gives it exactly at any ``s``.  Each frozen field passes
-    the density check once: every marching node sees a convex combination of
-    two of them, whose minimum and mass lie between theirs.  Other drifts are
-    evaluated in physical space on the interpolated density.
+    The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
+    and takes the time argument ``s - shift`` after it.  A convolution drift is
+    linear in the density and ``density_at`` is linear in time, so
+    interpolating the spectra ``cell_volume K^ rho^_j`` between the flow's
+    times gives it exactly at any ``s``.  Each frozen field passes the density
+    check once: every marching node sees a convex combination of two of them,
+    whose minimum and mass lie between theirs.  Other drifts are evaluated in
+    physical space on the interpolated density.
     """
-    if not isinstance(drift, KernelSpec):
-        return lambda s: _drift_field(drift, mu.density_at(s), s).components
-    fields = [mu.initial] + list(mu.densities)
-    for f in fields:
-        f.require_density()
-    # ifftshift re-roots the kernel at zero displacement
-    k_hat = [grid.cell_volume * np.fft.rfftn(np.fft.ifftshift(c))
-             for c in realize_kernel(drift, grid).components]
-    prods = [[kh * r_hat for kh in k_hat]
-             for r_hat in (np.fft.rfftn(f.values) for f in fields)]
+    if isinstance(drift, KernelSpec):
+        fields = [mu.initial] + list(mu.densities)
+        for f in fields:
+            f.require_density()
+        k_hat = kernel_spectra(drift, grid)
+        prods = [[kh * r_hat for kh in k_hat]
+                 for r_hat in (np.fft.rfftn(f.values) for f in fields)]
 
-    def at(s: float) -> list:
-        j, w = mu._bracket(s)
-        factor = drift.modulation.factor(s)
-        return [factor * np.fft.irfftn((1 - w) * p0 + w * p1)
-                for p0, p1 in zip(prods[j], prods[j + 1])]
-
-    return at
+        def field_at(s: float) -> list:
+            j, w = mu._bracket(s)
+            factor = drift.modulation.factor(s - shift)
+            return [factor * np.fft.irfftn((1 - w) * p0 + w * p1)
+                    for p0, p1 in zip(prods[j], prods[j + 1])]
+    elif isinstance(drift, NemytskiiSpec):
+        def field_at(s: float) -> list:
+            return nemytskii_drift(drift, mu.density_at(s), s - shift).components
+    elif callable(drift):
+        def field_at(s: float) -> list:
+            return drift(mu.density_at(s), s - shift).components
+    else:
+        raise TypeError(f"unsupported drift spec {type(drift).__name__}")
+    zero = [np.zeros(grid.shape)] * grid.dim
+    return lambda s: zero if s < shift else field_at(s)
 
 
 def _internal_grid(out_times, steps: int, grading: float,
@@ -298,17 +295,18 @@ def _renormalize(arr: np.ndarray, mass: float, log: dict) -> np.ndarray:
 
 
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
-    """Clip negatives at -1e-6 and re-project the mass, on outputs only.
+    """Clip negatives at zero and re-project the mass, on outputs only.
 
-    Internal marching states stay untouched: rough initial data legitimately
-    passes through oscillatory under-resolved transients whose undershoot is
-    a representation artifact, and the spectral heat steps are exact on them.
+    Outputs are the next iteration's frozen densities and must pass its
+    density check.  Internal marching states stay untouched: rough initial
+    data legitimately passes through oscillatory under-resolved transients
+    whose undershoot is a representation artifact, and the spectral heat
+    steps are exact on them.
     """
-    clip_level = -1e-6
-    neg = vals < clip_level
+    neg = vals < 0.0
     if neg.any():
-        log["clip_mass"] += float((clip_level - vals[neg]).sum()) * grid.cell_volume
-        vals = np.where(neg, clip_level, vals)
+        log["clip_mass"] -= float(vals[neg].sum()) * grid.cell_volume
+        vals = np.where(neg, 0.0, vals)
     return _renormalize(vals, float(vals.sum()) * grid.cell_volume, log)
 
 
@@ -324,7 +322,8 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     point, the plain heat flow of the initial datum).  The frozen flow enters
     through linear interpolation between its grid times, so the output grid
     density is an accuracy parameter of the fixed point, not just a sampling
-    choice.
+    choice.  ``graded_from > 0`` switches the drift on at that time, with
+    time argument ``s - graded_from`` (the time-shift route).
 
     Raises
     ------
@@ -346,7 +345,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
         out_slot[j] = i
     log = {"clip_mass": 0.0, "renorm_drift": 0.0}
     ixi, xi_sq = rfft_wavenumbers(grid)
-    drift_at = None if mu is None else _frozen_drift(drift, mu, grid)
+    drift_at = None if mu is None else _frozen_drift(drift, mu, grid, graded_from)
 
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
         return -sum(ik * np.fft.rfftn(c * vals) for ik, c in zip(ixi, b))
@@ -525,17 +524,6 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     return current, report
 
 
-def _shifted_drift(drift, r: float):
-    """Drift switched off before the shift time, time argument shifted after."""
-
-    def shifted(rho: ScalarField, t: float) -> VectorField:
-        if t < r:
-            return VectorField(rho.grid, [np.zeros(rho.grid.shape)] * rho.grid.dim)
-        return _drift_field(drift, rho, t - r)
-
-    return shifted
-
-
 def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
                      tol: float = 1e-8, max_iter: int = 25, steps: int = 600,
                      grading: float = 1.5):
@@ -554,9 +542,8 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     # after it anchors at the diffused law, not at the rough initial spike
     shifted_times = (r,) + tuple(r + t for t in params.time_grid)
     inner = replace(params, T=params.T + r, time_grid=shifted_times)
-    flow, report = picard_solve(gamma0, _shifted_drift(drift, r), inner, tol=tol,
-                                max_iter=max_iter, steps=steps, grading=grading,
-                                graded_from=r)
+    flow, report = picard_solve(gamma0, drift, inner, tol=tol, max_iter=max_iter,
+                                steps=steps, grading=grading, graded_from=r)
     out = MeasureFlow(np.asarray(params.time_grid), flow.densities[1:],
                       flow.densities[0], meta=dict(flow.meta))
     out.meta["shift"] = r

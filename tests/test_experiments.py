@@ -257,6 +257,23 @@ class TestCli:
         assert "verdict: bounded" in out
         assert (tmp_path / "kernel_study.csv").exists()
 
+    def test_kernel_study_creates_missing_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        rc = cli_main(["kernel-study", "--grid", "1024", "--kernel", "dirac",
+                       "--delta", "1.5", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        assert (out / "kernel_study.csv").exists()
+
+    def test_solve_dumps_into_missing_dirs(self, tmp_path, capsys):
+        flow_path = tmp_path / "missing" / "flow.bin"
+        csv_path = tmp_path / "tables" / "flow.csv"
+        cli_main(["solve", "--grid", "256", "--T", "0.1", "--steps", "50",
+                  "--dump-flow", str(flow_path), "--dump-csv", str(csv_path)])
+        capsys.readouterr()
+        assert read_flow(flow_path).times.size == 10
+        assert csv_path.read_text().startswith("t,x,density")
+
     def test_experiment_command_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("experiment = kernel_membership\ngrid_n = 1024\n"

@@ -17,6 +17,7 @@ from mkvflow.grids import (
     random_band_limited,
 )
 from mkvflow.grids import _exp_sinh_nodes
+from mkvflow.norms import _windowed_power_sums
 
 GRID1 = GridSpec(1, 1024, 16.0)
 
@@ -178,35 +179,86 @@ def _quadrature_mult(r, nodes):
     return lambda xi_sq: np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
 
 
-# operator under test and its multiplier as a function of |xi|^2
+def _radial(fn):
+    """Full-lattice multiplier list from a function of |xi|^2."""
+    return lambda grid: [fn(grid.freq_sq())]
+
+
+def _heat_gradient_mults(grid):
+    damp = np.exp(-0.005 * grid.freq_sq())
+    return [1j * xi * damp for xi in grid.freqs()]
+
+
+# operator under test (field -> output arrays) and its full-lattice multipliers
 HALF_LATTICE_CASES = {
-    "heat": (lambda f: heat_apply(f, 0.01), lambda q: np.exp(-0.005 * q)),
-    "bessel_spectral": (lambda f: bessel_apply(f, 0.75), lambda q: (1.0 + q) ** -0.75),
+    "heat": (lambda f: [heat_apply(f, 0.01).values], _radial(lambda q: np.exp(-0.005 * q))),
+    "bessel_spectral": (lambda f: [bessel_apply(f, 0.75).values],
+                        _radial(lambda q: (1.0 + q) ** -0.75)),
     "bessel_gamma_quadrature": (
-        lambda f: bessel_apply(f, 0.75, mode="gamma_quadrature", nodes=120),
-        _quadrature_mult(0.75, 120)),
-    "bessel_sharpen": (lambda f: bessel_sharpen(f, 1.25), lambda q: (1.0 + q) ** 1.25),
+        lambda f: [bessel_apply(f, 0.75, mode="gamma_quadrature", nodes=120).values],
+        _radial(_quadrature_mult(0.75, 120))),
+    "bessel_sharpen": (lambda f: [bessel_sharpen(f, 1.25).values],
+                       _radial(lambda q: (1.0 + q) ** 1.25)),
+    "heat_gradient": (lambda f: list(heat_gradient(f, 0.01).components), _heat_gradient_mults),
 }
+
+HALF_LATTICE_GRIDS = {1: GridSpec(1, 64, 8.0), 2: GridSpec(2, 32, 8.0)}
+
+# every multi-index with 1 <= |order| <= 4, in one and two dimensions
+DERIVATIVE_ORDERS = [(o,) for o in range(1, 5)] + [
+    (a, b) for a in range(5) for b in range(5 - a) if a + b > 0]
+
+
+def _nyquist_field(grid):
+    """Random field and its full spectrum, with content at every Nyquist mode."""
+    n = grid.points_per_dim
+    f = random_band_limited(grid, n // 2, np.random.default_rng(21))
+    spec = np.fft.fftn(f.values)
+    scale = np.abs(spec).max()
+    assert np.abs(np.take(spec, n // 2, axis=-1)).max() > 1e-3 * scale
+    assert abs(spec[(n // 2,) * grid.dim]) > 1e-3 * scale  # the 2-d corner too
+    return f, spec
+
+
+def _assert_matches_oracle(got, spec, mults):
+    """``got`` equals ``ifftn(spec * m).real`` for each multiplier, 1e-13 relative."""
+    assert len(got) == len(mults)
+    for g, m in zip(got, mults):
+        want = np.fft.ifftn(spec * m).real
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestHalfLatticeMultipliers:
-    """Real radial multipliers applied on the real-FFT half lattice agree with
-    the full complex lattice, Nyquist modes included."""
+    """Operators applied on the real-FFT half lattice agree with their
+    full-lattice multipliers followed by ``.real``, Nyquist modes included."""
 
     @pytest.mark.filterwarnings("ignore:heat kernel under-resolved")
-    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 8.0), GridSpec(2, 32, 8.0)],
-                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
     @pytest.mark.parametrize("case", sorted(HALF_LATTICE_CASES))
-    def test_matches_complex_oracle(self, case, grid):
-        apply, mult = HALF_LATTICE_CASES[case]
-        n = grid.points_per_dim
-        f = random_band_limited(grid, n // 2, np.random.default_rng(21))
-        spec = np.fft.fftn(f.values)
-        # the field carries content at the last axis's Nyquist frequency
-        assert np.abs(np.take(spec, n // 2, axis=-1)).max() > 1e-3 * np.abs(spec).max()
-        want = np.fft.ifftn(spec * mult(grid.freq_sq())).real
-        got = apply(f).values
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    def test_matches_complex_oracle(self, case, dim):
+        grid = HALF_LATTICE_GRIDS[dim]
+        apply, mults = HALF_LATTICE_CASES[case]
+        f, spec = _nyquist_field(grid)
+        _assert_matches_oracle(apply(f), spec, mults(grid))
+
+    @pytest.mark.parametrize("order", DERIVATIVE_ORDERS, ids=str)
+    def test_field_derivative(self, order):
+        grid = HALF_LATTICE_GRIDS[len(order)]
+        f, spec = _nyquist_field(grid)
+        mult = np.ones(grid.shape, dtype=complex)
+        for xi, o in zip(grid.freqs(), order):
+            mult = mult * (1j * xi) ** o
+        _assert_matches_oracle([field_derivative(f, order).values], spec, [mult])
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+    def test_windowed_power_sums(self, dim):
+        grid = HALF_LATTICE_GRIDS[dim]
+        p = np.abs(_nyquist_field(grid)[0].values) ** 1.5
+        ball = (grid.periodic_radius() <= 1.0).astype(float)
+        want = np.fft.ifftn(np.fft.fftn(p) * np.fft.fftn(ball)).real
+        want = np.maximum(want, 0.0) * grid.cell_volume
+        got = _windowed_power_sums(grid, p)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 class TestFieldDerivative:

@@ -110,6 +110,13 @@ class TestRealizeKernel:
             oracle = mollified(x[i])
             assert abs(f[i] - oracle) / abs(oracle) < 0.01
 
+    def test_realizations_are_independent_copies(self):
+        spec = KernelSpec(RieszOrder((0.5,), 0, 1.0), EPS)
+        first = realize_kernel(spec, GRID)
+        want = first.components[0].copy()
+        first.components[0][:] = 7.0
+        assert np.array_equal(realize_kernel(spec, GRID).components[0], want)
+
     def test_riesz_odd_symmetry(self):
         f = realize_kernel(KernelSpec(RieszOrder((1.0,), 0, 0.5), EPS), GRID)
         v = f.components[0]

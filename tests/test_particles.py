@@ -82,10 +82,10 @@ class TestSimulate:
         base = simulate_particles(cfg, 64)
         # drift field depends on the empirical measure only; verify the drift
         # seen by particle 0 is unchanged when the others are relabeled
-        from mkvflow.particles import _empirical_drift, _kernel_spectra
-        from mkvflow.kernels import realize_kernel
+        from mkvflow.particles import _empirical_drift
+        from mkvflow.kernels import kernel_spectra, realize_kernel
         kf = realize_kernel(kern, GRID)
-        khat = _kernel_spectra(kf)
+        khat = kernel_spectra(kern, GRID)
         pos = base[-1].positions
         perm = np.random.default_rng(0).permutation(pos.shape[0])
         d1 = _empirical_drift(cfg, pos, 0.01, kf, khat)

@@ -12,13 +12,16 @@ from mkvflow.grids import (
     heat_apply,
     random_band_limited,
 )
+from mkvflow import kernels, solver
 from mkvflow.kernels import (
     ConstantVector,
     GridSampled,
     KernelSpec,
+    NemytskiiSpec,
     RieszOrder,
     TimeModulation,
     drift_from_kernel,
+    nemytskii_drift,
     realize_kernel,
 )
 from mkvflow.solver import (
@@ -227,7 +230,7 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
         mu = phi_apply(gamma, None, None, params, steps=60)
-        drift_at = _frozen_drift(spec, mu, grid)
+        drift_at = _frozen_drift(spec, mu, grid, 0.0)
         for s in (0.0, 0.03, 0.1, 0.17, 0.3337, 0.49, 0.5):
             got = drift_at(s)
             want = drift_from_kernel(spec, mu.density_at(s), s).components
@@ -341,6 +344,38 @@ class TestTimeShiftSolve:
         for a, b in zip(shifted.densities, plain.densities):
             assert np.abs(a.values - b.values).sum() * h < 1e-4
 
+    def test_kernel_shift_takes_spectral_path(self, monkeypatch):
+        # the per-step physical drift, wrapped as a callable, is the reference
+        params = params_for()
+        spec = small_kernel()
+        gamma0 = grid_delta(GRID, 0.0)
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args[2])
+            return drift_from_kernel(*args, **kw)
+
+        monkeypatch.setattr(kernels, "drift_from_kernel", counted)
+        monkeypatch.setattr(solver, "drift_from_kernel", counted, raising=False)
+        fast = time_shift_solve(gamma0, 0.02, spec, params, steps=300)
+        monkeypatch.undo()
+        assert calls == []
+        ref = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_from_kernel(spec, rho, t),
+                               params, steps=300)
+        assert fast.meta["report"].iterations == ref.meta["report"].iterations
+        for a, b in zip([fast.initial] + fast.densities, [ref.initial] + ref.densities):
+            assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+
+    def test_nemytskii_shift_equals_callable(self):
+        spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),),
+                             TimeModulation(kappa=0.75))
+        gamma0 = grid_delta(GRID, 0.0)
+        a = time_shift_solve(gamma0, 0.02, spec, params_for(), steps=200)
+        b = time_shift_solve(gamma0, 0.02, lambda rho, t: nemytskii_drift(spec, rho, t),
+                             params_for(), steps=200)
+        for x, y in zip([a.initial] + a.densities, [b.initial] + b.densities):
+            assert np.array_equal(x.values, y.values)
+
     def test_rejects_unresolvable_shift(self):
         params = params_for()
         with pytest.raises(ValueError, match="resolvability"):
@@ -350,7 +385,6 @@ class TestTimeShiftSolve:
 class TestNemytskiiDriftSolve:
     def test_density_feedback_contracts(self):
         # drift proportional to the solution's own density, small weight
-        from mkvflow.kernels import NemytskiiSpec
         spec = NemytskiiSpec(1, "linear", params=(("weights", (0.15,)),),
                              modulation=TimeModulation(kappa=0.75))
         params = FlowParams(delta=1.2, k=math.inf, kappa=0.75, T=0.5,
@@ -365,6 +399,16 @@ class TestNemytskiiDriftSolve:
         mean_T = float((flow.densities[-1].values * GRID.coords()[0]).sum()
                        * GRID.cell_volume)
         assert mean_T > 0.01
+
+
+    def test_clipped_gradient_outputs_stay_densities(self):
+        # clipped outputs must pass the next iteration's density check
+        spec = NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),),
+                             TimeModulation(kappa=0.75))
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        flow, rep = picard_solve(gamma, spec, params_for(), tol=1e-8, steps=200)
+        assert rep.residual < 1e-8
+        assert all(rho.values.min() >= 0.0 for rho in flow.densities)
 
 
 class TestTwoDimensional:

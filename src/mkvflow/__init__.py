@@ -1,5 +1,7 @@
 """Spectral toolbox for mean-field diffusions with rough interaction kernels."""
 
+__version__ = "0.1.0"  # before the imports: experiments records it
+
 from .grids import (
     GridSpec,
     ScalarField,
@@ -69,5 +71,3 @@ from .experiments import (
     emit_report,
     parse_config,
 )
-
-__version__ = "0.1.0"

@@ -18,7 +18,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .grids import GridSpec, ScalarField, gaussian_density
 from .kernels import KernelSpec, make_kernel, kernel_norm_study
 from .metrics import GaussianSpec, relative_entropy, wasserstein_1d
@@ -29,7 +31,7 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, chaos_convergence_study
-from .solver import FlowParams, eta_theta_params, picard_solve
+from .solver import FlowParams, _weight, eta_theta_params, picard_solve
 
 __all__ = [
     "ExperimentConfig",
@@ -163,6 +165,7 @@ class RunReport:
     provenance: dict
     figures: dict = field(default_factory=dict)  # name -> (t, value) pairs
     tables: dict = field(default_factory=dict)   # name -> (header, rows)
+    flow: object = None  # the solved MeasureFlow of a solve experiment
 
     @property
     def all_passed(self) -> bool:
@@ -215,19 +218,6 @@ def _kernel_from(cfg: ExperimentConfig, grid: GridSpec) -> KernelSpec:
     return make_kernel(name, grid, **kw)
 
 
-def _flow_params(cfg: ExperimentConfig, grid: GridSpec, T: float,
-                 time_grid) -> FlowParams:
-    return FlowParams(
-        delta=float(cfg.opt("delta", 1.0)),
-        k=float(cfg.opt("k", 2.0)),
-        eps=float(cfg.opt("eps", 0.0)),
-        p=float(cfg.opt("p", math.inf)),
-        kappa=float(cfg.opt("kappa", 0.0)),
-        T=T, time_grid=tuple(time_grid),
-        lam=float(cfg.opt("lambda", 0.0)),
-        dim=grid.dim)
-
-
 def _require(flag: bool, name: str, detail: str):
     if not flag:
         raise AdmissibilityError(f"{name} violated: {detail}")
@@ -257,8 +247,22 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
         "seed": cfg.seed,
         "grid": f"dim={grid.dim} n={grid.points_per_dim} extent={grid.extent:g}",
         "version": 1,
+        "versions": {"mkvflow": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
+
+
+def _solve(cfg: ExperimentConfig, report: RunReport, gamma, kern, params,
+           tol=1e-8, max_iter=25, steps=600):
+    """``picard_solve`` with ``tol``/``max_iter``/``steps`` from the config over
+    the given defaults, recorded in the provenance.  ``picard_solve`` is
+    looked up at call time, so a caller may substitute it on this module."""
+    settings = {"tol": float(cfg.opt("tol", tol)),
+                "max_iter": int(cfg.opt("max_iter", max_iter)),
+                "steps": int(cfg.opt("steps", steps))}
+    report.provenance["solver"] = settings
+    return picard_solve(gamma, kern, params, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +346,27 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _solve_setup(cfg: ExperimentConfig, default_T=0.5, n_times=10):
+def _solve_setup(cfg: ExperimentConfig, default_T=0.5, t_lo=None):
+    """Grid, flow parameters and kernel; ``n_times`` output times up to T,
+    linear from ``t_first`` (T/10), or geometric from ``t_lo`` if given."""
     grid = _grid_from(cfg)
     T = float(cfg.opt("T", default_T))
-    t0 = float(cfg.opt("t_first", T / n_times))
-    time_grid = np.linspace(t0, T, int(cfg.opt("n_times", n_times)))
-    params = _flow_params(cfg, grid, T, time_grid)
-    kern = _kernel_from(cfg, grid)
-    return grid, params, kern
+    if t_lo is None:
+        time_grid = np.linspace(float(cfg.opt("t_first", T / 10)), T,
+                                int(cfg.opt("n_times", 10)))
+    else:
+        time_grid = np.geomspace(float(cfg.opt("t_lo", t_lo)), T,
+                                 int(cfg.opt("n_times", 8)))
+    params = FlowParams(
+        delta=float(cfg.opt("delta", 1.0)),
+        k=float(cfg.opt("k", 2.0)),
+        eps=float(cfg.opt("eps", 0.0)),
+        p=float(cfg.opt("p", math.inf)),
+        kappa=float(cfg.opt("kappa", 0.0)),
+        T=T, time_grid=tuple(time_grid),
+        lam=float(cfg.opt("lambda", 0.0)),
+        dim=grid.dim)
+    return grid, params, _kernel_from(cfg, grid)
 
 
 def _exp_solve(cfg: ExperimentConfig) -> RunReport:
@@ -358,25 +375,23 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg, grid)
     gamma = gaussian_density(grid, float(cfg.opt("gamma_mean", 0.0)),
                              float(cfg.opt("gamma_var", 0.04)))
-    tol_res = _tol(cfg, "residual")
-    flow, rep = picard_solve(gamma, kern, params, tol=tol_res,
-                             max_iter=int(cfg.opt("max_iter", 20)),
-                             steps=int(cfg.opt("steps", 600)))
+    report.flow, rep = _solve(cfg, report, gamma, kern, params,
+                              tol=_tol(cfg, "residual"), max_iter=20)
+    settings = report.provenance["solver"]
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
     report.add("contraction_ratio", 0.0, ratio, _tol(cfg, "contraction_ratio"),
                ratio < _tol(cfg, "contraction_ratio"))
-    report.add("fixed_point_residual", 0.0, rep.residual, tol_res,
-               rep.residual < tol_res)
-    report.add("iterations", 0.0, rep.iterations, float(cfg.opt("max_iter", 20)),
-               rep.iterations <= int(cfg.opt("max_iter", 20)))
+    report.add("fixed_point_residual", 0.0, rep.residual, settings["tol"],
+               rep.residual < settings["tol"])
+    report.add("iterations", 0.0, rep.iterations, settings["max_iter"],
+               rep.iterations <= settings["max_iter"])
     report.add("blowup", 0.0, 1.0 if rep.blowup else 0.0, 0.0, not rep.blowup)
     # lambda sweep from cached per-time gaps: ratios non-increasing in lambda
     lam_list = cfg.opt("lambda_list") or (0.0, 1.0, 10.0, 100.0)
     times = np.asarray(params.time_grid)
     worst = []
     for lam in lam_list:
-        dists = [float(np.max(np.exp(-lam * times) * times**params.weight_exponent * g))
-                 for g in rep.gap_series]
+        dists = [float(np.max(_weight(params, times, lam) * g)) for g in rep.gap_series]
         ratios = [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
         worst.append(max(ratios[:4]) if ratios else 0.0)
     mono = all(b <= a * (1 + 1e-9) for a, b in zip(worst, worst[1:]))
@@ -394,9 +409,7 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     sups = []
     for r in r_list:
         gamma = gaussian_density(grid, 0.0, float(r), normalize=True)
-        flow, rep = picard_solve(gamma, kern, params,
-                                 tol=float(cfg.opt("tol", 1e-8)),
-                                 steps=int(cfg.opt("steps", 600)))
+        flow, rep = _solve(cfg, report, gamma, kern, params)
         keep = rep.decay_times >= float(r)
         sup = float(np.max(rep.decay_trajectory[keep]))
         sups.append(sup)
@@ -413,26 +426,20 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     # the fit window stays below the Bessel length scale: at sqrt(t) ~ 1 the
     # subleading part of the smoothing weight bends the true norm slope away
     # from its short-time exponent (same effect as in the heat-exponent fits)
-    grid, params, kern = _solve_setup(cfg, default_T=0.2)
+    grid, params, kern = _solve_setup(cfg, default_T=0.2, t_lo=0.02)
     _gate_regularity(params, q=1.0)
     report = _report(cfg, grid)
     r = float(cfg.opt("gamma_var", 0.002))
     h_list = cfg.opt("h_list") or (0.02, 0.05, 0.1)
-    t_grid = np.geomspace(float(cfg.opt("t_lo", 0.02)), params.T,
-                          int(cfg.opt("n_times", 8)))
-    cfg_times = tuple(t_grid)
-    params = _flow_params(cfg, grid, params.T, cfg_times)
+    t_grid = np.asarray(params.time_grid)
     idx = params.running_index
     base_gamma = gaussian_density(grid, 0.0, r, normalize=True)
-    base_flow, _ = picard_solve(base_gamma, kern, params,
-                                tol=float(cfg.opt("tol", 1e-8)),
-                                steps=int(cfg.opt("steps", 600)))
+    base_flow, _ = _solve(cfg, report, base_gamma, kern, params)
     ratios = {}      # amalgam bracket, used for the linearity check
     ratios_lo = {}   # probe bracket, used for the exponent fit
     for h in h_list:
         g2 = gaussian_density(grid, float(h), r, normalize=True)
-        flow2, _ = picard_solve(g2, kern, params, tol=float(cfg.opt("tol", 1e-8)),
-                                steps=int(cfg.opt("steps", 600)))
+        flow2, _ = _solve(cfg, report, g2, kern, params)
         w1 = wasserstein_1d(base_gamma, g2, 1.0)
         hi, lo = [], []
         for a, b in zip(base_flow.densities, flow2.densities):
@@ -465,21 +472,17 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
 
 
 def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
-    grid, params, kern = _solve_setup(cfg)
+    grid, params, kern = _solve_setup(cfg, t_lo=0.05)
     _gate_regularity(params, q=1.0)
     report = _report(cfg, grid)
     r = float(cfg.opt("gamma_var", 0.04))
     h = float(cfg.opt("gamma_shift", 0.1))
-    t_grid = np.geomspace(float(cfg.opt("t_lo", 0.05)), params.T,
-                          int(cfg.opt("n_times", 8)))
-    params = _flow_params(cfg, grid, params.T, tuple(t_grid))
+    t_grid = np.asarray(params.time_grid)
     g1 = gaussian_density(grid, 0.0, r, normalize=True)
     g2 = gaussian_density(grid, h, r, normalize=True)
     w2 = wasserstein_1d(g1, g2, 2.0)
-    f1, _ = picard_solve(g1, kern, params, tol=float(cfg.opt("tol", 1e-8)),
-                         steps=int(cfg.opt("steps", 600)))
-    f2, _ = picard_solve(g2, kern, params, tol=float(cfg.opt("tol", 1e-8)),
-                         steps=int(cfg.opt("steps", 600)))
+    f1, _ = _solve(cfg, report, g1, kern, params)
+    f2, _ = _solve(cfg, report, g2, kern, params)
     measured = []
     for t, a, b in zip(t_grid, f1.densities, f2.densities):
         ent = relative_entropy(a, b)
@@ -515,7 +518,7 @@ def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     N_list = cfg.opt("N_list") or (250, 1000, 4000)
     repeats = int(cfg.opt("repeats", 10))
     threads = int(cfg.opt("threads", 1))
-    flow, _ = picard_solve(gamma, kern, params, steps=int(cfg.opt("steps", 400)))
+    flow, _ = _solve(cfg, report, gamma, kern, params, steps=400)
     dt = float(cfg.opt("dt", 0.0025))
     zero = _kernel_is_zero(kern, grid)
     sim = SimConfig(grid=grid, dt=dt, T=params.T, seed=cfg.seed,

@@ -60,7 +60,9 @@ class RieszOrder:
     """Kernel ``c * z / |z|^(d + 2*n0 + eps0)`` (componentwise in c).
 
     ``n0 >= 1`` or ``eps0 >= 1`` makes it more singular than the classical
-    inverse-power kernels.
+    inverse-power kernels.  Even orders ``2*n0 + eps0`` (``n0 >= 1`` with
+    ``eps0 = 0``) are rejected: their symbol ``i xi |xi|^(2 n0 - 2)`` is a
+    polynomial, which realizes a derivative of a point mass instead.
     """
 
     c: tuple = (1.0,)
@@ -72,6 +74,9 @@ class RieszOrder:
             raise ValueError(f"n0 must be a nonnegative integer, got {self.n0}")
         if not (0.0 <= self.eps0 < 2.0):
             raise ValueError(f"eps0 must lie in [0, 2), got {self.eps0}")
+        if self.n0 >= 1 and self.eps0 == 0.0:
+            raise ValueError(f"even order 2*n0 + eps0 = {2 * self.n0} has a polynomial "
+                             "symbol and no inverse-power realization; use eps0 > 0")
 
     @property
     def singular(self) -> bool:

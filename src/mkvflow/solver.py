@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# exponent of the internal marching grid's refinement toward the drift onset
+GRADING = 1.5
+
+
 class DegradedAccuracyError(RuntimeError):
     """Quadrature produced more negative mass than the density tolerance."""
 
@@ -214,10 +218,7 @@ class SolveReport:
     contraction_ratios: list
     decay_times: np.ndarray
     decay_trajectory: np.ndarray
-    fitted_B: float
-    fitted_rate: float
     blowup: bool
-    blowup_time: float | None
     tau_n_estimate: float
     k_traj: np.ndarray
     s_traj: np.ndarray
@@ -226,9 +227,6 @@ class SolveReport:
     clip_mass: float
     residual: float
     gap_series: list = field(default_factory=list)
-
-    def decay_sup(self) -> float:
-        return float(np.max(self.decay_trajectory))
 
 
 def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
@@ -268,14 +266,13 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
     return lambda s: zero if s < shift else field_at(s)
 
 
-def _internal_grid(out_times, steps: int, grading: float,
-                   graded_from: float = 0.0) -> np.ndarray:
+def _internal_grid(out_times, steps: int, graded_from: float = 0.0) -> np.ndarray:
     """Marching nodes: graded refinement clustered at the drift onset, merged
     with the output times (the drift envelope t^kappa and rough initial data
     live near the onset; the step integral's own endpoint is handled by the
     scheme).  ``graded_from > 0`` prepends a coarse pure-diffusion leg."""
     T = out_times[-1]
-    base = graded_from + (T - graded_from) * (np.arange(steps + 1) / steps) ** grading
+    base = graded_from + (T - graded_from) * (np.arange(steps + 1) / steps) ** GRADING
     parts = [np.round(base, 14), np.round(np.asarray(out_times), 14)]
     if graded_from > 0:
         parts.append(np.round(np.linspace(0.0, graded_from,
@@ -311,12 +308,13 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
 
 
 def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
-              params: FlowParams, steps: int = 600, grading: float = 1.5,
+              params: FlowParams, steps: int = 600,
               graded_from: float = 0.0) -> MeasureFlow:
     """Law flow of the diffusion whose drift is frozen from the flow ``mu``.
 
     Marches the mild identity with an exponential Heun (predictor-corrector)
-    step on the density's real-FFT spectrum: heat is applied exactly, the
+    step on the density's real-FFT spectrum, over ``steps`` nodes refined
+    toward the drift onset with exponent ``GRADING``: heat is applied exactly, the
     transport term is integrated by the trapezoid rule inside each step,
     second order overall.  ``mu=None`` means zero interaction (the map's base
     point, the plain heat flow of the initial datum).  The frozen flow enters
@@ -335,7 +333,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     grid = gamma.grid
     gamma.require_density()
     out_times = np.asarray(params.time_grid)
-    nodes = _internal_grid(out_times, steps, grading, graded_from)
+    nodes = _internal_grid(out_times, steps, graded_from)
     # node index -> output slot
     out_slot = {}
     for i, t in enumerate(out_times):
@@ -375,7 +373,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     if log["clip_mass"] > 1e-3:
         raise DegradedAccuracyError(
             f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3",
-            diagnostics={**log, "steps": steps, "grading": grading})
+            diagnostics={**log, "steps": steps})
     return MeasureFlow(out_times, densities, gamma, meta=log)
 
 
@@ -433,26 +431,15 @@ def _decay_report(flow: MeasureFlow, params: FlowParams, gamma_norm: float,
     idx = params.running_index
     norms = np.array([measure_dual_norm(r, idx, "amalgam") for r in flow.densities])
     traj = flow.times**params.weight_exponent * norms
-    blow = norms > cap
-    blow_time = float(flow.times[int(np.argmax(blow))]) if blow.any() else None
-    # envelope fit: log(t^(eta/2) |mu_t|) ~ log B + rate * t
-    mask = traj > 0
-    if mask.sum() >= 2:
-        rate, logB = np.polyfit(flow.times[mask], np.log(traj[mask]), 1)
-        rate = max(float(rate), 0.0)
-        fitted_B = float(np.exp(logB)) / max(gamma_norm, 1e-300)
-    else:
-        rate, fitted_B = 0.0, float("nan")
     k_traj = np.maximum.accumulate(np.maximum(traj, gamma_norm))
     theta_prime = params.theta + 1.0 if math.isfinite(params.theta) else 3.0
     s_traj = np.minimum(flow.times, k_traj**-theta_prime)
-    return norms, traj, fitted_B, rate, bool(blow.any()), blow_time, k_traj, s_traj
+    return traj, bool((norms > cap).any()), k_traj, s_traj
 
 
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
-                 max_iter: int = 25, steps: int = 600, grading: float = 1.5,
-                 auto_lambda: bool = True, gamma_norm: float | None = None,
-                 A_n: float = 1.0, graded_from: float = 0.0):
+                 max_iter: int = 25, steps: int = 600, auto_lambda: bool = True,
+                 graded_from: float = 0.0):
     """Fixed-point iteration for the self-consistent law flow.
 
     Starts from the pure heat flow of the initial datum, reapplies the
@@ -460,17 +447,23 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     iterates drops below ``tol``.  When ``auto_lambda`` is set and measured
     ratios exceed 0.9, the metric weight doubles (from 1) until contraction
     is visible; per-time norm gaps are cached so reweighting is free.
+    ``steps`` is passed to every ``phi_apply``; ``graded_from`` is the
+    time-shift onset that ``time_shift_solve`` sets.
 
-    Returns ``(flow, report)``.
+    Returns ``(flow, report)``.  The report holds the iteration count, the
+    contraction ratios and residual at the final weight ``lam_used``, the
+    per-iteration gap series, and the decay trajectory ``t^(eta/2) |mu_t|``
+    with its blow-up flag.
 
     Raises
     ------
     NoContractionError
         After three consecutive non-contracting iterations at the final
-        weight.
+        weight.  With ``auto_lambda`` set the weight doubles first, so only
+        a solve with it off can raise.
     """
     times = np.asarray(params.time_grid)
-    current = phi_apply(gamma, None, drift, params, steps, grading, graded_from)
+    current = phi_apply(gamma, None, drift, params, steps, graded_from)
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps
     lam = params.lam
     iterations = 0
@@ -485,7 +478,7 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
         return [dist(j, lam_) / max(dist(j - 1, lam_), 1e-300) for j in range(1, iterations)]
 
     for it in range(max_iter):
-        nxt = phi_apply(gamma, current, drift, params, steps, grading, graded_from)
+        nxt = phi_apply(gamma, current, drift, params, steps, graded_from)
         clip_mass = max(clip_mass, nxt.meta.get("clip_mass", 0.0))
         renorm = max(renorm, nxt.meta.get("renorm_drift", 0.0))
         gap_series.append(_dual_norm_series(nxt, current, params.running_index))
@@ -504,29 +497,26 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
                 f"(last ratios {[f'{r:.3f}' for r in ratios[-3:]]}); "
                 f"increase the metric weight lambda or shorten the horizon T")
     ratios = ratios_at(lam)
-    if gamma_norm is None:
-        try:
-            gamma_norm = measure_dual_norm(gamma, params.initial_index, "amalgam")
-        except ValueError:
-            gamma_norm = 1.0
-    norms, traj, fitted_B, rate, blow, blow_time, k_traj, s_traj = _decay_report(
-        current, params, gamma_norm)
     try:
-        tau_est = tau_n_formula(max(gamma_norm, 1e-300), 1, A_n, params)
+        gamma_norm = measure_dual_norm(gamma, params.initial_index, "amalgam")
+    except ValueError:
+        gamma_norm = 1.0
+    traj, blow, k_traj, s_traj = _decay_report(current, params, gamma_norm)
+    try:
+        tau_est = tau_n_formula(max(gamma_norm, 1e-300), 1, 1.0, params)
     except ValueError:
         tau_est = float("nan")  # inadmissible indices carry no lifetime bound
     report = SolveReport(
         iterations=iterations, contraction_ratios=ratios, decay_times=times,
-        decay_trajectory=traj, fitted_B=fitted_B, fitted_rate=rate, blowup=blow,
-        blowup_time=blow_time, tau_n_estimate=tau_est, k_traj=k_traj, s_traj=s_traj,
+        decay_trajectory=traj, blowup=blow, tau_n_estimate=tau_est, k_traj=k_traj,
+        s_traj=s_traj,
         lam_used=lam, renorm_drift=renorm, clip_mass=clip_mass, residual=residual,
         gap_series=gap_series)
     return current, report
 
 
 def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
-                     tol: float = 1e-8, max_iter: int = 25, steps: int = 600,
-                     grading: float = 1.5):
+                     tol: float = 1e-8, max_iter: int = 25, steps: int = 600):
     """Solve with rough initial data by prepending a pure-diffusion leg.
 
     The initial measure evolves freely on [0, r]; the drift then switches on
@@ -543,7 +533,7 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     shifted_times = (r,) + tuple(r + t for t in params.time_grid)
     inner = replace(params, T=params.T + r, time_grid=shifted_times)
     flow, report = picard_solve(gamma0, drift, inner, tol=tol, max_iter=max_iter,
-                                steps=steps, grading=grading, graded_from=r)
+                                steps=steps, graded_from=r)
     out = MeasureFlow(np.asarray(params.time_grid), flow.densities[1:],
                       flow.densities[0], meta=dict(flow.meta))
     out.meta["shift"] = r

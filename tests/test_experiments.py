@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mkvflow import experiments
 from mkvflow.cli import main as cli_main
 from mkvflow.experiments import (
     AdmissibilityError,
@@ -19,7 +23,10 @@ from mkvflow.experiments import (
 )
 from mkvflow.flowio import read_flow, write_flow
 from mkvflow.grids import GridSpec, gaussian_density
-from mkvflow.solver import FlowParams, phi_apply
+from mkvflow.kernels import make_kernel
+from mkvflow.solver import FlowParams, phi_apply, picard_solve
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestFitExponent:
@@ -269,10 +276,97 @@ class TestCli:
         flow_path = tmp_path / "missing" / "flow.bin"
         csv_path = tmp_path / "tables" / "flow.csv"
         cli_main(["solve", "--grid", "256", "--T", "0.1", "--steps", "50",
+                  "--out", str(tmp_path / "report"),
                   "--dump-flow", str(flow_path), "--dump-csv", str(csv_path)])
         capsys.readouterr()
         assert read_flow(flow_path).times.size == 10
         assert csv_path.read_text().startswith("t,x,density")
+
+    def test_solve_command_runs_the_solve_experiment(self, tmp_path, capsys):
+        flow_path = tmp_path / "flow.bin"
+        rc = cli_main(["solve", "--grid", "256", "--T", "0.1", "--steps", "50",
+                       "--out", str(tmp_path), "--dump-flow", str(flow_path)])
+        capsys.readouterr()
+        assert rc == 0
+        (report_csv,) = tmp_path.glob("solve_*.csv")
+        assert [r.quantity for r in parse_report_csv(report_csv).rows] == [
+            "contraction_ratio", "fixed_point_residual", "iterations", "blowup",
+            "lambda_monotone"]
+        prov = json.loads(report_csv.with_suffix(".json").read_text())["provenance"]
+        assert prov["solver"] == {"tol": 1e-8, "max_iter": 25, "steps": 50}
+        assert set(prov["versions"]) == {"mkvflow", "numpy", "scipy"}
+        grid = GridSpec(1, 256, 16.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.1,
+                            time_grid=tuple(np.linspace(0.01, 0.1, 10)))
+        want, _ = picard_solve(gaussian_density(grid, 0.0, 0.04),
+                               make_kernel("riesz", grid, c=0.2, kappa=0.75), params,
+                               tol=1e-8, max_iter=25, steps=50)
+        got = read_flow(flow_path)
+        assert np.array_equal(got.times, want.times)
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(got.densities, want.densities))
+
+    def test_stability_solves_pass_through_the_module_global(self, monkeypatch):
+        # the benchmark captures every experiment solve by this substitution
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return picard_solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "picard_solve", counting)
+        cfg = parse_config("experiment = stability\ngrid_n = 256\nkernel = zero\n"
+                           "kappa = 1.25\nT = 0.2\ngamma_var = 0.01\n"
+                           "h_list = 0.05, 0.1\nn_times = 4\nsteps = 40\n")
+        run_experiment(cfg)
+        assert len(calls) == 1 + 2
+        assert all(kw == {"tol": 1e-8, "max_iter": 25, "steps": 40} for kw in calls)
+
+    def test_grid_flags_override_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = kernel_membership\ngrid_n = 1024\n"
+                       "kernel = dirac\ndeltas = 1.5\nks = inf\n")
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path),
+                       "--grid", "512", "--extent", "8", "--formats", "json"])
+        capsys.readouterr()
+        assert rc == 0
+        (path,) = tmp_path.glob("*.json")
+        assert json.loads(path.read_text())["provenance"]["grid"] == "dim=1 n=512 extent=8"
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--threads", "2"],
+        ["norm", "--out", "x"],
+        ["kernel-study", "--threads", "2"],
+        ["kernel-study", "--seed", "1"],
+    ])
+    def test_unread_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        capsys.readouterr()
+        assert exc.value.code == 2
+
+    def test_readme_cli_lines(self, tmp_path, monkeypatch, capsys):
+        # every command of the sh block under README's "## CLI" heading, with
+        # out/ in a temporary directory and <hash> resolved from what exists
+        text = (REPO / "README.md").read_text()
+        block = re.search(r"^## CLI\n.*?```sh\n(.*?)```", text, re.S | re.M).group(1)
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        lines = [argv for argv in lines if argv]
+        assert lines and all(argv[0] == "mkvflow" for argv in lines)
+        monkeypatch.chdir(tmp_path)
+        for argv in lines:
+            args = []
+            for tok in argv[1:]:
+                if tok.startswith("configs/"):
+                    tok = str(REPO / tok)
+                elif tok.startswith("out/"):
+                    tok = str(tmp_path / "out" / tok[4:])
+                if "<hash>" in tok:
+                    (tok,) = (str(p) for p in Path(tok).parent.glob(
+                        Path(tok).name.replace("<hash>", "*")))
+                args.append(tok)
+            assert cli_main(args) == 0, " ".join(argv)
+        capsys.readouterr()
 
     def test_experiment_command_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

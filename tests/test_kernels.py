@@ -110,6 +110,15 @@ class TestRealizeKernel:
             oracle = mollified(x[i])
             assert abs(f[i] - oracle) / abs(oracle) < 0.01
 
+    @pytest.mark.parametrize("n0", [1, 2])
+    def test_even_integer_order_rejected(self, n0):
+        # s = 2 n0 with eps0 = 0 has the polynomial symbol i xi |xi|^(2 n0 - 2)
+        with pytest.raises(ValueError, match="even order"):
+            RieszOrder((1.0,), n0, 0.0)
+        with pytest.raises(ValueError, match="even order"):
+            make_kernel("riesz", GRID, n0=n0, eps0=0.0)
+        assert RieszOrder((1.0,), 0, 0.0).n0 == 0  # s = 0: the 1/z kernel
+
     def test_realizations_are_independent_copies(self):
         spec = KernelSpec(RieszOrder((0.5,), 0, 1.0), EPS)
         first = realize_kernel(spec, GRID)

@@ -33,6 +33,16 @@ def _add_grid(p, n=1024, extent=16.0, note=""):
     p.add_argument("--extent", type=float, default=extent, help="torus side" + note)
 
 
+def _add_config(p):
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: the config's, else 0)")
+    p.add_argument("--out", default=None, help="output directory (overrides config)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (overrides config; default 1)")
+    _add_grid(p, None, None, " (overrides config; default 1024, extent 16)")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="mkvflow",
                                  description="windowed-norm / mean-field flow toolbox")
@@ -68,19 +78,14 @@ def build_parser():
     p.add_argument("--dump-flow", default=None, help="write the flow binary here")
     p.add_argument("--dump-csv", default=None, help="write per-time density tables here")
 
-    for name, help_ in (("particles", "particle run via the experiment harness"),
-                        ("experiment", "run a named experiment")):
-        p = sub.add_parser(name, help=help_)
-        if name == "experiment":
-            p.add_argument("name", nargs="?", default=None)
-            p.add_argument("--formats", default="csv,json")
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default: the config's, else 0)")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (overrides config; default 1)")
-        _add_grid(p, None, None, " (overrides config; default 1024, extent 16)")
+    p = sub.add_parser("particles", help="particle run via the experiment harness")
+    p.set_defaults(name="particles")
+    _add_config(p)
+
+    p = sub.add_parser("experiment", help="run a named experiment")
+    p.add_argument("name", nargs="?", default=None)
+    p.add_argument("--formats", default="csv,json")
+    _add_config(p)
 
     p = sub.add_parser("report", help="reprint a report CSV; exit 0 iff all rows pass")
     p.add_argument("path")
@@ -125,29 +130,21 @@ def _solve_config(args) -> ExperimentConfig:
     return ExperimentConfig("solve", output_dir=args.out, options=options)
 
 
-def _set_option(options: tuple, key: str, value) -> tuple:
-    if any(k == key for k, _ in options):
-        return tuple((k, value if k == key else v) for k, v in options)
-    return options + ((key, value),)
-
-
 def _experiment_config(args) -> ExperimentConfig:
     """The config file's experiment, or the named one on a 1024-point grid;
     explicit flags override either."""
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+    elif args.name is None:
+        raise SystemExit("experiment name or --config required")
     else:
-        name = args.name if args.command == "experiment" else args.command
-        if name is None:
-            raise SystemExit("experiment name or --config required")
-        cfg = ExperimentConfig(name, options=(("grid_n", 1024), ("grid_extent", 16.0),
-                                              ("threads", 1)))
-    options = cfg.options
-    for key, value in (("grid_n", args.grid), ("grid_extent", args.extent),
-                       ("threads", args.threads)):
-        if value is not None:
-            options = _set_option(options, key, value)
+        cfg = ExperimentConfig(args.name, options=(("grid_n", 1024), ("grid_extent", 16.0),
+                                                   ("threads", 1)))
+    flags = {k: v for k, v in (("grid_n", args.grid), ("grid_extent", args.extent),
+                               ("threads", args.threads)) if v is not None}
+    options = tuple((k, flags.get(k, v)) for k, v in cfg.options)
+    options += tuple((k, v) for k, v in flags.items() if cfg.opt(k) is None)
     seed = cfg.seed if args.seed is None else args.seed
     out = cfg.output_dir if args.out is None else args.out
     return ExperimentConfig(cfg.experiment, seed, out, options)
@@ -161,7 +158,7 @@ def _print_rows(report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_experiment(args, cfg: ExperimentConfig, dumps=()) -> int:
+def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
     try:
         report = run_experiment(cfg)
     except AdmissibilityError as exc:
@@ -170,10 +167,12 @@ def _cmd_experiment(args, cfg: ExperimentConfig, dumps=()) -> int:
     formats = tuple(getattr(args, "formats", "csv,json").split(","))
     written = emit_report(report, cfg.output_dir or ".",
                           name=f"{cfg.experiment}_{cfg.digest}", formats=formats)
-    for write, path in dumps:
-        if path:
-            write(report.flow, path)
-            written.append(path)
+    if getattr(args, "dump_flow", None):
+        write_flow(report.flow, args.dump_flow)
+        written.append(args.dump_flow)
+    if getattr(args, "dump_csv", None):
+        flow_density_table(report.flow, args.dump_csv)
+        written.append(args.dump_csv)
     rc = _print_rows(report)
     for path in written:
         print(f"wrote {path}")
@@ -187,8 +186,7 @@ def main(argv=None) -> int:
     if args.command == "kernel-study":
         return _cmd_kernel_study(args)
     if args.command == "solve":
-        return _cmd_experiment(args, _solve_config(args), (
-            (write_flow, args.dump_flow), (flow_density_table, args.dump_csv)))
+        return _cmd_experiment(args, _solve_config(args))
     if args.command == "report":
         return _print_rows(parse_report_csv(args.path))
     return _cmd_experiment(args, _experiment_config(args))

@@ -255,11 +255,11 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
 
 def _solve(cfg: ExperimentConfig, report: RunReport, gamma, kern, params,
            tol=1e-8, max_iter=25, steps=600):
-    """``picard_solve`` with ``tol``/``max_iter``/``steps`` from the config over
-    the given defaults, recorded in the provenance.  ``picard_solve`` is
-    looked up at call time, so a caller may substitute it on this module."""
-    settings = {"tol": float(cfg.opt("tol", tol)),
-                "max_iter": int(cfg.opt("max_iter", max_iter)),
+    """``picard_solve`` with the caller's ``tol`` and ``max_iter`` and the
+    config's ``steps`` over the given default; the settings are recorded in
+    the provenance.  ``picard_solve`` is looked up at call time, so a caller
+    may substitute it on this module."""
+    settings = {"tol": tol, "max_iter": max_iter,
                 "steps": int(cfg.opt("steps", steps))}
     report.provenance["solver"] = settings
     return picard_solve(gamma, kern, params, **settings)
@@ -375,16 +375,17 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg, grid)
     gamma = gaussian_density(grid, float(cfg.opt("gamma_mean", 0.0)),
                              float(cfg.opt("gamma_var", 0.04)))
+    tol_res = _tol(cfg, "residual")
+    max_iter = int(cfg.opt("max_iter", 20))
     report.flow, rep = _solve(cfg, report, gamma, kern, params,
-                              tol=_tol(cfg, "residual"), max_iter=20)
-    settings = report.provenance["solver"]
+                              tol=tol_res, max_iter=max_iter)
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
     report.add("contraction_ratio", 0.0, ratio, _tol(cfg, "contraction_ratio"),
                ratio < _tol(cfg, "contraction_ratio"))
-    report.add("fixed_point_residual", 0.0, rep.residual, settings["tol"],
-               rep.residual < settings["tol"])
-    report.add("iterations", 0.0, rep.iterations, settings["max_iter"],
-               rep.iterations <= settings["max_iter"])
+    report.add("fixed_point_residual", 0.0, rep.residual, tol_res,
+               rep.residual < tol_res)
+    report.add("iterations", 0.0, rep.iterations, float(max_iter),
+               rep.iterations <= max_iter)
     report.add("blowup", 0.0, 1.0 if rep.blowup else 0.0, 0.0, not rep.blowup)
     # lambda sweep from cached per-time gaps: ratios non-increasing in lambda
     lam_list = cfg.opt("lambda_list") or (0.0, 1.0, 10.0, 100.0)
@@ -406,10 +407,11 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     _gate_solver(params)
     report = _report(cfg, grid)
     r_list = cfg.opt("r_list") or (0.02, 0.01, 0.005)
+    tol = float(cfg.opt("tol", 1e-8))
     sups = []
     for r in r_list:
         gamma = gaussian_density(grid, 0.0, float(r), normalize=True)
-        flow, rep = _solve(cfg, report, gamma, kern, params)
+        flow, rep = _solve(cfg, report, gamma, kern, params, tol=tol)
         keep = rep.decay_times >= float(r)
         sup = float(np.max(rep.decay_trajectory[keep]))
         sups.append(sup)
@@ -431,15 +433,16 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg, grid)
     r = float(cfg.opt("gamma_var", 0.002))
     h_list = cfg.opt("h_list") or (0.02, 0.05, 0.1)
+    tol = float(cfg.opt("tol", 1e-8))
     t_grid = np.asarray(params.time_grid)
     idx = params.running_index
     base_gamma = gaussian_density(grid, 0.0, r, normalize=True)
-    base_flow, _ = _solve(cfg, report, base_gamma, kern, params)
+    base_flow, _ = _solve(cfg, report, base_gamma, kern, params, tol=tol)
     ratios = {}      # amalgam bracket, used for the linearity check
     ratios_lo = {}   # probe bracket, used for the exponent fit
     for h in h_list:
         g2 = gaussian_density(grid, float(h), r, normalize=True)
-        flow2, _ = _solve(cfg, report, g2, kern, params)
+        flow2, _ = _solve(cfg, report, g2, kern, params, tol=tol)
         w1 = wasserstein_1d(base_gamma, g2, 1.0)
         hi, lo = [], []
         for a, b in zip(base_flow.densities, flow2.densities):
@@ -477,12 +480,13 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg, grid)
     r = float(cfg.opt("gamma_var", 0.04))
     h = float(cfg.opt("gamma_shift", 0.1))
+    tol = float(cfg.opt("tol", 1e-8))
     t_grid = np.asarray(params.time_grid)
     g1 = gaussian_density(grid, 0.0, r, normalize=True)
     g2 = gaussian_density(grid, h, r, normalize=True)
     w2 = wasserstein_1d(g1, g2, 2.0)
-    f1, _ = _solve(cfg, report, g1, kern, params)
-    f2, _ = _solve(cfg, report, g2, kern, params)
+    f1, _ = _solve(cfg, report, g1, kern, params, tol=tol)
+    f2, _ = _solve(cfg, report, g2, kern, params, tol=tol)
     measured = []
     for t, a, b in zip(t_grid, f1.densities, f2.densities):
         ent = relative_entropy(a, b)

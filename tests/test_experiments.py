@@ -315,12 +315,24 @@ class TestCli:
             return picard_solve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "picard_solve", counting)
+        # stability reads tol and steps; max_iter is not one of its keys
         cfg = parse_config("experiment = stability\ngrid_n = 256\nkernel = zero\n"
                            "kappa = 1.25\nT = 0.2\ngamma_var = 0.01\n"
-                           "h_list = 0.05, 0.1\nn_times = 4\nsteps = 40\n")
+                           "h_list = 0.05, 0.1\nn_times = 4\nsteps = 40\n"
+                           "tol = 1e-9\nmax_iter = 7\n")
         run_experiment(cfg)
         assert len(calls) == 1 + 2
-        assert all(kw == {"tol": 1e-8, "max_iter": 25, "steps": 40} for kw in calls)
+        assert all(kw == {"tol": 1e-9, "max_iter": 25, "steps": 40} for kw in calls)
+
+    def test_solve_stops_at_tol_residual_only(self):
+        # a bare tol key is not a solve-experiment setting
+        cfg = parse_config("experiment = solve\ngrid_n = 256\nkernel = riesz\n"
+                           "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
+                           "T = 0.1\nsteps = 50\ntol.residual = 1e-8\ntol = 0.5\n")
+        report = run_experiment(cfg)
+        assert report.provenance["solver"] == {"tol": 1e-8, "max_iter": 20, "steps": 50}
+        (row,) = [r for r in report.rows if r.quantity == "fixed_point_residual"]
+        assert row.tol == 1e-8
 
     def test_grid_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

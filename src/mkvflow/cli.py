@@ -15,6 +15,7 @@ import os
 import sys
 
 from .experiments import (
+    REPORT_FORMATS,
     AdmissibilityError,
     ExperimentConfig,
     emit_report,
@@ -41,6 +42,14 @@ def _add_config(p):
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (overrides config; default 1)")
     _add_grid(p, None, None, " (overrides config; default 1024, extent 16)")
+
+
+def _formats(text: str) -> tuple:
+    formats = tuple(text.split(","))
+    if not set(formats) <= set(REPORT_FORMATS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated subset of {','.join(REPORT_FORMATS)}")
+    return formats
 
 
 def build_parser():
@@ -84,7 +93,8 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--formats", default="csv,json")
+    p.add_argument("--formats", type=_formats, default=("csv", "json"),
+                   help=f"comma-separated subset of {','.join(REPORT_FORMATS)}")
     _add_config(p)
 
     p = sub.add_parser("report", help="reprint a report CSV; exit 0 iff all rows pass")
@@ -164,9 +174,9 @@ def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
     except AdmissibilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    formats = tuple(getattr(args, "formats", "csv,json").split(","))
     written = emit_report(report, cfg.output_dir or ".",
-                          name=f"{cfg.experiment}_{cfg.digest}", formats=formats)
+                          name=f"{cfg.experiment}_{cfg.digest}",
+                          formats=getattr(args, "formats", ("csv", "json")))
     if getattr(args, "dump_flow", None):
         write_flow(report.flow, args.dump_flow)
         written.append(args.dump_flow)

@@ -31,7 +31,7 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, chaos_convergence_study
-from .solver import FlowParams, _weight, eta_theta_params, picard_solve
+from .solver import FlowParams, contraction_ratios, eta_theta_params, picard_solve
 
 __all__ = [
     "ExperimentConfig",
@@ -310,16 +310,14 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg, grid)
     spec = _kernel_from(cfg, grid)
     eps_list = cfg.opt("eps_list") or tuple(0.02 * 2.0**-j for j in range(7))
-    indices = cfg.opt("indices")
-    if indices is None:
-        deltas = cfg.opt("deltas")
-        if deltas is not None:
-            ks = cfg.opt("ks")
-            deltas = deltas if isinstance(deltas, tuple) else (deltas,)
-            ks = ks if isinstance(ks, tuple) else (ks,) * len(deltas)
-            indices = tuple(zip(deltas, ks))
-        else:
-            indices = ((1.5, math.inf), (0.5, math.inf))
+    deltas = cfg.opt("deltas")
+    if deltas is None:
+        indices = ((1.5, math.inf), (0.5, math.inf))
+    else:
+        ks = cfg.opt("ks")
+        deltas = deltas if isinstance(deltas, tuple) else (deltas,)
+        ks = ks if isinstance(ks, tuple) else (ks,) * len(deltas)
+        indices = tuple(zip(deltas, ks))
     tol = _tol(cfg, "membership_exponent")
     for delta, k in indices:
         idx = SobolevIndex(float(delta), float(k))
@@ -363,9 +361,7 @@ def _solve_setup(cfg: ExperimentConfig, default_T=0.5, t_lo=None):
         eps=float(cfg.opt("eps", 0.0)),
         p=float(cfg.opt("p", math.inf)),
         kappa=float(cfg.opt("kappa", 0.0)),
-        T=T, time_grid=tuple(time_grid),
-        lam=float(cfg.opt("lambda", 0.0)),
-        dim=grid.dim)
+        T=T, time_grid=tuple(time_grid), dim=grid.dim)
     return grid, params, _kernel_from(cfg, grid)
 
 
@@ -389,16 +385,12 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     report.add("blowup", 0.0, 1.0 if rep.blowup else 0.0, 0.0, not rep.blowup)
     # lambda sweep from cached per-time gaps: ratios non-increasing in lambda
     lam_list = cfg.opt("lambda_list") or (0.0, 1.0, 10.0, 100.0)
-    times = np.asarray(params.time_grid)
-    worst = []
-    for lam in lam_list:
-        dists = [float(np.max(_weight(params, times, lam) * g)) for g in rep.gap_series]
-        ratios = [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
-        worst.append(max(ratios[:4]) if ratios else 0.0)
+    worst = [max(contraction_ratios(rep.gap_series, params, lam)[:4], default=0.0)
+             for lam in lam_list]
     mono = all(b <= a * (1 + 1e-9) for a, b in zip(worst, worst[1:]))
     report.add("lambda_monotone", 1.0, 1.0 if mono else 0.0, 0.0, mono)
     report.figures["contraction_ratio_vs_lambda"] = list(zip(lam_list, worst))
-    report.figures["decay_trajectory"] = list(zip(rep.decay_times, rep.decay_trajectory))
+    report.figures["decay_trajectory"] = list(zip(report.flow.times, rep.decay_trajectory))
     return report
 
 
@@ -412,11 +404,10 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     for r in r_list:
         gamma = gaussian_density(grid, 0.0, float(r), normalize=True)
         flow, rep = _solve(cfg, report, gamma, kern, params, tol=tol)
-        keep = rep.decay_times >= float(r)
+        keep = flow.times >= float(r)
         sup = float(np.max(rep.decay_trajectory[keep]))
         sups.append(sup)
-        report.figures[f"decay_r={r:g}"] = list(
-            zip(rep.decay_times, rep.decay_trajectory))
+        report.figures[f"decay_r={r:g}"] = list(zip(flow.times, rep.decay_trajectory))
         report.add(f"decay_sup(r={r:g})", sups[0], sup, math.inf, True)
     spread = (max(sups) - min(sups)) / np.mean(sups)
     report.add("decay_spread", 0.0, spread, _tol(cfg, "decay_spread"),
@@ -570,14 +561,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 _REPORT_HEADER = ["quantity", "theory", "measured", "tol", "pass"]
+REPORT_FORMATS = ("csv", "json", "plotdata")
 
 
 def emit_report(report: RunReport, out_dir, name: str = "report",
                 formats=("csv", "json")):
     """Write the report as CSV (fixed column order), a JSON mirror, and
-    optional two-column plotdata files per figure."""
+    optional two-column plotdata files per figure; ``formats`` is drawn from
+    ``REPORT_FORMATS``."""
     import os
 
+    unknown = [f for f in formats if f not in REPORT_FORMATS]
+    if unknown:
+        raise ValueError(f"unknown report formats {unknown}; choose from {REPORT_FORMATS}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "csv" in formats:

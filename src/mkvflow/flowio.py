@@ -68,6 +68,8 @@ def read_flow(path) -> MeasureFlow:
             raise ValueError(f"unsupported flow binary version {version}")
         (extent,) = struct.unpack("<d", read(8, "header"))
         (m,) = struct.unpack("<I", read(4, "header"))
+        if m == 0:
+            raise ValueError(f"flow binary {path} stores no times")
         times = np.frombuffer(read(8 * m, "times"), dtype="<f8").copy()
         grid = GridSpec(dim, n, extent)
         count = n**dim

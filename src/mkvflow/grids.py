@@ -184,9 +184,6 @@ class ScalarField:
     def mass(self) -> float:
         return float(self.values.sum()) * self.grid.cell_volume
 
-    def is_density(self, mass_tol: float = 1e-8, neg_tol: float = 1e-12) -> bool:
-        return bool(self.values.min() >= -neg_tol and abs(self.mass() - 1.0) <= mass_tol)
-
     def require_density(self, mass_tol: float = 1e-6):
         if self.values.min() < -1e-8:
             raise ValueError(f"not a density: min value {self.values.min():.3e} < 0")

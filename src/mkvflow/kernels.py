@@ -330,25 +330,13 @@ def kernel_spectra(spec: KernelSpec, grid: GridSpec) -> list:
 # drifts
 
 
-def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float,
-                      report_sensitivity: bool = False) -> VectorField:
-    """Convolution drift ``K(t) t^kappa (kernel * rho)`` by spectral convolution.
-
-    With ``report_sensitivity=True`` the result's ``meta['eps_sensitivity']``
-    carries the sup-norm change when the mollification is halved.
-    """
+def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float) -> VectorField:
+    """Convolution drift ``K(t) t^kappa (kernel * rho)`` by spectral convolution."""
     rho.require_density()
     factor = spec.modulation.factor(t)
     rho_hat = np.fft.rfftn(rho.values)
-    out = VectorField(rho.grid, [factor * np.fft.irfftn(k_hat * rho_hat)
-                                 for k_hat in kernel_spectra(spec, rho.grid)])
-    if report_sensitivity and spec.mollification_eps > 0:
-        half = KernelSpec(spec.variant, spec.mollification_eps / 2.0, spec.modulation)
-        other = drift_from_kernel(half, rho, t)
-        diff = max(np.abs(a - b).max()
-                   for a, b in zip(out.components, other.components))
-        out.meta["eps_sensitivity"] = diff
-    return out
+    return VectorField(rho.grid, [factor * np.fft.irfftn(k_hat * rho_hat)
+                                  for k_hat in kernel_spectra(spec, rho.grid)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +344,22 @@ def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float,
 
 
 def _nemytskii_families():
-    """Built-in pointwise maps F(x, H) -> drift vector, 1-Lipschitz in H.
+    """Built-in pointwise maps F(H) -> drift vector, 1-Lipschitz in H.
 
-    H is the tuple of flattened derivative stacks (rho, grad rho, ...); each
-    family emits one component per spatial dimension.
+    H is the list of flattened derivative stacks (rho, grad rho, ...) in the
+    order of ``_derivative_stack``; each family emits one component per
+    spatial dimension.  No family depends on the position.
     """
 
-    def zero(x, H, dim, params):
+    def zero(H, dim, params):
         return [np.zeros_like(H[0])] * dim
 
-    def density(x, H, dim, params):
+    def density(H, dim, params):
         out = [np.zeros_like(H[0])] * dim
         out[0] = H[0].copy()
         return out
 
-    def clipped_gradient(x, H, dim, params):
+    def clipped_gradient(H, dim, params):
         cap = params.get("cap", 1.0)
         if len(H) < 2:
             raise ValueError("clipped_gradient needs derivative depth n >= 2")
@@ -379,7 +368,7 @@ def _nemytskii_families():
             out.append(np.clip(H[1 + j], -cap, cap))
         return out
 
-    def linear(x, H, dim, params):
+    def linear(H, dim, params):
         weights = params.get("weights")
         if weights is None:
             raise ValueError("linear family needs 'weights'")
@@ -426,15 +415,9 @@ class NemytskiiSpec:
 
 def _derivative_stack(rho: ScalarField, n: int):
     """Flattened (rho, all first derivatives, all second derivatives, ...)."""
-    grid = rho.grid
     H = [rho.values]
-    if n >= 2:
-        for j in range(grid.dim):
-            order = [0] * grid.dim
-            order[j] = 1
-            H.append(field_derivative(rho, tuple(order)).values)
-    for depth in range(2, n):
-        for combo in _tensor_orders(grid.dim, depth):
+    for depth in range(1, n):
+        for combo in _tensor_orders(rho.grid.dim, depth):
             H.append(field_derivative(rho, combo).values)
     return H
 
@@ -449,20 +432,13 @@ def _tensor_orders(dim: int, depth: int):
 
 
 def nemytskii_drift(spec: NemytskiiSpec, rho: ScalarField, t: float) -> VectorField:
-    """Drift ``K(t) t^kappa F(x, (rho, grad rho, ...))`` evaluated pointwise."""
+    """Drift ``K(t) t^kappa F((rho, grad rho, ...))`` evaluated pointwise."""
     rho.require_density()
     H = _derivative_stack(rho, spec.n)
     fn = _NEMYTSKII[spec.family]
-    comps = fn(rho.grid.coords(), H, rho.grid.dim, spec.param_dict)
+    comps = fn(H, rho.grid.dim, spec.param_dict)
     factor = spec.modulation.factor(t)
     return VectorField(rho.grid, [factor * c for c in comps])
-
-
-def _stack_size(dim: int, n: int) -> int:
-    total = 1
-    for depth in range(1, n):
-        total += 1 if dim == 1 else depth + 1
-    return total
 
 
 def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float, samples: int = 1000,
@@ -473,15 +449,15 @@ def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float, samples: int = 1000
     ``|b(h) - b(h~)| / ||h - h~||``; the max must stay below K(t) t^kappa.
     """
     rng = np.random.default_rng(seed)
-    n_entries = _stack_size(dim, spec.n)
+    n_entries = sum(len(_tensor_orders(dim, depth)) for depth in range(spec.n))
     fn = _NEMYTSKII[spec.family]
     factor = spec.modulation.factor(t)
     worst = 0.0
     for _ in range(samples):
         h = rng.normal(size=n_entries)
         ht = h + rng.normal(scale=0.5, size=n_entries)
-        fa = np.array(fn(None, list(h[:, None]), dim, spec.param_dict))
-        fb = np.array(fn(None, list(ht[:, None]), dim, spec.param_dict))
+        fa = np.array(fn(list(h[:, None]), dim, spec.param_dict))
+        fb = np.array(fn(list(ht[:, None]), dim, spec.param_dict))
         gap = float(np.linalg.norm((fa - fb).ravel()))
         dh = float(np.linalg.norm(h - ht))
         if dh > 1e-12:

@@ -268,11 +268,6 @@ class ProbeFit:
     probes_used: int
     seed: int
 
-    @property
-    def prefactor(self) -> float:
-        """Empirical constant in ``C * t**slope``."""
-        return math.exp(self.intercept)
-
     def csv_rows(self):
         """Rows in the probe-report layout (t, norm_estimate, probes_used, seed)."""
         return [(float(t), float(v), self.probes_used, self.seed)

@@ -78,20 +78,18 @@ class SimConfig:
                              f"mollification_eps={self.kernel.mollification_eps}")
         if self.drift_mode not in ("binned", "pairwise"):
             raise ValueError(f"unknown drift_mode {self.drift_mode!r}")
+        for t in self.checkpoints:
+            m = t / self.dt
+            if abs(m - round(m)) > 1e-9 or not 0 <= round(m) <= self.steps:
+                raise ValueError(f"checkpoint {t} is not a step time in [0, T={self.T}] "
+                                 f"with dt={self.dt}")
 
     @property
     def steps(self) -> int:
         return int(round(self.T / self.dt))
 
     def checkpoint_steps(self):
-        cps = self.checkpoints or (self.T,)
-        out = []
-        for t in cps:
-            m = t / self.dt
-            if abs(m - round(m)) > 1e-9:
-                raise ValueError(f"checkpoint {t} not on the step grid")
-            out.append(int(round(m)))
-        return out
+        return [int(round(t / self.dt)) for t in self.checkpoints or (self.T,)]
 
 
 def _particle_increments(seed: int, count: int, steps: int, dim: int) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = [
     "eta_theta_params",
     "phi_apply",
     "weighted_flow_distance",
+    "contraction_ratios",
     "picard_solve",
     "time_shift_solve",
     "tau_n_formula",
@@ -67,7 +68,7 @@ def _inv(x: float) -> float:
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Index pair, time horizon and weight defining one solve.
+    """Index pair and time horizon defining one solve.
 
     ``eps <= delta`` and ``k <= p`` index the initial and running norms; the
     derived smoothing gap ``eta`` must stay below ``1 + 2 kappa`` for the
@@ -81,7 +82,6 @@ class FlowParams:
     kappa: float = 0.0
     T: float = 1.0
     time_grid: tuple = ()
-    lam: float = 0.0
     dim: int = 1
 
     def __post_init__(self):
@@ -93,8 +93,6 @@ class FlowParams:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if self.T <= 0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
-        if self.lam < 0:
-            raise ValueError(f"weight lambda must be >= 0, got {self.lam}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         tg = tuple(float(t) for t in self.time_grid) or _default_time_grid(self.T)
@@ -216,12 +214,8 @@ class MeasureFlow:
 class SolveReport:
     iterations: int
     contraction_ratios: list
-    decay_times: np.ndarray
     decay_trajectory: np.ndarray
     blowup: bool
-    tau_n_estimate: float
-    k_traj: np.ndarray
-    s_traj: np.ndarray
     lam_used: float
     renorm_drift: float
     clip_mass: float
@@ -383,13 +377,12 @@ def _dual_norm_series(mu: MeasureFlow, nu: MeasureFlow, idx: SobolevIndex) -> np
                        for a, b in zip(mu.densities, nu.densities)])
 
 
-def _weight(params: FlowParams, times: np.ndarray, lam: float | None = None) -> np.ndarray:
-    lam = params.lam if lam is None else lam
+def _weight(params: FlowParams, times: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(-lam * times) * times**params.weight_exponent
 
 
 def weighted_flow_distance(mu: MeasureFlow, nu: MeasureFlow, params: FlowParams,
-                           lam: float | None = None) -> float:
+                           lam: float = 0.0) -> float:
     """Weighted sup distance between two flows on their common time grid.
 
     The time weight is ``exp(-lam t) t^(eta/2)``; the per-time distance is
@@ -399,6 +392,17 @@ def weighted_flow_distance(mu: MeasureFlow, nu: MeasureFlow, params: FlowParams,
         raise ValueError("flows live on different time grids")
     series = _dual_norm_series(mu, nu, params.running_index)
     return float(np.max(_weight(params, mu.times, lam) * series))
+
+
+def contraction_ratios(gap_series: list, params: FlowParams, lam: float) -> list:
+    """Ratios of successive weighted distances between Picard iterates.
+
+    ``gap_series[j]`` holds the per-time dual-norm gaps of iteration ``j``;
+    its distance is their maximum under the weight ``exp(-lam t) t^(eta/2)``.
+    """
+    weight = _weight(params, np.asarray(params.time_grid), lam)
+    dists = [float(np.max(weight * gaps)) for gaps in gap_series]
+    return [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
 
 
 def tau_n_formula(gamma_norm: float, n: int, A_n: float, params: FlowParams) -> float:
@@ -426,17 +430,6 @@ def tau_n_formula(gamma_norm: float, n: int, A_n: float, params: FlowParams) -> 
     return min(float(n), math.exp(-min(g, 700.0)) / g)
 
 
-def _decay_report(flow: MeasureFlow, params: FlowParams, gamma_norm: float,
-                  cap: float = 1e6):
-    idx = params.running_index
-    norms = np.array([measure_dual_norm(r, idx, "amalgam") for r in flow.densities])
-    traj = flow.times**params.weight_exponent * norms
-    k_traj = np.maximum.accumulate(np.maximum(traj, gamma_norm))
-    theta_prime = params.theta + 1.0 if math.isfinite(params.theta) else 3.0
-    s_traj = np.minimum(flow.times, k_traj**-theta_prime)
-    return traj, bool((norms > cap).any()), k_traj, s_traj
-
-
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
                  max_iter: int = 25, steps: int = 600, auto_lambda: bool = True,
                  graded_from: float = 0.0):
@@ -444,16 +437,17 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
 
     Starts from the pure heat flow of the initial datum, reapplies the
     frozen-drift map until the weighted flow distance between successive
-    iterates drops below ``tol``.  When ``auto_lambda`` is set and measured
-    ratios exceed 0.9, the metric weight doubles (from 1) until contraction
-    is visible; per-time norm gaps are cached so reweighting is free.
-    ``steps`` is passed to every ``phi_apply``; ``graded_from`` is the
-    time-shift onset that ``time_shift_solve`` sets.
+    iterates drops below ``tol``.  The metric weight ``lam`` starts at 0;
+    when ``auto_lambda`` is set and measured ratios exceed 0.9, it becomes 1
+    and then doubles until contraction is visible.  Per-time norm gaps are
+    kept, so reweighting is free.  ``steps`` is passed to every
+    ``phi_apply``; ``graded_from`` is the time-shift onset that
+    ``time_shift_solve`` sets.
 
     Returns ``(flow, report)``.  The report holds the iteration count, the
-    contraction ratios and residual at the final weight ``lam_used``, the
+    ``contraction_ratios`` and residual at the final weight ``lam_used``, the
     per-iteration gap series, and the decay trajectory ``t^(eta/2) |mu_t|``
-    with its blow-up flag.
+    on the flow's times with its blow-up flag.
 
     Raises
     ------
@@ -465,17 +459,11 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     times = np.asarray(params.time_grid)
     current = phi_apply(gamma, None, drift, params, steps, graded_from)
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps
-    lam = params.lam
+    lam = 0.0
     iterations = 0
     residual = math.inf
     clip_mass = current.meta.get("clip_mass", 0.0)
     renorm = current.meta.get("renorm_drift", 0.0)
-
-    def dist(j, lam_):
-        return float(np.max(_weight(params, times, lam_) * gap_series[j]))
-
-    def ratios_at(lam_):
-        return [dist(j, lam_) / max(dist(j - 1, lam_), 1e-300) for j in range(1, iterations)]
 
     for it in range(max_iter):
         nxt = phi_apply(gamma, current, drift, params, steps, graded_from)
@@ -484,10 +472,10 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
         gap_series.append(_dual_norm_series(nxt, current, params.running_index))
         current = nxt
         iterations = it + 1
-        residual = dist(iterations - 1, lam)
+        residual = float(np.max(_weight(params, times, lam) * gap_series[-1]))
         if residual < tol:
             break
-        ratios = ratios_at(lam)
+        ratios = contraction_ratios(gap_series, params, lam)
         if auto_lambda and len(ratios) >= 2 and min(ratios[-2:]) >= 0.9:
             lam = max(2.0 * lam, 1.0)
             continue
@@ -496,20 +484,13 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
                 f"no contraction after {iterations} iterations "
                 f"(last ratios {[f'{r:.3f}' for r in ratios[-3:]]}); "
                 f"increase the metric weight lambda or shorten the horizon T")
-    ratios = ratios_at(lam)
-    try:
-        gamma_norm = measure_dual_norm(gamma, params.initial_index, "amalgam")
-    except ValueError:
-        gamma_norm = 1.0
-    traj, blow, k_traj, s_traj = _decay_report(current, params, gamma_norm)
-    try:
-        tau_est = tau_n_formula(max(gamma_norm, 1e-300), 1, 1.0, params)
-    except ValueError:
-        tau_est = float("nan")  # inadmissible indices carry no lifetime bound
+    norms = np.array([measure_dual_norm(r, params.running_index, "amalgam")
+                      for r in current.densities])
     report = SolveReport(
-        iterations=iterations, contraction_ratios=ratios, decay_times=times,
-        decay_trajectory=traj, blowup=blow, tau_n_estimate=tau_est, k_traj=k_traj,
-        s_traj=s_traj,
+        iterations=iterations,
+        contraction_ratios=contraction_ratios(gap_series, params, lam),
+        decay_trajectory=current.times**params.weight_exponent * norms,
+        blowup=bool((norms > 1e6).any()),
         lam_used=lam, renorm_drift=renorm, clip_mass=clip_mass, residual=residual,
         gap_series=gap_series)
     return current, report

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -233,9 +234,11 @@ class TestFlowBinary:
         with pytest.raises(ValueError, match="not a flow binary"):
             read_flow(path)
 
-    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067])
+    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067,
+                                     pytest.param(None, id="zero_times")])
     def test_rejects_truncated(self, tmp_path, cut):
-        # header is 28 bytes, the two times end at 44, the data runs to 1068
+        # header is 28 bytes, the two times end at 44, the data runs to 1068;
+        # cut None keeps the header and sets its time count to zero
         grid = GridSpec(1, 64, 8.0)
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
         flow = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=50)
@@ -243,8 +246,9 @@ class TestFlowBinary:
         write_flow(flow, path)
         data = path.read_bytes()
         assert len(data) == 44 + 2 * 64 * 8
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match="truncated flow binary"):
+        path.write_bytes(data[:cut] if cut else data[:24] + struct.pack("<I", 0))
+        message = "truncated flow binary" if cut else "stores no times"
+        with pytest.raises(ValueError, match=message):
             read_flow(path)
 
 
@@ -356,6 +360,34 @@ class TestCli:
             cli_main(argv)
         capsys.readouterr()
         assert exc.value.code == 2
+
+    def test_unknown_format_rejected_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiment", "--config", str(REPO / "configs/entropy_zero.cfg"),
+                      "--out", str(tmp_path), "--formats", "cvs"])
+        assert exc.value.code == 2
+        assert "csv,json,plotdata" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="unknown report formats"):
+            emit_report(RunReport(rows=[], provenance={}), tmp_path, formats=("cvs",))
+
+    def test_lambda_sweep_agrees_with_report_ratios(self, monkeypatch):
+        solves = []
+
+        def capture(*args, **kwargs):
+            solves.append(picard_solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(experiments, "picard_solve", capture)
+        cfg = parse_config("experiment = solve\ngrid_n = 256\nkernel = riesz\n"
+                           "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
+                           "T = 0.1\nsteps = 50\ntol.residual = 1e-12\n")
+        report = run_experiment(cfg)
+        ((_, rep),) = solves
+        assert rep.lam_used == 0.0 and len(rep.contraction_ratios) >= 2
+        sweep = dict(report.figures["contraction_ratio_vs_lambda"])
+        assert sweep[0.0] == max(rep.contraction_ratios[:4])
 
     def test_readme_cli_lines(self, tmp_path, monkeypatch, capsys):
         # every command of the sh block under README's "## CLI" heading, with

@@ -227,13 +227,6 @@ class TestDriftFromKernel:
             dual_hi = measure_dual_norm(rho, idx, "amalgam")
             assert b.sup_norm() <= kern_norm * dual_hi * 1.05
 
-    def test_eps_sensitivity_reported(self):
-        rho = gaussian_density(GRID, 0.0, 0.04)
-        spec = KernelSpec(RieszOrder((1.0,), 0, 1.0), EPS)
-        b = drift_from_kernel(spec, rho, 1.0, report_sensitivity=True)
-        assert "eps_sensitivity" in b.meta
-        assert b.meta["eps_sensitivity"] < 0.05 * np.abs(b.components[0]).max()
-
 
 class TestNemytskiiDrift:
     def test_zero_family(self):

@@ -37,6 +37,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="stability"):
             SimConfig(grid=GRID, dt=0.01, T=1.0, seed=0, kernel=kern)
 
+    @pytest.mark.parametrize("t", [0.7, -0.1, 0.25])
+    def test_checkpoints_are_step_times_within_T(self, t):
+        # beyond T a run used to return no snapshot; off the step grid it
+        # raised only when run
+        with pytest.raises(ValueError, match="checkpoint"):
+            SimConfig(grid=GRID, dt=0.1, T=0.5, seed=0, checkpoints=(t,))
+
 
 class TestSimulate:
     def test_brownian_variance_growth(self):

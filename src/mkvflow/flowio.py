@@ -77,6 +77,10 @@ def read_flow(path) -> MeasureFlow:
         for _ in range(m):
             vals = np.frombuffer(read(8 * count, "data"), dtype="<f8").copy()
             densities.append(ScalarField(grid, vals.reshape(grid.shape)))
+        if fh.read(1):
+            raise ValueError(f"flow binary {path} has trailing bytes after {m} "
+                             f"densities of {n}**{dim} points: the header does not "
+                             f"match the data")
     return MeasureFlow(times, densities, densities[0])
 
 

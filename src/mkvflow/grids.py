@@ -6,6 +6,7 @@ smoothing and spatial derivatives are all Fourier multipliers, so they are
 exact on band-limited data and mass/positivity behave as for the continuum
 operators up to FFT roundoff.  All of them act on the real-FFT half lattice
 through read-only arrays cached per ``GridSpec``, shared with other modules.
+Every real transform of the package goes through ``rfft``/``irfft``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.special import gammaln
 
 __all__ = [
@@ -27,6 +29,8 @@ __all__ = [
     "bessel_apply",
     "bessel_sharpen",
     "field_derivative",
+    "rfft",
+    "irfft",
     "rfft_wavenumbers",
     "gaussian_density",
     "grid_delta",
@@ -122,6 +126,26 @@ class GridSpec:
         return np.hypot(a, b)
 
 
+def rfft(values: np.ndarray) -> np.ndarray:
+    """Real-FFT half-lattice spectrum of grid values, over all their axes.
+
+    ``rfft`` and ``irfft`` run ``scipy.fft`` on one thread.  They look
+    ``rfftn``/``irfftn`` up on the ``scipy.fft`` module at call time, never
+    through a name bound at import, so that a wrapper installed on the
+    module's attributes (a transform counter, say) sees every transform.
+    """
+    return fft.rfftn(values, workers=1)
+
+
+def irfft(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real grid values of shape ``shape`` from their half-lattice spectrum.
+
+    ``shape`` is passed to the transform, so the last axis is never guessed
+    from the half-lattice length.  See ``rfft`` for the module lookup.
+    """
+    return fft.irfftn(spectrum, s=shape, workers=1)
+
+
 @functools.lru_cache(maxsize=64)
 def _derivative_multiplier(grid: GridSpec, order: tuple) -> np.ndarray:
     """``prod_j (i xi_j)^o_j`` on the real-FFT half lattice, read-only.
@@ -152,9 +176,7 @@ def rfft_wavenumbers(grid: GridSpec) -> tuple:
 
     These are the first-order derivative multipliers, which vanish at the
     Nyquist frequency of their own axis, and minus the Laplacian's.  The
-    arrays are shared between callers and read-only.  ``points_per_dim`` is
-    even, so ``irfftn`` of a half-lattice spectrum restores the grid shape
-    without ``s``.
+    arrays are shared between callers and read-only.
     """
     units = [tuple(int(i == j) for i in range(grid.dim)) for j in range(grid.dim)]
     xi_sq = -sum(_derivative_multiplier(grid, tuple(2 * o for o in u)).real for u in units)
@@ -231,7 +253,7 @@ def _apply_half(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     the spectrum of a real field Hermitian, so this equals the full-lattice
     product followed by ``.real``, Nyquist modes included.
     """
-    return np.fft.irfftn(np.fft.rfftn(values) * mult)
+    return irfft(rfft(values) * mult, values.shape)
 
 
 def _check_resolution(grid: GridSpec, t: float):
@@ -269,8 +291,8 @@ def heat_gradient(f: ScalarField, t: float) -> VectorField:
     if not (t > 0 and np.isfinite(t)):
         raise ValueError(f"heat time must be positive and finite, got {t}")
     ixi, xi_sq = rfft_wavenumbers(f.grid)
-    spec = np.fft.rfftn(f.values) * np.exp(-0.5 * t * xi_sq)
-    comps = [np.fft.irfftn(ik * spec) for ik in ixi]
+    spec = rfft(f.values) * np.exp(-0.5 * t * xi_sq)
+    comps = [irfft(ik * spec, f.grid.shape) for ik in ixi]
     meta = dict(f.meta)
     if _check_resolution(f.grid, t):
         warnings.warn(f"heat kernel under-resolved at t={t:.3g}", stacklevel=2)

@@ -25,6 +25,8 @@ from .grids import (
     VectorField,
     field_derivative,
     heat_apply,
+    irfft,
+    rfft,
     rfft_wavenumbers,
 )
 from .norms import BallLattice, SobolevIndex, local_neg_norm
@@ -185,7 +187,7 @@ def _riesz_symbol_route(spec: RieszOrder, grid: GridSpec, eps: float):
     radial = radial * np.exp(-0.5 * eps * xi_sq)
     # inverse transform lands in displacement indexing; shift the origin to
     # the grid center to match the coordinate convention
-    return [np.fft.fftshift(np.fft.irfftn(ik * radial)) / grid.cell_volume for ik in ixi]
+    return [np.fft.fftshift(irfft(ik * radial, grid.shape)) / grid.cell_volume for ik in ixi]
 
 
 def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
@@ -319,10 +321,10 @@ def kernel_spectra(spec: KernelSpec, grid: GridSpec) -> list:
     """Half-lattice spectra of the realized kernel components.
 
     Each is re-rooted at zero displacement and scaled by the cell volume, so
-    ``irfftn(spectrum * rfftn(rho))`` is the periodic convolution of that
+    ``irfft(spectrum * rfft(rho))`` is the periodic convolution of that
     component with the density ``rho``.
     """
-    return [grid.cell_volume * np.fft.rfftn(np.fft.ifftshift(c))
+    return [grid.cell_volume * rfft(np.fft.ifftshift(c))
             for c in realize_kernel(spec, grid).components]
 
 
@@ -334,8 +336,8 @@ def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float) -> VectorFie
     """Convolution drift ``K(t) t^kappa (kernel * rho)`` by spectral convolution."""
     rho.require_density()
     factor = spec.modulation.factor(t)
-    rho_hat = np.fft.rfftn(rho.values)
-    return VectorField(rho.grid, [factor * np.fft.irfftn(k_hat * rho_hat)
+    rho_hat = rfft(rho.values)
+    return VectorField(rho.grid, [factor * irfft(k_hat * rho_hat, rho.grid.shape)
                                   for k_hat in kernel_spectra(spec, rho.grid)])
 
 

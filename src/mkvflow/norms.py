@@ -25,7 +25,9 @@ from .grids import (
     bessel_sharpen,
     heat_apply,
     heat_gradient,
+    irfft,
     random_band_limited,
+    rfft,
 )
 
 __all__ = [
@@ -96,14 +98,14 @@ class BallLattice:
 @functools.lru_cache(maxsize=16)
 def _ball_spectrum(grid: GridSpec) -> np.ndarray:
     """Half-lattice spectrum of the unit-ball indicator (real: the ball is even)."""
-    spec = np.fft.rfftn((grid.periodic_radius() <= BALL_RADIUS).astype(float))
+    spec = rfft((grid.periodic_radius() <= BALL_RADIUS).astype(float))
     spec.setflags(write=False)
     return spec
 
 
 def _windowed_power_sums(grid: GridSpec, power_values: np.ndarray) -> np.ndarray:
     """Integral of ``power_values`` over the unit ball around every grid point."""
-    conv = np.fft.irfftn(np.fft.rfftn(power_values) * _ball_spectrum(grid))
+    conv = irfft(rfft(power_values) * _ball_spectrum(grid), grid.shape)
     return np.maximum(conv, 0.0) * grid.cell_volume
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, heat_apply
+from .grids import GridSpec, ScalarField, heat_apply, irfft, rfft
 from .kernels import KernelSpec, kernel_spectra, realize_kernel
 from .metrics import wasserstein_1d_empirical
 from .solver import MeasureFlow
@@ -180,10 +180,10 @@ def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
                 vals = _interp_field(comp, grid, z)
                 out[i, j] = vals.mean()
         return factor * out
-    rho_hat = np.fft.rfftn(_bin_positions(positions, grid).values)
+    rho_hat = rfft(_bin_positions(positions, grid).values)
     out = np.empty_like(positions)
     for j, chat in enumerate(kern_hat):
-        out[:, j] = _interp_field(np.fft.irfftn(chat * rho_hat), grid, positions)
+        out[:, j] = _interp_field(irfft(chat * rho_hat, grid.shape), grid, positions)
     return factor * out
 
 

@@ -9,11 +9,12 @@ whose mild form is
 with ``H`` the heat semigroup.  ``phi_apply`` marches this Volterra identity
 with a second-order exponential Heun step on a graded internal grid, keeping
 the real-FFT spectrum of the density as its state: heat is a multiplier and
-mass projection pins the zero mode.  Convolution drifts come from the kernel
-spectrum times the frozen densities' spectra, interpolated in time, which is
-exact; Nemytskii and callable drifts are evaluated in physical space on the
-interpolated density.  The Picard loop feeds the output flow back in until
-the weighted flow distance stalls below tolerance.  Rough initial data enters
+mass projection pins the zero mode.  A convolution drift is the kernel
+convolution of each frozen density, computed once per map and interpolated
+linearly in time in physical space, which is exact by linearity; Nemytskii
+and callable drifts are evaluated in physical space on the interpolated
+density.  The Picard loop feeds the output flow back in until the weighted
+flow distance stalls below tolerance.  Rough initial data enters
 through the time-shift route: pure diffusion on [0, r], drift switched on
 afterwards with shifted time argument.  The shift lives in the march itself
 (``graded_from``), so a shifted convolution drift keeps the spectral path.
@@ -21,12 +22,13 @@ afterwards with shifted time argument.  The shift lives in the march itself
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, rfft_wavenumbers
+from .grids import GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
 from .kernels import KernelSpec, NemytskiiSpec, kernel_spectra, nemytskii_drift
 from .norms import SobolevIndex, measure_dual_norm
 
@@ -64,6 +66,11 @@ class NoContractionError(RuntimeError):
 
 def _inv(x: float) -> float:
     return 0.0 if math.isinf(x) else 1.0 / x
+
+
+def _require_positive_int(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,7 @@ class MeasureFlow:
         self.times = np.asarray(self.times, dtype=float)
         if len(self.densities) != self.times.size:
             raise ValueError("one density per time required")
+        self._knots = [0.0] + self.times.tolist()
         for rho in self.densities:
             m = rho.mass()
             if abs(m - 1.0) > 1e-6:
@@ -200,8 +208,8 @@ class MeasureFlow:
         """``(j, w)`` with the flow at ``t`` equal to ``(1-w) f_j + w f_{j+1}``,
         where ``f`` is the initial datum followed by the densities and ``t`` is
         clamped to ``[0, times[-1]]``."""
-        ts = np.concatenate([[0.0], self.times])
-        j = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), ts.size - 2)
+        ts = self._knots
+        j = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
         return j, min(max(float((t - ts[j]) / (ts[j + 1] - ts[j])), 0.0), 1.0)
 
     def l1_increments(self) -> np.ndarray:
@@ -228,26 +236,27 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
 
     The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
     and takes the time argument ``s - shift`` after it.  A convolution drift is
-    linear in the density and ``density_at`` is linear in time, so
-    interpolating the spectra ``cell_volume K^ rho^_j`` between the flow's
-    times gives it exactly at any ``s``.  Each frozen field passes the density
-    check once: every marching node sees a convex combination of two of them,
-    whose minimum and mass lie between theirs.  Other drifts are evaluated in
-    physical space on the interpolated density.
+    linear in the density and ``density_at`` is linear in time, so the kernel
+    convolutions ``K * rho_j`` of the frozen fields, computed once here and
+    interpolated linearly between the flow's times, give it exactly at any
+    ``s``.  Each frozen field passes the density check once: every marching
+    node sees a convex combination of two of them, whose minimum and mass lie
+    between theirs.  Other drifts are evaluated in physical space on the
+    interpolated density.
     """
     if isinstance(drift, KernelSpec):
         fields = [mu.initial] + list(mu.densities)
         for f in fields:
             f.require_density()
         k_hat = kernel_spectra(drift, grid)
-        prods = [[kh * r_hat for kh in k_hat]
-                 for r_hat in (np.fft.rfftn(f.values) for f in fields)]
+        convs = [[irfft(kh * r_hat, grid.shape) for kh in k_hat]
+                 for r_hat in (rfft(f.values) for f in fields)]
 
         def field_at(s: float) -> list:
             j, w = mu._bracket(s)
             factor = drift.modulation.factor(s - shift)
-            return [factor * np.fft.irfftn((1 - w) * p0 + w * p1)
-                    for p0, p1 in zip(prods[j], prods[j + 1])]
+            a, b = factor * (1 - w), factor * w
+            return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
     elif isinstance(drift, NemytskiiSpec):
         def field_at(s: float) -> list:
             return nemytskii_drift(drift, mu.density_at(s), s - shift).components
@@ -322,8 +331,10 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     DegradedAccuracyError
         If the accumulated negative undershoot exceeds 1e-3 in mass.
     ValueError
-        If a frozen density is not a density or the march state turns non-finite.
+        If ``steps`` is not a positive int, a frozen density is not a density
+        or the march state turns non-finite.
     """
+    _require_positive_int("steps", steps)
     grid = gamma.grid
     gamma.require_density()
     out_times = np.asarray(params.time_grid)
@@ -337,13 +348,17 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
         out_slot[j] = i
     log = {"clip_mass": 0.0, "renorm_drift": 0.0}
     ixi, xi_sq = rfft_wavenumbers(grid)
+    minus_ixi = [-ik for ik in ixi]
     drift_at = None if mu is None else _frozen_drift(drift, mu, grid, graded_from)
 
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
-        return -sum(ik * np.fft.rfftn(c * vals) for ik, c in zip(ixi, b))
+        out = minus_ixi[0] * rfft(b[0] * vals)
+        for ik, c in zip(minus_ixi[1:], b[1:]):
+            out += ik * rfft(c * vals)
+        return out
 
     rho = gamma.values
-    rho_hat = np.fft.rfftn(rho)
+    rho_hat = rfft(rho)
     densities = [None] * out_times.size
     b_next = None if drift_at is None else drift_at(nodes[0])
     for m_idx in range(len(nodes) - 1):
@@ -353,13 +368,13 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
         rho_hat = rho_hat * mult
         if drift_at is not None:
             heated_F0 = transport(b_next, rho) * mult
-            predictor = np.fft.irfftn(rho_hat + h * heated_F0)
+            predictor = irfft(rho_hat + h * heated_F0, grid.shape)
             b_next = drift_at(s1)
             rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
         rho_hat = _renormalize(rho_hat, rho_hat.flat[0].real * grid.cell_volume, log)
         slot = out_slot.get(m_idx + 1)
         if drift_at is not None or slot is not None:
-            rho = np.fft.irfftn(rho_hat)
+            rho = irfft(rho_hat, grid.shape)
             if not np.all(np.isfinite(rho)):
                 raise ValueError(f"march state is not finite at t={s1:.6g}")
         if slot is not None:
@@ -455,7 +470,10 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
         After three consecutive non-contracting iterations at the final
         weight.  With ``auto_lambda`` set the weight doubles first, so only
         a solve with it off can raise.
+    ValueError
+        If ``steps`` or ``max_iter`` is not a positive int.
     """
+    _require_positive_int("max_iter", max_iter)
     times = np.asarray(params.time_grid)
     current = phi_apply(gamma, None, drift, params, steps, graded_from)
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps
@@ -503,7 +521,8 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     The initial measure evolves freely on [0, r]; the drift then switches on
     with shifted time argument.  The returned flow is indexed by the time
     after the switch, so its law at t matches the plain solve started from
-    the r-smoothed initial datum.
+    the r-smoothed initial datum.  ``steps`` and ``max_iter`` must be
+    positive ints, as for ``picard_solve``.
     """
     if r <= 0:
         raise ValueError(f"shift r must be positive, got {r}")

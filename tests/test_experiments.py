@@ -234,11 +234,15 @@ class TestFlowBinary:
         with pytest.raises(ValueError, match="not a flow binary"):
             read_flow(path)
 
-    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067,
-                                     pytest.param(None, id="zero_times")])
+    # stored time count written into the header, and the error it must raise
+    BAD_TIME_COUNTS = {"zero_times": (0, "stores no times"),
+                       "trailing_bytes": (1, "trailing bytes")}
+
+    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067, *BAD_TIME_COUNTS])
     def test_rejects_truncated(self, tmp_path, cut):
         # header is 28 bytes, the two times end at 44, the data runs to 1068;
-        # cut None keeps the header and sets its time count to zero
+        # a named cut keeps all bytes and rewrites the header's time count: a
+        # count of one leaves the last 520 bytes unread
         grid = GridSpec(1, 64, 8.0)
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
         flow = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=50)
@@ -246,8 +250,12 @@ class TestFlowBinary:
         write_flow(flow, path)
         data = path.read_bytes()
         assert len(data) == 44 + 2 * 64 * 8
-        path.write_bytes(data[:cut] if cut else data[:24] + struct.pack("<I", 0))
-        message = "truncated flow binary" if cut else "stores no times"
+        if cut in self.BAD_TIME_COUNTS:
+            m, message = self.BAD_TIME_COUNTS[cut]
+            path.write_bytes(data[:24] + struct.pack("<I", m) + data[28:])
+        else:
+            path.write_bytes(data[:cut])
+            message = "truncated flow binary"
         with pytest.raises(ValueError, match=message):
             read_flow(path)
 
@@ -309,6 +317,15 @@ class TestCli:
         assert np.array_equal(got.times, want.times)
         assert all(np.array_equal(a.values, b.values)
                    for a, b in zip(got.densities, want.densities))
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_solve_rejects_steps_below_one(self, tmp_path, monkeypatch, capsys, steps):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--grid", "256", "--steps", steps, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_stability_solves_pass_through_the_module_global(self, monkeypatch):
         # the benchmark captures every experiment solve by this substitution

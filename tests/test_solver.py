@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mkvflow.grids import (
     GridSpec,
@@ -170,6 +171,25 @@ class TestPhiApply:
         assert flow.meta["clip_mass"] < 1e-3
 
 
+class TestStepArguments:
+    @pytest.mark.parametrize("steps", [0, -5, 2.5])
+    def test_steps_must_be_a_positive_int(self, steps):
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        params = params_for(n=2)
+        match = "steps must be a positive int"
+        with pytest.raises(ValueError, match=match):
+            phi_apply(gamma, None, None, params, steps=steps)
+        with pytest.raises(ValueError, match=match):
+            picard_solve(gamma, small_kernel(), params, steps=steps)
+        with pytest.raises(ValueError, match=match):
+            time_shift_solve(grid_delta(GRID), 0.02, small_kernel(), params, steps=steps)
+
+    def test_max_iter_must_be_a_positive_int(self):
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        with pytest.raises(ValueError, match="max_iter must be a positive int"):
+            picard_solve(gamma, small_kernel(), params_for(n=2), max_iter=0, steps=20)
+
+
 class TestWeightedFlowDistance:
     def test_identical_flows(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
@@ -230,14 +250,50 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
         mu = phi_apply(gamma, None, None, params, steps=60)
-        drift_at = _frozen_drift(spec, mu, grid, 0.0)
-        for s in (0.0, 0.03, 0.1, 0.17, 0.3337, 0.49, 0.5):
-            got = drift_at(s)
-            want = drift_from_kernel(spec, mu.density_at(s), s).components
-            scale = max(np.abs(c).max() for c in want)
-            assert scale > 0 or s == 0.0
-            for g, w in zip(got, want):
-                assert np.abs(g - w).max() <= 1e-12 * max(scale, 1e-300)
+        for shift in (0.0, 0.07):
+            drift_at = _frozen_drift(spec, mu, grid, shift)
+            for s in (0.0, 0.03, 0.07, 0.1, 0.17, 0.3337, 0.49, 0.5):
+                got = drift_at(s)
+                if s < shift:
+                    assert not any(g.any() for g in got)
+                    continue
+                want = drift_from_kernel(spec, mu.density_at(s), s - shift).components
+                scale = max(np.abs(c).max() for c in want)
+                assert scale > 0 or s == shift
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-12 * max(scale, 1e-300)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_march_step_transform_count(self, dim, monkeypatch):
+        # a march step transforms b rho and b predictor forward (d each) and
+        # the predictor and the new state back (one each); once per call come
+        # the initial state, the kernel spectra, and one forward and d inverse
+        # transforms per frozen field
+        grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
+        spec = small_kernel() if dim == 1 else KernelSpec(
+            ConstantVector((0.3, -0.2)), 0.0, TimeModulation(kappa=0.75))
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
+                            time_grid=(0.1, 0.25, 0.5), dim=dim)
+        gamma = gaussian_density(grid, 0.0, 0.09)
+        mu = phi_apply(gamma, None, None, params, steps=40)
+        realize_kernel(spec, grid)  # cached from here on
+        calls = []
+
+        def counting(name):
+            fn = getattr(scipy.fft, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, counting(name))
+        phi_apply(gamma, mu, spec, params, steps=40)
+        march_steps = len(solver._internal_grid(params.time_grid, 40)) - 1
+        frozen = len(params.time_grid) + 1
+        assert len(calls) == (2 * dim + 2) * march_steps + 1 + dim + frozen * (1 + dim)
+        assert calls.count("irfftn") == 2 * march_steps + frozen * dim
 
     def test_negative_frozen_density_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)

@@ -209,7 +209,12 @@ def main(argv=None) -> int:
         return _cmd_experiment(args, _solve_config(args))
     if args.command == "report":
         return _print_rows(parse_report_csv(args.path))
-    return _cmd_experiment(args, _experiment_config(args))
+    try:
+        cfg = _experiment_config(args)
+    except ValueError as exc:
+        print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    return _cmd_experiment(args, cfg)
 
 
 if __name__ == "__main__":

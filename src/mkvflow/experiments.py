@@ -31,7 +31,13 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, chaos_convergence_study
-from .solver import FlowParams, contraction_ratios, eta_theta_params, picard_solve
+from .solver import (
+    FlowParams,
+    _require_positive_int,
+    contraction_ratios,
+    eta_theta_params,
+    picard_solve,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -70,6 +76,9 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment and its options; ``steps`` and ``max_iter``, where
+    given, must be positive ints."""
+
     experiment: str
     seed: int = 0
     output_dir: str = "."
@@ -79,6 +88,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {EXPERIMENTS}")
+        for key in ("steps", "max_iter"):
+            if self.opt(key) is not None:
+                _require_positive_int(key, self.opt(key))
 
     def opt(self, key, default=None):
         for k, v in self.options:
@@ -260,7 +272,7 @@ def _solve(cfg: ExperimentConfig, report: RunReport, gamma, kern, params,
     the provenance.  ``picard_solve`` is looked up at call time, so a caller
     may substitute it on this module."""
     settings = {"tol": tol, "max_iter": max_iter,
-                "steps": int(cfg.opt("steps", steps))}
+                "steps": cfg.opt("steps", steps)}
     report.provenance["solver"] = settings
     return picard_solve(gamma, kern, params, **settings)
 
@@ -372,7 +384,7 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     gamma = gaussian_density(grid, float(cfg.opt("gamma_mean", 0.0)),
                              float(cfg.opt("gamma_var", 0.04)))
     tol_res = _tol(cfg, "residual")
-    max_iter = int(cfg.opt("max_iter", 20))
+    max_iter = cfg.opt("max_iter", 20)
     report.flow, rep = _solve(cfg, report, gamma, kern, params,
                               tol=tol_res, max_iter=max_iter)
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0

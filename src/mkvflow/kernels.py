@@ -23,6 +23,7 @@ from .grids import (
     GridSpec,
     ScalarField,
     VectorField,
+    _derivative_multiplier,
     field_derivative,
     heat_apply,
     irfft,
@@ -45,6 +46,7 @@ __all__ = [
     "riesz_direct",
     "drift_from_kernel",
     "nemytskii_drift",
+    "nemytskii_map",
     "nemytskii_lipschitz_check",
     "kernel_norm_study",
     "NormStudy",
@@ -348,42 +350,29 @@ def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float) -> VectorFie
 def _nemytskii_families():
     """Built-in pointwise maps F(H) -> drift vector, 1-Lipschitz in H.
 
-    H is the list of flattened derivative stacks (rho, grad rho, ...) in the
-    order of ``_derivative_stack``; each family emits one component per
-    spatial dimension.  No family depends on the position.
+    Each family builds its map from the stack length, the spatial dimension
+    and the spec's parameters.  H is the list of flattened derivative stacks
+    (rho, grad rho, ...) in the order of ``_derivative_orders``; the map
+    emits one component per spatial dimension.  No family depends on the
+    position.
     """
 
-    def zero(H, dim, params):
-        return [np.zeros_like(H[0])] * dim
+    def zero(size, dim, params):
+        return lambda H: [np.zeros_like(H[0])] * dim
 
-    def density(H, dim, params):
-        out = [np.zeros_like(H[0])] * dim
-        out[0] = H[0].copy()
-        return out
+    def density(size, dim, params):
+        return lambda H: [H[0]] + [np.zeros_like(H[0])] * (dim - 1)
 
-    def clipped_gradient(H, dim, params):
+    def clipped_gradient(size, dim, params):
         cap = params.get("cap", 1.0)
-        if len(H) < 2:
-            raise ValueError("clipped_gradient needs derivative depth n >= 2")
-        out = []
-        for j in range(dim):
-            out.append(np.clip(H[1 + j], -cap, cap))
-        return out
+        return lambda H: [np.clip(H[1 + j], -cap, cap) for j in range(dim)]
 
-    def linear(H, dim, params):
-        weights = params.get("weights")
-        if weights is None:
-            raise ValueError("linear family needs 'weights'")
-        w = np.asarray(weights, dtype=float)
-        if w.size != len(H):
-            raise ValueError(f"need {len(H)} weights, got {w.size}")
-        norm = np.linalg.norm(w)
-        if norm > 1:
-            w = w / norm  # keep the unit Lipschitz bound
-        combo = sum(wi * h for wi, h in zip(w, H))
-        out = [np.zeros_like(H[0])] * dim
-        out[0] = combo
-        return out
+    def linear(size, dim, params):
+        w = np.asarray(params["weights"], dtype=float)
+        if w.size != size:
+            raise ValueError(f"need {size} weights, got {w.size}")
+        w = w / max(np.linalg.norm(w), 1.0)  # keep the unit Lipschitz bound
+        return lambda H: [sum(wi * h for wi, h in zip(w, H))] + [np.zeros_like(H[0])] * (dim - 1)
 
     return {"zero": zero, "density": density,
             "clipped_gradient": clipped_gradient, "linear": linear}
@@ -409,38 +398,49 @@ class NemytskiiSpec:
         if self.family not in _NEMYTSKII:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"choose from {sorted(_NEMYTSKII)}")
+        if self.family == "clipped_gradient" and self.n < 2:
+            raise ValueError("clipped_gradient needs derivative depth n >= 2")
+        if self.family == "linear" and "weights" not in self.param_dict:
+            raise ValueError("linear family needs 'weights'")
 
     @property
     def param_dict(self) -> dict:
         return dict(self.params)
 
 
-def _derivative_stack(rho: ScalarField, n: int):
-    """Flattened (rho, all first derivatives, all second derivatives, ...)."""
-    H = [rho.values]
-    for depth in range(1, n):
-        for combo in _tensor_orders(rho.grid.dim, depth):
-            H.append(field_derivative(rho, combo).values)
-    return H
-
-
-def _tensor_orders(dim: int, depth: int):
+def _derivative_orders(dim: int, n: int) -> list:
+    """Multi-indices of the derivative stack after rho: all first
+    derivatives, then all second derivatives, ... up to order n-1."""
     if dim == 1:
-        return [(depth,)]
-    out = []
-    for a in range(depth + 1):
-        out.append((depth - a, a))
-    return out
+        return [(depth,) for depth in range(1, n)]
+    return [(depth - a, a) for depth in range(1, n) for a in range(depth + 1)]
+
+
+def nemytskii_map(spec: NemytskiiSpec, grid: GridSpec):
+    """``(values, t) -> drift components`` of ``spec`` for density values on ``grid``.
+
+    The derivative stack of the values costs one forward transform and one
+    inverse per derivative.  The family's map, with its parameters checked
+    against the stack length, is built here once; the returned function
+    validates nothing.
+    """
+    mults = [_derivative_multiplier(grid, o) for o in _derivative_orders(grid.dim, spec.n)]
+    F = _NEMYTSKII[spec.family](1 + len(mults), grid.dim, spec.param_dict)
+
+    def drift(values: np.ndarray, t: float) -> list:
+        H = [values]
+        if mults:
+            spectrum = rfft(values)
+            H += [irfft(spectrum * m, grid.shape) for m in mults]
+        factor = spec.modulation.factor(t)
+        return [factor * c for c in F(H)]
+    return drift
 
 
 def nemytskii_drift(spec: NemytskiiSpec, rho: ScalarField, t: float) -> VectorField:
     """Drift ``K(t) t^kappa F((rho, grad rho, ...))`` evaluated pointwise."""
     rho.require_density()
-    H = _derivative_stack(rho, spec.n)
-    fn = _NEMYTSKII[spec.family]
-    comps = fn(H, rho.grid.dim, spec.param_dict)
-    factor = spec.modulation.factor(t)
-    return VectorField(rho.grid, [factor * c for c in comps])
+    return VectorField(rho.grid, nemytskii_map(spec, rho.grid)(rho.values, t))
 
 
 def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float, samples: int = 1000,
@@ -451,15 +451,15 @@ def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float, samples: int = 1000
     ``|b(h) - b(h~)| / ||h - h~||``; the max must stay below K(t) t^kappa.
     """
     rng = np.random.default_rng(seed)
-    n_entries = sum(len(_tensor_orders(dim, depth)) for depth in range(spec.n))
-    fn = _NEMYTSKII[spec.family]
+    n_entries = 1 + len(_derivative_orders(dim, spec.n))
+    fn = _NEMYTSKII[spec.family](n_entries, dim, spec.param_dict)
     factor = spec.modulation.factor(t)
     worst = 0.0
     for _ in range(samples):
         h = rng.normal(size=n_entries)
         ht = h + rng.normal(scale=0.5, size=n_entries)
-        fa = np.array(fn(list(h[:, None]), dim, spec.param_dict))
-        fb = np.array(fn(list(ht[:, None]), dim, spec.param_dict))
+        fa = np.array(fn(list(h[:, None])))
+        fb = np.array(fn(list(ht[:, None])))
         gap = float(np.linalg.norm((fa - fb).ravel()))
         dh = float(np.linalg.norm(h - ht))
         if dh > 1e-12:

@@ -11,12 +11,13 @@ with a second-order exponential Heun step on a graded internal grid, keeping
 the real-FFT spectrum of the density as its state: heat is a multiplier and
 mass projection pins the zero mode.  A convolution drift is the kernel
 convolution of each frozen density, computed once per map and interpolated
-linearly in time in physical space, which is exact by linearity; Nemytskii
-and callable drifts are evaluated in physical space on the interpolated
-density.  The Picard loop feeds the output flow back in until the weighted
-flow distance stalls below tolerance.  Rough initial data enters
-through the time-shift route: pure diffusion on [0, r], drift switched on
-afterwards with shifted time argument.  The shift lives in the march itself
+linearly in time in physical space, which is exact by linearity; a
+Nemytskii drift is one pointwise map, built once per map, of the raw
+interpolated values, and a callable drift gets the interpolated density.
+The Picard loop feeds the output flow back in until the weighted flow
+distance stalls below tolerance.  Rough initial data enters through the
+time-shift route: pure diffusion on [0, r], drift switched on afterwards
+with shifted time argument.  The shift lives in the march itself
 (``graded_from``), so a shifted convolution drift keeps the spectral path.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
-from .kernels import KernelSpec, NemytskiiSpec, kernel_spectra, nemytskii_drift
+from .kernels import KernelSpec, NemytskiiSpec, kernel_spectra, nemytskii_map
 from .norms import SobolevIndex, measure_dual_norm
 
 __all__ = [
@@ -239,15 +240,17 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
     linear in the density and ``density_at`` is linear in time, so the kernel
     convolutions ``K * rho_j`` of the frozen fields, computed once here and
     interpolated linearly between the flow's times, give it exactly at any
-    ``s``.  Each frozen field passes the density check once: every marching
-    node sees a convex combination of two of them, whose minimum and mass lie
-    between theirs.  Other drifts are evaluated in physical space on the
-    interpolated density.
+    ``s``.  A Nemytskii drift is ``nemytskii_map``, built once here, on the
+    values ``density_at`` would give, with finite components at every node.
+    For both, each frozen field passes the density check once: every
+    marching node sees a convex combination of two of them, whose minimum
+    and mass lie between theirs.  Callable drifts get ``density_at(s)``.
     """
-    if isinstance(drift, KernelSpec):
-        fields = [mu.initial] + list(mu.densities)
+    fields = [mu.initial] + list(mu.densities)
+    if isinstance(drift, (KernelSpec, NemytskiiSpec)):
         for f in fields:
             f.require_density()
+    if isinstance(drift, KernelSpec):
         k_hat = kernel_spectra(drift, grid)
         convs = [[irfft(kh * r_hat, grid.shape) for kh in k_hat]
                  for r_hat in (rfft(f.values) for f in fields)]
@@ -258,8 +261,17 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
             a, b = factor * (1 - w), factor * w
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
     elif isinstance(drift, NemytskiiSpec):
+        values = [f.values for f in fields]
+        evaluate = nemytskii_map(drift, grid)
+
         def field_at(s: float) -> list:
-            return nemytskii_drift(drift, mu.density_at(s), s - shift).components
+            j, w = mu._bracket(s)
+            rho = (values[j + int(w)] if w == 0.0 or w == 1.0
+                   else (1 - w) * values[j] + w * values[j + 1])
+            comps = evaluate(rho, s - shift)
+            if not all(np.isfinite(c).all() for c in comps):
+                raise ValueError(f"drift is not finite at t={s:.6g}")
+            return comps
     elif callable(drift):
         def field_at(s: float) -> list:
             return drift(mu.density_at(s), s - shift).components

@@ -327,6 +327,19 @@ class TestCli:
         assert "positive integer" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("line", ["steps = 0", "steps = -5", "steps = 2.5",
+                                      "max_iter = 0", "max_iter = 2.5"])
+    def test_config_rejects_bad_step_counts(self, tmp_path, monkeypatch, capsys, line):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = solve\ngrid_n = 256\n{line}\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "must be a positive int" in err
+        assert not out.exists()
+
     def test_stability_solves_pass_through_the_module_global(self, monkeypatch):
         # the benchmark captures every experiment solve by this substitution
         calls = []

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mkvflow.grids import (
     GridSpec,
@@ -14,7 +15,9 @@ from mkvflow.grids import (
     grid_delta,
     heat_apply,
     heat_gradient,
+    irfft,
     random_band_limited,
+    rfft,
 )
 from mkvflow.grids import _exp_sinh_nodes
 from mkvflow.norms import _windowed_power_sums
@@ -226,6 +229,15 @@ def _assert_matches_oracle(got, spec, mults):
     for g, m in zip(got, mults):
         want = np.fft.ifftn(spec * m).real
         assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096])
+def test_one_dimensional_transforms_match_the_nd_entry_points(n):
+    values = np.random.default_rng(n).standard_normal(n)
+    spectrum = scipy.fft.rfftn(values)
+    assert np.array_equal(rfft(values), spectrum)
+    spectrum = spectrum * (1.0 + 0.5j)
+    assert np.array_equal(irfft(spectrum, (n,)), scipy.fft.irfftn(spectrum, s=(n,)))
 
 
 class TestHalfLatticeMultipliers:

@@ -261,6 +261,12 @@ class TestNemytskiiDrift:
         with pytest.raises(ValueError, match="unsupported"):
             NemytskiiSpec(6, "density")
 
+    @pytest.mark.parametrize("n, family, match", [(1, "clipped_gradient", "n >= 2"),
+                                                  (2, "linear", "weights")])
+    def test_unusable_specs_rejected(self, n, family, match):
+        with pytest.raises(ValueError, match=match):
+            NemytskiiSpec(n, family)
+
 
 class TestKernelNormStudy:
     def test_dirac_threshold_dichotomy(self):

@@ -287,13 +287,14 @@ class TestSpectralMarch:
                 return fn(*args, **kwargs)
             return counted
 
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfft", "irfft", "rfftn", "irfftn"):
             monkeypatch.setattr(scipy.fft, name, counting(name))
         phi_apply(gamma, mu, spec, params, steps=40)
         march_steps = len(solver._internal_grid(params.time_grid, 40)) - 1
         frozen = len(params.time_grid) + 1
         assert len(calls) == (2 * dim + 2) * march_steps + 1 + dim + frozen * (1 + dim)
-        assert calls.count("irfftn") == 2 * march_steps + frozen * dim
+        inverses = calls.count("irfft") + calls.count("irfftn")
+        assert inverses == 2 * march_steps + frozen * dim
 
     def test_negative_frozen_density_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
@@ -462,6 +463,60 @@ class TestNemytskiiDriftSolve:
         flow, rep = picard_solve(gamma, spec, params_for(), tol=1e-8, steps=200)
         assert rep.residual < 1e-8
         assert all(rho.values.min() >= 0.0 for rho in flow.densities)
+
+
+    @pytest.mark.parametrize("dim, weights", [(1, (0.1,)), (2, (0.1, 0.1))])
+    def test_weight_count_checked_when_the_map_is_built(self, dim, weights):
+        grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5), dim=dim)
+        mu = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=10)
+        spec = NemytskiiSpec(2, "linear", (("weights", weights),))
+        with pytest.raises(ValueError, match=f"need {1 + dim} weights"):
+            _frozen_drift(spec, mu, grid, 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["linear", "clipped_gradient"])
+    @pytest.mark.parametrize("route", ["picard", "shift"])
+    def test_spec_route_equals_callable_route(self, route, family, dim, monkeypatch):
+        # in 2-d, depth 3 brings in the mixed derivative
+        if dim == 1:
+            grid, n, weights = GRID, 2, (0.1, 0.1)
+        else:
+            grid, n, weights = GridSpec(2, 64, 8.0), 3, (0.1, 0.05, 0.05, 0.01, 0.01, 0.01)
+        options = (("weights", weights),) if family == "linear" else (("cap", 0.2),)
+        spec = NemytskiiSpec(n, family, options, TimeModulation(kappa=0.75))
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.3,
+                            time_grid=(0.1, 0.2, 0.3), dim=dim)
+        gamma = gaussian_density(grid, 0.0, 0.09)
+
+        def solve(drift):
+            if route == "picard":
+                flow = picard_solve(gamma, drift, params, max_iter=3, steps=40)[0]
+            else:
+                flow = time_shift_solve(gamma, 0.07, drift, params, max_iter=3, steps=40)
+            return [flow.initial] + flow.densities
+
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(kernels, "nemytskii_drift",
+                            spy("nemytskii_drift", kernels.nemytskii_drift))
+        monkeypatch.setattr(solver, "nemytskii_drift",
+                            spy("nemytskii_drift", kernels.nemytskii_drift), raising=False)
+        monkeypatch.setattr(MeasureFlow, "density_at",
+                            spy("density_at", MeasureFlow.density_at))
+        fast = solve(spec)
+        monkeypatch.undo()
+        assert calls == []
+        ref = solve(lambda rho, t: nemytskii_drift(spec, rho, t))
+        assert len(fast) == len(ref)
+        for a, b in zip(fast, ref):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestTwoDimensional:

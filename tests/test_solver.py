@@ -464,7 +464,6 @@ class TestNemytskiiDriftSolve:
         assert rep.residual < 1e-8
         assert all(rho.values.min() >= 0.0 for rho in flow.densities)
 
-
     @pytest.mark.parametrize("dim, weights", [(1, (0.1,)), (2, (0.1, 0.1))])
     def test_weight_count_checked_when_the_map_is_built(self, dim, weights):
         grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)

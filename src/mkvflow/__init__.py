@@ -32,8 +32,7 @@ from .kernels import (
     TimeModulation,
     NemytskiiSpec,
     realize_kernel,
-    drift_from_kernel,
-    nemytskii_drift,
+    drift_field,
     kernel_norm_study,
     make_kernel,
 )

@@ -39,8 +39,6 @@ def _add_config(p):
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: the config's, else 0)")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (overrides config; default 1)")
     _add_grid(p, None, None, " (overrides config; default 1024, extent 16)")
 
 
@@ -159,10 +157,9 @@ def _experiment_config(args) -> ExperimentConfig:
     elif args.name is None:
         raise SystemExit("experiment name or --config required")
     else:
-        cfg = ExperimentConfig(args.name, options=(("grid_n", 1024), ("grid_extent", 16.0),
-                                                   ("threads", 1)))
-    flags = {k: v for k, v in (("grid_n", args.grid), ("grid_extent", args.extent),
-                               ("threads", args.threads)) if v is not None}
+        cfg = ExperimentConfig(args.name, options=(("grid_n", 1024), ("grid_extent", 16.0)))
+    flags = {k: v for k, v in (("grid_n", args.grid), ("grid_extent", args.extent))
+             if v is not None}
     options = tuple((k, flags.get(k, v)) for k, v in cfg.options)
     options += tuple((k, v) for k, v in flags.items() if cfg.opt(k) is None)
     seed = cfg.seed if args.seed is None else args.seed
@@ -205,13 +202,11 @@ def main(argv=None) -> int:
         return _cmd_norm(args)
     if args.command == "kernel-study":
         return _cmd_kernel_study(args)
-    if args.command == "solve":
-        return _cmd_experiment(args, _solve_config(args))
     if args.command == "report":
         return _print_rows(parse_report_csv(args.path))
     try:
-        cfg = _experiment_config(args)
-    except ValueError as exc:
+        cfg = _solve_config(args) if args.command == "solve" else _experiment_config(args)
+    except (OSError, ValueError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
     return _cmd_experiment(args, cfg)

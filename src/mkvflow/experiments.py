@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -21,8 +22,10 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .flowio import write_csv_rows
 from .grids import GridSpec, ScalarField, gaussian_density
-from .kernels import KernelSpec, make_kernel, kernel_norm_study
+from .kernels import (ConstantVector, DiracDerivative, KernelSpec, RieszOrder,
+                      kernel_norm_study, make_kernel)
 from .metrics import GaussianSpec, relative_entropy, wasserstein_1d
 from .norms import (
     SobolevIndex,
@@ -51,9 +54,6 @@ __all__ = [
     "parse_config",
 ]
 
-EXPERIMENTS = ("heat_exponent", "kernel_membership", "solve", "decay",
-               "stability", "entropy_cost", "particles")
-
 # documented default tolerances; every pass/fail row cites its entry or a
 # config override, never a hidden constant
 DEFAULT_TOLERANCES = {
@@ -77,7 +77,7 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment and its options; ``steps`` and ``max_iter``, where
-    given, must be positive ints."""
+    given, must be positive ints, and the grid keys must name a grid."""
 
     experiment: str
     seed: int = 0
@@ -91,6 +91,7 @@ class ExperimentConfig:
         for key in ("steps", "max_iter"):
             if self.opt(key) is not None:
                 _require_positive_int(key, self.opt(key))
+        _grid_from(self)
 
     def opt(self, key, default=None):
         for k, v in self.options:
@@ -306,7 +307,6 @@ def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
 
 
 def _expected_membership(variant, delta, k, dim):
-    from .kernels import DiracDerivative, RieszOrder
     if isinstance(variant, RieszOrder):
         order_ok = delta >= 1 + 2 * variant.n0
         tail = dim + variant.eps0 - 2.0
@@ -341,7 +341,6 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
         report.add(label + ".verdict", 1.0, 1.0 if study.verdict == expect else 0.0,
                    0.0, study.verdict == expect)
         if expect == "unbounded":
-            from .kernels import DiracDerivative
             if isinstance(spec.variant, DiracDerivative):
                 # point-mass smoothing scales with the heat kernel; other
                 # kernels have variant-specific rates, reported unchecked
@@ -496,8 +495,7 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
         measured.append(ent * t / w2**2)
     measured = np.asarray(measured)
     report.figures["entropy_cost_ratio"] = list(zip(t_grid, measured))
-    is_zero_kernel = _kernel_is_zero(kern, grid)
-    if is_zero_kernel:
+    if _kernel_is_zero(kern):
         analytic = t_grid / (2.0 * (r + t_grid))
         gap = float(np.max(np.abs(measured - analytic)))
         report.add("entropy_ratio_analytic_gap", 0.0, gap, 0.01, gap <= 0.01)
@@ -511,8 +509,7 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _kernel_is_zero(kern: KernelSpec, grid: GridSpec) -> bool:
-    from .kernels import ConstantVector
+def _kernel_is_zero(kern: KernelSpec) -> bool:
     return isinstance(kern.variant, ConstantVector) and \
         all(c == 0.0 for c in kern.variant.c)
 
@@ -524,15 +521,13 @@ def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     gamma = gaussian_density(grid, 0.0, r0)
     N_list = cfg.opt("N_list") or (250, 1000, 4000)
     repeats = int(cfg.opt("repeats", 10))
-    threads = int(cfg.opt("threads", 1))
     flow, _ = _solve(cfg, report, gamma, kern, params, steps=400)
     dt = float(cfg.opt("dt", 0.0025))
-    zero = _kernel_is_zero(kern, grid)
+    zero = _kernel_is_zero(kern)
     sim = SimConfig(grid=grid, dt=dt, T=params.T, seed=cfg.seed,
                     kernel=None if zero else kern,
                     initial=GaussianSpec((0.0,), r0), checkpoints=(params.T,))
-    study = chaos_convergence_study(sim, list(N_list), flow, repeats=repeats,
-                                    threads=threads)
+    study = chaos_convergence_study(sim, list(N_list), flow, repeats=repeats)
     report.tables["particle_errors"] = (("N", "seed", "t", "W1", "L1"),
                                         study["rows"])
     Ns = sorted(study["summary"])
@@ -561,6 +556,7 @@ _RUNNERS = {
     "entropy_cost": _exp_entropy_cost,
     "particles": _exp_particles,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -581,8 +577,6 @@ def emit_report(report: RunReport, out_dir, name: str = "report",
     """Write the report as CSV (fixed column order), a JSON mirror, and
     optional two-column plotdata files per figure; ``formats`` is drawn from
     ``REPORT_FORMATS``."""
-    import os
-
     unknown = [f for f in formats if f not in REPORT_FORMATS]
     if unknown:
         raise ValueError(f"unknown report formats {unknown}; choose from {REPORT_FORMATS}")
@@ -618,7 +612,6 @@ def emit_report(report: RunReport, out_dir, name: str = "report",
                     fh.write(f"{t:.17g} {v:.17g}\n")
             written.append(path)
     for tname, (header, rows) in report.tables.items():
-        from .flowio import write_csv_rows
         path = os.path.join(out_dir, f"{name}.{_safe_name(tname)}.csv")
         write_csv_rows(path, header, rows)
         written.append(path)

@@ -26,8 +26,7 @@ import numpy as np
 from .grids import GridSpec, ScalarField
 from .solver import MeasureFlow
 
-__all__ = ["write_flow", "read_flow", "write_csv_rows", "read_csv_rows",
-           "flow_density_table"]
+__all__ = ["write_flow", "read_flow", "write_csv_rows", "flow_density_table"]
 
 MAGIC = b"MKVF"
 VERSION = 1
@@ -110,13 +109,6 @@ def write_csv_rows(path, header, rows):
         wr.writerow(header)
         for row in rows:
             wr.writerow([_fmt(v) for v in row])
-
-
-def read_csv_rows(path):
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        return header, [row for row in rd]
 
 
 def _fmt(v):

@@ -5,8 +5,9 @@ order (`RieszOrder`), derivatives of a point mass (`DiracDerivative`),
 constant vectors and arbitrary grid-sampled fields.  Singular variants are
 realized after heat mollification at time ``mollification_eps``.  The
 convolution drift and the pointwise density-derivative (Nemytskii) drift
-both carry a ``K(t) * t**kappa`` time envelope.  Every user of the kernel's
-real-FFT spectrum takes it from ``kernel_spectra``.
+are both a ``K(t) * t**kappa`` time envelope times a map from the density
+to a vector field; ``drift_map`` is the one evaluator of that map, and
+every caller applies the envelope itself.
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ __all__ = [
     "NemytskiiSpec",
     "MollificationError",
     "realize_kernel",
-    "kernel_spectra",
     "riesz_direct",
-    "drift_from_kernel",
-    "nemytskii_drift",
-    "nemytskii_map",
+    "drift_map",
+    "drift_field",
     "nemytskii_lipschitz_check",
     "kernel_norm_study",
     "NormStudy",
@@ -319,30 +318,6 @@ def _unit_spike(grid: GridSpec) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def kernel_spectra(spec: KernelSpec, grid: GridSpec) -> list:
-    """Half-lattice spectra of the realized kernel components.
-
-    Each is re-rooted at zero displacement and scaled by the cell volume, so
-    ``irfft(spectrum * rfft(rho))`` is the periodic convolution of that
-    component with the density ``rho``.
-    """
-    return [grid.cell_volume * rfft(np.fft.ifftshift(c))
-            for c in realize_kernel(spec, grid).components]
-
-
-# ---------------------------------------------------------------------------
-# drifts
-
-
-def drift_from_kernel(spec: KernelSpec, rho: ScalarField, t: float) -> VectorField:
-    """Convolution drift ``K(t) t^kappa (kernel * rho)`` by spectral convolution."""
-    rho.require_density()
-    factor = spec.modulation.factor(t)
-    rho_hat = rfft(rho.values)
-    return VectorField(rho.grid, [factor * irfft(k_hat * rho_hat, rho.grid.shape)
-                                  for k_hat in kernel_spectra(spec, rho.grid)])
-
-
 # ---------------------------------------------------------------------------
 # density-derivative (Nemytskii) drifts
 
@@ -416,31 +391,51 @@ def _derivative_orders(dim: int, n: int) -> list:
     return [(depth - a, a) for depth in range(1, n) for a in range(depth + 1)]
 
 
-def nemytskii_map(spec: NemytskiiSpec, grid: GridSpec):
-    """``(values, t) -> drift components`` of ``spec`` for density values on ``grid``.
+# ---------------------------------------------------------------------------
+# the drift map of either spec
 
-    The derivative stack of the values costs one forward transform and one
-    inverse per derivative.  The family's map, with its parameters checked
-    against the stack length, is built here once; the returned function
-    validates nothing.
+
+def drift_map(spec, grid: GridSpec):
+    """``values -> drift components`` of ``spec`` on ``grid``, without the envelope.
+
+    One evaluation makes one forward transform of the density values and one
+    inverse per multiplier, then a pointwise map.  For a ``KernelSpec`` the
+    multipliers are the realized kernel's half-lattice spectra, re-rooted at
+    zero displacement with the cell volume folded in, and the map returns the
+    periodic convolutions.  For a ``NemytskiiSpec`` they are the derivative
+    multipliers of the stack (rho, grad rho, ...) and the map is the family's
+    ``F``, its parameters checked here.  Both are built once; the returned
+    function validates nothing.
+
+    Raises
+    ------
+    TypeError
+        For any other spec.
     """
-    mults = [_derivative_multiplier(grid, o) for o in _derivative_orders(grid.dim, spec.n)]
-    F = _NEMYTSKII[spec.family](1 + len(mults), grid.dim, spec.param_dict)
+    if isinstance(spec, KernelSpec):
+        mults = [grid.cell_volume * rfft(np.fft.ifftshift(c))
+                 for c in realize_kernel(spec, grid).components]
+        F = None  # the convolutions are the drift
+    elif isinstance(spec, NemytskiiSpec):
+        mults = [_derivative_multiplier(grid, o) for o in _derivative_orders(grid.dim, spec.n)]
+        F = _NEMYTSKII[spec.family](1 + len(mults), grid.dim, spec.param_dict)
+    else:
+        raise TypeError(f"no drift map for {type(spec).__name__}")
 
-    def drift(values: np.ndarray, t: float) -> list:
-        H = [values]
+    def drift(values: np.ndarray) -> list:
+        fields = []
         if mults:
             spectrum = rfft(values)
-            H += [irfft(spectrum * m, grid.shape) for m in mults]
-        factor = spec.modulation.factor(t)
-        return [factor * c for c in F(H)]
+            fields = [irfft(m * spectrum, grid.shape) for m in mults]
+        return fields if F is None else F([values] + fields)
     return drift
 
 
-def nemytskii_drift(spec: NemytskiiSpec, rho: ScalarField, t: float) -> VectorField:
-    """Drift ``K(t) t^kappa F((rho, grad rho, ...))`` evaluated pointwise."""
+def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
+    """Drift ``K(t) t^kappa`` times ``drift_map(spec)`` of the density ``rho``."""
     rho.require_density()
-    return VectorField(rho.grid, nemytskii_map(spec, rho.grid)(rho.values, t))
+    factor = spec.modulation.factor(t)
+    return VectorField(rho.grid, [factor * c for c in drift_map(spec, rho.grid)(rho.values)])
 
 
 def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float, samples: int = 1000,
@@ -477,8 +472,6 @@ class NormStudy:
     norms: list
     verdict: str            # "bounded" | "unbounded"
     growth_exponent: float  # q in norm ~ eps^-q (log-log fit, sign flipped)
-    aic_bounded: float
-    aic_power: float
 
     def rows(self):
         return [(e, n, self.verdict) for e, n in zip(self.eps_values, self.norms)]
@@ -550,8 +543,7 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list, grid: GridS
     aic_b = 2 * 2 + n * math.log(max(rss_power, 1e-300) / n)
     q = -slope
     unbounded = (aic_b < aic_a) and (q > 0.05)
-    return NormStudy(usable, norms, "unbounded" if unbounded else "bounded",
-                     q, aic_a, aic_b)
+    return NormStudy(usable, norms, "unbounded" if unbounded else "bounded", q)
 
 
 # ---------------------------------------------------------------------------

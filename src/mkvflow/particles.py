@@ -7,7 +7,7 @@ reproducible independently of how many particles run alongside it.  A run
 realizes those streams with one Philox generator that it re-keys to
 ``[seed, index]`` (counter 0) per particle; the draws are bit-identical to a
 fresh ``Generator(Philox(key=[seed, index]))`` per particle.  The binned drift
-convolves the ensemble histogram with the kernel on the real-FFT half lattice.
+is ``kernels.drift_map`` of the ensemble histogram, built once per run.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, heat_apply, irfft, rfft
-from .kernels import KernelSpec, kernel_spectra, realize_kernel
+from .grids import GridSpec, ScalarField, heat_apply
+from .kernels import KernelSpec, drift_map, realize_kernel
 from .metrics import wasserstein_1d_empirical
 from .solver import MeasureFlow
 
@@ -161,7 +161,7 @@ def _interp_field(values: np.ndarray, grid: GridSpec, positions: np.ndarray) -> 
 
 
 def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
-                     kern_field, kern_hat) -> np.ndarray:
+                     kern_field, convolve) -> np.ndarray:
     """Mean-field drift at each particle from the empirical measure."""
     if cfg.kernel is None:
         return np.zeros_like(positions)
@@ -180,10 +180,9 @@ def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
                 vals = _interp_field(comp, grid, z)
                 out[i, j] = vals.mean()
         return factor * out
-    rho_hat = rfft(_bin_positions(positions, grid).values)
     out = np.empty_like(positions)
-    for j, chat in enumerate(kern_hat):
-        out[:, j] = _interp_field(irfft(chat * rho_hat, grid.shape), grid, positions)
+    for j, comp in enumerate(convolve(_bin_positions(positions, grid).values)):
+        out[:, j] = _interp_field(comp, grid, positions)
     return factor * out
 
 
@@ -204,11 +203,11 @@ def simulate_particles(cfg: SimConfig, N: int):
     steps = cfg.steps
     dim = grid.dim
     increments = _particle_increments(cfg.seed, N, steps, dim)
-    kern_field = kern_hat = None
+    kern_field = convolve = None
     if cfg.kernel is not None and cfg.drift_mode == "pairwise":
         kern_field = realize_kernel(cfg.kernel, grid)
     elif cfg.kernel is not None:
-        kern_hat = kernel_spectra(cfg.kernel, grid)
+        convolve = drift_map(cfg.kernel, grid)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
     wrap_count = 0
@@ -218,7 +217,7 @@ def simulate_particles(cfg: SimConfig, N: int):
         snapshots.append(ParticleEnsemble(dim, positions.copy(), 0.0, 0))
     for m in range(steps):
         t = m * cfg.dt
-        b = _empirical_drift(cfg, positions, t, kern_field, kern_hat)
+        b = _empirical_drift(cfg, positions, t, kern_field, convolve)
         positions = positions + cfg.dt * b + sqdt * increments[:, m, :]
         if not np.all(np.isfinite(positions)):
             bad = int(np.argwhere(~np.isfinite(positions))[0][0])
@@ -250,8 +249,7 @@ def empirical_density(ens: ParticleEnsemble, grid: GridSpec,
 
 
 def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
-                            repeats: int = 10, bandwidth: float | None = None,
-                            threads: int = 1) -> dict:
+                            repeats: int = 10, bandwidth: float | None = None) -> dict:
     """Mean-field convergence table against a solved density flow.
 
     For each particle count, ``repeats`` seeded runs produce transport and L1
@@ -287,16 +285,9 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
             out.append((N, run_cfg.seed, ens.time, w1, l1))
         return out
 
-    jobs = [(N, rep) for N in N_list for rep in range(repeats)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda a: _safe_run(run_one, a, failures), jobs))
-    else:
-        results = [_safe_run(run_one, a, failures) for a in jobs]
-    for r in results:
-        if r:
-            rows.extend(r)
+    for N in N_list:
+        for rep in range(repeats):
+            rows.extend(_safe_run(run_one, (N, rep), failures) or ())
     summary = {}
     for N in N_list:
         w1s = [w for (n, _, t, w, _) in rows if n == N and abs(t - cfg.T) < 1e-9]

@@ -9,11 +9,11 @@ whose mild form is
 with ``H`` the heat semigroup.  ``phi_apply`` marches this Volterra identity
 with a second-order exponential Heun step on a graded internal grid, keeping
 the real-FFT spectrum of the density as its state: heat is a multiplier and
-mass projection pins the zero mode.  A convolution drift is the kernel
-convolution of each frozen density, computed once per map and interpolated
-linearly in time in physical space, which is exact by linearity; a
-Nemytskii drift is one pointwise map, built once per map, of the raw
-interpolated values, and a callable drift gets the interpolated density.
+mass projection pins the zero mode.  Both drift specs are evaluated by
+``kernels.drift_map``, built once per map: a convolution drift on each
+frozen density, interpolated linearly in time in physical space, which is
+exact by linearity; a Nemytskii drift on the raw interpolated values.  A
+callable drift gets the interpolated density.
 The Picard loop feeds the output flow back in until the weighted flow
 distance stalls below tolerance.  Rough initial data enters through the
 time-shift route: pure diffusion on [0, r], drift switched on afterwards
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
-from .kernels import KernelSpec, NemytskiiSpec, kernel_spectra, nemytskii_map
-from .norms import SobolevIndex, measure_dual_norm
+from .kernels import KernelSpec, NemytskiiSpec, drift_map
+from .norms import SobolevIndex, _inv, measure_dual_norm
 
 __all__ = [
     "FlowParams",
@@ -63,10 +63,6 @@ class DegradedAccuracyError(RuntimeError):
 
 class NoContractionError(RuntimeError):
     """Picard ratios stayed at or above one; suggests retuning lambda or T."""
-
-
-def _inv(x: float) -> float:
-    return 0.0 if math.isinf(x) else 1.0 / x
 
 
 def _require_positive_int(name: str, value):
@@ -236,24 +232,24 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
     """``s -> drift components`` of ``drift`` with the flow frozen at ``mu``.
 
     The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
-    and takes the time argument ``s - shift`` after it.  A convolution drift is
-    linear in the density and ``density_at`` is linear in time, so the kernel
-    convolutions ``K * rho_j`` of the frozen fields, computed once here and
-    interpolated linearly between the flow's times, give it exactly at any
-    ``s``.  A Nemytskii drift is ``nemytskii_map``, built once here, on the
-    values ``density_at`` would give, with finite components at every node.
-    For both, each frozen field passes the density check once: every
-    marching node sees a convex combination of two of them, whose minimum
-    and mass lie between theirs.  Callable drifts get ``density_at(s)``.
+    and takes the time argument ``s - shift`` after it.  Both spec kinds are
+    ``kernels.drift_map``, built once here, times the envelope.  A
+    convolution drift is linear in the density and ``density_at`` is linear
+    in time, so the map of each frozen field, evaluated once here and
+    interpolated linearly between the flow's times, gives it exactly at any
+    ``s``.  A Nemytskii drift is the map of the values ``density_at`` would
+    give, with finite components at every node.  For both, each frozen field
+    passes the density check once: every marching node sees a convex
+    combination of two of them, whose minimum and mass lie between theirs.
+    Callable drifts get ``density_at(s)``.
     """
     fields = [mu.initial] + list(mu.densities)
     if isinstance(drift, (KernelSpec, NemytskiiSpec)):
         for f in fields:
             f.require_density()
+        evaluate = drift_map(drift, grid)
     if isinstance(drift, KernelSpec):
-        k_hat = kernel_spectra(drift, grid)
-        convs = [[irfft(kh * r_hat, grid.shape) for kh in k_hat]
-                 for r_hat in (rfft(f.values) for f in fields)]
+        convs = [evaluate(f.values) for f in fields]
 
         def field_at(s: float) -> list:
             j, w = mu._bracket(s)
@@ -262,13 +258,13 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
     elif isinstance(drift, NemytskiiSpec):
         values = [f.values for f in fields]
-        evaluate = nemytskii_map(drift, grid)
 
         def field_at(s: float) -> list:
             j, w = mu._bracket(s)
             rho = (values[j + int(w)] if w == 0.0 or w == 1.0
                    else (1 - w) * values[j] + w * values[j + 1])
-            comps = evaluate(rho, s - shift)
+            factor = drift.modulation.factor(s - shift)
+            comps = [factor * c for c in evaluate(rho)]
             if not all(np.isfinite(c).all() for c in comps):
                 raise ValueError(f"drift is not finite at t={s:.6g}")
             return comps

@@ -340,6 +340,27 @@ class TestCli:
         assert err.count("\n") == 1 and "must be a positive int" in err
         assert not out.exists()
 
+    def test_config_rejects_bad_grid(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment = solve\ngrid_n = 100\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mkvflow experiment: error: ")
+        assert err.count("\n") == 1 and "power of two" in err
+        assert not out.exists()
+
+    def test_missing_config_is_an_error_line(self, tmp_path, capsys):
+        rc = cli_main(["experiment", "--config", str(tmp_path / "missing.cfg"),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mkvflow experiment: error: ")
+        assert err.count("\n") == 1 and "missing.cfg" in err
+        assert not any(tmp_path.iterdir())
+
     def test_stability_solves_pass_through_the_module_global(self, monkeypatch):
         # the benchmark captures every experiment solve by this substitution
         calls = []

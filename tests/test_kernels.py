@@ -16,10 +16,10 @@ from mkvflow.kernels import (
     NemytskiiSpec,
     RieszOrder,
     TimeModulation,
-    drift_from_kernel,
+    drift_field,
+    drift_map,
     kernel_norm_study,
     make_kernel,
-    nemytskii_drift,
     nemytskii_lipschitz_check,
     realize_kernel,
 )
@@ -145,13 +145,13 @@ class TestRealizeKernel:
 class TestDriftFromKernel:
     def test_constant_vector_drift(self):
         rho = gaussian_density(GRID, 0.4, 0.09)
-        b = drift_from_kernel(KernelSpec(ConstantVector((1.5,))), rho, 0.3)
+        b = drift_field(KernelSpec(ConstantVector((1.5,))), rho, 0.3)
         assert np.allclose(b.components[0], 1.5, atol=1e-12)
 
     def test_vanishing_modulation_at_zero(self):
         rho = gaussian_density(GRID, 0.0, 0.09)
         spec = KernelSpec(ConstantVector((1.0,)), 0.0, TimeModulation(kappa=1.0))
-        b = drift_from_kernel(spec, rho, 0.0)
+        b = drift_field(spec, rho, 0.0)
         assert np.all(b.components[0] == 0.0)
 
     def test_riesz_drift_matches_principal_value_quadrature(self):
@@ -159,7 +159,7 @@ class TestDriftFromKernel:
         sigma2 = 0.04
         rho = gaussian_density(GRID, 0.0, sigma2)
         spec = KernelSpec(RieszOrder((1.0,), 0, 1.0), EPS)
-        b = drift_from_kernel(spec, rho, 1.0).components[0]
+        b = drift_field(spec, rho, 1.0).components[0]
 
         def pv(xv):
             g = lambda u: (math.exp(-0.5 * (xv - u) ** 2 / sigma2)
@@ -178,9 +178,9 @@ class TestDriftFromKernel:
         alpha = 0.3
         mix = gaussian_density(GRID, 0.0, 1.0)
         mix.values = alpha * r1.values + (1 - alpha) * r2.values
-        b_mix = drift_from_kernel(spec, mix, 1.0).components[0]
-        b1 = drift_from_kernel(spec, r1, 1.0).components[0]
-        b2 = drift_from_kernel(spec, r2, 1.0).components[0]
+        b_mix = drift_field(spec, mix, 1.0).components[0]
+        b1 = drift_field(spec, r1, 1.0).components[0]
+        b2 = drift_field(spec, r2, 1.0).components[0]
         assert np.max(np.abs(b_mix - alpha * b1 - (1 - alpha) * b2)) < 1e-10
 
     def test_translation_equivariance(self):
@@ -189,8 +189,8 @@ class TestDriftFromKernel:
         r1 = gaussian_density(GRID, 0.0, 0.04)
         r2 = gaussian_density(GRID, 0.0, 0.04)
         r2.values = np.roll(r1.values, shift_cells)
-        b1 = drift_from_kernel(spec, r1, 1.0).components[0]
-        b2 = drift_from_kernel(spec, r2, 1.0).components[0]
+        b1 = drift_field(spec, r1, 1.0).components[0]
+        b2 = drift_field(spec, r2, 1.0).components[0]
         assert np.max(np.abs(np.roll(b1, shift_cells) - b2)) < 1e-10
 
     def test_lipschitz_in_measure_envelope(self):
@@ -205,8 +205,8 @@ class TestDriftFromKernel:
             v1, v2 = rng.uniform(0.03, 0.2, 2)
             r1 = gaussian_density(GRID, m1, v1)
             r2 = gaussian_density(GRID, m2, v2)
-            b1 = drift_from_kernel(spec, r1, 1.0)
-            b2 = drift_from_kernel(spec, r2, 1.0)
+            b1 = drift_field(spec, r1, 1.0)
+            b2 = drift_field(spec, r2, 1.0)
             gap = max(np.abs(a - b).max() for a, b in zip(b1.components, b2.components))
             diff = gaussian_density(GRID, 0.0, 1.0)
             diff.values = r1.values - r2.values
@@ -223,7 +223,7 @@ class TestDriftFromKernel:
         for _ in range(5):
             rho = gaussian_density(GRID, rng.uniform(-0.5, 0.5),
                                    rng.uniform(0.03, 0.2))
-            b = drift_from_kernel(spec, rho, 1.0)
+            b = drift_field(spec, rho, 1.0)
             dual_hi = measure_dual_norm(rho, idx, "amalgam")
             assert b.sup_norm() <= kern_norm * dual_hi * 1.05
 
@@ -232,14 +232,14 @@ class TestNemytskiiDrift:
     def test_zero_family(self):
         rho = gaussian_density(GRID, 0.0, 0.04)
         spec = NemytskiiSpec(1, "zero")
-        b = nemytskii_drift(spec, rho, 0.5)
+        b = drift_field(spec, rho, 0.5)
         assert np.all(b.components[0] == 0.0)
 
     def test_density_family_peak(self):
         sigma2 = 0.04
         rho = gaussian_density(GRID, 0.0, sigma2)
         spec = NemytskiiSpec(1, "density")
-        b = nemytskii_drift(spec, rho, 0.5)
+        b = drift_field(spec, rho, 0.5)
         peak = (2 * math.pi * sigma2) ** -0.5
         assert np.abs(b.components[0]).max() == pytest.approx(peak, rel=1e-8)
 
@@ -247,7 +247,7 @@ class TestNemytskiiDrift:
         rho = gaussian_density(GRID, 0.0, 0.04)
         spec = NemytskiiSpec(1, "density", modulation=TimeModulation(kappa=0.5))
         t = 0.25
-        b = nemytskii_drift(spec, rho, t)
+        b = drift_field(spec, rho, t)
         assert np.abs(b.components[0]).max() == pytest.approx(
             math.sqrt(t) * (2 * math.pi * 0.04) ** -0.5, rel=1e-8)
 
@@ -266,6 +266,26 @@ class TestNemytskiiDrift:
     def test_unusable_specs_rejected(self, n, family, match):
         with pytest.raises(ValueError, match=match):
             NemytskiiSpec(n, family)
+
+
+class TestDriftMap:
+    @pytest.mark.parametrize("spec", [lambda rho, t: None, RieszOrder(), "riesz"],
+                             ids=["callable", "RieszOrder", "str"])
+    def test_rejects_other_specs(self, spec):
+        with pytest.raises(TypeError, match="no drift map"):
+            drift_map(spec, GRID)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(RieszOrder((1.0,), 0, 0.5), EPS, TimeModulation(kappa=0.75)),
+        NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),), TimeModulation(kappa=0.75)),
+    ], ids=["kernel", "nemytskii"])
+    def test_drift_field_is_envelope_times_map(self, spec):
+        rho = gaussian_density(GRID, 0.1, 0.04)
+        got = drift_field(spec, rho, 0.3).components
+        factor = spec.modulation.factor(0.3)
+        want = [factor * c for c in drift_map(spec, GRID)(rho.values)]
+        assert len(got) == len(want) == 1
+        assert np.array_equal(got[0], want[0])
 
 
 class TestKernelNormStudy:

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -90,13 +89,13 @@ class TestSimulate:
         # drift field depends on the empirical measure only; verify the drift
         # seen by particle 0 is unchanged when the others are relabeled
         from mkvflow.particles import _empirical_drift
-        from mkvflow.kernels import kernel_spectra, realize_kernel
+        from mkvflow.kernels import drift_map, realize_kernel
         kf = realize_kernel(kern, GRID)
-        khat = kernel_spectra(kern, GRID)
+        convolve = drift_map(kern, GRID)
         pos = base[-1].positions
         perm = np.random.default_rng(0).permutation(pos.shape[0])
-        d1 = _empirical_drift(cfg, pos, 0.01, kf, khat)
-        d2 = _empirical_drift(cfg, pos[perm], 0.01, kf, khat)
+        d1 = _empirical_drift(cfg, pos, 0.01, kf, convolve)
+        d2 = _empirical_drift(cfg, pos[perm], 0.01, kf, convolve)
         assert np.allclose(d1[perm], d2, atol=1e-12)
 
     def test_brownian_law_across_seeds(self):
@@ -217,25 +216,6 @@ class TestChaosStudy:
         a = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         b = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         assert a["rows"] == b["rows"]
-
-    def test_threads_match_serial(self, heat_flow):
-        # each run draws from its own generator, so thread scheduling cannot
-        # change any particle path; more threads than cores and a short switch
-        # interval make a generator shared between runs show up as a mismatch
-        eps = 16 * GRID.spacing**2
-        cfg = SimConfig(grid=GRID, dt=0.0025, T=0.25, seed=4,
-                        kernel=KernelSpec(RieszOrder((0.2,), 0, 1.0), eps),
-                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.25,))
-        serial = chaos_convergence_study(cfg, [300, 600], heat_flow, repeats=4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = chaos_convergence_study(cfg, [300, 600], heat_flow, repeats=4,
-                                               threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not serial["failures"]
-        assert threaded["rows"] == serial["rows"]
 
     def test_sd_shrinks_with_repeats(self, heat_flow):
         # repeated studies: the spread of the mean across study replicas

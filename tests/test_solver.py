@@ -21,8 +21,7 @@ from mkvflow.kernels import (
     NemytskiiSpec,
     RieszOrder,
     TimeModulation,
-    drift_from_kernel,
-    nemytskii_drift,
+    drift_field,
     realize_kernel,
 )
 from mkvflow.solver import (
@@ -235,7 +234,7 @@ class TestSpectralMarch:
     """The spectral-state march against the per-call physical drift."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_interpolated_drift_matches_drift_from_kernel(self, dim):
+    def test_interpolated_drift_matches_drift_field(self, dim):
         modulation = TimeModulation(kappa=0.75, table=((0.0, 1.0), (0.5, 2.0)))
         if dim == 1:
             grid, gamma, spec = GRID, gaussian_density(GRID, 0.0, 0.04), small_kernel()
@@ -257,7 +256,7 @@ class TestSpectralMarch:
                 if s < shift:
                     assert not any(g.any() for g in got)
                     continue
-                want = drift_from_kernel(spec, mu.density_at(s), s - shift).components
+                want = drift_field(spec, mu.density_at(s), s - shift).components
                 scale = max(np.abs(c).max() for c in want)
                 assert scale > 0 or s == shift
                 for g, w in zip(got, want):
@@ -317,6 +316,13 @@ class TestSpectralMarch:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="finite"):
             phi_apply(gamma, mu, huge, params, steps=20)
+
+    @pytest.mark.parametrize("drift", [RieszOrder(), "riesz", 3.0])
+    def test_unsupported_drift_rejected(self, drift):
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5))
+        mu = phi_apply(gaussian_density(GRID, 0.0, 0.09), None, None, params, steps=10)
+        with pytest.raises(TypeError, match="unsupported drift"):
+            _frozen_drift(drift, mu, GRID, 0.0)
 
 
 class TestPicardSolve:
@@ -407,14 +413,14 @@ class TestTimeShiftSolve:
 
         def counted(*args, **kw):
             calls.append(args[2])
-            return drift_from_kernel(*args, **kw)
+            return drift_field(*args, **kw)
 
-        monkeypatch.setattr(kernels, "drift_from_kernel", counted)
-        monkeypatch.setattr(solver, "drift_from_kernel", counted, raising=False)
+        monkeypatch.setattr(kernels, "drift_field", counted)
+        monkeypatch.setattr(solver, "drift_field", counted, raising=False)
         fast = time_shift_solve(gamma0, 0.02, spec, params, steps=300)
         monkeypatch.undo()
         assert calls == []
-        ref = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_from_kernel(spec, rho, t),
+        ref = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_field(spec, rho, t),
                                params, steps=300)
         assert fast.meta["report"].iterations == ref.meta["report"].iterations
         for a, b in zip([fast.initial] + fast.densities, [ref.initial] + ref.densities):
@@ -425,7 +431,7 @@ class TestTimeShiftSolve:
                              TimeModulation(kappa=0.75))
         gamma0 = grid_delta(GRID, 0.0)
         a = time_shift_solve(gamma0, 0.02, spec, params_for(), steps=200)
-        b = time_shift_solve(gamma0, 0.02, lambda rho, t: nemytskii_drift(spec, rho, t),
+        b = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_field(spec, rho, t),
                              params_for(), steps=200)
         for x, y in zip([a.initial] + a.densities, [b.initial] + b.densities):
             assert np.array_equal(x.values, y.values)
@@ -503,16 +509,16 @@ class TestNemytskiiDriftSolve:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(kernels, "nemytskii_drift",
-                            spy("nemytskii_drift", kernels.nemytskii_drift))
-        monkeypatch.setattr(solver, "nemytskii_drift",
-                            spy("nemytskii_drift", kernels.nemytskii_drift), raising=False)
+        monkeypatch.setattr(kernels, "drift_field",
+                            spy("drift_field", kernels.drift_field))
+        monkeypatch.setattr(solver, "drift_field",
+                            spy("drift_field", kernels.drift_field), raising=False)
         monkeypatch.setattr(MeasureFlow, "density_at",
                             spy("density_at", MeasureFlow.density_at))
         fast = solve(spec)
         monkeypatch.undo()
         assert calls == []
-        ref = solve(lambda rho, t: nemytskii_drift(spec, rho, t))
+        ref = solve(lambda rho, t: drift_field(spec, rho, t))
         assert len(fast) == len(ref)
         for a, b in zip(fast, ref):
             assert np.array_equal(a.values, b.values)

@@ -27,6 +27,7 @@ from .flowio import flow_density_table, write_csv_rows, write_flow
 from .grids import GridSpec, gaussian_density
 from .kernels import kernel_norm_study, make_kernel
 from .norms import SobolevIndex, local_neg_norm, measure_dual_bracket
+from .solver import DegradedAccuracyError, NoContractionError
 
 
 def _add_grid(p, n=1024, extent=16.0, note=""):
@@ -110,8 +111,7 @@ def build_parser():
     return ap
 
 
-def _cmd_norm(args) -> int:
-    grid = GridSpec(1, args.grid, args.extent)
+def _cmd_norm(args, grid: GridSpec) -> int:
     idx = SobolevIndex(args.delta, args.k)
     f = gaussian_density(grid, args.mean, args.var, normalize=True)
     print(f"local_neg_norm  = {local_neg_norm(f, idx):.6g}")
@@ -121,8 +121,7 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _cmd_kernel_study(args) -> int:
-    grid = GridSpec(1, args.grid, args.extent)
+def _cmd_kernel_study(args, grid: GridSpec) -> int:
     spec = make_kernel(args.kernel, grid, eps=1.0)
     eps_list = [float(x) for x in args.eps_list.split(",")]
     study = kernel_norm_study(spec, SobolevIndex(args.delta, args.k), eps_list, grid)
@@ -181,6 +180,9 @@ def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
     except AdmissibilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except (NoContractionError, DegradedAccuracyError) as exc:
+        print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     written = emit_report(report, cfg.output_dir or ".",
                           name=f"{cfg.experiment}_{cfg.digest}",
                           formats=getattr(args, "formats", ("csv", "json")))
@@ -198,18 +200,23 @@ def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "norm":
-        return _cmd_norm(args)
-    if args.command == "kernel-study":
-        return _cmd_kernel_study(args)
     if args.command == "report":
         return _print_rows(parse_report_csv(args.path))
     try:
-        cfg = _solve_config(args) if args.command == "solve" else _experiment_config(args)
+        if args.command in ("norm", "kernel-study"):
+            setup = GridSpec(1, args.grid, args.extent)
+        elif args.command == "solve":
+            setup = _solve_config(args)
+        else:
+            setup = _experiment_config(args)
     except (OSError, ValueError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    return _cmd_experiment(args, cfg)
+    if args.command == "norm":
+        return _cmd_norm(args, setup)
+    if args.command == "kernel-study":
+        return _cmd_kernel_study(args, setup)
+    return _cmd_experiment(args, setup)
 
 
 if __name__ == "__main__":

@@ -77,7 +77,8 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment and its options; ``steps`` and ``max_iter``, where
-    given, must be positive ints, and the grid keys must name a grid."""
+    given, must be positive ints, and the grid and kernel keys must name a
+    grid and a catalog kernel."""
 
     experiment: str
     seed: int = 0
@@ -91,7 +92,7 @@ class ExperimentConfig:
         for key in ("steps", "max_iter"):
             if self.opt(key) is not None:
                 _require_positive_int(key, self.opt(key))
-        _grid_from(self)
+        _kernel_from(self, _grid_from(self))
 
     def opt(self, key, default=None):
         for k, v in self.options:

@@ -133,6 +133,9 @@ class TimeModulation:
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if self.table is not None:
+            ts = [t for t, _ in self.table]
+            if any(b <= a for a, b in zip(ts, ts[1:])):
+                raise ValueError("tabulated times must be strictly increasing")
             ks = [k for _, k in self.table]
             if any(k < 1 for k in ks):
                 raise ValueError("tabulated K values must be >= 1")
@@ -573,12 +576,19 @@ def _as_vec(c, dim: int) -> tuple:
 
 
 def _mod(kw) -> TimeModulation:
-    return TimeModulation(kappa=float(kw.get("kappa", 0.0)),
-                          table=kw.get("K_table"))
+    return TimeModulation(kappa=float(kw.get("kappa", 0.0)))
+
+
+# every parameter name some catalog kernel reads; each kernel ignores the rest
+_KERNEL_PARAMETERS = ("c", "direction", "eps", "eps0", "kappa", "n0", "order")
 
 
 def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
     cat = kernel_catalog()
     if name not in cat:
         raise ValueError(f"unknown kernel {name!r}; catalog: {sorted(cat)}")
+    unknown = sorted(set(kw) - set(_KERNEL_PARAMETERS))
+    if unknown:
+        raise ValueError(f"unknown kernel parameters {unknown}; "
+                         f"known: {list(_KERNEL_PARAMETERS)}")
     return cat[name](grid, **kw)

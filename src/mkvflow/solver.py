@@ -14,10 +14,10 @@ mass projection pins the zero mode.  Both drift specs are evaluated by
 frozen density, interpolated linearly in time in physical space, which is
 exact by linearity; a Nemytskii drift on the raw interpolated values.  A
 callable drift gets the interpolated density.
-The Picard loop feeds the output flow back in until the weighted flow
-distance stalls below tolerance.  Rough initial data enters through the
-time-shift route: pure diffusion on [0, r], drift switched on afterwards
-with shifted time argument.  The shift lives in the march itself
+The Picard loop feeds the output flow back in until the distance between
+successive iterates falls below tolerance.  Rough initial data enters
+through the time-shift route: pure diffusion on [0, r], drift switched on
+afterwards with shifted time argument.  The shift lives in the march itself
 (``graded_from``), so a shifted convolution drift keeps the spectral path.
 """
 
@@ -62,7 +62,7 @@ class DegradedAccuracyError(RuntimeError):
 
 
 class NoContractionError(RuntimeError):
-    """Picard ratios stayed at or above one; suggests retuning lambda or T."""
+    """Three successive Picard distance ratios were at or above one."""
 
 
 def _require_positive_int(name: str, value):
@@ -454,38 +454,35 @@ def tau_n_formula(gamma_norm: float, n: int, A_n: float, params: FlowParams) -> 
 
 
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
-                 max_iter: int = 25, steps: int = 600, auto_lambda: bool = True,
-                 graded_from: float = 0.0):
+                 max_iter: int = 25, steps: int = 600, graded_from: float = 0.0):
     """Fixed-point iteration for the self-consistent law flow.
 
     Starts from the pure heat flow of the initial datum, reapplies the
-    frozen-drift map until the weighted flow distance between successive
-    iterates drops below ``tol``.  The metric weight ``lam`` starts at 0;
-    when ``auto_lambda`` is set and measured ratios exceed 0.9, it becomes 1
-    and then doubles until contraction is visible.  Per-time norm gaps are
-    kept, so reweighting is free.  ``steps`` is passed to every
-    ``phi_apply``; ``graded_from`` is the time-shift onset that
+    frozen-drift map until the distance between successive iterates, the
+    maximum over output times of ``t^(eta/2)`` times their dual-norm gap,
+    drops below ``tol``.  The weight ``exp(-lam t)`` of the contraction
+    proof would only shrink this distance and does not move the fixed point,
+    so the loop does not apply it; the per-time gaps are kept, so
+    ``contraction_ratios`` can reweight them afterwards.  ``steps`` is passed
+    to every ``phi_apply``; ``graded_from`` is the time-shift onset that
     ``time_shift_solve`` sets.
 
     Returns ``(flow, report)``.  The report holds the iteration count, the
-    ``contraction_ratios`` and residual at the final weight ``lam_used``, the
-    per-iteration gap series, and the decay trajectory ``t^(eta/2) |mu_t|``
-    on the flow's times with its blow-up flag.
+    unweighted ``contraction_ratios`` and residual (``lam_used`` is always
+    0), the per-iteration gap series, and the decay trajectory
+    ``t^(eta/2) |mu_t|`` on the flow's times with its blow-up flag.
 
     Raises
     ------
     NoContractionError
-        After three consecutive non-contracting iterations at the final
-        weight.  With ``auto_lambda`` set the weight doubles first, so only
-        a solve with it off can raise.
+        After three consecutive contraction ratios at or above one.
     ValueError
         If ``steps`` or ``max_iter`` is not a positive int.
     """
     _require_positive_int("max_iter", max_iter)
-    times = np.asarray(params.time_grid)
+    weight = _weight(params, np.asarray(params.time_grid), 0.0)
     current = phi_apply(gamma, None, drift, params, steps, graded_from)
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps
-    lam = 0.0
     iterations = 0
     residual = math.inf
     clip_mass = current.meta.get("clip_mass", 0.0)
@@ -498,26 +495,23 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
         gap_series.append(_dual_norm_series(nxt, current, params.running_index))
         current = nxt
         iterations = it + 1
-        residual = float(np.max(_weight(params, times, lam) * gap_series[-1]))
+        residual = float(np.max(weight * gap_series[-1]))
         if residual < tol:
             break
-        ratios = contraction_ratios(gap_series, params, lam)
-        if auto_lambda and len(ratios) >= 2 and min(ratios[-2:]) >= 0.9:
-            lam = max(2.0 * lam, 1.0)
-            continue
-        if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
+        ratios = contraction_ratios(gap_series, params, 0.0)[-3:]
+        if len(ratios) == 3 and min(ratios) >= 1.0:
             raise NoContractionError(
                 f"no contraction after {iterations} iterations "
-                f"(last ratios {[f'{r:.3f}' for r in ratios[-3:]]}); "
-                f"increase the metric weight lambda or shorten the horizon T")
+                f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
+                f"weaken the drift or shorten the horizon T")
     norms = np.array([measure_dual_norm(r, params.running_index, "amalgam")
                       for r in current.densities])
     report = SolveReport(
         iterations=iterations,
-        contraction_ratios=contraction_ratios(gap_series, params, lam),
+        contraction_ratios=contraction_ratios(gap_series, params, 0.0),
         decay_trajectory=current.times**params.weight_exponent * norms,
         blowup=bool((norms > 1e6).any()),
-        lam_used=lam, renorm_drift=renorm, clip_mass=clip_mass, residual=residual,
+        lam_used=0.0, renorm_drift=renorm, clip_mass=clip_mass, residual=residual,
         gap_series=gap_series)
     return current, report
 

@@ -352,6 +352,46 @@ class TestCli:
         assert err.count("\n") == 1 and "power of two" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines", ["kernel = riesz\nkernel.cc = 5.0",
+                                       "kernel = riesz\nkernel.K_table = 0, 1, 0.5, 2",
+                                       "kernel = nope"])
+    def test_config_rejects_unknown_kernel_keys(self, tmp_path, monkeypatch, capsys, lines):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = solve\ngrid_n = 256\n{lines}\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mkvflow experiment: error: unknown kernel")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["norm", "kernel-study"])
+    def test_bad_grid_is_an_error_line(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main([command, "--grid", "100"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"mkvflow {command}: error: ")
+        assert captured.err.count("\n") == 1 and "power of two" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_no_contraction_is_an_error_line(self, tmp_path, capsys):
+        # the shipped contraction config with a 100 times stronger kernel
+        text = (REPO / "configs/contraction.cfg").read_text()
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text(text.replace("kernel.c = 0.2", "kernel.c = 20"))
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("mkvflow experiment: error: no contraction after ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_is_an_error_line(self, tmp_path, capsys):
         rc = cli_main(["experiment", "--config", str(tmp_path / "missing.cfg"),
                        "--out", str(tmp_path / "out")])

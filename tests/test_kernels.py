@@ -365,6 +365,13 @@ class TestGridSampledAndModulation:
         with pytest.raises(ValueError, match=">= 1"):
             TimeModulation(table=((0.0, 0.5),))
 
+    @pytest.mark.parametrize("table", [((1.0, 1.0), (0.0, 2.0)),
+                                       ((0.0, 1.0), (0.0, 2.0))])
+    def test_table_times_strictly_increasing(self, table):
+        # np.interp reads an unsorted table silently: K(0.5) would be 2.0
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeModulation(table=table)
+
 
 class TestCatalog:
     def test_names(self):
@@ -375,6 +382,17 @@ class TestCatalog:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             make_kernel("nope", GRID)
+
+    @pytest.mark.parametrize("kw", [{"cc": 5.0}, {"K_table": (0, 1, 0.5, 2)}])
+    def test_unknown_parameter(self, kw):
+        with pytest.raises(ValueError, match="unknown kernel parameters"):
+            make_kernel("riesz", GRID, **kw)
+
+    def test_parameters_of_other_kernels_are_ignored(self):
+        # the solve command passes its kernel.c to every catalog kernel
+        spec = make_kernel("zero", GRID, c=0.2, kappa=0.75)
+        assert spec.variant.c == (0.0,)
+        assert spec.modulation.kappa == 0.75
 
     def test_riesz_params(self):
         spec = make_kernel("riesz", GRID, c=0.05, n0=1, eps0=0.25, kappa=0.5)

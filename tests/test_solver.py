@@ -367,11 +367,26 @@ class TestPicardSolve:
     def test_no_contraction_error(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for(T=2.0, kappa=0.0)
-        # strong kernel, long horizon, frozen weight: ratios stay >= 1
+        # strong kernel, long horizon: ratios stay >= 1
         kern = KernelSpec(RieszOrder((12.0,), 0, 1.0), EPS)
         with pytest.raises((NoContractionError, DegradedAccuracyError)):
-            picard_solve(gamma, kern, params, tol=1e-12, steps=150,
-                         auto_lambda=False, max_iter=8)
+            picard_solve(gamma, kern, params, tol=1e-12, steps=150, max_iter=8)
+
+    def test_residual_is_the_unweighted_distance(self):
+        # a strong kernel whose first ratios are near or above one: reweighting
+        # by exp(-lam t) would shrink them, and the residual with them
+        grid = GridSpec(1, 256, 16.0)
+        kern = KernelSpec(RieszOrder((10.0,), 0, 1.0), 4.0 * grid.spacing**2,
+                          TimeModulation(kappa=0.75))
+        params = params_for()
+        _, rep = picard_solve(gaussian_density(grid, 0.0, 0.04), kern, params,
+                              tol=1e-8, steps=100, max_iter=10)
+        weight = np.asarray(params.time_grid) ** params.weight_exponent
+        assert rep.lam_used == 0.0
+        assert rep.residual == float(np.max(weight * rep.gap_series[-1]))
+        assert rep.contraction_ratios == solver.contraction_ratios(
+            rep.gap_series, params, 0.0)
+        assert rep.contraction_ratios[0] > 1.0
 
 
 class TestTimeShiftSolve:
@@ -466,9 +481,15 @@ class TestNemytskiiDriftSolve:
         spec = NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),),
                              TimeModulation(kappa=0.75))
         gamma = gaussian_density(GRID, 0.0, 0.04)
-        flow, rep = picard_solve(gamma, spec, params_for(), tol=1e-8, steps=200)
-        assert rep.residual < 1e-8
-        assert all(rho.values.min() >= 0.0 for rho in flow.densities)
+        flow, rep = picard_solve(gamma, spec, params_for(), tol=1e-8, steps=200,
+                                 max_iter=4)
+        assert rep.iterations == 4
+        for rho in flow.densities:
+            assert rho.values.min() >= 0.0
+            assert abs(rho.mass() - 1.0) < 1e-12
+        # its distances between iterates grow: the fixed point is not reached
+        with pytest.raises(NoContractionError):
+            picard_solve(gamma, spec, params_for(), tol=1e-8, steps=200)
 
     @pytest.mark.parametrize("dim, weights", [(1, (0.1,)), (2, (0.1, 0.1))])
     def test_weight_count_checked_when_the_map_is_built(self, dim, weights):

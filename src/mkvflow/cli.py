@@ -203,19 +203,14 @@ def main(argv=None) -> int:
     if args.command == "report":
         return _print_rows(parse_report_csv(args.path))
     try:
-        if args.command in ("norm", "kernel-study"):
-            setup = GridSpec(1, args.grid, args.extent)
-        elif args.command == "solve":
-            setup = _solve_config(args)
-        else:
-            setup = _experiment_config(args)
+        if args.command == "norm":
+            return _cmd_norm(args, GridSpec(1, args.grid, args.extent))
+        if args.command == "kernel-study":
+            return _cmd_kernel_study(args, GridSpec(1, args.grid, args.extent))
+        setup = _solve_config(args) if args.command == "solve" else _experiment_config(args)
     except (OSError, ValueError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "norm":
-        return _cmd_norm(args, setup)
-    if args.command == "kernel-study":
-        return _cmd_kernel_study(args, setup)
     return _cmd_experiment(args, setup)
 
 

@@ -342,16 +342,16 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
         report.add(label + ".verdict", 1.0, 1.0 if study.verdict == expect else 0.0,
                    0.0, study.verdict == expect)
         if expect == "unbounded":
-            if isinstance(spec.variant, DiracDerivative):
-                # point-mass smoothing scales with the heat kernel; other
-                # kernels have variant-specific rates, reported unchecked
-                theory_slope = min(
-                    (idx.delta - grid.dim - spec.variant.order) / 2.0, 0.0)
-                report.add(label + ".growth_slope", theory_slope,
-                           -study.growth_exponent, tol)
+            # a kernel homogeneous of order m, |x|^-(d+m) at the origin, has a
+            # mollified norm growing like eps^-q with q = (d + m - delta - d/k)/2
+            v = spec.variant
+            dirac = isinstance(v, DiracDerivative)
+            m = v.order if dirac else 2 * v.n0 + v.eps0 - 1
+            q = max((grid.dim + m - idx.delta - grid.dim / idx.k) / 2.0, 0.0)
+            if dirac:
+                report.add(label + ".growth_slope", -q, -study.growth_exponent, tol)
             else:
-                report.add(label + ".growth_exponent", float("nan"),
-                           study.growth_exponent, math.inf, True)
+                report.add(label + ".growth_exponent", q, study.growth_exponent, tol)
         report.figures[label] = list(zip(study.eps_values, study.norms))
     return report
 

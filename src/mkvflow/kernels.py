@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .grids import (
     GridSpec,
@@ -474,56 +473,22 @@ class NormStudy:
     eps_values: list
     norms: list
     verdict: str            # "bounded" | "unbounded"
-    growth_exponent: float  # q in norm ~ eps^-q (log-log fit, sign flipped)
+    growth_exponent: float  # q: minus the log-log slope of norm against eps
 
     def rows(self):
         return [(e, n, self.verdict) for e, n in zip(self.eps_values, self.norms)]
-
-
-def _fit_plateau(eps, norms):
-    """Least squares for norm = a + b * eps**c in log space.
-
-    b may take either sign: a norm can approach its finite limit from below
-    (point-mass smoothing) or from above (tail-dominated kernels).
-    """
-    eps = np.asarray(eps)
-    y = np.log(norms)
-
-    def resid(p):
-        a, b, c = p
-        model = np.maximum(a + b * eps**c, 1e-300)
-        return np.log(model) - y
-
-    a0 = float(norms[-1])
-    b0 = float(norms[0] - a0) / float(eps[0] ** 0.5)
-    best = math.inf
-    for c0 in (0.25, 0.5, 1.0):
-        try:
-            sol = least_squares(resid, x0=[max(a0, 1e-9), b0 if b0 != 0 else 1e-6, c0],
-                                bounds=([0, -np.inf, 0.05], [np.inf, np.inf, 4.0]))
-            best = min(best, float((sol.fun**2).sum()))
-        except Exception:
-            continue
-    return best
-
-
-def _fit_power(eps, norms):
-    eps = np.asarray(eps)
-    y = np.log(norms)
-    slope, intercept = np.polyfit(np.log(eps), y, 1)
-    rss = float(((slope * np.log(eps) + intercept - y) ** 2).sum())
-    return slope, rss
 
 
 def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list, grid: GridSpec,
                       lat: BallLattice | None = None) -> NormStudy:
     """Windowed-norm trace of the mollified kernel across mollification times.
 
-    Verdict rule (documented): fit "plateau" ``a + b eps^c`` against "power"
-    ``A eps^-q`` on the (eps, norm) data, both in log space, and compare
-    AIC = 2k + n log(RSS/n).  The verdict is unbounded iff the power model
-    wins and its fitted exponent q exceeds 0.05; tiny q means the power model
-    degenerated into a constant, which is a bounded verdict.
+    Verdict rule (documented): with ``s_j = (n_{j+1} - n_j) / log(eps_j / eps_{j+1})``
+    the norm increment per unit of log(1/eps), the verdict is unbounded iff
+    the log-log slope exponent q exceeds 0.05 and ``s_last >= s_prev``.  A
+    shrinking increment is a convergent tail; a constant one is log growth
+    and a growing one power growth.  The q floor keeps noise-level increments
+    of a plateaued trace from counting as growth.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -539,14 +504,11 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list, grid: GridS
         realized = realize_kernel(
             KernelSpec(spec.variant, e, spec.modulation), grid)
         norms.append(local_neg_norm(realized, idx, lat))
-    n = len(usable)
-    rss_plateau = _fit_plateau(usable, norms)
-    slope, rss_power = _fit_power(usable, norms)
-    aic_a = 2 * 3 + n * math.log(max(rss_plateau, 1e-300) / n)
-    aic_b = 2 * 2 + n * math.log(max(rss_power, 1e-300) / n)
-    q = -slope
-    unbounded = (aic_b < aic_a) and (q > 0.05)
-    return NormStudy(usable, norms, "unbounded" if unbounded else "bounded", q)
+    log_eps = np.log(usable)
+    q = -np.polyfit(log_eps, np.log(norms), 1)[0]
+    s = -np.diff(norms) / np.diff(log_eps)
+    unbounded = q > 0.05 and s[-1] >= s[-2]
+    return NormStudy(usable, norms, "unbounded" if unbounded else "bounded", float(q))
 
 
 # ---------------------------------------------------------------------------
@@ -591,4 +553,9 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
     if unknown:
         raise ValueError(f"unknown kernel parameters {unknown}; "
                          f"known: {list(_KERNEL_PARAMETERS)}")
+    # only the constant kernel reads a vector: its c
+    sequences = sorted(k for k, v in kw.items() if isinstance(v, (tuple, list, np.ndarray))
+                       and (name, k) != ("constant", "c"))
+    if sequences:
+        raise ValueError(f"kernel {name!r} reads a number for {sequences}, got a sequence")
     return cat[name](grid, **kw)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import linprog
 
 from .grids import GridSpec, ScalarField, gaussian_density
 
@@ -108,6 +106,8 @@ def gaussian_entropy(a: GaussianSpec, b: GaussianSpec) -> float:
 
 def _quantile_table(rho: ScalarField, refine: int = 16):
     """Monotone CDF samples on a refined axis, for inverse interpolation."""
+    from scipy.interpolate import PchipInterpolator  # here: it loads scipy.optimize
+
     grid = rho.grid
     x = grid.axis_coords()
     h = grid.spacing
@@ -172,6 +172,8 @@ def wasserstein_1d_empirical(positions: np.ndarray, rho: ScalarField,
 
 def wasserstein_discrete(a: DiscreteMeasure, b: DiscreteMeasure, q: float = 1.0) -> float:
     """Exact order-q transport distance between finitely supported measures."""
+    from scipy.optimize import linprog  # here: keeps scipy.optimize off start-up
+
     if q < 1:
         raise ValueError(f"order q must be >= 1, got {q}")
     pa, wa = a.array_points, a.array_weights

@@ -182,6 +182,18 @@ class TestEmitReport:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+class TestMembershipRows:
+    def test_steep_riesz_growth_exponent_is_checked(self):
+        # |x|^-(d+m) with m = 2 n0 + eps0 - 1 = 1.5 grows like eps^-q,
+        # q = (d + m - delta - d/k)/2 = 0.5 at delta = 1, k = 2
+        cfg = parse_config((REPO / "configs/membership_riesz_steep.cfg").read_text())
+        report = run_experiment(cfg)
+        (row,) = [r for r in report.rows if r.quantity.endswith(".growth_exponent")]
+        assert row.quantity == "membership(delta=1,k=2).growth_exponent"
+        assert (row.theory, row.tol) == (0.5, 0.1)
+        assert row.passed
+
+
 class TestProbeReportRows:
     def test_csv_layout(self):
         from mkvflow.norms import SobolevIndex, operator_exponent_probe
@@ -377,6 +389,43 @@ class TestCli:
         assert captured.err.startswith(f"mkvflow {command}: error: ")
         assert captured.err.count("\n") == 1 and "power of two" in captured.err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel-study", "--kernel", "nope"],
+        ["kernel-study", "--eps-list", "0.02,abc"],
+        ["kernel-study", "--eps-list", "0.01,0.02,0.03"],
+        ["kernel-study", "--eps-list", "0.02,0.01"],
+        ["norm", "--k", "0.5"],
+    ], ids=["kernel", "number", "increasing", "too-few", "norm-k"])
+    def test_bad_study_input_is_an_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(argv[:1] + ["--grid", "1024"] + argv[1:])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"mkvflow {argv[0]}: error: ")
+        assert captured.err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("lines", ["kernel = riesz\nkernel.c = 1, 2",
+                                       "kernel = dirac\nkernel.order = 1, 2"],
+                             ids=["riesz-c", "dirac-order"])
+    def test_config_rejects_sequence_for_a_number(self, tmp_path, monkeypatch, capsys,
+                                                  lines):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = solve\ngrid_n = 256\n{lines}\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mkvflow experiment: error: kernel ")
+        assert err.count("\n") == 1 and "sequence" in err
+        assert not out.exists()
+
+    def test_constant_kernel_keeps_its_vector(self):
+        spec = make_kernel("constant", GridSpec(2, 16, 4.0), c=(1.0, 2.0))
+        assert spec.variant.c == (1.0, 2.0)
 
     def test_no_contraction_is_an_error_line(self, tmp_path, capsys):
         # the shipped contraction config with a 100 times stronger kernel

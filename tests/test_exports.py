@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,16 @@ def test_package_imports_resolve():
         module = importlib.import_module(f"mkvflow.{node.module}")
         for alias in node.names:
             assert getattr(mkvflow, alias.name) is getattr(module, alias.name)
+
+
+def test_cli_start_up_skips_optimize_and_interpolate():
+    # both take about 0.3 s to import; only the transport metrics need them
+    src = str(Path(mkvflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, mkvflow.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

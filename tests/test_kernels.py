@@ -35,6 +35,8 @@ DIRAC_ORACLE = {
     1.5: [0.5920, 0.6293, 0.6613, 0.6885, 0.7116, 0.7311, 0.7475],
 }
 EPS_LIST = [0.02 * 2.0**-j for j in range(7)]
+# uneven log-steps: the verdict must not depend on the spacing of eps
+UNEVEN_EPS_LIST = [0.02, 0.015, 0.008, 0.005, 0.002, 0.0012]
 
 
 def oracle_dirac_norm(delta, eps, d=1):
@@ -291,15 +293,27 @@ class TestDriftMap:
 class TestKernelNormStudy:
     def test_dirac_threshold_dichotomy(self):
         # bounded iff delta > d = 1 at k = inf; unbounded side grows like the
-        # heat-kernel oracle
+        # heat-kernel oracle, and at delta = d like log(1/eps)
         spec = KernelSpec(DiracDerivative(0, 0), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             above = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), EPS_LIST, GRID)
+            at = kernel_norm_study(spec, SobolevIndex(1.0, math.inf), EPS_LIST, GRID)
             below = kernel_norm_study(spec, SobolevIndex(0.5, math.inf), EPS_LIST, GRID)
         assert above.verdict == "bounded"
+        assert at.verdict == "unbounded"
         assert below.verdict == "unbounded"
         assert abs(-below.growth_exponent - (0.5 - 1) / 2) < 0.1
+
+    @pytest.mark.parametrize("variant, delta, k, verdict", [
+        (DiracDerivative(0, 0), 1.5, math.inf, "bounded"),
+        (DiracDerivative(0, 0), 0.5, math.inf, "unbounded"),
+        (RieszOrder((1.0,), 1, 0.5), 1.0, 2.0, "unbounded"),
+    ], ids=["dirac-above", "dirac-below", "riesz-steep"])
+    def test_verdict_on_uneven_eps_steps(self, variant, delta, k, verdict):
+        study = kernel_norm_study(KernelSpec(variant, 1.0), SobolevIndex(delta, k),
+                                  UNEVEN_EPS_LIST, GRID)
+        assert study.verdict == verdict
 
     @pytest.mark.parametrize("delta", [0.5, 1.5])
     def test_norms_match_frozen_oracle(self, delta):

@@ -269,11 +269,11 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
 
 def _solve(cfg: ExperimentConfig, report: RunReport, gamma, kern, params,
            tol=1e-8, max_iter=25, steps=600):
-    """``picard_solve`` with the caller's ``tol`` and ``max_iter`` and the
-    config's ``steps`` over the given default; the settings are recorded in
-    the provenance.  ``picard_solve`` is looked up at call time, so a caller
-    may substitute it on this module."""
-    settings = {"tol": tol, "max_iter": max_iter,
+    """``picard_solve`` with the caller's ``tol`` and the config's
+    ``max_iter`` and ``steps`` over the given defaults; the settings are
+    recorded in the provenance.  ``picard_solve`` is looked up at call time,
+    so a caller may substitute it on this module."""
+    settings = {"tol": tol, "max_iter": cfg.opt("max_iter", max_iter),
                 "steps": cfg.opt("steps", steps)}
     report.provenance["solver"] = settings
     return picard_solve(gamma, kern, params, **settings)

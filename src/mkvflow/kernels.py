@@ -2,12 +2,14 @@
 
 The catalog covers gradient-of-potential kernels with adjustable singular
 order (`RieszOrder`), derivatives of a point mass (`DiracDerivative`),
-constant vectors and arbitrary grid-sampled fields.  Singular variants are
-realized after heat mollification at time ``mollification_eps``.  The
-convolution drift and the pointwise density-derivative (Nemytskii) drift
-are both a ``K(t) * t**kappa`` time envelope times a map from the density
-to a vector field; ``drift_map`` is the one evaluator of that map, and
-every caller applies the envelope itself.
+constant vectors and arbitrary grid-sampled fields.  Each catalog kernel is
+its real-FFT half-lattice symbol, heat-mollified at time
+``mollification_eps`` when singular, and ``realize_kernel`` is one inverse
+transform to its physical view; grid-sampled fields stay physical data.
+The convolution drift and the pointwise density-derivative (Nemytskii)
+drift are both a ``K(t) * t**kappa`` time envelope times a map from the
+density to a vector field; ``drift_map`` is the one evaluator of that map,
+and every caller applies the envelope itself.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .grids import (
     ScalarField,
     VectorField,
     _derivative_multiplier,
-    field_derivative,
     heat_apply,
     irfft,
     rfft,
@@ -175,22 +176,9 @@ def default_mollification(grid: GridSpec) -> float:
 # realization
 
 
-def _riesz_symbol_route(spec: RieszOrder, grid: GridSpec, eps: float):
-    """Unit-amplitude grid realization of the kernel from its Fourier symbol.
-
-    The symbol of grad(Lap^n0 (inverse-power potential)) per component is
-    ``i xi_j |xi|^(2 n0 + eps0 - 2)`` up to one multiplicative constant,
-    fixed afterwards by matching the direct evaluation away from the origin.
-    The zero mode vanishes (odd kernel).
-    """
-    power = 2 * spec.n0 + spec.eps0 - 2.0
-    ixi, xi_sq = rfft_wavenumbers(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radial = np.where(xi_sq > 0, xi_sq ** (0.5 * power), 0.0)
-    radial = radial * np.exp(-0.5 * eps * xi_sq)
-    # inverse transform lands in displacement indexing; shift the origin to
-    # the grid center to match the coordinate convention
-    return [np.fft.fftshift(irfft(ik * radial, grid.shape)) / grid.cell_volume for ik in ixi]
+def _component(c: tuple, j: int) -> float:
+    """Amplitude of component ``j``; a shorter ``c`` repeats its first entry."""
+    return float(c[j] if j < len(c) else c[0])
 
 
 def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
@@ -223,20 +211,28 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
                     inv = np.where(r > 0, r**-p, 0.0)
                 comps[0] += za * inv
                 comps[1] += zb * inv
-    out = []
-    for j in range(grid.dim):
-        cj = spec.c[j] if j < len(spec.c) else spec.c[0]
-        out.append(cj * comps[j])
-    return out
+    return [_component(spec.c, j) * comps[j] for j in range(grid.dim)]
 
 
-def _riesz_calibration_scale(spec: RieszOrder, grid: GridSpec, eps: float,
-                             raw_comps) -> float:
-    """Least-squares amplitude matching symbol route to the direct values
-    on an annulus clear of both the mollified core and the wrap zone."""
+@functools.lru_cache(maxsize=32)
+def _riesz_unit_symbols(n0: int, eps0: float, grid: GridSpec, eps: float) -> tuple:
+    """Symbols of the unit-amplitude Riesz kernel, shared and read-only.
+
+    The symbol of grad(Lap^n0 (inverse-power potential)) per component is
+    ``i xi_j |xi|^(2 n0 + eps0 - 2)`` times the mollifier
+    ``exp(-eps |xi|^2 / 2)``, up to one multiplicative constant.  That
+    constant is the least-squares amplitude matching the physical view to
+    the direct values on an annulus clear of both the mollified core and the
+    wrap zone.  The zero mode vanishes (odd kernel).
+    """
+    power = 2 * n0 + eps0 - 2.0
+    ixi, xi_sq = rfft_wavenumbers(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where(xi_sq > 0, xi_sq ** (0.5 * power), 0.0)
+    radial = radial * np.exp(-0.5 * eps * xi_sq)
+    unit = [ik * radial for ik in ixi]
     n_img = 800 if grid.dim == 1 else 24
-    direct = riesz_direct(RieszOrder(c=(1.0,) * grid.dim, n0=spec.n0,
-                                     eps0=spec.eps0), grid, images=n_img)
+    direct = riesz_direct(RieszOrder((1.0,) * grid.dim, n0, eps0), grid, images=n_img)
     rad = grid.periodic_radius()
     r_lo = max(10.0 * math.sqrt(eps), 8.0 * grid.spacing)
     r_hi = grid.extent / 4.0
@@ -246,34 +242,67 @@ def _riesz_calibration_scale(spec: RieszOrder, grid: GridSpec, eps: float,
     # the symbol route is mollified but the direct sum is sharp; correct the
     # direct side to second order in the smoothing variance, using
     # Lap(z_j |z|^-p) = p (p - dim) z_j |z|^-(p+2) (next order < 1e-4 here)
-    p = grid.dim + 2 * spec.n0 + spec.eps0
+    p = grid.dim + 2 * n0 + eps0
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(rad > 0, 1.0 + 0.5 * eps * p * (p - grid.dim) / rad**2, 1.0)
     num = 0.0
     den = 0.0
-    for u, d in zip(raw_comps, direct):
+    for m, d in zip(unit, direct):
+        u = _physical(m, grid)
         dm = (d * corr)[mask]
         num += float((dm * u[mask]).sum())
         den += float((u[mask] * u[mask]).sum())
     if den == 0:
         raise ValueError("degenerate symbol realization; cannot calibrate")
-    return num / den
+    symbols = tuple(num / den * m for m in unit)
+    for m in symbols:
+        m.setflags(write=False)
+    return symbols
 
 
-@functools.lru_cache(maxsize=32)
-def _riesz_components(spec: RieszOrder, grid: GridSpec, eps: float) -> tuple:
-    """Calibrated Riesz kernel components, shared between callers and read-only."""
-    raw = _riesz_symbol_route(spec, grid, eps)
-    scale = _riesz_calibration_scale(spec, grid, eps, raw)
-    comps = tuple((spec.c[j] if j < len(spec.c) else spec.c[0]) * scale * raw[j]
-                  for j in range(grid.dim))
-    for c in comps:
-        c.setflags(write=False)
-    return comps
+def _kernel_symbols(spec: KernelSpec, grid: GridSpec) -> list:
+    """Half-lattice symbol of each kernel component, the kernel's definition.
+
+    Each is the spectrum rooted at zero displacement with the cell volume
+    folded in, so ``irfft(m * rfft(values))`` convolves the kernel with the
+    density ``values``.  A grid-sampled kernel's symbol is the forward
+    conversion of its field.  Raises ``MollificationError`` for a singular
+    variant with ``mollification_eps == 0``.
+    """
+    v = spec.variant
+    eps = spec.mollification_eps
+    if getattr(v, "singular", False) and eps <= 0:
+        raise MollificationError(f"{type(v).__name__} requires mollification_eps > 0")
+    if isinstance(v, GridSampled):
+        return [grid.cell_volume * rfft(np.fft.ifftshift(c))
+                for c in realize_kernel(spec, grid).components]
+    xi_sq = rfft_wavenumbers(grid)[1]
+    if isinstance(v, DiracDerivative):
+        if v.direction >= grid.dim:
+            raise ValueError(f"direction {v.direction} invalid for dim {grid.dim}")
+        order = tuple(v.order if j == v.direction else 0 for j in range(grid.dim))
+        core = _derivative_multiplier(grid, order) * np.exp(-0.5 * eps * xi_sq)
+        return [core if j == v.direction else np.zeros_like(core) for j in range(grid.dim)]
+    if isinstance(v, ConstantVector):
+        units = [grid.extent**grid.dim * (xi_sq == 0)] * grid.dim
+    elif isinstance(v, RieszOrder):
+        units = _riesz_unit_symbols(v.n0, v.eps0, grid, eps)
+    else:
+        raise TypeError(f"unknown kernel variant {type(v).__name__}")
+    return [_component(v.c, j) * u for j, u in enumerate(units)]
+
+
+def _physical(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Grid values of a symbol, shifted so the origin sits at the grid center."""
+    return np.fft.fftshift(irfft(symbol, grid.shape)) / grid.cell_volume
 
 
 def realize_kernel(spec: KernelSpec, grid: GridSpec) -> VectorField:
     """Mollified grid realization of the kernel as a vector field.
+
+    The physical view of ``_kernel_symbols``, read by norms, membership
+    studies and pairwise particle drifts.  A grid-sampled kernel is its own
+    field, heat-mollified when ``mollification_eps > 0``.
 
     Raises
     ------
@@ -281,43 +310,15 @@ def realize_kernel(spec: KernelSpec, grid: GridSpec) -> VectorField:
         For singular variants with ``mollification_eps == 0``.
     """
     v = spec.variant
-    eps = spec.mollification_eps
-    if getattr(v, "singular", False) and eps <= 0:
-        raise MollificationError(
-            f"{type(v).__name__} requires mollification_eps > 0")
-    if isinstance(v, ConstantVector):
-        comps = []
-        for j in range(grid.dim):
-            cj = v.c[j] if j < len(v.c) else v.c[0]
-            comps.append(np.full(grid.shape, float(cj)))
-        return VectorField(grid, comps)
-    if isinstance(v, GridSampled):
-        if v.field.grid != grid:
-            raise ValueError("grid-sampled kernel lives on a different grid")
-        comps = v.field.components
-        if eps > 0:
-            comps = [heat_apply(ScalarField(grid, c), eps).values for c in comps]
-        return VectorField(grid, comps)
-    if isinstance(v, DiracDerivative):
-        if v.direction >= grid.dim:
-            raise ValueError(f"direction {v.direction} invalid for dim {grid.dim}")
-        spike = heat_apply(_unit_spike(grid), eps)
-        order = [0] * grid.dim
-        order[v.direction] = v.order
-        core = field_derivative(spike, tuple(order)).values
-        comps = [core if j == v.direction else np.zeros(grid.shape)
-                 for j in range(grid.dim)]
-        return VectorField(grid, comps)
-    if isinstance(v, RieszOrder):
-        return VectorField(grid, [c.copy() for c in _riesz_components(v, grid, eps)])
-    raise TypeError(f"unknown kernel variant {type(v).__name__}")
-
-
-def _unit_spike(grid: GridSpec) -> ScalarField:
-    vals = np.zeros(grid.shape)
-    idx = tuple(int(np.argmin(np.abs(grid.axis_coords()))) for _ in range(grid.dim))
-    vals[idx] = 1.0 / grid.cell_volume
-    return ScalarField(grid, vals)
+    if not isinstance(v, GridSampled):
+        return VectorField(grid, [_physical(m, grid) for m in _kernel_symbols(spec, grid)])
+    if v.field.grid != grid:
+        raise ValueError("grid-sampled kernel lives on a different grid")
+    comps = v.field.components
+    if spec.mollification_eps > 0:
+        comps = [heat_apply(ScalarField(grid, c), spec.mollification_eps).values
+                 for c in comps]
+    return VectorField(grid, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +403,11 @@ def drift_map(spec, grid: GridSpec):
 
     One evaluation makes one forward transform of the density values and one
     inverse per multiplier, then a pointwise map.  For a ``KernelSpec`` the
-    multipliers are the realized kernel's half-lattice spectra, re-rooted at
-    zero displacement with the cell volume folded in, and the map returns the
-    periodic convolutions.  For a ``NemytskiiSpec`` they are the derivative
-    multipliers of the stack (rho, grad rho, ...) and the map is the family's
-    ``F``, its parameters checked here.  Both are built once; the returned
-    function validates nothing.
+    multipliers are the kernel's symbols (``_kernel_symbols``) and the map
+    returns the periodic convolutions.  For a ``NemytskiiSpec`` they are the
+    derivative multipliers of the stack (rho, grad rho, ...) and the map is
+    the family's ``F``, its parameters checked here.  Both are built once;
+    the returned function validates nothing.
 
     Raises
     ------
@@ -415,8 +415,7 @@ def drift_map(spec, grid: GridSpec):
         For any other spec.
     """
     if isinstance(spec, KernelSpec):
-        mults = [grid.cell_volume * rfft(np.fft.ifftshift(c))
-                 for c in realize_kernel(spec, grid).components]
+        mults = _kernel_symbols(spec, grid)
         F = None  # the convolutions are the drift
     elif isinstance(spec, NemytskiiSpec):
         mults = [_derivative_multiplier(grid, o) for o in _derivative_orders(grid.dim, spec.n)]

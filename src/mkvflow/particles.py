@@ -13,7 +13,7 @@ is ``kernels.drift_map`` of the ensemble histogram, built once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -120,10 +120,6 @@ class FlowParams:
         return SobolevIndex(self.delta, self.k)
 
     @property
-    def initial_index(self) -> SobolevIndex:
-        return SobolevIndex(self.eps, self.p)
-
-    @property
     def weight_exponent(self) -> float:
         """Time power in the weighted flow metric (half the smoothing gap)."""
         return 0.5 * self.eta
@@ -339,11 +335,15 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     DegradedAccuracyError
         If the accumulated negative undershoot exceeds 1e-3 in mass.
     ValueError
-        If ``steps`` is not a positive int, a frozen density is not a density
+        If ``steps`` is not a positive int, ``params.dim`` is not the
+        dimension of the density's grid, a frozen density is not a density
         or the march state turns non-finite.
     """
     _require_positive_int("steps", steps)
     grid = gamma.grid
+    if params.dim != grid.dim:
+        raise ValueError(f"FlowParams.dim = {params.dim}, but the density is on a "
+                         f"{grid.dim}-d grid")
     gamma.require_density()
     out_times = np.asarray(params.time_grid)
     nodes = _internal_grid(out_times, steps, graded_from)

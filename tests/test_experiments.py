@@ -459,14 +459,30 @@ class TestCli:
             return picard_solve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "picard_solve", counting)
-        # stability reads tol and steps; max_iter is not one of its keys
+        # stability reads tol, max_iter and steps
         cfg = parse_config("experiment = stability\ngrid_n = 256\nkernel = zero\n"
                            "kappa = 1.25\nT = 0.2\ngamma_var = 0.01\n"
                            "h_list = 0.05, 0.1\nn_times = 4\nsteps = 40\n"
                            "tol = 1e-9\nmax_iter = 7\n")
         run_experiment(cfg)
         assert len(calls) == 1 + 2
-        assert all(kw == {"tol": 1e-9, "max_iter": 25, "steps": 40} for kw in calls)
+        assert all(kw == {"tol": 1e-9, "max_iter": 7, "steps": 40} for kw in calls)
+
+    def test_decay_solves_read_max_iter_from_the_config(self, monkeypatch):
+        iterations = []
+
+        def counting(*args, **kwargs):
+            flow, rep = picard_solve(*args, **kwargs)
+            iterations.append(rep.iterations)
+            return flow, rep
+
+        monkeypatch.setattr(experiments, "picard_solve", counting)
+        cfg = parse_config("experiment = decay\ngrid_n = 256\nkernel = riesz\n"
+                           "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
+                           "T = 0.1\nsteps = 50\nr_list = 0.02, 0.01\nmax_iter = 2\n")
+        report = run_experiment(cfg)
+        assert report.provenance["solver"] == {"tol": 1e-8, "max_iter": 2, "steps": 50}
+        assert iterations == [2, 2]
 
     def test_solve_stops_at_tol_residual_only(self):
         # a bare tol key is not a solve-experiment setting

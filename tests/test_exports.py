@@ -23,6 +23,20 @@ def test_all_names_resolve(module):
     assert not missing, f"{module.__name__}.__all__ names missing: {missing}"
 
 
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_import_is_used_or_exported(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - set(getattr(module, "__all__", ())))
+    assert not unused, f"{module.__name__} imports unused names: {unused}"
+
+
 def test_package_imports_resolve():
     tree = ast.parse(Path(mkvflow.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]

@@ -6,7 +6,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import dawsn
 
-from mkvflow.grids import GridSpec, gaussian_density
+from mkvflow.grids import (
+    GridSpec,
+    field_derivative,
+    gaussian_density,
+    grid_delta,
+    heat_apply,
+)
 from mkvflow.norms import SobolevIndex, local_neg_norm, measure_dual_norm
 from mkvflow.kernels import (
     ConstantVector,
@@ -60,6 +66,29 @@ class TestRealizeKernel:
         f = realize_kernel(KernelSpec(DiracDerivative(0, 0), 0.05), GRID)
         expect = gaussian_density(GRID, 0.0, 0.05).values
         assert np.max(np.abs(f.components[0] - expect)) < 1e-10
+
+    @pytest.mark.parametrize("variant,grid", [
+        *((DiracDerivative(order, 0), GRID) for order in range(3)),
+        *((DiracDerivative(order, direction), GridSpec(2, 64, 8.0))
+          for order in range(3) for direction in range(2)),
+        (ConstantVector((-1.5,)), GridSpec(1, 256, 10.0)),
+        (ConstantVector((0.3, -0.2)), GridSpec(2, 64, 6.0)),
+    ], ids=repr)
+    def test_symbol_matches_spatial_route(self, variant, grid):
+        # the spatial construction: a constant filled in, a point-mass
+        # derivative as the derivative of the heat-mollified centered spike
+        eps = 8.0 * grid.spacing**2
+        if isinstance(variant, ConstantVector):
+            want = [np.full(grid.shape, c) for c in variant.c]
+        else:
+            order = tuple(variant.order * (j == variant.direction) for j in range(grid.dim))
+            core = field_derivative(heat_apply(grid_delta(grid), eps), order).values
+            want = [core if j == variant.direction else np.zeros(grid.shape)
+                    for j in range(grid.dim)]
+        got = realize_kernel(KernelSpec(variant, eps), grid).components
+        scale = max(np.abs(w).max() for w in want)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * scale
 
     def test_riesz_symbol_matches_mollified_direct(self):
         # oracle: exact heat-mollified 1/z kernel via the Dawson function,

@@ -266,8 +266,8 @@ class TestSpectralMarch:
     def test_march_step_transform_count(self, dim, monkeypatch):
         # a march step transforms b rho and b predictor forward (d each) and
         # the predictor and the new state back (one each); once per call come
-        # the initial state, the kernel spectra, and one forward and d inverse
-        # transforms per frozen field
+        # the initial state and one forward and d inverse transforms per
+        # frozen field.  The kernel's symbols need no transform
         grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
         spec = small_kernel() if dim == 1 else KernelSpec(
             ConstantVector((0.3, -0.2)), 0.0, TimeModulation(kappa=0.75))
@@ -275,7 +275,7 @@ class TestSpectralMarch:
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
         gamma = gaussian_density(grid, 0.0, 0.09)
         mu = phi_apply(gamma, None, None, params, steps=40)
-        realize_kernel(spec, grid)  # cached from here on
+        realize_kernel(spec, grid)  # calibrated from here on
         calls = []
 
         def counting(name):
@@ -291,7 +291,7 @@ class TestSpectralMarch:
         phi_apply(gamma, mu, spec, params, steps=40)
         march_steps = len(solver._internal_grid(params.time_grid, 40)) - 1
         frozen = len(params.time_grid) + 1
-        assert len(calls) == (2 * dim + 2) * march_steps + 1 + dim + frozen * (1 + dim)
+        assert len(calls) == (2 * dim + 2) * march_steps + 1 + frozen * (1 + dim)
         inverses = calls.count("irfft") + calls.count("irfftn")
         assert inverses == 2 * march_steps + frozen * dim
 
@@ -566,6 +566,18 @@ class TestTwoDimensional:
         expect = gaussian_density(grid, [0.4 * 0.3, -0.2 * 0.3], 0.09 + 0.3)
         assert np.abs(flow.densities[-1].values - expect.values).max() < 1e-5
         assert rep.iterations <= 2
+
+    @pytest.mark.parametrize("solve", ["phi_apply", "picard_solve"])
+    def test_params_dim_must_match_grid(self, solve):
+        # dim enters eta, so a 1-d parameter set would weight a 2-d flow wrongly
+        grid = GridSpec(2, 64, 8.0)
+        gamma = gaussian_density(grid, [0.0, 0.0], 0.09)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.3, time_grid=(0.15, 0.3))
+        with pytest.raises(ValueError, match=r"dim = 1, .* 2-d grid"):
+            if solve == "phi_apply":
+                phi_apply(gamma, None, None, params, steps=20)
+            else:
+                picard_solve(gamma, KernelSpec(ConstantVector((0.4, -0.2))), params, steps=20)
 
 
 class TestMeasureFlow:

@@ -24,8 +24,8 @@ import scipy
 from . import __version__
 from .flowio import write_csv_rows
 from .grids import GridSpec, ScalarField, gaussian_density
-from .kernels import (ConstantVector, DiracDerivative, KernelSpec, RieszOrder,
-                      kernel_norm_study, make_kernel)
+from .kernels import (DiracDerivative, KernelSpec, RieszOrder, kernel_norm_study,
+                      kernel_vanishes, make_kernel)
 from .metrics import GaussianSpec, relative_entropy, wasserstein_1d
 from .norms import (
     SobolevIndex,
@@ -308,14 +308,25 @@ def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
 
 
 def _expected_membership(variant, delta, k, dim):
-    if isinstance(variant, RieszOrder):
-        order_ok = delta >= 1 + 2 * variant.n0
-        tail = dim + variant.eps0 - 2.0
-        k_ok = tail <= 0 or k < dim / tail
-        return "bounded" if (order_ok and k_ok) else "unbounded"
+    """Expected verdict of the membership study and the growth exponent.
+
+    A kernel homogeneous of order m, |x|^-(d+m) at the origin, has a
+    mollified norm growing like eps^-q* with q* = (d + m - delta - d/k)/2
+    when q* >= 0, so a Dirac derivative of order m is bounded iff q* < 0.
+    A smooth kernel is bounded, with q* = 0.
+    """
     if isinstance(variant, DiracDerivative):
-        return "bounded" if delta > dim + variant.order else "unbounded"
-    return "bounded"
+        m = variant.order
+    elif isinstance(variant, RieszOrder):
+        m = 2 * variant.n0 + variant.eps0 - 1
+    else:
+        return "bounded", 0.0
+    q = (dim + m - delta - dim / k) / 2.0
+    if isinstance(variant, DiracDerivative):
+        return ("bounded" if q < 0 else "unbounded"), q
+    tail = dim + variant.eps0 - 2.0
+    bounded = delta >= 1 + 2 * variant.n0 and (tail <= 0 or k < dim / tail)
+    return ("bounded" if bounded else "unbounded"), q
 
 
 def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
@@ -337,18 +348,13 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             study = kernel_norm_study(spec, idx, list(eps_list), grid)
-        expect = _expected_membership(spec.variant, idx.delta, idx.k, grid.dim)
+        expect, q = _expected_membership(spec.variant, idx.delta, idx.k, grid.dim)
         label = f"membership(delta={delta:g},k={k:g})"
         report.add(label + ".verdict", 1.0, 1.0 if study.verdict == expect else 0.0,
                    0.0, study.verdict == expect)
         if expect == "unbounded":
-            # a kernel homogeneous of order m, |x|^-(d+m) at the origin, has a
-            # mollified norm growing like eps^-q with q = (d + m - delta - d/k)/2
-            v = spec.variant
-            dirac = isinstance(v, DiracDerivative)
-            m = v.order if dirac else 2 * v.n0 + v.eps0 - 1
-            q = max((grid.dim + m - idx.delta - grid.dim / idx.k) / 2.0, 0.0)
-            if dirac:
+            q = max(q, 0.0)
+            if isinstance(spec.variant, DiracDerivative):
                 report.add(label + ".growth_slope", -q, -study.growth_exponent, tol)
             else:
                 report.add(label + ".growth_exponent", q, study.growth_exponent, tol)
@@ -496,7 +502,7 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
         measured.append(ent * t / w2**2)
     measured = np.asarray(measured)
     report.figures["entropy_cost_ratio"] = list(zip(t_grid, measured))
-    if _kernel_is_zero(kern):
+    if kernel_vanishes(kern):
         analytic = t_grid / (2.0 * (r + t_grid))
         gap = float(np.max(np.abs(measured - analytic)))
         report.add("entropy_ratio_analytic_gap", 0.0, gap, 0.01, gap <= 0.01)
@@ -510,11 +516,6 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _kernel_is_zero(kern: KernelSpec) -> bool:
-    return isinstance(kern.variant, ConstantVector) and \
-        all(c == 0.0 for c in kern.variant.c)
-
-
 def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     grid, params, kern = _solve_setup(cfg)
     report = _report(cfg, grid)
@@ -524,7 +525,7 @@ def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     repeats = int(cfg.opt("repeats", 10))
     flow, _ = _solve(cfg, report, gamma, kern, params, steps=400)
     dt = float(cfg.opt("dt", 0.0025))
-    zero = _kernel_is_zero(kern)
+    zero = kernel_vanishes(kern)
     sim = SimConfig(grid=grid, dt=dt, T=params.T, seed=cfg.seed,
                     kernel=None if zero else kern,
                     initial=GaussianSpec((0.0,), r0), checkpoints=(params.T,))

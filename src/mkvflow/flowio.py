@@ -85,22 +85,13 @@ def read_flow(path) -> MeasureFlow:
 
 def flow_density_table(flow: MeasureFlow, path):
     """Per-time CSV density table: columns t, x[, y], density."""
-    grid = flow.grid
-    coords = grid.coords()
+    coords = [c.ravel() for c in flow.grid.coords()]
     with _create(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        if grid.dim == 1:
-            wr.writerow(["t", "x", "density"])
-            for t, rho in zip(flow.times, flow.densities):
-                for x, v in zip(coords[0], rho.values):
-                    wr.writerow([f"{t:.12g}", f"{x:.12g}", f"{v:.17g}"])
-        else:
-            wr.writerow(["t", "x", "y", "density"])
-            xs, ys = coords
-            for t, rho in zip(flow.times, flow.densities):
-                for idx in np.ndindex(grid.shape):
-                    wr.writerow([f"{t:.12g}", f"{xs[idx]:.12g}",
-                                 f"{ys[idx]:.12g}", f"{rho.values[idx]:.17g}"])
+        wr.writerow(["t", *"xy"[: flow.grid.dim], "density"])
+        for t, rho in zip(flow.times, flow.densities):
+            for *xs, v in zip(*coords, rho.values.ravel()):
+                wr.writerow([f"{t:.12g}", *(f"{x:.12g}" for x in xs), f"{v:.17g}"])
 
 
 def write_csv_rows(path, header, rows):

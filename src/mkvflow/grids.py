@@ -90,40 +90,30 @@ class GridSpec:
         n = self.points_per_dim
         return -0.5 * self.extent + self.spacing * np.arange(n)
 
+    def _lattice(self, axis: np.ndarray) -> tuple:
+        """``axis`` along every dimension, as ``ij``-indexed arrays of grid shape."""
+        return tuple(np.meshgrid(*[axis] * self.dim, indexing="ij"))
+
     def coords(self) -> tuple:
         """Coordinate arrays broadcastable against field values."""
-        x = self.axis_coords()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return self._lattice(self.axis_coords())
 
     def freq_axis(self) -> np.ndarray:
         """Angular frequencies for one axis (fftfreq ordering)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_dim, d=self.spacing)
 
     def freqs(self) -> tuple:
-        xi = self.freq_axis()
-        if self.dim == 1:
-            return (xi,)
-        return tuple(np.meshgrid(xi, xi, indexing="ij"))
+        return self._lattice(self.freq_axis())
 
     def freq_sq(self) -> np.ndarray:
         """|xi|^2 on the full frequency lattice."""
-        xi = self.freqs()
-        out = xi[0] ** 2
-        for c in xi[1:]:
-            out = out + c**2
-        return out
+        return sum(c**2 for c in self.freqs())
 
     def periodic_radius(self) -> np.ndarray:
         """Distance to the origin respecting the torus wrap."""
         x = self.axis_coords()
         # min over the two images along each axis
-        ax = np.minimum(np.abs(x), self.extent - np.abs(x))
-        if self.dim == 1:
-            return ax
-        a, b = np.meshgrid(ax, ax, indexing="ij")
-        return np.hypot(a, b)
+        return np.hypot.reduce(self._lattice(np.minimum(np.abs(x), self.extent - np.abs(x))))
 
 
 def rfft(values: np.ndarray) -> np.ndarray:
@@ -189,15 +179,11 @@ def rfft_wavenumbers(grid: GridSpec) -> tuple:
 
 
 class ScalarField:
-    """Real-valued samples on a grid.
+    """Real-valued samples on a grid, finite and of the grid's shape."""
 
-    ``meta`` carries soft diagnostics (e.g. resolution warnings); it never
-    affects the numerical content.
-    """
+    __slots__ = ("grid", "values")
 
-    __slots__ = ("grid", "values", "meta")
-
-    def __init__(self, grid: GridSpec, values, meta=None):
+    def __init__(self, grid: GridSpec, values):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
@@ -205,29 +191,28 @@ class ScalarField:
             raise ValueError("field values must be finite")
         self.grid = grid
         self.values = values
-        self.meta = dict(meta) if meta else {}
 
     def mass(self) -> float:
         return float(self.values.sum()) * self.grid.cell_volume
 
-    def require_density(self, mass_tol: float = 1e-6):
+    def require_density(self):
         if self.values.min() < -1e-8:
             raise ValueError(f"not a density: min value {self.values.min():.3e} < 0")
         m = self.mass()
-        if abs(m - 1.0) > mass_tol:
+        if abs(m - 1.0) > 1e-6:
             raise ValueError(f"not a density: mass {m:.8f} differs from 1")
         return self
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.meta)
+        return ScalarField(self.grid, self.values.copy())
 
 
 class VectorField:
     """One real component array per spatial dimension, all on a shared grid."""
 
-    __slots__ = ("grid", "components", "meta")
+    __slots__ = ("grid", "components")
 
-    def __init__(self, grid: GridSpec, components, meta=None):
+    def __init__(self, grid: GridSpec, components):
         components = tuple(np.asarray(c, dtype=float) for c in components)
         if len(components) != grid.dim:
             raise ValueError(f"expected {grid.dim} components, got {len(components)}")
@@ -238,7 +223,6 @@ class VectorField:
                 raise ValueError("field values must be finite")
         self.grid = grid
         self.components = components
-        self.meta = dict(meta) if meta else {}
 
     def magnitude(self) -> np.ndarray:
         out = self.components[0] ** 2
@@ -276,18 +260,15 @@ def heat_apply(f: ScalarField, t: float) -> ScalarField:
     ------
     ValueError
         If ``t <= 0``.  Very small positive ``t`` (std below two cells) only
-        flags ``meta['under_resolved']`` and warns, since operator-norm probes
-        sweep small times on purpose.
+        warns, since operator-norm probes sweep small times on purpose.
     """
     if not (t > 0 and np.isfinite(t)):
         raise ValueError(f"heat time must be positive and finite, got {t}")
     mult = np.exp(-0.5 * t * rfft_wavenumbers(f.grid)[1])
-    out = ScalarField(f.grid, _apply_half(f.values, mult), f.meta)
     if _check_resolution(f.grid, t):
         warnings.warn(f"heat kernel under-resolved: std {math.sqrt(t):.3g} < "
                       f"{_RESOLUTION_CELLS:g} * spacing {f.grid.spacing:.3g}", stacklevel=2)
-        out.meta["under_resolved"] = True
-    return out
+    return ScalarField(f.grid, _apply_half(f.values, mult))
 
 
 def heat_gradient(f: ScalarField, t: float) -> VectorField:
@@ -296,12 +277,9 @@ def heat_gradient(f: ScalarField, t: float) -> VectorField:
         raise ValueError(f"heat time must be positive and finite, got {t}")
     ixi, xi_sq = rfft_wavenumbers(f.grid)
     spec = rfft(f.values) * np.exp(-0.5 * t * xi_sq)
-    comps = [irfft(ik * spec, f.grid.shape) for ik in ixi]
-    meta = dict(f.meta)
     if _check_resolution(f.grid, t):
         warnings.warn(f"heat kernel under-resolved at t={t:.3g}", stacklevel=2)
-        meta["under_resolved"] = True
-    return VectorField(f.grid, comps, meta)
+    return VectorField(f.grid, [irfft(ik * spec, f.grid.shape) for ik in ixi])
 
 
 def _exp_sinh_nodes(r: float, nodes: int):
@@ -362,7 +340,7 @@ def bessel_apply(f: ScalarField, r: float, mode: str = "spectral",
         mult = np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
     else:
         raise ValueError(f"unknown bessel mode {mode!r}")
-    return ScalarField(f.grid, _apply_half(f.values, mult), f.meta)
+    return ScalarField(f.grid, _apply_half(f.values, mult))
 
 
 def bessel_sharpen(f: ScalarField, r: float) -> ScalarField:
@@ -372,7 +350,7 @@ def bessel_sharpen(f: ScalarField, r: float) -> ScalarField:
     if r == 0:
         return f.copy()
     mult = (1.0 + rfft_wavenumbers(f.grid)[1]) ** r
-    return ScalarField(f.grid, _apply_half(f.values, mult), f.meta)
+    return ScalarField(f.grid, _apply_half(f.values, mult))
 
 
 def field_derivative(f: ScalarField, order) -> ScalarField:
@@ -381,9 +359,9 @@ def field_derivative(f: ScalarField, order) -> ScalarField:
     A bare int is accepted in one dimension.  Exact on band-limited inputs.
     """
     if isinstance(order, (int, np.integer)):
-        order = (int(order),) * 1 if f.grid.dim == 1 else None
-        if order is None:
+        if f.grid.dim != 1:
             raise ValueError("a bare int order is only valid for dim=1; pass a multi-index")
+        order = (order,)
     order = tuple(int(o) for o in order)
     if len(order) != f.grid.dim:
         raise ValueError(f"multi-index length {len(order)} does not match dim {f.grid.dim}")
@@ -394,8 +372,17 @@ def field_derivative(f: ScalarField, order) -> ScalarField:
         raise ValueError(f"unsupported derivative order |{order}| = {total} > {MAX_DERIVATIVE_ORDER}")
     if total == 0:
         return f.copy()
-    return ScalarField(f.grid, _apply_half(f.values, _derivative_multiplier(f.grid, order)),
-                       f.meta)
+    mult = _derivative_multiplier(f.grid, order)
+    return ScalarField(f.grid, _apply_half(f.values, mult))
+
+
+def _periodic_sq_distance(grid: GridSpec, center) -> np.ndarray:
+    """Squared torus distance from every grid point to ``center``, one entry per axis."""
+    q = np.zeros(grid.shape)
+    for x, c in zip(grid.coords(), center):
+        d = np.abs(x - c)
+        q = q + np.minimum(d, grid.extent - d) ** 2  # nearest periodic image
+    return q
 
 
 def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,
@@ -408,19 +395,12 @@ def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,
     if variance <= 0:
         raise ValueError(f"variance must be positive, got {variance}")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if mean.size == 1 and grid.dim == 2:
-        mean = np.array([mean[0], mean[0]])
+    if mean.size == 1:
+        mean = np.repeat(mean, grid.dim)
     if mean.size != grid.dim:
         raise ValueError(f"mean has {mean.size} entries for dim {grid.dim}")
     norm = (2.0 * np.pi * variance) ** (-0.5 * grid.dim)
-    xs = grid.coords()
-    q = np.zeros(grid.shape)
-    for x, m in zip(xs, mean):
-        d = np.abs(x - m)
-        d = np.minimum(d, grid.extent - d)  # periodic image distance
-        q = q + d**2
-    vals = norm * np.exp(-0.5 * q / variance)
-    f = ScalarField(grid, vals)
+    f = ScalarField(grid, norm * np.exp(-0.5 * _periodic_sq_distance(grid, mean) / variance))
     if normalize:
         f.values /= f.mass()
     return f
@@ -429,8 +409,8 @@ def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,
 def grid_delta(grid: GridSpec, center=0.0) -> ScalarField:
     """Unit-mass spike at the grid point nearest ``center`` (sharp Dirac proxy)."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size == 1 and grid.dim == 2:
-        center = np.array([center[0], center[0]])
+    if center.size == 1:
+        center = np.repeat(center, grid.dim)
     x = grid.axis_coords()
     idx = tuple(int(np.argmin(np.abs(x - c))) for c in center[: grid.dim])
     vals = np.zeros(grid.shape)
@@ -438,23 +418,19 @@ def grid_delta(grid: GridSpec, center=0.0) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def random_band_limited(grid: GridSpec, band: int, rng,
-                        amplitude: float = 1.0) -> ScalarField:
-    """Real random field with Fourier support in modes |m| <= band per axis."""
+def random_band_limited(grid: GridSpec, band: int, rng) -> ScalarField:
+    """Real random field of unit standard deviation with Fourier support in
+    modes |m| <= band per axis."""
     n = grid.points_per_dim
     if not (0 < band <= n // 2):
         raise ValueError(f"band must lie in [1, {n // 2}], got {band}")
     spec = np.zeros(grid.shape, dtype=complex)
     m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    if grid.dim == 1:
-        mask = np.abs(m) <= band
-    else:
-        ma, mb = np.meshgrid(m, m, indexing="ij")
-        mask = (np.abs(ma) <= band) & (np.abs(mb) <= band)
+    mask = np.all([np.abs(c) <= band for c in grid._lattice(m)], axis=0)
     k = int(mask.sum())
     spec[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     vals = np.fft.ifftn(spec).real
     scale = vals.std()
     if scale > 0:
-        vals *= amplitude / scale
+        vals *= 1.0 / scale
     return ScalarField(grid, vals)

@@ -15,6 +15,7 @@ and every caller applies the envelope itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .grids import (
     rfft,
     rfft_wavenumbers,
 )
-from .norms import BallLattice, SobolevIndex, local_neg_norm
+from .norms import SobolevIndex, local_neg_norm
 
 __all__ = [
     "RieszOrder",
@@ -40,6 +41,7 @@ __all__ = [
     "GridSampled",
     "TimeModulation",
     "KernelSpec",
+    "kernel_vanishes",
     "NemytskiiSpec",
     "MollificationError",
     "realize_kernel",
@@ -168,6 +170,18 @@ class KernelSpec:
             raise ValueError("mollification_eps must be >= 0")
 
 
+def kernel_vanishes(spec: KernelSpec) -> bool:
+    """Whether all of the kernel's symbols vanish, so its drift is no interaction.
+
+    A constant or Riesz symbol is the amplitude ``c_j`` times a unit symbol
+    and a grid-sampled one the transform of its field; a Dirac derivative,
+    which has no amplitude, never vanishes.
+    """
+    v = spec.variant
+    amplitudes = v.field.components if isinstance(v, GridSampled) else getattr(v, "c", [1.0])
+    return not any(np.any(a) for a in amplitudes)
+
+
 def default_mollification(grid: GridSpec) -> float:
     return 4.0 * grid.spacing**2
 
@@ -181,12 +195,13 @@ def _component(c: tuple, j: int) -> float:
     return float(c[j] if j < len(c) else c[0])
 
 
-def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
+def riesz_direct(spec: RieszOrder, grid: GridSpec):
     """Pointwise kernel values periodized over the torus.
 
     Opposite images are summed in +/- pairs so the conditionally convergent
-    tail (the kernel is odd) telescopes; ``images`` pairs per axis.  Values
-    at the origin are set to zero (the mollified comparison never uses them).
+    tail (the kernel is odd) telescopes: 800 pairs in 1-d, 24 per axis in
+    2-d.  Values at the origin are set to zero (the mollified comparison
+    never uses them).
     """
     p = grid.dim + 2 * spec.n0 + spec.eps0
     xs = grid.coords()
@@ -194,7 +209,7 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
     comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
     if grid.dim == 1:
         x = xs[0]
-        for m in range(-images, images + 1):
+        for m in range(-800, 801):
             z = x + m * L
             r = np.abs(z)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -202,9 +217,9 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec, images: int = 2000):
             comps[0] += vals
     else:
         xa, xb = xs
-        for ma in range(-images, images + 1):
+        for ma in range(-24, 25):
             za = xa + ma * L
-            for mb in range(-images, images + 1):
+            for mb in range(-24, 25):
                 zb = xb + mb * L
                 r = np.hypot(za, zb)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,8 +246,7 @@ def _riesz_unit_symbols(n0: int, eps0: float, grid: GridSpec, eps: float) -> tup
         radial = np.where(xi_sq > 0, xi_sq ** (0.5 * power), 0.0)
     radial = radial * np.exp(-0.5 * eps * xi_sq)
     unit = [ik * radial for ik in ixi]
-    n_img = 800 if grid.dim == 1 else 24
-    direct = riesz_direct(RieszOrder((1.0,) * grid.dim, n0, eps0), grid, images=n_img)
+    direct = riesz_direct(RieszOrder((1.0,) * grid.dim, n0, eps0), grid)
     rad = grid.periodic_radius()
     r_lo = max(10.0 * math.sqrt(eps), 8.0 * grid.spacing)
     r_hi = grid.extent / 4.0
@@ -388,10 +402,10 @@ class NemytskiiSpec:
 
 def _derivative_orders(dim: int, n: int) -> list:
     """Multi-indices of the derivative stack after rho: all first
-    derivatives, then all second derivatives, ... up to order n-1."""
-    if dim == 1:
-        return [(depth,) for depth in range(1, n)]
-    return [(depth - a, a) for depth in range(1, n) for a in range(depth + 1)]
+    derivatives, then all second derivatives, ... up to order n-1, each
+    depth in decreasing order of its leading entries."""
+    return [o for depth in range(1, n)
+            for o in itertools.product(range(depth, -1, -1), repeat=dim) if sum(o) == depth]
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +454,16 @@ def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
 
 
 def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float, samples: int = 1000,
-                              seed: int = 0, dim: int = 1) -> dict:
+                              seed: int = 0) -> dict:
     """Sampled Lipschitz quotient of the drift map against its envelope.
 
-    Draws random derivative-stack pairs and measures
-    ``|b(h) - b(h~)| / ||h - h~||``; the max must stay below K(t) t^kappa.
+    Draws random pairs of 1-d derivative stacks (rho, rho', ...), n entries
+    each, and measures ``|b(h) - b(h~)| / ||h - h~||``; the max must stay
+    below K(t) t^kappa.
     """
     rng = np.random.default_rng(seed)
-    n_entries = 1 + len(_derivative_orders(dim, spec.n))
-    fn = _NEMYTSKII[spec.family](n_entries, dim, spec.param_dict)
+    n_entries = spec.n
+    fn = _NEMYTSKII[spec.family](n_entries, 1, spec.param_dict)
     factor = spec.modulation.factor(t)
     worst = 0.0
     for _ in range(samples):
@@ -478,8 +493,8 @@ class NormStudy:
         return [(e, n, self.verdict) for e, n in zip(self.eps_values, self.norms)]
 
 
-def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list, grid: GridSpec,
-                      lat: BallLattice | None = None) -> NormStudy:
+def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
+                      grid: GridSpec) -> NormStudy:
     """Windowed-norm trace of the mollified kernel across mollification times.
 
     Verdict rule (documented): with ``s_j = (n_{j+1} - n_j) / log(eps_j / eps_{j+1})``
@@ -502,7 +517,7 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list, grid: GridS
     for e in usable:
         realized = realize_kernel(
             KernelSpec(spec.variant, e, spec.modulation), grid)
-        norms.append(local_neg_norm(realized, idx, lat))
+        norms.append(local_neg_norm(realized, idx))
     log_eps = np.log(usable)
     q = -np.polyfit(log_eps, np.log(norms), 1)[0]
     s = -np.diff(norms) / np.diff(log_eps)

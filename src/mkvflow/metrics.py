@@ -32,6 +32,7 @@ __all__ = [
 
 ENTROPY_VANISH_MASS = 1e-12
 DISCRETE_SIZE_CAP = 10**6
+QUANTILE_NODES = 32768  # midpoint nodes in u of the quantile integrals
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def gaussian_entropy(a: GaussianSpec, b: GaussianSpec) -> float:
 # one-dimensional transport via quantiles
 
 
-def _quantile_table(rho: ScalarField, refine: int = 16):
+def _quantile_table(rho: ScalarField):
     """Monotone CDF samples on a refined axis, for inverse interpolation."""
     from scipy.interpolate import PchipInterpolator  # here: it loads scipy.optimize
 
@@ -119,13 +120,12 @@ def _quantile_table(rho: ScalarField, refine: int = 16):
         # flat tail segments make the monotone interpolant divide by zero
         # slopes internally; its zero-derivative handling is what we want
         interp = PchipInterpolator(xs, cdf)
-        fine_x = np.linspace(xs[0], xs[-1], refine * len(xs))
+        fine_x = np.linspace(xs[0], xs[-1], 16 * len(xs))  # 16 points per cell
         fine_c = np.maximum.accumulate(np.clip(interp(fine_x), 0.0, 1.0))
     return fine_x, fine_c
 
 
-def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0,
-                   u_nodes: int = 32768) -> float:
+def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0) -> float:
     """Transport distance of order q between densities on a 1-d grid.
 
     Integrates |F1^{-1}(u) - F2^{-1}(u)|^q over u with a midpoint rule,
@@ -143,7 +143,7 @@ def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0,
     rho2.require_density()
     x1, c1 = _quantile_table(rho1)
     x2, c2 = _quantile_table(rho2)
-    u = (np.arange(u_nodes) + 0.5) / u_nodes
+    u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
     q1 = np.interp(u, c1, x1)
     q2 = np.interp(u, c2, x2)
     return float(np.mean(np.abs(q1 - q2) ** q) ** (1.0 / q))
@@ -157,10 +157,10 @@ def empirical_quantiles(positions: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def wasserstein_1d_empirical(positions: np.ndarray, rho: ScalarField,
-                             q: float = 1.0, u_nodes: int = 32768) -> float:
+                             q: float = 1.0) -> float:
     """Transport distance between an empirical sample and a grid density."""
     x2, c2 = _quantile_table(rho)
-    u = (np.arange(u_nodes) + 0.5) / u_nodes
+    u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
     qe = empirical_quantiles(np.asarray(positions).ravel(), u)
     qd = np.interp(u, c2, x2)
     return float(np.mean(np.abs(qe - qd) ** q) ** (1.0 / q))

@@ -21,6 +21,7 @@ from .grids import (
     GridSpec,
     ScalarField,
     VectorField,
+    _periodic_sq_distance,
     bessel_apply,
     bessel_sharpen,
     heat_apply,
@@ -148,7 +149,7 @@ def sup_comparison_constant(idx: SobolevIndex, dim: int) -> float:
     The Bessel kernel is a probability kernel, so the windowed L^k norm of a
     bounded field is at most the unit-ball volume to the power 1/k.
     """
-    vol = 2.0 if dim == 1 else math.pi
+    vol = 2.0 * math.pi ** (0.5 * dim) / (dim * math.gamma(0.5 * dim))  # |B^d(0, 1)|
     return vol ** _inv(idx.k)
 
 
@@ -179,12 +180,9 @@ def _amalgam_norm(rho: ScalarField, idx: SobolevIndex) -> float:
     u = np.abs(bessel_sharpen(rho, idx.delta / 2.0).values)
     grid = rho.grid
     per_side, side_pts = _partition_cells(grid)
-    if grid.dim == 1:
-        blocks = u.reshape(per_side, side_pts)
-        cell_norms = (blocks**kp).sum(axis=1) * grid.cell_volume
-    else:
-        blocks = u.reshape(per_side, side_pts, per_side, side_pts)
-        cell_norms = (blocks**kp).sum(axis=(1, 3)) * grid.cell_volume
+    # axes (cell, point in cell) per dimension; sum over the points
+    blocks = u.reshape((per_side, side_pts) * grid.dim)
+    cell_norms = (blocks**kp).sum(axis=tuple(range(1, 2 * grid.dim, 2))) * grid.cell_volume
     return float((cell_norms ** (1.0 / kp)).sum())
 
 
@@ -208,15 +206,14 @@ def _probe_candidates(rho: ScalarField, idx: SobolevIndex, probes: int, seed):
     return cands
 
 
-def _probe_norm(rho: ScalarField, idx: SobolevIndex, probes: int, seed,
-                lat: BallLattice | None) -> float:
+def _probe_norm(rho: ScalarField, idx: SobolevIndex, probes: int, seed) -> float:
     if probes <= 0:
         raise ValueError(f"probe method needs probes >= 1, got {probes}")
     grid = rho.grid
     best = 0.0
     for vals in _probe_candidates(rho, idx, probes, seed):
         g = ScalarField(grid, vals)
-        nrm = local_neg_norm(g, idx, lat)
+        nrm = local_neg_norm(g, idx)
         if nrm <= 0 or not np.isfinite(nrm):
             continue
         pairing = abs(float((rho.values * vals).sum()) * grid.cell_volume) / nrm
@@ -225,8 +222,7 @@ def _probe_norm(rho: ScalarField, idx: SobolevIndex, probes: int, seed,
 
 
 def measure_dual_norm(rho: ScalarField, idx: SobolevIndex, method: str = "amalgam",
-                      probes: int = 64, seed: int = 0,
-                      lat: BallLattice | None = None) -> float:
+                      probes: int = 64, seed: int = 0) -> float:
     """Dual norm of a measure (mass 1) or difference of measures (mass 0).
 
     ``method='amalgam'`` sums cellwise conjugate norms of the sharpened
@@ -240,14 +236,13 @@ def measure_dual_norm(rho: ScalarField, idx: SobolevIndex, method: str = "amalga
     if method == "amalgam":
         return _amalgam_norm(rho, idx)
     if method == "probe":
-        return _probe_norm(rho, idx, probes, seed, lat)
+        return _probe_norm(rho, idx, probes, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
-def measure_dual_bracket(rho: ScalarField, idx: SobolevIndex, probes: int = 64,
-                         seed: int = 0) -> dict:
+def measure_dual_bracket(rho: ScalarField, idx: SobolevIndex, seed: int = 0) -> dict:
     """Both bracket sides and their ratio, for tracking surrogate slack."""
-    lo = measure_dual_norm(rho, idx, "probe", probes=probes, seed=seed)
+    lo = measure_dual_norm(rho, idx, "probe", seed=seed)
     hi = measure_dual_norm(rho, idx, "amalgam")
     return {"probe": lo, "amalgam": hi, "ratio": hi / lo if lo > 0 else math.inf}
 
@@ -279,14 +274,8 @@ class ProbeFit:
 def _packet(grid: GridSpec, width: float, freq: float, center: float,
             phase: float) -> ScalarField:
     """Gaussian-envelope wave packet with periodic distance to the center."""
-    x = grid.coords()
-    d2 = np.zeros(grid.shape)
-    for ax in x:
-        dd = np.abs(ax - center)
-        dd = np.minimum(dd, grid.extent - dd)
-        d2 = d2 + dd**2
-    env = np.exp(-0.5 * d2 / width**2)
-    return ScalarField(grid, env * np.cos(freq * x[0] + phase))
+    env = np.exp(-0.5 * _periodic_sq_distance(grid, (center,) * grid.dim) / width**2)
+    return ScalarField(grid, env * np.cos(freq * grid.coords()[0] + phase))
 
 
 def _probe_family(grid: GridSpec, frm: SobolevIndex, probes: int, rng):

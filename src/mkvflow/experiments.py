@@ -78,7 +78,9 @@ class AdmissibilityError(ValueError):
 class ExperimentConfig:
     """One experiment and its options; ``steps`` and ``max_iter``, where
     given, must be positive ints, and the grid and kernel keys must name a
-    grid and a catalog kernel."""
+    grid and a catalog kernel.  A kernel that does not vanish must carry the
+    envelope exponent ``kernel.kappa`` equal to the admissibility exponent
+    ``kappa`` (both default to 0)."""
 
     experiment: str
     seed: int = 0
@@ -92,7 +94,11 @@ class ExperimentConfig:
         for key in ("steps", "max_iter"):
             if self.opt(key) is not None:
                 _require_positive_int(key, self.opt(key))
-        _kernel_from(self, _grid_from(self))
+        kern = _kernel_from(self, _grid_from(self))
+        kappa = float(self.opt("kappa", 0.0))
+        if not kernel_vanishes(kern) and kern.modulation.kappa != kappa:
+            raise ValueError(f"kernel.kappa = {kern.modulation.kappa:g} differs from kappa = "
+                             f"{kappa:g}: the drift envelope must match the admissibility exponent")
 
     def opt(self, key, default=None):
         for k, v in self.options:
@@ -237,22 +243,19 @@ def _require(flag: bool, name: str, detail: str):
         raise AdmissibilityError(f"{name} violated: {detail}")
 
 
-def _gate_solver(params: FlowParams):
-    info = eta_theta_params(params)
+def _gate(params: FlowParams, q: float | None = None):
+    """Refuse ``params`` outside the smoothing gap, and, when ``q`` is given,
+    outside the stability window and the transport-order window for ``q``."""
+    info = eta_theta_params(params, q=q)
     _require(info["smoothing_gap_ok"], "smoothing-gap bound eta < 1 + 2*kappa",
              f"eta={info['eta']:.3f}, kappa={params.kappa:.3f}")
-    return info
-
-
-def _gate_regularity(params: FlowParams, q: float):
-    info = eta_theta_params(params, q=q)
-    _gate_solver(params)
+    if q is None:
+        return
     _require(info["stability_window_ok"],
              "stability window eta < max(1, 1/2 + kappa) with the delta cap",
              f"eta={info['eta']:.3f}, delta={params.delta:.3f}, kappa={params.kappa:.3f}")
     _require(info["q_range_ok"], "transport-order window for q",
              f"q={q}, xi(q)={info['xi_q']:.3f}")
-    return info
 
 
 def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
@@ -385,7 +388,7 @@ def _solve_setup(cfg: ExperimentConfig, default_T=0.5, t_lo=None):
 
 def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     grid, params, kern = _solve_setup(cfg)
-    _gate_solver(params)
+    _gate(params)
     report = _report(cfg, grid)
     gamma = gaussian_density(grid, float(cfg.opt("gamma_mean", 0.0)),
                              float(cfg.opt("gamma_var", 0.04)))
@@ -414,7 +417,7 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
 
 def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     grid, params, kern = _solve_setup(cfg)
-    _gate_solver(params)
+    _gate(params)
     report = _report(cfg, grid)
     r_list = cfg.opt("r_list") or (0.02, 0.01, 0.005)
     tol = float(cfg.opt("tol", 1e-8))
@@ -438,7 +441,7 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     # subleading part of the smoothing weight bends the true norm slope away
     # from its short-time exponent (same effect as in the heat-exponent fits)
     grid, params, kern = _solve_setup(cfg, default_T=0.2, t_lo=0.02)
-    _gate_regularity(params, q=1.0)
+    _gate(params, q=1.0)
     report = _report(cfg, grid)
     r = float(cfg.opt("gamma_var", 0.002))
     h_list = cfg.opt("h_list") or (0.02, 0.05, 0.1)
@@ -485,7 +488,7 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
 
 def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     grid, params, kern = _solve_setup(cfg, t_lo=0.05)
-    _gate_regularity(params, q=1.0)
+    _gate(params, q=1.0)
     report = _report(cfg, grid)
     r = float(cfg.opt("gamma_var", 0.04))
     h = float(cfg.opt("gamma_shift", 0.1))
@@ -586,13 +589,9 @@ def emit_report(report: RunReport, out_dir, name: str = "report",
     written = []
     if "csv" in formats:
         path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            # labels such as "norm(delta=1, k=2)" carry commas; csv quotes them
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(_REPORT_HEADER)
-            for r in report.rows:
-                wr.writerow([r.quantity, f"{r.theory:.17g}", f"{r.measured:.17g}",
-                             f"{r.tol:.17g}", str(r.passed).lower()])
+        # labels such as "norm(delta=1, k=2)" carry commas; csv quotes them
+        write_csv_rows(path, _REPORT_HEADER,
+                       [(r.quantity, r.theory, r.measured, r.tol, r.passed) for r in report.rows])
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{name}.json")

@@ -86,23 +86,24 @@ def read_flow(path) -> MeasureFlow:
 def flow_density_table(flow: MeasureFlow, path):
     """Per-time CSV density table: columns t, x[, y], density."""
     coords = [c.ravel() for c in flow.grid.coords()]
-    with _create(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", *"xy"[: flow.grid.dim], "density"])
-        for t, rho in zip(flow.times, flow.densities):
-            for *xs, v in zip(*coords, rho.values.ravel()):
-                wr.writerow([f"{t:.12g}", *(f"{x:.12g}" for x in xs), f"{v:.17g}"])
+    write_csv_rows(path, ["t", *"xy"[: flow.grid.dim], "density"],
+                   ([f"{t:.12g}", *(f"{x:.12g}" for x in xs), v]
+                    for t, rho in zip(flow.times, flow.densities)
+                    for *xs, v in zip(*coords, rho.values.ravel())))
 
 
 def write_csv_rows(path, header, rows):
+    """The package's one CSV dialect: lines end in ``\n``, floats are written
+    in ``.17g`` and booleans as ``true``/``false``; other values as given."""
     with _create(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+        wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+        wr.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _fmt(v):
+    if isinstance(v, bool):
+        return str(v).lower()
     if isinstance(v, float):
         return f"{v:.17g}"
     return v

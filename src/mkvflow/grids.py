@@ -225,13 +225,18 @@ class VectorField:
         self.components = components
 
     def magnitude(self) -> np.ndarray:
-        out = self.components[0] ** 2
-        for c in self.components[1:]:
-            out = out + c**2
-        return np.sqrt(out)
+        return _magnitude(self.components)
 
     def sup_norm(self) -> float:
         return float(self.magnitude().max())
+
+
+def _magnitude(components) -> np.ndarray:
+    """Pointwise Euclidean norm of a sequence of component arrays."""
+    out = components[0] ** 2
+    for c in components[1:]:
+        out = out + c**2
+    return np.sqrt(out)
 
 
 def _apply_half(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -244,9 +249,18 @@ def _apply_half(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return irfft(rfft(values) * mult, values.shape)
 
 
-def _check_resolution(grid: GridSpec, t: float):
-    """Flag heat times whose Gaussian std is under ~2 grid cells."""
-    return math.sqrt(t) < _RESOLUTION_CELLS * grid.spacing
+def _heat_multiplier(grid: GridSpec, t: float) -> np.ndarray:
+    """``exp(-t |xi|^2 / 2)`` on the real-FFT half lattice of ``grid``.
+
+    Raises ``ValueError`` unless ``t`` is positive and finite; warns when the
+    Gaussian std is under ``_RESOLUTION_CELLS`` grid cells.
+    """
+    if not (t > 0 and np.isfinite(t)):
+        raise ValueError(f"heat time must be positive and finite, got {t}")
+    if math.sqrt(t) < _RESOLUTION_CELLS * grid.spacing:
+        warnings.warn(f"heat kernel under-resolved: std {math.sqrt(t):.3g} < "
+                      f"{_RESOLUTION_CELLS:g} * spacing {grid.spacing:.3g}", stacklevel=3)
+    return np.exp(-0.5 * t * rfft_wavenumbers(grid)[1])
 
 
 def heat_apply(f: ScalarField, t: float) -> ScalarField:
@@ -262,23 +276,13 @@ def heat_apply(f: ScalarField, t: float) -> ScalarField:
         If ``t <= 0``.  Very small positive ``t`` (std below two cells) only
         warns, since operator-norm probes sweep small times on purpose.
     """
-    if not (t > 0 and np.isfinite(t)):
-        raise ValueError(f"heat time must be positive and finite, got {t}")
-    mult = np.exp(-0.5 * t * rfft_wavenumbers(f.grid)[1])
-    if _check_resolution(f.grid, t):
-        warnings.warn(f"heat kernel under-resolved: std {math.sqrt(t):.3g} < "
-                      f"{_RESOLUTION_CELLS:g} * spacing {f.grid.spacing:.3g}", stacklevel=2)
-    return ScalarField(f.grid, _apply_half(f.values, mult))
+    return ScalarField(f.grid, _apply_half(f.values, _heat_multiplier(f.grid, t)))
 
 
 def heat_gradient(f: ScalarField, t: float) -> VectorField:
     """Gradient of the heat-evolved field, multiplier ``i xi exp(-t|xi|^2/2)``."""
-    if not (t > 0 and np.isfinite(t)):
-        raise ValueError(f"heat time must be positive and finite, got {t}")
-    ixi, xi_sq = rfft_wavenumbers(f.grid)
-    spec = rfft(f.values) * np.exp(-0.5 * t * xi_sq)
-    if _check_resolution(f.grid, t):
-        warnings.warn(f"heat kernel under-resolved at t={t:.3g}", stacklevel=2)
+    spec = rfft(f.values) * _heat_multiplier(f.grid, t)
+    ixi = rfft_wavenumbers(f.grid)[0]
     return VectorField(f.grid, [irfft(ik * spec, f.grid.shape) for ik in ixi])
 
 
@@ -327,19 +331,16 @@ def bessel_apply(f: ScalarField, r: float, mode: str = "spectral",
     """
     if r < 0:
         raise ValueError(f"Bessel order must be nonnegative, got {r}")
-    xi_sq = rfft_wavenumbers(f.grid)[1]
     if mode == "spectral":
-        if r == 0:
-            return f.copy()
-        mult = (1.0 + xi_sq) ** (-r)
-    elif mode == "gamma_quadrature":
-        if r == 0:
-            raise ValueError("gamma_quadrature mode requires r > 0")
-        s, w = _exp_sinh_nodes(r, nodes)
-        # sum_i w_i exp(-s_i |xi|^2): heat_apply(., 2 s_i) stacked in one pass
-        mult = np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
-    else:
+        return _bessel_power(f, -r)
+    if mode != "gamma_quadrature":
         raise ValueError(f"unknown bessel mode {mode!r}")
+    if r == 0:
+        raise ValueError("gamma_quadrature mode requires r > 0")
+    s, w = _exp_sinh_nodes(r, nodes)
+    # sum_i w_i exp(-s_i |xi|^2): heat_apply(., 2 s_i) stacked in one pass
+    xi_sq = rfft_wavenumbers(f.grid)[1]
+    mult = np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
     return ScalarField(f.grid, _apply_half(f.values, mult))
 
 
@@ -347,10 +348,14 @@ def bessel_sharpen(f: ScalarField, r: float) -> ScalarField:
     """Inverse Bessel smoothing, multiplier ``(1+|xi|^2)^{+r}`` (band-limited)."""
     if r < 0:
         raise ValueError(f"order must be nonnegative, got {r}")
-    if r == 0:
+    return _bessel_power(f, r)
+
+
+def _bessel_power(f: ScalarField, s: float) -> ScalarField:
+    """Apply the multiplier ``(1+|xi|^2)^s``; a copy of ``f`` at ``s = 0``."""
+    if s == 0:
         return f.copy()
-    mult = (1.0 + rfft_wavenumbers(f.grid)[1]) ** r
-    return ScalarField(f.grid, _apply_half(f.values, mult))
+    return ScalarField(f.grid, _apply_half(f.values, (1.0 + rfft_wavenumbers(f.grid)[1]) ** s))
 
 
 def field_derivative(f: ScalarField, order) -> ScalarField:
@@ -406,15 +411,10 @@ def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,
     return f
 
 
-def grid_delta(grid: GridSpec, center=0.0) -> ScalarField:
-    """Unit-mass spike at the grid point nearest ``center`` (sharp Dirac proxy)."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size == 1:
-        center = np.repeat(center, grid.dim)
-    x = grid.axis_coords()
-    idx = tuple(int(np.argmin(np.abs(x - c))) for c in center[: grid.dim])
+def grid_delta(grid: GridSpec) -> ScalarField:
+    """Unit-mass spike at the origin, grid index ``n/2`` on each axis (sharp Dirac proxy)."""
     vals = np.zeros(grid.shape)
-    vals[idx] = 1.0 / grid.cell_volume
+    vals[(grid.points_per_dim // 2,) * grid.dim] = 1.0 / grid.cell_volume
     return ScalarField(grid, vals)
 
 

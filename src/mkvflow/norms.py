@@ -21,6 +21,7 @@ from .grids import (
     GridSpec,
     ScalarField,
     VectorField,
+    _magnitude,
     _periodic_sq_distance,
     bessel_apply,
     bessel_sharpen,
@@ -112,12 +113,8 @@ def _windowed_power_sums(grid: GridSpec, power_values: np.ndarray) -> np.ndarray
 
 def _smoothed_magnitude(f, idx: SobolevIndex) -> np.ndarray:
     if isinstance(f, VectorField):
-        comps = [bessel_apply(ScalarField(f.grid, c), idx.delta / 2.0).values
-                 for c in f.components]
-        out = comps[0] ** 2
-        for c in comps[1:]:
-            out = out + c**2
-        return np.sqrt(out)
+        return _magnitude([bessel_apply(ScalarField(f.grid, c), idx.delta / 2.0).values
+                           for c in f.components])
     return np.abs(bessel_apply(f, idx.delta / 2.0).values)
 
 

@@ -13,7 +13,7 @@ is ``kernels.drift_map`` of the ensemble histogram, built once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,10 +248,13 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     errors at the checkpoint times, the L1 error of a density estimate with
     bandwidth four grid cells; rows are (N, seed, t, W1, L1) and the
     summary carries mean and standard deviation per N.  Seed failures
-    propagate as diagnostics while the other seeds continue.
+    propagate as diagnostics while the other seeds continue.  The particles
+    must run on the flow's grid.
     """
     if cfg.grid.dim != 1:
         raise ValueError("study implemented for dim=1")
+    if cfg.grid != pde_flow.grid:
+        raise ValueError(f"particles run on {cfg.grid}, the flow lives on {pde_flow.grid}")
     checkpoints = cfg.checkpoints or (cfg.T,)
     flow_at = {}
     for t in checkpoints:
@@ -264,10 +267,7 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     failures = []
 
     def run_one(N, rep):
-        run_cfg = SimConfig(grid=cfg.grid, dt=cfg.dt, T=cfg.T,
-                            seed=cfg.seed + 1000 * rep, kernel=cfg.kernel,
-                            initial=cfg.initial, drift_mode=cfg.drift_mode,
-                            checkpoints=tuple(checkpoints))
+        run_cfg = replace(cfg, seed=cfg.seed + 1000 * rep, checkpoints=tuple(checkpoints))
         snaps = simulate_particles(run_cfg, N)
         out = []
         for ens in snaps:

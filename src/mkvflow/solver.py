@@ -56,10 +56,6 @@ GRADING = 1.5
 class DegradedAccuracyError(RuntimeError):
     """Quadrature produced more negative mass than the density tolerance."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class NoContractionError(RuntimeError):
     """Three successive Picard distance ratios were at or above one."""
@@ -382,9 +378,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
         if slot is not None:
             densities[slot] = ScalarField(grid, _clip_output(rho.copy(), grid, log))
     if log["clip_mass"] > 1e-3:
-        raise DegradedAccuracyError(
-            f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3",
-            diagnostics={**log, "steps": steps})
+        raise DegradedAccuracyError(f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3")
     return MeasureFlow(out_times, densities, gamma, meta=log)
 
 
@@ -528,8 +522,5 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     inner = replace(params, T=params.T + r, time_grid=shifted_times)
     flow, report = picard_solve(gamma0, drift, inner, tol=tol, max_iter=max_iter,
                                 steps=steps, graded_from=r)
-    out = MeasureFlow(np.asarray(params.time_grid), flow.densities[1:],
-                      flow.densities[0], meta=dict(flow.meta))
-    out.meta["shift"] = r
-    out.meta["report"] = report
-    return out
+    return MeasureFlow(np.asarray(params.time_grid), flow.densities[1:],
+                       flow.densities[0], meta={**flow.meta, "report": report})

@@ -166,7 +166,7 @@ class TestTimeShiftConsistency:
         kern = KernelSpec(RieszOrder((0.2,), 0, 1.0), 4 * grid.spacing**2,
                           TimeModulation(kappa=0.75))
         r = 0.05
-        gamma0 = grid_delta(grid, 0.0)
+        gamma0 = grid_delta(grid)
         shifted = time_shift_solve(gamma0, r, kern, params, tol=1e-10, steps=600)
         plain, _ = picard_solve(heat_apply(gamma0, r), kern, params,
                                 tol=1e-10, steps=600)

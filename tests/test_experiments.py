@@ -96,6 +96,38 @@ class TestConfig:
         assert a.digest != b.digest
 
 
+@pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.cfg"))
+                         + sorted(REPO.glob("perfbench/*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_constructs(path):
+    # parse_config builds the ExperimentConfig, envelope-exponent rule included;
+    # the zero-kernel configs set kappa without kernel.kappa
+    assert isinstance(parse_config(path.read_text()), ExperimentConfig)
+
+
+class TestKernelEnvelope:
+    # the shipped contraction config with its drift envelope t^kappa dropped
+    @pytest.mark.parametrize("replacement", ["kernel.kappa = 0.0", ""],
+                             ids=["zero", "missing"])
+    def test_envelope_must_match_kappa(self, replacement):
+        text = (REPO / "configs/contraction.cfg").read_text()
+        assert "kernel.kappa = 0.75" in text
+        with pytest.raises(ValueError, match="kernel.kappa = 0 differs from kappa = 0.75"):
+            parse_config(text.replace("kernel.kappa = 0.75", replacement))
+
+    def test_cli_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        text = (REPO / "configs/contraction.cfg").read_text()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("kernel.kappa = 0.75", "kernel.kappa = 0.0"))
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mkvflow experiment: error: kernel.kappa = 0 differs")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestAdmissibilityGate:
     def test_solve_refuses_inadmissible(self):
         cfg = ExperimentConfig("solve", options=(
@@ -577,6 +609,19 @@ class TestCli:
         assert sweep[0.0] == max(rep.contraction_ratios[:4])
 
     def test_readme_cli_lines(self, tmp_path, monkeypatch, capsys):
+        self.run_readme_block(tmp_path, monkeypatch, capsys)
+
+    def test_readme_cli_csvs_end_lines_in_newline(self, tmp_path, monkeypatch, capsys):
+        self.run_readme_block(tmp_path, monkeypatch, capsys)
+        paths = sorted((tmp_path / "out").glob("*.csv"))
+        # the kernel study, the solve report and its density table, the
+        # experiment report, and the particle report with its error table
+        assert len(paths) == 6
+        for path in paths:
+            assert b"\r" not in path.read_bytes(), path.name
+
+    @staticmethod
+    def run_readme_block(tmp_path, monkeypatch, capsys):
         # every command of the sh block under README's "## CLI" heading, with
         # out/ in a temporary directory and <hash> resolved from what exists
         text = (REPO / "README.md").read_text()

@@ -100,6 +100,15 @@ class TestHeatApply:
         with pytest.warns(UserWarning, match="under-resolved"):
             heat_apply(f, tiny)
 
+    @pytest.mark.parametrize("op", [heat_apply, heat_gradient], ids=lambda op: op.__name__)
+    def test_under_resolved_warning_names_the_caller(self, op):
+        f = gaussian_density(GRID1, 0.0, 0.04)
+        with pytest.warns(UserWarning) as record:
+            op(f, (0.5 * GRID1.spacing) ** 2)
+        (w,) = record
+        assert str(w.message) == "heat kernel under-resolved: std 0.00781 < 2 * spacing 0.0156"
+        assert w.filename == __file__
+
 
 class TestHeatGradient:
     def test_constant_has_zero_gradient(self):
@@ -313,6 +322,13 @@ class TestHelpers:
     def test_grid_delta_mass(self):
         d = grid_delta(GRID1)
         assert d.mass() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("grid", [GRID1, GridSpec(2, 64, 8.0)], ids=["1d", "2d"])
+    def test_grid_delta_sits_at_the_origin(self, grid):
+        d = grid_delta(grid)
+        (idx,) = np.argwhere(d.values)
+        assert tuple(idx) == (grid.points_per_dim // 2,) * grid.dim
+        assert all(abs(c[tuple(idx)]) < 1e-12 for c in grid.coords())
 
     def test_delta_heated_is_gaussian(self):
         d = grid_delta(GRID1)

@@ -210,6 +210,12 @@ class TestChaosStudy:
         assert abs(slope - (-0.5)) < 0.15
         assert not study["failures"]
 
+    def test_flow_on_another_grid_is_rejected(self, heat_flow):
+        cfg = SimConfig(grid=GridSpec(1, 1024, 8.0), dt=0.025, T=0.5, seed=11, kernel=None,
+                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.5,))
+        with pytest.raises(ValueError, match="flow lives on"):
+            chaos_convergence_study(cfg, [250], heat_flow, repeats=1)
+
     def test_deterministic_table(self, heat_flow):
         cfg = SimConfig(grid=GRID, dt=0.025, T=0.5, seed=11, kernel=None,
                         initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.5,))

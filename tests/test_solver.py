@@ -425,7 +425,7 @@ class TestTimeShiftSolve:
 
     def test_heat_leg_from_spike(self):
         params = params_for()
-        gamma0 = grid_delta(GRID, 0.0)
+        gamma0 = grid_delta(GRID)
         shifted = time_shift_solve(gamma0, 0.05, small_kernel(), params, steps=300)
         expect = gaussian_density(GRID, 0.0, 0.05)
         assert np.abs(shifted.initial.values - expect.values).max() < 1e-6
@@ -435,7 +435,7 @@ class TestTimeShiftSolve:
         params = params_for()
         kern = small_kernel()
         r = 0.05
-        gamma0 = grid_delta(GRID, 0.0)
+        gamma0 = grid_delta(GRID)
         shifted = time_shift_solve(gamma0, r, kern, params, tol=1e-10, steps=600)
         plain, _ = picard_solve(heat_apply(gamma0, r), kern, params,
                                 tol=1e-10, steps=600)
@@ -447,7 +447,7 @@ class TestTimeShiftSolve:
         # the per-step physical drift, wrapped as a callable, is the reference
         params = params_for()
         spec = small_kernel()
-        gamma0 = grid_delta(GRID, 0.0)
+        gamma0 = grid_delta(GRID)
         calls = []
 
         def counted(*args, **kw):
@@ -468,7 +468,7 @@ class TestTimeShiftSolve:
     def test_nemytskii_shift_equals_callable(self):
         spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),),
                              TimeModulation(kappa=0.75))
-        gamma0 = grid_delta(GRID, 0.0)
+        gamma0 = grid_delta(GRID)
         a = time_shift_solve(gamma0, 0.02, spec, params_for(), steps=200)
         b = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_field(spec, rho, t),
                              params_for(), steps=200)

@@ -116,28 +116,31 @@ class GridSpec:
         return np.hypot.reduce(self._lattice(np.minimum(np.abs(x), self.extent - np.abs(x))))
 
 
-def rfft(values: np.ndarray) -> np.ndarray:
-    """Real-FFT half-lattice spectrum of grid values, over all their axes.
+def rfft(values: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Real-FFT half-lattice spectrum over the last ``dim`` axes (default: all).
 
-    ``rfft`` and ``irfft`` run ``scipy.fft`` on one thread: its 1-d entry
-    points on 1-d grids, cheaper per call than ``rfftn``/``irfftn`` and
-    bit-identical to them, and the n-d ones on 2-d grids.  Each is looked
-    up on the ``scipy.fft`` module at call time, never through a name bound
-    at import, so that a wrapper installed on the module's attributes (a
-    transform counter, say) sees every transform.
+    Leading axes index a stack of fields.  ``rfft`` and ``irfft`` run
+    ``scipy.fft`` on one thread: its 1-d entry points on 1-d grids, cheaper
+    per call than ``rfftn``/``irfftn`` and bit-identical to them, and the n-d
+    ones on 2-d grids.  Each is looked up on the ``scipy.fft`` module at call
+    time, never through a name bound at import, so that a wrapper installed
+    on the module's attributes (a transform counter, say) sees every transform.
     """
-    return (fft.rfft if values.ndim == 1 else fft.rfftn)(values, workers=1)
+    dim = dim or values.ndim
+    if dim == 1:
+        return fft.rfft(values, axis=-1, workers=1)
+    return fft.rfftn(values, axes=tuple(range(-dim, 0)), workers=1)
 
 
 def irfft(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     """Real grid values of shape ``shape`` from their half-lattice spectrum.
 
-    ``shape`` is passed to the transform, so the last axis is never guessed
-    from the half-lattice length.  See ``rfft`` for the entry points.
+    Leading axes index a stack.  ``shape`` is passed to the transform, so the
+    last axis is never guessed from the half-lattice length.  See ``rfft``.
     """
     if len(shape) == 1:
-        return fft.irfft(spectrum, n=shape[0], workers=1)
-    return fft.irfftn(spectrum, s=shape, workers=1)
+        return fft.irfft(spectrum, n=shape[0], axis=-1, workers=1)
+    return fft.irfftn(spectrum, s=shape, axes=tuple(range(-len(shape), 0)), workers=1)
 
 
 @functools.lru_cache(maxsize=64)

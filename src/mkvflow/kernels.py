@@ -405,7 +405,8 @@ def drift_map(spec, grid: GridSpec):
     returns the periodic convolutions.  For a ``NemytskiiSpec`` they are the
     derivative multipliers of the stack (rho, grad rho, ...) and the map is
     the family's ``F``, its parameters checked here.  Both are built once;
-    the returned function validates nothing.
+    the returned function validates nothing.  Leading axes of ``values``
+    beyond the grid's index a stack of densities.
 
     Raises
     ------
@@ -424,7 +425,7 @@ def drift_map(spec, grid: GridSpec):
     def drift(values: np.ndarray) -> list:
         fields = []
         if mults:
-            spectrum = rfft(values)
+            spectrum = rfft(values, grid.dim)
             fields = [irfft(m * spectrum, grid.shape) for m in mults]
         return fields if F is None else F([values] + fields)
     return drift

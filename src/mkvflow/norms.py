@@ -21,15 +21,15 @@ from .grids import (
     GridSpec,
     ScalarField,
     VectorField,
+    _heat_multiplier,
     _magnitude,
     _periodic_sq_distance,
     bessel_apply,
     bessel_sharpen,
-    heat_apply,
-    heat_gradient,
     irfft,
     random_band_limited,
     rfft,
+    rfft_wavenumbers,
 )
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 BALL_RADIUS = 1.0
+_PROBE_BLOCK = 16  # rows per stacked probe evaluation
 
 
 def _inv(x: float) -> float:
@@ -106,38 +107,41 @@ def _ball_spectrum(grid: GridSpec) -> np.ndarray:
 
 
 def _windowed_power_sums(grid: GridSpec, power_values: np.ndarray) -> np.ndarray:
-    """Integral of ``power_values`` over the unit ball around every grid point."""
-    conv = irfft(rfft(power_values) * _ball_spectrum(grid), grid.shape)
+    """Integral of ``power_values`` (a field or a stack) over each grid point's unit ball."""
+    conv = irfft(rfft(power_values, grid.dim) * _ball_spectrum(grid), grid.shape)
     return np.maximum(conv, 0.0) * grid.cell_volume
 
 
-def _smoothed_magnitude(f, idx: SobolevIndex) -> np.ndarray:
-    if isinstance(f, VectorField):
-        return _magnitude([bessel_apply(ScalarField(f.grid, c), idx.delta / 2.0).values
-                           for c in f.components])
-    return np.abs(bessel_apply(f, idx.delta / 2.0).values)
+def _windowed_sups(grid: GridSpec, g: np.ndarray, idx: SobolevIndex, lat: BallLattice) -> list:
+    """``sup_z ||1_{B(z,1)} g||_{L^k}`` of each field in the stack ``g >= 0``.
+
+    For finite k one FFT convolution with the ball indicator gives the
+    windowed integrals at all grid centers and the lattice picks a subsample;
+    for k = inf every point lies in some ball: the sup is the global sup.
+    """
+    if math.isinf(idx.k):
+        return list(g.reshape(len(g), -1).max(axis=1))
+    sub = (slice(None),) + (slice(None, None, lat.stride(grid)),) * grid.dim
+    sums = _windowed_power_sums(grid, g**idx.k)[sub]
+    return [m ** (1.0 / idx.k) for m in sums.reshape(len(g), -1).max(axis=1)]
 
 
 def local_neg_norm(f, idx: SobolevIndex, lat: BallLattice | None = None) -> float:
     """Windowed norm ``sup_z ||1_{B(z,1)} (1-Lap)^{-delta/2} f||_{L^k}``.
 
     Vector fields are smoothed componentwise and measured through the
-    Euclidean magnitude.  For finite k the windowed integrals at all grid
-    centers come from one FFT convolution with the ball indicator and the
-    lattice picks a subsample; for k = inf every point is covered by some
-    ball, so the windowed sup equals the global sup.
+    Euclidean magnitude; the sup over centers is ``_windowed_sups`` of one
+    field.
     """
-    lat = lat or BallLattice()
     grid = f.grid
     if grid.extent <= 2 * BALL_RADIUS:
         raise ValueError(f"torus extent {grid.extent} too small for unit-ball windows")
-    g = _smoothed_magnitude(f, idx)
-    if math.isinf(idx.k):
-        return float(g.max())
-    stride = lat.stride(grid)
-    sums = _windowed_power_sums(grid, g**idx.k)
-    sub = sums[(slice(None, None, stride),) * grid.dim]
-    return float(sub.max() ** (1.0 / idx.k))
+    if isinstance(f, VectorField):
+        g = _magnitude([bessel_apply(ScalarField(grid, c), idx.delta / 2.0).values
+                        for c in f.components])
+    else:
+        g = np.abs(bessel_apply(f, idx.delta / 2.0).values)
+    return float(_windowed_sups(grid, g[None], idx, lat or BallLattice())[0])
 
 
 def sup_comparison_constant(idx: SobolevIndex, dim: int) -> float:
@@ -268,15 +272,15 @@ class ProbeFit:
                 for t, v in zip(self.t_values, self.estimates)]
 
 
-def _packet(grid: GridSpec, width: float, freq: float, center: float,
-            phase: float) -> ScalarField:
-    """Gaussian-envelope wave packet with periodic distance to the center."""
+def _packets(grid: GridSpec, params) -> np.ndarray:
+    """Gaussian-envelope wave packets, one per (width, freq, center, phase) row."""
+    width, freq, center, phase = np.reshape(params, (-1, 4) + (1,) * grid.dim).swapaxes(0, 1)
     env = np.exp(-0.5 * _periodic_sq_distance(grid, (center,) * grid.dim) / width**2)
-    return ScalarField(grid, env * np.cos(freq * grid.coords()[0] + phase))
+    return env * np.cos(freq * grid.coords()[0] + phase)
 
 
-def _probe_family(grid: GridSpec, frm: SobolevIndex, probes: int, rng):
-    """Base inputs spanning the unit ball's extreme directions.
+def _probe_family(grid: GridSpec, probes: int, rng) -> np.ndarray:
+    """Base inputs spanning the unit ball's extreme directions, stacked.
 
     Shaped band-limited noise alone biases the fitted slope whenever the
     extremizer is a scale-matched packet (notably the gradient and the
@@ -284,26 +288,22 @@ def _probe_family(grid: GridSpec, frm: SobolevIndex, probes: int, rng):
     over a log-grid of widths and frequencies and a constant field.
     """
     n = grid.points_per_dim
-    fields = [ScalarField(grid, np.ones(grid.shape))]
     n_noise = max(6, probes // 2)
     bands = np.unique(np.geomspace(1, n // 2, 7).astype(int))
-    for j in range(n_noise):
-        w = random_band_limited(grid, int(bands[j % len(bands)]), rng)
-        fields.append(bessel_sharpen(w, frm.delta / 2.0))
+    fields = [np.ones(grid.shape)] + [
+        random_band_limited(grid, int(bands[j % len(bands)]), rng).values
+        for j in range(n_noise)]
     xi_max = math.pi / grid.spacing
     widths = np.geomspace(4 * grid.spacing, grid.extent / 8.0, 5)
     freqs = np.concatenate([[0.0], np.geomspace(2.0 * math.pi / grid.extent,
                                                 0.5 * xi_max, 6)])
-    for s in widths:
-        for q in freqs:
-            pk = _packet(grid, s, q, rng.uniform(-grid.extent / 4, grid.extent / 4),
-                         rng.uniform(0, 2 * math.pi))
-            fields.append(bessel_sharpen(pk, frm.delta / 2.0))
-    return fields
+    params = [(s, q, rng.uniform(-grid.extent / 4, grid.extent / 4),
+               rng.uniform(0, 2 * math.pi)) for s in widths for q in freqs]
+    return np.concatenate([fields, _packets(grid, params)])
 
 
-def _matched_packets(grid: GridSpec, frm: SobolevIndex, t: float):
-    """Packets tuned to the diffusive scale sqrt(t), deterministic.
+def _matched_packets(grid: GridSpec, t: float) -> np.ndarray:
+    """Packets tuned to the diffusive scale sqrt(t), deterministic, stacked.
 
     The heat operator norm between windowed indices is attained (up to
     constants) by inputs concentrated at width ~ sqrt(t) or oscillating at
@@ -313,15 +313,23 @@ def _matched_packets(grid: GridSpec, frm: SobolevIndex, t: float):
     nothing; two carrier phases cover grid alignment.
     """
     rt = math.sqrt(t)
-    fields = []
-    for s in (0.25 * rt, 0.4 * rt, 0.65 * rt, 1.0 * rt, 1.6 * rt):
-        if s < grid.spacing or s > grid.extent / 4:
-            continue
-        for q in (0.0, 0.5 / rt, 0.8 / rt, 1.2 / rt, 1.8 / rt):
-            for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi)):
-                pk = _packet(grid, s, q, 0.0, phase)
-                fields.append(bessel_sharpen(pk, frm.delta / 2.0))
-    return fields
+    params = [(s, q, 0.0, phase)
+              for s in (0.25 * rt, 0.4 * rt, 0.65 * rt, 1.0 * rt, 1.6 * rt)
+              if grid.spacing <= s <= grid.extent / 4
+              for q in (0.0, 0.5 / rt, 0.8 / rt, 1.2 / rt, 1.8 / rt)
+              for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi))]
+    return _packets(grid, params)
+
+
+def _probe_norms(grid: GridSpec, spectra: np.ndarray, mults, idx: SobolevIndex) -> np.ndarray:
+    """Per row of ``spectra``, the windowed sup of ``|(irfft(spectra * m) for m in mults)|``."""
+    norms = []
+    for lo in range(0, len(spectra), _PROBE_BLOCK):
+        g = _magnitude([irfft(spectra[lo:lo + _PROBE_BLOCK] * m, grid.shape) for m in mults])
+        if not np.all(np.isfinite(g)):
+            raise ValueError("field values must be finite")
+        norms += _windowed_sups(grid, g, idx, BallLattice())
+    return np.array(norms)
 
 
 def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
@@ -330,8 +338,9 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
     """Fit the time exponent of the heat operator norm between two indices.
 
     For each t the operator norm is estimated from below by maximizing the
-    output/input norm ratio over the probe family; the log-log slope across
-    ``t_grid`` is fitted by least squares.
+    output/input norm ratio over the probes ``(1-Lap)^{frm.delta/2} f``, of
+    input norm that of ``|f|``, each output one multiplier product on the
+    spectrum; the log-log slope across ``t_grid`` is fitted by least squares.
 
     Preconditions: ``to.delta <= frm.delta``, ``frm.k <= to.k`` and a time
     grid spanning at least 1.5 decades.
@@ -346,26 +355,25 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
     if t_grid[-1] / t_grid[0] < 10**1.5:
         raise ValueError("time grid must span at least 1.5 decades")
     grid = grid or GridSpec(1, 2048, 16.0)
-    rng = np.random.default_rng(seed)
-    family = _probe_family(grid, frm, probes, rng)
-    in_norms = [local_neg_norm(f, frm) for f in family]
+    ixi, xi_sq = rfft_wavenumbers(grid)
+    bessel = (1.0 + xi_sq) ** ((frm.delta - to.delta) / 2.0)  # sharpen, then smooth
+    out_comps = [bessel] if i == 0 else [bessel * ik for ik in ixi]
+    family = rfft(_probe_family(grid, probes, np.random.default_rng(seed)), grid.dim)
+    family_in = _probe_norms(grid, family, [1.0], frm)
     estimates = np.empty_like(t_grid)
     n_probes = len(family)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small-t probes are intentional
         for j, t in enumerate(t_grid):
-            matched = _matched_packets(grid, frm, t)
+            mults = [_heat_multiplier(grid, t) * m for m in out_comps]
+            matched = rfft(_matched_packets(grid, t), grid.dim)
             n_probes = max(n_probes, len(family) + len(matched))
             best = 0.0
-            for f, nin in zip(family + matched,
-                              in_norms + [local_neg_norm(f, frm) for f in matched]):
-                if nin <= 1e-12:
-                    continue
-                if i == 0:
-                    out = heat_apply(f, t)
-                else:
-                    out = heat_gradient(f, t)
-                best = max(best, local_neg_norm(out, to) / nin)
+            for spectra, nin in ((family, family_in),
+                                 (matched, _probe_norms(grid, matched, [1.0], frm))):
+                live = nin > 1e-12
+                ratios = _probe_norms(grid, spectra[live], mults, to) / nin[live]
+                best = max(best, np.max(ratios, initial=0.0))
             estimates[j] = best
     slope, intercept = np.polyfit(np.log(t_grid), np.log(estimates), 1)
     return ProbeFit(float(slope), float(intercept), t_grid, estimates,

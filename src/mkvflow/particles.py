@@ -7,7 +7,8 @@ reproducible independently of how many particles run alongside it.  A run
 realizes those streams with one Philox generator that it re-keys to
 ``[seed, index]`` (counter 0) per particle; the draws are bit-identical to a
 fresh ``Generator(Philox(key=[seed, index]))`` per particle.  The binned drift
-is ``kernels.drift_map`` of the ensemble histogram, built once per run.
+is ``kernels.drift_map`` of the ensemble histogram, built once per run.  The
+study batches the particle counts of one seed, which share one draw.
 """
 
 from __future__ import annotations
@@ -126,55 +127,68 @@ def _sample_initial(cfg: SimConfig, N: int, rng) -> np.ndarray:
     raise TypeError(f"unsupported initial sampler {type(init).__name__}")
 
 
+def _flat_index(cols, n: int) -> np.ndarray:
+    """C-order flat index of per-axis cell indices modulo n, a power of two."""
+    k = cols[0] & (n - 1)
+    for c in cols[1:]:
+        k = k * n + (c & (n - 1))
+    return k
+
+
+def _histograms(s: np.ndarray, grid: GridSpec, ens: np.ndarray) -> np.ndarray:
+    """Unit-mass nearest-point histograms ``(E, *shape)`` of ensembles ``ens`` at cells ``s``."""
+    counts = np.bincount(ens)
+    flat = (_flat_index(np.floor(s + 0.5).astype(int).T, grid.points_per_dim)
+            + ens * grid.num_points)
+    vals = np.bincount(flat, minlength=counts.size * grid.num_points).reshape((-1,) + grid.shape)
+    return vals / (counts * grid.cell_volume).reshape((-1,) + (1,) * grid.dim)
+
+
 def _bin_positions(positions: np.ndarray, grid: GridSpec) -> ScalarField:
     """Histogram of the ensemble as a unit-mass grid density."""
-    L, h = grid.extent, grid.spacing
-    idx = np.floor((positions + 0.5 * L) / h + 0.5).astype(int)
-    # nearest grid point, taken modulo n per axis (index n wraps to 0)
-    flat = np.ravel_multi_index(tuple(idx.T), grid.shape, mode="wrap")
-    vals = np.bincount(flat, minlength=grid.num_points).reshape(grid.shape)
-    return ScalarField(grid, vals / (positions.shape[0] * grid.cell_volume))
+    s = (positions + 0.5 * grid.extent) / grid.spacing
+    return ScalarField(grid, _histograms(s, grid, np.zeros(len(positions), dtype=int))[0])
 
 
-def _interp_field(values: np.ndarray, grid: GridSpec, positions: np.ndarray) -> np.ndarray:
-    """Periodic linear interpolation of a grid field at particle positions."""
-    n, L, h = grid.points_per_dim, grid.extent, grid.spacing
-    s = (positions + 0.5 * L) / h
-    i0 = np.floor(s).astype(int)
-    w = s - i0
-    if grid.dim == 1:
-        a, b = i0[:, 0] % n, (i0[:, 0] + 1) % n
-        return values[a] * (1 - w[:, 0]) + values[b] * w[:, 0]
-    ax, bx = i0[:, 0] % n, (i0[:, 0] + 1) % n
-    ay, by = i0[:, 1] % n, (i0[:, 1] + 1) % n
-    wx, wy = w[:, 0], w[:, 1]
-    return (values[ax, ay] * (1 - wx) * (1 - wy) + values[bx, ay] * wx * (1 - wy)
-            + values[ax, by] * (1 - wx) * wy + values[bx, by] * wx * wy)
+def _interp_field(values: np.ndarray, grid: GridSpec, s: np.ndarray, base=0) -> np.ndarray:
+    """Periodic linear interpolation at cells ``s`` of fields read flat from ``base``."""
+    cell = np.floor(s)
+    w = s - cell
+    weight = (1 - w, w)
+    i0 = cell.astype(int)
+    index = (i0, i0 + 1)
+    out = None
+    for corner in (c[::-1] for c in np.ndindex((2,) * grid.dim)):  # first axis fastest
+        cols = [index[c][:, j] for j, c in enumerate(corner)]
+        term = values.ravel()[_flat_index(cols, grid.points_per_dim) + base]
+        for j, c in enumerate(corner):
+            term = term * weight[c][:, j]
+        out = term if out is None else out + term
+    return out
 
 
 def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
-                     kern_field, convolve) -> np.ndarray:
-    """Mean-field drift at each particle from the empirical measure."""
+                     kern_field, convolve, ens: np.ndarray) -> np.ndarray:
+    """Mean-field drift at each particle from the empirical measure of its ensemble."""
     if cfg.kernel is None:
         return np.zeros_like(positions)
     grid = cfg.grid
     factor = cfg.kernel.modulation.factor(t)
     if factor == 0.0:
         return np.zeros_like(positions)
-    N = positions.shape[0]
+    L, h = grid.extent, grid.spacing
     if cfg.drift_mode == "pairwise":
         out = np.zeros_like(positions)
-        L = grid.extent
         for j, comp in enumerate(kern_field.components):
-            for i in range(N):
-                z = positions[i] - positions
+            for i in range(len(positions)):
+                z = positions[i] - positions[ens == ens[i]]
                 z = (z + 0.5 * L) % L - 0.5 * L  # periodic displacement
-                vals = _interp_field(comp, grid, z)
-                out[i, j] = vals.mean()
+                out[i, j] = _interp_field(comp, grid, (z + 0.5 * L) / h).mean()
         return factor * out
+    s = (positions + 0.5 * L) / h
     out = np.empty_like(positions)
-    for j, comp in enumerate(convolve(_bin_positions(positions, grid).values)):
-        out[:, j] = _interp_field(comp, grid, positions)
+    for j, comp in enumerate(convolve(_histograms(s, grid, ens))):
+        out[:, j] = _interp_field(comp, grid, s, ens * grid.num_points)
     return factor * out
 
 
@@ -186,15 +200,21 @@ def simulate_particles(cfg: SimConfig, N: int):
     periodically with a counter, and a NaN anywhere aborts with step
     diagnostics.
     """
-    if N < 2:
+    return _simulate(cfg, [N])[0]
+
+
+def _simulate(cfg: SimConfig, counts) -> list:
+    """Snapshots of ensembles of ``counts`` particles run as one batch; each takes
+    the first particles of one draw and wraps alone, as in its own run."""
+    if min(counts) < 2:
         raise ValueError("need at least 2 particles")
     grid = cfg.grid
     init_rng = np.random.Generator(np.random.Philox(
         key=[np.uint64(cfg.seed), np.uint64(2**63)]))
-    positions = _sample_initial(cfg, N, init_rng)
-    steps = cfg.steps
-    dim = grid.dim
-    increments = _particle_increments(cfg.seed, N, steps, dim)
+    local = np.concatenate([np.arange(N) for N in counts])  # index within the ensemble
+    ens = np.repeat(np.arange(len(counts)), counts)
+    positions = _sample_initial(cfg, max(counts), init_rng)[local]
+    increments = _particle_increments(cfg.seed, max(counts), cfg.steps, grid.dim)
     kern_field = convolve = None
     if cfg.kernel is not None and cfg.drift_mode == "pairwise":
         kern_field = realize_kernel(cfg.kernel, grid)
@@ -202,27 +222,29 @@ def simulate_particles(cfg: SimConfig, N: int):
         convolve = drift_map(cfg.kernel, grid)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
-    wrap_count = 0
-    snapshots = []
+    wrap_count = np.zeros(len(counts), dtype=int)
+    taken = []  # (time, positions, wrap counts) at the checkpoints
     checkpoint_at = set(cfg.checkpoint_steps())
     if 0 in checkpoint_at:
-        snapshots.append(ParticleEnsemble(dim, positions.copy(), 0.0, 0))
-    for m in range(steps):
+        taken.append((0.0, positions.copy(), wrap_count.copy()))
+    for m in range(cfg.steps):
         t = m * cfg.dt
-        b = _empirical_drift(cfg, positions, t, kern_field, convolve)
-        positions = positions + cfg.dt * b + sqdt * increments[:, m, :]
+        b = _empirical_drift(cfg, positions, t, kern_field, convolve, ens)
+        positions = positions + cfg.dt * b + sqdt * increments[local, m, :]
         if not np.all(np.isfinite(positions)):
             bad = int(np.argwhere(~np.isfinite(positions))[0][0])
             raise RuntimeError(f"non-finite position at step {m + 1} "
-                               f"(t={t + cfg.dt:.4f}), particle {bad}")
+                               f"(t={t + cfg.dt:.4f}), particle {local[bad]}")
         out_of_core = np.abs(positions) > half_L
         if out_of_core.any():
-            wrap_count += int(out_of_core.sum())
-            positions = (positions + half_L) % grid.extent - half_L
+            hits = np.bincount(ens, out_of_core.sum(axis=1), len(counts)).astype(int)
+            wrap_count += hits
+            moved = hits[ens] > 0
+            positions[moved] = (positions[moved] + half_L) % grid.extent - half_L
         if m + 1 in checkpoint_at:
-            snapshots.append(ParticleEnsemble(dim, positions.copy(),
-                                              (m + 1) * cfg.dt, wrap_count))
-    return snapshots
+            taken.append(((m + 1) * cfg.dt, positions.copy(), wrap_count.copy()))
+    return [[ParticleEnsemble(grid.dim, x[ens == e], time, int(w[e])) for time, x, w in taken]
+            for e in range(len(counts))]
 
 
 def empirical_density(ens: ParticleEnsemble, grid: GridSpec,
@@ -247,9 +269,10 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     For each particle count, ``repeats`` seeded runs produce transport and L1
     errors at the checkpoint times, the L1 error of a density estimate with
     bandwidth four grid cells; rows are (N, seed, t, W1, L1) and the
-    summary carries mean and standard deviation per N.  Seed failures
-    propagate as diagnostics while the other seeds continue.  The particles
-    must run on the flow's grid.
+    summary carries mean and standard deviation per N.  The counts of one
+    seed run as one batch.  Seed failures propagate as diagnostics under
+    their (N, repeat) while the others continue.  The particles must run on
+    the flow's grid.
     """
     if cfg.grid.dim != 1:
         raise ValueError("study implemented for dim=1")
@@ -266,16 +289,21 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     rows = []
     failures = []
 
+    run_cfgs = [replace(cfg, seed=cfg.seed + 1000 * rep, checkpoints=tuple(checkpoints))
+                for rep in range(repeats)]
+    # after a failed batch each N runs alone, so a failure keeps its own (N, rep)
+    batches = [dict(zip(N_list, _safe_run(_simulate, (c, N_list), []) or ()))
+               for c in run_cfgs]
+
     def run_one(N, rep):
-        run_cfg = replace(cfg, seed=cfg.seed + 1000 * rep, checkpoints=tuple(checkpoints))
-        snaps = simulate_particles(run_cfg, N)
+        snaps = batches[rep].get(N) or simulate_particles(run_cfgs[rep], N)
         out = []
         for ens in snaps:
             target = flow_at[min(flow_at, key=lambda t: abs(t - ens.time))]
             w1 = wasserstein_1d_empirical(ens.positions[:, 0], target, 1.0)
             kde = empirical_density(ens, cfg.grid, bw)
             l1 = float(np.abs(kde.values - target.values).sum()) * cfg.grid.cell_volume
-            out.append((N, run_cfg.seed, ens.time, w1, l1))
+            out.append((N, run_cfgs[rep].seed, ens.time, w1, l1))
         return out
 
     for N in N_list:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
+from .grids import _RESOLUTION_CELLS, GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
 from .kernels import KernelSpec, NemytskiiSpec, drift_map, kernel_vanishes
 from .norms import SobolevIndex, _inv, measure_dual_norm
 
@@ -514,7 +514,7 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     """
     if r <= 0:
         raise ValueError(f"shift r must be positive, got {r}")
-    if math.sqrt(r) < 2.0 * gamma0.grid.spacing:
+    if math.sqrt(r) < _RESOLUTION_CELLS * gamma0.grid.spacing:
         raise ValueError(f"shift r={r} below grid resolvability")
     # the switch-on time joins the grid so the frozen-flow interpolation just
     # after it anchors at the diffused law, not at the rough initial spike

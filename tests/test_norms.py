@@ -7,13 +7,18 @@ from mkvflow.grids import (
     GridSpec,
     ScalarField,
     VectorField,
+    bessel_sharpen,
     gaussian_density,
+    heat_apply,
+    heat_gradient,
     random_band_limited,
 )
 from mkvflow.norms import (
     BallLattice,
     SobolevIndex,
     heat_norm_exponent,
+    _matched_packets,
+    _probe_family,
     local_neg_norm,
     measure_dual_bracket,
     measure_dual_norm,
@@ -234,6 +239,35 @@ class TestOperatorExponentProbe:
         idx = SobolevIndex(0.0, math.inf)
         fit = operator_exponent_probe(1, idx, idx, self.T_GRID, probes=16, seed=0)
         assert abs(fit.slope - (-0.5)) < 0.05
+
+    @pytest.mark.parametrize("i, frm, to", [
+        (0, SobolevIndex(1.0, 2.0), SobolevIndex(0.5, 4.0)),
+        (1, SobolevIndex(0.5, 2.0), SobolevIndex(0.0, math.inf)),
+    ], ids=["i0-finite-k", "i1-inf-k"])
+    def test_matches_a_loop_over_public_operators(self, i, frm, to):
+        # the stacked estimate against one heat_apply / heat_gradient and
+        # local_neg_norm call per probe (1-Lap)^{frm.delta/2} f and time
+        grid = GridSpec(1, 256, 16.0)
+        t_grid = np.geomspace(0.02, 0.02 * 10**1.5, 5)
+        fit = operator_exponent_probe(i, frm, to, t_grid, probes=8, seed=2, grid=grid)
+
+        def probes(stack):
+            return [bessel_sharpen(ScalarField(grid, f), frm.delta / 2.0) for f in stack]
+
+        family = probes(_probe_family(grid, 8, np.random.default_rng(2)))
+        estimates, used = [], 0
+        for t in t_grid:
+            fields = family + probes(_matched_packets(grid, t))
+            used = max(used, len(fields))
+            best = 0.0
+            for f in fields:
+                nin = local_neg_norm(f, frm)
+                if nin > 1e-12:
+                    out = heat_apply(f, t) if i == 0 else heat_gradient(f, t)
+                    best = max(best, local_neg_norm(out, to) / nin)
+            estimates.append(best)
+        assert fit.probes_used == used
+        np.testing.assert_allclose(fit.estimates, estimates, rtol=1e-12, atol=0)
 
     def test_theory_formula(self):
         assert heat_norm_exponent(0, SobolevIndex(1, 2), SobolevIndex(0, math.inf), 1) == -0.75

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from mkvflow.grids import GridSpec, gaussian_density
 from mkvflow.kernels import ConstantVector, KernelSpec, RieszOrder
-from mkvflow.metrics import GaussianSpec
+from mkvflow import particles
+from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical
 from mkvflow.particles import (
     ParticleEnsemble,
     SimConfig,
     _bin_positions,
     _particle_increments,
+    _simulate,
     chaos_convergence_study,
     empirical_density,
     simulate_particles,
@@ -94,8 +97,9 @@ class TestSimulate:
         convolve = drift_map(kern, GRID)
         pos = base[-1].positions
         perm = np.random.default_rng(0).permutation(pos.shape[0])
-        d1 = _empirical_drift(cfg, pos, 0.01, kf, convolve)
-        d2 = _empirical_drift(cfg, pos[perm], 0.01, kf, convolve)
+        one = np.zeros(len(pos), dtype=int)  # a single ensemble
+        d1 = _empirical_drift(cfg, pos, 0.01, kf, convolve, one)
+        d2 = _empirical_drift(cfg, pos[perm], 0.01, kf, convolve, one)
         assert np.allclose(d1[perm], d2, atol=1e-12)
 
     def test_brownian_law_across_seeds(self):
@@ -110,6 +114,18 @@ class TestSimulate:
             se_var = T * math.sqrt(2.0 / (N - 1))
             assert abs(xs.mean()) < 4 * se_mean
             assert abs(xs.var(ddof=1) - T) < 4 * se_var
+
+    def test_batch_wraps_each_ensemble_alone(self):
+        # the larger ensemble leaves the core first; wrapping the smaller one
+        # with it would round its positions away from its own run
+        cfg = SimConfig(grid=GRID, dt=0.5, T=20.0, seed=1, kernel=None,
+                        initial=POINT, checkpoints=(10.0, 20.0))
+        batch = _simulate(cfg, [2, 50])
+        assert batch[0][0].wrap_count == 0 < batch[1][0].wrap_count
+        for N, snaps in zip([2, 50], batch):
+            for got, want in zip(snaps, simulate_particles(cfg, N), strict=True):
+                assert np.array_equal(got.positions, want.positions)
+                assert (got.time, got.wrap_count) == (want.time, want.wrap_count)
 
     def test_wrap_counter(self):
         cfg = SimConfig(grid=GRID, dt=0.5, T=40.0, seed=1, kernel=None,
@@ -222,6 +238,48 @@ class TestChaosStudy:
         a = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         b = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         assert a["rows"] == b["rows"]
+
+    @staticmethod
+    def riesz_cfg():
+        eps = 16 * GRID.spacing**2
+        kern = KernelSpec(RieszOrder((0.2,), 0, 1.0), eps)
+        assert kern.modulation.factor(0.25) != 0  # the binned drift acts
+        return SimConfig(grid=GRID, dt=2.5e-3, T=0.5, seed=5, kernel=kern,
+                         initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.25, 0.5))
+
+    def test_batched_rows_equal_solo_runs(self, heat_flow):
+        cfg = self.riesz_cfg()
+        study = chaos_convergence_study(cfg, [50, 200], heat_flow, repeats=2)
+        want = []
+        for N in (50, 200):
+            for rep in range(2):
+                run_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1000 * rep)
+                for ens in simulate_particles(run_cfg, N):
+                    target = heat_flow.densities[list(heat_flow.times).index(ens.time)]
+                    w1 = wasserstein_1d_empirical(ens.positions[:, 0], target, 1.0)
+                    kde = empirical_density(ens, GRID, 4 * GRID.spacing)
+                    l1 = float(np.abs(kde.values - target.values).sum()) * GRID.cell_volume
+                    want.append((N, run_cfg.seed, ens.time, w1, l1))
+        assert study["rows"] == want
+        assert not study["failures"]
+
+    def test_failure_in_a_batch_stays_with_its_run(self, heat_flow, monkeypatch):
+        cfg = self.riesz_cfg()
+        clean = chaos_convergence_study(cfg, [50, 200], heat_flow, repeats=2)
+        draw = particles._particle_increments
+
+        def poisoned(seed, count, steps, dim):
+            out = draw(seed, count, steps, dim)
+            if seed == cfg.seed + 1000 and count > 100:
+                out[100, 5] = np.nan  # particle 100 runs only in N=200, second seed
+            return out
+
+        monkeypatch.setattr(particles, "_particle_increments", poisoned)
+        study = chaos_convergence_study(cfg, [50, 200], heat_flow, repeats=2)
+        assert [args for args, _ in study["failures"]] == [(200, 1)]
+        assert "non-finite position at step 6" in study["failures"][0][1]
+        assert study["rows"] == [r for r in clean["rows"]
+                                 if (r[0], r[1]) != (200, cfg.seed + 1000)]
 
     def test_sd_shrinks_with_repeats(self, heat_flow):
         # repeated studies: the spread of the mean across study replicas

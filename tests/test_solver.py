@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.fft
 
 from mkvflow.grids import (
+    _RESOLUTION_CELLS,
     GridSpec,
     ScalarField,
     VectorField,
@@ -479,6 +481,23 @@ class TestTimeShiftSolve:
         params = params_for()
         with pytest.raises(ValueError, match="resolvability"):
             time_shift_solve(grid_delta(GRID), 1e-7, small_kernel(), params)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_shift_threshold_is_the_heat_resolution_rule(self, side):
+        # r just below (2 cells)^2 is rejected, just above it solves; heat_apply
+        # flags the same r as under-resolved
+        r = (_RESOLUTION_CELLS * GRID.spacing) ** 2 * (1 + side * 1e-9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            heat_apply(grid_delta(GRID), r)
+        assert bool(caught) == (side < 0)
+        if side < 0:
+            with pytest.raises(ValueError, match="resolvability"):
+                time_shift_solve(grid_delta(GRID), r, small_kernel(), params_for())
+        else:
+            flow = time_shift_solve(grid_delta(GRID), r, small_kernel(), params_for(n=2),
+                                    max_iter=1, steps=20)
+            assert len(flow.densities) == 2
 
 
 class TestNemytskiiDriftSolve:

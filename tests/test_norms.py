@@ -16,9 +16,9 @@ from mkvflow.grids import (
 from mkvflow.norms import (
     BallLattice,
     SobolevIndex,
-    heat_norm_exponent,
     _matched_packets,
     _probe_family,
+    heat_norm_exponent,
     local_neg_norm,
     measure_dual_bracket,
     measure_dual_norm,

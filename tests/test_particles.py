@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from mkvflow import particles
 from mkvflow.grids import GridSpec, gaussian_density
 from mkvflow.kernels import ConstantVector, KernelSpec, RieszOrder
-from mkvflow import particles
 from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical
 from mkvflow.particles import (
     ParticleEnsemble,

@@ -37,12 +37,9 @@ from .kernels import (
     make_kernel,
 )
 from .metrics import (
-    DiscreteMeasure,
     GaussianSpec,
     wasserstein_1d,
-    wasserstein_discrete,
     relative_entropy,
-    total_variation,
 )
 from .solver import (
     FlowParams,
@@ -50,10 +47,8 @@ from .solver import (
     SolveReport,
     eta_theta_params,
     phi_apply,
-    weighted_flow_distance,
     picard_solve,
     time_shift_solve,
-    tau_n_formula,
 )
 from .particles import (
     ParticleEnsemble,

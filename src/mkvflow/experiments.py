@@ -36,7 +36,7 @@ from .norms import (
 from .particles import SimConfig, chaos_convergence_study
 from .solver import (
     FlowParams,
-    _require_positive_int,
+    _require_int,
     contraction_ratios,
     eta_theta_params,
     picard_solve,
@@ -76,8 +76,8 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment and its options; ``steps`` and ``max_iter``, where
-    given, must be positive ints, and the grid and kernel keys must name a
+    """One experiment and its options; ``seed`` must be a non-negative int,
+    ``steps`` and ``max_iter``, where given, positive ints, and the grid and kernel keys must name a
     grid and a catalog kernel.  A kernel that does not vanish must carry the
     envelope exponent ``kernel.kappa`` equal to the admissibility exponent
     ``kappa`` (both default to 0)."""
@@ -91,9 +91,10 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {EXPERIMENTS}")
+        _require_int("seed", self.seed, 0)
         for key in ("steps", "max_iter"):
             if self.opt(key) is not None:
-                _require_positive_int(key, self.opt(key))
+                _require_int(key, self.opt(key))
         kern = _kernel_from(self, _grid_from(self))
         kappa = float(self.opt("kappa", 0.0))
         if not kernel_vanishes(kern) and kern.modulation.kappa != kappa:

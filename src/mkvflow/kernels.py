@@ -48,7 +48,6 @@ __all__ = [
     "riesz_direct",
     "drift_map",
     "drift_field",
-    "nemytskii_lipschitz_check",
     "kernel_norm_study",
     "NormStudy",
     "kernel_catalog",
@@ -116,14 +115,14 @@ class TimeModulation:
     table: tuple | None = None  # ((t0, K0), (t1, K1), ...) or None for K == 1
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if self.table is not None:
             ts = [t for t, _ in self.table]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if not all(b > a for a, b in zip(ts, ts[1:])):
                 raise ValueError("tabulated times must be strictly increasing")
             ks = [k for _, k in self.table]
-            if any(k < 1 for k in ks):
+            if not all(k >= 1 for k in ks):
                 raise ValueError("tabulated K values must be >= 1")
             if any(b < a for a, b in zip(ks, ks[1:])):
                 raise ValueError("tabulated K must be nondecreasing")
@@ -436,30 +435,6 @@ def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
     rho.require_density()
     factor = spec.modulation.factor(t)
     return VectorField(rho.grid, [factor * c for c in drift_map(spec, rho.grid)(rho.values)])
-
-
-def nemytskii_lipschitz_check(spec: NemytskiiSpec, t: float) -> dict:
-    """Sampled Lipschitz quotient of the drift map against its envelope.
-
-    Draws 1000 random pairs of 1-d derivative stacks (rho, rho', ...), n
-    entries each, from a fixed seed (0) and measures
-    ``|b(h) - b(h~)| / ||h - h~||``; the max must stay below K(t) t^kappa.
-    """
-    rng = np.random.default_rng(0)
-    n_entries = spec.n
-    fn = _NEMYTSKII[spec.family](n_entries, 1, spec.param_dict)
-    factor = spec.modulation.factor(t)
-    worst = 0.0
-    for _ in range(1000):
-        h = rng.normal(size=n_entries)
-        ht = h + rng.normal(scale=0.5, size=n_entries)
-        fa = np.array(fn(list(h[:, None])))
-        fb = np.array(fn(list(ht[:, None])))
-        gap = float(np.linalg.norm((fa - fb).ravel()))
-        dh = float(np.linalg.norm(h - ht))
-        if dh > 1e-12:
-            worst = max(worst, gap / dh)
-    return {"measured": factor * worst, "bound": factor, "ratio": worst}
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "measure_dual_bracket",
     "operator_exponent_probe",
     "heat_norm_exponent",
-    "sup_comparison_constant",
     "ProbeFit",
 ]
 
@@ -64,9 +63,9 @@ class SobolevIndex:
     k: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.k < 1:
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
+        if not self.k >= 1:
             raise ValueError(f"k must be >= 1 (or inf), got {self.k}")
 
     @property
@@ -142,16 +141,6 @@ def local_neg_norm(f, idx: SobolevIndex, lat: BallLattice | None = None) -> floa
     else:
         g = np.abs(bessel_apply(f, idx.delta / 2.0).values)
     return float(_windowed_sups(grid, g[None], idx, lat or BallLattice())[0])
-
-
-def sup_comparison_constant(idx: SobolevIndex, dim: int) -> float:
-    """Constant c with ``local_neg_norm(f) <= c * sup|f|``.
-
-    The Bessel kernel is a probability kernel, so the windowed L^k norm of a
-    bounded field is at most the unit-ball volume to the power 1/k.
-    """
-    vol = 2.0 * math.pi ** (0.5 * dim) / (dim * math.gamma(0.5 * dim))  # |B^d(0, 1)|
-    return vol ** _inv(idx.k)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +254,6 @@ class ProbeFit:
     estimates: np.ndarray
     probes_used: int
     seed: int
-
-    def csv_rows(self):
-        """Rows in the probe-report layout (t, norm_estimate, probes_used, seed)."""
-        return [(float(t), float(v), self.probes_used, self.seed)
-                for t, v in zip(self.t_values, self.estimates)]
 
 
 def _packets(grid: GridSpec, params) -> np.ndarray:

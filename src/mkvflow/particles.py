@@ -21,7 +21,7 @@ import numpy as np
 from .grids import GridSpec, ScalarField, heat_apply
 from .kernels import KernelSpec, drift_map, realize_kernel
 from .metrics import wasserstein_1d_empirical
-from .solver import MeasureFlow
+from .solver import MeasureFlow, _require_int
 
 __all__ = [
     "ParticleEnsemble",
@@ -56,7 +56,8 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, seed, kernel and sampling recipe for one run."""
+    """Step size, horizon, seed (a non-negative int), kernel and sampling recipe
+    for one run."""
 
     grid: GridSpec
     dt: float
@@ -68,8 +69,10 @@ class SimConfig:
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        _require_int("seed", self.seed, 0)
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ValueError(f"dt and T must be positive and finite, got dt={self.dt}, "
+                             f"T={self.T}")
         n_steps = self.T / self.dt
         if abs(n_steps - round(n_steps)) > 1e-9:
             raise ValueError(f"T={self.T} is not a multiple of dt={self.dt}")
@@ -323,15 +326,3 @@ def _safe_run(fn, args, failures):
     except Exception as exc:  # continue other seeds per the study contract
         failures.append((args, repr(exc)))
         return None
-
-
-def snapshots_to_flow(snapshots, grid: GridSpec, bandwidth: float) -> MeasureFlow:
-    """Smoothed checkpoint densities as a flow, sharing the solver's binary
-    layout for trajectory serialization."""
-    snaps = [s for s in snapshots if s.time > 0]
-    if not snaps:
-        raise ValueError("need at least one positive-time checkpoint")
-    densities = [empirical_density(s, grid, bandwidth) for s in snaps]
-    anchor = (empirical_density(snapshots[0], grid, bandwidth)
-              if snapshots[0].time == 0 else densities[0])
-    return MeasureFlow(np.array([s.time for s in snaps]), densities, anchor)

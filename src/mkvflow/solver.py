@@ -41,11 +41,9 @@ __all__ = [
     "NoContractionError",
     "eta_theta_params",
     "phi_apply",
-    "weighted_flow_distance",
     "contraction_ratios",
     "picard_solve",
     "time_shift_solve",
-    "tau_n_formula",
 ]
 
 
@@ -61,9 +59,11 @@ class NoContractionError(RuntimeError):
     """Three successive Picard distance ratios were at or above one."""
 
 
-def _require_positive_int(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
+def _require_int(name: str, value, least: int = 1):
+    """Raise unless ``value`` is an int (not a bool) of at least ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,22 @@ class FlowParams:
     dim: int = 1
 
     def __post_init__(self):
-        if not (0 <= self.eps <= self.delta):
-            raise ValueError(f"need 0 <= eps <= delta, got eps={self.eps}, delta={self.delta}")
+        if not 0 <= self.eps <= self.delta < math.inf:
+            raise ValueError(f"need 0 <= eps <= delta < inf, got eps={self.eps}, "
+                             f"delta={self.delta}")
         if not (1 <= self.k <= self.p):
             raise ValueError(f"need 1 <= k <= p, got k={self.k}, p={self.p}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.T <= 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         # eight equally spaced output times unless given
         tg = tuple(float(t) for t in self.time_grid) or tuple(self.T * j / 8 for j in range(1, 9))
-        if any(t <= 0 for t in tg) or any(b <= a for a, b in zip(tg, tg[1:])):
+        if not (tg[0] > 0 and all(b > a for a, b in zip(tg, tg[1:]))):
             raise ValueError("time_grid must be strictly increasing and positive")
-        if abs(tg[-1] - self.T) > 1e-12:
+        if not abs(tg[-1] - self.T) <= 1e-12:
             raise ValueError(f"time_grid must end at T={self.T}, ends at {tg[-1]}")
         object.__setattr__(self, "time_grid", tg)
 
@@ -197,11 +198,6 @@ class MeasureFlow:
         ts = self._knots
         j = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
         return j, min(max(float((t - ts[j]) / (ts[j + 1] - ts[j])), 0.0), 1.0)
-
-    def l1_increments(self) -> np.ndarray:
-        w = self.grid.cell_volume
-        return np.asarray([float(np.abs(b.values - a.values).sum()) * w
-                           for a, b in zip(self.densities, self.densities[1:])])
 
 
 @dataclass
@@ -327,7 +323,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
         dimension of the density's grid, a frozen density is not a density
         or the march state turns non-finite.
     """
-    _require_positive_int("steps", steps)
+    _require_int("steps", steps)
     grid = gamma.grid
     if params.dim != grid.dim:
         raise ValueError(f"FlowParams.dim = {params.dim}, but the density is on a "
@@ -392,19 +388,6 @@ def _weight(params: FlowParams, times: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(-lam * times) * times**params.weight_exponent
 
 
-def weighted_flow_distance(mu: MeasureFlow, nu: MeasureFlow, params: FlowParams,
-                           lam: float = 0.0) -> float:
-    """Weighted sup distance between two flows on their common time grid.
-
-    The time weight is ``exp(-lam t) t^(eta/2)``; the per-time distance is
-    the dual norm of the density difference (upper amalgam bracket).
-    """
-    if mu.times.shape != nu.times.shape or not np.allclose(mu.times, nu.times):
-        raise ValueError("flows live on different time grids")
-    series = _dual_norm_series(mu, nu, params.running_index)
-    return float(np.max(_weight(params, mu.times, lam) * series))
-
-
 def contraction_ratios(gap_series: list, params: FlowParams, lam: float) -> list:
     """Ratios of successive weighted distances between Picard iterates.
 
@@ -414,31 +397,6 @@ def contraction_ratios(gap_series: list, params: FlowParams, lam: float) -> list
     weight = _weight(params, np.asarray(params.time_grid), lam)
     dists = [float(np.max(weight * gaps)) for gaps in gap_series]
     return [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
-
-
-def tau_n_formula(gamma_norm: float, n: int, A_n: float, params: FlowParams) -> float:
-    """Guaranteed-lifetime lower bound for the level-n localization.
-
-    Equals n outright in the strongest-norm setting (eps=0, p=inf); otherwise
-    caps n by the reciprocal of ``A_n g^theta exp(A_n g^theta)`` with g the
-    initial norm.  ``A_n`` is caller-supplied: the analysis provides
-    existence, not a value.
-    """
-    if A_n <= 0:
-        raise ValueError(f"A_n must be positive, got {A_n}")
-    if gamma_norm <= 0:
-        raise ValueError(f"gamma_norm must be positive, got {gamma_norm}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if params.eps == 0.0 and math.isinf(params.p):
-        return float(n)
-    if not math.isfinite(params.theta):
-        raise ValueError("contraction exponent undefined: the smoothing gap "
-                         f"eta={params.eta:.3f} is too large for kappa={params.kappa:.3f}")
-    g = A_n * gamma_norm**params.theta
-    # exp saturates near 745 in double precision; beyond it the 1/g factor
-    # keeps the bound strictly decreasing
-    return min(float(n), math.exp(-min(g, 700.0)) / g)
 
 
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
@@ -467,7 +425,7 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     ValueError
         If ``steps`` or ``max_iter`` is not a positive int.
     """
-    _require_positive_int("max_iter", max_iter)
+    _require_int("max_iter", max_iter)
     weight = _weight(params, np.asarray(params.time_grid), 0.0)
     current = phi_apply(gamma, None, drift, params, steps, graded_from)
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps

@@ -6,7 +6,6 @@ later calibration.  Criteria run through the experiment harness where one
 exists, so the public surface is exercised end to end.
 """
 
-import itertools
 import math
 import time
 
@@ -23,17 +22,9 @@ from mkvflow.grids import (
     random_band_limited,
 )
 from mkvflow.kernels import KernelSpec, RieszOrder, TimeModulation
-from mkvflow.metrics import (
-    DiscreteMeasure,
-    GaussianSpec,
-    gaussian_entropy,
-    gaussian_w2,
-    relative_entropy,
-    total_variation,
-    wasserstein_1d,
-    wasserstein_discrete,
-)
+from mkvflow.metrics import GaussianSpec, relative_entropy, wasserstein_1d
 from mkvflow.solver import FlowParams, picard_solve, time_shift_solve
+from oracles import bessel_gamma_quadrature, gaussian_entropy, gaussian_w2
 
 
 def announce(name, ok, detail):
@@ -70,8 +61,8 @@ class TestBesselIdentity:
         for r in (0.25, 0.75, 1.5):
             for _ in range(3):
                 f = random_band_limited(grid, 128, rng)
-                a = bessel_apply(f, r, mode="gamma_quadrature", nodes=200)
-                b = bessel_apply(f, r, mode="spectral")
+                a = bessel_gamma_quadrature(f, r, nodes=200)
+                b = bessel_apply(f, r)
                 rel = np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values)
                 worst = max(worst, rel)
         took = time.time() - t0
@@ -247,7 +238,7 @@ class TestEntropyCost:
 
 
 class TestMetricsOracles:
-    def test_closed_forms_and_enumeration(self):
+    def test_closed_forms_and_pinsker(self):
         t0 = time.time()
         grid = GridSpec(1, 2048, 16.0)
         a, b = GaussianSpec((0.0,), 0.09), GaussianSpec((0.3,), 0.16)
@@ -255,44 +246,20 @@ class TestMetricsOracles:
                      - gaussian_w2(a, b))
         ent_gap = abs(relative_entropy(a.density(grid), b.density(grid))
                       - gaussian_entropy(a, b))
-        # 3x3 discrete instances against full vertex enumeration
-        rng = np.random.default_rng(7)
-        ot_gap = 0.0
-        for _ in range(3):
-            pa, pb = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
-            wa, wb = rng.dirichlet([1] * 3), rng.dirichlet([1] * 3)
-            cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-            best = math.inf
-            cells = list(itertools.product(range(3), range(3)))
-            for support in itertools.combinations(cells, 5):
-                A = np.zeros((6, 5))
-                for col, (i, j) in enumerate(support):
-                    A[i, col] = 1.0
-                    A[3 + j, col] = 1.0
-                rhs = np.concatenate([wa, wb])
-                sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-                if np.linalg.norm(A @ sol - rhs) > 1e-9 or sol.min() < -1e-9:
-                    continue
-                best = min(best, sum(max(s, 0) * cost[i, j]
-                                     for s, (i, j) in zip(sol, support)))
-            num = wasserstein_discrete(DiscreteMeasure.create(pa, wa),
-                                       DiscreteMeasure.create(pb, wb), 1.0)
-            ot_gap = max(ot_gap, abs(num - best))
         # Pinsker on 100 random pairs (total-mass variation convention)
+        rng = np.random.default_rng(7)
         pinsker_ok = True
         for _ in range(100):
             g1 = gaussian_density(grid, rng.uniform(-1, 1), rng.uniform(0.03, 0.3))
             g2 = gaussian_density(grid, rng.uniform(-1, 1), rng.uniform(0.03, 0.3))
-            tv = total_variation(g1, g2)
+            tv = float(np.abs(g1.values - g2.values).sum()) * grid.cell_volume
             ent = relative_entropy(g1, g2)
             pinsker_ok &= tv <= math.sqrt(2.0 * ent) + 1e-9
         took = time.time() - t0
-        ok = (w2_gap < 1e-6 and ent_gap < 1e-6 and ot_gap < 1e-10
-              and pinsker_ok and took < 60.0)
-        announce("metric closed forms and enumeration", ok,
+        ok = w2_gap < 1e-6 and ent_gap < 1e-6 and pinsker_ok and took < 60.0
+        announce("metric closed forms and Pinsker", ok,
                  f"W2 gap {w2_gap:.1e} (1e-6), Ent gap {ent_gap:.1e} (1e-6), "
-                 f"OT-vs-enumeration {ot_gap:.1e} (1e-10), Pinsker 100/100; "
-                 f"{took:.0f}s")
+                 f"Pinsker 100/100; {took:.0f}s")
 
 
 class TestParticles:

@@ -246,28 +246,9 @@ class TestProbeReportRows:
         t_grid = np.geomspace(0.05, 1.6, 6)
         fit = operator_exponent_probe(0, idx, idx, t_grid, probes=4, seed=1,
                                       grid=grid)
-        rows = fit.csv_rows()
-        assert len(rows) == 6
-        t, est, used, seed = rows[0]
-        assert t == pytest.approx(0.05)
-        assert est > 0 and used > 0 and seed == 1
-
-
-class TestSnapshotFlow:
-    def test_particle_checkpoints_share_binary_layout(self, tmp_path):
-        from mkvflow.metrics import GaussianSpec
-        from mkvflow.particles import SimConfig, simulate_particles, snapshots_to_flow
-        grid = GridSpec(1, 256, 16.0)
-        cfg = SimConfig(grid=grid, dt=0.1, T=0.4, seed=2, kernel=None,
-                        initial=GaussianSpec((0.0,), 0.09),
-                        checkpoints=(0.2, 0.4))
-        snaps = simulate_particles(cfg, 2000)
-        flow = snapshots_to_flow(snaps, grid, bandwidth=0.2)
-        path = tmp_path / "traj.bin"
-        write_flow(flow, path)
-        back = read_flow(path)
-        assert np.allclose(back.times, [0.2, 0.4])
-        assert back.densities[0].mass() == pytest.approx(1.0, abs=1e-12)
+        assert len(fit.t_values) == len(fit.estimates) == 6
+        assert fit.t_values[0] == pytest.approx(0.05)
+        assert fit.estimates[0] > 0 and fit.probes_used > 0 and fit.seed == 1
 
 
 class TestFlowBinary:
@@ -439,6 +420,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("mkvflow experiment: error: unknown kernel")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [("particles", "particles_zero"),
+                                                 ("experiment", "heat_exponent")])
+    def test_negative_seed_is_an_error_line(self, tmp_path, monkeypatch, capsys,
+                                            command, config):
+        # particles used to count Philox's refusal as seed failures and exit 1;
+        # heat_exponent ended in a numpy traceback
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(REPO / f"configs/{config}.cfg"),
+                       "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"mkvflow {command}: error: seed must be a non-negative int")
         assert err.count("\n") == 1
         assert not out.exists()
 

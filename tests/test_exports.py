@@ -48,13 +48,67 @@ def test_package_imports_resolve():
 
 
 def test_cli_start_up_skips_optimize_and_interpolate():
-    # both take about 0.3 s to import; only the transport metrics need them
+    # the first two take about 0.3 s to import and only the transport
+    # metrics need them; nothing in the package needs sparse matrices
     src = str(Path(mkvflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, mkvflow.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.sparse') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Test oracles: the stacked heat-exponent probe and the solver's interpolated
+# drift are checked against these public single-field operators.
+ORACLE_EXPORTS = {"heat_gradient", "drift_field"}
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        getattr(t, "id", None) == "__all__" for t in node.targets)
+
+
+def _referenced_names(nodes) -> set:
+    """Names, attributes, imported names and string constants under ``nodes``.
+
+    String constants count because the benchmark's tracer names the
+    functions it wraps by string.
+    """
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out |= {a.name for a in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_export_has_a_caller(module):
+    """An exported name is used by another package module (``__init__``
+    aside), by the benchmark harness, or by its own module outside its
+    definition; a name that only tests reach is not package surface.
+    ``__all__`` lists themselves do not count as use."""
+    root = Path(mkvflow.__file__).resolve().parents[2]
+    callers = [p for p in Path(mkvflow.__file__).parent.glob("*.py")
+               if p.name != "__init__.py" and p != Path(module.__file__)]
+    callers += sorted((root / "perfbench").glob("*.py"))
+    elsewhere = _referenced_names(node for p in callers
+                                  for node in ast.parse(p.read_text()).body
+                                  if not _is_all(node))
+    own = [node for node in ast.parse(Path(module.__file__).read_text()).body
+           if not _is_all(node)]
+    uncalled = []
+    for name in getattr(module, "__all__", ()):
+        outside = [node for node in own if getattr(node, "name", None) != name]
+        if name not in elsewhere | _referenced_names(outside) | ORACLE_EXPORTS:
+            uncalled.append(name)
+    assert not uncalled, f"{module.__name__} exports names nothing calls: {uncalled}"

@@ -19,8 +19,8 @@ from mkvflow.grids import (
     random_band_limited,
     rfft,
 )
-from mkvflow.grids import _exp_sinh_nodes
 from mkvflow.norms import _windowed_power_sums
+from oracles import bessel_gamma_quadrature
 
 GRID1 = GridSpec(1, 1024, 16.0)
 
@@ -154,15 +154,10 @@ class TestBesselApply:
     def test_gamma_quadrature_matches_spectral(self, r):
         rng = np.random.default_rng(11)
         f = random_band_limited(GRID1, 128, rng)
-        a = bessel_apply(f, r, mode="gamma_quadrature", nodes=200)
-        b = bessel_apply(f, r, mode="spectral")
+        a = bessel_gamma_quadrature(f, r, nodes=200)
+        b = bessel_apply(f, r)
         rel = np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values)
         assert rel < 1e-6
-
-    def test_gamma_quadrature_rejects_r_zero(self):
-        f = gaussian_density(GRID1, 0.0, 0.04)
-        with pytest.raises(ValueError):
-            bessel_apply(f, 0.0, mode="gamma_quadrature")
 
     def test_rejects_negative_order(self):
         f = gaussian_density(GRID1, 0.0, 0.04)
@@ -185,11 +180,6 @@ class TestBesselApply:
         assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
-def _quadrature_mult(r, nodes):
-    s, w = _exp_sinh_nodes(r, nodes)
-    return lambda xi_sq: np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
-
-
 def _radial(fn):
     """Full-lattice multiplier list from a function of |xi|^2."""
     return lambda grid: [fn(grid.freq_sq())]
@@ -205,9 +195,6 @@ HALF_LATTICE_CASES = {
     "heat": (lambda f: [heat_apply(f, 0.01).values], _radial(lambda q: np.exp(-0.005 * q))),
     "bessel_spectral": (lambda f: [bessel_apply(f, 0.75).values],
                         _radial(lambda q: (1.0 + q) ** -0.75)),
-    "bessel_gamma_quadrature": (
-        lambda f: [bessel_apply(f, 0.75, mode="gamma_quadrature", nodes=120).values],
-        _radial(_quadrature_mult(0.75, 120))),
     "bessel_sharpen": (lambda f: [bessel_sharpen(f, 1.25).values],
                        _radial(lambda q: (1.0 + q) ** 1.25)),
     "heat_gradient": (lambda f: list(heat_gradient(f, 0.01).components), _heat_gradient_mults),

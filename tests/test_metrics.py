@@ -6,16 +6,12 @@ import pytest
 
 from mkvflow.grids import GridSpec, ScalarField, gaussian_density, heat_apply
 from mkvflow.metrics import (
-    DiscreteMeasure,
     GaussianSpec,
-    gaussian_entropy,
-    gaussian_w2,
     relative_entropy,
-    total_variation,
     wasserstein_1d,
-    wasserstein_discrete,
     wasserstein_1d_empirical,
 )
+from oracles import gaussian_entropy, gaussian_w2
 
 GRID = GridSpec(1, 2048, 16.0)
 
@@ -125,42 +121,6 @@ class TestWasserstein1d:
         assert w1 < 0.01
 
 
-class TestWassersteinDiscrete:
-    def test_identical(self):
-        a = DiscreteMeasure.create([[0.0], [1.0]], [0.4, 0.6])
-        assert wasserstein_discrete(a, a, 2.0) == pytest.approx(0.0, abs=1e-9)
-
-    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
-    def test_diracs(self, q):
-        a = DiscreteMeasure.create([[0.0, 0.0]], [1.0])
-        b = DiscreteMeasure.create([[3.0, 4.0]], [1.0])
-        assert wasserstein_discrete(a, b, q) == pytest.approx(5.0, rel=1e-9)
-
-    def test_3x3_matches_enumeration(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            pa = rng.uniform(-1, 1, size=(3, 2))
-            pb = rng.uniform(-1, 1, size=(3, 2))
-            wa = rng.dirichlet([1, 1, 1])
-            wb = rng.dirichlet([1, 1, 1])
-            a = DiscreteMeasure.create(pa, wa)
-            b = DiscreteMeasure.create(pb, wb)
-            cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-            oracle = enumerate_transport(wa, wb, cost)
-            assert wasserstein_discrete(a, b, 1.0) == pytest.approx(oracle, abs=1e-10)
-
-    def test_size_cap(self):
-        pts = np.linspace(0, 1, 1001)[:, None]
-        w = np.full(1001, 1.0 / 1001)
-        a = DiscreteMeasure.create(pts, w)
-        with pytest.raises(ValueError, match="cap"):
-            wasserstein_discrete(a, a, 1.0)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure.create([[0.0], [1.0]], [0.4, 0.5])
-
-
 class TestRelativeEntropy:
     def test_identical_zero(self):
         a = gaussian_density(GRID, 0.2, 0.09)
@@ -184,7 +144,7 @@ class TestRelativeEntropy:
         rng = np.random.default_rng(11)
         for _ in range(100):
             a, b = random_density(rng), random_density(rng)
-            tv = total_variation(a, b)
+            tv = float(np.abs(a.values - b.values).sum()) * GRID.cell_volume
             ent = relative_entropy(a, b)
             assert tv <= math.sqrt(2.0 * ent) + 1e-9
 
@@ -212,26 +172,6 @@ class TestRelativeEntropy:
             before = relative_entropy(a, b)
             after = relative_entropy(heat_apply(a, 0.2), heat_apply(b, 0.2))
             assert after <= before + 1e-9
-
-
-class TestTotalVariation:
-    def test_identical(self):
-        a = gaussian_density(GRID, 0.0, 0.04)
-        assert total_variation(a, a) == 0.0
-
-    def test_disjoint_bumps(self):
-        w = GRID.cell_volume
-        a_vals = np.zeros(GRID.shape)
-        a_vals[100:300] = 1.0 / (200 * w)
-        b_vals = np.zeros(GRID.shape)
-        b_vals[1500:1700] = 1.0 / (200 * w)
-        tv = total_variation(ScalarField(GRID, a_vals), ScalarField(GRID, b_vals))
-        assert tv == pytest.approx(2.0, abs=1e-10)
-
-    def test_small_shift_expansion(self):
-        h, s2 = 0.05, 0.09
-        tv = total_variation(gaussian_density(GRID, 0, s2), gaussian_density(GRID, h, s2))
-        assert tv == pytest.approx(h * math.sqrt(2 / (math.pi * s2)), rel=0.02)
 
 
 class TestGaussianOracles:

@@ -23,8 +23,8 @@ from mkvflow.norms import (
     measure_dual_bracket,
     measure_dual_norm,
     operator_exponent_probe,
-    sup_comparison_constant,
 )
+from oracles import sup_comparison_constant
 
 GRID = GridSpec(1, 1024, 16.0)
 

@@ -39,6 +39,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="stability"):
             SimConfig(grid=GRID, dt=0.01, T=1.0, seed=0, kernel=kern)
 
+    @pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (0.1, math.inf), (math.nan, 1.0)])
+    def test_step_and_horizon_must_be_finite(self, dt, T):
+        # dt = inf used to pass with zero steps; T = inf raised OverflowError
+        with pytest.raises(ValueError, match="dt and T must be positive and finite"):
+            SimConfig(grid=GRID, dt=dt, T=T, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # a negative seed used to pass here and fail in Philox at run time
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            SimConfig(grid=GRID, dt=0.1, T=0.5, seed=seed)
+
     @pytest.mark.parametrize("t", [0.7, -0.1, 0.25])
     def test_checkpoints_are_step_times_within_T(self, t):
         # beyond T a run used to return no snapshot; off the step grid it

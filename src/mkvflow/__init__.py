@@ -16,7 +16,6 @@ from .grids import (
 )
 from .norms import (
     SobolevIndex,
-    BallLattice,
     local_neg_norm,
     measure_dual_norm,
     measure_dual_bracket,
@@ -28,7 +27,6 @@ from .kernels import (
     RieszOrder,
     DiracDerivative,
     ConstantVector,
-    GridSampled,
     TimeModulation,
     NemytskiiSpec,
     realize_kernel,

@@ -114,8 +114,8 @@ def build_parser():
 def _cmd_norm(args, grid: GridSpec) -> int:
     idx = SobolevIndex(args.delta, args.k)
     f = gaussian_density(grid, args.mean, args.var, normalize=True)
-    print(f"local_neg_norm  = {local_neg_norm(f, idx):.6g}")
-    br = measure_dual_bracket(f, idx, seed=args.seed)
+    nrm, br = local_neg_norm(f, idx), measure_dual_bracket(f, idx, seed=args.seed)
+    print(f"local_neg_norm  = {nrm:.6g}")
     print(f"dual bracket    = [{br['probe']:.6g}, {br['amalgam']:.6g}] "
           f"(ratio {br['ratio']:.3f})")
     return 0
@@ -175,6 +175,7 @@ def _print_rows(report) -> int:
 
 
 def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
+    """Run and emit; a refusal exits 2, an unconverged solve 1, other errors reach ``main``."""
     try:
         report = run_experiment(cfg)
     except AdmissibilityError as exc:
@@ -199,19 +200,20 @@ def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a rejected input or a file error is one line and exit 2."""
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return _print_rows(parse_report_csv(args.path))
     try:
+        if args.command == "report":
+            return _print_rows(parse_report_csv(args.path))
         if args.command == "norm":
             return _cmd_norm(args, GridSpec(1, args.grid, args.extent))
         if args.command == "kernel-study":
             return _cmd_kernel_study(args, GridSpec(1, args.grid, args.extent))
         setup = _solve_config(args) if args.command == "solve" else _experiment_config(args)
+        return _cmd_experiment(args, setup)
     except (OSError, ValueError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    return _cmd_experiment(args, setup)
 
 
 if __name__ == "__main__":

@@ -350,7 +350,7 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
     for delta, k in indices:
         idx = SobolevIndex(float(delta), float(k))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "truncated .* unresolvable mollification times")
             study = kernel_norm_study(spec, idx, list(eps_list), grid)
         expect, q = _expected_membership(spec.variant, idx.delta, idx.k, grid.dim)
         label = f"membership(delta={delta:g},k={k:g})"
@@ -625,13 +625,19 @@ def _safe_name(s: str) -> str:
 
 
 def parse_report_csv(path) -> RunReport:
+    """Read a report CSV; any line that is not a report row is a ``ValueError``."""
     rows = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd, [])
-        if header != _REPORT_HEADER:
-            raise ValueError(f"unexpected report header {header}")
-        for q, th, me, tol, ps in rd:
-            rows.append(ReportRow(q, float(th), float(me), float(tol),
-                                  ps == "true"))
+        try:
+            header = next(rd, [])
+            if header != _REPORT_HEADER:
+                raise ValueError(f"unexpected report header {header}")
+            for row in rd:
+                if len(row) != len(_REPORT_HEADER) or row[-1] not in ("true", "false"):
+                    raise ValueError(f"line {rd.line_num}: not a report row: {row}")
+                q, th, me, tol, ps = row
+                rows.append(ReportRow(q, float(th), float(me), float(tol), ps == "true"))
+        except csv.Error as exc:
+            raise ValueError(f"line {rd.line_num}: {exc}") from None
     return RunReport(rows=rows, provenance={})

@@ -101,13 +101,6 @@ class GridSpec:
         """Angular frequencies for one axis (fftfreq ordering)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_dim, d=self.spacing)
 
-    def freqs(self) -> tuple:
-        return self._lattice(self.freq_axis())
-
-    def freq_sq(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice."""
-        return sum(c**2 for c in self.freqs())
-
     def periodic_radius(self) -> np.ndarray:
         """Distance to the origin respecting the torus wrap."""
         x = self.axis_coords()

@@ -1,15 +1,14 @@
 """Singular interaction kernels, their grid realizations, and drifts.
 
 The catalog covers gradient-of-potential kernels with adjustable singular
-order (`RieszOrder`), derivatives of a point mass (`DiracDerivative`),
-constant vectors and arbitrary grid-sampled fields.  Each catalog kernel is
-its real-FFT half-lattice symbol, heat-mollified at time
-``mollification_eps`` when singular, and ``realize_kernel`` is one inverse
-transform to its physical view; grid-sampled fields stay physical data.
-The convolution drift and the pointwise density-derivative (Nemytskii)
-drift are both a ``K(t) * t**kappa`` time envelope times a map from the
-density to a vector field; ``drift_map`` is the one evaluator of that map,
-and every caller applies the envelope itself.
+order (`RieszOrder`), derivatives of a point mass (`DiracDerivative`) and
+constant vectors.  Each catalog kernel is its real-FFT half-lattice symbol,
+heat-mollified at time ``mollification_eps`` when singular, and
+``realize_kernel`` is one inverse transform to its physical view.  The
+convolution drift and the pointwise density-derivative (Nemytskii) drift
+are both a ``t**kappa`` time envelope times a map from the density to a
+vector field; ``drift_map`` is the one evaluator of that map, and every
+caller applies the envelope itself.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .grids import (
     ScalarField,
     VectorField,
     _derivative_multiplier,
-    heat_apply,
     irfft,
     rfft,
     rfft_wavenumbers,
@@ -38,7 +36,6 @@ __all__ = [
     "RieszOrder",
     "DiracDerivative",
     "ConstantVector",
-    "GridSampled",
     "TimeModulation",
     "KernelSpec",
     "kernel_vanishes",
@@ -102,44 +99,20 @@ class ConstantVector:
     c: tuple = (1.0,)
 
 
-@dataclass
-class GridSampled:
-    field: VectorField
-
-
 @dataclass(frozen=True)
 class TimeModulation:
-    """Envelope ``K(t) * t**kappa`` with K tabulated, nondecreasing, >= 1."""
+    """Envelope ``t**kappa``, which vanishes at t = 0 unless kappa = 0."""
 
     kappa: float = 0.0
-    table: tuple | None = None  # ((t0, K0), (t1, K1), ...) or None for K == 1
 
     def __post_init__(self):
         if not 0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
-        if self.table is not None:
-            ts = [t for t, _ in self.table]
-            if not all(b > a for a, b in zip(ts, ts[1:])):
-                raise ValueError("tabulated times must be strictly increasing")
-            ks = [k for _, k in self.table]
-            if not all(k >= 1 for k in ks):
-                raise ValueError("tabulated K values must be >= 1")
-            if any(b < a for a, b in zip(ks, ks[1:])):
-                raise ValueError("tabulated K must be nondecreasing")
-
-    def K(self, t: float) -> float:
-        if self.table is None:
-            return 1.0
-        ts = np.array([p[0] for p in self.table])
-        ks = np.array([p[1] for p in self.table])
-        return float(np.interp(t, ts, ks))
 
     def factor(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"time must be >= 0, got {t}")
-        if t == 0.0:
-            return self.K(0.0) if self.kappa == 0.0 else 0.0
-        return self.K(t) * t**self.kappa
+        return t**self.kappa
 
 
 @dataclass(frozen=True)
@@ -156,13 +129,10 @@ class KernelSpec:
 def kernel_vanishes(spec: KernelSpec) -> bool:
     """Whether all of the kernel's symbols vanish, so its drift is no interaction.
 
-    A constant or Riesz symbol is the amplitude ``c_j`` times a unit symbol
-    and a grid-sampled one the transform of its field; a Dirac derivative,
-    which has no amplitude, never vanishes.
+    A constant or Riesz symbol is the amplitude ``c_j`` times a unit symbol;
+    a Dirac derivative, which has no amplitude, never vanishes.
     """
-    v = spec.variant
-    amplitudes = v.field.components if isinstance(v, GridSampled) else getattr(v, "c", [1.0])
-    return not any(np.any(a) for a in amplitudes)
+    return not any(getattr(spec.variant, "c", (1.0,)))
 
 
 def default_mollification(grid: GridSpec) -> float:
@@ -262,17 +232,13 @@ def _kernel_symbols(spec: KernelSpec, grid: GridSpec) -> list:
 
     Each is the spectrum rooted at zero displacement with the cell volume
     folded in, so ``irfft(m * rfft(values))`` convolves the kernel with the
-    density ``values``.  A grid-sampled kernel's symbol is the forward
-    conversion of its field.  Raises ``MollificationError`` for a singular
+    density ``values``.  Raises ``MollificationError`` for a singular
     variant (Riesz or Dirac derivative) with ``mollification_eps == 0``.
     """
     v = spec.variant
     eps = spec.mollification_eps
     if isinstance(v, (RieszOrder, DiracDerivative)) and eps <= 0:
         raise MollificationError(f"{type(v).__name__} requires mollification_eps > 0")
-    if isinstance(v, GridSampled):
-        return [grid.cell_volume * rfft(np.fft.ifftshift(c))
-                for c in realize_kernel(spec, grid).components]
     xi_sq = rfft_wavenumbers(grid)[1]
     if isinstance(v, DiracDerivative):
         if v.direction >= grid.dim:
@@ -295,27 +261,15 @@ def _physical(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def realize_kernel(spec: KernelSpec, grid: GridSpec) -> VectorField:
-    """Mollified grid realization of the kernel as a vector field.
-
-    The physical view of ``_kernel_symbols``, read by norms, membership
-    studies and pairwise particle drifts.  A grid-sampled kernel is its own
-    field, heat-mollified when ``mollification_eps > 0``.
+    """Mollified grid realization of the kernel as a vector field: the
+    physical view of ``_kernel_symbols``, read by norms and membership studies.
 
     Raises
     ------
     MollificationError
         For singular variants with ``mollification_eps == 0``.
     """
-    v = spec.variant
-    if not isinstance(v, GridSampled):
-        return VectorField(grid, [_physical(m, grid) for m in _kernel_symbols(spec, grid)])
-    if v.field.grid != grid:
-        raise ValueError("grid-sampled kernel lives on a different grid")
-    comps = v.field.components
-    if spec.mollification_eps > 0:
-        comps = [heat_apply(ScalarField(grid, c), spec.mollification_eps).values
-                 for c in comps]
-    return VectorField(grid, comps)
+    return VectorField(grid, [_physical(m, grid) for m in _kernel_symbols(spec, grid)])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +385,7 @@ def drift_map(spec, grid: GridSpec):
 
 
 def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
-    """Drift ``K(t) t^kappa`` times ``drift_map(spec)`` of the density ``rho``."""
+    """Drift ``t^kappa`` times ``drift_map(spec)`` of the density ``rho``."""
     rho.require_density()
     factor = spec.modulation.factor(t)
     return VectorField(rho.grid, [factor * c for c in drift_map(spec, rho.grid)(rho.values)])
@@ -461,7 +415,8 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
     the log-log slope exponent q exceeds 0.05 and ``s_last >= s_prev``.  A
     shrinking increment is a convergent tail; a constant one is log growth
     and a growing one power growth.  The q floor keeps noise-level increments
-    of a plateaued trace from counting as growth.
+    of a plateaued trace from counting as growth.  A vanishing kernel has
+    zero norms, no log-log slope and verdict bounded with q = 0.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -472,6 +427,8 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
                       f"mollification times (sqrt(eps) < spacing)", stacklevel=2)
     if len(usable) < 3:
         raise ValueError("need at least 3 resolvable mollification times")
+    if kernel_vanishes(spec):
+        return NormStudy(usable, [0.0] * len(usable), "bounded", 0.0)
     norms = []
     for e in usable:
         realized = realize_kernel(

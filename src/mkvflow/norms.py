@@ -1,10 +1,11 @@
 """Windowed negative-Sobolev norms and the dual norm on measures.
 
 The function norm is ``sup_z || 1_{B(z,1)} (1-Lap)^{-delta/2} f ||_{L^k}``
-with the sup taken over a lattice of ball centers.  The dual norm on
-(differences of) measures is not computable exactly; it is bracketed by a
-certified lower bound (maximize the pairing over concrete test functions)
-and an upper surrogate (cell-partition sum dual to the windowed structure).
+with the sup taken over a lattice of ball centers ``_CENTER_SPACING`` apart.
+The dual norm on (differences of) measures is not computable exactly; it is
+bracketed by a certified lower bound (maximize the pairing over concrete test
+functions) and an upper surrogate (cell-partition sum dual to the windowed
+structure).
 Inequality checks elsewhere always use the bracket conservatively.
 """
 
@@ -34,7 +35,6 @@ from .grids import (
 
 __all__ = [
     "SobolevIndex",
-    "BallLattice",
     "local_neg_norm",
     "measure_dual_norm",
     "measure_dual_bracket",
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 BALL_RADIUS = 1.0
+_CENTER_SPACING = 0.5  # resolves the windowed sup; a finer grid keeps every point
 _PROBE_BLOCK = 16  # rows per stacked probe evaluation
 
 
@@ -78,25 +79,6 @@ class SobolevIndex:
         return self.k / (self.k - 1.0)
 
 
-@dataclass(frozen=True)
-class BallLattice:
-    """Lattice of unit-ball centers used to approximate the sup over centers.
-
-    ``spacing`` must be <= 0.5 so the lattice resolves the windowed sup; the
-    ball radius is fixed at one.  Centers finer than the grid collapse to the
-    grid itself.
-    """
-
-    spacing: float = 0.5
-
-    def __post_init__(self):
-        if not (0 < self.spacing <= 0.5):
-            raise ValueError(f"lattice spacing must lie in (0, 0.5], got {self.spacing}")
-
-    def stride(self, grid: GridSpec) -> int:
-        return max(1, int(self.spacing / grid.spacing))
-
-
 @functools.lru_cache(maxsize=16)
 def _ball_spectrum(grid: GridSpec) -> np.ndarray:
     """Half-lattice spectrum of the unit-ball indicator (real: the ball is even)."""
@@ -111,21 +93,23 @@ def _windowed_power_sums(grid: GridSpec, power_values: np.ndarray) -> np.ndarray
     return np.maximum(conv, 0.0) * grid.cell_volume
 
 
-def _windowed_sups(grid: GridSpec, g: np.ndarray, idx: SobolevIndex, lat: BallLattice) -> list:
+def _windowed_sups(grid: GridSpec, g: np.ndarray, idx: SobolevIndex) -> list:
     """``sup_z ||1_{B(z,1)} g||_{L^k}`` of each field in the stack ``g >= 0``.
 
     For finite k one FFT convolution with the ball indicator gives the
-    windowed integrals at all grid centers and the lattice picks a subsample;
-    for k = inf every point lies in some ball: the sup is the global sup.
+    windowed integrals at all grid centers, subsampled every
+    ``_CENTER_SPACING``; for k = inf every point lies in some ball: the sup is
+    the global sup.
     """
     if math.isinf(idx.k):
         return list(g.reshape(len(g), -1).max(axis=1))
-    sub = (slice(None),) + (slice(None, None, lat.stride(grid)),) * grid.dim
+    stride = max(1, int(_CENTER_SPACING / grid.spacing))
+    sub = (slice(None),) + (slice(None, None, stride),) * grid.dim
     sums = _windowed_power_sums(grid, g**idx.k)[sub]
     return [m ** (1.0 / idx.k) for m in sums.reshape(len(g), -1).max(axis=1)]
 
 
-def local_neg_norm(f, idx: SobolevIndex, lat: BallLattice | None = None) -> float:
+def local_neg_norm(f, idx: SobolevIndex) -> float:
     """Windowed norm ``sup_z ||1_{B(z,1)} (1-Lap)^{-delta/2} f||_{L^k}``.
 
     Vector fields are smoothed componentwise and measured through the
@@ -140,7 +124,7 @@ def local_neg_norm(f, idx: SobolevIndex, lat: BallLattice | None = None) -> floa
                         for c in f.components])
     else:
         g = np.abs(bessel_apply(f, idx.delta / 2.0).values)
-    return float(_windowed_sups(grid, g[None], idx, lat or BallLattice())[0])
+    return float(_windowed_sups(grid, g[None], idx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +181,17 @@ def _probe_candidates(rho: ScalarField, idx: SobolevIndex, probes: int, seed):
 
 
 def _probe_norm(rho: ScalarField, idx: SobolevIndex, probes: int, seed) -> float:
+    """Largest pairing with a candidate over its windowed norm, all norms taken
+    as one stack; a candidate of zero or non-finite norm is skipped."""
     if probes <= 0:
         raise ValueError(f"probe method needs probes >= 1, got {probes}")
     grid = rho.grid
+    cands = np.array(_probe_candidates(rho, idx, probes, seed))
+    bessel = (1.0 + rfft_wavenumbers(grid)[1]) ** (-idx.delta / 2.0)
     best = 0.0
-    for vals in _probe_candidates(rho, idx, probes, seed):
-        g = ScalarField(grid, vals)
-        nrm = local_neg_norm(g, idx)
-        if nrm <= 0 or not np.isfinite(nrm):
-            continue
-        pairing = abs(float((rho.values * vals).sum()) * grid.cell_volume) / nrm
-        best = max(best, pairing)
+    for vals, nrm in zip(cands, _probe_norms(grid, rfft(cands, grid.dim), [bessel], idx)):
+        if nrm > 0 and np.isfinite(nrm):
+            best = max(best, abs(float((rho.values * vals).sum()) * grid.cell_volume) / nrm)
     return best
 
 
@@ -252,8 +236,6 @@ class ProbeFit:
     intercept: float
     t_values: np.ndarray
     estimates: np.ndarray
-    probes_used: int
-    seed: int
 
 
 def _packets(grid: GridSpec, params) -> np.ndarray:
@@ -312,7 +294,7 @@ def _probe_norms(grid: GridSpec, spectra: np.ndarray, mults, idx: SobolevIndex) 
         g = _magnitude([irfft(spectra[lo:lo + _PROBE_BLOCK] * m, grid.shape) for m in mults])
         if not np.all(np.isfinite(g)):
             raise ValueError("field values must be finite")
-        norms += _windowed_sups(grid, g, idx, BallLattice())
+        norms += _windowed_sups(grid, g, idx)
     return np.array(norms)
 
 
@@ -345,13 +327,11 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
     family = rfft(_probe_family(grid, probes, np.random.default_rng(seed)), grid.dim)
     family_in = _probe_norms(grid, family, [1.0], frm)
     estimates = np.empty_like(t_grid)
-    n_probes = len(family)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small-t probes are intentional
         for j, t in enumerate(t_grid):
             mults = [_heat_multiplier(grid, t) * m for m in out_comps]
             matched = rfft(_matched_packets(grid, t), grid.dim)
-            n_probes = max(n_probes, len(family) + len(matched))
             best = 0.0
             for spectra, nin in ((family, family_in),
                                  (matched, _probe_norms(grid, matched, [1.0], frm))):
@@ -360,5 +340,4 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
                 best = max(best, np.max(ratios, initial=0.0))
             estimates[j] = best
     slope, intercept = np.polyfit(np.log(t_grid), np.log(estimates), 1)
-    return ProbeFit(float(slope), float(intercept), t_grid, estimates,
-                    n_probes, seed)
+    return ProbeFit(float(slope), float(intercept), t_grid, estimates)

@@ -6,9 +6,10 @@ stream keyed by (master seed, particle index), so any particle's path is
 reproducible independently of how many particles run alongside it.  A run
 realizes those streams with one Philox generator that it re-keys to
 ``[seed, index]`` (counter 0) per particle; the draws are bit-identical to a
-fresh ``Generator(Philox(key=[seed, index]))`` per particle.  The binned drift
-is ``kernels.drift_map`` of the ensemble histogram, built once per run.  The
-study batches the particle counts of one seed, which share one draw.
+fresh ``Generator(Philox(key=[seed, index]))`` per particle.  The drift at a
+particle is ``kernels.drift_map`` of its ensemble's histogram, built once per
+run and interpolated linearly at the particle.  The study batches the
+particle counts of one seed, which share one draw.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import GridSpec, ScalarField, heat_apply
-from .kernels import KernelSpec, drift_map, realize_kernel
+from .kernels import KernelSpec, drift_map
 from .metrics import wasserstein_1d_empirical
 from .solver import MeasureFlow, _require_int
 
@@ -49,10 +50,6 @@ class ParticleEnsemble:
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
 
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -65,7 +62,6 @@ class SimConfig:
     seed: int
     kernel: KernelSpec | None = None
     initial: object = None        # GaussianSpec-like, or None for a point
-    drift_mode: str = "binned"    # "binned" | "pairwise"
     checkpoints: tuple = ()
 
     def __post_init__(self):
@@ -80,8 +76,6 @@ class SimConfig:
                 and self.dt > self.kernel.mollification_eps:
             raise ValueError(f"stability heuristic violated: dt={self.dt} > "
                              f"mollification_eps={self.kernel.mollification_eps}")
-        if self.drift_mode not in ("binned", "pairwise"):
-            raise ValueError(f"unknown drift_mode {self.drift_mode!r}")
         for t in self.checkpoints:
             m = t / self.dt
             if abs(m - round(m)) > 1e-9 or not 0 <= round(m) <= self.steps:
@@ -171,7 +165,7 @@ def _interp_field(values: np.ndarray, grid: GridSpec, s: np.ndarray, base=0) -> 
 
 
 def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
-                     kern_field, convolve, ens: np.ndarray) -> np.ndarray:
+                     convolve, ens: np.ndarray) -> np.ndarray:
     """Mean-field drift at each particle from the empirical measure of its ensemble."""
     if cfg.kernel is None:
         return np.zeros_like(positions)
@@ -179,16 +173,7 @@ def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
     factor = cfg.kernel.modulation.factor(t)
     if factor == 0.0:
         return np.zeros_like(positions)
-    L, h = grid.extent, grid.spacing
-    if cfg.drift_mode == "pairwise":
-        out = np.zeros_like(positions)
-        for j, comp in enumerate(kern_field.components):
-            for i in range(len(positions)):
-                z = positions[i] - positions[ens == ens[i]]
-                z = (z + 0.5 * L) % L - 0.5 * L  # periodic displacement
-                out[i, j] = _interp_field(comp, grid, (z + 0.5 * L) / h).mean()
-        return factor * out
-    s = (positions + 0.5 * L) / h
+    s = (positions + 0.5 * grid.extent) / grid.spacing
     out = np.empty_like(positions)
     for j, comp in enumerate(convolve(_histograms(s, grid, ens))):
         out[:, j] = _interp_field(comp, grid, s, ens * grid.num_points)
@@ -218,11 +203,7 @@ def _simulate(cfg: SimConfig, counts) -> list:
     ens = np.repeat(np.arange(len(counts)), counts)
     positions = _sample_initial(cfg, max(counts), init_rng)[local]
     increments = _particle_increments(cfg.seed, max(counts), cfg.steps, grid.dim)
-    kern_field = convolve = None
-    if cfg.kernel is not None and cfg.drift_mode == "pairwise":
-        kern_field = realize_kernel(cfg.kernel, grid)
-    elif cfg.kernel is not None:
-        convolve = drift_map(cfg.kernel, grid)
+    convolve = None if cfg.kernel is None else drift_map(cfg.kernel, grid)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
     wrap_count = np.zeros(len(counts), dtype=int)
@@ -232,7 +213,7 @@ def _simulate(cfg: SimConfig, counts) -> list:
         taken.append((0.0, positions.copy(), wrap_count.copy()))
     for m in range(cfg.steps):
         t = m * cfg.dt
-        b = _empirical_drift(cfg, positions, t, kern_field, convolve, ens)
+        b = _empirical_drift(cfg, positions, t, convolve, ens)
         positions = positions + cfg.dt * b + sqdt * increments[local, m, :]
         if not np.all(np.isfinite(positions)):
             bad = int(np.argwhere(~np.isfinite(positions))[0][0])

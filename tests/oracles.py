@@ -1,8 +1,9 @@
 """Independent references that tests compare the package against.
 
 Closed forms for isotropic Gaussians, the sup-norm bound of the windowed
-norm, and the Bessel potential assembled as a Gamma-weighted integral of
-heat flows instead of its closed-form multiplier.
+norm, the Bessel potential assembled as a Gamma-weighted integral of heat
+flows instead of its closed-form multiplier, the full complex frequency
+lattice, and the particle drift summed over pairs instead of binned.
 """
 
 import math
@@ -11,6 +12,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from mkvflow.grids import ScalarField, irfft, rfft, rfft_wavenumbers
+from mkvflow.kernels import realize_kernel
+from mkvflow.particles import _interp_field
 
 
 def gaussian_w2(a, b) -> float:
@@ -76,3 +79,31 @@ def bessel_gamma_quadrature(f: ScalarField, r: float, nodes: int = 200) -> Scala
     xi_sq = rfft_wavenumbers(f.grid)[1]
     mult = np.tensordot(w, np.exp(-np.multiply.outer(s, xi_sq)), axes=(0, 0))
     return ScalarField(f.grid, irfft(rfft(f.values) * mult, f.values.shape))
+
+
+def freqs(grid) -> tuple:
+    """Angular frequencies on the full lattice, one array per axis (fftfreq order)."""
+    return grid._lattice(grid.freq_axis())
+
+
+def freq_sq(grid) -> np.ndarray:
+    """|xi|^2 on the full frequency lattice."""
+    return sum(c**2 for c in freqs(grid))
+
+
+def pairwise_drift(cfg, positions, t, convolve, ens):
+    """Drop-in for ``particles._empirical_drift``: each particle's drift is the
+    mean of the realized kernel, interpolated at its periodic displacements
+    from every particle of its ensemble (itself included); ``convolve`` is
+    not read."""
+    if cfg.kernel is None:
+        return np.zeros_like(positions)
+    grid = cfg.grid
+    L, h = grid.extent, grid.spacing
+    out = np.zeros_like(positions)
+    for j, comp in enumerate(realize_kernel(cfg.kernel, grid).components):
+        for i in range(len(positions)):
+            z = positions[i] - positions[ens == ens[i]]
+            z = (z + 0.5 * L) % L - 0.5 * L
+            out[i, j] = _interp_field(comp, grid, (z + 0.5 * L) / h).mean()
+    return cfg.kernel.modulation.factor(t) * out

@@ -386,48 +386,28 @@ class TestKernelNormStudy:
             study = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), eps, GRID)
         assert len(study.norms) == 3
 
+    def test_vanishing_kernel_is_bounded(self):
+        spec = make_kernel("zero", GRID)
+        study = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), [0.02, 0.01, 0.005], GRID)
+        assert study.norms == [0.0, 0.0, 0.0]
+        assert (study.verdict, study.growth_exponent) == ("bounded", 0.0)
+
     def test_rejects_nondecreasing(self):
         spec = KernelSpec(DiracDerivative(0, 0), 1.0)
         with pytest.raises(ValueError):
             kernel_norm_study(spec, SobolevIndex(1.5, math.inf), [0.01, 0.02, 0.04], GRID)
 
 
-class TestGridSampledAndModulation:
-    def test_grid_sampled_round_trip(self):
-        from mkvflow.kernels import GridSampled
-        from mkvflow.grids import VectorField
-        comp = gaussian_density(GRID, 0.5, 0.09).values
-        spec = KernelSpec(GridSampled(VectorField(GRID, [comp])))
-        out = realize_kernel(spec, GRID)
-        assert np.array_equal(out.components[0], comp)
-
-    def test_grid_sampled_rejects_other_grid(self):
-        from mkvflow.kernels import GridSampled
-        from mkvflow.grids import GridSpec, VectorField
-        other = GridSpec(1, 1024, 8.0)
-        comp = np.zeros(other.shape)
-        spec = KernelSpec(GridSampled(VectorField(other, [comp])))
-        with pytest.raises(ValueError, match="different grid"):
-            realize_kernel(spec, GRID)
-
-    def test_tabulated_envelope(self):
-        mod = TimeModulation(kappa=0.5, table=((0.0, 1.0), (1.0, 2.0)))
-        assert mod.K(0.5) == pytest.approx(1.5)
-        assert mod.factor(0.25) == pytest.approx(1.25 * 0.5)
+class TestModulation:
+    def test_envelope_factor(self):
+        mod = TimeModulation(0.5)
+        assert mod.factor(0.25) == 0.5
         assert mod.factor(0.0) == 0.0
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            TimeModulation(table=((0.0, 2.0), (1.0, 1.0)))
-        with pytest.raises(ValueError, match=">= 1"):
-            TimeModulation(table=((0.0, 0.5),))
-
-    @pytest.mark.parametrize("table", [((1.0, 1.0), (0.0, 2.0)),
-                                       ((0.0, 1.0), (0.0, 2.0))])
-    def test_table_times_strictly_increasing(self, table):
-        # np.interp reads an unsorted table silently: K(0.5) would be 2.0
-        with pytest.raises(ValueError, match="strictly increasing"):
-            TimeModulation(table=table)
+        assert TimeModulation().factor(0.0) == TimeModulation().factor(0.3) == 1.0
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            mod.factor(-0.1)
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            TimeModulation(-0.5)
 
 
 class TestCatalog:

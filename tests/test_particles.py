@@ -19,6 +19,7 @@ from mkvflow.particles import (
     simulate_particles,
 )
 from mkvflow.solver import FlowParams, picard_solve
+from oracles import pairwise_drift
 
 GRID = GridSpec(1, 1024, 16.0)
 POINT = GaussianSpec((0.0,), 1e-12)
@@ -82,13 +83,14 @@ class TestSimulate:
         se = 3.0 / math.sqrt(1000)
         assert abs(sn[-1].positions.mean() - 0.5) < se
 
-    def test_pairwise_matches_binned(self):
+    def test_pairwise_matches_binned(self, monkeypatch):
         eps = 16 * GRID.spacing**2
         kern = KernelSpec(RieszOrder((0.2,), 0, 1.0), eps)
-        kw = dict(grid=GRID, dt=2e-3, T=0.01, seed=3, kernel=kern,
-                  initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.01,))
-        sp = simulate_particles(SimConfig(drift_mode="pairwise", **kw), 1000)
-        sb = simulate_particles(SimConfig(drift_mode="binned", **kw), 1000)
+        cfg = SimConfig(grid=GRID, dt=2e-3, T=0.01, seed=3, kernel=kern,
+                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.01,))
+        sb = simulate_particles(cfg, 1000)
+        monkeypatch.setattr(particles, "_empirical_drift", pairwise_drift)
+        sp = simulate_particles(cfg, 1000)
         gap = np.abs(sp[-1].positions - sb[-1].positions).max()
         assert gap < 1e-3
 
@@ -104,14 +106,13 @@ class TestSimulate:
         # drift field depends on the empirical measure only; verify the drift
         # seen by particle 0 is unchanged when the others are relabeled
         from mkvflow.particles import _empirical_drift
-        from mkvflow.kernels import drift_map, realize_kernel
-        kf = realize_kernel(kern, GRID)
+        from mkvflow.kernels import drift_map
         convolve = drift_map(kern, GRID)
         pos = base[-1].positions
         perm = np.random.default_rng(0).permutation(pos.shape[0])
         one = np.zeros(len(pos), dtype=int)  # a single ensemble
-        d1 = _empirical_drift(cfg, pos, 0.01, kf, convolve, one)
-        d2 = _empirical_drift(cfg, pos[perm], 0.01, kf, convolve, one)
+        d1 = _empirical_drift(cfg, pos, 0.01, convolve, one)
+        d2 = _empirical_drift(cfg, pos[perm], 0.01, convolve, one)
         assert np.allclose(d1[perm], d2, atol=1e-12)
 
     def test_brownian_law_across_seeds(self):

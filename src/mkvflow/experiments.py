@@ -33,7 +33,7 @@ from .norms import (
     measure_dual_norm,
     operator_exponent_probe,
 )
-from .particles import SimConfig, chaos_convergence_study
+from .particles import SimConfig, _check_study_sizes, chaos_convergence_study
 from .solver import (
     FlowParams,
     _require_int,
@@ -77,7 +77,9 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment and its options; ``seed`` must be a non-negative int,
-    ``steps`` and ``max_iter``, where given, positive ints, and the grid and kernel keys must name a
+    ``steps`` and ``max_iter``, where given, positive ints, ``N_list`` and
+    ``repeats``, where either is given, particle study sizes that
+    ``chaos_convergence_study`` accepts, and the grid and kernel keys must name a
     grid and a catalog kernel.  A kernel that does not vanish must carry the
     envelope exponent ``kernel.kappa`` equal to the admissibility exponent
     ``kappa`` (both default to 0)."""
@@ -95,6 +97,8 @@ class ExperimentConfig:
         for key in ("steps", "max_iter"):
             if self.opt(key) is not None:
                 _require_int(key, self.opt(key))
+        if self.opt("N_list") is not None or self.opt("repeats") is not None:
+            _check_study_sizes(self.opt("N_list", _STUDY_N), self.opt("repeats", _STUDY_REPEATS))
         kern = _kernel_from(self, _grid_from(self))
         kappa = float(self.opt("kappa", 0.0))
         if not kernel_vanishes(kern) and kern.modulation.kappa != kappa:
@@ -520,13 +524,17 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
+_STUDY_N = (250, 1000, 4000)  # particle counts and repeats of the particles study
+_STUDY_REPEATS = 10
+
+
 def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     grid, params, kern = _solve_setup(cfg)
     report = _report(cfg, grid)
     r0 = float(cfg.opt("gamma_var", 0.04))
     gamma = gaussian_density(grid, 0.0, r0)
-    N_list = cfg.opt("N_list") or (250, 1000, 4000)
-    repeats = int(cfg.opt("repeats", 10))
+    N_list = cfg.opt("N_list", _STUDY_N)
+    repeats = cfg.opt("repeats", _STUDY_REPEATS)
     flow, _ = _solve(cfg, report, gamma, kern, params, steps=400)
     dt = float(cfg.opt("dt", 0.0025))
     zero = kernel_vanishes(kern)

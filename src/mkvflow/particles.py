@@ -1,15 +1,18 @@
 """Interacting-particle simulator cross-validating the density solver.
 
 Euler-Maruyama with the empirical-measure drift; additive unit noise makes
-higher-order schemes pointless.  Each particle owns a counter-based RNG
-stream keyed by (master seed, particle index), so any particle's path is
-reproducible independently of how many particles run alongside it.  A run
-realizes those streams with one Philox generator that it re-keys to
-``[seed, index]`` (counter 0) per particle; the draws are bit-identical to a
-fresh ``Generator(Philox(key=[seed, index]))`` per particle.  The drift at a
-particle is ``kernels.drift_map`` of its ensemble's histogram, built once per
-run and interpolated linearly at the particle.  The study batches the
-particle counts of one seed, which share one draw.
+higher-order schemes pointless.  The noise is keyed per (seed, step): step m
+of a run with seed s draws ``Generator(Philox(key=[s, m])).standard_normal((N, d))``,
+and the initial sample is keyed ``[s, 2**63]``.  A counter-based draw of N
+rows is a prefix of the draw of more, so an ensemble of N particles takes the
+first N rows and its path does not depend on how many particles run
+alongside it.  A run realizes the keys with one Philox generator that it
+re-keys at counter 0, bit-identical to a fresh generator per key.  The drift
+at a particle is ``kernels.drift_map`` of its ensemble's histogram,
+interpolated linearly at the particle.  A batch runs ensembles of several
+counts under several seeds side by side, each bit-identical to its own run;
+a convergence study is one batch.  The step loop writes into buffers
+allocated once per run.
 """
 
 from __future__ import annotations
@@ -90,27 +93,25 @@ class SimConfig:
         return [int(round(t / self.dt)) for t in self.checkpoints or (self.T,)]
 
 
-def _particle_increments(seed: int, count: int, steps: int, dim: int) -> np.ndarray:
-    """Standard normal increments ``(count, steps, dim)``, one Philox stream per
-    particle keyed by (seed, index).
+_INITIAL_WORD = 2**63  # second key word of the initial draw; steps count from 0
 
-    One generator serves the whole run: before each particle's draw its bit
-    generator is reset to counter 0 under key ``[seed, index]``, which is the
-    state ``Philox(key=[seed, index])`` starts from.
-    """
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    key = np.array([seed, 0], dtype=np.uint64)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    out = np.empty((count, steps, dim))
-    for i in range(count):
-        key[1] = i
-        bitgen.state = state
-        rng.standard_normal((steps, dim), out=out[i])
-    return out
+
+def _keyed(rng, seed: int, word: int):
+    """``rng`` with its Philox re-keyed to ``[seed, word]`` at counter 0, the state
+    ``Philox(key=[seed, word])`` starts from; one generator serves a run."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, word], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _step_noise(rng, seed: int, step: int, out: np.ndarray) -> None:
+    """Fill ``out`` ``(N, dim)`` with the increments of step ``step`` under ``seed``:
+    ``Generator(Philox(key=[seed, step])).standard_normal((N, dim))``."""
+    _keyed(rng, seed, step).standard_normal(out=out)
 
 
 def _sample_initial(cfg: SimConfig, N: int, rng) -> np.ndarray:
@@ -124,60 +125,106 @@ def _sample_initial(cfg: SimConfig, N: int, rng) -> np.ndarray:
     raise TypeError(f"unsupported initial sampler {type(init).__name__}")
 
 
-def _flat_index(cols, n: int) -> np.ndarray:
-    """C-order flat index of per-axis cell indices modulo n, a power of two."""
-    k = cols[0] & (n - 1)
-    for c in cols[1:]:
-        k = k * n + (c & (n - 1))
-    return k
+class _Workspace:
+    """Buffers for particles labelled by ensemble ``ens``, allocated once.
 
+    Every call writes into them in place, so a step loop allocates nothing
+    particle-sized.  ``locate`` takes positions to cell units; ``histograms``
+    then bins them per ensemble, and ``corners`` sets up the periodic linear
+    interpolation that ``interpolate`` applies to a stack of fields, one per
+    ensemble.
+    """
 
-def _histograms(s: np.ndarray, grid: GridSpec, ens: np.ndarray) -> np.ndarray:
-    """Unit-mass nearest-point histograms ``(E, *shape)`` of ensembles ``ens`` at cells ``s``."""
-    counts = np.bincount(ens)
-    flat = (_flat_index(np.floor(s + 0.5).astype(int).T, grid.points_per_dim)
-            + ens * grid.num_points)
-    vals = np.bincount(flat, minlength=counts.size * grid.num_points).reshape((-1,) + grid.shape)
-    return vals / (counts * grid.cell_volume).reshape((-1,) + (1,) * grid.dim)
+    def __init__(self, grid: GridSpec, ens: np.ndarray, kernel: KernelSpec | None = None):
+        M, d = len(ens), grid.dim
+        self.grid, self.ens = grid, ens
+        self.convolve = None if kernel is None else drift_map(kernel, grid)
+        self.base = ens * grid.num_points  # each ensemble's block of the stacked fields
+        self.mass = (np.bincount(ens) * grid.cell_volume).reshape((-1,) + (1,) * d)
+        self.offsets = np.array([c[::-1] for c in np.ndindex((2,) * d)])  # first axis fastest
+        self.s = np.empty((M, d))                    # positions in cell units
+        self.frac = np.empty((2, M, d))              # weights 1 - w and w along each axis
+        self.cell = np.empty((M, d), dtype=np.intp)  # lower interpolation corner
+        self.corner = np.empty((M, d), dtype=np.intp)
+        self.index = np.empty((len(self.offsets), M), dtype=np.intp)  # flat, per corner
+        self.weight = np.empty((len(self.offsets), M))
+        self.term = np.empty(M)
+        self.drift = np.empty((M, d))
+
+    def locate(self, positions: np.ndarray) -> None:
+        np.add(positions, 0.5 * self.grid.extent, out=self.s)
+        np.divide(self.s, self.grid.spacing, out=self.s)
+
+    def _flat(self, cells: np.ndarray, out: np.ndarray) -> None:
+        """C-order flat index, offset by ``base``, of ``cells`` modulo n, a power
+        of two; ``cells`` is overwritten."""
+        n = self.grid.points_per_dim
+        np.bitwise_and(cells, n - 1, out=cells)
+        np.copyto(out, cells[:, 0])
+        for j in range(1, self.grid.dim):
+            out *= n
+            out += cells[:, j]
+        out += self.base
+
+    def histograms(self) -> np.ndarray:
+        """Unit-mass nearest-point histograms ``(E, *shape)`` of the located particles."""
+        grid, nearest = self.grid, self.frac[0]
+        np.add(self.s, 0.5, out=nearest)
+        np.floor(nearest, out=nearest)
+        np.copyto(self.corner, nearest, casting="unsafe")
+        self._flat(self.corner, self.index[0])
+        vals = np.bincount(self.index[0], minlength=self.mass.size * grid.num_points)
+        return vals.reshape((-1,) + grid.shape) / self.mass
+
+    def corners(self) -> None:
+        """Flat index and weight of each interpolation corner of the located particles."""
+        lo, hi = self.frac
+        np.floor(self.s, out=hi)
+        np.copyto(self.cell, hi, casting="unsafe")
+        np.subtract(self.s, hi, out=hi)
+        np.subtract(1.0, hi, out=lo)
+        for k, offset in enumerate(self.offsets):
+            np.add(self.cell, offset, out=self.corner)
+            self._flat(self.corner, self.index[k])
+            np.copyto(self.weight[k], self.frac[offset[0], :, 0])
+            for j in range(1, self.grid.dim):
+                self.weight[k] *= self.frac[offset[j], :, j]
+
+    def interpolate(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the fields ``values`` ``(E, *shape)`` at the corners
+        set up last, each particle reading its own ensemble's field."""
+        flat = values.ravel()
+        for k, weight in enumerate(self.weight):
+            np.take(flat, self.index[k], out=self.term, mode="clip")  # in range; unbuffered
+            self.term *= weight
+            if k == 0:
+                np.copyto(out, self.term)
+            else:
+                out += self.term
 
 
 def _bin_positions(positions: np.ndarray, grid: GridSpec) -> ScalarField:
     """Histogram of the ensemble as a unit-mass grid density."""
-    s = (positions + 0.5 * grid.extent) / grid.spacing
-    return ScalarField(grid, _histograms(s, grid, np.zeros(len(positions), dtype=int))[0])
-
-
-def _interp_field(values: np.ndarray, grid: GridSpec, s: np.ndarray, base=0) -> np.ndarray:
-    """Periodic linear interpolation at cells ``s`` of fields read flat from ``base``."""
-    cell = np.floor(s)
-    w = s - cell
-    weight = (1 - w, w)
-    i0 = cell.astype(int)
-    index = (i0, i0 + 1)
-    out = None
-    for corner in (c[::-1] for c in np.ndindex((2,) * grid.dim)):  # first axis fastest
-        cols = [index[c][:, j] for j, c in enumerate(corner)]
-        term = values.ravel()[_flat_index(cols, grid.points_per_dim) + base]
-        for j, c in enumerate(corner):
-            term = term * weight[c][:, j]
-        out = term if out is None else out + term
-    return out
+    work = _Workspace(grid, np.zeros(len(positions), dtype=np.intp))
+    work.locate(positions)
+    return ScalarField(grid, work.histograms()[0])
 
 
 def _empirical_drift(cfg: SimConfig, positions: np.ndarray, t: float,
-                     convolve, ens: np.ndarray) -> np.ndarray:
-    """Mean-field drift at each particle from the empirical measure of its ensemble."""
-    if cfg.kernel is None:
-        return np.zeros_like(positions)
-    grid = cfg.grid
-    factor = cfg.kernel.modulation.factor(t)
+                     work: _Workspace) -> np.ndarray:
+    """Mean-field drift at each particle from the empirical measure of its
+    ensemble ``work.ens``, written into and returned as ``work.drift``."""
+    drift = work.drift
+    factor = 0.0 if cfg.kernel is None else cfg.kernel.modulation.factor(t)
     if factor == 0.0:
-        return np.zeros_like(positions)
-    s = (positions + 0.5 * grid.extent) / grid.spacing
-    out = np.empty_like(positions)
-    for j, comp in enumerate(convolve(_histograms(s, grid, ens))):
-        out[:, j] = _interp_field(comp, grid, s, ens * grid.num_points)
-    return factor * out
+        drift.fill(0.0)
+        return drift
+    work.locate(positions)
+    fields = work.convolve(work.histograms())
+    work.corners()
+    for j, comp in enumerate(fields):
+        work.interpolate(comp, drift[:, j])
+    return np.multiply(drift, factor, out=drift)
 
 
 def simulate_particles(cfg: SimConfig, N: int):
@@ -188,47 +235,61 @@ def simulate_particles(cfg: SimConfig, N: int):
     periodically with a counter, and a NaN anywhere aborts with step
     diagnostics.
     """
-    return _simulate(cfg, [N])[0]
+    return _simulate(cfg, [cfg.seed], [N])[0][0]
 
 
-def _simulate(cfg: SimConfig, counts) -> list:
-    """Snapshots of ensembles of ``counts`` particles run as one batch; each takes
-    the first particles of one draw and wraps alone, as in its own run."""
+def _simulate(cfg: SimConfig, seeds, counts) -> list:
+    """Snapshots ``[seed][count]`` of ensembles of ``counts`` particles under each
+    of ``seeds``, which replace ``cfg.seed``, run as one batch.  Each ensemble
+    takes the first rows of its seed's draws and wraps alone, as in its own run."""
     if min(counts) < 2:
         raise ValueError("need at least 2 particles")
-    grid = cfg.grid
-    init_rng = np.random.Generator(np.random.Philox(
-        key=[np.uint64(cfg.seed), np.uint64(2**63)]))
-    local = np.concatenate([np.arange(N) for N in counts])  # index within the ensemble
-    ens = np.repeat(np.arange(len(counts)), counts)
-    positions = _sample_initial(cfg, max(counts), init_rng)[local]
-    increments = _particle_increments(cfg.seed, max(counts), cfg.steps, grid.dim)
-    convolve = None if cfg.kernel is None else drift_map(cfg.kernel, grid)
+    grid, d = cfg.grid, cfg.grid.dim
+    big = max(counts)
+    sizes = np.tile(counts, len(seeds))  # ensembles seed-major, then by count
+    ens = np.repeat(np.arange(sizes.size), sizes)
+    # each particle's row in the stacked draws of the seeds, ``big`` rows per seed
+    rows = (np.repeat(np.arange(len(seeds)), sum(counts)) * big
+            + np.concatenate([np.arange(N) for N in sizes]))
+    ends = np.cumsum(sizes)
+    rng = np.random.Generator(np.random.Philox(0))
+    positions = np.concatenate([_sample_initial(cfg, big, _keyed(rng, s, _INITIAL_WORD))
+                                for s in seeds])[rows]
+    work = _Workspace(grid, ens, cfg.kernel)
+    noise = np.empty((len(seeds), big, d))
+    increments = np.empty_like(positions)
+    reach = np.empty_like(positions)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
-    wrap_count = np.zeros(len(counts), dtype=int)
+    wrap_count = np.zeros(sizes.size, dtype=int)
     taken = []  # (time, positions, wrap counts) at the checkpoints
     checkpoint_at = set(cfg.checkpoint_steps())
     if 0 in checkpoint_at:
         taken.append((0.0, positions.copy(), wrap_count.copy()))
     for m in range(cfg.steps):
         t = m * cfg.dt
-        b = _empirical_drift(cfg, positions, t, convolve, ens)
-        positions = positions + cfg.dt * b + sqdt * increments[local, m, :]
-        if not np.all(np.isfinite(positions)):
+        drift = _empirical_drift(cfg, positions, t, work)
+        positions += np.multiply(drift, cfg.dt, out=drift)
+        for r, s in enumerate(seeds):
+            _step_noise(rng, s, m, noise[r])
+        np.take(noise.reshape(-1, d), rows, axis=0, out=increments, mode="clip")
+        positions += np.multiply(increments, sqdt, out=increments)
+        farthest = np.abs(positions, out=reach).max()  # NaN if any position is
+        if not math.isfinite(farthest):
             bad = int(np.argwhere(~np.isfinite(positions))[0][0])
-            raise RuntimeError(f"non-finite position at step {m + 1} "
-                               f"(t={t + cfg.dt:.4f}), particle {local[bad]}")
-        out_of_core = np.abs(positions) > half_L
-        if out_of_core.any():
-            hits = np.bincount(ens, out_of_core.sum(axis=1), len(counts)).astype(int)
+            raise RuntimeError(f"non-finite position at step {m + 1} (t={t + cfg.dt:.4f}), "
+                               f"particle {rows[bad] % big} of seed {seeds[rows[bad] // big]}")
+        if farthest > half_L:
+            hits = np.bincount(ens, (reach > half_L).sum(axis=1), sizes.size).astype(int)
             wrap_count += hits
             moved = hits[ens] > 0
             positions[moved] = (positions[moved] + half_L) % grid.extent - half_L
         if m + 1 in checkpoint_at:
             taken.append(((m + 1) * cfg.dt, positions.copy(), wrap_count.copy()))
-    return [[ParticleEnsemble(grid.dim, x[ens == e], time, int(w[e])) for time, x, w in taken]
-            for e in range(len(counts))]
+    return [[[ParticleEnsemble(d, x[ends[e] - sizes[e]:ends[e]], time, int(w[e]))
+              for time, x, w in taken]
+             for e in range(r * len(counts), (r + 1) * len(counts))]
+            for r in range(len(seeds))]
 
 
 def empirical_density(ens: ParticleEnsemble, grid: GridSpec,
@@ -246,6 +307,17 @@ def empirical_density(ens: ParticleEnsemble, grid: GridSpec,
     return out
 
 
+def _check_study_sizes(N_list, repeats) -> None:
+    """Raise unless ``repeats`` is a positive int and ``N_list`` a non-empty list of
+    distinct ints >= 2."""
+    _require_int("repeats", repeats)
+    if not (isinstance(N_list, (list, tuple)) and N_list
+            and all(isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 2
+                    for N in N_list)
+            and len(set(N_list)) == len(N_list)):
+        raise ValueError(f"N_list must be a list of distinct ints >= 2, got {N_list!r}")
+
+
 def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
                             repeats: int = 10) -> dict:
     """Mean-field convergence table against a solved density flow.
@@ -253,11 +325,14 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     For each particle count, ``repeats`` seeded runs produce transport and L1
     errors at the checkpoint times, the L1 error of a density estimate with
     bandwidth four grid cells; rows are (N, seed, t, W1, L1) and the
-    summary carries mean and standard deviation per N.  The counts of one
-    seed run as one batch.  Seed failures propagate as diagnostics under
-    their (N, repeat) while the others continue.  The particles must run on
-    the flow's grid.
+    summary carries mean and standard deviation per N.  Every count of every
+    seed runs in one batch.  After a failed batch each (N, repeat) runs
+    alone, so a seed failure propagates as a diagnostic under its own
+    (N, repeat) while the others continue.  ``repeats`` must be a positive
+    int and ``N_list`` distinct ints >= 2; the particles must run on the
+    flow's grid.
     """
+    _check_study_sizes(N_list, repeats)
     if cfg.grid.dim != 1:
         raise ValueError("study implemented for dim=1")
     if cfg.grid != pde_flow.grid:
@@ -273,21 +348,20 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     rows = []
     failures = []
 
-    run_cfgs = [replace(cfg, seed=cfg.seed + 1000 * rep, checkpoints=tuple(checkpoints))
-                for rep in range(repeats)]
-    # after a failed batch each N runs alone, so a failure keeps its own (N, rep)
-    batches = [dict(zip(N_list, _safe_run(_simulate, (c, N_list), []) or ()))
-               for c in run_cfgs]
+    run_cfg = replace(cfg, checkpoints=tuple(checkpoints))
+    seeds = [cfg.seed + 1000 * rep for rep in range(repeats)]
+    batch = _safe_run(_simulate, (run_cfg, seeds, N_list), [])
 
     def run_one(N, rep):
-        snaps = batches[rep].get(N) or simulate_particles(run_cfgs[rep], N)
+        snaps = (batch[rep][N_list.index(N)] if batch
+                 else simulate_particles(replace(run_cfg, seed=seeds[rep]), N))
         out = []
         for ens in snaps:
             target = flow_at[min(flow_at, key=lambda t: abs(t - ens.time))]
             w1 = wasserstein_1d_empirical(ens.positions[:, 0], target, 1.0)
             kde = empirical_density(ens, cfg.grid, bw)
             l1 = float(np.abs(kde.values - target.values).sum()) * cfg.grid.cell_volume
-            out.append((N, run_cfgs[rep].seed, ens.time, w1, l1))
+            out.append((N, seeds[rep], ens.time, w1, l1))
         return out
 
     for N in N_list:

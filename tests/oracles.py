@@ -3,7 +3,8 @@
 Closed forms for isotropic Gaussians, the sup-norm bound of the windowed
 norm, the Bessel potential assembled as a Gamma-weighted integral of heat
 flows instead of its closed-form multiplier, the full complex frequency
-lattice, and the particle drift summed over pairs instead of binned.
+lattice, and the particle drift summed over pairs instead of binned, read
+through a corner-by-corner periodic interpolation.
 """
 
 import math
@@ -13,7 +14,6 @@ from scipy.special import gammaln
 
 from mkvflow.grids import ScalarField, irfft, rfft, rfft_wavenumbers
 from mkvflow.kernels import realize_kernel
-from mkvflow.particles import _interp_field
 
 
 def gaussian_w2(a, b) -> float:
@@ -91,19 +91,33 @@ def freq_sq(grid) -> np.ndarray:
     return sum(c**2 for c in freqs(grid))
 
 
-def pairwise_drift(cfg, positions, t, convolve, ens):
+def periodic_interp(values, grid, s):
+    """Periodic multilinear interpolation of one grid field at cell coordinates
+    ``s`` ``(M, dim)``, corner by corner."""
+    n = grid.points_per_dim
+    cell = np.floor(s).astype(int)
+    w = s - cell
+    out = np.zeros(len(s))
+    for corner in np.ndindex((2,) * grid.dim):
+        idx = tuple((cell[:, j] + c) % n for j, c in enumerate(corner))
+        weight = np.prod([w[:, j] if c else 1 - w[:, j] for j, c in enumerate(corner)], axis=0)
+        out += values[idx] * weight
+    return out
+
+
+def pairwise_drift(cfg, positions, t, work):
     """Drop-in for ``particles._empirical_drift``: each particle's drift is the
     mean of the realized kernel, interpolated at its periodic displacements
-    from every particle of its ensemble (itself included); ``convolve`` is
-    not read."""
+    from every particle of its ensemble ``work.ens`` (itself included); no
+    buffer of ``work`` is read."""
     if cfg.kernel is None:
         return np.zeros_like(positions)
-    grid = cfg.grid
+    grid, ens = cfg.grid, work.ens
     L, h = grid.extent, grid.spacing
     out = np.zeros_like(positions)
     for j, comp in enumerate(realize_kernel(cfg.kernel, grid).components):
         for i in range(len(positions)):
             z = positions[i] - positions[ens == ens[i]]
             z = (z + 0.5 * L) % L - 0.5 * L
-            out[i, j] = _interp_field(comp, grid, (z + 0.5 * L) / h).mean()
+            out[i, j] = periodic_interp(comp, grid, (z + 0.5 * L) / h).mean()
     return cfg.kernel.modulation.factor(t) * out

@@ -439,6 +439,28 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("repeats = 0", "repeats must be a positive int"),
+        ("repeats = -2", "repeats must be a positive int"),
+        ("N_list = 250, 250", "N_list must be a list of distinct ints >= 2"),
+        ("N_list = 1, 250", "N_list must be a list of distinct ints >= 2"),
+        ("N_list = 250", "N_list must be a list of distinct ints >= 2"),
+    ], ids=["repeats-0", "repeats-negative", "N-repeated", "N-one", "N-scalar"])
+    def test_bad_study_sizes_are_an_error_line(self, tmp_path, monkeypatch, capsys,
+                                                line, message):
+        # repeats <= 0 ended in a polyfit traceback, a repeated N in a
+        # meaningless slope, and N = 1 in ten seed failures
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text((REPO / "configs/particles_zero.cfg").read_text() + f"{line}\n")
+        out = tmp_path / "out"
+        rc = cli_main(["particles", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"mkvflow particles: error: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["norm", "kernel-study"])
     def test_bad_grid_is_an_error_line(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)

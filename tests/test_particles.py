@@ -11,15 +11,17 @@ from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical
 from mkvflow.particles import (
     ParticleEnsemble,
     SimConfig,
+    _Workspace,
     _bin_positions,
-    _particle_increments,
+    _empirical_drift,
     _simulate,
+    _step_noise,
     chaos_convergence_study,
     empirical_density,
     simulate_particles,
 )
 from mkvflow.solver import FlowParams, picard_solve
-from oracles import pairwise_drift
+from oracles import pairwise_drift, periodic_interp
 
 GRID = GridSpec(1, 1024, 16.0)
 POINT = GaussianSpec((0.0,), 1e-12)
@@ -95,24 +97,19 @@ class TestSimulate:
         assert gap < 1e-3
 
     def test_exchangeability(self):
-        # permuting initial particles permutes trajectories: particle streams
-        # are keyed by index, so compare two runs whose initial samplers agree
-        # after permutation through the binned (symmetric) drift
+        # the noise of row i is the same whatever particle sits there, so
+        # permuted runs are not compared; the drift is: it depends on the
+        # empirical measure only, so relabeling the particles permutes it
         eps = 16 * GRID.spacing**2
         kern = KernelSpec(RieszOrder((0.2,), 0, 1.0), eps)
         cfg = SimConfig(grid=GRID, dt=2e-3, T=0.02, seed=5, kernel=kern,
                         initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.02,))
         base = simulate_particles(cfg, 64)
-        # drift field depends on the empirical measure only; verify the drift
-        # seen by particle 0 is unchanged when the others are relabeled
-        from mkvflow.particles import _empirical_drift
-        from mkvflow.kernels import drift_map
-        convolve = drift_map(kern, GRID)
         pos = base[-1].positions
         perm = np.random.default_rng(0).permutation(pos.shape[0])
-        one = np.zeros(len(pos), dtype=int)  # a single ensemble
-        d1 = _empirical_drift(cfg, pos, 0.01, convolve, one)
-        d2 = _empirical_drift(cfg, pos[perm], 0.01, convolve, one)
+        work = _Workspace(GRID, np.zeros(len(pos), dtype=int), kern)  # a single ensemble
+        d1 = _empirical_drift(cfg, pos, 0.01, work).copy()
+        d2 = _empirical_drift(cfg, pos[perm], 0.01, work)
         assert np.allclose(d1[perm], d2, atol=1e-12)
 
     def test_brownian_law_across_seeds(self):
@@ -130,10 +127,12 @@ class TestSimulate:
 
     def test_batch_wraps_each_ensemble_alone(self):
         # the larger ensemble leaves the core first; wrapping the smaller one
-        # with it would round its positions away from its own run
-        cfg = SimConfig(grid=GRID, dt=0.5, T=20.0, seed=1, kernel=None,
+        # with it would round its positions away from its own run.  At seed 3
+        # the 2-particle ensemble stays in the core up to t = 20, while the
+        # 50-particle one has wrapped three times by t = 10
+        cfg = SimConfig(grid=GRID, dt=0.5, T=20.0, seed=3, kernel=None,
                         initial=POINT, checkpoints=(10.0, 20.0))
-        batch = _simulate(cfg, [2, 50])
+        batch = _simulate(cfg, [cfg.seed], [2, 50])[0]
         assert batch[0][0].wrap_count == 0 < batch[1][0].wrap_count
         for N, snaps in zip([2, 50], batch):
             for got, want in zip(snaps, simulate_particles(cfg, N), strict=True):
@@ -149,15 +148,53 @@ class TestSimulate:
 
 
 class TestStreamContract:
+    @staticmethod
+    def oracle(seed, step, N, dim):
+        return np.random.Generator(np.random.Philox(
+            key=[np.uint64(seed), np.uint64(step)])).standard_normal((N, dim))
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("seed", [0, 11, 2**40 + 7])
-    def test_increments_match_per_particle_generators(self, seed, dim):
-        N, steps = 37, 9
-        got = _particle_increments(seed, N, steps, dim)
-        for i in range(N):
-            oracle = np.random.Generator(np.random.Philox(
-                key=[np.uint64(seed), np.uint64(i)])).standard_normal((steps, dim))
-            assert np.array_equal(got[i], oracle)
+    def test_increments_match_per_step_generators(self, seed, dim):
+        # one generator re-keyed per (seed, step), steps in any order
+        rng = np.random.Generator(np.random.Philox(0))
+        for step in (0, 8, 3, 2**40):
+            got = np.empty((37, dim))
+            _step_noise(rng, seed, step, got)
+            assert np.array_equal(got, self.oracle(seed, step, 37, dim))
+            # the draw of N particles is a prefix of the draw of more
+            assert np.array_equal(got, self.oracle(seed, step, 4000, dim)[:37])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 7])
+    def test_free_run_sums_the_step_draws(self, seed, dim):
+        # with no drift and a zero start, step m adds sqrt(dt) times the draw
+        # keyed [seed, m]; the sum is in step order, so the match is exact
+        grid = GRID if dim == 1 else GridSpec(2, 64, 64.0)
+        cfg = SimConfig(grid=grid, dt=0.01, T=0.09, seed=seed, checkpoints=(0.09,))
+        want = np.zeros((37, dim))
+        for m in range(cfg.steps):
+            want = want + math.sqrt(cfg.dt) * self.oracle(seed, m, 37, dim)
+        got = simulate_particles(cfg, 37)[-1]
+        assert got.wrap_count == 0
+        assert np.array_equal(got.positions, want)
+
+    def test_batch_of_seeds_equals_solo_runs_2d(self):
+        # 2-d, interacting: each (seed, count) ensemble of a multi-seed batch
+        # is its own solo run, bit for bit
+        grid = GridSpec(2, 64, 16.0)
+        kern = KernelSpec(RieszOrder((0.2, 0.2), 0, 1.0), 0.04)
+        cfg = SimConfig(grid=grid, dt=0.01, T=0.05, seed=0, kernel=kern,
+                        initial=GaussianSpec((0.3, -0.2), 0.09), checkpoints=(0.02, 0.05))
+        assert kern.modulation.factor(0.02) != 0  # the binned drift acts
+        seeds, counts = [5, 1005, 2**40 + 7], [30, 200]
+        batch = _simulate(cfg, seeds, counts)
+        for seed, row in zip(seeds, batch, strict=True):
+            for N, snaps in zip(counts, row, strict=True):
+                solo = simulate_particles(dataclasses.replace(cfg, seed=seed), N)
+                for got, want in zip(snaps, solo, strict=True):
+                    assert np.array_equal(got.positions, want.positions)
+                    assert (got.time, got.wrap_count) == (want.time, want.wrap_count)
 
 
 class TestBinPositions:
@@ -188,6 +225,29 @@ class TestBinPositions:
         # +L/2 and the last half cell wrap to index 0
         top = _bin_positions(np.full((2, grid.dim), L / 2 - h / 4), grid)
         assert top.values[(0,) * grid.dim] == pytest.approx(1.0 / grid.cell_volume)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("grid", [GridSpec(1, 32, 4.0), GridSpec(2, 16, 4.0)],
+                             ids=["1d", "2d"])
+    def test_interpolation_matches_oracle(self, grid):
+        # two ensembles, each reading its own field; core edges included
+        rng = np.random.default_rng(3)
+        L, h = grid.extent, grid.spacing
+        positions = np.concatenate([rng.uniform(-L / 2, L / 2, size=(300, grid.dim)),
+                                    np.full((2, grid.dim), L / 2 - h / 4),
+                                    np.full((2, grid.dim), -L / 2)])
+        ens = np.repeat([0, 1], [150, 154])
+        fields = rng.standard_normal((2,) + grid.shape)
+        work = _Workspace(grid, ens)
+        work.locate(positions)
+        work.corners()
+        got = np.empty(len(positions))
+        work.interpolate(fields, got)
+        s = (positions + 0.5 * L) / h
+        for e in (0, 1):
+            want = periodic_interp(fields[e], grid, s[ens == e])
+            assert np.allclose(got[ens == e], want, rtol=0, atol=1e-13)
 
 
 class TestEmpiricalDensity:
@@ -245,6 +305,22 @@ class TestChaosStudy:
         with pytest.raises(ValueError, match="flow lives on"):
             chaos_convergence_study(cfg, [250], heat_flow, repeats=1)
 
+    @pytest.mark.parametrize("N_list, repeats, message", [
+        ([250, 500], 0, "repeats must be a positive int"),
+        ([250, 500], 2.0, "repeats must be a positive int"),
+        ([250, 250], 2, "N_list must be a list of distinct ints >= 2"),
+        ([1, 250], 2, "N_list must be a list of distinct ints >= 2"),
+        ([250.0], 2, "N_list must be a list of distinct ints >= 2"),
+        ([], 2, "N_list must be a list of distinct ints >= 2"),
+    ])
+    def test_bad_sizes_are_rejected_at_entry(self, heat_flow, monkeypatch,
+                                             N_list, repeats, message):
+        monkeypatch.setattr(particles, "_simulate", None)  # must not be reached
+        cfg = SimConfig(grid=GRID, dt=0.025, T=0.5, seed=11, kernel=None,
+                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.5,))
+        with pytest.raises(ValueError, match=message):
+            chaos_convergence_study(cfg, N_list, heat_flow, repeats=repeats)
+
     def test_deterministic_table(self, heat_flow):
         cfg = SimConfig(grid=GRID, dt=0.025, T=0.5, seed=11, kernel=None,
                         initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.5,))
@@ -279,15 +355,14 @@ class TestChaosStudy:
     def test_failure_in_a_batch_stays_with_its_run(self, heat_flow, monkeypatch):
         cfg = self.riesz_cfg()
         clean = chaos_convergence_study(cfg, [50, 200], heat_flow, repeats=2)
-        draw = particles._particle_increments
+        draw = particles._step_noise
 
-        def poisoned(seed, count, steps, dim):
-            out = draw(seed, count, steps, dim)
-            if seed == cfg.seed + 1000 and count > 100:
-                out[100, 5] = np.nan  # particle 100 runs only in N=200, second seed
-            return out
+        def poisoned(rng, seed, step, out):
+            draw(rng, seed, step, out)
+            if seed == cfg.seed + 1000 and step == 5 and len(out) > 100:
+                out[100] = np.nan  # particle 100 runs only in N=200, second seed
 
-        monkeypatch.setattr(particles, "_particle_increments", poisoned)
+        monkeypatch.setattr(particles, "_step_noise", poisoned)
         study = chaos_convergence_study(cfg, [50, 200], heat_flow, repeats=2)
         assert [args for args, _ in study["failures"]] == [(200, 1)]
         assert "non-finite position at step 6" in study["failures"][0][1]

@@ -51,16 +51,6 @@ def _formats(text: str) -> tuple:
     return formats
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="mkvflow",
                                  description="windowed-norm / mean-field flow toolbox")
@@ -92,7 +82,7 @@ def build_parser():
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--T", type=float, default=0.5)
     p.add_argument("--gamma-var", type=float, default=0.04)
-    p.add_argument("--steps", type=_positive_int, default=600)
+    p.add_argument("--steps", type=int, default=600)
     p.add_argument("--dump-flow", default=None, help="write the flow binary here")
     p.add_argument("--dump-csv", default=None, help="write per-time density tables here")
 

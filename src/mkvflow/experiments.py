@@ -54,20 +54,56 @@ __all__ = [
     "parse_config",
 ]
 
-# documented default tolerances; every pass/fail row cites its entry or a
-# config override, never a hidden constant
+# documented default tolerances; every pass/fail row cites its entry, or the
+# solve experiment's residual row its config's tol.residual
 DEFAULT_TOLERANCES = {
     "heat_slope": 0.08,
     "membership_exponent": 0.1,
     "contraction_ratio": 0.9,
     "residual": 1e-6,
+    "decay_sup": 0.05,
     "decay_spread": 0.20,
     "stability_slope": 0.1,
+    "stability_slope_upper_bracket": 0.15,
     "stability_linearity": 0.10,
+    "entropy_ratio_analytic_gap": 0.01,
     "entropy_zero_bound": 0.5,
     "entropy_kernel_bound": 1.0,
     "mc_rate_slope": 0.15,
+    "w1_monotone_in_N": 1.0,
 }
+
+# Every key each experiment reads, with its default, whose type is the key's
+# kind: one value of a tuple key reads as a one-element tuple, an int key
+# takes a positive int, and t_first (None: T/10) a float.  An experiment that
+# reads `kernel` also reads the `kernel.<param>` keys, which make_kernel checks.
+_GRID = {"dim": 1, "grid_n": 1024, "grid_extent": 16.0}
+_KERNEL = {"kernel": "zero", "kappa": 0.0}
+_SOLVER = {"steps": 600, "max_iter": 25, "tol": 1e-8}
+_FLOW = {"T": 0.5, "n_times": 8, "delta": 1.0, "k": 2.0}  # geometric output times
+_LINEAR_FLOW = {**_FLOW, "t_first": None, "n_times": 10}  # linear from t_first
+_OPTIONS = {
+    "heat_exponent": {"grid_n": 2048, "grid_extent": 16.0, "probes": 24},
+    "kernel_membership": {**_GRID, **_KERNEL, "deltas": (1.5, 0.5), "ks": (math.inf,) * 2},
+    # stops at tol.residual, which also bounds the residual row
+    "solve": {**_GRID, **_KERNEL, **_LINEAR_FLOW, "steps": 600, "max_iter": 20,
+              "tol.residual": DEFAULT_TOLERANCES["residual"], "gamma_var": 0.04},
+    "decay": {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER, "r_list": (0.02, 0.01, 0.005)},
+    "stability": {**_GRID, **_KERNEL, **_FLOW, **_SOLVER, "T": 0.2, "gamma_var": 0.002,
+                  "h_list": (0.02, 0.05, 0.1)},
+    "entropy_cost": {**_GRID, **_KERNEL, **_FLOW, **_SOLVER, "gamma_var": 0.04,
+                     "gamma_shift": 0.1},
+    # stops at picard_solve's default tolerance 1e-8
+    "particles": {**_GRID, **_KERNEL, **_LINEAR_FLOW, "steps": 400, "max_iter": 25,
+                  "gamma_var": 0.04, "dt": 0.0025, "N_list": (250, 1000, 4000), "repeats": 10},
+}
+EXPERIMENTS = tuple(_OPTIONS)
+# settings that no config key sets
+_HEAT_CASES = ((0, 1.0, 0.0, 2.0, math.inf),  # (i, delta, eps, k, p) per fit
+               (1, 0.0, 0.0, math.inf, math.inf),
+               (0, 0.5, 0.0, 1.0, 2.0))
+_MEMBERSHIP_EPS = tuple(0.02 * 2.0**-j for j in range(7))
+_LAMBDAS = (0.0, 1.0, 10.0, 100.0)
 
 
 class AdmissibilityError(ValueError):
@@ -76,13 +112,11 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment and its options; ``seed`` must be a non-negative int,
-    ``steps`` and ``max_iter``, where given, positive ints, ``N_list`` and
-    ``repeats``, where either is given, particle study sizes that
-    ``chaos_convergence_study`` accepts, and the grid and kernel keys must name a
-    grid and a catalog kernel.  A kernel that does not vanish must carry the
-    envelope exponent ``kernel.kappa`` equal to the admissibility exponent
-    ``kappa`` (both default to 0)."""
+    """One experiment and its options, checked as ``_options`` reads them;
+    ``seed`` must be a non-negative int, a kernel that does not vanish must
+    carry the envelope exponent ``kernel.kappa`` equal to the admissibility
+    exponent ``kappa``, a particle study two or more counts, and ``ks`` one
+    entry per entry of ``deltas``."""
 
     experiment: str
     seed: int = 0
@@ -94,16 +128,21 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {EXPERIMENTS}")
         _require_int("seed", self.seed, 0)
-        for key in ("steps", "max_iter"):
-            if self.opt(key) is not None:
-                _require_int(key, self.opt(key))
-        if self.opt("N_list") is not None or self.opt("repeats") is not None:
-            _check_study_sizes(self.opt("N_list", _STUDY_N), self.opt("repeats", _STUDY_REPEATS))
-        kern = _kernel_from(self, _grid_from(self))
-        kappa = float(self.opt("kappa", 0.0))
-        if not kernel_vanishes(kern) and kern.modulation.kappa != kappa:
-            raise ValueError(f"kernel.kappa = {kern.modulation.kappa:g} differs from kappa = "
-                             f"{kappa:g}: the drift envelope must match the admissibility exponent")
+        o = _options(self)
+        grid = _grid(o)
+        if "kernel" in o:
+            kern = _kernel(o, grid)
+            if not kernel_vanishes(kern) and kern.modulation.kappa != o["kappa"]:
+                raise ValueError(f"kernel.kappa = {kern.modulation.kappa:g} differs from "
+                                 f"kappa = {o['kappa']:g}: the drift envelope must match "
+                                 f"the admissibility exponent")
+        if "N_list" in o:
+            _check_study_sizes(o["N_list"], o["repeats"])
+            if len(o["N_list"]) < 2:
+                raise ValueError(f"N_list must be a list of distinct ints >= 2, two or more "
+                                 f"for a rate, got {o['N_list']!r}")
+        if "deltas" in o and len(o["deltas"]) != len(o["ks"]):
+            raise ValueError(f"deltas {o['deltas']!r} and ks {o['ks']!r} differ in length")
 
     def opt(self, key, default=None):
         for k, v in self.options:
@@ -225,22 +264,47 @@ def fit_exponent(pairs):
 # shared setup helpers
 
 
-def _grid_from(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(int(cfg.opt("dim", 1)), int(cfg.opt("grid_n", 1024)),
-                    float(cfg.opt("grid_extent", 16.0)))
+def _options(cfg: ExperimentConfig) -> dict:
+    """The experiment's ``_OPTIONS`` entry with the config's values over its
+    defaults, each of its default's kind, and the config's ``kernel.<param>``
+    keys; a key the experiment does not read, or one set twice, is a ``ValueError``."""
+    entry, keys = _OPTIONS[cfg.experiment], [k for k, _ in cfg.options]
+    kernel = "kernel" in entry
+    unread = [k for k in keys if k not in entry and not (kernel and k.startswith("kernel."))]
+    if unread:
+        raise ValueError(f"{cfg.experiment} does not read {', '.join(unread)}; it reads "
+                         f"{', '.join(entry)}{', kernel.<param>' if kernel else ''}")
+    twice = sorted({k for k in keys if keys.count(k) > 1})
+    if twice:
+        raise ValueError(f"{', '.join(twice)} is set more than once")
+    out = {k: d if cfg.opt(k) is None else _of_kind(k, cfg.opt(k), d) for k, d in entry.items()}
+    out.update((k, v) for k, v in cfg.options if k.startswith("kernel."))
+    return out
 
 
-def _tol(cfg: ExperimentConfig, name: str) -> float:
-    return float(cfg.opt(f"tol.{name}", DEFAULT_TOLERANCES[name]))
+def _of_kind(key: str, value, default):
+    """``value`` as ``default``'s kind: a tuple of its first entry's kind, a
+    positive int, or a float (for a float or None default); the one str key,
+    the kernel name, is make_kernel's to check."""
+    if isinstance(default, tuple):
+        value = value if isinstance(value, (tuple, list)) else (value,)
+        return tuple(_of_kind(f"each {key} entry", v, default[0]) for v in value)
+    if isinstance(default, int):
+        _require_int(key, value)
+    elif not isinstance(default, str):
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        return float(value)
+    return value
 
 
-def _kernel_from(cfg: ExperimentConfig, grid: GridSpec) -> KernelSpec:
-    name = str(cfg.opt("kernel", "zero"))
-    kw = {}
-    for k, v in cfg.options:
-        if k.startswith("kernel."):
-            kw[k.split(".", 1)[1]] = v
-    return make_kernel(name, grid, **kw)
+def _grid(o: dict) -> GridSpec:
+    return GridSpec(o.get("dim", 1), o["grid_n"], o["grid_extent"])  # heat_exponent is 1-d
+
+
+def _kernel(o: dict, grid: GridSpec) -> KernelSpec:
+    kw = {k.split(".", 1)[1]: v for k, v in o.items() if k.startswith("kernel.")}
+    return make_kernel(o["kernel"], grid, **kw)
 
 
 def _require(flag: bool, name: str, detail: str):
@@ -275,14 +339,12 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
     })
 
 
-def _solve(cfg: ExperimentConfig, report: RunReport, gamma, kern, params,
-           tol=1e-8, max_iter=25, steps=600):
-    """``picard_solve`` with the caller's ``tol`` and the config's
-    ``max_iter`` and ``steps`` over the given defaults; the settings are
-    recorded in the provenance.  ``picard_solve`` is looked up at call time,
-    so a caller may substitute it on this module."""
-    settings = {"tol": tol, "max_iter": cfg.opt("max_iter", max_iter),
-                "steps": cfg.opt("steps", steps)}
+def _solve(o: dict, report: RunReport, gamma, kern, params):
+    """``picard_solve`` with the config's ``steps``, ``max_iter`` and ``tol``
+    (``tol.residual`` for solve, 1e-8 for particles), recorded in the provenance.
+    It is looked up at call time, so a caller may substitute it on this module."""
+    settings = {"tol": o.get("tol.residual", o.get("tol", 1e-8)),
+                "max_iter": o["max_iter"], "steps": o["steps"]}
     report.provenance["solver"] = settings
     return picard_solve(gamma, kern, params, **settings)
 
@@ -292,25 +354,18 @@ def _solve(cfg: ExperimentConfig, report: RunReport, gamma, kern, params,
 
 
 def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
-    grid = GridSpec(1, int(cfg.opt("grid_n", 2048)), float(cfg.opt("grid_extent", 16.0)))
+    o = _options(cfg)
+    grid = _grid(o)
     report = _report(cfg, grid)
     # fit below the unit-window saturation scale: 1.5 decades inside [0.01, 1]
-    t_lo = float(cfg.opt("t_lo", 0.01))
-    t_hi = float(cfg.opt("t_hi", t_lo * 10**1.5))
-    t_grid = np.geomspace(t_lo, t_hi, int(cfg.opt("t_points", 12)))
-    cases = cfg.opt("cases") or ((0, 1.0, 0.0, 2.0, math.inf),
-                                 (1, 0.0, 0.0, math.inf, math.inf),
-                                 (0, 0.5, 0.0, 1.0, 2.0))
-    tol = _tol(cfg, "heat_slope")
-    for case in cases:
-        i, delta, eps, k, p = case
+    t_grid = np.geomspace(0.01, 0.01 * 10**1.5, 12)
+    for i, delta, eps, k, p in _HEAT_CASES:
         frm, to = SobolevIndex(float(delta), float(k)), SobolevIndex(float(eps), float(p))
-        fit = operator_exponent_probe(int(i), frm, to, t_grid,
-                                      probes=int(cfg.opt("probes", 24)),
+        fit = operator_exponent_probe(i, frm, to, t_grid, probes=o["probes"],
                                       seed=cfg.seed, grid=grid)
-        theory = heat_norm_exponent(int(i), frm, to, grid.dim)
+        theory = heat_norm_exponent(i, frm, to, grid.dim)
         label = f"heat_slope(i={i},delta={delta:g},eps={eps:g},k={k:g},p={p:g})"
-        report.add(label, theory, fit.slope, tol)
+        report.add(label, theory, fit.slope, DEFAULT_TOLERANCES["heat_slope"])
         report.figures[label] = list(zip(fit.t_values, fit.estimates))
     return report
 
@@ -338,24 +393,16 @@ def _expected_membership(variant, delta, k, dim):
 
 
 def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
-    grid = _grid_from(cfg)
+    o = _options(cfg)
+    grid = _grid(o)
     report = _report(cfg, grid)
-    spec = _kernel_from(cfg, grid)
-    eps_list = cfg.opt("eps_list") or tuple(0.02 * 2.0**-j for j in range(7))
-    deltas = cfg.opt("deltas")
-    if deltas is None:
-        indices = ((1.5, math.inf), (0.5, math.inf))
-    else:
-        ks = cfg.opt("ks")
-        deltas = deltas if isinstance(deltas, tuple) else (deltas,)
-        ks = ks if isinstance(ks, tuple) else (ks,) * len(deltas)
-        indices = tuple(zip(deltas, ks))
-    tol = _tol(cfg, "membership_exponent")
-    for delta, k in indices:
-        idx = SobolevIndex(float(delta), float(k))
+    spec = _kernel(o, grid)
+    tol = DEFAULT_TOLERANCES["membership_exponent"]
+    for delta, k in zip(o["deltas"], o["ks"]):
+        idx = SobolevIndex(delta, k)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "truncated .* unresolvable mollification times")
-            study = kernel_norm_study(spec, idx, list(eps_list), grid)
+            study = kernel_norm_study(spec, idx, list(_MEMBERSHIP_EPS), grid)
         expect, q = _expected_membership(spec.variant, idx.delta, idx.k, grid.dim)
         label = f"membership(delta={delta:g},k={k:g})"
         report.add(label + ".verdict", 1.0, 1.0 if study.verdict == expect else 0.0,
@@ -370,74 +417,62 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _solve_setup(cfg: ExperimentConfig, default_T=0.5, t_lo=None):
-    """Grid, flow parameters and kernel; ``n_times`` output times up to T,
-    linear from ``t_first`` (T/10), or geometric from ``t_lo`` if given."""
-    grid = _grid_from(cfg)
-    T = float(cfg.opt("T", default_T))
+def _solve_setup(cfg: ExperimentConfig, t_lo=None):
+    """Options, grid, flow parameters and kernel; ``n_times`` output times up
+    to T, linear from ``t_first``, or geometric from ``t_lo`` if given."""
+    o = _options(cfg)
+    grid = _grid(o)
+    T = o["T"]
     if t_lo is None:
-        time_grid = np.linspace(float(cfg.opt("t_first", T / 10)), T,
-                                int(cfg.opt("n_times", 10)))
+        t_first = T / 10 if o["t_first"] is None else o["t_first"]
+        time_grid = np.linspace(t_first, T, o["n_times"])
     else:
-        time_grid = np.geomspace(float(cfg.opt("t_lo", t_lo)), T,
-                                 int(cfg.opt("n_times", 8)))
-    params = FlowParams(
-        delta=float(cfg.opt("delta", 1.0)),
-        k=float(cfg.opt("k", 2.0)),
-        eps=float(cfg.opt("eps", 0.0)),
-        p=float(cfg.opt("p", math.inf)),
-        kappa=float(cfg.opt("kappa", 0.0)),
-        T=T, time_grid=tuple(time_grid), dim=grid.dim)
-    return grid, params, _kernel_from(cfg, grid)
+        time_grid = np.geomspace(t_lo, T, o["n_times"])
+    params = FlowParams(delta=o["delta"], k=o["k"], kappa=o["kappa"], T=T,
+                        time_grid=tuple(time_grid), dim=grid.dim)
+    return o, grid, params, _kernel(o, grid)
 
 
 def _exp_solve(cfg: ExperimentConfig) -> RunReport:
-    grid, params, kern = _solve_setup(cfg)
+    o, grid, params, kern = _solve_setup(cfg)
     _gate(params)
     report = _report(cfg, grid)
-    gamma = gaussian_density(grid, float(cfg.opt("gamma_mean", 0.0)),
-                             float(cfg.opt("gamma_var", 0.04)))
-    tol_res = _tol(cfg, "residual")
-    max_iter = cfg.opt("max_iter", 20)
-    report.flow, rep = _solve(cfg, report, gamma, kern, params,
-                              tol=tol_res, max_iter=max_iter)
+    gamma = gaussian_density(grid, 0.0, o["gamma_var"])
+    tol_res, max_iter = o["tol.residual"], o["max_iter"]
+    report.flow, rep = _solve(o, report, gamma, kern, params)
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
-    report.add("contraction_ratio", 0.0, ratio, _tol(cfg, "contraction_ratio"),
-               ratio < _tol(cfg, "contraction_ratio"))
+    tol_ratio = DEFAULT_TOLERANCES["contraction_ratio"]
+    report.add("contraction_ratio", 0.0, ratio, tol_ratio, ratio < tol_ratio)
     report.add("fixed_point_residual", 0.0, rep.residual, tol_res,
                rep.residual < tol_res)
     report.add("iterations", 0.0, rep.iterations, float(max_iter),
                rep.iterations <= max_iter)
     report.add("blowup", 0.0, 1.0 if rep.blowup else 0.0, 0.0, not rep.blowup)
     # lambda sweep from cached per-time gaps: ratios non-increasing in lambda
-    lam_list = cfg.opt("lambda_list") or (0.0, 1.0, 10.0, 100.0)
     worst = [max(contraction_ratios(rep.gap_series, params, lam)[:4], default=0.0)
-             for lam in lam_list]
+             for lam in _LAMBDAS]
     mono = all(b <= a * (1 + 1e-9) for a, b in zip(worst, worst[1:]))
     report.add("lambda_monotone", 1.0, 1.0 if mono else 0.0, 0.0, mono)
-    report.figures["contraction_ratio_vs_lambda"] = list(zip(lam_list, worst))
+    report.figures["contraction_ratio_vs_lambda"] = list(zip(_LAMBDAS, worst))
     report.figures["decay_trajectory"] = list(zip(report.flow.times, rep.decay_trajectory))
     return report
 
 
 def _exp_decay(cfg: ExperimentConfig) -> RunReport:
-    grid, params, kern = _solve_setup(cfg)
+    o, grid, params, kern = _solve_setup(cfg)
     _gate(params)
     report = _report(cfg, grid)
-    r_list = cfg.opt("r_list") or (0.02, 0.01, 0.005)
-    tol = float(cfg.opt("tol", 1e-8))
     sups = []
-    for r in r_list:
-        gamma = gaussian_density(grid, 0.0, float(r), normalize=True)
-        flow, rep = _solve(cfg, report, gamma, kern, params, tol=tol)
-        keep = flow.times >= float(r)
+    for r in o["r_list"]:
+        gamma = gaussian_density(grid, 0.0, r, normalize=True)
+        flow, rep = _solve(o, report, gamma, kern, params)
+        keep = flow.times >= r
         sup = float(np.max(rep.decay_trajectory[keep]))
         sups.append(sup)
         report.figures[f"decay_r={r:g}"] = list(zip(flow.times, rep.decay_trajectory))
-        report.add(f"decay_sup(r={r:g})", sups[0], sup, math.inf, True)
+        report.add(f"decay_sup(r={r:g})", sups[0], sup, DEFAULT_TOLERANCES["decay_sup"])
     spread = (max(sups) - min(sups)) / np.mean(sups)
-    report.add("decay_spread", 0.0, spread, _tol(cfg, "decay_spread"),
-               spread <= _tol(cfg, "decay_spread"))
+    report.add("decay_spread", 0.0, spread, DEFAULT_TOLERANCES["decay_spread"])
     return report
 
 
@@ -445,103 +480,77 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     # the fit window stays below the Bessel length scale: at sqrt(t) ~ 1 the
     # subleading part of the smoothing weight bends the true norm slope away
     # from its short-time exponent (same effect as in the heat-exponent fits)
-    grid, params, kern = _solve_setup(cfg, default_T=0.2, t_lo=0.02)
+    o, grid, params, kern = _solve_setup(cfg, t_lo=0.02)
     _gate(params, q=1.0)
     report = _report(cfg, grid)
-    r = float(cfg.opt("gamma_var", 0.002))
-    h_list = cfg.opt("h_list") or (0.02, 0.05, 0.1)
-    tol = float(cfg.opt("tol", 1e-8))
+    r, h_list = o["gamma_var"], o["h_list"]
     t_grid = np.asarray(params.time_grid)
     idx = params.running_index
     base_gamma = gaussian_density(grid, 0.0, r, normalize=True)
-    base_flow, _ = _solve(cfg, report, base_gamma, kern, params, tol=tol)
-    ratios = {}      # amalgam bracket, used for the linearity check
-    ratios_lo = {}   # probe bracket, used for the exponent fit
+    base_flow, _ = _solve(o, report, base_gamma, kern, params)
+    his, los = [], []  # per shift: amalgam (linearity) and probe (exponent) brackets
     for h in h_list:
-        g2 = gaussian_density(grid, float(h), r, normalize=True)
-        flow2, _ = _solve(cfg, report, g2, kern, params, tol=tol)
+        g2 = gaussian_density(grid, h, r, normalize=True)
+        flow2, _ = _solve(o, report, g2, kern, params)
         w1 = wasserstein_1d(base_gamma, g2, 1.0)
-        hi, lo = [], []
-        for a, b in zip(base_flow.densities, flow2.densities):
-            diff = ScalarField(grid, a.values - b.values)
-            hi.append(measure_dual_norm(diff, idx, "amalgam") / w1)
-            lo.append(measure_dual_norm(diff, idx, "probe", probes=32,
-                                        seed=cfg.seed) / w1)
-        ratios[h] = np.asarray(hi)
-        ratios_lo[h] = np.asarray(lo)
-        report.figures[f"stability_h={h:g}"] = list(zip(t_grid, hi))
+        diffs = [ScalarField(grid, a.values - b.values)
+                 for a, b in zip(base_flow.densities, flow2.densities)]
+        his.append([measure_dual_norm(d, idx, "amalgam") / w1 for d in diffs])
+        los.append([measure_dual_norm(d, idx, "probe", probes=32, seed=cfg.seed) / w1
+                    for d in diffs])
+        report.figures[f"stability_h={h:g}"] = list(zip(t_grid, his[-1]))
     theory_slope = -(1.0 + params.delta) / 2.0 - grid.dim / (2.0 * params.k)
     # exponent from the certified lower bracket: the single-witness pairing
     # tracks the windowed scaling, while the cell-sum surrogate inflates with
-    # the spatial spread of the difference (its fit is kept as a diagnostic)
-    mean_lo = np.mean([ratios_lo[h] for h in h_list], axis=0)
-    slope, _, _ = fit_exponent(list(zip(t_grid, mean_lo)))
-    report.add("stability_slope", theory_slope, slope, _tol(cfg, "stability_slope"))
-    mean_hi = np.mean([ratios[h] for h in h_list], axis=0)
+    # the spatial spread of the difference (its fit is a looser check)
+    slope, _, _ = fit_exponent(list(zip(t_grid, np.mean(los, axis=0))))
+    report.add("stability_slope", theory_slope, slope,
+               DEFAULT_TOLERANCES["stability_slope"])
+    his = np.array(his)
+    mean_hi = his.mean(axis=0)
     slope_hi, _, _ = fit_exponent(list(zip(t_grid, mean_hi)))
     report.add("stability_slope_upper_bracket", theory_slope, slope_hi,
-               math.inf, True)
-    spreads = []
-    for j in range(t_grid.size):
-        vals = [ratios[h][j] for h in h_list]
-        spreads.append((max(vals) - min(vals)) / np.mean(vals))
-    lin = max(spreads)
-    report.add("stability_linearity", 0.0, lin, _tol(cfg, "stability_linearity"),
-               lin <= _tol(cfg, "stability_linearity"))
+               DEFAULT_TOLERANCES["stability_slope_upper_bracket"])
+    lin = np.max((his.max(axis=0) - his.min(axis=0)) / mean_hi)
+    report.add("stability_linearity", 0.0, lin, DEFAULT_TOLERANCES["stability_linearity"])
     return report
 
 
 def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
-    grid, params, kern = _solve_setup(cfg, t_lo=0.05)
+    o, grid, params, kern = _solve_setup(cfg, t_lo=0.05)
     _gate(params, q=1.0)
     report = _report(cfg, grid)
-    r = float(cfg.opt("gamma_var", 0.04))
-    h = float(cfg.opt("gamma_shift", 0.1))
-    tol = float(cfg.opt("tol", 1e-8))
+    r, h = o["gamma_var"], o["gamma_shift"]
     t_grid = np.asarray(params.time_grid)
     g1 = gaussian_density(grid, 0.0, r, normalize=True)
     g2 = gaussian_density(grid, h, r, normalize=True)
     w2 = wasserstein_1d(g1, g2, 2.0)
-    f1, _ = _solve(cfg, report, g1, kern, params, tol=tol)
-    f2, _ = _solve(cfg, report, g2, kern, params, tol=tol)
-    measured = []
-    for t, a, b in zip(t_grid, f1.densities, f2.densities):
-        ent = relative_entropy(a, b)
-        measured.append(ent * t / w2**2)
-    measured = np.asarray(measured)
+    f1, _ = _solve(o, report, g1, kern, params)
+    f2, _ = _solve(o, report, g2, kern, params)
+    measured = np.array([relative_entropy(a, b) * t / w2**2
+                         for t, a, b in zip(t_grid, f1.densities, f2.densities)])
     report.figures["entropy_cost_ratio"] = list(zip(t_grid, measured))
-    if kernel_vanishes(kern):
-        analytic = t_grid / (2.0 * (r + t_grid))
-        gap = float(np.max(np.abs(measured - analytic)))
-        report.add("entropy_ratio_analytic_gap", 0.0, gap, 0.01, gap <= 0.01)
-        bound = _tol(cfg, "entropy_zero_bound")
-        report.add("entropy_ratio_bound", bound, float(measured.max()), bound,
-                   bool(measured.max() <= bound))
-    else:
-        bound = _tol(cfg, "entropy_kernel_bound")
-        report.add("entropy_envelope", bound, float(measured.max()), bound,
-                   bool(measured.max() <= bound))
+    zero = kernel_vanishes(kern)
+    if zero:
+        gap = float(np.max(np.abs(measured - t_grid / (2.0 * (r + t_grid)))))
+        report.add("entropy_ratio_analytic_gap", 0.0, gap,
+                   DEFAULT_TOLERANCES["entropy_ratio_analytic_gap"])
+    bound = DEFAULT_TOLERANCES["entropy_zero_bound" if zero else "entropy_kernel_bound"]
+    report.add("entropy_ratio_bound" if zero else "entropy_envelope", bound,
+               float(measured.max()), bound, bool(measured.max() <= bound))
     return report
 
 
-_STUDY_N = (250, 1000, 4000)  # particle counts and repeats of the particles study
-_STUDY_REPEATS = 10
-
-
 def _exp_particles(cfg: ExperimentConfig) -> RunReport:
-    grid, params, kern = _solve_setup(cfg)
+    o, grid, params, kern = _solve_setup(cfg)
     report = _report(cfg, grid)
-    r0 = float(cfg.opt("gamma_var", 0.04))
-    gamma = gaussian_density(grid, 0.0, r0)
-    N_list = cfg.opt("N_list", _STUDY_N)
-    repeats = cfg.opt("repeats", _STUDY_REPEATS)
-    flow, _ = _solve(cfg, report, gamma, kern, params, steps=400)
-    dt = float(cfg.opt("dt", 0.0025))
+    r0 = o["gamma_var"]
+    flow, _ = _solve(o, report, gaussian_density(grid, 0.0, r0), kern, params)
     zero = kernel_vanishes(kern)
-    sim = SimConfig(grid=grid, dt=dt, T=params.T, seed=cfg.seed,
+    sim = SimConfig(grid=grid, dt=o["dt"], T=params.T, seed=cfg.seed,
                     kernel=None if zero else kern,
                     initial=GaussianSpec((0.0,), r0), checkpoints=(params.T,))
-    study = chaos_convergence_study(sim, list(N_list), flow, repeats=repeats)
+    study = chaos_convergence_study(sim, list(o["N_list"]), flow, repeats=o["repeats"])
     report.tables["particle_errors"] = (("N", "seed", "t", "W1", "L1"),
                                         study["rows"])
     Ns = sorted(study["summary"])
@@ -549,13 +558,12 @@ def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     sds = [study["summary"][N][1] for N in Ns]
     report.figures["w1_vs_N"] = list(zip(Ns, means))
     if zero:
-        # three N values by design; the 4-point gate of fit_exponent is for
-        # time sweeps
+        # few N values by design; the 4-point gate of fit_exponent is for time sweeps
         slope = float(np.polyfit(np.log(Ns), np.log(means), 1)[0])
-        report.add("mc_rate_slope", -0.5, slope, _tol(cfg, "mc_rate_slope"))
+        report.add("mc_rate_slope", -0.5, slope, DEFAULT_TOLERANCES["mc_rate_slope"])
     inversions = sum(1 for j in range(1, len(Ns))
                      if means[j] > means[j - 1] + sds[j - 1])
-    report.add("w1_monotone_in_N", 0.0, float(inversions), 1.0, inversions <= 1)
+    report.add("w1_monotone_in_N", 0.0, inversions, DEFAULT_TOLERANCES["w1_monotone_in_N"])
     report.add("seed_failures", 0.0, float(len(study["failures"])), 0.0,
                not study["failures"])
     return report
@@ -570,7 +578,6 @@ _RUNNERS = {
     "entropy_cost": _exp_entropy_cost,
     "particles": _exp_particles,
 }
-EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:

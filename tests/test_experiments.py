@@ -64,10 +64,10 @@ class TestFitExponent:
 
 class TestConfig:
     def test_round_trip(self):
-        text = ("experiment = solve\nseed = 3\nkernel = riesz\n"
+        text = ("experiment = stability\nseed = 3\nkernel = riesz\n"
                 "kernel.c = 0.2\ndelta = 1.0\nh_list = 0.02, 0.05, 0.1\n")
         cfg = parse_config(text)
-        assert cfg.experiment == "solve"
+        assert cfg.experiment == "stability"
         assert cfg.seed == 3
         assert cfg.opt("kernel.c") == 0.2
         assert cfg.opt("h_list") == (0.02, 0.05, 0.1)
@@ -87,8 +87,8 @@ class TestConfig:
             parse_config("seed = 1\n")
 
     def test_inf_parsing(self):
-        cfg = parse_config("experiment = decay\nks = inf\n")
-        assert cfg.opt("ks") == math.inf
+        cfg = parse_config("experiment = decay\nk = inf\n")
+        assert cfg.opt("k") == math.inf
 
     def test_hash_sensitivity(self):
         a = parse_config("experiment = decay\nseed = 1\n")
@@ -126,6 +126,89 @@ class TestKernelEnvelope:
         assert err.startswith("mkvflow experiment: error: kernel.kappa = 0 differs")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestOptionTable:
+    # each case was run silently, or ended in a traceback, before every
+    # experiment checked its options against the keys it reads
+    @pytest.mark.parametrize("command, config, lines, message", [
+        ("experiment", "contraction", "gama_var = 0.5", "solve does not read gama_var"),
+        ("experiment", "contraction", "tol = 0.5", "solve does not read tol"),
+        ("particles", "particles_zero", "tol = 1e-10", "particles does not read tol"),
+        ("experiment", "heat_exponent", "dim = 2", "heat_exponent does not read dim"),
+        ("experiment", "heat_exponent", "kernel = riesz", "heat_exponent does not read kernel"),
+        ("experiment", "heat_exponent", "kernel.c = 0.2", "heat_exponent does not read kernel.c"),
+        ("experiment", "contraction", "lambda_list = 1.0", "solve does not read lambda_list"),
+        ("experiment", "membership_dirac", "eps_list = 0.01",
+         "kernel_membership does not read eps_list"),
+        ("experiment", "heat_exponent", "t_lo = 0.02", "heat_exponent does not read t_lo"),
+        ("experiment", "heat_exponent", "tol.heat_slope = 1",
+         "heat_exponent does not read tol.heat_slope"),
+        ("experiment", "contraction", "eps = 0.5\np = 4", "solve does not read eps, p"),
+        ("experiment", "membership_riesz_steep", "ks = 2.0, 2.0",
+         "deltas (1.0,) and ks (2.0, 2.0) differ in length"),
+        ("experiment", "membership_dirac", "deltas = 1.5, 0.5\nks = inf, inf, 2.0",
+         "deltas (1.5, 0.5) and ks (inf, inf, 2.0) differ in length"),
+        ("experiment", "contraction", "T = 0.5", "T is set more than once"),
+        ("experiment", "contraction", "grid_extent = 8, 16", "grid_extent must be a number"),
+        ("experiment", "contraction", "gamma_var = abc", "gamma_var must be a number, got 'abc'"),
+        ("experiment", "decay", "r_list = 0.02, x", "each r_list entry must be a number"),
+        ("experiment", "contraction", "n_times = 2.5", "n_times must be a positive int"),
+    ], ids=["typo", "solve-tol", "particles-tol", "heat-dim", "heat-kernel", "heat-kernel-param",
+            "lambda_list", "eps_list", "t_lo", "tol-name", "eps-p", "ks-longer", "ks-after-deltas",
+            "twice", "sequence", "word", "entry", "int"])
+    def test_config_key_is_an_error_line(self, tmp_path, monkeypatch, capsys, command,
+                                         config, lines, message):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        text = (REPO / f"configs/{config}.cfg").read_text()
+        if "more than once" not in message:  # the case's keys replace the config's
+            keys = [line.split("=")[0] for line in lines.splitlines()]
+            text = "".join(line for line in text.splitlines(True)
+                           if line.split("=")[0] not in keys)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + lines + "\n")
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"mkvflow {command}: error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_deltas_without_ks_is_an_error(self):
+        # ks defaults to the two entries of deltas' default
+        with pytest.raises(ValueError, match=r"deltas \(1.5,\) and ks \(inf, inf\) differ"):
+            parse_config("experiment = kernel_membership\nkernel = dirac\ndeltas = 1.5\n")
+
+    def test_cases_is_not_an_option(self):
+        with pytest.raises(ValueError, match="heat_exponent does not read cases"):
+            ExperimentConfig("heat_exponent", options=(
+                ("cases", ((1, 0.0, 0.0, math.inf, math.inf),)),))
+
+    @pytest.mark.parametrize("experiment, lines, figures", [
+        ("decay", "kernel = riesz\nkernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
+                  "T = 0.1\nsteps = 50\nr_list = 0.02\n", ["decay_r=0.02"]),
+        ("stability", "kernel = zero\nkappa = 1.25\nT = 0.2\ngamma_var = 0.01\n"
+                      "n_times = 4\nsteps = 40\nh_list = 0.1\n", ["stability_h=0.1"]),
+    ], ids=["r_list", "h_list"])
+    def test_one_value_list_runs_as_a_list(self, experiment, lines, figures):
+        # one value used to end in "'float' object is not iterable"
+        cfg = parse_config(f"experiment = {experiment}\ngrid_n = 256\n{lines}")
+        report = run_experiment(cfg)
+        assert [f for f in report.figures if f in figures] == figures
+        assert len(report.figures) == 1
+        if experiment == "decay":
+            assert [r.quantity for r in report.rows] == ["decay_sup(r=0.02)", "decay_spread"]
+
+    def test_tolerance_rows_cite_the_table(self):
+        # no row passes unbounded
+        cfg = parse_config("experiment = decay\ngrid_n = 256\nkernel = zero\nkappa = 0.75\n"
+                           "T = 0.1\nsteps = 50\nr_list = 0.02, 0.01\n")
+        report = run_experiment(cfg)
+        assert [(r.quantity, r.tol) for r in report.rows] == [
+            ("decay_sup(r=0.02)", 0.05), ("decay_sup(r=0.01)", 0.05), ("decay_spread", 0.2)]
+        assert experiments.DEFAULT_TOLERANCES["stability_slope_upper_bracket"] == 0.15
 
 
 class TestAdmissibilityGate:
@@ -188,12 +271,11 @@ class TestEmitReport:
         pairs = [tuple(float(x) for x in ln.split()) for ln in lines]
         assert pairs == [(0.1, 1.0), (0.2, 0.5)]
 
-    def test_plotdata_refit_consistency(self, tmp_path):
+    def test_plotdata_refit_consistency(self, tmp_path, monkeypatch):
         # the emitted two-column files carry exactly the pairs the exponent
         # fit consumed: re-fitting from disk reproduces the reported slope
-        cfg = ExperimentConfig("heat_exponent", options=(
-            ("grid_n", 1024), ("cases", ((1, 0.0, 0.0, math.inf, math.inf),)),
-            ("probes", 8)))
+        monkeypatch.setattr(experiments, "_HEAT_CASES", ((1, 0.0, 0.0, math.inf, math.inf),))
+        cfg = ExperimentConfig("heat_exponent", options=(("grid_n", 1024), ("probes", 8)))
         report = run_experiment(cfg)
         emit_report(report, tmp_path, name="h", formats=("plotdata",))
         (fig_name, pairs), = report.figures.items()
@@ -376,11 +458,13 @@ class TestCli:
 
     @pytest.mark.parametrize("steps", ["0", "-5"])
     def test_solve_rejects_steps_below_one(self, tmp_path, monkeypatch, capsys, steps):
+        # the config's rule, as for a config file's steps
         monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["solve", "--grid", "256", "--steps", steps, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
+        rc = cli_main(["solve", "--grid", "256", "--steps", steps, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"mkvflow solve: error: steps must be a positive int, got {steps}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", ["steps = 0", "steps = -5", "steps = 2.5",
@@ -578,11 +662,13 @@ class TestCli:
         assert iterations == [2, 2]
 
     def test_solve_stops_at_tol_residual_only(self):
-        # a bare tol key is not a solve-experiment setting
-        cfg = parse_config("experiment = solve\ngrid_n = 256\nkernel = riesz\n"
-                           "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
-                           "T = 0.1\nsteps = 50\ntol.residual = 1e-8\ntol = 0.5\n")
-        report = run_experiment(cfg)
+        # a bare tol key is not a solve-experiment setting: it is rejected
+        text = ("experiment = solve\ngrid_n = 256\nkernel = riesz\n"
+                "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
+                "T = 0.1\nsteps = 50\ntol.residual = 1e-8\n")
+        with pytest.raises(ValueError, match="^solve does not read tol; it reads "):
+            parse_config(text + "tol = 0.5\n")
+        report = run_experiment(parse_config(text))
         assert report.provenance["solver"] == {"tol": 1e-8, "max_iter": 20, "steps": 50}
         (row,) = [r for r in report.rows if r.quantity == "fixed_point_residual"]
         assert row.tol == 1e-8

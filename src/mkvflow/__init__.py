@@ -43,7 +43,6 @@ from .solver import (
     FlowParams,
     MeasureFlow,
     SolveReport,
-    eta_theta_params,
     phi_apply,
     picard_solve,
     time_shift_solve,

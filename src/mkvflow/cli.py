@@ -40,7 +40,8 @@ def _add_config(p):
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: the config's, else 0)")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    _add_grid(p, None, None, " (overrides config; default 1024, extent 16)")
+    _add_grid(p, None, None, " (overrides config; default: the experiment's, 1024 points "
+              "or heat_exponent's 2048, extent 16)")
 
 
 def _formats(text: str) -> tuple:
@@ -138,7 +139,7 @@ def _solve_config(args) -> ExperimentConfig:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """The config file's experiment, or the named one on a 1024-point grid;
+    """The config file's experiment, or the named one with its defaults;
     explicit flags override either."""
     if args.config:
         with open(args.config) as fh:
@@ -146,7 +147,7 @@ def _experiment_config(args) -> ExperimentConfig:
     elif args.name is None:
         raise SystemExit("experiment name or --config required")
     else:
-        cfg = ExperimentConfig(args.name, options=(("grid_n", 1024), ("grid_extent", 16.0)))
+        cfg = ExperimentConfig(args.name)
     flags = {k: v for k, v in (("grid_n", args.grid), ("grid_extent", args.extent))
              if v is not None}
     options = tuple((k, flags.get(k, v)) for k, v in cfg.options)

@@ -34,13 +34,7 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, _check_study_sizes, chaos_convergence_study
-from .solver import (
-    FlowParams,
-    _require_int,
-    contraction_ratios,
-    eta_theta_params,
-    picard_solve,
-)
+from .solver import FlowParams, _require_int, _require_tol, contraction_ratios, picard_solve
 
 __all__ = [
     "ExperimentConfig",
@@ -55,7 +49,7 @@ __all__ = [
 ]
 
 # documented default tolerances; every pass/fail row cites its entry, or the
-# solve experiment's residual row its config's tol.residual
+# fixed_point_residual row its solves' tol
 DEFAULT_TOLERANCES = {
     "heat_slope": 0.08,
     "membership_exponent": 0.1,
@@ -113,7 +107,8 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment and its options, checked as ``_options`` reads them;
-    ``seed`` must be a non-negative int, a kernel that does not vanish must
+    ``seed`` must be a non-negative int, ``tol`` (``tol.residual``) positive
+    and finite, a kernel that does not vanish must
     carry the envelope exponent ``kernel.kappa`` equal to the admissibility
     exponent ``kappa``, a particle study two or more counts, and ``ks`` one
     entry per entry of ``deltas``."""
@@ -129,6 +124,9 @@ class ExperimentConfig:
                              f"choose from {EXPERIMENTS}")
         _require_int("seed", self.seed, 0)
         o = _options(self)
+        for key in ("tol", "tol.residual"):
+            if key in o:
+                _require_tol(o[key], key)
         grid = _grid(o)
         if "kernel" in o:
             kern = _kernel(o, grid)
@@ -312,19 +310,18 @@ def _require(flag: bool, name: str, detail: str):
         raise AdmissibilityError(f"{name} violated: {detail}")
 
 
-def _gate(params: FlowParams, q: float | None = None):
-    """Refuse ``params`` outside the smoothing gap, and, when ``q`` is given,
-    outside the stability window and the transport-order window for ``q``."""
-    info = eta_theta_params(params, q=q)
-    _require(info["smoothing_gap_ok"], "smoothing-gap bound eta < 1 + 2*kappa",
-             f"eta={info['eta']:.3f}, kappa={params.kappa:.3f}")
-    if q is None:
-        return
-    _require(info["stability_window_ok"],
-             "stability window eta < max(1, 1/2 + kappa) with the delta cap",
-             f"eta={info['eta']:.3f}, delta={params.delta:.3f}, kappa={params.kappa:.3f}")
-    _require(info["q_range_ok"], "transport-order window for q",
-             f"q={q}, xi(q)={info['xi_q']:.3f}")
+def _gate(params: FlowParams, window: bool = False):
+    """Refuse ``params`` outside the smoothing gap eta < 1 + 2 kappa, and, with
+    ``window``, outside the stability window eta < max(1, 1/2 + kappa) with
+    the delta cap delta < min(1, 2 - d/k) + max(2 kappa - eta, 0)."""
+    eta, delta, kappa = params.eta, params.delta, params.kappa
+    _require(eta < 1.0 + 2.0 * kappa, "smoothing-gap bound eta < 1 + 2*kappa",
+             f"eta={eta:.3f}, kappa={kappa:.3f}")
+    if window:
+        cap = min(1.0, 2.0 - params.dim / params.k) + max(2.0 * kappa - eta, 0.0)
+        _require(eta < max(1.0, 0.5 + kappa) and delta < cap,
+                 "stability window eta < max(1, 1/2 + kappa) with the delta cap",
+                 f"eta={eta:.3f}, delta={delta:.3f}, kappa={kappa:.3f}")
 
 
 def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
@@ -342,11 +339,29 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
 def _solve(o: dict, report: RunReport, gamma, kern, params):
     """``picard_solve`` with the config's ``steps``, ``max_iter`` and ``tol``
     (``tol.residual`` for solve, 1e-8 for particles), recorded in the provenance.
-    It is looked up at call time, so a caller may substitute it on this module."""
+    The experiment's one ``fixed_point_residual`` row, placed at its first
+    solve, holds the worst residual of its solves and passes iff each is below
+    ``tol``.  ``picard_solve`` is looked up at call time, so a caller may
+    substitute it on this module."""
     settings = {"tol": o.get("tol.residual", o.get("tol", 1e-8)),
                 "max_iter": o["max_iter"], "steps": o["steps"]}
     report.provenance["solver"] = settings
-    return picard_solve(gamma, kern, params, **settings)
+    flow, rep = picard_solve(gamma, kern, params, **settings)
+    rows, tol, res = report.rows, settings["tol"], rep.residual
+    old = next((j for j, r in enumerate(rows) if r.quantity == "fixed_point_residual"), None)
+    if old is None or rows[old].measured < res:
+        report.add("fixed_point_residual", 0.0, res, tol, res < tol)
+        if old is not None:
+            rows[old] = rows.pop()
+    return flow, rep
+
+
+def _decay(flow, params: FlowParams):
+    """The decay trajectory ``t^(eta/2) |mu_t|`` on the flow's times, in the
+    running index's amalgam norm, and whether a norm blew up past 1e6."""
+    norms = np.array([measure_dual_norm(rho, params.running_index, "amalgam")
+                      for rho in flow.densities])
+    return flow.times**(0.5 * params.eta) * norms, bool((norms > 1e6).any())
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +453,21 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     _gate(params)
     report = _report(cfg, grid)
     gamma = gaussian_density(grid, 0.0, o["gamma_var"])
-    tol_res, max_iter = o["tol.residual"], o["max_iter"]
     report.flow, rep = _solve(o, report, gamma, kern, params)
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
     tol_ratio = DEFAULT_TOLERANCES["contraction_ratio"]
     report.add("contraction_ratio", 0.0, ratio, tol_ratio, ratio < tol_ratio)
-    report.add("fixed_point_residual", 0.0, rep.residual, tol_res,
-               rep.residual < tol_res)
-    report.add("iterations", 0.0, rep.iterations, float(max_iter),
-               rep.iterations <= max_iter)
-    report.add("blowup", 0.0, 1.0 if rep.blowup else 0.0, 0.0, not rep.blowup)
+    report.add("iterations", 0.0, rep.iterations, float(o["max_iter"]),
+               rep.iterations <= o["max_iter"])
+    trajectory, blowup = _decay(report.flow, params)
+    report.add("blowup", 0.0, 1.0 if blowup else 0.0, 0.0, not blowup)
     # lambda sweep from cached per-time gaps: ratios non-increasing in lambda
     worst = [max(contraction_ratios(rep.gap_series, params, lam)[:4], default=0.0)
              for lam in _LAMBDAS]
     mono = all(b <= a * (1 + 1e-9) for a, b in zip(worst, worst[1:]))
     report.add("lambda_monotone", 1.0, 1.0 if mono else 0.0, 0.0, mono)
     report.figures["contraction_ratio_vs_lambda"] = list(zip(_LAMBDAS, worst))
-    report.figures["decay_trajectory"] = list(zip(report.flow.times, rep.decay_trajectory))
+    report.figures["decay_trajectory"] = list(zip(report.flow.times, trajectory))
     return report
 
 
@@ -465,11 +478,11 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     sups = []
     for r in o["r_list"]:
         gamma = gaussian_density(grid, 0.0, r, normalize=True)
-        flow, rep = _solve(o, report, gamma, kern, params)
-        keep = flow.times >= r
-        sup = float(np.max(rep.decay_trajectory[keep]))
+        flow, _ = _solve(o, report, gamma, kern, params)
+        trajectory, _ = _decay(flow, params)
+        sup = float(np.max(trajectory[flow.times >= r]))
         sups.append(sup)
-        report.figures[f"decay_r={r:g}"] = list(zip(flow.times, rep.decay_trajectory))
+        report.figures[f"decay_r={r:g}"] = list(zip(flow.times, trajectory))
         report.add(f"decay_sup(r={r:g})", sups[0], sup, DEFAULT_TOLERANCES["decay_sup"])
     spread = (max(sups) - min(sups)) / np.mean(sups)
     report.add("decay_spread", 0.0, spread, DEFAULT_TOLERANCES["decay_spread"])
@@ -481,7 +494,7 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     # subleading part of the smoothing weight bends the true norm slope away
     # from its short-time exponent (same effect as in the heat-exponent fits)
     o, grid, params, kern = _solve_setup(cfg, t_lo=0.02)
-    _gate(params, q=1.0)
+    _gate(params, window=True)
     report = _report(cfg, grid)
     r, h_list = o["gamma_var"], o["h_list"]
     t_grid = np.asarray(params.time_grid)
@@ -518,7 +531,7 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
 
 def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     o, grid, params, kern = _solve_setup(cfg, t_lo=0.05)
-    _gate(params, q=1.0)
+    _gate(params, window=True)
     report = _report(cfg, grid)
     r, h = o["gamma_var"], o["gamma_shift"]
     t_grid = np.asarray(params.time_grid)

@@ -19,6 +19,9 @@ successive iterates falls below tolerance.  Rough initial data enters
 through the time-shift route: pure diffusion on [0, r], drift switched on
 afterwards with shifted time argument.  The shift lives in the march itself
 (``graded_from``), so a shifted convolution drift keeps the spectral path.
+The solver reports what it computed (iterations, residual, ratios, clipped
+mass); which parameter sets an estimate admits, and whether a solve reached
+its tolerance, the experiments judge.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .grids import _RESOLUTION_CELLS, GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
 from .kernels import KernelSpec, NemytskiiSpec, drift_map, kernel_vanishes
-from .norms import SobolevIndex, _inv, measure_dual_norm
+from .norms import SobolevIndex, measure_dual_norm
 
 __all__ = [
     "FlowParams",
@@ -39,7 +42,6 @@ __all__ = [
     "SolveReport",
     "DegradedAccuracyError",
     "NoContractionError",
-    "eta_theta_params",
     "phi_apply",
     "contraction_ratios",
     "picard_solve",
@@ -68,28 +70,24 @@ def _require_int(name: str, value, least: int = 1):
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Index pair and time horizon defining one solve.
+    """Running index, drift envelope exponent and time horizon of one solve.
 
-    ``eps <= delta`` and ``k <= p`` index the initial and running norms; the
-    derived smoothing gap ``eta`` must stay below ``1 + 2 kappa`` for the
-    fixed-point scheme to contract.
+    ``(delta, k)`` indexes the running norm and is checked as a
+    ``SobolevIndex``; ``eta = delta + dim/k`` is the smoothing gap, whose half
+    is the time power of the flow metric.  ``kappa`` is the drift envelope's
+    exponent; which ``(eta, kappa)`` an estimate admits is the experiments'
+    check.  ``time_grid`` defaults to eight equally spaced times ending at ``T``.
     """
 
     delta: float
     k: float
-    eps: float = 0.0
-    p: float = math.inf
     kappa: float = 0.0
     T: float = 1.0
     time_grid: tuple = ()
     dim: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.eps <= self.delta < math.inf:
-            raise ValueError(f"need 0 <= eps <= delta < inf, got eps={self.eps}, "
-                             f"delta={self.delta}")
-        if not (1 <= self.k <= self.p):
-            raise ValueError(f"need 1 <= k <= p, got k={self.k}, p={self.p}")
+        SobolevIndex(self.delta, self.k)  # raises on an index pair outside the scale
         if not 0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if not 0 < self.T < math.inf:
@@ -106,58 +104,11 @@ class FlowParams:
 
     @property
     def eta(self) -> float:
-        return self.delta - self.eps + self.dim * (_inv(self.k) - _inv(self.p))
-
-    @property
-    def theta(self) -> float:
-        gap = 1.0 - max(self.eta - 2.0 * self.kappa, 0.0)
-        return math.inf if gap <= 0 else 2.0 / gap
+        return self.delta + self.dim / self.k
 
     @property
     def running_index(self) -> SobolevIndex:
         return SobolevIndex(self.delta, self.k)
-
-    @property
-    def weight_exponent(self) -> float:
-        """Time power in the weighted flow metric (half the smoothing gap)."""
-        return 0.5 * self.eta
-
-
-def eta_theta_params(params: FlowParams, q: float | None = None) -> dict:
-    """Derived indices and admissibility flags for one parameter set.
-
-    Returns eta, theta, the transport order index xi(q) when q is given, and
-    booleans for the smoothing-gap condition (eta < 1 + 2 kappa), the
-    stability window (eta < max(1, 1/2 + kappa) together with the delta
-    cap), and the admissible q-range for transport comparisons.  Inadmissible
-    sets are flagged, never rejected.
-    """
-    eta = params.eta
-    theta = params.theta
-    d, kk = params.dim, params.kappa
-    slack = max(2.0 * kk - eta, 0.0)
-    out = {
-        "eta": eta,
-        "theta": theta,
-        "smoothing_gap_ok": eta < 1.0 + 2.0 * kk,
-        "stability_window_ok": (
-            eta < max(1.0, 0.5 + kk)
-            and params.delta < min(1.0, 2.0 - d * _inv(params.k)) + slack
-            and params.eps <= d * (1.0 - _inv(params.p))
-        ),
-    }
-    if q is not None:
-        if q < 1:
-            raise ValueError(f"transport order q must be >= 1, got {q}")
-        xi = params.delta + d * _inv(params.k) - (1.0 - 1.0 / q) * (
-            params.eps + d * _inv(params.p))
-        lo = (params.eps + d * _inv(params.p)) / (1.0 + slack - eta) \
-            if 1.0 + slack - eta > 0 else math.inf
-        denom = max(params.eps + d * _inv(params.p) - d * _inv(params.k), 0.0)
-        hi = math.inf if denom == 0 else (params.eps + d * _inv(params.p)) / denom
-        out["xi_q"] = xi
-        out["q_range_ok"] = lo < q <= hi
-    return out
 
 
 @dataclass
@@ -204,8 +155,6 @@ class MeasureFlow:
 class SolveReport:
     iterations: int
     contraction_ratios: list
-    decay_trajectory: np.ndarray
-    blowup: bool
     lam_used: float
     clip_mass: float
     residual: float
@@ -385,7 +334,7 @@ def _dual_norm_series(mu: MeasureFlow, nu: MeasureFlow, idx: SobolevIndex) -> np
 
 
 def _weight(params: FlowParams, times: np.ndarray, lam: float) -> np.ndarray:
-    return np.exp(-lam * times) * times**params.weight_exponent
+    return np.exp(-lam * times) * times**(0.5 * params.eta)
 
 
 def contraction_ratios(gap_series: list, params: FlowParams, lam: float) -> list:
@@ -397,6 +346,13 @@ def contraction_ratios(gap_series: list, params: FlowParams, lam: float) -> list
     weight = _weight(params, np.asarray(params.time_grid), lam)
     dists = [float(np.max(weight * gaps)) for gaps in gap_series]
     return [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
+
+
+def _require_tol(tol, name: str = "tol"):
+    """Raise unless ``tol`` is positive and finite: below 0, or at NaN, no
+    residual stops the loop, and at inf the first one does."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
@@ -415,17 +371,20 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
 
     Returns ``(flow, report)``.  The report holds the iteration count, the
     unweighted ``contraction_ratios`` and residual (``lam_used`` is always
-    0), the per-iteration gap series, and the decay trajectory
-    ``t^(eta/2) |mu_t|`` on the flow's times with its blow-up flag.
+    0), the largest clipped mass and the per-iteration gap series.  Running
+    out of iterations is not an error here: the caller judges ``residual``
+    against ``tol``.
 
     Raises
     ------
     NoContractionError
         After three consecutive contraction ratios at or above one.
     ValueError
-        If ``steps`` or ``max_iter`` is not a positive int.
+        If ``steps`` or ``max_iter`` is not a positive int, or ``tol`` is not
+        positive and finite.
     """
     _require_int("max_iter", max_iter)
+    _require_tol(tol)
     weight = _weight(params, np.asarray(params.time_grid), 0.0)
     current = phi_apply(gamma, None, drift, params, steps, graded_from)
     gap_series = []  # per-iteration arrays of per-time dual-norm gaps
@@ -448,13 +407,9 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
                 f"no contraction after {iterations} iterations "
                 f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
                 f"weaken the drift or shorten the horizon T")
-    norms = np.array([measure_dual_norm(r, params.running_index, "amalgam")
-                      for r in current.densities])
     report = SolveReport(
         iterations=iterations,
         contraction_ratios=contraction_ratios(gap_series, params, 0.0),
-        decay_trajectory=current.times**params.weight_exponent * norms,
-        blowup=bool((norms > 1e6).any()),
         lam_used=0.0, clip_mass=clip_mass, residual=residual,
         gap_series=gap_series)
     return current, report
@@ -467,8 +422,8 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     The initial measure evolves freely on [0, r]; the drift then switches on
     with shifted time argument.  The returned flow is indexed by the time
     after the switch, so its law at t matches the plain solve started from
-    the r-smoothed initial datum.  ``steps`` and ``max_iter`` must be
-    positive ints, as for ``picard_solve``.
+    the r-smoothed initial datum.  ``steps``, ``max_iter`` and ``tol`` are
+    checked as ``picard_solve`` checks them.
     """
     if r <= 0:
         raise ValueError(f"shift r must be positive, got {r}")

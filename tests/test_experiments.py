@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkvflow import experiments
+from mkvflow import cli, experiments
 from mkvflow.cli import main as cli_main
 from mkvflow.experiments import (
     AdmissibilityError,
@@ -26,6 +26,7 @@ from mkvflow.experiments import (
 from mkvflow.flowio import flow_density_table, read_flow, write_flow
 from mkvflow.grids import GridSpec, gaussian_density
 from mkvflow.kernels import make_kernel
+from mkvflow.norms import SobolevIndex, measure_dual_norm
 from mkvflow.solver import FlowParams, phi_apply, picard_solve
 
 REPO = Path(__file__).resolve().parents[1]
@@ -176,6 +177,24 @@ class TestOptionTable:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, key", [("decay", "tol"), ("contraction", "tol.residual")])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, monkeypatch, capsys, config,
+                                             key, value):
+        # 0, -1 and nan used to run all max_iter iterations, inf to stop after one
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text((REPO / f"configs/{config}.cfg").read_text() + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"mkvflow experiment: error: {key} must be positive and finite, got ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_deltas_without_ks_is_an_error(self):
         # ks defaults to the two entries of deltas' default
         with pytest.raises(ValueError, match=r"deltas \(1.5,\) and ks \(inf, inf\) differ"):
@@ -199,7 +218,8 @@ class TestOptionTable:
         assert [f for f in report.figures if f in figures] == figures
         assert len(report.figures) == 1
         if experiment == "decay":
-            assert [r.quantity for r in report.rows] == ["decay_sup(r=0.02)", "decay_spread"]
+            assert [r.quantity for r in report.rows] == [
+                "fixed_point_residual", "decay_sup(r=0.02)", "decay_spread"]
 
     def test_tolerance_rows_cite_the_table(self):
         # no row passes unbounded
@@ -207,7 +227,8 @@ class TestOptionTable:
                            "T = 0.1\nsteps = 50\nr_list = 0.02, 0.01\n")
         report = run_experiment(cfg)
         assert [(r.quantity, r.tol) for r in report.rows] == [
-            ("decay_sup(r=0.02)", 0.05), ("decay_sup(r=0.01)", 0.05), ("decay_spread", 0.2)]
+            ("fixed_point_residual", 1e-8), ("decay_sup(r=0.02)", 0.05),
+            ("decay_sup(r=0.01)", 0.05), ("decay_spread", 0.2)]
         assert experiments.DEFAULT_TOLERANCES["stability_slope_upper_bracket"] == 0.15
 
 
@@ -229,6 +250,68 @@ class TestAdmissibilityGate:
             ("grid_n", 1024), ("delta", 1.5), ("k", 2.0), ("kappa", 0.0)))
         with pytest.raises(AdmissibilityError, match="eta=2.000"):
             run_experiment(cfg)
+
+    def test_smoothing_gap(self):
+        # eta = 1.5 against 1 + 2 kappa
+        with pytest.raises(AdmissibilityError, match="smoothing-gap"):
+            experiments._gate(FlowParams(delta=1.0, k=2.0, kappa=0.0))
+        experiments._gate(FlowParams(delta=1.0, k=2.0, kappa=0.5))
+
+    # (dim, k, kappa, delta on the boundary): eta = delta + dim/k meets
+    # max(1, 1/2 + kappa); in the cap cases delta also meets its cap
+    # min(1, 2 - dim/k) + max(2 kappa - eta, 0) = 1, which binds only where
+    # the window does
+    @pytest.mark.parametrize("dim, k, kappa, edge", [
+        (1, 2.0, 1.0, 1.0), (2, 4.0, 1.0, 1.0), (1, 1.25, 0.25, 0.2), (2, 8.0, 0.25, 0.75),
+        (1, math.inf, 0.25, 1.0), (2, math.inf, 0.25, 1.0),
+    ], ids=["d1-kappa", "d2-kappa", "d1-one", "d2-one", "d1-cap", "d2-cap"])
+    def test_stability_window_boundary(self, dim, k, kappa, edge):
+        below = FlowParams(delta=edge - 1e-9, k=k, kappa=kappa, dim=dim)
+        experiments._gate(below, window=True)
+        for delta in (edge, edge + 1e-9):
+            above = FlowParams(delta=delta, k=k, kappa=kappa, dim=dim)
+            experiments._gate(above)  # inside the smoothing gap
+            with pytest.raises(AdmissibilityError, match="stability window"):
+                experiments._gate(above, window=True)
+
+
+class TestSolveRows:
+    def test_decay_trajectory_and_report(self):
+        grid = GridSpec(1, 256, 16.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.1,
+                            time_grid=tuple(np.linspace(0.01, 0.1, 10)))
+        flow, _ = picard_solve(gaussian_density(grid, 0.0, 0.04),
+                               make_kernel("riesz", grid, c=0.2, kappa=0.75), params, steps=50)
+        trajectory, blowup = experiments._decay(flow, params)
+        norms = [measure_dual_norm(rho, SobolevIndex(1.0, 2.0), "amalgam")
+                 for rho in flow.densities]
+        assert np.array_equal(trajectory, flow.times**0.75 * np.array(norms))
+        assert np.all(np.isfinite(trajectory))
+        assert not blowup
+
+    @pytest.mark.parametrize("line", ["max_iter = 2", "tol = 1e-12\nmax_iter = 3"])
+    def test_unconverged_solve_fails(self, line):
+        # every row used to pass: only the solve experiment judged its residual
+        cfg = parse_config((REPO / "configs/decay.cfg").read_text() + line + "\n")
+        report = run_experiment(cfg)
+        (row,) = [r for r in report.rows if r.quantity == "fixed_point_residual"]
+        assert not row.passed and row.measured >= row.tol
+        assert not report.all_passed
+
+    def test_worst_residual_is_reported(self, monkeypatch):
+        # one row per experiment: the worst of its solves, failing if any fails
+        residuals = iter([1e-9, 3e-8, 2e-9])
+        real = experiments.picard_solve
+
+        def solve(*args, **kwargs):
+            flow, rep = real(*args, **kwargs)
+            rep.residual = next(residuals)
+            return flow, rep
+        monkeypatch.setattr(experiments, "picard_solve", solve)
+        cfg = parse_config("experiment = decay\ngrid_n = 256\nkernel = zero\nkappa = 0.75\n"
+                           "T = 0.1\nsteps = 50\nr_list = 0.02, 0.01, 0.005\n")
+        rows = [r for r in run_experiment(cfg).rows if r.quantity == "fixed_point_residual"]
+        assert [(r.measured, r.tol, r.passed) for r in rows] == [(3e-8, 1e-8, False)]
 
 
 class TestEmitReport:
@@ -399,6 +482,21 @@ class TestFlowDensityTable:
 
 
 class TestCli:
+    @pytest.mark.parametrize("name, grid_n", [("heat_exponent", 2048), ("decay", 1024)])
+    def test_named_experiment_keeps_its_grid(self, name, grid_n):
+        # every named experiment used to run on 1024 points, heat_exponent too
+        args = cli.build_parser().parse_args(["experiment", name])
+        assert experiments._options(cli._experiment_config(args))["grid_n"] == grid_n
+        args = cli.build_parser().parse_args(["experiment", name, "--grid", "512"])
+        assert experiments._options(cli._experiment_config(args))["grid_n"] == 512
+
+    def test_grid_help_names_the_experiment_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["experiment", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        grid_n = experiments._OPTIONS["heat_exponent"]["grid_n"]
+        assert f"1024 points or heat_exponent's {grid_n}, extent 16" in help_text
+
     def test_norm_command(self, capsys):
         rc = cli_main(["norm", "--grid", "1024", "--delta", "1.0", "--k", "2.0"])
         out = capsys.readouterr().out
@@ -440,7 +538,7 @@ class TestCli:
         assert rc == 0
         (report_csv,) = tmp_path.glob("solve_*.csv")
         assert [r.quantity for r in parse_report_csv(report_csv).rows] == [
-            "contraction_ratio", "fixed_point_residual", "iterations", "blowup",
+            "fixed_point_residual", "contraction_ratio", "iterations", "blowup",
             "lambda_monotone"]
         prov = json.loads(report_csv.with_suffix(".json").read_text())["provenance"]
         assert prov["solver"] == {"tol": 1e-8, "max_iter": 25, "steps": 50}

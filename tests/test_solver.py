@@ -33,7 +33,6 @@ from mkvflow.solver import (
     FlowParams,
     MeasureFlow,
     NoContractionError,
-    eta_theta_params,
     phi_apply,
     picard_solve,
     time_shift_solve,
@@ -67,41 +66,26 @@ def count_transforms(monkeypatch) -> list:
 def params_for(T=0.5, n=10, kappa=0.75, **kw):
     tg = tuple(np.linspace(T / n, T, n))
     return FlowParams(delta=kw.get("delta", 1.0), k=kw.get("k", 2.0),
-                      eps=kw.get("eps", 0.0), p=kw.get("p", math.inf),
                       kappa=kappa, T=T, time_grid=tg, dim=1)
 
 
 class TestFlowParams:
     def test_eta_formula(self):
-        p = params_for(kappa=0.0)
-        assert p.eta == pytest.approx(1.0 + 0.5)
-        assert p.theta == math.inf  # (eta - 2 kappa)+ = 1.5 >= 1
+        assert params_for(kappa=0.0).eta == 1.0 + 0.5
+        assert FlowParams(delta=0.5, k=math.inf, T=1.0).eta == 0.5
+        assert FlowParams(delta=0.5, k=4.0, T=1.0, dim=2).eta == 1.0
 
-    def test_degenerate_indices(self):
-        p = FlowParams(delta=1.0, k=2.0, eps=1.0, p=2.0, kappa=0.0, T=1.0)
-        assert p.eta == 0.0
-        assert p.theta == 2.0
-
-    def test_admissibility_flags(self):
-        p = params_for(kappa=0.0)
-        info = eta_theta_params(p)
-        assert info["eta"] == pytest.approx(1.5)
-        assert not info["smoothing_gap_ok"]
-        info2 = eta_theta_params(params_for(kappa=0.5))
-        assert info2["smoothing_gap_ok"]  # 1.5 < 1 + 1
-
-    def test_xi_q_matched_indices(self):
-        p = FlowParams(delta=1.0, k=2.0, eps=1.0, p=2.0, kappa=0.0, T=1.0)
-        info = eta_theta_params(p, q=2.0)
-        assert info["xi_q"] == pytest.approx((1.0 + 0.5) / 2.0)
+    @pytest.mark.parametrize("delta, k", [(-0.1, 2.0), (math.nan, 2.0), (1.0, 0.5)],
+                             ids=["delta-negative", "delta-nan", "k-below-one"])
+    def test_index_pair_checked(self, delta, k):
+        with pytest.raises(ValueError, match="delta must be|k must be"):
+            FlowParams(delta=delta, k=k, T=1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FlowParams(delta=1.0, k=2.0, eps=2.0, p=math.inf, T=1.0)
-        with pytest.raises(ValueError):
-            FlowParams(delta=1.0, k=4.0, p=2.0, T=1.0)
-        with pytest.raises(ValueError):
             FlowParams(delta=1.0, k=2.0, T=1.0, time_grid=(0.5, 0.25, 1.0))
+        with pytest.raises(ValueError):
+            FlowParams(delta=1.0, k=2.0, T=1.0, time_grid=(0.5, 0.75))
 
 
 @pytest.mark.parametrize("build", [
@@ -201,6 +185,18 @@ class TestStepArguments:
         gamma = gaussian_density(GRID, 0.0, 0.04)
         with pytest.raises(ValueError, match="max_iter must be a positive int"):
             picard_solve(gamma, small_kernel(), params_for(n=2), max_iter=0, steps=20)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
+        # 0, -1 and nan used to run all max_iter iterations, inf to stop after one
+        monkeypatch.setattr(solver, "phi_apply", None)  # must not be reached
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        match = "tol must be positive and finite"
+        with pytest.raises(ValueError, match=match):
+            picard_solve(gamma, small_kernel(), params_for(n=2), tol=tol, steps=20)
+        with pytest.raises(ValueError, match=match):
+            time_shift_solve(grid_delta(GRID), 0.02, small_kernel(), params_for(n=2),
+                             tol=tol, steps=20)
 
 
 class TestSpectralMarch:
@@ -330,14 +326,7 @@ class TestPicardSolve:
         # fixed-point consistency: one more application stays within 2 tol
         again = phi_apply(gamma, flow, kern, params, steps=400)
         gaps = solver._dual_norm_series(again, flow, params.running_index)
-        assert np.max(flow.times**params.weight_exponent * gaps) < 2e-6
-
-    def test_decay_trajectory_and_report(self):
-        gamma = gaussian_density(GRID, 0.0, 0.04)
-        params = params_for()
-        _, rep = picard_solve(gamma, small_kernel(), params, steps=400)
-        assert np.all(np.isfinite(rep.decay_trajectory))
-        assert not rep.blowup
+        assert np.max(flow.times**(params.eta / 2) * gaps) < 2e-6
 
     def test_no_contraction_error(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
@@ -356,7 +345,7 @@ class TestPicardSolve:
         params = params_for()
         _, rep = picard_solve(gaussian_density(grid, 0.0, 0.04), kern, params,
                               tol=1e-8, steps=100, max_iter=10)
-        weight = np.asarray(params.time_grid) ** params.weight_exponent
+        weight = np.asarray(params.time_grid) ** (params.eta / 2)
         assert rep.lam_used == 0.0
         assert rep.residual == float(np.max(weight * rep.gap_series[-1]))
         assert rep.contraction_ratios == solver.contraction_ratios(

@@ -312,16 +312,16 @@ def _require(flag: bool, name: str, detail: str):
 
 def _gate(params: FlowParams, window: bool = False):
     """Refuse ``params`` outside the smoothing gap eta < 1 + 2 kappa, and, with
-    ``window``, outside the stability window eta < max(1, 1/2 + kappa) with
-    the delta cap delta < min(1, 2 - d/k) + max(2 kappa - eta, 0)."""
-    eta, delta, kappa = params.eta, params.delta, params.kappa
+    ``window``, outside the stability window eta < max(1, 1/2 + kappa).  The
+    window implies the delta cap delta < min(1, 2 - d/k) + max(2 kappa - eta, 0)
+    (for kappa <= 1/2 it gives delta < 1 - d/k; above, 2 eta < 1 + 2 kappa),
+    so the cap is not checked apart."""
+    eta, kappa = params.eta, params.kappa
     _require(eta < 1.0 + 2.0 * kappa, "smoothing-gap bound eta < 1 + 2*kappa",
              f"eta={eta:.3f}, kappa={kappa:.3f}")
     if window:
-        cap = min(1.0, 2.0 - params.dim / params.k) + max(2.0 * kappa - eta, 0.0)
-        _require(eta < max(1.0, 0.5 + kappa) and delta < cap,
-                 "stability window eta < max(1, 1/2 + kappa) with the delta cap",
-                 f"eta={eta:.3f}, delta={delta:.3f}, kappa={kappa:.3f}")
+        _require(eta < max(1.0, 0.5 + kappa), "stability window eta < max(1, 1/2 + kappa)",
+                 f"eta={eta:.3f}, kappa={kappa:.3f}")
 
 
 def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:

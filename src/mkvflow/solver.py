@@ -12,13 +12,15 @@ the real-FFT spectrum of the density as its state: heat is a multiplier and
 mass projection pins the zero mode.  Both drift specs are evaluated by
 ``kernels.drift_map``, built once per map: a convolution drift on each
 frozen density, interpolated linearly in time in physical space, which is
-exact by linearity; a Nemytskii drift on the raw interpolated values.  A
-callable drift gets the interpolated density.
+exact by linearity; a Nemytskii drift on the raw interpolated values, which
+do not depend on the march state, so one call of the map serves a block of
+marching nodes.  A callable drift gets the interpolated density.
 The Picard loop feeds the output flow back in until the distance between
 successive iterates falls below tolerance.  Rough initial data enters
 through the time-shift route: pure diffusion on [0, r], drift switched on
 afterwards with shifted time argument.  The shift lives in the march itself
-(``graded_from``), so a shifted convolution drift keeps the spectral path.
+(``graded_from``), so a shifted convolution drift keeps the spectral path,
+and the steps of the pure-diffusion leg make no transport transforms.
 The solver reports what it computed (iterations, residual, ratios, clipped
 mass); which parameter sets an estimate admits, and whether a solve reached
 its tolerance, the experiments judge.
@@ -27,6 +29,7 @@ its tolerance, the experiments judge.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -51,6 +54,10 @@ __all__ = [
 
 # exponent of the internal marching grid's refinement toward the drift onset
 GRADING = 1.5
+
+# grid values per stacked Nemytskii drift evaluation (128 KB of floats per
+# array): 16 marching nodes at n = 1024, one at 128^2
+_BLOCK_VALUES = 2**14
 
 
 class DegradedAccuracyError(RuntimeError):
@@ -161,8 +168,9 @@ class SolveReport:
     gap_series: list = field(default_factory=list)
 
 
-def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
-    """``s -> drift components`` of ``drift`` with the flow frozen at ``mu``.
+def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float, nodes):
+    """Iterator over the drift components of ``drift`` at each of ``nodes``, in
+    order, with the flow frozen at ``mu``.
 
     The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
     and takes the time argument ``s - shift`` after it.  Both spec kinds are
@@ -170,13 +178,18 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
     convolution drift is linear in the density and ``density_at`` is linear
     in time, so the map of each frozen field, evaluated once here and
     interpolated linearly between the flow's times, gives it exactly at any
-    ``s``.  A Nemytskii drift is the map of the values ``density_at`` would
-    give, with finite components at every node.  For both, each frozen field
-    passes the density check once: every marching node sees a convex
-    combination of two of them, whose minimum and mass lie between theirs.
-    Callable drifts get ``density_at(s)``.
+    node.  A Nemytskii drift is the map of the values ``density_at`` would
+    give.  It does not depend on the march, so it is evaluated ahead of it,
+    one map call per block of up to ``_BLOCK_VALUES // grid.num_points``
+    nodes, whose components are checked finite together; stacked transforms
+    equal per-node ones bit for bit.  For both spec kinds, each frozen field
+    passes the density check once: every node sees a convex combination of
+    two of them, whose minimum and mass lie between theirs.  Callable drifts
+    get ``density_at(s)``.  The density check, the map's parameters and the
+    spec's type are checked here, before the first node.
     """
     fields = [mu.initial] + list(mu.densities)
+    drifted = [s for s in nodes if s >= shift]
     if isinstance(drift, (KernelSpec, NemytskiiSpec)):
         for f in fields:
             f.require_density()
@@ -189,25 +202,34 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float):
             factor = drift.modulation.factor(s - shift)
             a, b = factor * (1 - w), factor * w
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
+        live = map(field_at, drifted)
     elif isinstance(drift, NemytskiiSpec):
         values = [f.values for f in fields]
+        size = max(1, _BLOCK_VALUES // grid.num_points)
 
-        def field_at(s: float) -> list:
-            j, w = mu._bracket(s)
-            rho = (values[j + int(w)] if w == 0.0 or w == 1.0
-                   else (1 - w) * values[j] + w * values[j + 1])
-            factor = drift.modulation.factor(s - shift)
-            comps = [factor * c for c in evaluate(rho)]
-            if not all(np.isfinite(c).all() for c in comps):
-                raise ValueError(f"drift is not finite at t={s:.6g}")
-            return comps
+        def block_at(block: list) -> list:
+            """Components at each node of ``block``, from one call of the map."""
+            rho = np.empty((len(block),) + grid.shape)
+            factors = np.empty((len(block),) + (1,) * grid.dim)
+            for i, s in enumerate(block):
+                j, w = mu._bracket(s)
+                rho[i] = (values[j + int(w)] if w == 0.0 or w == 1.0
+                          else (1 - w) * values[j] + w * values[j + 1])
+                factors[i] = drift.modulation.factor(s - shift)
+            comps = [factors * c for c in evaluate(rho)]
+            finite = np.all([np.isfinite(c).reshape(len(block), -1).all(axis=1)
+                             for c in comps], axis=0)
+            if not finite.all():
+                raise ValueError(f"drift is not finite at t={block[np.argmin(finite)]:.6g}")
+            return [list(at) for at in zip(*comps)]
+        live = itertools.chain.from_iterable(
+            block_at(drifted[i:i + size]) for i in range(0, len(drifted), size))
     elif callable(drift):
-        def field_at(s: float) -> list:
-            return drift(mu.density_at(s), s - shift).components
+        live = (drift(mu.density_at(s), s - shift).components for s in drifted)
     else:
         raise TypeError(f"unsupported drift spec {type(drift).__name__}")
     zero = [np.zeros(grid.shape)] * grid.dim
-    return lambda s: zero if s < shift else field_at(s)
+    return (zero if s < shift else next(live) for s in nodes)
 
 
 def _internal_grid(out_times, steps: int, graded_from: float = 0.0) -> np.ndarray:
@@ -290,9 +312,9 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     log = {"clip_mass": 0.0}
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]
-    drift_at = None
+    drifts = None
     if mu is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
-        drift_at = _frozen_drift(drift, mu, grid, graded_from)
+        drifts = _frozen_drift(drift, mu, grid, graded_from, nodes)
 
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
         out = minus_ixi[0] * rfft(b[0] * vals)
@@ -303,20 +325,21 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     rho = gamma.values
     rho_hat = rfft(rho)
     densities = [None] * out_times.size
-    b_next = None if drift_at is None else drift_at(nodes[0])
+    b_next = None if drifts is None else next(drifts)
     for m_idx in range(len(nodes) - 1):
         s0, s1 = nodes[m_idx], nodes[m_idx + 1]
         h = s1 - s0
         mult = np.exp(-0.5 * h * xi_sq)
         rho_hat = rho_hat * mult
-        if drift_at is not None:
-            heated_F0 = transport(b_next, rho) * mult
-            predictor = irfft(rho_hat + h * heated_F0, grid.shape)
-            b_next = drift_at(s1)
-            rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
+        if drifts is not None:
+            b0, b_next = b_next, next(drifts)
+            if s1 >= graded_from:  # before it the drift is zero at both ends
+                heated_F0 = transport(b0, rho) * mult
+                predictor = irfft(rho_hat + h * heated_F0, grid.shape)
+                rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
         rho_hat = rho_hat / (rho_hat.flat[0].real * grid.cell_volume)
         slot = out_slot.get(m_idx + 1)
-        if drift_at is not None or slot is not None:
+        if drifts is not None or slot is not None:
             rho = irfft(rho_hat, grid.shape)
             if not np.all(np.isfinite(rho)):
                 raise ValueError(f"march state is not finite at t={s1:.6g}")

@@ -258,9 +258,8 @@ class TestAdmissibilityGate:
         experiments._gate(FlowParams(delta=1.0, k=2.0, kappa=0.5))
 
     # (dim, k, kappa, delta on the boundary): eta = delta + dim/k meets
-    # max(1, 1/2 + kappa); in the cap cases delta also meets its cap
-    # min(1, 2 - dim/k) + max(2 kappa - eta, 0) = 1, which binds only where
-    # the window does
+    # max(1, 1/2 + kappa); in the cap cases delta also meets the delta cap
+    # min(1, 2 - dim/k) + max(2 kappa - eta, 0) = 1, which the window implies
     @pytest.mark.parametrize("dim, k, kappa, edge", [
         (1, 2.0, 1.0, 1.0), (2, 4.0, 1.0, 1.0), (1, 1.25, 0.25, 0.2), (2, 8.0, 0.25, 0.75),
         (1, math.inf, 0.25, 1.0), (2, math.inf, 0.25, 1.0),
@@ -273,6 +272,13 @@ class TestAdmissibilityGate:
             experiments._gate(above)  # inside the smoothing gap
             with pytest.raises(AdmissibilityError, match="stability window"):
                 experiments._gate(above, window=True)
+
+    def test_window_refusal_message(self):
+        # eta = 1.5 against max(1, 1/2 + kappa) = 1.25
+        with pytest.raises(AdmissibilityError) as refusal:
+            experiments._gate(FlowParams(delta=1.0, k=2.0, kappa=0.75), window=True)
+        assert str(refusal.value) == ("stability window eta < max(1, 1/2 + kappa) "
+                                      "violated: eta=1.500, kappa=0.750")
 
 
 class TestSolveRows:

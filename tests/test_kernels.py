@@ -332,6 +332,23 @@ class TestDriftMap:
         assert len(got) == len(want) == 1
         assert np.array_equal(got[0], want[0])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["zero", "density", "clipped_gradient", "linear"])
+    def test_nemytskii_map_of_a_stack_equals_per_row_maps(self, family, dim):
+        # depth 3 in 2-d brings in the mixed derivative
+        grid = GridSpec(1, 1024, 16.0) if dim == 1 else GridSpec(2, 128, 8.0)
+        n = 2 if dim == 1 else 3
+        weights = (0.1, 0.05) if dim == 1 else (0.1, 0.05, 0.05, 0.01, 0.01, 0.01)
+        options = {"clipped_gradient": (("cap", 0.2),), "linear": (("weights", weights),)}
+        spec = NemytskiiSpec(n, family, options.get(family, ()))
+        stack = np.random.default_rng(dim).random((5 if dim == 1 else 3,) + grid.shape)
+        evaluate = drift_map(spec, grid)
+        got = evaluate(stack)
+        assert len(got) == dim
+        for i, row in enumerate(stack):
+            for g, w in zip(got, evaluate(row)):
+                assert np.array_equal(g[i], w)
+
 
 class TestKernelNormStudy:
     def test_dirac_threshold_dichotomy(self):

@@ -213,10 +213,11 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
         mu = phi_apply(gamma, None, None, params, steps=60)
+        nodes = (0.0, 0.03, 0.07, 0.1, 0.17, 0.3337, 0.49, 0.5)
         for shift in (0.0, 0.07):
-            drift_at = _frozen_drift(spec, mu, grid, shift)
-            for s in (0.0, 0.03, 0.07, 0.1, 0.17, 0.3337, 0.49, 0.5):
-                got = drift_at(s)
+            drifts = _frozen_drift(spec, mu, grid, shift, nodes)
+            for s in nodes:
+                got = next(drifts)
                 if s < shift:
                     assert not any(g.any() for g in got)
                     continue
@@ -247,6 +248,49 @@ class TestSpectralMarch:
         assert len(calls) == (2 * dim + 2) * march_steps + 1 + frozen * (1 + dim)
         inverses = calls.count("irfft") + calls.count("irfftn")
         assert inverses == 2 * march_steps + frozen * dim
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_diffusion_leg_steps_make_no_transport_transforms(self, dim, monkeypatch):
+        # on a time-shift map the drift is zero at both ends of every step
+        # that ends before the shift, so such a step only transforms its new
+        # state back; the other steps count as in the test above
+        grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
+        spec = small_kernel() if dim == 1 else KernelSpec(
+            ConstantVector((0.3, -0.2)), 0.0, TimeModulation(kappa=0.75))
+        r = 0.07
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5 + r,
+                            time_grid=(r, 0.1 + r, 0.25 + r, 0.5 + r), dim=dim)
+        gamma = gaussian_density(grid, 0.0, 0.09)
+        mu = phi_apply(gamma, None, None, params, steps=40, graded_from=r)
+        realize_kernel(spec, grid)  # calibrated from here on
+        calls = count_transforms(monkeypatch)
+        phi_apply(gamma, mu, spec, params, steps=40, graded_from=r)
+        nodes = solver._internal_grid(params.time_grid, 40, r)
+        diffusion = int(np.sum(nodes[1:] < r))
+        drifted = len(nodes) - 1 - diffusion
+        frozen = len(params.time_grid) + 1
+        assert diffusion > 0
+        assert len(calls) == ((2 * dim + 2) * drifted + diffusion + 1
+                              + frozen * (1 + dim))
+        inverses = calls.count("irfft") + calls.count("irfftn")
+        assert inverses == 2 * drifted + diffusion + frozen * dim
+
+    def test_nemytskii_map_transforms_once_per_block(self, monkeypatch):
+        # the Nemytskii drift at the marching nodes is one forward and one
+        # inverse transform (the gradient) per block of nodes, not per node
+        spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),), TimeModulation(0.75))
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
+                            time_grid=(0.1, 0.25, 0.5))
+        gamma = gaussian_density(GRID, 0.0, 0.09)
+        mu = phi_apply(gamma, None, None, params, steps=40)
+        calls = count_transforms(monkeypatch)
+        phi_apply(gamma, mu, spec, params, steps=40)
+        nodes = solver._internal_grid(params.time_grid, 40)
+        blocks = math.ceil(len(nodes) / (solver._BLOCK_VALUES // GRID.num_points))
+        assert 1 < blocks < len(nodes)
+        march_steps = len(nodes) - 1
+        assert len(calls) == 4 * march_steps + 1 + 2 * blocks
+        assert calls.count("rfft") == 2 * march_steps + 1 + blocks
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_zero_kernel_marches_as_no_interaction(self, dim, monkeypatch):
@@ -292,7 +336,7 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5))
         mu = phi_apply(gaussian_density(GRID, 0.0, 0.09), None, None, params, steps=10)
         with pytest.raises(TypeError, match="unsupported drift"):
-            _frozen_drift(drift, mu, GRID, 0.0)
+            _frozen_drift(drift, mu, GRID, 0.0, mu.times)
 
 
 class TestPicardSolve:
@@ -479,7 +523,7 @@ class TestNemytskiiDriftSolve:
         mu = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=10)
         spec = NemytskiiSpec(2, "linear", (("weights", weights),))
         with pytest.raises(ValueError, match=f"need {1 + dim} weights"):
-            _frozen_drift(spec, mu, grid, 0.0)
+            _frozen_drift(spec, mu, grid, 0.0, mu.times)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("family", ["linear", "clipped_gradient"])

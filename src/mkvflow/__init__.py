@@ -7,7 +7,6 @@ from .grids import (
     ScalarField,
     VectorField,
     heat_apply,
-    heat_gradient,
     bessel_apply,
     field_derivative,
     gaussian_density,
@@ -30,7 +29,6 @@ from .kernels import (
     TimeModulation,
     NemytskiiSpec,
     realize_kernel,
-    drift_field,
     kernel_norm_study,
     make_kernel,
 )

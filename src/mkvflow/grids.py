@@ -1,8 +1,8 @@
 """Periodic-grid fields and spectral operators.
 
 Everything lives on a uniform grid over a centered torus ``[-L/2, L/2)^d``
-with ``d`` in {1, 2}.  The heat semigroup, its gradient, Bessel-potential
-smoothing and spatial derivatives are all Fourier multipliers, so they are
+with ``d`` in {1, 2}.  The heat semigroup, Bessel-potential smoothing and
+spatial derivatives are all Fourier multipliers, so they are
 exact on band-limited data and mass/positivity behave as for the continuum
 operators up to FFT roundoff.  All of them act on the real-FFT half lattice
 through read-only arrays cached per ``GridSpec``, shared with other modules.
@@ -24,7 +24,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "heat_apply",
-    "heat_gradient",
     "bessel_apply",
     "bessel_sharpen",
     "field_derivative",
@@ -272,13 +271,6 @@ def heat_apply(f: ScalarField, t: float) -> ScalarField:
         warns, since operator-norm probes sweep small times on purpose.
     """
     return ScalarField(f.grid, _apply_half(f.values, _heat_multiplier(f.grid, t)))
-
-
-def heat_gradient(f: ScalarField, t: float) -> VectorField:
-    """Gradient of the heat-evolved field, multiplier ``i xi exp(-t|xi|^2/2)``."""
-    spec = rfft(f.values) * _heat_multiplier(f.grid, t)
-    ixi = rfft_wavenumbers(f.grid)[0]
-    return VectorField(f.grid, [irfft(ik * spec, f.grid.shape) for ik in ixi])
 
 
 def bessel_apply(f: ScalarField, r: float) -> ScalarField:

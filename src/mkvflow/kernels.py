@@ -23,7 +23,6 @@ import numpy as np
 
 from .grids import (
     GridSpec,
-    ScalarField,
     VectorField,
     _derivative_multiplier,
     irfft,
@@ -44,7 +43,6 @@ __all__ = [
     "realize_kernel",
     "riesz_direct",
     "drift_map",
-    "drift_field",
     "kernel_norm_study",
     "NormStudy",
     "kernel_catalog",
@@ -382,13 +380,6 @@ def drift_map(spec, grid: GridSpec):
             fields = [irfft(m * spectrum, grid.shape) for m in mults]
         return fields if F is None else F([values] + fields)
     return drift
-
-
-def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
-    """Drift ``t^kappa`` times ``drift_map(spec)`` of the density ``rho``."""
-    rho.require_density()
-    factor = spec.modulation.factor(t)
-    return VectorField(rho.grid, [factor * c for c in drift_map(spec, rho.grid)(rho.values)])
 
 
 # ---------------------------------------------------------------------------

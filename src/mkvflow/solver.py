@@ -14,13 +14,13 @@ mass projection pins the zero mode.  Both drift specs are evaluated by
 frozen density, interpolated linearly in time in physical space, which is
 exact by linearity; a Nemytskii drift on the raw interpolated values, which
 do not depend on the march state, so one call of the map serves a block of
-marching nodes.  A callable drift gets the interpolated density.
+marching nodes.
 The Picard loop feeds the output flow back in until the distance between
 successive iterates falls below tolerance.  Rough initial data enters
 through the time-shift route: pure diffusion on [0, r], drift switched on
 afterwards with shifted time argument.  The shift lives in the march itself
 (``graded_from``), so a shifted convolution drift keeps the spectral path,
-and the steps of the pure-diffusion leg make no transport transforms.
+and the steps of the pure-diffusion leg make no transforms.
 The solver reports what it computed (iterations, residual, ratios, clipped
 mass); which parameter sets an estimate admits, and whether a solve reached
 its tolerance, the experiments judge.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import _RESOLUTION_CELLS, GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
-from .kernels import KernelSpec, NemytskiiSpec, drift_map, kernel_vanishes
+from .kernels import KernelSpec, drift_map, kernel_vanishes
 from .norms import SobolevIndex, measure_dual_norm
 
 __all__ = [
@@ -141,14 +141,6 @@ class MeasureFlow:
     def grid(self) -> GridSpec:
         return self.initial.grid
 
-    def density_at(self, t: float) -> ScalarField:
-        """Linear interpolation in time; the initial datum anchors t=0."""
-        fields = [self.initial] + list(self.densities)
-        j, w = self._bracket(t)
-        if w == 0.0 or w == 1.0:
-            return fields[j + int(w)]
-        return ScalarField(self.grid, (1 - w) * fields[j].values + w * fields[j + 1].values)
-
     def _bracket(self, t: float) -> tuple:
         """``(j, w)`` with the flow at ``t`` equal to ``(1-w) f_j + w f_{j+1}``,
         where ``f`` is the initial datum followed by the densities and ``t`` is
@@ -174,26 +166,25 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float, nodes):
 
     The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
     and takes the time argument ``s - shift`` after it.  Both spec kinds are
-    ``kernels.drift_map``, built once here, times the envelope.  A
-    convolution drift is linear in the density and ``density_at`` is linear
-    in time, so the map of each frozen field, evaluated once here and
-    interpolated linearly between the flow's times, gives it exactly at any
-    node.  A Nemytskii drift is the map of the values ``density_at`` would
-    give.  It does not depend on the march, so it is evaluated ahead of it,
-    one map call per block of up to ``_BLOCK_VALUES // grid.num_points``
-    nodes, whose components are checked finite together; stacked transforms
-    equal per-node ones bit for bit.  For both spec kinds, each frozen field
-    passes the density check once: every node sees a convex combination of
-    two of them, whose minimum and mass lie between theirs.  Callable drifts
-    get ``density_at(s)``.  The density check, the map's parameters and the
-    spec's type are checked here, before the first node.
+    ``kernels.drift_map``, built once here, times the envelope; it rejects
+    any other drift.  A convolution drift is linear in the density and the
+    frozen flow is linear in time between its fields (``MeasureFlow._bracket``),
+    so the map of each frozen field, evaluated once here and interpolated the
+    same way, gives it exactly at any node.  A Nemytskii drift is the map of
+    the interpolated values.  It does not depend on the march, so it is
+    evaluated ahead of it, one map call per block of up to
+    ``_BLOCK_VALUES // grid.num_points`` nodes, whose components are checked
+    finite together; stacked transforms equal per-node ones bit for bit.
+    Each frozen field passes the density check once: every node sees a convex
+    combination of two of them, whose minimum and mass lie between theirs.
+    The spec's type, the map's parameters and the frozen densities are
+    checked here, before the first node.
     """
+    evaluate = drift_map(drift, grid)
     fields = [mu.initial] + list(mu.densities)
+    for f in fields:
+        f.require_density()
     drifted = [s for s in nodes if s >= shift]
-    if isinstance(drift, (KernelSpec, NemytskiiSpec)):
-        for f in fields:
-            f.require_density()
-        evaluate = drift_map(drift, grid)
     if isinstance(drift, KernelSpec):
         convs = [evaluate(f.values) for f in fields]
 
@@ -203,7 +194,7 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float, nodes):
             a, b = factor * (1 - w), factor * w
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
         live = map(field_at, drifted)
-    elif isinstance(drift, NemytskiiSpec):
+    else:
         values = [f.values for f in fields]
         size = max(1, _BLOCK_VALUES // grid.num_points)
 
@@ -224,10 +215,6 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float, nodes):
             return [list(at) for at in zip(*comps)]
         live = itertools.chain.from_iterable(
             block_at(drifted[i:i + size]) for i in range(0, len(drifted), size))
-    elif callable(drift):
-        live = (drift(mu.density_at(s), s - shift).components for s in drifted)
-    else:
-        raise TypeError(f"unsupported drift spec {type(drift).__name__}")
     zero = [np.zeros(grid.shape)] * grid.dim
     return (zero if s < shift else next(live) for s in nodes)
 
@@ -339,7 +326,9 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
                 rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
         rho_hat = rho_hat / (rho_hat.flat[0].real * grid.cell_volume)
         slot = out_slot.get(m_idx + 1)
-        if drifts is not None or slot is not None:
+        # a pure-diffusion-leg state is read only by the step ending at the
+        # onset, which multiplies it by the zero drift there
+        if slot is not None or (drifts is not None and s1 >= graded_from):
             rho = irfft(rho_hat, grid.shape)
             if not np.all(np.isfinite(rho)):
                 raise ValueError(f"march state is not finite at t={s1:.6g}")

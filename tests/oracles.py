@@ -2,9 +2,11 @@
 
 Closed forms for isotropic Gaussians, the sup-norm bound of the windowed
 norm, the Bessel potential assembled as a Gamma-weighted integral of heat
-flows instead of its closed-form multiplier, the full complex frequency
-lattice, and the particle drift summed over pairs instead of binned, read
-through a corner-by-corner periodic interpolation.
+flows instead of its closed-form multiplier, the gradient of the heat flow
+of a single field, the full complex frequency lattice, the particle drift
+summed over pairs instead of binned, read through a corner-by-corner
+periodic interpolation, and the solver's frozen drift evaluated node by node
+on the interpolated density.
 """
 
 import math
@@ -12,8 +14,15 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from mkvflow.grids import ScalarField, irfft, rfft, rfft_wavenumbers
-from mkvflow.kernels import realize_kernel
+from mkvflow.grids import (
+    ScalarField,
+    VectorField,
+    _heat_multiplier,
+    irfft,
+    rfft,
+    rfft_wavenumbers,
+)
+from mkvflow.kernels import drift_map, realize_kernel
 
 
 def gaussian_w2(a, b) -> float:
@@ -81,6 +90,13 @@ def bessel_gamma_quadrature(f: ScalarField, r: float, nodes: int = 200) -> Scala
     return ScalarField(f.grid, irfft(rfft(f.values) * mult, f.values.shape))
 
 
+def heat_gradient(f: ScalarField, t: float) -> VectorField:
+    """Gradient of the heat-evolved field, multiplier ``i xi exp(-t|xi|^2/2)``."""
+    spec = rfft(f.values) * _heat_multiplier(f.grid, t)
+    ixi = rfft_wavenumbers(f.grid)[0]
+    return VectorField(f.grid, [irfft(ik * spec, f.grid.shape) for ik in ixi])
+
+
 def freqs(grid) -> tuple:
     """Angular frequencies on the full lattice, one array per axis (fftfreq order)."""
     return grid._lattice(grid.freq_axis())
@@ -121,3 +137,28 @@ def pairwise_drift(cfg, positions, t, work):
             z = (z + 0.5 * L) % L - 0.5 * L
             out[i, j] = periodic_interp(comp, grid, (z + 0.5 * L) / h).mean()
     return cfg.kernel.modulation.factor(t) * out
+
+
+def density_at(flow, t: float) -> ScalarField:
+    """Linear interpolation of ``flow`` in time; the initial datum anchors t=0."""
+    fields = [flow.initial] + list(flow.densities)
+    j, w = flow._bracket(t)
+    if w == 0.0 or w == 1.0:
+        return fields[j + int(w)]
+    return ScalarField(flow.grid, (1 - w) * fields[j].values + w * fields[j + 1].values)
+
+
+def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
+    """Drift ``t^kappa`` times ``drift_map(spec)`` of the density ``rho``."""
+    rho.require_density()
+    factor = spec.modulation.factor(t)
+    return VectorField(rho.grid, [factor * c for c in drift_map(spec, rho.grid)(rho.values)])
+
+
+def per_node_drift(spec, mu, grid, shift, nodes):
+    """Drop-in for ``solver._frozen_drift``: zero before ``shift``, then
+    ``drift_field`` of the density interpolated at each node, one node at a
+    time, with time argument ``s - shift``."""
+    zero = [np.zeros(grid.shape)] * grid.dim
+    return (zero if s < shift else drift_field(spec, density_at(mu, s), s - shift).components
+            for s in nodes)

@@ -14,13 +14,12 @@ from mkvflow.grids import (
     gaussian_density,
     grid_delta,
     heat_apply,
-    heat_gradient,
     irfft,
     random_band_limited,
     rfft,
 )
 from mkvflow.norms import _windowed_power_sums
-from oracles import bessel_gamma_quadrature, freq_sq, freqs
+from oracles import bessel_gamma_quadrature, freq_sq, freqs, heat_gradient
 
 GRID1 = GridSpec(1, 1024, 16.0)
 

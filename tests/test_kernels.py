@@ -23,12 +23,12 @@ from mkvflow.kernels import (
     NemytskiiSpec,
     RieszOrder,
     TimeModulation,
-    drift_field,
     drift_map,
     kernel_norm_study,
     make_kernel,
     realize_kernel,
 )
+from oracles import drift_field
 
 GRID = GridSpec(1, 2048, 16.0)
 EPS = 4.0 * GRID.spacing**2
@@ -319,18 +319,6 @@ class TestDriftMap:
     def test_rejects_other_specs(self, spec):
         with pytest.raises(TypeError, match="no drift map"):
             drift_map(spec, GRID)
-
-    @pytest.mark.parametrize("spec", [
-        KernelSpec(RieszOrder((1.0,), 0, 0.5), EPS, TimeModulation(kappa=0.75)),
-        NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),), TimeModulation(kappa=0.75)),
-    ], ids=["kernel", "nemytskii"])
-    def test_drift_field_is_envelope_times_map(self, spec):
-        rho = gaussian_density(GRID, 0.1, 0.04)
-        got = drift_field(spec, rho, 0.3).components
-        factor = spec.modulation.factor(0.3)
-        want = [factor * c for c in drift_map(spec, GRID)(rho.values)]
-        assert len(got) == len(want) == 1
-        assert np.array_equal(got[0], want[0])
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("family", ["zero", "density", "clipped_gradient", "linear"])

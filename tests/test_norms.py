@@ -10,7 +10,6 @@ from mkvflow.grids import (
     bessel_sharpen,
     gaussian_density,
     heat_apply,
-    heat_gradient,
     random_band_limited,
 )
 from mkvflow import norms
@@ -25,7 +24,7 @@ from mkvflow.norms import (
     measure_dual_norm,
     operator_exponent_probe,
 )
-from oracles import sup_comparison_constant
+from oracles import heat_gradient, sup_comparison_constant
 
 GRID = GridSpec(1, 1024, 16.0)
 

@@ -9,19 +9,17 @@ from mkvflow.grids import (
     _RESOLUTION_CELLS,
     GridSpec,
     ScalarField,
-    VectorField,
     gaussian_density,
     grid_delta,
     heat_apply,
 )
-from mkvflow import kernels, solver
+from mkvflow import solver
 from mkvflow.kernels import (
     ConstantVector,
     KernelSpec,
     NemytskiiSpec,
     RieszOrder,
     TimeModulation,
-    drift_field,
     make_kernel,
     realize_kernel,
 )
@@ -37,6 +35,7 @@ from mkvflow.solver import (
     picard_solve,
     time_shift_solve,
 )
+from oracles import density_at, drift_field, per_node_drift
 
 GRID = GridSpec(1, 1024, 16.0)
 EPS = 4.0 * GRID.spacing**2
@@ -221,7 +220,7 @@ class TestSpectralMarch:
                 if s < shift:
                     assert not any(g.any() for g in got)
                     continue
-                want = drift_field(spec, mu.density_at(s), s - shift).components
+                want = drift_field(spec, density_at(mu, s), s - shift).components
                 scale = max(np.abs(c).max() for c in want)
                 assert scale > 0 or s == shift
                 for g, w in zip(got, want):
@@ -252,8 +251,9 @@ class TestSpectralMarch:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_diffusion_leg_steps_make_no_transport_transforms(self, dim, monkeypatch):
         # on a time-shift map the drift is zero at both ends of every step
-        # that ends before the shift, so such a step only transforms its new
-        # state back; the other steps count as in the test above
+        # that ends before the shift, and the step ending at the shift reads
+        # the state before it only through that zero drift, so such a step
+        # makes no transform at all; the other steps count as in the test above
         grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
         spec = small_kernel() if dim == 1 else KernelSpec(
             ConstantVector((0.3, -0.2)), 0.0, TimeModulation(kappa=0.75))
@@ -270,10 +270,9 @@ class TestSpectralMarch:
         drifted = len(nodes) - 1 - diffusion
         frozen = len(params.time_grid) + 1
         assert diffusion > 0
-        assert len(calls) == ((2 * dim + 2) * drifted + diffusion + 1
-                              + frozen * (1 + dim))
+        assert len(calls) == (2 * dim + 2) * drifted + 1 + frozen * (1 + dim)
         inverses = calls.count("irfft") + calls.count("irfftn")
-        assert inverses == 2 * drifted + diffusion + frozen * dim
+        assert inverses == 2 * drifted + frozen * dim
 
     def test_nemytskii_map_transforms_once_per_block(self, monkeypatch):
         # the Nemytskii drift at the marching nodes is one forward and one
@@ -319,24 +318,32 @@ class TestSpectralMarch:
         with pytest.raises(ValueError, match="not a density"):
             phi_apply(gamma, mu, small_kernel(), params, steps=20)
 
+    def test_drift_spec_checked_before_frozen_densities(self):
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5))
+        mu = phi_apply(gaussian_density(GRID, 0.0, 0.09), None, None, params, steps=10)
+        mu.densities[0] = ScalarField(GRID, mu.densities[0].values - 1e-3)
+        with pytest.raises(TypeError, match="no drift map for function"):
+            _frozen_drift(lambda rho, t: None, mu, GRID, 0.0, mu.times)
+        with pytest.raises(ValueError, match="not a density"):
+            _frozen_drift(small_kernel(), mu, GRID, 0.0, mu.times)
+
     def test_non_finite_state_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for(n=2)
         mu = phi_apply(gamma, None, None, params, steps=20)
-
-        def huge(rho, t):
-            return VectorField(rho.grid, [np.full(rho.grid.shape, 1e300)])
-
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="finite"):
-            phi_apply(gamma, mu, huge, params, steps=20)
+                pytest.raises(ValueError, match="march state is not finite"):
+            phi_apply(gamma, mu, KernelSpec(ConstantVector((1e300,))), params, steps=20)
 
-    @pytest.mark.parametrize("drift", [RieszOrder(), "riesz", 3.0])
+    @pytest.mark.parametrize("drift", [RieszOrder(), "riesz", 3.0,
+                                       pytest.param(lambda rho, t: None, id="callable")])
     def test_unsupported_drift_rejected(self, drift):
+        # a callable is not a drift spec either: drift_map is the one source
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5))
-        mu = phi_apply(gaussian_density(GRID, 0.0, 0.09), None, None, params, steps=10)
-        with pytest.raises(TypeError, match="unsupported drift"):
-            _frozen_drift(drift, mu, GRID, 0.0, mu.times)
+        gamma = gaussian_density(GRID, 0.0, 0.09)
+        mu = phi_apply(gamma, None, None, params, steps=10)
+        with pytest.raises(TypeError, match="no drift map"):
+            phi_apply(gamma, mu, drift, params, steps=10)
 
 
 class TestPicardSolve:
@@ -428,34 +435,25 @@ class TestTimeShiftSolve:
             assert np.abs(a.values - b.values).sum() * h < 1e-4
 
     def test_kernel_shift_takes_spectral_path(self, monkeypatch):
-        # the per-step physical drift, wrapped as a callable, is the reference
+        # the physical drift of the interpolated density, node by node, is
+        # the reference
         params = params_for()
         spec = small_kernel()
         gamma0 = grid_delta(GRID)
-        calls = []
-
-        def counted(*args, **kw):
-            calls.append(args[2])
-            return drift_field(*args, **kw)
-
-        monkeypatch.setattr(kernels, "drift_field", counted)
-        monkeypatch.setattr(solver, "drift_field", counted, raising=False)
         fast = time_shift_solve(gamma0, 0.02, spec, params, steps=300)
-        monkeypatch.undo()
-        assert calls == []
-        ref = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_field(spec, rho, t),
-                               params, steps=300)
+        monkeypatch.setattr(solver, "_frozen_drift", per_node_drift)
+        ref = time_shift_solve(gamma0, 0.02, spec, params, steps=300)
         assert fast.meta["report"].iterations == ref.meta["report"].iterations
         for a, b in zip([fast.initial] + fast.densities, [ref.initial] + ref.densities):
             assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
 
-    def test_nemytskii_shift_equals_callable(self):
+    def test_nemytskii_shift_equals_per_node_route(self, monkeypatch):
         spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),),
                              TimeModulation(kappa=0.75))
         gamma0 = grid_delta(GRID)
         a = time_shift_solve(gamma0, 0.02, spec, params_for(), steps=200)
-        b = time_shift_solve(gamma0, 0.02, lambda rho, t: drift_field(spec, rho, t),
-                             params_for(), steps=200)
+        monkeypatch.setattr(solver, "_frozen_drift", per_node_drift)
+        b = time_shift_solve(gamma0, 0.02, spec, params_for(), steps=200)
         for x, y in zip([a.initial] + a.densities, [b.initial] + b.densities):
             assert np.array_equal(x.values, y.values)
 
@@ -528,7 +526,7 @@ class TestNemytskiiDriftSolve:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("family", ["linear", "clipped_gradient"])
     @pytest.mark.parametrize("route", ["picard", "shift"])
-    def test_spec_route_equals_callable_route(self, route, family, dim, monkeypatch):
+    def test_spec_route_equals_per_node_route(self, route, family, dim, monkeypatch):
         # in 2-d, depth 3 brings in the mixed derivative
         if dim == 1:
             grid, n, weights = GRID, 2, (0.1, 0.1)
@@ -540,31 +538,16 @@ class TestNemytskiiDriftSolve:
                             time_grid=(0.1, 0.2, 0.3), dim=dim)
         gamma = gaussian_density(grid, 0.0, 0.09)
 
-        def solve(drift):
+        def solve():
             if route == "picard":
-                flow = picard_solve(gamma, drift, params, max_iter=3, steps=40)[0]
+                flow = picard_solve(gamma, spec, params, max_iter=3, steps=40)[0]
             else:
-                flow = time_shift_solve(gamma, 0.07, drift, params, max_iter=3, steps=40)
+                flow = time_shift_solve(gamma, 0.07, spec, params, max_iter=3, steps=40)
             return [flow.initial] + flow.densities
 
-        calls = []
-
-        def spy(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(kernels, "drift_field",
-                            spy("drift_field", kernels.drift_field))
-        monkeypatch.setattr(solver, "drift_field",
-                            spy("drift_field", kernels.drift_field), raising=False)
-        monkeypatch.setattr(MeasureFlow, "density_at",
-                            spy("density_at", MeasureFlow.density_at))
-        fast = solve(spec)
-        monkeypatch.undo()
-        assert calls == []
-        ref = solve(lambda rho, t: drift_field(spec, rho, t))
+        fast = solve()
+        monkeypatch.setattr(solver, "_frozen_drift", per_node_drift)
+        ref = solve()
         assert len(fast) == len(ref)
         for a, b in zip(fast, ref):
             assert np.array_equal(a.values, b.values)
@@ -610,8 +593,20 @@ class TestMeasureFlow:
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for()
         flow = phi_apply(gamma, None, None, params, steps=100)
-        assert np.array_equal(flow.density_at(0.0).values, gamma.values)
-        assert np.array_equal(flow.density_at(99.0).values, flow.densities[-1].values)
+        assert np.array_equal(density_at(flow, 0.0).values, gamma.values)
+        assert np.array_equal(density_at(flow, 99.0).values, flow.densities[-1].values)
+
+    def test_bracket_exact_at_knots_and_clamped(self):
+        # the frozen drift interpolates between the fields _bracket names:
+        # the initial datum, then each density
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.1, 0.25, 0.5))
+        flow = phi_apply(gaussian_density(GRID, 0.0, 0.04), None, None, params, steps=20)
+        assert flow._bracket(-1.0) == (0, 0.0)
+        assert flow._bracket(0.0) == (0, 0.0)
+        assert flow._bracket(0.1) == (1, 0.0)
+        assert flow._bracket(0.375) == (2, 0.5)
+        assert flow._bracket(0.5) == (2, 1.0)
+        assert flow._bracket(99.0) == (2, 1.0)
 
     def test_l1_increments_modulus(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)

@@ -11,7 +11,6 @@ from .grids import (
     field_derivative,
     gaussian_density,
     grid_delta,
-    random_band_limited,
 )
 from .norms import (
     SobolevIndex,

@@ -59,7 +59,6 @@ def build_parser():
 
     p = sub.add_parser("norm", help="windowed norm and dual bracket of a Gaussian datum")
     _add_grid(p)
-    p.add_argument("--seed", type=int, default=0, help="seed of the dual-norm probes")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--var", type=float, default=0.04)
@@ -105,7 +104,7 @@ def build_parser():
 def _cmd_norm(args, grid: GridSpec) -> int:
     idx = SobolevIndex(args.delta, args.k)
     f = gaussian_density(grid, args.mean, args.var, normalize=True)
-    nrm, br = local_neg_norm(f, idx), measure_dual_bracket(f, idx, seed=args.seed)
+    nrm, br = local_neg_norm(f, idx), measure_dual_bracket(f, idx)
     print(f"local_neg_norm  = {nrm:.6g}")
     print(f"dual bracket    = [{br['probe']:.6g}, {br['amalgam']:.6g}] "
           f"(ratio {br['ratio']:.3f})")

@@ -77,7 +77,7 @@ _SOLVER = {"steps": 600, "max_iter": 25, "tol": 1e-8}
 _FLOW = {"T": 0.5, "n_times": 8, "delta": 1.0, "k": 2.0}  # geometric output times
 _LINEAR_FLOW = {**_FLOW, "t_first": None, "n_times": 10}  # linear from t_first
 _OPTIONS = {
-    "heat_exponent": {"grid_n": 2048, "grid_extent": 16.0, "probes": 24},
+    "heat_exponent": {"grid_n": 2048, "grid_extent": 16.0},
     "kernel_membership": {**_GRID, **_KERNEL, "deltas": (1.5, 0.5), "ks": (math.inf,) * 2},
     # stops at tol.residual, which also bounds the residual row
     "solve": {**_GRID, **_KERNEL, **_LINEAR_FLOW, "steps": 600, "max_iter": 20,
@@ -376,8 +376,7 @@ def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
     t_grid = np.geomspace(0.01, 0.01 * 10**1.5, 12)
     for i, delta, eps, k, p in _HEAT_CASES:
         frm, to = SobolevIndex(float(delta), float(k)), SobolevIndex(float(eps), float(p))
-        fit = operator_exponent_probe(i, frm, to, t_grid, probes=o["probes"],
-                                      seed=cfg.seed, grid=grid)
+        fit = operator_exponent_probe(i, frm, to, t_grid, grid=grid)
         theory = heat_norm_exponent(i, frm, to, grid.dim)
         label = f"heat_slope(i={i},delta={delta:g},eps={eps:g},k={k:g},p={p:g})"
         report.add(label, theory, fit.slope, DEFAULT_TOLERANCES["heat_slope"])
@@ -509,8 +508,7 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
         diffs = [ScalarField(grid, a.values - b.values)
                  for a, b in zip(base_flow.densities, flow2.densities)]
         his.append([measure_dual_norm(d, idx, "amalgam") / w1 for d in diffs])
-        los.append([measure_dual_norm(d, idx, "probe", probes=32, seed=cfg.seed) / w1
-                    for d in diffs])
+        los.append([measure_dual_norm(d, idx, "probe") / w1 for d in diffs])
         report.figures[f"stability_h={h:g}"] = list(zip(t_grid, his[-1]))
     theory_slope = -(1.0 + params.delta) / 2.0 - grid.dim / (2.0 * params.k)
     # exponent from the certified lower bracket: the single-witness pairing

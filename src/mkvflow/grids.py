@@ -32,7 +32,6 @@ __all__ = [
     "rfft_wavenumbers",
     "gaussian_density",
     "grid_delta",
-    "random_band_limited",
 ]
 
 MAX_DERIVATIVE_ORDER = 4
@@ -218,12 +217,6 @@ class VectorField:
         self.grid = grid
         self.components = components
 
-    def magnitude(self) -> np.ndarray:
-        return _magnitude(self.components)
-
-    def sup_norm(self) -> float:
-        return float(self.magnitude().max())
-
 
 def _magnitude(components) -> np.ndarray:
     """Pointwise Euclidean norm of a sequence of component arrays."""
@@ -268,7 +261,7 @@ def heat_apply(f: ScalarField, t: float) -> ScalarField:
     ------
     ValueError
         If ``t <= 0``.  Very small positive ``t`` (std below two cells) only
-        warns, since operator-norm probes sweep small times on purpose.
+        warns, since operator-norm probing sweeps small times on purpose.
     """
     return ScalarField(f.grid, _apply_half(f.values, _heat_multiplier(f.grid, t)))
 
@@ -359,22 +352,4 @@ def grid_delta(grid: GridSpec) -> ScalarField:
     """Unit-mass spike at the origin, grid index ``n/2`` on each axis (sharp Dirac proxy)."""
     vals = np.zeros(grid.shape)
     vals[(grid.points_per_dim // 2,) * grid.dim] = 1.0 / grid.cell_volume
-    return ScalarField(grid, vals)
-
-
-def random_band_limited(grid: GridSpec, band: int, rng) -> ScalarField:
-    """Real random field of unit standard deviation with Fourier support in
-    modes |m| <= band per axis."""
-    n = grid.points_per_dim
-    if not (0 < band <= n // 2):
-        raise ValueError(f"band must lie in [1, {n // 2}], got {band}")
-    spec = np.zeros(grid.shape, dtype=complex)
-    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    mask = np.all([np.abs(c) <= band for c in grid._lattice(m)], axis=0)
-    k = int(mask.sum())
-    spec[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    vals = np.fft.ifftn(spec).real
-    scale = vals.std()
-    if scale > 0:
-        vals *= 1.0 / scale
     return ScalarField(grid, vals)

@@ -3,9 +3,9 @@
 The function norm is ``sup_z || 1_{B(z,1)} (1-Lap)^{-delta/2} f ||_{L^k}``
 with the sup taken over a lattice of ball centers ``_CENTER_SPACING`` apart.
 The dual norm on (differences of) measures is not computable exactly; it is
-bracketed by a certified lower bound (maximize the pairing over concrete test
-functions) and an upper surrogate (cell-partition sum dual to the windowed
-structure).
+bracketed by a certified lower bound (the best pairing with three structured
+test functions) and an upper surrogate (cell-partition sum dual to the
+windowed structure).
 Inequality checks elsewhere always use the bracket conservatively.
 """
 
@@ -28,7 +28,6 @@ from .grids import (
     bessel_apply,
     bessel_sharpen,
     irfft,
-    random_band_limited,
     rfft,
     rfft_wavenumbers,
 )
@@ -160,33 +159,20 @@ def _amalgam_norm(rho: ScalarField, idx: SobolevIndex) -> float:
     return float((cell_norms ** (1.0 / kp)).sum())
 
 
-def _probe_candidates(rho: ScalarField, idx: SobolevIndex, probes: int, seed):
-    """Test-function family: structured witnesses plus shaped random noise."""
-    rng = np.random.default_rng(seed)
-    grid = rho.grid
-    n = grid.points_per_dim
-    cands = []
-    # sign pattern of the input attains the variation pairing
+def _probe_candidates(rho: ScalarField, idx: SobolevIndex):
+    """The structured witnesses: the sign pattern of the input (it attains the
+    variation pairing), the constant, and the sharpened input (the L2-dual
+    witness)."""
     sgn = np.sign(rho.values)
-    if np.any(sgn):
-        cands.append(sgn)
-    cands.append(np.ones(grid.shape))
-    # the sharpened input itself is the L2-dual witness
-    cands.append(bessel_sharpen(rho, idx.delta).values)
-    bands = [max(1, n // 16), max(2, n // 4), n // 2]
-    for j in range(max(0, probes)):
-        w = random_band_limited(grid, bands[j % len(bands)], rng)
-        cands.append(bessel_sharpen(w, idx.delta / 2.0).values)
-    return cands
+    cands = [sgn] if np.any(sgn) else []
+    return cands + [np.ones(rho.grid.shape), bessel_sharpen(rho, idx.delta).values]
 
 
-def _probe_norm(rho: ScalarField, idx: SobolevIndex, probes: int, seed) -> float:
+def _probe_norm(rho: ScalarField, idx: SobolevIndex) -> float:
     """Largest pairing with a candidate over its windowed norm, all norms taken
     as one stack; a candidate of zero or non-finite norm is skipped."""
-    if probes <= 0:
-        raise ValueError(f"probe method needs probes >= 1, got {probes}")
     grid = rho.grid
-    cands = np.array(_probe_candidates(rho, idx, probes, seed))
+    cands = np.array(_probe_candidates(rho, idx))
     bessel = (1.0 + rfft_wavenumbers(grid)[1]) ** (-idx.delta / 2.0)
     best = 0.0
     for vals, nrm in zip(cands, _probe_norms(grid, rfft(cands, grid.dim), [bessel], idx)):
@@ -195,14 +181,14 @@ def _probe_norm(rho: ScalarField, idx: SobolevIndex, probes: int, seed) -> float
     return best
 
 
-def measure_dual_norm(rho: ScalarField, idx: SobolevIndex, method: str = "amalgam",
-                      probes: int = 64, seed: int = 0) -> float:
+def measure_dual_norm(rho: ScalarField, idx: SobolevIndex, method: str = "amalgam") -> float:
     """Dual norm of a measure (mass 1) or difference of measures (mass 0).
 
     ``method='amalgam'`` sums cellwise conjugate norms of the sharpened
     density: an upper-equivalent surrogate, exact duality up to the
     cell/ball mismatch.  ``method='probe'`` maximizes |integral of rho * g|
-    over normalized test functions: a certified lower bound.
+    over the normalized witnesses ``g`` of ``_probe_candidates``: a certified
+    lower bound, deterministic.
     """
     m = rho.mass()
     if not (abs(m) < 1e-6 or abs(m - 1.0) < 1e-6):
@@ -210,13 +196,13 @@ def measure_dual_norm(rho: ScalarField, idx: SobolevIndex, method: str = "amalga
     if method == "amalgam":
         return _amalgam_norm(rho, idx)
     if method == "probe":
-        return _probe_norm(rho, idx, probes, seed)
+        return _probe_norm(rho, idx)
     raise ValueError(f"unknown method {method!r}")
 
 
-def measure_dual_bracket(rho: ScalarField, idx: SobolevIndex, seed: int = 0) -> dict:
+def measure_dual_bracket(rho: ScalarField, idx: SobolevIndex) -> dict:
     """Both bracket sides and their ratio, for tracking surrogate slack."""
-    lo = measure_dual_norm(rho, idx, "probe", seed=seed)
+    lo = measure_dual_norm(rho, idx, "probe")
     hi = measure_dual_norm(rho, idx, "amalgam")
     return {"probe": lo, "amalgam": hi, "ratio": hi / lo if lo > 0 else math.inf}
 
@@ -238,53 +224,44 @@ class ProbeFit:
     estimates: np.ndarray
 
 
-def _packets(grid: GridSpec, params) -> np.ndarray:
-    """Gaussian-envelope wave packets, one per (width, freq, center, phase) row."""
-    width, freq, center, phase = np.reshape(params, (-1, 4) + (1,) * grid.dim).swapaxes(0, 1)
-    env = np.exp(-0.5 * _periodic_sq_distance(grid, (center,) * grid.dim) / width**2)
+def _packets(grid: GridSpec, widths, freqs) -> np.ndarray:
+    """Gaussian-envelope wave packets centered at the origin, stacked, one per
+    (width, frequency, carrier phase): phases 0 and pi/2, only 0 at frequency 0.
+
+    Both norms are translation invariant, so centering loses nothing; the two
+    phases cover grid alignment.
+    """
+    rows = [(s, q, phase) for s in widths for q in freqs
+            for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi))]
+    width, freq, phase = np.reshape(rows, (-1, 3) + (1,) * grid.dim).swapaxes(0, 1)
+    env = np.exp(-0.5 * _periodic_sq_distance(grid, (0.0,) * grid.dim) / width**2)
     return env * np.cos(freq * grid.coords()[0] + phase)
 
 
-def _probe_family(grid: GridSpec, probes: int, rng) -> np.ndarray:
-    """Base inputs spanning the unit ball's extreme directions, stacked.
-
-    Shaped band-limited noise alone biases the fitted slope whenever the
-    extremizer is a scale-matched packet (notably the gradient and the
-    concentrated-source cases), so the family also carries Gabor-type packets
-    over a log-grid of widths and frequencies and a constant field.
-    """
-    n = grid.points_per_dim
-    n_noise = max(6, probes // 2)
-    bands = np.unique(np.geomspace(1, n // 2, 7).astype(int))
-    fields = [np.ones(grid.shape)] + [
-        random_band_limited(grid, int(bands[j % len(bands)]), rng).values
-        for j in range(n_noise)]
+def _probe_family(grid: GridSpec) -> np.ndarray:
+    """Base inputs spanning the unit ball's extreme directions, stacked: the
+    constant field and Gabor-type packets over a log-grid of widths and
+    frequencies, since the extremizer is often a scale-matched packet
+    (notably in the gradient and concentrated-source cases)."""
     xi_max = math.pi / grid.spacing
     widths = np.geomspace(4 * grid.spacing, grid.extent / 8.0, 5)
     freqs = np.concatenate([[0.0], np.geomspace(2.0 * math.pi / grid.extent,
                                                 0.5 * xi_max, 6)])
-    params = [(s, q, rng.uniform(-grid.extent / 4, grid.extent / 4),
-               rng.uniform(0, 2 * math.pi)) for s in widths for q in freqs]
-    return np.concatenate([fields, _packets(grid, params)])
+    return np.concatenate([np.ones((1,) + grid.shape), _packets(grid, widths, freqs)])
 
 
 def _matched_packets(grid: GridSpec, t: float) -> np.ndarray:
-    """Packets tuned to the diffusive scale sqrt(t), deterministic, stacked.
+    """Packets tuned to the diffusive scale sqrt(t), stacked.
 
     The heat operator norm between windowed indices is attained (up to
     constants) by inputs concentrated at width ~ sqrt(t) or oscillating at
-    frequency ~ 1/sqrt(t); a fixed family misses those scales between its
-    log-grid points, so a few matched probes per time sharpen the estimate.
-    Both norms are translation invariant, so centering at the origin loses
-    nothing; two carrier phases cover grid alignment.
+    frequency ~ 1/sqrt(t); the fixed family misses those scales between its
+    log-grid points, so a few matched packets per time sharpen the estimate.
     """
     rt = math.sqrt(t)
-    params = [(s, q, 0.0, phase)
-              for s in (0.25 * rt, 0.4 * rt, 0.65 * rt, 1.0 * rt, 1.6 * rt)
-              if grid.spacing <= s <= grid.extent / 4
-              for q in (0.0, 0.5 / rt, 0.8 / rt, 1.2 / rt, 1.8 / rt)
-              for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi))]
-    return _packets(grid, params)
+    widths = [s for s in (0.25 * rt, 0.4 * rt, 0.65 * rt, 1.0 * rt, 1.6 * rt)
+              if grid.spacing <= s <= grid.extent / 4]
+    return _packets(grid, widths, (0.0, 0.5 / rt, 0.8 / rt, 1.2 / rt, 1.8 / rt))
 
 
 def _probe_norms(grid: GridSpec, spectra: np.ndarray, mults, idx: SobolevIndex) -> np.ndarray:
@@ -299,14 +276,15 @@ def _probe_norms(grid: GridSpec, spectra: np.ndarray, mults, idx: SobolevIndex) 
 
 
 def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
-                            t_grid, probes: int = 24, seed: int = 0,
-                            grid: GridSpec | None = None) -> ProbeFit:
+                            t_grid, grid: GridSpec | None = None) -> ProbeFit:
     """Fit the time exponent of the heat operator norm between two indices.
 
     For each t the operator norm is estimated from below by maximizing the
-    output/input norm ratio over the probes ``(1-Lap)^{frm.delta/2} f``, of
-    input norm that of ``|f|``, each output one multiplier product on the
-    spectrum; the log-log slope across ``t_grid`` is fitted by least squares.
+    output/input norm ratio over the inputs ``(1-Lap)^{frm.delta/2} f``, of
+    input norm that of ``|f|``, with ``f`` from ``_probe_family`` and
+    ``_matched_packets(t)``; each output is one multiplier product on the
+    spectrum.  The log-log slope across ``t_grid`` is fitted by least
+    squares; the fit is deterministic.
 
     Preconditions: ``to.delta <= frm.delta``, ``frm.k <= to.k`` and a time
     grid spanning at least 1.5 decades.
@@ -324,11 +302,11 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
     ixi, xi_sq = rfft_wavenumbers(grid)
     bessel = (1.0 + xi_sq) ** ((frm.delta - to.delta) / 2.0)  # sharpen, then smooth
     out_comps = [bessel] if i == 0 else [bessel * ik for ik in ixi]
-    family = rfft(_probe_family(grid, probes, np.random.default_rng(seed)), grid.dim)
+    family = rfft(_probe_family(grid), grid.dim)
     family_in = _probe_norms(grid, family, [1.0], frm)
     estimates = np.empty_like(t_grid)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # small-t probes are intentional
+        warnings.simplefilter("ignore")  # small probe times are intentional
         for j, t in enumerate(t_grid):
             mults = [_heat_multiplier(grid, t) * m for m in out_comps]
             matched = rfft(_matched_packets(grid, t), grid.dim)

@@ -5,8 +5,8 @@ norm, the Bessel potential assembled as a Gamma-weighted integral of heat
 flows instead of its closed-form multiplier, the gradient of the heat flow
 of a single field, the full complex frequency lattice, the particle drift
 summed over pairs instead of binned, read through a corner-by-corner
-periodic interpolation, and the solver's frozen drift evaluated node by node
-on the interpolated density.
+periodic interpolation, the solver's frozen drift evaluated node by node
+on the interpolated density, and random band-limited test inputs.
 """
 
 import math
@@ -162,3 +162,21 @@ def per_node_drift(spec, mu, grid, shift, nodes):
     zero = [np.zeros(grid.shape)] * grid.dim
     return (zero if s < shift else drift_field(spec, density_at(mu, s), s - shift).components
             for s in nodes)
+
+
+def random_band_limited(grid, band: int, rng) -> ScalarField:
+    """Real random field of unit standard deviation with Fourier support in
+    modes |m| <= band per axis."""
+    n = grid.points_per_dim
+    if not (0 < band <= n // 2):
+        raise ValueError(f"band must lie in [1, {n // 2}], got {band}")
+    spec = np.zeros(grid.shape, dtype=complex)
+    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    mask = np.all([np.abs(c) <= band for c in grid._lattice(m)], axis=0)
+    k = int(mask.sum())
+    spec[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    vals = np.fft.ifftn(spec).real
+    scale = vals.std()
+    if scale > 0:
+        vals *= 1.0 / scale
+    return ScalarField(grid, vals)

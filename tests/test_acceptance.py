@@ -19,12 +19,11 @@ from mkvflow.grids import (
     grid_delta,
     heat_apply,
     bessel_apply,
-    random_band_limited,
 )
 from mkvflow.kernels import KernelSpec, RieszOrder, TimeModulation
 from mkvflow.metrics import GaussianSpec, relative_entropy, wasserstein_1d
 from mkvflow.solver import FlowParams, picard_solve, time_shift_solve
-from oracles import bessel_gamma_quadrature, gaussian_entropy, gaussian_w2
+from oracles import bessel_gamma_quadrature, gaussian_entropy, gaussian_w2, random_band_limited
 
 
 def announce(name, ok, detail):

@@ -364,7 +364,7 @@ class TestEmitReport:
         # the emitted two-column files carry exactly the pairs the exponent
         # fit consumed: re-fitting from disk reproduces the reported slope
         monkeypatch.setattr(experiments, "_HEAT_CASES", ((1, 0.0, 0.0, math.inf, math.inf),))
-        cfg = ExperimentConfig("heat_exponent", options=(("grid_n", 1024), ("probes", 8)))
+        cfg = ExperimentConfig("heat_exponent", options=(("grid_n", 1024),))
         report = run_experiment(cfg)
         emit_report(report, tmp_path, name="h", formats=("plotdata",))
         (fig_name, pairs), = report.figures.items()
@@ -415,11 +415,24 @@ class TestProbeReportRows:
         idx = SobolevIndex(1.0, 2.0)
         grid = GridSpec(1, 256, 16.0)
         t_grid = np.geomspace(0.05, 1.6, 6)
-        fit = operator_exponent_probe(0, idx, idx, t_grid, probes=4, seed=1,
-                                      grid=grid)
+        fit = operator_exponent_probe(0, idx, idx, t_grid, grid=grid)
         assert len(fit.t_values) == len(fit.estimates) == 6
         assert fit.t_values[0] == pytest.approx(0.05)
         assert fit.estimates[0] > 0
+
+
+class TestSeedIndependence:
+    # the seed drives the particles only: the dual-norm bound and the
+    # heat-exponent fit draw nothing
+    @pytest.mark.parametrize("experiment, options", [
+        ("heat_exponent", (("grid_n", 1024),)),
+        ("stability", (("grid_n", 1024), ("kernel", "zero"), ("kappa", 1.25),
+                       ("h_list", (0.05, 0.1)), ("n_times", 6), ("steps", 300))),
+    ], ids=["heat_exponent", "stability"])
+    def test_rows_equal_across_seeds(self, experiment, options):
+        rows = [repr(run_experiment(ExperimentConfig(experiment, seed, options=options)).rows)
+                for seed in (0, 5)]
+        assert rows[0] == rows[1]
 
 
 class TestFlowBinary:
@@ -666,13 +679,12 @@ class TestCli:
         ["kernel-study", "--eps-list", "0.01,0.02,0.03"],
         ["kernel-study", "--eps-list", "0.02,0.01"],
         ["norm", "--k", "0.5"],
-        ["norm", "--seed", "-1"],
         ["solve", "--k", "0.5"],
         ["solve", "--T", "-1"],
         ["solve", "--gamma-var", "0"],
         ["experiment", "--config", "T0.cfg"],
-    ], ids=["kernel", "number", "increasing", "too-few", "norm-k", "norm-seed",
-            "solve-k", "solve-T", "solve-gamma-var", "config-T"])
+    ], ids=["kernel", "number", "increasing", "too-few", "norm-k", "solve-k",
+            "solve-T", "solve-gamma-var", "config-T"])
     def test_bad_study_input_is_an_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # settings rejected inside the run print nothing first and write nothing
         (tmp_path / "T0.cfg").write_text("experiment = solve\nT = 0\n")
@@ -793,6 +805,7 @@ class TestCli:
         ["norm", "--out", "x"],
         ["kernel-study", "--threads", "2"],
         ["kernel-study", "--seed", "1"],
+        ["norm", "--seed", "-1"],
     ])
     def test_unread_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -61,6 +61,28 @@ def test_cli_start_up_skips_optimize_and_interpolate():
     assert out.strip() == "[]"
 
 
+# a generator's constructors and its draws; ``np.random`` is caught as well
+_RANDOM_ATTRS = {"default_rng", "Generator", "standard_normal", "uniform", "integers",
+                 "choice", "permutation", "shuffle"}
+
+
+def test_only_particles_draw_random_numbers():
+    # every other result is a function of its inputs alone, so a seed can
+    # change particle rows and nothing else
+    drawn = set()
+    for path in sorted(Path(mkvflow.__file__).parent.glob("*.py")):
+        if path.name == "particles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in _RANDOM_ATTRS
+                    or node.attr == "random" and getattr(node.value, "id", None) == "np"):
+                drawn.add(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and "random" in (node.module or "").split("."):
+                drawn.add(f"{path.name}:{node.lineno}")
+    assert not drawn, f"random numbers drawn outside particles.py: {sorted(drawn)}"
+
+
 def _is_all(node) -> bool:
     return isinstance(node, ast.Assign) and any(
         getattr(t, "id", None) == "__all__" for t in node.targets)

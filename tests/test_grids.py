@@ -14,12 +14,12 @@ from mkvflow.grids import (
     gaussian_density,
     grid_delta,
     heat_apply,
+    _magnitude,
     irfft,
-    random_band_limited,
     rfft,
 )
 from mkvflow.norms import _windowed_power_sums
-from oracles import bessel_gamma_quadrature, freq_sq, freqs, heat_gradient
+from oracles import bessel_gamma_quadrature, freq_sq, freqs, heat_gradient, random_band_limited
 
 GRID1 = GridSpec(1, 1024, 16.0)
 
@@ -131,7 +131,7 @@ class TestHeatGradient:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for t in ts:
-                sups.append(heat_gradient(f, t).sup_norm())
+                sups.append(_magnitude(heat_gradient(f, t).components).max())
         slope = np.polyfit(np.log(ts), np.log(sups), 1)[0]
         assert abs(slope - (-1.0)) < 0.1
 

@@ -9,6 +9,7 @@ from scipy.special import dawsn
 from mkvflow import kernels
 from mkvflow.grids import (
     GridSpec,
+    _magnitude,
     field_derivative,
     gaussian_density,
     grid_delta,
@@ -256,7 +257,7 @@ class TestDriftFromKernel:
                                    rng.uniform(0.03, 0.2))
             b = drift_field(spec, rho, 1.0)
             dual_hi = measure_dual_norm(rho, idx, "amalgam")
-            assert b.sup_norm() <= kern_norm * dual_hi * 1.05
+            assert _magnitude(b.components).max() <= kern_norm * dual_hi * 1.05
 
 
 class TestNemytskiiDrift:
@@ -311,6 +312,13 @@ class TestNemytskiiDrift:
     def test_unusable_specs_rejected(self, n, family, match):
         with pytest.raises(ValueError, match=match):
             NemytskiiSpec(n, family)
+
+    @pytest.mark.parametrize("cap", [math.nan, -0.2, 0.0, math.inf])
+    def test_clipped_gradient_cap_must_be_positive_and_finite(self, cap):
+        # otherwise a nan cap fails only mid-solve and a negative one solves
+        # with a constant drift
+        with pytest.raises(ValueError, match="0 < cap < inf"):
+            NemytskiiSpec(2, "clipped_gradient", (("cap", cap),))
 
 
 class TestDriftMap:

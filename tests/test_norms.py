@@ -10,7 +10,8 @@ from mkvflow.grids import (
     bessel_sharpen,
     gaussian_density,
     heat_apply,
-    random_band_limited,
+    rfft,
+    rfft_wavenumbers,
 )
 from mkvflow import norms
 from mkvflow.norms import (
@@ -24,7 +25,7 @@ from mkvflow.norms import (
     measure_dual_norm,
     operator_exponent_probe,
 )
-from oracles import heat_gradient, sup_comparison_constant
+from oracles import heat_gradient, random_band_limited, sup_comparison_constant
 
 GRID = GridSpec(1, 1024, 16.0)
 
@@ -35,10 +36,10 @@ def gaussian_pair_diff(grid, shift=0.1, var=0.04):
     return ScalarField(grid, a.values - b.values)
 
 
-def per_candidate_probe_norm(rho, idx, probes, seed=0):
+def per_candidate_probe_norm(rho, idx):
     """The probe bound with one ``local_neg_norm`` call per candidate."""
     best = 0.0
-    for vals in _probe_candidates(rho, idx, probes, seed):
+    for vals in _probe_candidates(rho, idx):
         nrm = local_neg_norm(ScalarField(rho.grid, vals), idx)
         if nrm > 0 and np.isfinite(nrm):
             best = max(best, abs(float((rho.values * vals).sum()) * rho.grid.cell_volume) / nrm)
@@ -145,9 +146,9 @@ class TestLocalNegNorm:
     def test_probe_supports_k_one(self):
         d = gaussian_pair_diff(GRID, 0.1)
         idx = SobolevIndex(1.0, 1.0)
-        v = measure_dual_norm(d, idx, "probe", probes=16)
+        v = measure_dual_norm(d, idx, "probe")
         assert v > 0
-        assert v == pytest.approx(per_candidate_probe_norm(d, idx, 16), rel=1e-12, abs=0)
+        assert v == pytest.approx(per_candidate_probe_norm(d, idx), rel=1e-12, abs=0)
 
     def test_lattice_refinement_tracked(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -174,7 +175,7 @@ class TestMeasureDualNorm:
             d = gaussian_pair_diff(GRID, shift)
             br = measure_dual_bracket(d, idx)
             assert br["probe"] <= br["amalgam"] * (1 + 1e-9)
-            want = per_candidate_probe_norm(d, idx, 64)
+            want = per_candidate_probe_norm(d, idx)
             assert br["probe"] == pytest.approx(want, rel=1e-12, abs=0)
         for _ in range(5):
             w = random_band_limited(GRID, 32, rng)
@@ -185,13 +186,26 @@ class TestMeasureDualNorm:
             assert br["probe"] <= br["amalgam"] * (1 + 1e-9)
 
     def test_probe_stable_under_denser_search(self):
-        # [DERIVED oracle] a dense search over 1e4 random normalized test
-        # functions reproduces the default probe value
+        # [DERIVED oracle] none of 1e4 random band-limited test functions,
+        # sharpened by (1-Lap)^{delta/2}, pairs better than the structured
+        # witnesses, at k = 2 and at k = 1
         d = gaussian_pair_diff(GRID, 0.1, 0.04)
-        idx = SobolevIndex(1.0, 2.0)
-        base = measure_dual_norm(d, idx, "probe", probes=64, seed=0)
-        dense = measure_dual_norm(d, idx, "probe", probes=10_000, seed=1)
-        assert abs(dense - base) / base < 0.02
+        indices = [SobolevIndex(1.0, 2.0), SobolevIndex(1.0, 1.0)]
+        n = GRID.points_per_dim
+        bands = [max(1, n // 16), max(2, n // 4), n // 2]
+        bessel = (1.0 + rfft_wavenumbers(GRID)[1]) ** -0.5
+        rng = np.random.default_rng(1)
+        best = np.zeros(len(indices))
+        for _ in range(10):
+            cands = np.array([bessel_sharpen(random_band_limited(GRID, bands[j % 3], rng),
+                                             0.5).values for j in range(1000)])
+            pairing = np.abs(cands @ d.values) * GRID.cell_volume
+            spectra = rfft(cands)
+            for m, idx in enumerate(indices):
+                ratios = pairing / norms._probe_norms(GRID, spectra, [bessel], idx)
+                best[m] = max(best[m], ratios.max())
+        for b, idx in zip(best, indices):
+            assert 0 < b <= measure_dual_norm(d, idx, "probe")
 
     def test_scaling(self):
         d = gaussian_pair_diff(GRID, 0.1)
@@ -204,11 +218,6 @@ class TestMeasureDualNorm:
         d = gaussian_pair_diff(GRID)
         with pytest.raises(ValueError):
             measure_dual_norm(d, SobolevIndex(1.0, 1.0), "amalgam")
-
-    def test_rejects_zero_probes(self):
-        d = gaussian_pair_diff(GRID)
-        with pytest.raises(ValueError):
-            measure_dual_norm(d, SobolevIndex(1.0, 2.0), "probe", probes=0)
 
     def test_rejects_bad_mass(self):
         f = ScalarField(GRID, gaussian_density(GRID, 0, 0.04).values * 0.5)
@@ -228,7 +237,7 @@ class TestMeasureDualNorm:
             b = gaussian_density(GRID, m2, v2)
             d = ScalarField(GRID, a.values - b.values)
             tv = float(np.abs(d.values).sum()) * GRID.cell_volume
-            lower = measure_dual_norm(d, idx, "probe", probes=16, seed=3)
+            lower = measure_dual_norm(d, idx, "probe")
             assert tv <= c * lower * (1 + 1e-6)
 
 
@@ -237,18 +246,18 @@ class TestOperatorExponentProbe:
 
     def test_flat_case_slope_zero(self):
         idx = SobolevIndex(1.0, 2.0)
-        fit = operator_exponent_probe(0, idx, idx, self.T_GRID, probes=8, seed=0)
+        fit = operator_exponent_probe(0, idx, idx, self.T_GRID)
         assert abs(fit.slope) < 0.05
 
     def test_smoothing_case(self):
         frm = SobolevIndex(1.0, 2.0)
         to = SobolevIndex(0.0, math.inf)
-        fit = operator_exponent_probe(0, frm, to, self.T_GRID, probes=16, seed=0)
+        fit = operator_exponent_probe(0, frm, to, self.T_GRID)
         assert abs(fit.slope - (-0.75)) < 0.08
 
     def test_gradient_case(self):
         idx = SobolevIndex(0.0, math.inf)
-        fit = operator_exponent_probe(1, idx, idx, self.T_GRID, probes=16, seed=0)
+        fit = operator_exponent_probe(1, idx, idx, self.T_GRID)
         assert abs(fit.slope - (-0.5)) < 0.05
 
     @pytest.mark.parametrize("i, frm, to", [
@@ -260,12 +269,12 @@ class TestOperatorExponentProbe:
         # local_neg_norm call per probe (1-Lap)^{frm.delta/2} f and time
         grid = GridSpec(1, 256, 16.0)
         t_grid = np.geomspace(0.02, 0.02 * 10**1.5, 5)
-        fit = operator_exponent_probe(i, frm, to, t_grid, probes=8, seed=2, grid=grid)
+        fit = operator_exponent_probe(i, frm, to, t_grid, grid=grid)
 
         def probes(stack):
             return [bessel_sharpen(ScalarField(grid, f), frm.delta / 2.0) for f in stack]
 
-        family = probes(_probe_family(grid, 8, np.random.default_rng(2)))
+        family = probes(_probe_family(grid))
         estimates = []
         for t in t_grid:
             fields = family + probes(_matched_packets(grid, t))

@@ -327,8 +327,8 @@ class NemytskiiSpec:
                              f"choose from {sorted(_NEMYTSKII)}")
         if self.family == "clipped_gradient" and self.n < 2:
             raise ValueError("clipped_gradient needs derivative depth n >= 2")
-        cap = self.param_dict.get("cap", 1.0)
-        if self.family == "clipped_gradient" and not 0 < cap < math.inf:
+        cap = self.param_dict.get("cap")
+        if self.family == "clipped_gradient" and cap is not None and not 0 < cap < math.inf:
             raise ValueError(f"clipped_gradient needs a cap with 0 < cap < inf, got {cap}")
         if self.family == "linear" and "weights" not in self.param_dict:
             raise ValueError("linear family needs 'weights'")

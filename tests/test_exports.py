@@ -61,9 +61,8 @@ def test_cli_start_up_skips_optimize_and_interpolate():
     assert out.strip() == "[]"
 
 
-# a generator's constructors and its draws; ``np.random`` is caught as well
-_RANDOM_ATTRS = {"default_rng", "Generator", "standard_normal", "uniform", "integers",
-                 "choice", "permutation", "shuffle"}
+# every draw goes through ``np.random`` or a generator made by one of these
+_RANDOM_ATTRS = {"default_rng", "Generator"}
 
 
 def test_only_particles_draw_random_numbers():
@@ -76,9 +75,12 @@ def test_only_particles_draw_random_numbers():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and (
                     node.attr in _RANDOM_ATTRS
-                    or node.attr == "random" and getattr(node.value, "id", None) == "np"):
+                    or node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")):
                 drawn.add(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) and "random" in (node.module or "").split("."):
+                drawn.add(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(
+                    "random" in a.name.split(".") for a in node.names):
                 drawn.add(f"{path.name}:{node.lineno}")
     assert not drawn, f"random numbers drawn outside particles.py: {sorted(drawn)}"
 

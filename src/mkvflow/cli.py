@@ -2,9 +2,10 @@
 
 Subcommands expose the norm calculator, kernel membership studies,
 configuration-driven experiments and report reprinting.  ``solve`` runs the
-solve experiment built from its flags and can dump the solved flow;
-``particles`` runs the particles experiment.  The exit code is zero exactly
-when every pass flag in the produced report is true.
+solve experiment built from its flags and can dump the solved flow.  Each
+run writes its report as one row CSV and one JSON with the provenance,
+figures and tables.  The exit code is zero exactly when every pass flag in
+the produced report is true.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 import sys
 
 from .experiments import (
-    REPORT_FORMATS,
     AdmissibilityError,
     ExperimentConfig,
     emit_report,
@@ -33,23 +33,6 @@ from .solver import DegradedAccuracyError, NoContractionError
 def _add_grid(p, n=1024, extent=16.0, note=""):
     p.add_argument("--grid", type=int, default=n, help="points per axis" + note)
     p.add_argument("--extent", type=float, default=extent, help="torus side" + note)
-
-
-def _add_config(p):
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: the config's, else 0)")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
-    _add_grid(p, None, None, " (overrides config; default: the experiment's, 1024 points "
-              "or heat_exponent's 2048, extent 16)")
-
-
-def _formats(text: str) -> tuple:
-    formats = tuple(text.split(","))
-    if not set(formats) <= set(REPORT_FORMATS):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated subset of {','.join(REPORT_FORMATS)}")
-    return formats
 
 
 def build_parser():
@@ -86,15 +69,14 @@ def build_parser():
     p.add_argument("--dump-flow", default=None, help="write the flow binary here")
     p.add_argument("--dump-csv", default=None, help="write per-time density tables here")
 
-    p = sub.add_parser("particles", help="particle run via the experiment harness")
-    p.set_defaults(name="particles")
-    _add_config(p)
-
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--formats", type=_formats, default=("csv", "json"),
-                   help=f"comma-separated subset of {','.join(REPORT_FORMATS)}")
-    _add_config(p)
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: the config's, else 0)")
+    p.add_argument("--out", default=None, help="output directory (overrides config)")
+    _add_grid(p, None, None, " (overrides config; default: the experiment's, 1024 points "
+              "or heat_exponent's 2048, extent 16)")
 
     p = sub.add_parser("report", help="reprint a report CSV; exit 0 iff all rows pass")
     p.add_argument("path")
@@ -174,9 +156,7 @@ def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
     except (NoContractionError, DegradedAccuracyError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    written = emit_report(report, cfg.output_dir or ".",
-                          name=f"{cfg.experiment}_{cfg.digest}",
-                          formats=getattr(args, "formats", ("csv", "json")))
+    written = emit_report(report, cfg.output_dir or ".", name=f"{cfg.experiment}_{cfg.digest}")
     if getattr(args, "dump_flow", None):
         write_flow(report.flow, args.dump_flow)
         written.append(args.dump_flow)

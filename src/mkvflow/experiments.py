@@ -601,53 +601,31 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 _REPORT_HEADER = ["quantity", "theory", "measured", "tol", "pass"]
-REPORT_FORMATS = ("csv", "json", "plotdata")
 
 
-def emit_report(report: RunReport, out_dir, name: str = "report",
-                formats=("csv", "json")):
-    """Write the report as CSV (fixed column order), a JSON mirror, and
-    optional two-column plotdata files per figure; ``formats`` is drawn from
-    ``REPORT_FORMATS``."""
-    unknown = [f for f in formats if f not in REPORT_FORMATS]
-    if unknown:
-        raise ValueError(f"unknown report formats {unknown}; choose from {REPORT_FORMATS}")
+def emit_report(report: RunReport, out_dir, name: str = "report"):
+    """Write ``<name>.csv``, the rows in fixed column order, and ``<name>.json``,
+    the rows with the provenance block, the figures (label -> ``[[t, value], ...]``)
+    and the tables (name -> ``{"header", "rows"}``); return both paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{name}.csv")
-        # labels such as "norm(delta=1, k=2)" carry commas; csv quotes them
-        write_csv_rows(path, _REPORT_HEADER,
-                       [(r.quantity, r.theory, r.measured, r.tol, r.passed) for r in report.rows])
-        written.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, f"{name}.json")
-        payload = {
-            "rows": [{"quantity": r.quantity, "theory": r.theory,
-                      "measured": r.measured, "tol": r.tol, "pass": r.passed}
-                     for r in report.rows],
-            "provenance": report.provenance,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        written.append(path)
-    if "plotdata" in formats:
-        for fig, pairs in report.figures.items():
-            safe = _safe_name(fig)
-            path = os.path.join(out_dir, f"{name}.{safe}.dat")
-            with open(path, "w") as fh:
-                for t, v in pairs:
-                    fh.write(f"{t:.17g} {v:.17g}\n")
-            written.append(path)
-    for tname, (header, rows) in report.tables.items():
-        path = os.path.join(out_dir, f"{name}.{_safe_name(tname)}.csv")
-        write_csv_rows(path, header, rows)
-        written.append(path)
-    return written
-
-
-def _safe_name(s: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-=" else "_" for c in s)
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    # labels such as "norm(delta=1, k=2)" carry commas; csv quotes them
+    write_csv_rows(csv_path, _REPORT_HEADER,
+                   [(r.quantity, r.theory, r.measured, r.tol, r.passed) for r in report.rows])
+    json_path = os.path.join(out_dir, f"{name}.json")
+    payload = {
+        "rows": [{"quantity": r.quantity, "theory": r.theory,
+                  "measured": r.measured, "tol": r.tol, "pass": r.passed}
+                 for r in report.rows],
+        "provenance": report.provenance,
+        "figures": {label: [[float(t), float(v)] for t, v in pairs]
+                    for label, pairs in report.figures.items()},
+        "tables": {tname: {"header": list(header), "rows": [list(row) for row in rows]}
+                   for tname, (header, rows) in report.tables.items()},
+    }
+    with open(json_path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    return [csv_path, json_path]
 
 
 def parse_report_csv(path) -> RunReport:

@@ -189,10 +189,11 @@ class ScalarField:
         return float(self.values.sum()) * self.grid.cell_volume
 
     def require_density(self):
-        if self.values.min() < -1e-8:
-            raise ValueError(f"not a density: min value {self.values.min():.3e} < 0")
+        lo = self.values.min()
+        if not lo >= -1e-8:  # a NaN fails here
+            raise ValueError(f"not a density: min value {lo:.3e} is not >= 0")
         m = self.mass()
-        if abs(m - 1.0) > 1e-6:
+        if not abs(m - 1.0) <= 1e-6:
             raise ValueError(f"not a density: mass {m:.8f} differs from 1")
         return self
 
@@ -334,8 +335,8 @@ def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,
     With ``normalize=True`` the grid mass is rescaled to exactly one, which is
     what the solver wants for initial data whose tails or width are marginal.
     """
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0 < variance < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if mean.size == 1:
         mean = np.repeat(mean, grid.dim)

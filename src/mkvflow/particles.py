@@ -299,6 +299,8 @@ def empirical_density(ens: ParticleEnsemble, grid: GridSpec,
     The histogram has unit mass and heat conserves it, so the output mass is
     exactly one (up to a final exact renormalization against roundoff).
     """
+    if ens.dim != grid.dim:
+        raise ValueError(f"a {ens.dim}-d ensemble has no density on a {grid.dim}-d grid")
     if bandwidth < grid.spacing:
         raise ValueError(f"bandwidth {bandwidth} below grid spacing {grid.spacing}")
     hist = _bin_positions(ens.positions, grid)

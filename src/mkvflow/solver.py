@@ -226,17 +226,10 @@ def _internal_grid(out_times, steps: int, graded_from: float = 0.0) -> np.ndarra
     scheme).  ``graded_from > 0`` prepends a coarse pure-diffusion leg."""
     T = out_times[-1]
     base = graded_from + (T - graded_from) * (np.arange(steps + 1) / steps) ** GRADING
-    parts = [np.round(base, 14), np.round(np.asarray(out_times), 14)]
+    parts = [base, out_times]
     if graded_from > 0:
-        parts.append(np.round(np.linspace(0.0, graded_from,
-                                          max(2, steps // 16) + 1), 14))
-    nodes = parts[0]
-    for p in parts[1:]:
-        nodes = np.union1d(nodes, p)
-    nodes = nodes[(nodes >= 0) & (nodes <= T + 1e-14)]
-    if nodes[0] > 0:
-        nodes = np.concatenate([[0.0], nodes])
-    return nodes
+        parts.append(np.linspace(0.0, graded_from, max(2, steps // 16) + 1))
+    return np.unique(np.round(np.concatenate(parts), 14))
 
 
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
@@ -289,13 +282,9 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     gamma.require_density()
     out_times = np.asarray(params.time_grid)
     nodes = _internal_grid(out_times, steps, graded_from)
-    # node index -> output slot
-    out_slot = {}
-    for i, t in enumerate(out_times):
-        j = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[j] - t) > 1e-10:
-            raise RuntimeError(f"output time {t} missing from the marching grid")
-        out_slot[j] = i
+    # node index -> output slot; the nodes hold the rounded output times
+    out_slot = {j: i for i, j in
+                enumerate(np.searchsorted(nodes, np.round(out_times, 14)).tolist())}
     log = {"clip_mass": 0.0}
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]

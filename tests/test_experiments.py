@@ -135,7 +135,7 @@ class TestOptionTable:
     @pytest.mark.parametrize("command, config, lines, message", [
         ("experiment", "contraction", "gama_var = 0.5", "solve does not read gama_var"),
         ("experiment", "contraction", "tol = 0.5", "solve does not read tol"),
-        ("particles", "particles_zero", "tol = 1e-10", "particles does not read tol"),
+        ("experiment", "particles_zero", "tol = 1e-10", "particles does not read tol"),
         ("experiment", "heat_exponent", "dim = 2", "heat_exponent does not read dim"),
         ("experiment", "heat_exponent", "kernel = riesz", "heat_exponent does not read kernel"),
         ("experiment", "heat_exponent", "kernel.c = 0.2", "heat_exponent does not read kernel.c"),
@@ -332,7 +332,7 @@ class TestEmitReport:
 
     def test_round_trip_csv(self, tmp_path):
         rep = self.make_report()
-        emit_report(rep, tmp_path, name="r", formats=("csv",))
+        emit_report(rep, tmp_path, name="r")
         back = parse_report_csv(tmp_path / "r.csv")
         assert len(back.rows) == 2
         assert back.rows[0].quantity == "alpha"
@@ -342,38 +342,43 @@ class TestEmitReport:
 
     def test_empty_report_header_only(self, tmp_path):
         rep = RunReport(rows=[], provenance={})
-        emit_report(rep, tmp_path, name="empty", formats=("csv",))
+        emit_report(rep, tmp_path, name="empty")
         text = (tmp_path / "empty.csv").read_text()
         assert text == "quantity,theory,measured,tol,pass\n"
 
     def test_json_mirror(self, tmp_path):
         rep = self.make_report()
-        emit_report(rep, tmp_path, name="r", formats=("json",))
+        written = emit_report(rep, tmp_path, name="r")
+        assert written == [os.path.join(tmp_path, "r.csv"), os.path.join(tmp_path, "r.json")]
+        assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
         payload = json.loads((tmp_path / "r.json").read_text())
         assert payload["rows"][0]["quantity"] == "alpha"
         assert payload["provenance"]["config_hash"] == "abc"
 
-    def test_plotdata_matches_figures(self, tmp_path):
+    def test_json_figures_and_tables_round_trip(self, tmp_path):
         rep = self.make_report()
-        emit_report(rep, tmp_path, name="r", formats=("plotdata",))
-        lines = (tmp_path / "r.curve.dat").read_text().strip().splitlines()
-        pairs = [tuple(float(x) for x in ln.split()) for ln in lines]
-        assert pairs == [(0.1, 1.0), (0.2, 0.5)]
+        rep.figures["w1_vs_N"] = [(250, 0.25), (1000, 1 / 3)]
+        rep.tables["errors"] = (("N", "seed", "W1"), [(250, 0, 0.1), (1000, 1000, 2 / 3)])
+        emit_report(rep, tmp_path, name="r")
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["figures"] == {"curve": [[0.1, 1.0], [0.2, 0.5]],
+                                      "w1_vs_N": [[250, 0.25], [1000, 1 / 3]]}
+        assert payload["tables"] == {"errors": {"header": ["N", "seed", "W1"],
+                                                "rows": [[250, 0, 0.1], [1000, 1000, 2 / 3]]}}
 
-    def test_plotdata_refit_consistency(self, tmp_path, monkeypatch):
-        # the emitted two-column files carry exactly the pairs the exponent
-        # fit consumed: re-fitting from disk reproduces the reported slope
+    def test_json_figure_refit_consistency(self, tmp_path, monkeypatch):
+        # the JSON figure carries exactly the pairs the exponent fit
+        # consumed: re-fitting from disk reproduces the reported slope
         monkeypatch.setattr(experiments, "_HEAT_CASES", ((1, 0.0, 0.0, math.inf, math.inf),))
         cfg = ExperimentConfig("heat_exponent", options=(("grid_n", 1024),))
         report = run_experiment(cfg)
-        emit_report(report, tmp_path, name="h", formats=("plotdata",))
+        emit_report(report, tmp_path, name="h")
         (fig_name, pairs), = report.figures.items()
-        dat = [f for f in os.listdir(tmp_path) if f.endswith(".dat")]
-        assert len(dat) == 1
-        lines = (tmp_path / dat[0]).read_text().strip().splitlines()
-        disk_pairs = [tuple(float(x) for x in ln.split()) for ln in lines]
-        refit, _, _ = fit_exponent(disk_pairs)
-        assert refit == pytest.approx(report.rows[0].measured, abs=1e-12)
+        figures = json.loads((tmp_path / "h.json").read_text())["figures"]
+        assert list(figures) == [fig_name]
+        assert figures[fig_name] == [[t, v] for t, v in pairs]
+        refit, _, _ = fit_exponent(figures[fig_name])
+        assert refit == report.rows[0].measured
 
     def test_deterministic_bytes_modulo_timestamp(self, tmp_path):
         cfg = ExperimentConfig("kernel_membership", options=(
@@ -381,8 +386,8 @@ class TestEmitReport:
             ("deltas", (1.5, 0.5)), ("ks", (math.inf, math.inf))))
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
-        emit_report(r1, tmp_path, name="a", formats=("csv",))
-        emit_report(r2, tmp_path, name="b", formats=("csv",))
+        emit_report(r1, tmp_path, name="a")
+        emit_report(r2, tmp_path, name="b")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -624,7 +629,7 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, config", [("particles", "particles_zero"),
+    @pytest.mark.parametrize("command, config", [("experiment", "particles_zero"),
                                                  ("experiment", "heat_exponent")])
     def test_negative_seed_is_an_error_line(self, tmp_path, monkeypatch, capsys,
                                             command, config):
@@ -655,10 +660,10 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text((REPO / "configs/particles_zero.cfg").read_text() + f"{line}\n")
         out = tmp_path / "out"
-        rc = cli_main(["particles", "--config", str(cfg), "--out", str(out)])
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"mkvflow particles: error: {message}")
+        assert err.startswith(f"mkvflow experiment: error: {message}")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -683,11 +688,16 @@ class TestCli:
         ["solve", "--T", "-1"],
         ["solve", "--gamma-var", "0"],
         ["experiment", "--config", "T0.cfg"],
+        ["experiment", "--config", "rinf.cfg"],
     ], ids=["kernel", "number", "increasing", "too-few", "norm-k", "solve-k",
-            "solve-T", "solve-gamma-var", "config-T"])
+            "solve-T", "solve-gamma-var", "config-T", "decay-r-inf"])
     def test_bad_study_input_is_an_error_line(self, tmp_path, monkeypatch, capsys, argv):
-        # settings rejected inside the run print nothing first and write nothing
+        # settings rejected inside the run print nothing first and write nothing;
+        # an infinite r used to print numpy warnings before a march error
         (tmp_path / "T0.cfg").write_text("experiment = solve\nT = 0\n")
+        (tmp_path / "rinf.cfg").write_text(
+            "experiment = decay\ngrid_extent = 8\nkernel = riesz\nkernel.kappa = 0.5\n"
+            "kappa = 0.5\nT = 0.1\nsteps = 40\nr_list = 0.02, inf\n")
         run = tmp_path / "run"
         run.mkdir()
         monkeypatch.chdir(run)
@@ -794,7 +804,7 @@ class TestCli:
         cfg.write_text("experiment = kernel_membership\ngrid_n = 1024\n"
                        "kernel = dirac\ndeltas = 1.5\nks = inf\n")
         rc = cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path),
-                       "--grid", "512", "--extent", "8", "--formats", "json"])
+                       "--grid", "512", "--extent", "8"])
         capsys.readouterr()
         assert rc == 0
         (path,) = tmp_path.glob("*.json")
@@ -806,23 +816,13 @@ class TestCli:
         ["kernel-study", "--threads", "2"],
         ["kernel-study", "--seed", "1"],
         ["norm", "--seed", "-1"],
+        ["particles", "--config", "configs/particles_zero.cfg"],
     ])
     def test_unread_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         capsys.readouterr()
         assert exc.value.code == 2
-
-    def test_unknown_format_rejected_before_the_run(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["experiment", "--config", str(REPO / "configs/entropy_zero.cfg"),
-                      "--out", str(tmp_path), "--formats", "cvs"])
-        assert exc.value.code == 2
-        assert "csv,json,plotdata" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-        with pytest.raises(ValueError, match="unknown report formats"):
-            emit_report(RunReport(rows=[], provenance={}), tmp_path, formats=("cvs",))
 
     def test_lambda_sweep_agrees_with_report_ratios(self, monkeypatch):
         solves = []
@@ -847,16 +847,17 @@ class TestCli:
     def test_readme_cli_csvs_end_lines_in_newline(self, tmp_path, monkeypatch, capsys):
         self.run_readme_block(tmp_path, monkeypatch, capsys)
         paths = sorted((tmp_path / "out").glob("*.csv"))
-        # the kernel study, the solve report and its density table, the
-        # experiment report, and the particle report with its error table
-        assert len(paths) == 6
+        # the kernel study, the solve report and its density table, and the
+        # contraction and particles reports
+        assert len(paths) == 5
         for path in paths:
             assert b"\r" not in path.read_bytes(), path.name
 
     @staticmethod
     def run_readme_block(tmp_path, monkeypatch, capsys):
         # every command of the sh block under README's "## CLI" heading, with
-        # out/ in a temporary directory and <hash> resolved from what exists
+        # out/ in a temporary directory and <hash> resolved from what exists;
+        # each creates exactly the files it prints as written
         text = (REPO / "README.md").read_text()
         block = re.search(r"^## CLI\n.*?```sh\n(.*?)```", text, re.S | re.M).group(1)
         lines = [shlex.split(line, comments=True) for line in block.splitlines()]
@@ -874,8 +875,13 @@ class TestCli:
                     (tok,) = (str(p) for p in Path(tok).parent.glob(
                         Path(tok).name.replace("<hash>", "*")))
                 args.append(tok)
+            before = set(tmp_path.rglob("*"))
+            capsys.readouterr()
             assert cli_main(args) == 0, " ".join(argv)
-        capsys.readouterr()
+            wrote = [line[len("wrote "):] for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("wrote ")]
+            created = {p for p in set(tmp_path.rglob("*")) - before if p.is_file()}
+            assert sorted(map(Path, wrote)) == sorted(created), " ".join(argv)
 
     def test_experiment_command_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -910,7 +916,7 @@ class TestCli:
                        "kernel = dirac\ndeltas = 1.5\nks = inf\n")
         out = tmp_path / "out"
         rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out),
-                       "--seed", "0", "--formats", "json"])
+                       "--seed", "0"])
         capsys.readouterr()
         assert rc == 0
         (path,) = out.glob("*.json")
@@ -919,7 +925,7 @@ class TestCli:
     def test_report_command_comma_labels(self, tmp_path, capsys):
         rep = RunReport(rows=[ReportRow("norm(delta=1, k=2)", 1.0, 1.25, 0.5, True),
                               ReportRow("plain", 0.0, 0.5, 0.1, False)], provenance={})
-        emit_report(rep, tmp_path, name="r", formats=("csv",))
+        emit_report(rep, tmp_path, name="r")
         text = (tmp_path / "r.csv").read_text()
         assert text.splitlines()[2] == "plain,0,0.5,0.10000000000000001,false"
         rc = cli_main(["report", str(tmp_path / "r.csv")])
@@ -948,7 +954,7 @@ class TestCli:
 
     def test_report_command(self, tmp_path, capsys):
         rep = RunReport(rows=[ReportRow("x", 0.0, 0.5, 0.1, False)], provenance={})
-        emit_report(rep, tmp_path, name="r", formats=("csv",))
+        emit_report(rep, tmp_path, name="r")
         rc = cli_main(["report", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out

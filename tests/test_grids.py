@@ -346,6 +346,22 @@ class TestHelpers:
         with pytest.raises(ValueError):
             ScalarField(GRID1, np.zeros(10))
 
+    @pytest.mark.parametrize("variance", [0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_gaussian_variance_must_be_positive_and_finite(self, variance, normalize):
+        # an infinite variance gave a field of mass 0, or NaN values when normalized
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            gaussian_density(GRID1, 0.0, variance, normalize=normalize)
+
+    @pytest.mark.parametrize("where", [0, slice(None)], ids=["one", "all"])
+    def test_nan_is_not_a_density(self, where):
+        # the constructor checks finiteness, but in-place arithmetic (such as a
+        # renormalization by mass 0) can still leave NaN behind
+        f = gaussian_density(GRID1, 0.0, 0.04, normalize=True)
+        f.values[where] = math.nan
+        with pytest.raises(ValueError, match="not a density"):
+            f.require_density()
+
     def test_2d_heat_mass(self):
         grid = GridSpec(2, 64, 8.0)
         f = gaussian_density(grid, [0.2, -0.1], 0.09)

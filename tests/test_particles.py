@@ -275,6 +275,15 @@ class TestEmpiricalDensity:
         with pytest.raises(ValueError):
             empirical_density(ens, GRID, GRID.spacing / 2)
 
+    @pytest.mark.parametrize("dim, grid", [(1, GridSpec(2, 32, 8.0)), (2, GRID)],
+                             ids=["1d-on-2d", "2d-on-1d"])
+    def test_ensemble_dimension_must_match_the_grid(self, dim, grid):
+        # 1-d particles on a 2-d grid gave a unit-mass density along the
+        # diagonal; 2-d particles on a 1-d grid a numpy broadcast error
+        ens = ParticleEnsemble(dim, np.random.default_rng(0).normal(size=(500, dim)), 0.0)
+        with pytest.raises(ValueError, match=f"{dim}-d ensemble .* {grid.dim}-d grid"):
+            empirical_density(ens, grid, 0.5)
+
 
 @pytest.fixture(scope="module")
 def heat_flow():

@@ -1,18 +1,16 @@
 """Command-line front end.
 
-Subcommands expose the norm calculator, kernel membership studies,
-configuration-driven experiments and report reprinting.  ``solve`` runs the
-solve experiment built from its flags and can dump the solved flow.  Each
-run writes its report as one row CSV and one JSON with the provenance,
-figures and tables.  The exit code is zero exactly when every pass flag in
-the produced report is true.
+Subcommands expose the norm calculator, configuration-driven experiments
+and report reprinting.  ``experiment`` is the one way to run an experiment;
+a ``solve`` experiment can also dump its solved flow.  Each run writes its
+report as one row CSV and one JSON with the provenance, figures and tables.
+The exit code is zero exactly when every pass flag in the produced report is
+true.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 
 from .experiments import (
@@ -23,9 +21,8 @@ from .experiments import (
     parse_report_csv,
     run_experiment,
 )
-from .flowio import flow_density_table, write_csv_rows, write_flow
+from .flowio import flow_density_table, write_flow
 from .grids import GridSpec, gaussian_density
-from .kernels import kernel_norm_study, make_kernel
 from .norms import SobolevIndex, local_neg_norm, measure_dual_bracket
 from .solver import DegradedAccuracyError, NoContractionError
 
@@ -47,29 +44,7 @@ def build_parser():
     p.add_argument("--var", type=float, default=0.04)
     p.add_argument("--mean", type=float, default=0.0)
 
-    p = sub.add_parser("kernel-study", help="membership norm study for a catalog kernel")
-    _add_grid(p)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--kernel", default="dirac")
-    p.add_argument("--delta", type=float, default=1.5)
-    p.add_argument("--k", type=float, default=math.inf)
-    p.add_argument("--eps-list", default="0.02,0.01,0.005,0.0025,0.00125")
-
-    p = sub.add_parser("solve", help="the solve experiment for a catalog kernel")
-    _add_grid(p)
-    p.add_argument("--out", default=".", help="report directory")
-    p.add_argument("--kernel", default="riesz")
-    p.add_argument("--c", type=float, default=0.2)
-    p.add_argument("--kappa", type=float, default=0.75)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--T", type=float, default=0.5)
-    p.add_argument("--gamma-var", type=float, default=0.04)
-    p.add_argument("--steps", type=int, default=600)
-    p.add_argument("--dump-flow", default=None, help="write the flow binary here")
-    p.add_argument("--dump-csv", default=None, help="write per-time density tables here")
-
-    p = sub.add_parser("experiment", help="run a named experiment")
+    p = sub.add_parser("experiment", help="run an experiment from a config file or by name")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None,
@@ -77,6 +52,8 @@ def build_parser():
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     _add_grid(p, None, None, " (overrides config; default: the experiment's, 1024 points "
               "or heat_exponent's 2048, extent 16)")
+    p.add_argument("--dump-flow", default=None, help="write a solve's flow binary here")
+    p.add_argument("--dump-csv", default=None, help="write a solve's density tables here")
 
     p = sub.add_parser("report", help="reprint a report CSV; exit 0 iff all rows pass")
     p.add_argument("path")
@@ -93,42 +70,19 @@ def _cmd_norm(args, grid: GridSpec) -> int:
     return 0
 
 
-def _cmd_kernel_study(args, grid: GridSpec) -> int:
-    spec = make_kernel(args.kernel, grid, eps=1.0)
-    eps_list = [float(x) for x in args.eps_list.split(",")]
-    study = kernel_norm_study(spec, SobolevIndex(args.delta, args.k), eps_list, grid)
-    rows = study.rows()
-    path = os.path.join(args.out, "kernel_study.csv")
-    write_csv_rows(path, ["eps", "norm", "verdict"], rows)
-    for eps, nrm, verdict in rows:
-        print(f"eps={eps:<10g} norm={nrm:<12.6g} {verdict}")
-    print(f"verdict: {study.verdict} (growth exponent {study.growth_exponent:.3f})")
-    print(f"wrote {path}")
-    return 0
-
-
-def _solve_config(args) -> ExperimentConfig:
-    """The solve experiment of the flags.  It stops at residual 1e-8 or after
-    25 iterations, as ``picard_solve`` does by default."""
-    options = (("grid_n", args.grid), ("grid_extent", args.extent),
-               ("kernel", args.kernel), ("kernel.c", args.c),
-               ("kernel.kappa", args.kappa), ("kappa", args.kappa),
-               ("delta", args.delta), ("k", args.k), ("T", args.T),
-               ("gamma_var", args.gamma_var), ("steps", args.steps),
-               ("tol.residual", 1e-8), ("max_iter", 25))
-    return ExperimentConfig("solve", output_dir=args.out, options=options)
-
-
 def _experiment_config(args) -> ExperimentConfig:
     """The config file's experiment, or the named one with its defaults;
-    explicit flags override either."""
+    explicit flags override either.  Only a solve dumps its flow."""
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     elif args.name is None:
-        raise SystemExit("experiment name or --config required")
+        raise ValueError("experiment name or --config required")
     else:
         cfg = ExperimentConfig(args.name)
+    if (args.dump_flow or args.dump_csv) and cfg.experiment != "solve":
+        raise ValueError(f"--dump-flow and --dump-csv need the solve experiment, "
+                         f"not {cfg.experiment}")
     flags = {k: v for k, v in (("grid_n", args.grid), ("grid_extent", args.extent))
              if v is not None}
     options = tuple((k, flags.get(k, v)) for k, v in cfg.options)
@@ -157,10 +111,10 @@ def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 1
     written = emit_report(report, cfg.output_dir or ".", name=f"{cfg.experiment}_{cfg.digest}")
-    if getattr(args, "dump_flow", None):
+    if args.dump_flow:
         write_flow(report.flow, args.dump_flow)
         written.append(args.dump_flow)
-    if getattr(args, "dump_csv", None):
+    if args.dump_csv:
         flow_density_table(report.flow, args.dump_csv)
         written.append(args.dump_csv)
     rc = _print_rows(report)
@@ -177,10 +131,7 @@ def main(argv=None) -> int:
             return _print_rows(parse_report_csv(args.path))
         if args.command == "norm":
             return _cmd_norm(args, GridSpec(1, args.grid, args.extent))
-        if args.command == "kernel-study":
-            return _cmd_kernel_study(args, GridSpec(1, args.grid, args.extent))
-        setup = _solve_config(args) if args.command == "solve" else _experiment_config(args)
-        return _cmd_experiment(args, setup)
+        return _cmd_experiment(args, _experiment_config(args))
     except (OSError, ValueError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -79,9 +79,8 @@ _LINEAR_FLOW = {**_FLOW, "t_first": None, "n_times": 10}  # linear from t_first
 _OPTIONS = {
     "heat_exponent": {"grid_n": 2048, "grid_extent": 16.0},
     "kernel_membership": {**_GRID, **_KERNEL, "deltas": (1.5, 0.5), "ks": (math.inf,) * 2},
-    # stops at tol.residual, which also bounds the residual row
-    "solve": {**_GRID, **_KERNEL, **_LINEAR_FLOW, "steps": 600, "max_iter": 20,
-              "tol.residual": DEFAULT_TOLERANCES["residual"], "gamma_var": 0.04},
+    "solve": {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER, "max_iter": 20,
+              "tol": DEFAULT_TOLERANCES["residual"], "gamma_var": 0.04},
     "decay": {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER, "r_list": (0.02, 0.01, 0.005)},
     "stability": {**_GRID, **_KERNEL, **_FLOW, **_SOLVER, "T": 0.2, "gamma_var": 0.002,
                   "h_list": (0.02, 0.05, 0.1)},
@@ -107,11 +106,11 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment and its options, checked as ``_options`` reads them;
-    ``seed`` must be a non-negative int, ``tol`` (``tol.residual``) positive
-    and finite, a kernel that does not vanish must
-    carry the envelope exponent ``kernel.kappa`` equal to the admissibility
-    exponent ``kappa``, a particle study two or more counts, and ``ks`` one
-    entry per entry of ``deltas``."""
+    ``seed`` must be a non-negative int, ``tol`` positive and finite, a
+    kernel that does not vanish must carry the envelope exponent
+    ``kernel.kappa`` equal to the admissibility exponent ``kappa``, a
+    particle study two or more counts, and ``ks`` one entry per entry of
+    ``deltas``."""
 
     experiment: str
     seed: int = 0
@@ -124,9 +123,8 @@ class ExperimentConfig:
                              f"choose from {EXPERIMENTS}")
         _require_int("seed", self.seed, 0)
         o = _options(self)
-        for key in ("tol", "tol.residual"):
-            if key in o:
-                _require_tol(o[key], key)
+        if "tol" in o:
+            _require_tol(o["tol"], "tol")
         grid = _grid(o)
         if "kernel" in o:
             kern = _kernel(o, grid)
@@ -338,12 +336,12 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
 
 def _solve(o: dict, report: RunReport, gamma, kern, params):
     """``picard_solve`` with the config's ``steps``, ``max_iter`` and ``tol``
-    (``tol.residual`` for solve, 1e-8 for particles), recorded in the provenance.
+    (1e-8 for particles), recorded in the provenance.
     The experiment's one ``fixed_point_residual`` row, placed at its first
     solve, holds the worst residual of its solves and passes iff each is below
     ``tol``.  ``picard_solve`` is looked up at call time, so a caller may
     substitute it on this module."""
-    settings = {"tol": o.get("tol.residual", o.get("tol", 1e-8)),
+    settings = {"tol": o.get("tol", 1e-8),
                 "max_iter": o["max_iter"], "steps": o["steps"]}
     report.provenance["solver"] = settings
     flow, rep = picard_solve(gamma, kern, params, **settings)

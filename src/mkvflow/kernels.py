@@ -180,6 +180,16 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec):
     return [_component(spec.c, j) * comps[j] for j in range(grid.dim)]
 
 
+@functools.lru_cache(maxsize=8)
+def _riesz_image_sum(n0: int, eps0: float, grid: GridSpec) -> tuple:
+    """``riesz_direct`` of the unit-amplitude kernel, shared and read-only;
+    it does not depend on the mollification, so each grid computes it once."""
+    direct = tuple(riesz_direct(RieszOrder((1.0,) * grid.dim, n0, eps0), grid))
+    for d in direct:
+        d.setflags(write=False)
+    return direct
+
+
 @functools.lru_cache(maxsize=32)
 def _riesz_unit_symbols(n0: int, eps0: float, grid: GridSpec, eps: float) -> tuple:
     """Symbols of the unit-amplitude Riesz kernel, shared and read-only.
@@ -197,7 +207,7 @@ def _riesz_unit_symbols(n0: int, eps0: float, grid: GridSpec, eps: float) -> tup
         radial = np.where(xi_sq > 0, xi_sq ** (0.5 * power), 0.0)
     radial = radial * np.exp(-0.5 * eps * xi_sq)
     unit = [ik * radial for ik in ixi]
-    direct = riesz_direct(RieszOrder((1.0,) * grid.dim, n0, eps0), grid)
+    direct = _riesz_image_sum(n0, eps0, grid)
     rad = grid.periodic_radius()
     r_lo = max(10.0 * math.sqrt(eps), 8.0 * grid.spacing)
     r_hi = grid.extent / 4.0
@@ -395,9 +405,6 @@ class NormStudy:
     norms: list
     verdict: str            # "bounded" | "unbounded"
     growth_exponent: float  # q: minus the log-log slope of norm against eps
-
-    def rows(self):
-        return [(e, n, self.verdict) for e, n in zip(self.eps_values, self.norms)]
 
 
 def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,

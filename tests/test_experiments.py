@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -30,6 +31,10 @@ from mkvflow.norms import SobolevIndex, measure_dual_norm
 from mkvflow.solver import FlowParams, phi_apply, picard_solve
 
 REPO = Path(__file__).resolve().parents[1]
+# a small Riesz solve that stops at picard_solve's defaults, 1e-8 or 25 iterations
+SMALL_SOLVE = ("experiment = solve\ngrid_n = 256\nkernel = riesz\nkernel.c = 0.2\n"
+               "kernel.kappa = 0.75\nkappa = 0.75\nT = 0.1\nsteps = 50\n"
+               "max_iter = 25\ntol = 1e-8\n")
 
 
 class TestFitExponent:
@@ -134,7 +139,7 @@ class TestOptionTable:
     # experiment checked its options against the keys it reads
     @pytest.mark.parametrize("command, config, lines, message", [
         ("experiment", "contraction", "gama_var = 0.5", "solve does not read gama_var"),
-        ("experiment", "contraction", "tol = 0.5", "solve does not read tol"),
+        ("experiment", "contraction", "tol.residual = 1e-8", "solve does not read tol.residual"),
         ("experiment", "particles_zero", "tol = 1e-10", "particles does not read tol"),
         ("experiment", "heat_exponent", "dim = 2", "heat_exponent does not read dim"),
         ("experiment", "heat_exponent", "kernel = riesz", "heat_exponent does not read kernel"),
@@ -177,7 +182,7 @@ class TestOptionTable:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("config, key", [("decay", "tol"), ("contraction", "tol.residual")])
+    @pytest.mark.parametrize("config, key", [("decay", "tol"), ("contraction", "tol")])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_tol_must_be_positive_and_finite(self, tmp_path, monkeypatch, capsys, config,
                                              key, value):
@@ -528,27 +533,20 @@ class TestCli:
         assert "local_neg_norm" in out
         assert "dual bracket" in out
 
-    def test_kernel_study_command(self, tmp_path, capsys):
-        rc = cli_main(["kernel-study", "--grid", "1024", "--kernel", "dirac",
-                       "--delta", "1.5", "--out", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "verdict: bounded" in out
-        assert (tmp_path / "kernel_study.csv").exists()
-
-    def test_kernel_study_creates_missing_out_dir(self, tmp_path, capsys):
+    def test_experiment_creates_missing_out_dir(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out"
-        rc = cli_main(["kernel-study", "--grid", "1024", "--kernel", "dirac",
-                       "--delta", "1.5", "--out", str(out)])
+        rc = cli_main(["experiment", "--config", str(REPO / "configs/membership_dirac.cfg"),
+                       "--grid", "1024", "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
-        assert (out / "kernel_study.csv").exists()
+        assert len(list(out.glob("kernel_membership_*.csv"))) == 1
 
     def test_solve_dumps_into_missing_dirs(self, tmp_path, capsys):
         flow_path = tmp_path / "missing" / "flow.bin"
         csv_path = tmp_path / "tables" / "flow.csv"
-        cli_main(["solve", "--grid", "256", "--T", "0.1", "--steps", "50",
-                  "--out", str(tmp_path / "report"),
+        cfg = tmp_path / "eq.cfg"
+        cfg.write_text(SMALL_SOLVE)
+        cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "report"),
                   "--dump-flow", str(flow_path), "--dump-csv", str(csv_path)])
         capsys.readouterr()
         assert read_flow(flow_path).times.size == 10
@@ -556,8 +554,10 @@ class TestCli:
 
     def test_solve_command_runs_the_solve_experiment(self, tmp_path, capsys):
         flow_path = tmp_path / "flow.bin"
-        rc = cli_main(["solve", "--grid", "256", "--T", "0.1", "--steps", "50",
-                       "--out", str(tmp_path), "--dump-flow", str(flow_path)])
+        cfg = tmp_path / "eq.cfg"
+        cfg.write_text(SMALL_SOLVE)
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path),
+                       "--dump-flow", str(flow_path)])
         capsys.readouterr()
         assert rc == 0
         (report_csv,) = tmp_path.glob("solve_*.csv")
@@ -577,17 +577,6 @@ class TestCli:
         assert np.array_equal(got.times, want.times)
         assert all(np.array_equal(a.values, b.values)
                    for a, b in zip(got.densities, want.densities))
-
-    @pytest.mark.parametrize("steps", ["0", "-5"])
-    def test_solve_rejects_steps_below_one(self, tmp_path, monkeypatch, capsys, steps):
-        # the config's rule, as for a config file's steps
-        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
-        rc = cli_main(["solve", "--grid", "256", "--steps", steps, "--out", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == f"mkvflow solve: error: steps must be a positive int, got {steps}\n"
-        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", ["steps = 0", "steps = -5", "steps = 2.5",
                                       "max_iter = 0", "max_iter = 2.5"])
@@ -667,7 +656,7 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["norm", "kernel-study"])
+    @pytest.mark.parametrize("command", ["norm"])
     def test_bad_grid_is_an_error_line(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
         rc = cli_main([command, "--grid", "100"])
@@ -679,21 +668,21 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
-        ["kernel-study", "--kernel", "nope"],
-        ["kernel-study", "--eps-list", "0.02,abc"],
-        ["kernel-study", "--eps-list", "0.01,0.02,0.03"],
-        ["kernel-study", "--eps-list", "0.02,0.01"],
         ["norm", "--k", "0.5"],
-        ["solve", "--k", "0.5"],
-        ["solve", "--T", "-1"],
-        ["solve", "--gamma-var", "0"],
+        ["experiment", "--config", "k05.cfg"],
+        ["experiment", "--config", "Tneg.cfg"],
+        ["experiment", "--config", "var0.cfg"],
         ["experiment", "--config", "T0.cfg"],
         ["experiment", "--config", "rinf.cfg"],
-    ], ids=["kernel", "number", "increasing", "too-few", "norm-k", "solve-k",
-            "solve-T", "solve-gamma-var", "config-T", "decay-r-inf"])
+        ["experiment"],
+    ], ids=["norm-k", "solve-k", "solve-T", "solve-gamma-var", "config-T", "decay-r-inf",
+            "no-experiment"])
     def test_bad_study_input_is_an_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # settings rejected inside the run print nothing first and write nothing;
-        # an infinite r used to print numpy warnings before a march error
+        # an infinite r used to print numpy warnings before a march error, and
+        # no experiment at all a bare line with exit code 1
+        for name, line in (("k05", "k = 0.5"), ("Tneg", "T = -1"), ("var0", "gamma_var = 0")):
+            (tmp_path / f"{name}.cfg").write_text(f"experiment = solve\nkappa = 0.75\n{line}\n")
         (tmp_path / "T0.cfg").write_text("experiment = solve\nT = 0\n")
         (tmp_path / "rinf.cfg").write_text(
             "experiment = decay\ngrid_extent = 8\nkernel = riesz\nkernel.kappa = 0.5\n"
@@ -787,14 +776,15 @@ class TestCli:
         assert report.provenance["solver"] == {"tol": 1e-8, "max_iter": 2, "steps": 50}
         assert iterations == [2, 2]
 
-    def test_solve_stops_at_tol_residual_only(self):
-        # a bare tol key is not a solve-experiment setting: it is rejected
+    def test_solve_stops_at_tol(self):
+        # the solve experiment read its tolerance from tol.residual, every
+        # other solving experiment from tol
         text = ("experiment = solve\ngrid_n = 256\nkernel = riesz\n"
                 "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
-                "T = 0.1\nsteps = 50\ntol.residual = 1e-8\n")
-        with pytest.raises(ValueError, match="^solve does not read tol; it reads "):
-            parse_config(text + "tol = 0.5\n")
-        report = run_experiment(parse_config(text))
+                "T = 0.1\nsteps = 50\n")
+        with pytest.raises(ValueError, match="^solve does not read tol.residual; it reads "):
+            parse_config(text + "tol.residual = 1e-8\n")
+        report = run_experiment(parse_config(text + "tol = 1e-8\n"))
         assert report.provenance["solver"] == {"tol": 1e-8, "max_iter": 20, "steps": 50}
         (row,) = [r for r in report.rows if r.quantity == "fixed_point_residual"]
         assert row.tol == 1e-8
@@ -817,6 +807,8 @@ class TestCli:
         ["kernel-study", "--seed", "1"],
         ["norm", "--seed", "-1"],
         ["particles", "--config", "configs/particles_zero.cfg"],
+        ["solve"],
+        ["kernel-study"],
     ])
     def test_unread_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -834,12 +826,24 @@ class TestCli:
         monkeypatch.setattr(experiments, "picard_solve", capture)
         cfg = parse_config("experiment = solve\ngrid_n = 256\nkernel = riesz\n"
                            "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
-                           "T = 0.1\nsteps = 50\ntol.residual = 1e-12\n")
+                           "T = 0.1\nsteps = 50\ntol = 1e-12\n")
         report = run_experiment(cfg)
         ((_, rep),) = solves
         assert rep.lam_used == 0.0 and len(rep.contraction_ratios) >= 2
         sweep = dict(report.figures["contraction_ratio_vs_lambda"])
         assert sweep[0.0] == max(rep.contraction_ratios[:4])
+
+    def test_readme_names_every_subcommand_and_option(self):
+        text = (REPO / "README.md").read_text()
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        for name, parser in sub.choices.items():
+            assert f"mkvflow {name}" in text, name
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                for opt in action.option_strings:
+                    assert re.search(re.escape(opt) + r"(?![\w-])", text), f"{name} {opt}"
 
     def test_readme_cli_lines(self, tmp_path, monkeypatch, capsys):
         self.run_readme_block(tmp_path, monkeypatch, capsys)
@@ -847,9 +851,9 @@ class TestCli:
     def test_readme_cli_csvs_end_lines_in_newline(self, tmp_path, monkeypatch, capsys):
         self.run_readme_block(tmp_path, monkeypatch, capsys)
         paths = sorted((tmp_path / "out").glob("*.csv"))
-        # the kernel study, the solve report and its density table, and the
-        # contraction and particles reports
-        assert len(paths) == 5
+        # the membership report, the contraction report and its density
+        # table, and the particles report
+        assert len(paths) == 4
         for path in paths:
             assert b"\r" not in path.read_bytes(), path.name
 
@@ -901,14 +905,28 @@ class TestCli:
         assert rc == 2
         assert "refused" in err
 
-    def test_kernel_study_default_out(self, tmp_path, monkeypatch, capsys):
+    def test_experiment_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        rc = cli_main(["kernel-study", "--grid", "1024", "--kernel", "dirac",
-                       "--delta", "1.5"])
+        rc = cli_main(["experiment", "--config", str(REPO / "configs/membership_dirac.cfg"),
+                       "--grid", "1024"])
         capsys.readouterr()
         assert rc == 0
-        assert (tmp_path / "kernel_study.csv").exists()
+        assert sorted(p.suffix for p in tmp_path.glob("kernel_membership_*")) == [".csv",
+                                                                                 ".json"]
         assert not (tmp_path / "None").exists()
+
+    def test_dump_flags_need_the_solve_experiment(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["experiment", "--config", str(REPO / "configs/membership_dirac.cfg"),
+                       "--dump-flow", "x"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("mkvflow experiment: error: --dump-flow and "
+                                       "--dump-csv need the solve experiment")
+        assert captured.err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     def test_seed_zero_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

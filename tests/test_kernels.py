@@ -410,6 +410,24 @@ class TestKernelNormStudy:
         with pytest.raises(ValueError):
             kernel_norm_study(spec, SobolevIndex(1.5, math.inf), [0.01, 0.02, 0.04], GRID)
 
+    def test_riesz_image_sum_once_per_grid(self, monkeypatch):
+        # the image sum does not depend on the mollification time, and was
+        # recomputed for each of them
+        direct, calls = kernels.riesz_direct, []
+
+        def counting(*args):
+            calls.append(args)
+            return direct(*args)
+
+        kernels._riesz_unit_symbols.cache_clear()
+        kernels._riesz_image_sum.cache_clear()
+        monkeypatch.setattr(kernels, "riesz_direct", counting)
+        spec = KernelSpec(RieszOrder((1.0,), 0, 0.5), 1.0)
+        eps = [0.02 * 2.0**-j for j in range(7)]
+        study = kernel_norm_study(spec, SobolevIndex(1.0, 2.0), eps, GridSpec(1, 1024, 16.0))
+        assert len(study.norms) == 7
+        assert len(calls) == 1
+
 
 class TestModulation:
     def test_envelope_factor(self):
@@ -439,7 +457,7 @@ class TestCatalog:
             make_kernel("riesz", GRID, **kw)
 
     def test_parameters_of_other_kernels_are_ignored(self):
-        # the solve command passes its kernel.c to every catalog kernel
+        # a config's kernel.<param> keys reach whichever catalog kernel it names
         spec = make_kernel("zero", GRID, c=0.2, kappa=0.75)
         assert spec.variant.c == (0.0,)
         assert spec.modulation.kappa == 0.75

@@ -34,7 +34,8 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, _check_study_sizes, chaos_convergence_study
-from .solver import FlowParams, _require_int, _require_tol, contraction_ratios, picard_solve
+from .solver import (FlowParams, _require_int, _require_tol, contraction_ratios, picard_solve,
+                     picard_solve_many)
 
 __all__ = [
     "ExperimentConfig",
@@ -334,24 +335,23 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
     })
 
 
-def _solve(o: dict, report: RunReport, gamma, kern, params):
-    """``picard_solve`` with the config's ``steps``, ``max_iter`` and ``tol``
-    (1e-8 for particles), recorded in the provenance.
-    The experiment's one ``fixed_point_residual`` row, placed at its first
-    solve, holds the worst residual of its solves and passes iff each is below
-    ``tol``.  ``picard_solve`` is looked up at call time, so a caller may
-    substitute it on this module."""
+def _solve(o: dict, report: RunReport, gammas: list, kern, params) -> list:
+    """One ``(flow, report)`` per datum of ``gammas``, solved with the
+    config's ``steps``, ``max_iter`` and ``tol`` (1e-8 for particles), which
+    the provenance records.  Several data march as one stack through
+    ``picard_solve_many``, each bit-identical to its own solve; one datum
+    goes through ``picard_solve``.  Both are looked up at call time, so a
+    caller may substitute them on this module.
+    Adds the experiment's one ``fixed_point_residual`` row: the worst
+    residual of the solves, passing iff each is below ``tol``."""
     settings = {"tol": o.get("tol", 1e-8),
                 "max_iter": o["max_iter"], "steps": o["steps"]}
     report.provenance["solver"] = settings
-    flow, rep = picard_solve(gamma, kern, params, **settings)
-    rows, tol, res = report.rows, settings["tol"], rep.residual
-    old = next((j for j, r in enumerate(rows) if r.quantity == "fixed_point_residual"), None)
-    if old is None or rows[old].measured < res:
-        report.add("fixed_point_residual", 0.0, res, tol, res < tol)
-        if old is not None:
-            rows[old] = rows.pop()
-    return flow, rep
+    solved = (picard_solve_many(gammas, kern, params, **settings) if len(gammas) > 1
+              else [picard_solve(gammas[0], kern, params, **settings)])
+    tol, res = settings["tol"], max(rep.residual for _, rep in solved)
+    report.add("fixed_point_residual", 0.0, res, tol, res < tol)
+    return solved
 
 
 def _decay(flow, params: FlowParams):
@@ -450,7 +450,7 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     _gate(params)
     report = _report(cfg, grid)
     gamma = gaussian_density(grid, 0.0, o["gamma_var"])
-    report.flow, rep = _solve(o, report, gamma, kern, params)
+    ((report.flow, rep),) = _solve(o, report, [gamma], kern, params)
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
     tol_ratio = DEFAULT_TOLERANCES["contraction_ratio"]
     report.add("contraction_ratio", 0.0, ratio, tol_ratio, ratio < tol_ratio)
@@ -473,9 +473,8 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     _gate(params)
     report = _report(cfg, grid)
     sups = []
-    for r in o["r_list"]:
-        gamma = gaussian_density(grid, 0.0, r, normalize=True)
-        flow, _ = _solve(o, report, gamma, kern, params)
+    gammas = [gaussian_density(grid, 0.0, r, normalize=True) for r in o["r_list"]]
+    for r, (flow, _) in zip(o["r_list"], _solve(o, report, gammas, kern, params)):
         trajectory, _ = _decay(flow, params)
         sup = float(np.max(trajectory[flow.times >= r]))
         sups.append(sup)
@@ -497,11 +496,10 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     t_grid = np.asarray(params.time_grid)
     idx = params.running_index
     base_gamma = gaussian_density(grid, 0.0, r, normalize=True)
-    base_flow, _ = _solve(o, report, base_gamma, kern, params)
+    shifted = [gaussian_density(grid, h, r, normalize=True) for h in h_list]
+    (base_flow, _), *solved = _solve(o, report, [base_gamma] + shifted, kern, params)
     his, los = [], []  # per shift: amalgam (linearity) and probe (exponent) brackets
-    for h in h_list:
-        g2 = gaussian_density(grid, h, r, normalize=True)
-        flow2, _ = _solve(o, report, g2, kern, params)
+    for h, g2, (flow2, _) in zip(h_list, shifted, solved):
         w1 = wasserstein_1d(base_gamma, g2, 1.0)
         diffs = [ScalarField(grid, a.values - b.values)
                  for a, b in zip(base_flow.densities, flow2.densities)]
@@ -534,8 +532,7 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     g1 = gaussian_density(grid, 0.0, r, normalize=True)
     g2 = gaussian_density(grid, h, r, normalize=True)
     w2 = wasserstein_1d(g1, g2, 2.0)
-    f1, _ = _solve(o, report, g1, kern, params)
-    f2, _ = _solve(o, report, g2, kern, params)
+    (f1, _), (f2, _) = _solve(o, report, [g1, g2], kern, params)
     measured = np.array([relative_entropy(a, b) * t / w2**2
                          for t, a, b in zip(t_grid, f1.densities, f2.densities)])
     report.figures["entropy_cost_ratio"] = list(zip(t_grid, measured))
@@ -554,7 +551,7 @@ def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     o, grid, params, kern = _solve_setup(cfg)
     report = _report(cfg, grid)
     r0 = o["gamma_var"]
-    flow, _ = _solve(o, report, gaussian_density(grid, 0.0, r0), kern, params)
+    ((flow, _),) = _solve(o, report, [gaussian_density(grid, 0.0, r0)], kern, params)
     zero = kernel_vanishes(kern)
     sim = SimConfig(grid=grid, dt=o["dt"], T=params.T, seed=cfg.seed,
                     kernel=None if zero else kern,

@@ -9,14 +9,19 @@ whose mild form is
 with ``H`` the heat semigroup.  ``phi_apply`` marches this Volterra identity
 with a second-order exponential Heun step on a graded internal grid, keeping
 the real-FFT spectrum of the density as its state: heat is a multiplier and
-mass projection pins the zero mode.  Both drift specs are evaluated by
-``kernels.drift_map``, built once per map: a convolution drift on each
-frozen density, interpolated linearly in time in physical space, which is
-exact by linearity; a Nemytskii drift on the raw interpolated values, which
-do not depend on the march state, so one call of the map serves a block of
-marching nodes.
-The Picard loop feeds the output flow back in until the distance between
-successive iterates falls below tolerance.  Rough initial data enters
+mass projection pins the zero mode.  The state is a stack, one row per
+initial datum (a single datum is a stack of one), so the data of an
+experiment march together and every transform serves all of them; each row
+equals the march of its datum alone bit for bit.  Both drift specs are
+evaluated by ``kernels.drift_map``, built once per map: a convolution drift
+on each frozen density, interpolated linearly in time in physical space,
+which is exact by linearity; a Nemytskii drift on the raw interpolated
+values, which do not depend on the march state, so one call of the map
+serves a block of marching nodes.
+The Picard loop, ``picard_solve_many``, feeds the output flows back in until
+the distance between successive iterates falls below tolerance; a member
+leaves the stack at the iteration where its own distance does, so it sees
+exactly the iterates of its solo solve.  Rough initial data enters
 through the time-shift route: pure diffusion on [0, r], drift switched on
 afterwards with shifted time argument.  The shift lives in the march itself
 (``graded_from``), so a shifted convolution drift keeps the spectral path,
@@ -48,6 +53,7 @@ __all__ = [
     "phi_apply",
     "contraction_ratios",
     "picard_solve",
+    "picard_solve_many",
     "time_shift_solve",
 ]
 
@@ -56,7 +62,7 @@ __all__ = [
 GRADING = 1.5
 
 # grid values per stacked Nemytskii drift evaluation (128 KB of floats per
-# array): 16 marching nodes at n = 1024, one at 128^2
+# array): 16 marching nodes of one member at n = 1024, one at 128^2
 _BLOCK_VALUES = 2**14
 
 
@@ -160,52 +166,63 @@ class SolveReport:
     gap_series: list = field(default_factory=list)
 
 
-def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float, nodes):
-    """Iterator over the drift components of ``drift`` at each of ``nodes``, in
-    order, with the flow frozen at ``mu``.
+def _stack_of(x, kind) -> list:
+    """``x`` as a list of members: one ``kind`` is a stack of one."""
+    return [x] if isinstance(x, kind) else list(x)
 
+
+def _frozen_drift(drift, mu, grid: GridSpec, shift: float, nodes):
+    """Iterator over the drift components of ``drift`` at each of ``nodes``, in
+    order, with the flows frozen at ``mu``.
+
+    ``mu`` is a flow or a sequence of flows on the same times, the members
+    of a stack; each component has shape ``(members, *grid.shape)``.
     The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
     and takes the time argument ``s - shift`` after it.  Both spec kinds are
     ``kernels.drift_map``, built once here, times the envelope; it rejects
     any other drift.  A convolution drift is linear in the density and the
     frozen flow is linear in time between its fields (``MeasureFlow._bracket``),
-    so the map of each frozen field, evaluated once here and interpolated the
-    same way, gives it exactly at any node.  A Nemytskii drift is the map of
-    the interpolated values.  It does not depend on the march, so it is
-    evaluated ahead of it, one map call per block of up to
-    ``_BLOCK_VALUES // grid.num_points`` nodes, whose components are checked
-    finite together; stacked transforms equal per-node ones bit for bit.
+    so the map of each frozen field, evaluated once here on the stack of
+    every member's field and interpolated the same way, gives it exactly at
+    any node.  A Nemytskii drift is the map of the interpolated values.  It
+    does not depend on the march, so it is evaluated ahead of it, one map
+    call per block of up to ``_BLOCK_VALUES // (members * grid.num_points)``
+    nodes, whose components are checked finite together; stacked transforms
+    equal per-node and per-member ones bit for bit.
     Each frozen field passes the density check once: every node sees a convex
     combination of two of them, whose minimum and mass lie between theirs.
     The spec's type, the map's parameters and the frozen densities are
     checked here, before the first node.
     """
     evaluate = drift_map(drift, grid)
-    fields = [mu.initial] + list(mu.densities)
-    for f in fields:
+    flows = _stack_of(mu, MeasureFlow)
+    fields = [[f.initial] + list(f.densities) for f in flows]
+    for f in itertools.chain.from_iterable(fields):
         f.require_density()
+    # one (members, *grid.shape) stack per frozen time
+    stacks = [np.stack([f.values for f in at]) for at in zip(*fields)]
+    bracket = flows[0]._bracket
     drifted = [s for s in nodes if s >= shift]
     if isinstance(drift, KernelSpec):
-        convs = [evaluate(f.values) for f in fields]
+        convs = [evaluate(values) for values in stacks]
 
         def field_at(s: float) -> list:
-            j, w = mu._bracket(s)
+            j, w = bracket(s)
             factor = drift.modulation.factor(s - shift)
             a, b = factor * (1 - w), factor * w
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
         live = map(field_at, drifted)
     else:
-        values = [f.values for f in fields]
-        size = max(1, _BLOCK_VALUES // grid.num_points)
+        size = max(1, _BLOCK_VALUES // (len(flows) * grid.num_points))
 
         def block_at(block: list) -> list:
             """Components at each node of ``block``, from one call of the map."""
-            rho = np.empty((len(block),) + grid.shape)
-            factors = np.empty((len(block),) + (1,) * grid.dim)
+            rho = np.empty((len(block), len(flows)) + grid.shape)
+            factors = np.empty((len(block),) + (1,) * (grid.dim + 1))
             for i, s in enumerate(block):
-                j, w = mu._bracket(s)
-                rho[i] = (values[j + int(w)] if w == 0.0 or w == 1.0
-                          else (1 - w) * values[j] + w * values[j + 1])
+                j, w = bracket(s)
+                rho[i] = (stacks[j + int(w)] if w == 0.0 or w == 1.0
+                          else (1 - w) * stacks[j] + w * stacks[j + 1])
                 factors[i] = drift.modulation.factor(s - shift)
             comps = [factors * c for c in evaluate(rho)]
             finite = np.all([np.isfinite(c).reshape(len(block), -1).all(axis=1)
@@ -215,7 +232,7 @@ def _frozen_drift(drift, mu: MeasureFlow, grid: GridSpec, shift: float, nodes):
             return [list(at) for at in zip(*comps)]
         live = itertools.chain.from_iterable(
             block_at(drifted[i:i + size]) for i in range(0, len(drifted), size))
-    zero = [np.zeros(grid.shape)] * grid.dim
+    zero = [np.zeros((len(flows),) + grid.shape)] * grid.dim
     return (zero if s < shift else next(live) for s in nodes)
 
 
@@ -248,9 +265,8 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     return vals / (float(vals.sum()) * grid.cell_volume)
 
 
-def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
-              params: FlowParams, steps: int = 600,
-              graded_from: float = 0.0) -> MeasureFlow:
+def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
+              graded_from: float = 0.0):
     """Law flow of the diffusion whose drift is frozen from the flow ``mu``.
 
     Marches the mild identity with an exponential Heun (predictor-corrector)
@@ -265,42 +281,61 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
     choice.  ``graded_from > 0`` switches the drift on at that time, with
     time argument ``s - graded_from`` (the time-shift route).
 
+    ``gamma`` is one density or a sequence of densities on one grid, and
+    ``mu`` then None, one flow or a sequence of as many flows.  The march
+    state is a ``(members, *grid.shape)`` stack, one row per density, with
+    the heat multipliers and the drift interpolation weights shared by all
+    rows; each row is marched, mass-projected, checked and clipped as its
+    density alone would be, bit for bit.  Returns one flow for one density,
+    else a list of flows in the order of ``gamma``.
+
     Raises
     ------
     DegradedAccuracyError
-        If the accumulated negative undershoot exceeds 1e-3 in mass.
+        If the accumulated negative undershoot of a member exceeds 1e-3 in mass.
     ValueError
         If ``steps`` is not a positive int, ``params.dim`` is not the
-        dimension of the density's grid, a frozen density is not a density
-        or the march state turns non-finite.
+        dimension of the density's grid, the densities do not share one grid
+        or number other than the frozen flows, a frozen density is not a
+        density or the march state turns non-finite.
     """
     _require_int("steps", steps)
-    grid = gamma.grid
+    gammas = _stack_of(gamma, ScalarField)
+    if not gammas:
+        raise ValueError("phi_apply needs at least one initial density")
+    grid = gammas[0].grid
+    if any(g.grid != grid for g in gammas):
+        raise ValueError("the initial densities must share one grid")
+    frozen = None if mu is None else _stack_of(mu, MeasureFlow)
+    if frozen is not None and len(frozen) != len(gammas):
+        raise ValueError(f"{len(frozen)} frozen flows for {len(gammas)} initial densities")
     if params.dim != grid.dim:
         raise ValueError(f"FlowParams.dim = {params.dim}, but the density is on a "
                          f"{grid.dim}-d grid")
-    gamma.require_density()
+    for g in gammas:
+        g.require_density()
     out_times = np.asarray(params.time_grid)
     nodes = _internal_grid(out_times, steps, graded_from)
     # node index -> output slot; the nodes hold the rounded output times
     out_slot = {j: i for i, j in
                 enumerate(np.searchsorted(nodes, np.round(out_times, 14)).tolist())}
-    log = {"clip_mass": 0.0}
+    logs = [{"clip_mass": 0.0} for _ in gammas]
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]
+    zero_mode = (slice(None),) + (slice(0, 1),) * grid.dim  # per row, kept as an axis
     drifts = None
-    if mu is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
-        drifts = _frozen_drift(drift, mu, grid, graded_from, nodes)
+    if frozen is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
+        drifts = _frozen_drift(drift, frozen, grid, graded_from, nodes)
 
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
-        out = minus_ixi[0] * rfft(b[0] * vals)
+        out = minus_ixi[0] * rfft(b[0] * vals, grid.dim)
         for ik, c in zip(minus_ixi[1:], b[1:]):
-            out += ik * rfft(c * vals)
+            out += ik * rfft(c * vals, grid.dim)
         return out
 
-    rho = gamma.values
-    rho_hat = rfft(rho)
-    densities = [None] * out_times.size
+    rho = np.stack([g.values for g in gammas])
+    rho_hat = rfft(rho, grid.dim)
+    densities = [[None] * out_times.size for _ in gammas]
     b_next = None if drifts is None else next(drifts)
     for m_idx in range(len(nodes) - 1):
         s0, s1 = nodes[m_idx], nodes[m_idx + 1]
@@ -313,7 +348,7 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
                 heated_F0 = transport(b0, rho) * mult
                 predictor = irfft(rho_hat + h * heated_F0, grid.shape)
                 rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
-        rho_hat = rho_hat / (rho_hat.flat[0].real * grid.cell_volume)
+        rho_hat = rho_hat / (rho_hat[zero_mode].real * grid.cell_volume)
         slot = out_slot.get(m_idx + 1)
         # a pure-diffusion-leg state is read only by the step ending at the
         # onset, which multiplies it by the zero drift there
@@ -322,10 +357,15 @@ def phi_apply(gamma: ScalarField, mu: MeasureFlow | None, drift,
             if not np.all(np.isfinite(rho)):
                 raise ValueError(f"march state is not finite at t={s1:.6g}")
         if slot is not None:
-            densities[slot] = ScalarField(grid, _clip_output(rho.copy(), grid, log))
-    if log["clip_mass"] > 1e-3:
-        raise DegradedAccuracyError(f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3")
-    return MeasureFlow(out_times, densities, gamma, meta=log)
+            for out, row, log in zip(densities, rho, logs):
+                out[slot] = ScalarField(grid, _clip_output(row.copy(), grid, log))
+    for log in logs:
+        if log["clip_mass"] > 1e-3:
+            raise DegradedAccuracyError(
+                f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3")
+    flows = [MeasureFlow(out_times, d, g, meta=log)
+             for d, g, log in zip(densities, gammas, logs)]
+    return flows[0] if isinstance(gamma, ScalarField) else flows
 
 
 def _dual_norm_series(mu: MeasureFlow, nu: MeasureFlow, idx: SobolevIndex) -> np.ndarray:
@@ -356,11 +396,12 @@ def _require_tol(tol, name: str = "tol"):
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
-def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
-                 max_iter: int = 25, steps: int = 600, graded_from: float = 0.0):
-    """Fixed-point iteration for the self-consistent law flow.
+def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
+                      max_iter: int = 25, steps: int = 600,
+                      graded_from: float = 0.0) -> list:
+    """Fixed-point iteration for the self-consistent law flow of each datum.
 
-    Starts from the pure heat flow of the initial datum, reapplies the
+    Starts from the pure heat flows of the initial data, reapplies the
     frozen-drift map until the distance between successive iterates, the
     maximum over output times of ``t^(eta/2)`` times their dual-norm gap,
     drops below ``tol``.  The weight ``exp(-lam t)`` of the contraction
@@ -370,50 +411,65 @@ def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-
     to every ``phi_apply``; ``graded_from`` is the time-shift onset that
     ``time_shift_solve`` sets.
 
-    Returns ``(flow, report)``.  The report holds the iteration count, the
-    unweighted ``contraction_ratios`` and residual (``lam_used`` is always
-    0), the largest clipped mass and the per-iteration gap series.  Running
-    out of iterations is not an error here: the caller judges ``residual``
-    against ``tol``.
+    All data march as one ``phi_apply`` stack per iteration.  A member
+    leaves the stack once its own distance is below ``tol``, so each member
+    sees exactly the iterates, and ends with exactly the flow and report, of
+    its solo solve; the stack runs until every member has retired or
+    ``max_iter`` iterations are made.
+
+    Returns one ``(flow, report)`` per datum, in order.  The report holds the
+    iteration count, the unweighted ``contraction_ratios`` and residual
+    (``lam_used`` is always 0), the largest clipped mass and the
+    per-iteration gap series.  Running out of iterations is not an error
+    here: the caller judges ``residual`` against ``tol``.
 
     Raises
     ------
     NoContractionError
-        After three consecutive contraction ratios at or above one.
+        After three consecutive contraction ratios of a member at or above one.
     ValueError
         If ``steps`` or ``max_iter`` is not a positive int, or ``tol`` is not
         positive and finite.
     """
     _require_int("max_iter", max_iter)
     _require_tol(tol)
+    gammas = list(gammas)
     weight = _weight(params, np.asarray(params.time_grid), 0.0)
-    current = phi_apply(gamma, None, drift, params, steps, graded_from)
-    gap_series = []  # per-iteration arrays of per-time dual-norm gaps
-    iterations = 0
-    residual = math.inf
-    clip_mass = current.meta["clip_mass"]
+    current = phi_apply(gammas, None, drift, params, steps, graded_from)
+    gap_series = [[] for _ in gammas]  # per member, per-iteration per-time gaps
+    residual = [math.inf] * len(gammas)
+    clip_mass = [flow.meta["clip_mass"] for flow in current]
+    active = list(range(len(gammas)))
 
     for it in range(max_iter):
-        nxt = phi_apply(gamma, current, drift, params, steps, graded_from)
-        clip_mass = max(clip_mass, nxt.meta["clip_mass"])
-        gap_series.append(_dual_norm_series(nxt, current, params.running_index))
-        current = nxt
-        iterations = it + 1
-        residual = float(np.max(weight * gap_series[-1]))
-        if residual < tol:
+        nxt = phi_apply([gammas[i] for i in active], [current[i] for i in active],
+                        drift, params, steps, graded_from)
+        for i, flow in zip(active, nxt):
+            clip_mass[i] = max(clip_mass[i], flow.meta["clip_mass"])
+            gap_series[i].append(_dual_norm_series(flow, current[i], params.running_index))
+            current[i] = flow
+            residual[i] = float(np.max(weight * gap_series[i][-1]))
+            if residual[i] < tol:
+                continue
+            ratios = contraction_ratios(gap_series[i], params, 0.0)[-3:]
+            if len(ratios) == 3 and min(ratios) >= 1.0:
+                raise NoContractionError(
+                    f"no contraction after {it + 1} iterations "
+                    f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
+                    f"weaken the drift or shorten the horizon T")
+        active = [i for i in active if not residual[i] < tol]
+        if not active:
             break
-        ratios = contraction_ratios(gap_series, params, 0.0)[-3:]
-        if len(ratios) == 3 and min(ratios) >= 1.0:
-            raise NoContractionError(
-                f"no contraction after {iterations} iterations "
-                f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
-                f"weaken the drift or shorten the horizon T")
-    report = SolveReport(
-        iterations=iterations,
-        contraction_ratios=contraction_ratios(gap_series, params, 0.0),
-        lam_used=0.0, clip_mass=clip_mass, residual=residual,
-        gap_series=gap_series)
-    return current, report
+    return [(flow, SolveReport(
+                iterations=len(gaps), contraction_ratios=contraction_ratios(gaps, params, 0.0),
+                lam_used=0.0, clip_mass=clipped, residual=res, gap_series=gaps))
+            for flow, gaps, clipped, res in zip(current, gap_series, clip_mass, residual)]
+
+
+def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
+                 max_iter: int = 25, steps: int = 600, graded_from: float = 0.0):
+    """The ``(flow, report)`` of ``picard_solve_many`` for the one datum ``gamma``."""
+    return picard_solve_many((gamma,), drift, params, tol, max_iter, steps, graded_from)[0]
 
 
 def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,

@@ -155,12 +155,15 @@ def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
     return VectorField(rho.grid, [factor * c for c in drift_map(spec, rho.grid)(rho.values)])
 
 
-def per_node_drift(spec, mu, grid, shift, nodes):
-    """Drop-in for ``solver._frozen_drift``: zero before ``shift``, then
-    ``drift_field`` of the density interpolated at each node, one node at a
-    time, with time argument ``s - shift``."""
-    zero = [np.zeros(grid.shape)] * grid.dim
-    return (zero if s < shift else drift_field(spec, density_at(mu, s), s - shift).components
+def per_node_drift(spec, mus, grid, shift, nodes):
+    """Drop-in for ``solver._frozen_drift`` on a sequence of frozen flows:
+    zero before ``shift``, then ``drift_field`` of each flow's density
+    interpolated at each node, one node and one flow at a time, with time
+    argument ``s - shift``, stacked over the flows."""
+    zero = [np.zeros((len(mus),) + grid.shape)] * grid.dim
+    return (zero if s < shift else
+            [np.stack(c) for c in zip(*(drift_field(spec, density_at(mu, s), s - shift).components
+                                        for mu in mus))]
             for s in nodes)
 
 

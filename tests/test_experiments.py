@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkvflow import cli, experiments
+from mkvflow import cli, experiments, solver
 from mkvflow.cli import main as cli_main
 from mkvflow.experiments import (
     AdmissibilityError,
@@ -28,7 +28,7 @@ from mkvflow.flowio import flow_density_table, read_flow, write_flow
 from mkvflow.grids import GridSpec, gaussian_density
 from mkvflow.kernels import make_kernel
 from mkvflow.norms import SobolevIndex, measure_dual_norm
-from mkvflow.solver import FlowParams, phi_apply, picard_solve
+from mkvflow.solver import FlowParams, phi_apply, picard_solve, picard_solve_many
 
 REPO = Path(__file__).resolve().parents[1]
 # a small Riesz solve that stops at picard_solve's defaults, 1e-8 or 25 iterations
@@ -312,17 +312,74 @@ class TestSolveRows:
     def test_worst_residual_is_reported(self, monkeypatch):
         # one row per experiment: the worst of its solves, failing if any fails
         residuals = iter([1e-9, 3e-8, 2e-9])
-        real = experiments.picard_solve
+        real = experiments.picard_solve_many
 
         def solve(*args, **kwargs):
-            flow, rep = real(*args, **kwargs)
-            rep.residual = next(residuals)
-            return flow, rep
-        monkeypatch.setattr(experiments, "picard_solve", solve)
+            solved = real(*args, **kwargs)
+            for _, rep in solved:
+                rep.residual = next(residuals)
+            return solved
+        monkeypatch.setattr(experiments, "picard_solve_many", solve)
         cfg = parse_config("experiment = decay\ngrid_n = 256\nkernel = zero\nkappa = 0.75\n"
                            "T = 0.1\nsteps = 50\nr_list = 0.02, 0.01, 0.005\n")
         rows = [r for r in run_experiment(cfg).rows if r.quantity == "fixed_point_residual"]
         assert [(r.measured, r.tol, r.passed) for r in rows] == [(3e-8, 1e-8, False)]
+
+
+class TestStackedSolves:
+    """Experiments with several initial data solve them as one stack."""
+
+    # reduced Riesz-drift configs: 3, 2 and 2 initial data
+    CONFIGS = {
+        "stability": ("experiment = stability\ngrid_n = 256\nkernel = riesz\n"
+                      "kernel.c = 0.2\nkernel.kappa = 1.25\nkappa = 1.25\nT = 0.2\n"
+                      "gamma_var = 0.01\nh_list = 0.05, 0.1\nn_times = 4\nsteps = 40\n"),
+        "entropy_cost": ("experiment = entropy_cost\ngrid_n = 256\nkernel = riesz\n"
+                         "kernel.c = 0.2\nkernel.kappa = 1.25\nkappa = 1.25\nT = 0.5\n"
+                         "gamma_var = 0.04\ngamma_shift = 0.1\nsteps = 50\n"),
+        "decay": ("experiment = decay\ngrid_n = 256\nkernel = riesz\nkernel.c = 0.2\n"
+                  "kernel.kappa = 0.75\nkappa = 0.75\nT = 0.1\nsteps = 50\n"
+                  "r_list = 0.02, 0.01\n"),
+    }
+
+    def capture(self, monkeypatch) -> list:
+        """The ``(flow, report)`` pairs of every stacked solve from here on."""
+        solved = []
+
+        def capturing(*args, **kwargs):
+            solved.extend(picard_solve_many(*args, **kwargs))
+            return solved[-len(args[0]):]
+
+        monkeypatch.setattr(experiments, "picard_solve_many", capturing)
+        return solved
+
+    @pytest.mark.parametrize("name, members", [("stability", 3), ("entropy_cost", 2),
+                                               ("decay", 2)])
+    def test_stacked_flows_keep_unit_mass(self, monkeypatch, name, members):
+        solved = self.capture(monkeypatch)
+        run_experiment(parse_config(self.CONFIGS[name]))
+        assert len(solved) == members
+        for flow, _ in solved:
+            masses = [rho.mass() for rho in flow.densities]
+            assert len(masses) == flow.times.size
+            assert all(abs(m - 1.0) <= 1e-9 for m in masses), masses
+
+    def test_stability_marches_once_per_iteration(self, monkeypatch):
+        # marching each member on its own would make one phi_apply call per
+        # member and iteration, the sum of their counts
+        marches = []
+        real = solver.phi_apply
+
+        def counting(*args, **kwargs):
+            marches.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "phi_apply", counting)
+        solved = self.capture(monkeypatch)
+        run_experiment(parse_config(self.CONFIGS["stability"]))
+        iterations = [rep.iterations for _, rep in solved]
+        assert len(iterations) == 3
+        assert len(marches) == 1 + max(iterations)
 
 
 class TestEmitReport:
@@ -743,32 +800,33 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     def test_stability_solves_pass_through_the_module_global(self, monkeypatch):
-        # the benchmark captures every experiment solve by this substitution
+        # a caller sees stability's solves by this substitution: one stack
+        # holding the base datum and one datum per shift
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return picard_solve(*args, **kwargs)
+        def counting(gammas, *args, **kwargs):
+            calls.append((len(gammas), kwargs))
+            return picard_solve_many(gammas, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "picard_solve", counting)
+        monkeypatch.setattr(experiments, "picard_solve_many", counting)
         # stability reads tol, max_iter and steps
         cfg = parse_config("experiment = stability\ngrid_n = 256\nkernel = zero\n"
                            "kappa = 1.25\nT = 0.2\ngamma_var = 0.01\n"
                            "h_list = 0.05, 0.1\nn_times = 4\nsteps = 40\n"
                            "tol = 1e-9\nmax_iter = 7\n")
         run_experiment(cfg)
-        assert len(calls) == 1 + 2
-        assert all(kw == {"tol": 1e-9, "max_iter": 7, "steps": 40} for kw in calls)
+        assert [members for members, _ in calls] == [1 + 2]
+        assert all(kw == {"tol": 1e-9, "max_iter": 7, "steps": 40} for _, kw in calls)
 
     def test_decay_solves_read_max_iter_from_the_config(self, monkeypatch):
         iterations = []
 
         def counting(*args, **kwargs):
-            flow, rep = picard_solve(*args, **kwargs)
-            iterations.append(rep.iterations)
-            return flow, rep
+            solved = picard_solve_many(*args, **kwargs)
+            iterations.extend(rep.iterations for _, rep in solved)
+            return solved
 
-        monkeypatch.setattr(experiments, "picard_solve", counting)
+        monkeypatch.setattr(experiments, "picard_solve_many", counting)
         cfg = parse_config("experiment = decay\ngrid_n = 256\nkernel = riesz\n"
                            "kernel.c = 0.2\nkernel.kappa = 0.75\nkappa = 0.75\n"
                            "T = 0.1\nsteps = 50\nr_list = 0.02, 0.01\nmax_iter = 2\n")

@@ -33,6 +33,7 @@ from mkvflow.solver import (
     NoContractionError,
     phi_apply,
     picard_solve,
+    picard_solve_many,
     time_shift_solve,
 )
 from oracles import density_at, drift_field, per_node_drift
@@ -586,6 +587,107 @@ class TestTwoDimensional:
                 phi_apply(gamma, None, None, params, steps=20)
             else:
                 picard_solve(gamma, KernelSpec(ConstantVector((0.4, -0.2))), params, steps=20)
+
+
+class TestStackedSolve:
+    """``picard_solve_many`` against one ``picard_solve`` per datum."""
+
+    GRID = GridSpec(1, 256, 16.0)
+    ENVELOPE = TimeModulation(kappa=0.75)
+
+    def assert_same_solve(self, got, want):
+        (flow, rep), (flow0, rep0) = got, want
+        assert flow.times.tolist() == flow0.times.tolist()
+        for a, b in zip([flow.initial] + flow.densities, [flow0.initial] + flow0.densities):
+            assert np.array_equal(a.values, b.values)
+        assert rep.iterations == rep0.iterations
+        assert rep.residual == rep0.residual
+        assert rep.contraction_ratios == rep0.contraction_ratios
+        assert rep.clip_mass == rep0.clip_mass
+        assert len(rep.gap_series) == len(rep0.gap_series)
+        for a, b in zip(rep.gap_series, rep0.gap_series):
+            assert np.array_equal(a, b)
+
+    # each tol sits between the two members' residuals at the smaller count
+    @pytest.mark.parametrize("route, tol, shift", [
+        ("riesz", 1e-8, 0.0),
+        ("nemytskii", 1e-12, 0.0),
+        ("riesz", 7.5e-9, 0.02),
+    ], ids=["riesz", "nemytskii-linear", "riesz-time-shift"])
+    def test_members_equal_their_solo_solves(self, route, tol, shift):
+        grid = self.GRID
+        spec = (KernelSpec(RieszOrder((0.2,), 0, 1.0), 4 * grid.spacing**2, self.ENVELOPE)
+                if route == "riesz" else
+                NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),), self.ENVELOPE))
+        params = params_for()
+        if shift:  # the inner parameters of time_shift_solve
+            params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=params.T + shift,
+                                time_grid=(shift,) + tuple(shift + t for t in params.time_grid))
+        data = [gaussian_density(grid, 0.0, var, normalize=True) for var in (0.04, 0.005)]
+        solos = [picard_solve(g, spec, params, tol=tol, steps=100, graded_from=shift)
+                 for g in data]
+        # the members stop at different iterations: one leaves the stack early
+        assert len({rep.iterations for _, rep in solos}) == 2
+        stacked = picard_solve_many(data, spec, params, tol=tol, steps=100, graded_from=shift)
+        assert len(stacked) == 2
+        for got, want in zip(stacked, solos):
+            self.assert_same_solve(got, want)
+
+    def test_clipped_gradient_member_raises_as_alone(self):
+        grid = self.GRID
+        spec = NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),), self.ENVELOPE)
+        probe = gaussian_density(grid, 0.0, 0.04)
+        with pytest.raises(NoContractionError) as alone:
+            picard_solve(probe, spec, params_for(), steps=100)
+        # a wide datum converges alone, and is still in the stack when the
+        # probe fails
+        wide = gaussian_density(grid, 0.0, 1.0)
+        assert picard_solve(wide, spec, params_for(), steps=100)[1].iterations == 10
+        with pytest.raises(NoContractionError) as stacked:
+            picard_solve_many([wide, probe], spec, params_for(), steps=100)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_one_datum_is_a_stack_of_one(self):
+        gamma = gaussian_density(self.GRID, 0.0, 0.04)
+        params = params_for()
+        base = phi_apply(gamma, None, None, params, steps=50)
+        (stacked,) = phi_apply([gamma], [base], small_kernel(), params, steps=50)
+        flow = phi_apply(gamma, base, small_kernel(), params, steps=50)
+        assert isinstance(flow, MeasureFlow)
+        for a, b in zip(stacked.densities, flow.densities):
+            assert np.array_equal(a.values, b.values)
+
+    def test_stack_inputs_checked(self):
+        gamma = gaussian_density(self.GRID, 0.0, 0.04)
+        params = params_for(n=2)
+        base = phi_apply(gamma, None, None, params, steps=20)
+        with pytest.raises(ValueError, match="1 frozen flows for 2 initial densities"):
+            phi_apply([gamma, gamma], [base], small_kernel(), params, steps=20)
+        with pytest.raises(ValueError, match="share one grid"):
+            phi_apply([gamma, gaussian_density(GRID, 0.0, 0.04)], None, None, params, steps=20)
+        with pytest.raises(ValueError, match="at least one initial density"):
+            phi_apply([], None, None, params, steps=20)
+
+
+class TestDriftRoutes:
+    def test_order_zero_dirac_converges_to_the_density_drift(self):
+        # two routes to b = t^kappa rho: the mollified Dirac kernel's symbols
+        # and the unmollified Nemytskii density map.  Their distance is first
+        # order in the mollification time eps, as the mollifier predicts
+        grid = GridSpec(1, 512, 16.0)
+        h = grid.spacing
+        params = params_for()
+        gamma = gaussian_density(grid, 0.0, 0.04)
+        density, _ = picard_solve(gamma, NemytskiiSpec(1, "density", (), TimeModulation(0.75)),
+                                  params, tol=1e-10, steps=300)
+        gaps = []
+        for eps in (4 * h**2, 16 * h**2):
+            kern = make_kernel("dirac", grid, order=0, eps=eps, kappa=0.75)
+            flow, _ = picard_solve(gamma, kern, params, tol=1e-10, steps=300)
+            gaps.append(max(np.abs(a.values - b.values).sum() * h
+                            for a, b in zip(flow.densities, density.densities)))
+        assert gaps[0] < 1e-3
+        assert 3.0 <= gaps[1] / gaps[0] <= 5.0
 
 
 class TestMeasureFlow:

@@ -315,7 +315,8 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
     for g in gammas:
         g.require_density()
     out_times = np.asarray(params.time_grid)
-    nodes = _internal_grid(out_times, steps, graded_from)
+    # Python floats: the same values as the array's, cheaper to step through
+    nodes = _internal_grid(out_times, steps, graded_from).tolist()
     # node index -> output slot; the nodes hold the rounded output times
     out_slot = {j: i for i, j in
                 enumerate(np.searchsorted(nodes, np.round(out_times, 14)).tolist())}
@@ -323,6 +324,7 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]
     zero_mode = (slice(None),) + (slice(0, 1),) * grid.dim  # per row, kept as an axis
+    shape, cell_volume = grid.shape, grid.cell_volume
     drifts = None
     if frozen is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
         drifts = _frozen_drift(drift, frozen, grid, graded_from, nodes)
@@ -340,21 +342,27 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
     for m_idx in range(len(nodes) - 1):
         s0, s1 = nodes[m_idx], nodes[m_idx + 1]
         h = s1 - s0
-        mult = np.exp(-0.5 * h * xi_sq)
-        rho_hat = rho_hat * mult
+        # in place, each update is the product or sum of the same operands
+        mult = -0.5 * h * xi_sq
+        np.exp(mult, out=mult)
+        rho_hat *= mult
         if drifts is not None:
             b0, b_next = b_next, next(drifts)
             if s1 >= graded_from:  # before it the drift is zero at both ends
-                heated_F0 = transport(b0, rho) * mult
-                predictor = irfft(rho_hat + h * heated_F0, grid.shape)
-                rho_hat = rho_hat + 0.5 * h * (heated_F0 + transport(b_next, predictor))
-        rho_hat = rho_hat / (rho_hat[zero_mode].real * grid.cell_volume)
+                heated_F0 = transport(b0, rho)
+                heated_F0 *= mult
+                predictor = irfft(rho_hat + h * heated_F0, shape)
+                corrector = transport(b_next, predictor)
+                corrector += heated_F0
+                corrector *= 0.5 * h
+                rho_hat += corrector
+        rho_hat /= rho_hat[zero_mode].real * cell_volume
         slot = out_slot.get(m_idx + 1)
         # a pure-diffusion-leg state is read only by the step ending at the
         # onset, which multiplies it by the zero drift there
         if slot is not None or (drifts is not None and s1 >= graded_from):
-            rho = irfft(rho_hat, grid.shape)
-            if not np.all(np.isfinite(rho)):
+            rho = irfft(rho_hat, shape)
+            if not np.isfinite(rho).all():
                 raise ValueError(f"march state is not finite at t={s1:.6g}")
         if slot is not None:
             for out, row, log in zip(densities, rho, logs):

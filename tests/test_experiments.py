@@ -347,8 +347,9 @@ class TestStackedSolves:
         solved = []
 
         def capturing(*args, **kwargs):
-            solved.extend(picard_solve_many(*args, **kwargs))
-            return solved[-len(args[0]):]
+            result = picard_solve_many(*args, **kwargs)
+            solved.extend(result)
+            return result
 
         monkeypatch.setattr(experiments, "picard_solve_many", capturing)
         return solved

@@ -45,7 +45,6 @@ __all__ = [
     "drift_map",
     "kernel_norm_study",
     "NormStudy",
-    "kernel_catalog",
     "make_kernel",
 ]
 
@@ -316,6 +315,9 @@ def _nemytskii_families():
 
 
 _NEMYTSKII = _nemytskii_families()
+# the parameters each family reads
+_NEMYTSKII_PARAMETERS = {"zero": (), "density": (), "clipped_gradient": ("cap",),
+                         "linear": ("weights",)}
 
 
 @dataclass(frozen=True)
@@ -335,6 +337,11 @@ class NemytskiiSpec:
         if self.family not in _NEMYTSKII:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"choose from {sorted(_NEMYTSKII)}")
+        reads = _NEMYTSKII_PARAMETERS[self.family]
+        unread = sorted(set(self.param_dict) - set(reads))
+        if unread:
+            raise ValueError(f"family {self.family!r} does not read parameters {unread}; "
+                             f"it reads {list(reads)}")
         if self.family == "clipped_gradient" and self.n < 2:
             raise ValueError("clipped_gradient needs derivative depth n >= 2")
         cap = self.param_dict.get("cap")
@@ -446,47 +453,43 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
 # named catalog for configs and the CLI
 
 
-def kernel_catalog() -> dict:
-    return {
-        "zero": lambda grid, **kw: KernelSpec(
-            ConstantVector((0.0,) * grid.dim), 0.0, _mod(kw)),
-        "constant": lambda grid, **kw: KernelSpec(
-            ConstantVector(_as_vec(kw.get("c", 1.0), grid.dim)), 0.0, _mod(kw)),
-        "riesz": lambda grid, **kw: KernelSpec(
-            RieszOrder((float(kw.get("c", 1.0)),) * grid.dim,
-                       int(kw.get("n0", 0)), float(kw.get("eps0", 0.5))),
-            float(kw.get("eps", default_mollification(grid))), _mod(kw)),
-        "dirac": lambda grid, **kw: KernelSpec(
-            DiracDerivative(int(kw.get("order", 0)), int(kw.get("direction", 0))),
-            float(kw.get("eps", default_mollification(grid))), _mod(kw)),
-    }
-
-
-def _as_vec(c, dim: int) -> tuple:
-    if np.iterable(c):
-        return tuple(float(x) for x in c)
-    return (float(c),) * dim
-
-
-def _mod(kw) -> TimeModulation:
-    return TimeModulation(kappa=float(kw.get("kappa", 0.0)))
-
-
-# every parameter name some catalog kernel reads; each kernel ignores the rest
-_KERNEL_PARAMETERS = ("c", "direction", "eps", "eps0", "kappa", "n0", "order")
+# each catalog kernel's parameters, with their defaults; every other one is
+# rejected.  An eps of None is the grid's default_mollification
+_CATALOG = {
+    "zero": {"kappa": 0.0},
+    "constant": {"c": 1.0, "kappa": 0.0},
+    "riesz": {"c": 1.0, "n0": 0, "eps0": 0.5, "eps": None, "kappa": 0.0},
+    "dirac": {"order": 0, "direction": 0, "eps": None, "kappa": 0.0},
+}
 
 
 def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
-    cat = kernel_catalog()
-    if name not in cat:
-        raise ValueError(f"unknown kernel {name!r}; catalog: {sorted(cat)}")
-    unknown = sorted(set(kw) - set(_KERNEL_PARAMETERS))
+    """The catalog kernel ``name`` on ``grid``, from the parameters it reads.
+
+    Raises ``ValueError`` for an unknown name, a parameter the kernel does
+    not read, or a sequence where it reads a number (only the constant
+    kernel's ``c`` may be a vector).
+    """
+    if name not in _CATALOG:
+        raise ValueError(f"unknown kernel {name!r}; catalog: {sorted(_CATALOG)}")
+    reads = _CATALOG[name]
+    unknown = sorted(set(kw) - set(reads))
     if unknown:
-        raise ValueError(f"unknown kernel parameters {unknown}; "
-                         f"known: {list(_KERNEL_PARAMETERS)}")
-    # only the constant kernel reads a vector: its c
+        raise ValueError(f"unknown kernel parameters {unknown} for kernel {name!r}; "
+                         f"it reads {list(reads)}")
     sequences = sorted(k for k, v in kw.items() if isinstance(v, (tuple, list, np.ndarray))
                        and (name, k) != ("constant", "c"))
     if sequences:
         raise ValueError(f"kernel {name!r} reads a number for {sequences}, got a sequence")
-    return cat[name](grid, **kw)
+    p = {**reads, **kw}
+    if name == "riesz":
+        variant = RieszOrder((float(p["c"]),) * grid.dim, int(p["n0"]), float(p["eps0"]))
+    elif name == "dirac":
+        variant = DiracDerivative(int(p["order"]), int(p["direction"]))
+    else:
+        c = p.get("c", 0.0)  # the zero kernel is the constant 0
+        variant = ConstantVector(tuple(float(x) for x in c) if np.iterable(c)
+                                 else (float(c),) * grid.dim)
+    eps = p.get("eps", 0.0)  # only the singular kernels are mollified
+    eps = float(default_mollification(grid) if eps is None else eps)
+    return KernelSpec(variant, eps, TimeModulation(kappa=float(p["kappa"])))

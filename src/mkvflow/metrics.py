@@ -50,8 +50,9 @@ class GaussianSpec:
 # one-dimensional transport via quantiles
 
 
-def _quantile_table(rho: ScalarField):
-    """Monotone CDF samples on a refined axis, for inverse interpolation."""
+def _density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
+    """Quantile function of a 1-d grid density at ``u``: inverse interpolation
+    of monotone CDF samples on a refined axis."""
     from scipy.interpolate import PchipInterpolator  # here: it loads scipy.optimize
 
     grid = rho.grid
@@ -67,7 +68,27 @@ def _quantile_table(rho: ScalarField):
         interp = PchipInterpolator(xs, cdf)
         fine_x = np.linspace(xs[0], xs[-1], 16 * len(xs))  # 16 points per cell
         fine_c = np.maximum.accumulate(np.clip(interp(fine_x), 0.0, 1.0))
-    return fine_x, fine_c
+    return np.interp(u, fine_c, fine_x)
+
+
+def _transport_distance(rho: ScalarField, other, q: float) -> float:
+    """Order-q transport distance between the 1-d grid density ``rho`` and
+    ``other``, a density on its grid or 1-d sample positions: the inputs
+    checked, then the midpoint rule in u of |F^{-1}(u) - G^{-1}(u)|^q."""
+    if rho.grid.dim != 1:
+        raise ValueError(f"one-dimensional densities required, got dim {rho.grid.dim}")
+    density = isinstance(other, ScalarField)
+    if density and other.grid != rho.grid:
+        raise ValueError("densities must share a grid")
+    if q < 1:
+        raise ValueError(f"order q must be >= 1, got {q}")
+    rho.require_density()
+    u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
+    if density:
+        other_q = _density_quantiles(other.require_density(), u)
+    else:
+        other_q = empirical_quantiles(np.asarray(other).ravel(), u)
+    return float(np.mean(np.abs(_density_quantiles(rho, u) - other_q) ** q) ** (1.0 / q))
 
 
 def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0) -> float:
@@ -78,20 +99,7 @@ def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0) -> floa
     cumulative tables (the monotone rearrangement is the optimal coupling
     for every q >= 1).
     """
-    if rho1.grid.dim != 1:
-        raise ValueError(f"one-dimensional densities required, got dim {rho1.grid.dim}")
-    if rho1.grid != rho2.grid:
-        raise ValueError("densities must share a grid")
-    if q < 1:
-        raise ValueError(f"order q must be >= 1, got {q}")
-    rho1.require_density()
-    rho2.require_density()
-    x1, c1 = _quantile_table(rho1)
-    x2, c2 = _quantile_table(rho2)
-    u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
-    q1 = np.interp(u, c1, x1)
-    q2 = np.interp(u, c2, x2)
-    return float(np.mean(np.abs(q1 - q2) ** q) ** (1.0 / q))
+    return _transport_distance(rho1, rho2, q)
 
 
 def empirical_quantiles(positions: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -103,12 +111,9 @@ def empirical_quantiles(positions: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def wasserstein_1d_empirical(positions: np.ndarray, rho: ScalarField,
                              q: float = 1.0) -> float:
-    """Transport distance between an empirical sample and a grid density."""
-    x2, c2 = _quantile_table(rho)
-    u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
-    qe = empirical_quantiles(np.asarray(positions).ravel(), u)
-    qd = np.interp(u, c2, x2)
-    return float(np.mean(np.abs(qe - qd) ** q) ** (1.0 / q))
+    """Transport distance of order q between an empirical sample and a
+    density on a 1-d grid, checked and integrated as ``wasserstein_1d``."""
+    return _transport_distance(rho, positions, q)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ The Picard loop, ``picard_solve_many``, feeds the output flows back in until
 the distance between successive iterates falls below tolerance; a member
 leaves the stack at the iteration where its own distance does, so it sees
 exactly the iterates of its solo solve.  Rough initial data enters
-through the time-shift route: pure diffusion on [0, r], drift switched on
-afterwards with shifted time argument.  The shift lives in the march itself
-(``graded_from``), so a shifted convolution drift keeps the spectral path,
-and the steps of the pure-diffusion leg make no transforms.
+through the time-shift route: pure diffusion on [0, r], one exact heat
+step, then the plain solve from the smoothed law, whose drift runs on the
+time after r; the march itself knows no shift.
 The solver reports what it computed (iterations, residual, ratios, clipped
 mass); which parameter sets an estimate admits, and whether a solve reached
 its tolerance, the experiments judge.
@@ -36,11 +35,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import _RESOLUTION_CELLS, GridSpec, ScalarField, irfft, rfft, rfft_wavenumbers
+from .grids import (_RESOLUTION_CELLS, GridSpec, ScalarField, heat_apply, irfft, rfft,
+                    rfft_wavenumbers)
 from .kernels import KernelSpec, drift_map, kernel_vanishes
 from .norms import SobolevIndex, measure_dual_norm
 
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-# exponent of the internal marching grid's refinement toward the drift onset
+# exponent of the internal marching grid's refinement toward t = 0
 GRADING = 1.5
 
 # grid values per stacked Nemytskii drift evaluation (128 KB of floats per
@@ -171,20 +171,18 @@ def _stack_of(x, kind) -> list:
     return [x] if isinstance(x, kind) else list(x)
 
 
-def _frozen_drift(drift, mu, grid: GridSpec, shift: float, nodes):
+def _frozen_drift(drift, mu, grid: GridSpec, nodes):
     """Iterator over the drift components of ``drift`` at each of ``nodes``, in
     order, with the flows frozen at ``mu``.
 
     ``mu`` is a flow or a sequence of flows on the same times, the members
     of a stack; each component has shape ``(members, *grid.shape)``.
-    The drift is zero before ``shift`` (``phi_apply`` passes ``graded_from``)
-    and takes the time argument ``s - shift`` after it.  Both spec kinds are
-    ``kernels.drift_map``, built once here, times the envelope; it rejects
-    any other drift.  A convolution drift is linear in the density and the
-    frozen flow is linear in time between its fields (``MeasureFlow._bracket``),
-    so the map of each frozen field, evaluated once here on the stack of
-    every member's field and interpolated the same way, gives it exactly at
-    any node.  A Nemytskii drift is the map of the interpolated values.  It
+    Both spec kinds are ``kernels.drift_map``, built once here, times the
+    envelope; it rejects any other drift.  A convolution drift is linear in
+    the density and the frozen flow is linear in time between its fields
+    (``MeasureFlow._bracket``), so the map of each frozen field, evaluated
+    once here on the stack of every member's field and interpolated the same
+    way, gives it exactly at any node.  A Nemytskii drift is the map of the interpolated values.  It
     does not depend on the march, so it is evaluated ahead of it, one map
     call per block of up to ``_BLOCK_VALUES // (members * grid.num_points)``
     nodes, whose components are checked finite together; stacked transforms
@@ -202,51 +200,42 @@ def _frozen_drift(drift, mu, grid: GridSpec, shift: float, nodes):
     # one (members, *grid.shape) stack per frozen time
     stacks = [np.stack([f.values for f in at]) for at in zip(*fields)]
     bracket = flows[0]._bracket
-    drifted = [s for s in nodes if s >= shift]
     if isinstance(drift, KernelSpec):
         convs = [evaluate(values) for values in stacks]
 
         def field_at(s: float) -> list:
             j, w = bracket(s)
-            factor = drift.modulation.factor(s - shift)
+            factor = drift.modulation.factor(s)
             a, b = factor * (1 - w), factor * w
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
-        live = map(field_at, drifted)
-    else:
-        size = max(1, _BLOCK_VALUES // (len(flows) * grid.num_points))
+        return map(field_at, nodes)
+    size = max(1, _BLOCK_VALUES // (len(flows) * grid.num_points))
 
-        def block_at(block: list) -> list:
-            """Components at each node of ``block``, from one call of the map."""
-            rho = np.empty((len(block), len(flows)) + grid.shape)
-            factors = np.empty((len(block),) + (1,) * (grid.dim + 1))
-            for i, s in enumerate(block):
-                j, w = bracket(s)
-                rho[i] = (stacks[j + int(w)] if w == 0.0 or w == 1.0
-                          else (1 - w) * stacks[j] + w * stacks[j + 1])
-                factors[i] = drift.modulation.factor(s - shift)
-            comps = [factors * c for c in evaluate(rho)]
-            finite = np.all([np.isfinite(c).reshape(len(block), -1).all(axis=1)
-                             for c in comps], axis=0)
-            if not finite.all():
-                raise ValueError(f"drift is not finite at t={block[np.argmin(finite)]:.6g}")
-            return [list(at) for at in zip(*comps)]
-        live = itertools.chain.from_iterable(
-            block_at(drifted[i:i + size]) for i in range(0, len(drifted), size))
-    zero = [np.zeros((len(flows),) + grid.shape)] * grid.dim
-    return (zero if s < shift else next(live) for s in nodes)
+    def block_at(block: list) -> list:
+        """Components at each node of ``block``, from one call of the map."""
+        rho = np.empty((len(block), len(flows)) + grid.shape)
+        factors = np.empty((len(block),) + (1,) * (grid.dim + 1))
+        for i, s in enumerate(block):
+            j, w = bracket(s)
+            rho[i] = (stacks[j + int(w)] if w == 0.0 or w == 1.0
+                      else (1 - w) * stacks[j] + w * stacks[j + 1])
+            factors[i] = drift.modulation.factor(s)
+        comps = [factors * c for c in evaluate(rho)]
+        finite = np.all([np.isfinite(c).reshape(len(block), -1).all(axis=1)
+                         for c in comps], axis=0)
+        if not finite.all():
+            raise ValueError(f"drift is not finite at t={block[np.argmin(finite)]:.6g}")
+        return [list(at) for at in zip(*comps)]
+    return itertools.chain.from_iterable(
+        block_at(nodes[i:i + size]) for i in range(0, len(nodes), size))
 
 
-def _internal_grid(out_times, steps: int, graded_from: float = 0.0) -> np.ndarray:
-    """Marching nodes: graded refinement clustered at the drift onset, merged
-    with the output times (the drift envelope t^kappa and rough initial data
-    live near the onset; the step integral's own endpoint is handled by the
-    scheme).  ``graded_from > 0`` prepends a coarse pure-diffusion leg."""
-    T = out_times[-1]
-    base = graded_from + (T - graded_from) * (np.arange(steps + 1) / steps) ** GRADING
-    parts = [base, out_times]
-    if graded_from > 0:
-        parts.append(np.linspace(0.0, graded_from, max(2, steps // 16) + 1))
-    return np.unique(np.round(np.concatenate(parts), 14))
+def _internal_grid(out_times, steps: int) -> np.ndarray:
+    """Marching nodes: graded refinement clustered at t = 0, merged with the
+    output times (the drift envelope t^kappa and rough initial data live near
+    t = 0; the step integral's own endpoint is handled by the scheme)."""
+    base = out_times[-1] * (np.arange(steps + 1) / steps) ** GRADING
+    return np.unique(np.round(np.concatenate([base, out_times]), 14))
 
 
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
@@ -265,21 +254,19 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     return vals / (float(vals.sum()) * grid.cell_volume)
 
 
-def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
-              graded_from: float = 0.0):
+def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
     """Law flow of the diffusion whose drift is frozen from the flow ``mu``.
 
     Marches the mild identity with an exponential Heun (predictor-corrector)
     step on the density's real-FFT spectrum, over ``steps`` nodes refined
-    toward the drift onset with exponent ``GRADING``: heat is applied exactly, the
+    toward t = 0 with exponent ``GRADING``: heat is applied exactly, the
     transport term is integrated by the trapezoid rule inside each step,
     second order overall.  ``mu=None``, or a kernel whose symbols all vanish,
     means zero interaction (the map's base point, the plain heat flow of the
     initial datum).  The frozen flow enters
     through linear interpolation between its grid times, so the output grid
     density is an accuracy parameter of the fixed point, not just a sampling
-    choice.  ``graded_from > 0`` switches the drift on at that time, with
-    time argument ``s - graded_from`` (the time-shift route).
+    choice.
 
     ``gamma`` is one density or a sequence of densities on one grid, and
     ``mu`` then None, one flow or a sequence of as many flows.  The march
@@ -316,7 +303,7 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
         g.require_density()
     out_times = np.asarray(params.time_grid)
     # Python floats: the same values as the array's, cheaper to step through
-    nodes = _internal_grid(out_times, steps, graded_from).tolist()
+    nodes = _internal_grid(out_times, steps).tolist()
     # node index -> output slot; the nodes hold the rounded output times
     out_slot = {j: i for i, j in
                 enumerate(np.searchsorted(nodes, np.round(out_times, 14)).tolist())}
@@ -327,7 +314,7 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
     shape, cell_volume = grid.shape, grid.cell_volume
     drifts = None
     if frozen is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
-        drifts = _frozen_drift(drift, frozen, grid, graded_from, nodes)
+        drifts = _frozen_drift(drift, frozen, grid, nodes)
 
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
         out = minus_ixi[0] * rfft(b[0] * vals, grid.dim)
@@ -348,19 +335,16 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600,
         rho_hat *= mult
         if drifts is not None:
             b0, b_next = b_next, next(drifts)
-            if s1 >= graded_from:  # before it the drift is zero at both ends
-                heated_F0 = transport(b0, rho)
-                heated_F0 *= mult
-                predictor = irfft(rho_hat + h * heated_F0, shape)
-                corrector = transport(b_next, predictor)
-                corrector += heated_F0
-                corrector *= 0.5 * h
-                rho_hat += corrector
+            heated_F0 = transport(b0, rho)
+            heated_F0 *= mult
+            predictor = irfft(rho_hat + h * heated_F0, shape)
+            corrector = transport(b_next, predictor)
+            corrector += heated_F0
+            corrector *= 0.5 * h
+            rho_hat += corrector
         rho_hat /= rho_hat[zero_mode].real * cell_volume
         slot = out_slot.get(m_idx + 1)
-        # a pure-diffusion-leg state is read only by the step ending at the
-        # onset, which multiplies it by the zero drift there
-        if slot is not None or (drifts is not None and s1 >= graded_from):
+        if slot is not None or drifts is not None:
             rho = irfft(rho_hat, shape)
             if not np.isfinite(rho).all():
                 raise ValueError(f"march state is not finite at t={s1:.6g}")
@@ -393,7 +377,11 @@ def contraction_ratios(gap_series: list, params: FlowParams, lam: float) -> list
     its distance is their maximum under the weight ``exp(-lam t) t^(eta/2)``.
     """
     weight = _weight(params, np.asarray(params.time_grid), lam)
-    dists = [float(np.max(weight * gaps)) for gaps in gap_series]
+    return _ratios([float(np.max(weight * gaps)) for gaps in gap_series])
+
+
+def _ratios(dists: list) -> list:
+    """Ratios of successive distances between Picard iterates."""
     return [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
 
 
@@ -405,19 +393,18 @@ def _require_tol(tol, name: str = "tol"):
 
 
 def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
-                      max_iter: int = 25, steps: int = 600,
-                      graded_from: float = 0.0) -> list:
+                      max_iter: int = 25, steps: int = 600, age: float = 0.0) -> list:
     """Fixed-point iteration for the self-consistent law flow of each datum.
 
     Starts from the pure heat flows of the initial data, reapplies the
     frozen-drift map until the distance between successive iterates, the
-    maximum over output times of ``t^(eta/2)`` times their dual-norm gap,
-    drops below ``tol``.  The weight ``exp(-lam t)`` of the contraction
-    proof would only shrink this distance and does not move the fixed point,
-    so the loop does not apply it; the per-time gaps are kept, so
-    ``contraction_ratios`` can reweight them afterwards.  ``steps`` is passed
-    to every ``phi_apply``; ``graded_from`` is the time-shift onset that
-    ``time_shift_solve`` sets.
+    maximum over output times of ``(age + t)^(eta/2)`` times their dual-norm
+    gap, drops below ``tol``; ``age`` is the time the data have already
+    evolved (``time_shift_solve`` sets it), so the weight counts from there.
+    The weight ``exp(-lam t)`` of the contraction proof would only shrink
+    this distance and does not move the fixed point, so the loop does not
+    apply it; the per-time gaps are kept, so ``contraction_ratios`` can
+    reweight them afterwards.  ``steps`` is passed to every ``phi_apply``.
 
     All data march as one ``phi_apply`` stack per iteration.  A member
     leaves the stack once its own distance is below ``tol``, so each member
@@ -442,24 +429,26 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
     _require_int("max_iter", max_iter)
     _require_tol(tol)
     gammas = list(gammas)
-    weight = _weight(params, np.asarray(params.time_grid), 0.0)
-    current = phi_apply(gammas, None, drift, params, steps, graded_from)
+    weight = _weight(params, age + np.asarray(params.time_grid), 0.0)
+    current = phi_apply(gammas, None, drift, params, steps)
     gap_series = [[] for _ in gammas]  # per member, per-iteration per-time gaps
+    dists = [[] for _ in gammas]  # per member, per-iteration weighted distance
     residual = [math.inf] * len(gammas)
     clip_mass = [flow.meta["clip_mass"] for flow in current]
     active = list(range(len(gammas)))
 
     for it in range(max_iter):
         nxt = phi_apply([gammas[i] for i in active], [current[i] for i in active],
-                        drift, params, steps, graded_from)
+                        drift, params, steps)
         for i, flow in zip(active, nxt):
             clip_mass[i] = max(clip_mass[i], flow.meta["clip_mass"])
             gap_series[i].append(_dual_norm_series(flow, current[i], params.running_index))
             current[i] = flow
             residual[i] = float(np.max(weight * gap_series[i][-1]))
+            dists[i].append(residual[i])
             if residual[i] < tol:
                 continue
-            ratios = contraction_ratios(gap_series[i], params, 0.0)[-3:]
+            ratios = _ratios(dists[i])[-3:]
             if len(ratios) == 3 and min(ratios) >= 1.0:
                 raise NoContractionError(
                     f"no contraction after {it + 1} iterations "
@@ -469,36 +458,35 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
         if not active:
             break
     return [(flow, SolveReport(
-                iterations=len(gaps), contraction_ratios=contraction_ratios(gaps, params, 0.0),
-                lam_used=0.0, clip_mass=clipped, residual=res, gap_series=gaps))
-            for flow, gaps, clipped, res in zip(current, gap_series, clip_mass, residual)]
+                iterations=len(gaps), contraction_ratios=_ratios(dist), lam_used=0.0,
+                clip_mass=clipped, residual=res, gap_series=gaps))
+            for flow, gaps, dist, clipped, res
+            in zip(current, gap_series, dists, clip_mass, residual)]
 
 
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,
-                 max_iter: int = 25, steps: int = 600, graded_from: float = 0.0):
+                 max_iter: int = 25, steps: int = 600):
     """The ``(flow, report)`` of ``picard_solve_many`` for the one datum ``gamma``."""
-    return picard_solve_many((gamma,), drift, params, tol, max_iter, steps, graded_from)[0]
+    return picard_solve_many((gamma,), drift, params, tol, max_iter, steps)[0]
 
 
 def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
                      tol: float = 1e-8, max_iter: int = 25, steps: int = 600):
-    """Solve with rough initial data by prepending a pure-diffusion leg.
+    """Solve with rough initial data through the time shift.
 
-    The initial measure evolves freely on [0, r]; the drift then switches on
-    with shifted time argument.  The returned flow is indexed by the time
-    after the switch, so its law at t matches the plain solve started from
-    the r-smoothed initial datum.  ``steps``, ``max_iter`` and ``tol`` are
-    checked as ``picard_solve`` checks them.
+    The initial measure evolves by pure diffusion on [0, r], one exact heat
+    step; the drift then runs with its time argument counted from r, which
+    is the plain solve started from the r-smoothed datum, its Picard
+    distance weighted from the start, ``(r + t)^(eta/2)``.  The returned flow
+    is indexed by the time after r, its initial datum is the r-smoothed law
+    and ``meta["report"]`` holds its report.  ``steps``, ``max_iter`` and
+    ``tol`` are checked as ``picard_solve`` checks them.
     """
     if r <= 0:
         raise ValueError(f"shift r must be positive, got {r}")
     if math.sqrt(r) < _RESOLUTION_CELLS * gamma0.grid.spacing:
         raise ValueError(f"shift r={r} below grid resolvability")
-    # the switch-on time joins the grid so the frozen-flow interpolation just
-    # after it anchors at the diffused law, not at the rough initial spike
-    shifted_times = (r,) + tuple(r + t for t in params.time_grid)
-    inner = replace(params, T=params.T + r, time_grid=shifted_times)
-    flow, report = picard_solve(gamma0, drift, inner, tol=tol, max_iter=max_iter,
-                                steps=steps, graded_from=r)
-    return MeasureFlow(np.asarray(params.time_grid), flow.densities[1:],
-                       flow.densities[0], meta={**flow.meta, "report": report})
+    ((flow, report),) = picard_solve_many((heat_apply(gamma0, r),), drift, params, tol,
+                                          max_iter, steps, age=r)
+    flow.meta["report"] = report
+    return flow

@@ -148,13 +148,14 @@ class TestContraction:
 
 
 class TestTimeShiftConsistency:
-    def test_shifted_vs_plain(self):
+    @pytest.mark.parametrize("kappa", [0.0, 0.75])
+    def test_shifted_vs_plain(self, kappa):
         t0 = time.time()
         grid = GridSpec(1, 1024, 16.0)
         tg = tuple(np.linspace(0.05, 0.5, 10))
-        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=tg)
+        params = FlowParams(delta=1.0, k=2.0, kappa=kappa, T=0.5, time_grid=tg)
         kern = KernelSpec(RieszOrder((0.2,), 0, 1.0), 4 * grid.spacing**2,
-                          TimeModulation(kappa=0.75))
+                          TimeModulation(kappa=kappa))
         r = 0.05
         gamma0 = grid_delta(grid)
         shifted = time_shift_solve(gamma0, r, kern, params, tol=1e-10, steps=600)
@@ -163,9 +164,9 @@ class TestTimeShiftConsistency:
         worst = max(float(np.abs(a.values - b.values).sum()) * grid.spacing
                     for a, b in zip(shifted.densities, plain.densities))
         took = time.time() - t0
-        ok = worst < 1e-4 and took < 300.0
+        ok = worst < 1e-8 and took < 300.0
         announce("time-shift consistency", ok,
-                 f"worst per-time L1 {worst:.1e} (tol 1e-4); {took:.0f}s")
+                 f"kappa {kappa}: worst per-time L1 {worst:.1e} (tol 1e-8); {took:.0f}s")
 
 
 class TestDecayUniformity:

@@ -663,7 +663,9 @@ class TestCli:
 
     @pytest.mark.parametrize("lines", ["kernel = riesz\nkernel.cc = 5.0",
                                        "kernel = riesz\nkernel.K_table = 0, 1, 0.5, 2",
-                                       "kernel = nope"])
+                                       "kernel = nope",
+                                       # read by riesz, not by dirac: was a unit Dirac
+                                       "kernel = dirac\nkernel.c = 0.2"])
     def test_config_rejects_unknown_kernel_keys(self, tmp_path, monkeypatch, capsys, lines):
         monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
         cfg = tmp_path / "bad.cfg"

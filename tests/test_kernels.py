@@ -313,6 +313,17 @@ class TestNemytskiiDrift:
         with pytest.raises(ValueError, match=match):
             NemytskiiSpec(n, family)
 
+    @pytest.mark.parametrize("n, family, options", [
+        (1, "density", (("cap", 0.2),)),
+        (2, "clipped_gradient", (("weights", (1, 1)),)),
+        (1, "zero", (("weights", (1,)),)),
+        (2, "linear", (("weights", (1, 1)), ("cap", 0.2))),
+    ], ids=["density-cap", "clipped_gradient-weights", "zero-weights", "linear-cap"])
+    def test_parameters_the_family_does_not_read_are_rejected(self, n, family, options):
+        # each constructed, and its drift ignored the parameter
+        with pytest.raises(ValueError, match=f"family '{family}' does not read"):
+            NemytskiiSpec(n, family, options)
+
     @pytest.mark.parametrize("cap", [math.nan, -0.2, 0.0, math.inf])
     def test_clipped_gradient_cap_must_be_positive_and_finite(self, cap):
         # otherwise a nan cap fails only mid-solve and a negative one solves
@@ -456,9 +467,15 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown kernel parameters"):
             make_kernel("riesz", GRID, **kw)
 
-    def test_parameters_of_other_kernels_are_ignored(self):
-        # a config's kernel.<param> keys reach whichever catalog kernel it names
-        spec = make_kernel("zero", GRID, c=0.2, kappa=0.75)
+    def test_parameters_of_other_kernels_are_rejected(self):
+        # each was accepted and ignored: the Dirac kernel has unit amplitude
+        # whatever its c, the zero kernel has no order and Riesz no Dirac order
+        for name, kw in [("dirac", {"c": 0.5}), ("zero", {"n0": 3}), ("zero", {"c": 0.2}),
+                         ("riesz", {"order": 2}), ("constant", {"eps": 0.1})]:
+            with pytest.raises(ValueError, match=f"unknown kernel parameters "
+                                                 f"\\['{next(iter(kw))}'\\] for kernel '{name}'"):
+                make_kernel(name, GRID, **kw)
+        spec = make_kernel("zero", GRID, kappa=0.75)
         assert spec.variant.c == (0.0,)
         assert spec.modulation.kappa == 0.75
 

@@ -113,6 +113,26 @@ class TestWasserstein1d:
         with pytest.raises(ValueError, match="one-dimensional"):
             wasserstein_1d(a, a, 1.0)
 
+    @pytest.mark.parametrize("case", ["2d", "q-below-one", "negated", "mass"])
+    def test_empirical_route_checks_as_the_density_route(self, case):
+        # the empirical route returned 0.0255 at q = 0.5 and 0.0341 against a
+        # negated density, and ended in a scipy error on a 2-d density
+        samples = np.random.default_rng(3).standard_normal(1000)
+        target, q = gaussian_density(GRID, 0.0, 1.0), 1.0
+        if case == "2d":
+            target = gaussian_density(GridSpec(2, 64, 8.0), [0, 0], 0.09)
+        elif case == "q-below-one":
+            q = 0.5
+        elif case == "negated":
+            target = ScalarField(GRID, -target.values)
+        else:
+            target = ScalarField(GRID, 2.0 * target.values)
+        with pytest.raises(ValueError) as density_route:
+            wasserstein_1d(target, target, q)
+        with pytest.raises(ValueError) as empirical_route:
+            wasserstein_1d_empirical(samples, target, q)
+        assert str(empirical_route.value) == str(density_route.value)
+
     def test_empirical_route(self):
         rng = np.random.default_rng(3)
         target = gaussian_density(GRID, 0.0, 1.0)

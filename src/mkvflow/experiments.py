@@ -58,6 +58,7 @@ DEFAULT_TOLERANCES = {
     "residual": 1e-6,
     "decay_sup": 0.05,
     "decay_spread": 0.20,
+    "shift_limit_rate": 0.0,  # one-sided: how far the rate may fall below 1/2
     "stability_slope": 0.1,
     "stability_slope_upper_bracket": 0.15,
     "stability_linearity": 0.10,
@@ -473,8 +474,10 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
     _gate(params)
     report = _report(cfg, grid)
     sups = []
-    gammas = [gaussian_density(grid, 0.0, r, normalize=True) for r in o["r_list"]]
-    for r, (flow, _) in zip(o["r_list"], _solve(o, report, gammas, kern, params)):
+    r_list = o["r_list"]
+    gammas = [gaussian_density(grid, 0.0, r, normalize=True) for r in r_list]
+    flows = [flow for flow, _ in _solve(o, report, gammas, kern, params)]
+    for r, flow in zip(r_list, flows):
         trajectory, _ = _decay(flow, params)
         sup = float(np.max(trajectory[flow.times >= r]))
         sups.append(sup)
@@ -482,6 +485,17 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
         report.add(f"decay_sup(r={r:g})", sups[0], sup, DEFAULT_TOLERANCES["decay_sup"])
     spread = (max(sups) - min(sups)) / np.mean(sups)
     report.add("decay_spread", 0.0, spread, DEFAULT_TOLERANCES["decay_spread"])
+    if len(r_list) >= 3:
+        # Cauchy rate as r -> 0: the log-log slope of the L1 distances at T
+        # between the flows from consecutive r.  Wasserstein stability gives
+        # at least 1/2, since W1(N(0, r), N(0, r/2)) is proportional to sqrt(r);
+        # a zero distance has no logarithm and fails the row
+        finals = [flow.densities[-1].values for flow in flows]
+        dists = [np.abs(a - b).sum() * grid.cell_volume for a, b in zip(finals, finals[1:])]
+        rate = (float(np.polyfit(np.log(r_list[:-1]), np.log(dists), 1)[0])
+                if min(dists) > 0 else math.nan)
+        tol = DEFAULT_TOLERANCES["shift_limit_rate"]
+        report.add("shift_limit_rate", 0.5, rate, tol, rate >= 0.5 - tol)
     return report
 
 

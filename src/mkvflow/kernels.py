@@ -152,13 +152,19 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec):
     tail (the kernel is odd) telescopes: 800 pairs in 1-d, 24 per axis in
     2-d.  Values at the origin are set to zero (the mollified comparison
     never uses them).
+
+    In 2-d the sum runs on the quadrant ``[0, n/2]^2`` of indices only.  The
+    grid has ``x_{n-i} = -x_i`` for ``1 <= i < n`` and the image range is
+    symmetric, so the first component is odd under ``i -> n - i`` and even
+    under ``j -> n - j``; both axes share one coordinate array, so the
+    second component is the first transposed.  Row and column 0
+    (``x = -L/2``) have no mirror on the grid and lie in the quadrant.
     """
     p = grid.dim + 2 * spec.n0 + spec.eps0
-    xs = grid.coords()
     L = grid.extent
-    comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
     if grid.dim == 1:
-        x = xs[0]
+        comps = [np.zeros(grid.shape)]
+        x = grid.coords()[0]
         for m in range(-800, 801):
             z = x + m * L
             r = np.abs(z)
@@ -166,16 +172,28 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec):
                 vals = np.where(r > 0, z / r**p, 0.0)
             comps[0] += vals
     else:
-        xa, xb = xs
+        h = grid.points_per_dim // 2 + 1
+        x = grid.axis_coords()[:h]  # -L/2 up to the origin
+        quad = np.zeros((h, h))
         for ma in range(-24, 25):
-            za = xa + ma * L
+            za = (x + ma * L)[:, None]
+            za_sq = za * za
+            inv = np.zeros((h, h))
             for mb in range(-24, 25):
-                zb = xb + mb * L
-                r = np.hypot(za, zb)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    inv = np.where(r > 0, r**-p, 0.0)
-                comps[0] += za * inv
-                comps[1] += zb * inv
+                zb = x + mb * L
+                r2 = za_sq + zb * zb
+                if ma == mb == 0:  # the one image through the origin
+                    with np.errstate(divide="ignore"):
+                        inv += np.where(r2 > 0, r2 ** (-0.5 * p), 0.0)
+                else:
+                    inv += r2 ** (-0.5 * p)
+            quad += za * inv
+        quad[-1] = 0.0  # x = 0 is its own mirror, where the sum leaves roundoff
+        full = np.empty(grid.shape)
+        full[:h, :h] = quad
+        full[h:, :h] = -quad[h - 2:0:-1]
+        full[:, h:] = full[:, h - 2:0:-1]
+        comps = [full, full.T]
     return [_component(spec.c, j) * comps[j] for j in range(grid.dim)]
 
 

@@ -6,7 +6,8 @@ flows instead of its closed-form multiplier, the gradient of the heat flow
 of a single field, the full complex frequency lattice, the particle drift
 summed over pairs instead of binned, read through a corner-by-corner
 periodic interpolation, the solver's frozen drift evaluated node by node
-on the interpolated density, and random band-limited test inputs.
+on the interpolated density, the 2-d Riesz image sum over the whole grid,
+and random band-limited test inputs.
 """
 
 import math
@@ -162,6 +163,25 @@ def per_node_drift(spec, mus, grid, nodes):
     return ([np.stack(c) for c in zip(*(drift_field(spec, density_at(mu, s), s).components
                                          for mu in mus))]
             for s in nodes)
+
+
+def riesz_image_sum_2d(spec, grid) -> list:
+    """``kernels.riesz_direct`` of a 2-d Riesz kernel, summed over every grid
+    point and every image pair, with no symmetry used."""
+    p = grid.dim + 2 * spec.n0 + spec.eps0
+    xa, xb = grid.coords()
+    L = grid.extent
+    comps = [np.zeros(grid.shape) for _ in range(2)]
+    for ma in range(-24, 25):
+        za = xa + ma * L
+        for mb in range(-24, 25):
+            zb = xb + mb * L
+            r = np.hypot(za, zb)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.where(r > 0, r**-p, 0.0)
+            comps[0] += za * inv
+            comps[1] += zb * inv
+    return [float(spec.c[j] if j < len(spec.c) else spec.c[0]) * comps[j] for j in range(2)]
 
 
 def random_band_limited(grid, band: int, rng) -> ScalarField:

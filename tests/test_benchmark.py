@@ -1,11 +1,13 @@
 """The benchmark's gate on the solves it pins, run as a test.
 
 ``perfbench/workloads.py`` gates the Picard and time-shift solves of its
-nemytskii-shift-1d workload against ``perfbench/reference.json``; a change
-to either route shows here before a benchmark run does.  The test only
-reads ``perfbench/``.
+nemytskii-shift-1d workload and the 2-d Riesz solve of its solve-2d
+workload against ``perfbench/reference.json``; a change to any of these
+routes shows here before a benchmark run does.  The tests only read
+``perfbench/``.
 """
 
+import contextlib
 import json
 import sys
 import types
@@ -14,6 +16,13 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class NullTracer:
+    """Stands in for the benchmark's tracer: spans that record nothing."""
+
+    def span(self, name):
+        return contextlib.nullcontext()
 
 
 @pytest.fixture(scope="module")
@@ -35,5 +44,15 @@ def test_nemytskii_shift_solves_pass_the_benchmark_gate(workloads, op, tmp_path)
     (chosen,) = [o for o in wl.ops if o.name == op]
     reference = json.loads((PERFBENCH / "reference.json").read_text())[wl.name][op]
     outcome = chosen.check(chosen.run(None))
+    assert {q for q, _, _ in outcome.rows} >= set(reference)
+    assert workloads.gate(reference, outcome) == []
+
+
+def test_2d_riesz_solve_passes_the_benchmark_gate(workloads, tmp_path):
+    wl = workloads.Solve2D(0, tmp_path)
+    wl.setup()
+    (op,) = wl.ops
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[wl.name][op.name]
+    outcome = op.check(op.run(NullTracer()))
     assert {q for q, _, _ in outcome.rows} >= set(reference)
     assert workloads.gate(reference, outcome) == []

@@ -325,6 +325,34 @@ class TestSolveRows:
         rows = [r for r in run_experiment(cfg).rows if r.quantity == "fixed_point_residual"]
         assert [(r.measured, r.tol, r.passed) for r in rows] == [(3e-8, 1e-8, False)]
 
+    DECAY_ZERO = ("experiment = decay\ngrid_n = 256\nkernel = zero\nkappa = 0.75\n"
+                  "T = 0.1\nsteps = 50\n")
+
+    def test_shift_limit_rate_follows_three_widths(self):
+        # with no drift the flow from N(0, r) is N(0, r + T) at T, so the
+        # rate is the slope of the L1 distances between those Gaussians
+        r_list = (0.02, 0.01, 0.005)
+        report = run_experiment(parse_config(self.DECAY_ZERO + "r_list = 0.02, 0.01, 0.005\n"))
+        assert [(r.quantity, r.tol) for r in report.rows] == [
+            ("fixed_point_residual", 1e-8), ("decay_sup(r=0.02)", 0.05),
+            ("decay_sup(r=0.01)", 0.05), ("decay_sup(r=0.005)", 0.05), ("decay_spread", 0.2),
+            ("shift_limit_rate", 0.0)]
+        grid = GridSpec(1, 256, 16.0)
+        finals = [gaussian_density(grid, 0.0, r + 0.1).values for r in r_list]
+        dists = [np.abs(a - b).sum() * grid.cell_volume for a, b in zip(finals, finals[1:])]
+        want = np.polyfit(np.log(r_list[:-1]), np.log(dists), 1)[0]
+        row = report.rows[-1]
+        assert row.theory == 0.5 and row.passed
+        assert abs(row.measured - want) < 1e-6
+
+    def test_shift_limit_rate_fails_without_distance(self):
+        # every datum has one law, so the flows coincide and no rate exists
+        report = run_experiment(parse_config(self.DECAY_ZERO + "r_list = 0.01, 0.01, 0.01\n"))
+        row = report.rows[-1]
+        assert row.quantity == "shift_limit_rate"
+        assert math.isnan(row.measured) and not row.passed
+        assert not report.all_passed
+
 
 class TestStackedSolves:
     """Experiments with several initial data solve them as one stack."""

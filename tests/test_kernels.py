@@ -14,6 +14,7 @@ from mkvflow.grids import (
     gaussian_density,
     grid_delta,
     heat_apply,
+    rfft_wavenumbers,
 )
 from mkvflow.norms import SobolevIndex, local_neg_norm, measure_dual_norm
 from mkvflow.kernels import (
@@ -29,6 +30,7 @@ from mkvflow.kernels import (
     make_kernel,
     realize_kernel,
 )
+import oracles
 from oracles import drift_field
 
 GRID = GridSpec(1, 2048, 16.0)
@@ -172,6 +174,51 @@ class TestRealizeKernel:
         f = realize_kernel(spec, grid)
         assert len(f.components) == 2
         assert np.all(np.isfinite(f.components[0]))
+
+
+class TestRieszImageSum:
+    """The 2-d image sum on one quadrant, and the amplitude fitted against it."""
+
+    ORDERS = [(0, 0.5), (0, 1.0), (1, 0.5)]
+
+    @pytest.mark.parametrize("n, extent", [(32, 8.0), (64, 16.0), (128, 16.0)])
+    @pytest.mark.parametrize("n0, eps0", ORDERS)
+    def test_quadrant_sum_matches_the_full_grid_sum(self, n, extent, n0, eps0):
+        grid = GridSpec(2, n, extent)
+        spec = RieszOrder((0.3, -0.7), n0, eps0)
+        for got, want in zip(kernels.riesz_direct(spec, grid),
+                             oracles.riesz_image_sum_2d(spec, grid)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n0, eps0", ORDERS)
+    def test_reflections_and_transpose_are_exact(self, n0, eps0):
+        grid = GridSpec(2, 64, 8.0)
+        first, second = kernels.riesz_direct(RieszOrder((0.3, 0.3), n0, eps0), grid)
+        inner = first[1:, 1:]  # x_{n-i} = -x_i for 1 <= i < n
+        assert np.array_equal(inner[::-1, :], -inner)
+        assert np.array_equal(inner[:, ::-1], inner)
+        assert np.array_equal(second, first.T)
+
+    # (dim, n, extent, s): relative distance of the fitted amplitude from -C,
+    # measured with the full-grid image sum; bounded at twice that
+    @pytest.mark.parametrize("dim, n, extent, s, measured", [
+        (1, 1024, 16.0, 0.5, 2.17e-3), (1, 1024, 16.0, 1.5, 2.91e-4),
+        (2, 128, 16.0, 1.0, 2.55e-4), (2, 128, 16.0, 1.5, 9.43e-4),
+        (2, 256, 8.0, 1.0, 9.1e-6),
+    ])
+    def test_fitted_amplitude_is_near_the_closed_form(self, dim, n, extent, s, measured):
+        # F[x_j |x|^(-d-s)] = -i C xi_j |xi|^(s-2) with
+        # C = pi^(d/2) 2^(1-s) Gamma(1-s/2) / Gamma((d+s)/2) (Stein, ch. III)
+        grid = GridSpec(dim, n, extent)
+        eps = kernels.default_mollification(grid)
+        symbol = kernels._riesz_unit_symbols(0, s, grid, eps)[0]
+        ixi, xi_sq = rfft_wavenumbers(grid)
+        mode = (1,) + (0,) * (dim - 1)
+        unit = ixi[0][mode] * xi_sq[mode] ** (0.5 * s - 1.0) * math.exp(-0.5 * eps * xi_sq[mode])
+        fitted = (symbol[mode] / unit).real
+        closed = -math.pi ** (0.5 * dim) * 2.0 ** (1.0 - s) * math.gamma(1.0 - 0.5 * s) \
+            / math.gamma(0.5 * (dim + s))
+        assert abs(fitted / closed - 1.0) <= 2.0 * measured
 
 
 class TestDriftFromKernel:

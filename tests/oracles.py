@@ -23,7 +23,7 @@ from mkvflow.grids import (
     rfft,
     rfft_wavenumbers,
 )
-from mkvflow.kernels import drift_map, realize_kernel
+from mkvflow.kernels import _component, drift_map, realize_kernel
 
 
 def gaussian_w2(a, b) -> float:
@@ -181,7 +181,7 @@ def riesz_image_sum_2d(spec, grid) -> list:
                 inv = np.where(r > 0, r**-p, 0.0)
             comps[0] += za * inv
             comps[1] += zb * inv
-    return [float(spec.c[j] if j < len(spec.c) else spec.c[0]) * comps[j] for j in range(2)]
+    return [_component(spec.c, j) * comps[j] for j in range(2)]
 
 
 def random_band_limited(grid, band: int, rng) -> ScalarField:

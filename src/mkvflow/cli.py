@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .experiments import (
-    AdmissibilityError,
     ExperimentConfig,
     emit_report,
     parse_config,
@@ -27,18 +26,14 @@ from .norms import SobolevIndex, local_neg_norm, measure_dual_bracket
 from .solver import DegradedAccuracyError, NoContractionError
 
 
-def _add_grid(p, n=1024, extent=16.0, note=""):
-    p.add_argument("--grid", type=int, default=n, help="points per axis" + note)
-    p.add_argument("--extent", type=float, default=extent, help="torus side" + note)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="mkvflow",
                                  description="windowed-norm / mean-field flow toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="windowed norm and dual bracket of a Gaussian datum")
-    _add_grid(p)
+    p.add_argument("--grid", type=int, default=1024, help="points per axis")
+    p.add_argument("--extent", type=float, default=16.0, help="torus side")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--var", type=float, default=0.04)
@@ -47,11 +42,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="run an experiment from a config file or by name")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: the config's, else 0)")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
-    _add_grid(p, None, None, " (overrides config; default: the experiment's, 1024 points "
-              "or heat_exponent's 2048, extent 16)")
+    p.add_argument("--out", default=".", help="report directory (default: .)")
     p.add_argument("--dump-flow", default=None, help="write a solve's flow binary here")
     p.add_argument("--dump-csv", default=None, help="write a solve's density tables here")
 
@@ -71,8 +62,8 @@ def _cmd_norm(args, grid: GridSpec) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """The config file's experiment, or the named one with its defaults;
-    explicit flags override either.  Only a solve dumps its flow."""
+    """The config file's experiment, or the named one with its defaults.
+    Only a solve dumps its flow."""
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
@@ -83,13 +74,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if (args.dump_flow or args.dump_csv) and cfg.experiment != "solve":
         raise ValueError(f"--dump-flow and --dump-csv need the solve experiment, "
                          f"not {cfg.experiment}")
-    flags = {k: v for k, v in (("grid_n", args.grid), ("grid_extent", args.extent))
-             if v is not None}
-    options = tuple((k, flags.get(k, v)) for k, v in cfg.options)
-    options += tuple((k, v) for k, v in flags.items() if cfg.opt(k) is None)
-    seed = cfg.seed if args.seed is None else args.seed
-    out = cfg.output_dir if args.out is None else args.out
-    return ExperimentConfig(cfg.experiment, seed, out, options)
+    return cfg
 
 
 def _print_rows(report) -> int:
@@ -101,16 +86,14 @@ def _print_rows(report) -> int:
 
 
 def _cmd_experiment(args, cfg: ExperimentConfig) -> int:
-    """Run and emit; a refusal exits 2, an unconverged solve 1, other errors reach ``main``."""
+    """Run and emit; an unconverged solve exits 1, other errors, a refusal
+    included, reach ``main``."""
     try:
         report = run_experiment(cfg)
-    except AdmissibilityError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
     except (NoContractionError, DegradedAccuracyError) as exc:
         print(f"mkvflow {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    written = emit_report(report, cfg.output_dir or ".", name=f"{cfg.experiment}_{cfg.digest}")
+    written = emit_report(report, args.out, name=f"{cfg.experiment}_{cfg.digest}")
     if args.dump_flow:
         write_flow(report.flow, args.dump_flow)
         written.append(args.dump_flow)

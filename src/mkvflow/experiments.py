@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .flowio import write_csv_rows
-from .grids import GridSpec, ScalarField, gaussian_density
+from .grids import GridSpec, ScalarField, _require_int, gaussian_density
 from .kernels import (DiracDerivative, KernelSpec, RieszOrder, kernel_norm_study,
                       kernel_vanishes, make_kernel)
 from .metrics import GaussianSpec, relative_entropy, wasserstein_1d
@@ -34,7 +34,7 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, _check_study_sizes, chaos_convergence_study
-from .solver import (FlowParams, _require_int, _require_tol, contraction_ratios, picard_solve,
+from .solver import (FlowParams, _require_tol, contraction_ratios, picard_solve,
                      picard_solve_many)
 
 __all__ = [
@@ -116,7 +116,6 @@ class ExperimentConfig:
 
     experiment: str
     seed: int = 0
-    output_dir: str = "."
     options: tuple = ()  # flat (key, value) pairs beyond the fixed fields
 
     def __post_init__(self):
@@ -149,34 +148,17 @@ class ExperimentConfig:
         return default
 
     @property
-    def text(self) -> str:
-        lines = [f"experiment = {self.experiment}", f"seed = {self.seed}",
-                 f"output_dir = {self.output_dir}"]
-        lines += [f"{k} = {_fmt_value(v)}" for k, v in self.options]
-        return "\n".join(lines) + "\n"
-
-    @property
     def digest(self) -> str:
-        return hashlib.sha256(self.text.encode()).hexdigest()[:16]
-
-
-def _fmt_value(v):
-    if isinstance(v, (list, tuple)):
-        return ", ".join(_fmt_value(x) for x in v)
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+        """Names the run's report: a hash of every field, each float at full
+        precision (``repr``)."""
+        key = repr((self.experiment, self.seed, self.options))
+        return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def _parse_value(raw: str):
     raw = raw.strip()
     if "," in raw:
         return tuple(_parse_value(p) for p in raw.split(","))
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("inf", "+inf"):
-        return math.inf
     try:
         return int(raw)
     except ValueError:
@@ -200,16 +182,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (p.strip() for p in line.split("=", 1))
         value = _parse_value(raw)
-        if key in ("experiment", "seed", "output_dir"):
+        if key in ("experiment", "seed"):
             fields[key] = value
         else:
             options.append((key, value))
     if "experiment" not in fields:
         raise ValueError("config missing the 'experiment' key")
     return ExperimentConfig(experiment=str(fields["experiment"]),
-                            seed=int(fields.get("seed", 0)),
-                            output_dir=str(fields.get("output_dir", ".")),
-                            options=tuple(options))
+                            seed=fields.get("seed", 0), options=tuple(options))
 
 
 @dataclass

@@ -40,6 +40,13 @@ MAX_DERIVATIVE_ORDER = 4
 _RESOLUTION_CELLS = 2.0
 
 
+def _require_int(name: str, value, least: int = 1):
+    """Raise unless ``value`` is an int (not a bool) of at least ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on a centered torus.

@@ -25,6 +25,7 @@ from .grids import (
     GridSpec,
     VectorField,
     _derivative_multiplier,
+    _require_int,
     irfft,
     rfft,
     rfft_wavenumbers,
@@ -485,8 +486,9 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
     """The catalog kernel ``name`` on ``grid``, from the parameters it reads.
 
     Raises ``ValueError`` for an unknown name, a parameter the kernel does
-    not read, or a sequence where it reads a number (only the constant
-    kernel's ``c`` may be a vector).
+    not read, a sequence where it reads a number (only the constant
+    kernel's ``c`` may be a vector), or anything but an int where the
+    catalog's default is one.
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown kernel {name!r}; catalog: {sorted(_CATALOG)}")
@@ -499,11 +501,14 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
                        and (name, k) != ("constant", "c"))
     if sequences:
         raise ValueError(f"kernel {name!r} reads a number for {sequences}, got a sequence")
+    for k, v in kw.items():
+        if isinstance(reads[k], int):
+            _require_int(k, v, 0)
     p = {**reads, **kw}
     if name == "riesz":
-        variant = RieszOrder((float(p["c"]),) * grid.dim, int(p["n0"]), float(p["eps0"]))
+        variant = RieszOrder((float(p["c"]),) * grid.dim, p["n0"], float(p["eps0"]))
     elif name == "dirac":
-        variant = DiracDerivative(int(p["order"]), int(p["direction"]))
+        variant = DiracDerivative(p["order"], p["direction"])
     else:
         c = p.get("c", 0.0)  # the zero kernel is the constant 0
         variant = ConstantVector(tuple(float(x) for x in c) if np.iterable(c)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, gaussian_density
+from .grids import ScalarField
 
 __all__ = [
     "GaussianSpec",
@@ -37,13 +37,6 @@ class GaussianSpec:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if not all(math.isfinite(m) for m in self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
-
-    def density(self, grid: GridSpec) -> ScalarField:
-        return gaussian_density(grid, list(self.mean), self.variance)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mean)
 
 
 # ---------------------------------------------------------------------------

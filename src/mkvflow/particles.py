@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, heat_apply
+from .grids import GridSpec, ScalarField, _require_int, heat_apply
 from .kernels import KernelSpec, drift_map
 from .metrics import wasserstein_1d_empirical
-from .solver import MeasureFlow, _require_int
+from .solver import MeasureFlow
 
 __all__ = [
     "ParticleEnsemble",

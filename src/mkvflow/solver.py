@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (_RESOLUTION_CELLS, GridSpec, ScalarField, heat_apply, irfft, rfft,
-                    rfft_wavenumbers)
+from .grids import (_RESOLUTION_CELLS, GridSpec, ScalarField, _require_int, heat_apply, irfft,
+                    rfft, rfft_wavenumbers)
 from .kernels import KernelSpec, drift_map, kernel_vanishes
 from .norms import SobolevIndex, measure_dual_norm
 
@@ -72,13 +72,6 @@ class DegradedAccuracyError(RuntimeError):
 
 class NoContractionError(RuntimeError):
     """Three successive Picard distance ratios were at or above one."""
-
-
-def _require_int(name: str, value, least: int = 1):
-    """Raise unless ``value`` is an int (not a bool) of at least ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} int, got {value!r}")
 
 
 @dataclass(frozen=True)

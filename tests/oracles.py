@@ -30,12 +30,12 @@ def gaussian_w2(a, b) -> float:
     """Closed-form quadratic transport distance between isotropic Gaussians."""
     dm = np.asarray(a.mean) - np.asarray(b.mean)
     ds = math.sqrt(a.variance) - math.sqrt(b.variance)
-    return math.sqrt(float(dm @ dm) + a.dim * ds**2)
+    return math.sqrt(float(dm @ dm) + len(a.mean) * ds**2)
 
 
 def gaussian_entropy(a, b) -> float:
     """Closed-form relative entropy between isotropic Gaussians."""
-    d = a.dim
+    d = len(a.mean)
     r = a.variance / b.variance
     dm = np.asarray(a.mean) - np.asarray(b.mean)
     return 0.5 * (d * (r - 1.0 - math.log(r)) + float(dm @ dm) / b.variance)

@@ -37,6 +37,14 @@ SMALL_SOLVE = ("experiment = solve\ngrid_n = 256\nkernel = riesz\nkernel.c = 0.2
                "max_iter = 25\ntol = 1e-8\n")
 
 
+def membership_1024(tmp_path: Path) -> Path:
+    """The shipped Dirac membership config on 1024 points, for speed."""
+    path = tmp_path / "membership_1024.cfg"
+    path.write_text((REPO / "configs/membership_dirac.cfg").read_text()
+                    .replace("grid_n = 2048\n", "grid_n = 1024\n"))
+    return path
+
+
 class TestFitExponent:
     def test_exact_power_law(self):
         t = np.geomspace(0.1, 1.0, 8)
@@ -77,8 +85,7 @@ class TestConfig:
         assert cfg.seed == 3
         assert cfg.opt("kernel.c") == 0.2
         assert cfg.opt("h_list") == (0.02, 0.05, 0.1)
-        again = parse_config(cfg.text)
-        assert again.digest == cfg.digest
+        assert parse_config(text).digest == cfg.digest
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# hi\n\nexperiment = decay  # trailing\n")
@@ -99,6 +106,13 @@ class TestConfig:
     def test_hash_sensitivity(self):
         a = parse_config("experiment = decay\nseed = 1\n")
         b = parse_config("experiment = decay\nseed = 2\n")
+        assert a.digest != b.digest
+
+    def test_digest_keeps_every_float_digit(self):
+        # the digest hashed floats rounded to 12 digits, so the second run
+        # overwrote the first one's report
+        a = parse_config("experiment = decay\nT = 0.5\n")
+        b = parse_config("experiment = decay\nT = 0.5000000000001\n")
         assert a.digest != b.digest
 
 
@@ -602,15 +616,15 @@ class TestCli:
         # every named experiment used to run on 1024 points, heat_exponent too
         args = cli.build_parser().parse_args(["experiment", name])
         assert experiments._options(cli._experiment_config(args))["grid_n"] == grid_n
-        args = cli.build_parser().parse_args(["experiment", name, "--grid", "512"])
-        assert experiments._options(cli._experiment_config(args))["grid_n"] == 512
 
-    def test_grid_help_names_the_experiment_default(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["experiment", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        grid_n = experiments._OPTIONS["heat_exponent"]["grid_n"]
-        assert f"1024 points or heat_exponent's {grid_n}, extent 16" in help_text
+    def test_experiment_flags(self):
+        # the config file is the run's one description: no flag sets a
+        # seed, a grid or an extent
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        actions = sub.choices["experiment"]._actions
+        assert [a.dest for a in actions if not isinstance(a, argparse._HelpAction)] == [
+            "name", "config", "out", "dump_flow", "dump_csv"]
 
     def test_norm_command(self, capsys):
         rc = cli_main(["norm", "--grid", "1024", "--delta", "1.0", "--k", "2.0"])
@@ -621,8 +635,8 @@ class TestCli:
 
     def test_experiment_creates_missing_out_dir(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out"
-        rc = cli_main(["experiment", "--config", str(REPO / "configs/membership_dirac.cfg"),
-                       "--grid", "1024", "--out", str(out)])
+        rc = cli_main(["experiment", "--config", str(membership_1024(tmp_path)),
+                       "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
         assert len(list(out.glob("kernel_membership_*.csv"))) == 1
@@ -713,12 +727,37 @@ class TestCli:
         # particles used to count Philox's refusal as seed failures and exit 1;
         # heat_exponent ended in a numpy traceback
         monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text((REPO / f"configs/{config}.cfg").read_text()
+                       .replace("seed = 0\n", "seed = -1\n"))
         out = tmp_path / "out"
-        rc = cli_main([command, "--config", str(REPO / f"configs/{config}.cfg"),
-                       "--seed", "-1", "--out", str(out)])
+        rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"mkvflow {command}: error: seed must be a non-negative int")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = 1.5", "seed must be a non-negative int"),
+        ("seed = true", "seed must be a non-negative int"),
+        ("kernel.c = true", "could not convert string to float"),
+        ("kernel.n0 = true", "n0 must be a non-negative int"),
+        ("kernel.n0 = 1.5", "n0 must be a non-negative int"),
+        ("output_dir = out", "solve does not read output_dir"),
+    ], ids=["seed-float", "seed-bool", "c-bool", "n0-bool", "n0-float", "output-dir"])
+    def test_config_values_are_not_coerced(self, tmp_path, monkeypatch, capsys, line,
+                                            message):
+        # seed = 1.5 and seed = true ran as seed 1, kernel.c = true as c = 1,
+        # kernel.n0 = true or 1.5 as n0 = 1, and output_dir was a fixed field
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = solve\ngrid_n = 256\nkernel = riesz\n{line}\n")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mkvflow experiment: error: ") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -779,7 +818,7 @@ class TestCli:
         run.mkdir()
         monkeypatch.chdir(run)
         argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
-        rc = cli_main(argv[:1] + ["--grid", "1024"] + argv[1:])
+        rc = cli_main(argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
@@ -878,17 +917,6 @@ class TestCli:
         (row,) = [r for r in report.rows if r.quantity == "fixed_point_residual"]
         assert row.tol == 1e-8
 
-    def test_grid_flags_override_config(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("experiment = kernel_membership\ngrid_n = 1024\n"
-                       "kernel = dirac\ndeltas = 1.5\nks = inf\n")
-        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path),
-                       "--grid", "512", "--extent", "8"])
-        capsys.readouterr()
-        assert rc == 0
-        (path,) = tmp_path.glob("*.json")
-        assert json.loads(path.read_text())["provenance"]["grid"] == "dim=1 n=512 extent=8"
-
     @pytest.mark.parametrize("argv", [
         ["norm", "--threads", "2"],
         ["norm", "--out", "x"],
@@ -898,6 +926,9 @@ class TestCli:
         ["particles", "--config", "configs/particles_zero.cfg"],
         ["solve"],
         ["kernel-study"],
+        ["experiment", "decay", "--seed", "1"],
+        ["experiment", "decay", "--grid", "512"],
+        ["experiment", "decay", "--extent", "8"],
     ])
     def test_unread_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -992,16 +1023,29 @@ class TestCli:
         rc = cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "refused" in err
+        assert err.startswith("mkvflow experiment: error: smoothing-gap bound")
+        assert "violated" in err and err.count("\n") == 1
 
     def test_experiment_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        rc = cli_main(["experiment", "--config", str(REPO / "configs/membership_dirac.cfg"),
-                       "--grid", "1024"])
+        rc = cli_main(["experiment", "--config", str(membership_1024(tmp_path))])
         capsys.readouterr()
         assert rc == 0
         assert sorted(p.suffix for p in tmp_path.glob("kernel_membership_*")) == [".csv",
                                                                                  ".json"]
+
+    def test_report_name_does_not_depend_on_out(self, tmp_path, capsys):
+        # the digest hashed the output directory, so one config got one name
+        # and one config_hash per --out
+        cfg = membership_1024(tmp_path)
+        names, hashes = set(), set()
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert cli_main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+            (path,) = out.glob("*.json")
+            names.add(path.name)
+            hashes.add(json.loads(path.read_text())["provenance"]["config_hash"])
+        capsys.readouterr()
+        assert len(names) == len(hashes) == 1
         assert not (tmp_path / "None").exists()
 
     def test_dump_flags_need_the_solve_experiment(self, tmp_path, monkeypatch, capsys):
@@ -1016,18 +1060,6 @@ class TestCli:
                                        "--dump-csv need the solve experiment")
         assert captured.err.count("\n") == 1
         assert not any(tmp_path.iterdir())
-
-    def test_seed_zero_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("experiment = kernel_membership\nseed = 5\ngrid_n = 1024\n"
-                       "kernel = dirac\ndeltas = 1.5\nks = inf\n")
-        out = tmp_path / "out"
-        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out),
-                       "--seed", "0"])
-        capsys.readouterr()
-        assert rc == 0
-        (path,) = out.glob("*.json")
-        assert json.loads(path.read_text())["provenance"]["seed"] == 0
 
     def test_report_command_comma_labels(self, tmp_path, capsys):
         rep = RunReport(rows=[ReportRow("norm(delta=1, k=2)", 1.0, 1.25, 0.5, True),

@@ -530,3 +530,14 @@ class TestCatalog:
         spec = make_kernel("riesz", GRID, c=0.05, n0=1, eps0=0.25, kappa=0.5)
         assert spec.variant.n0 == 1
         assert spec.modulation.kappa == 0.5
+
+    @pytest.mark.parametrize("name, kw", [("riesz", {"n0": 1.5}), ("riesz", {"n0": True}),
+                                          ("dirac", {"order": 1.9}), ("dirac", {"order": True}),
+                                          ("dirac", {"direction": 1.0})],
+                             ids=["n0-float", "n0-bool", "order-float", "order-bool",
+                                  "direction-float"])
+    def test_int_parameters_must_be_ints(self, name, kw):
+        # each was cast with int(): n0 = 1.5 built n0 = 1, order = 1.9 order 1
+        (key,) = kw
+        with pytest.raises(ValueError, match=f"^{key} must be a non-negative int"):
+            make_kernel(name, GRID, **kw)

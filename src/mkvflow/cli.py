@@ -62,11 +62,15 @@ def _cmd_norm(args, grid: GridSpec) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """The config file's experiment, or the named one with its defaults.
-    Only a solve dumps its flow."""
+    """The config file's experiment, or the named one with its defaults; a
+    name given beside a config must be the config's.  Only a solve dumps its
+    flow."""
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+        if args.name not in (None, cfg.experiment):
+            raise ValueError(f"experiment {args.name!r} differs from {args.config}'s "
+                             f"experiment {cfg.experiment!r}")
     elif args.name is None:
         raise ValueError("experiment name or --config required")
     else:

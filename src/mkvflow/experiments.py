@@ -171,7 +171,8 @@ def _parse_value(raw: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat ordered key = value format ('#' starts a comment)."""
+    """Parse the flat ordered key = value format ('#' starts a comment); a
+    fixed field set twice is a ``ValueError``, as an option set twice is."""
     fields = {}
     options = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -183,6 +184,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = (p.strip() for p in line.split("=", 1))
         value = _parse_value(raw)
         if key in ("experiment", "seed"):
+            if key in fields:
+                raise ValueError(f"{key} is set more than once (line {lineno})")
             fields[key] = value
         else:
             options.append((key, value))

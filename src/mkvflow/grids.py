@@ -6,7 +6,8 @@ spatial derivatives are all Fourier multipliers, so they are
 exact on band-limited data and mass/positivity behave as for the continuum
 operators up to FFT roundoff.  All of them act on the real-FFT half lattice
 through read-only arrays cached per ``GridSpec``, shared with other modules.
-Every real transform of the package goes through ``rfft``/``irfft``.
+Every real transform of the package goes through ``rfft``/``irfft``, which
+run ``numpy.fft`` one axis at a time; scipy is not imported here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 __all__ = [
     "GridSpec",
@@ -113,31 +113,38 @@ class GridSpec:
         return np.hypot.reduce(self._lattice(np.minimum(np.abs(x), self.extent - np.abs(x))))
 
 
-def rfft(values: np.ndarray, dim: int | None = None) -> np.ndarray:
+def rfft(values: np.ndarray, dim: int | None = None, out: np.ndarray | None = None
+         ) -> np.ndarray:
     """Real-FFT half-lattice spectrum over the last ``dim`` axes (default: all).
 
     Leading axes index a stack of fields.  ``rfft`` and ``irfft`` run
-    ``scipy.fft`` on one thread: its 1-d entry points on 1-d grids, cheaper
-    per call than ``rfftn``/``irfftn`` and bit-identical to them, and the n-d
-    ones on 2-d grids.  Each is looked up on the ``scipy.fft`` module at call
-    time, never through a name bound at import, so that a wrapper installed
-    on the module's attributes (a transform counter, say) sees every transform.
+    ``numpy.fft``'s 1-d entry points, one axis at a time: ``rfft`` along the
+    last axis into ``out``, then ``fft`` in place along each earlier grid
+    axis, bit-identical to an n-d transform and cheaper per call.  ``out``,
+    if given, is the complex array of the spectrum's shape that is filled
+    and returned.  Each entry point is looked up on the ``numpy.fft`` module
+    at call time, never through a name bound at import, so that a wrapper
+    installed on the module's attributes (a transform counter, say) sees
+    every transform.
     """
     dim = dim or values.ndim
-    if dim == 1:
-        return fft.rfft(values, axis=-1, workers=1)
-    return fft.rfftn(values, axes=tuple(range(-dim, 0)), workers=1)
+    out = np.fft.rfft(values, axis=-1, out=out)
+    for axis in range(-dim, -1):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
 
 
-def irfft(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+def irfft(spectrum: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Real grid values of shape ``shape`` from their half-lattice spectrum.
 
     Leading axes index a stack.  ``shape`` is passed to the transform, so the
-    last axis is never guessed from the half-lattice length.  See ``rfft``.
+    last axis is never guessed from the half-lattice length.  ``out``, if
+    given, is the real array that is filled and returned.  ``spectrum`` is
+    left as it is.  See ``rfft``.
     """
-    if len(shape) == 1:
-        return fft.irfft(spectrum, n=shape[0], axis=-1, workers=1)
-    return fft.irfftn(spectrum, s=shape, axes=tuple(range(-len(shape), 0)), workers=1)
+    for axis in range(-len(shape), -1):
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    return np.fft.irfft(spectrum, n=shape[-1], axis=-1, out=out)
 
 
 @functools.lru_cache(maxsize=64)

@@ -487,8 +487,9 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
 
     Raises ``ValueError`` for an unknown name, a parameter the kernel does
     not read, a sequence where it reads a number (only the constant
-    kernel's ``c`` may be a vector), or anything but an int where the
-    catalog's default is one.
+    kernel's ``c`` may be a vector), anything but an int where the
+    catalog's default is one, or anything but an int or a float (a bool
+    included) where it reads a number.
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown kernel {name!r}; catalog: {sorted(_CATALOG)}")
@@ -504,6 +505,10 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
     for k, v in kw.items():
         if isinstance(reads[k], int):
             _require_int(k, v, 0)
+        elif v is not None or reads[k] is not None:  # eps = None: the default mollifier
+            for x in v if isinstance(v, (tuple, list)) else (v,):
+                if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                    raise ValueError(f"{k} must be an int or a float, got {x!r}")
     p = {**reads, **kw}
     if name == "riesz":
         variant = RieszOrder((float(p["c"]),) * grid.dim, p["n0"], float(p["eps0"]))

@@ -309,14 +309,17 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
     if frozen is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
         drifts = _frozen_drift(drift, frozen, grid, nodes)
 
+    rho = np.stack([g.values for g in gammas])  # the march state, overwritten per step
+    rho_hat = rfft(rho, grid.dim)
+    # transform outputs, allocated once: a flux spectrum and the predictor
+    flux_hat, predictor = np.empty_like(rho_hat), np.empty_like(rho)
+
     def transport(b, vals: np.ndarray) -> np.ndarray:  # spectrum of -div(b rho)
-        out = minus_ixi[0] * rfft(b[0] * vals, grid.dim)
+        out = minus_ixi[0] * rfft(b[0] * vals, grid.dim, flux_hat)
         for ik, c in zip(minus_ixi[1:], b[1:]):
-            out += ik * rfft(c * vals, grid.dim)
+            out += ik * rfft(c * vals, grid.dim, flux_hat)
         return out
 
-    rho = np.stack([g.values for g in gammas])
-    rho_hat = rfft(rho, grid.dim)
     densities = [[None] * out_times.size for _ in gammas]
     b_next = None if drifts is None else next(drifts)
     for m_idx in range(len(nodes) - 1):
@@ -330,7 +333,7 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
             b0, b_next = b_next, next(drifts)
             heated_F0 = transport(b0, rho)
             heated_F0 *= mult
-            predictor = irfft(rho_hat + h * heated_F0, shape)
+            irfft(rho_hat + h * heated_F0, shape, predictor)
             corrector = transport(b_next, predictor)
             corrector += heated_F0
             corrector *= 0.5 * h
@@ -338,7 +341,7 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
         rho_hat /= rho_hat[zero_mode].real * cell_volume
         slot = out_slot.get(m_idx + 1)
         if slot is not None or drifts is not None:
-            rho = irfft(rho_hat, shape)
+            irfft(rho_hat, shape, rho)
             if not np.isfinite(rho).all():
                 raise ValueError(f"march state is not finite at t={s1:.6g}")
         if slot is not None:

@@ -99,6 +99,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing"):
             parse_config("seed = 1\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("experiment = decay\nseed = 1\nseed = 2\n", "seed"),
+        ("experiment = decay\nseed = 1\nexperiment = heat_exponent\n", "experiment"),
+    ], ids=["seed", "experiment"])
+    def test_fixed_field_set_twice(self, text, key):
+        # the last line won: the second text built a heat_exponent config
+        with pytest.raises(ValueError, match=f"^{key} is set more than once \\(line 3\\)"):
+            parse_config(text)
+
     def test_inf_parsing(self):
         cfg = parse_config("experiment = decay\nk = inf\n")
         assert cfg.opt("k") == math.inf
@@ -170,13 +179,15 @@ class TestOptionTable:
         ("experiment", "membership_dirac", "deltas = 1.5, 0.5\nks = inf, inf, 2.0",
          "deltas (1.5, 0.5) and ks (inf, inf, 2.0) differ in length"),
         ("experiment", "contraction", "T = 0.5", "T is set more than once"),
+        ("experiment", "contraction", "seed = 1", "seed is set more than once"),
+        ("experiment", "contraction", "experiment = decay", "experiment is set more than once"),
         ("experiment", "contraction", "grid_extent = 8, 16", "grid_extent must be a number"),
         ("experiment", "contraction", "gamma_var = abc", "gamma_var must be a number, got 'abc'"),
         ("experiment", "decay", "r_list = 0.02, x", "each r_list entry must be a number"),
         ("experiment", "contraction", "n_times = 2.5", "n_times must be a positive int"),
     ], ids=["typo", "solve-tol", "particles-tol", "heat-dim", "heat-kernel", "heat-kernel-param",
             "lambda_list", "eps_list", "t_lo", "tol-name", "eps-p", "ks-longer", "ks-after-deltas",
-            "twice", "sequence", "word", "entry", "int"])
+            "twice", "seed-twice", "experiment-twice", "sequence", "word", "entry", "int"])
     def test_config_key_is_an_error_line(self, tmp_path, monkeypatch, capsys, command,
                                          config, lines, message):
         monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
@@ -741,7 +752,7 @@ class TestCli:
     @pytest.mark.parametrize("line, message", [
         ("seed = 1.5", "seed must be a non-negative int"),
         ("seed = true", "seed must be a non-negative int"),
-        ("kernel.c = true", "could not convert string to float"),
+        ("kernel.c = true", "c must be an int or a float, got 'true'"),
         ("kernel.n0 = true", "n0 must be a non-negative int"),
         ("kernel.n0 = 1.5", "n0 must be a non-negative int"),
         ("output_dir = out", "solve does not read output_dir"),
@@ -749,7 +760,8 @@ class TestCli:
     def test_config_values_are_not_coerced(self, tmp_path, monkeypatch, capsys, line,
                                             message):
         # seed = 1.5 and seed = true ran as seed 1, kernel.c = true as c = 1,
-        # kernel.n0 = true or 1.5 as n0 = 1, and output_dir was a fixed field
+        # kernel.n0 = true or 1.5 as n0 = 1, and output_dir was a fixed field;
+        # later kernel.c = true failed in float() without naming the key
         monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment = solve\ngrid_n = 256\nkernel = riesz\n{line}\n")
@@ -859,6 +871,22 @@ class TestCli:
         assert captured.err.startswith("mkvflow experiment: error: no contraction after ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_name_beside_another_config_is_an_error_line(self, tmp_path, monkeypatch, capsys):
+        # the name was ignored: this ran the solve experiment with no word
+        monkeypatch.setattr("mkvflow.cli.run_experiment", None)  # must not be reached
+        config = str(REPO / "configs/contraction.cfg")
+        out = tmp_path / "out"
+        rc = cli_main(["experiment", "decay", "--config", config, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("mkvflow experiment: error: experiment 'decay' "
+                                       "differs from ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+        args = cli.build_parser().parse_args(["experiment", "solve", "--config", config])
+        assert cli._experiment_config(args) == parse_config(Path(config).read_text())
 
     def test_missing_config_is_an_error_line(self, tmp_path, capsys):
         rc = cli_main(["experiment", "--config", str(tmp_path / "missing.cfg"),

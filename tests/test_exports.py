@@ -47,18 +47,27 @@ def test_package_imports_resolve():
             assert getattr(mkvflow, alias.name) is getattr(module, alias.name)
 
 
-def test_cli_start_up_skips_optimize_and_interpolate():
-    # the first two take about 0.3 s to import and only the transport
-    # metrics need them; nothing in the package needs sparse matrices
+def _loaded_by_cli_import(modules: tuple) -> list:
+    """Those of ``modules`` that ``import mkvflow.cli`` loads in a fresh process."""
     src = str(Path(mkvflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, mkvflow.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.sparse') "
-            "if m in sys.modules))")
+    code = f"import sys, mkvflow.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_cli_start_up_skips_optimize_and_interpolate():
+    # the first two take about 0.3 s to import and only the transport
+    # metrics need them; nothing in the package needs sparse matrices
+    assert _loaded_by_cli_import(("scipy.optimize", "scipy.interpolate", "scipy.sparse")) == []
+
+
+def test_cli_start_up_skips_scipy_fft_and_special():
+    # numpy.fft does every transform; scipy.fft takes about 0.4 s to import,
+    # most of it in scipy.special, which nothing else on this path needs
+    assert _loaded_by_cli_import(("scipy.fft", "scipy.special")) == []
 
 
 # every draw goes through ``np.random`` or a generator made by one of these

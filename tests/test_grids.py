@@ -234,6 +234,28 @@ def test_one_dimensional_transforms_match_the_nd_entry_points(n):
     assert np.array_equal(irfft(spectrum, (n,)), scipy.fft.irfftn(spectrum, s=(n,)))
 
 
+@pytest.mark.parametrize("shape, dim", [((128, 128), 2), ((256, 256), 2), ((3, 128, 128), 2),
+                                        ((2, 1, 128, 128), 2), ((3, 1024), 1)])
+@pytest.mark.parametrize("given_out", [False, True])
+def test_transforms_match_scipy_nd_transforms_bit_for_bit(shape, dim, given_out):
+    # scipy.fft's n-d transforms are the oracle of the axis-by-axis numpy.fft
+    # ones; ``out``, when given, is the array filled and returned
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    axes, grid_shape = tuple(range(-dim, 0)), shape[-dim:]
+    want = scipy.fft.rfftn(values, axes=axes)
+    out = np.empty_like(want) if given_out else None
+    got = rfft(values, dim, out)
+    assert np.array_equal(got, want)
+    assert out is None or got is out
+    spectrum = want * (1.0 + 0.5j)
+    kept = spectrum.copy()
+    out = np.empty_like(values) if given_out else None
+    back = irfft(spectrum, grid_shape, out)
+    assert np.array_equal(back, scipy.fft.irfftn(spectrum, s=grid_shape, axes=axes))
+    assert out is None or back is out
+    assert np.array_equal(spectrum, kept)  # the inverse leaves its input as it is
+
+
 @pytest.mark.parametrize("shape", [(64, 1024), (11, 1024), (3, 128, 128)])
 def test_stacked_transforms_equal_per_row_transforms(shape):
     # the solver's blocked Nemytskii drift is bit-identical to its per-node

@@ -526,6 +526,25 @@ class TestCatalog:
         assert spec.variant.c == (0.0,)
         assert spec.modulation.kappa == 0.75
 
+    @pytest.mark.parametrize("name, kw", [("riesz", {"c": True}), ("riesz", {"kappa": True}),
+                                          ("riesz", {"eps0": "abc"}), ("riesz", {"c": None}),
+                                          ("dirac", {"eps": "0.1"}),
+                                          ("constant", {"c": (1.0, False)})],
+                             ids=["c-bool", "kappa-bool", "eps0-word", "c-none", "eps-word",
+                                  "c-entry-bool"])
+    def test_number_parameters_must_be_numbers(self, name, kw):
+        # each was cast with float(): c = True built c = 1.0, and a word failed
+        # with "could not convert string to float", which names no key
+        (key,) = kw
+        with pytest.raises(ValueError, match=f"^{key} must be an int or a float, got "):
+            make_kernel(name, GRID, **kw)
+
+    def test_number_parameters_accept_ints(self):
+        spec = make_kernel("riesz", GRID, c=1, eps0=1, eps=0, kappa=np.int64(1))
+        assert spec.variant.c == (1.0,) and spec.variant.eps0 == 1.0
+        assert spec.mollification_eps == 0.0 and spec.modulation.kappa == 1.0
+        assert make_kernel("dirac", GRID, eps=None).mollification_eps > 0  # the default
+
     def test_riesz_params(self):
         spec = make_kernel("riesz", GRID, c=0.05, n0=1, eps0=0.25, kappa=0.5)
         assert spec.variant.n0 == 1

@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .flowio import write_csv_rows
-from .grids import GridSpec, ScalarField, _require_int, gaussian_density
+from .grids import GridSpec, ScalarField, _require_int, _require_number, gaussian_density
 from .kernels import (DiracDerivative, KernelSpec, RieszOrder, kernel_norm_study,
                       kernel_vanishes, make_kernel)
 from .metrics import GaussianSpec, relative_entropy, wasserstein_1d
@@ -273,8 +273,7 @@ def _of_kind(key: str, value, default):
     if isinstance(default, int):
         _require_int(key, value)
     elif not isinstance(default, str):
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{key} must be a number, got {value!r}")
+        _require_number(key, value)
         return float(value)
     return value
 

@@ -47,6 +47,12 @@ def _require_int(name: str, value, least: int = 1):
         raise ValueError(f"{name} must be a {kind} int, got {value!r}")
 
 
+def _require_number(name: str, value):
+    """Raise unless ``value`` is an int or a float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on a centered torus.

@@ -26,6 +26,7 @@ from .grids import (
     VectorField,
     _derivative_multiplier,
     _require_int,
+    _require_number,
     irfft,
     rfft,
     rfft_wavenumbers,
@@ -507,8 +508,7 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
             _require_int(k, v, 0)
         elif v is not None or reads[k] is not None:  # eps = None: the default mollifier
             for x in v if isinstance(v, (tuple, list)) else (v,):
-                if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-                    raise ValueError(f"{k} must be an int or a float, got {x!r}")
+                _require_number(k, x)
     p = {**reads, **kw}
     if name == "riesz":
         variant = RieszOrder((float(p["c"]),) * grid.dim, p["n0"], float(p["eps0"]))

@@ -752,7 +752,7 @@ class TestCli:
     @pytest.mark.parametrize("line, message", [
         ("seed = 1.5", "seed must be a non-negative int"),
         ("seed = true", "seed must be a non-negative int"),
-        ("kernel.c = true", "c must be an int or a float, got 'true'"),
+        ("kernel.c = true", "c must be a number, got 'true'"),
         ("kernel.n0 = true", "n0 must be a non-negative int"),
         ("kernel.n0 = 1.5", "n0 must be a non-negative int"),
         ("output_dir = out", "solve does not read output_dir"),

@@ -536,7 +536,7 @@ class TestCatalog:
         # each was cast with float(): c = True built c = 1.0, and a word failed
         # with "could not convert string to float", which names no key
         (key,) = kw
-        with pytest.raises(ValueError, match=f"^{key} must be an int or a float, got "):
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got "):
             make_kernel(name, GRID, **kw)
 
     def test_number_parameters_accept_ints(self):

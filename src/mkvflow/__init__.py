@@ -8,7 +8,6 @@ from .grids import (
     VectorField,
     heat_apply,
     bessel_apply,
-    field_derivative,
     gaussian_density,
     grid_delta,
 )

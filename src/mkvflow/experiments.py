@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,8 +222,8 @@ class RunReport:
                                    float(tol), bool(passed)))
 
 
-def fit_exponent(pairs):
-    """Ordinary least squares on (log t, log value); returns slope, intercept, r2."""
+def fit_exponent(pairs) -> float:
+    """Slope of the ordinary least-squares line through (log t, log value)."""
     pairs = list(pairs)
     if len(pairs) < 4:
         raise ValueError(f"need at least 4 points, got {len(pairs)}")
@@ -232,13 +231,7 @@ def fit_exponent(pairs):
     v = np.array([p[1] for p in pairs], dtype=float)
     if (t <= 0).any() or (v <= 0).any():
         raise ValueError("fit_exponent needs strictly positive values")
-    lt, lv = np.log(t), np.log(v)
-    slope, intercept = np.polyfit(lt, lv, 1)
-    pred = slope * lt + intercept
-    ss_res = float(((lv - pred) ** 2).sum())
-    ss_tot = float(((lv - lv.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(np.polyfit(np.log(t), np.log(v), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,10 @@ def _expected_membership(variant, delta, k, dim):
     A kernel homogeneous of order m, |x|^-(d+m) at the origin, has a
     mollified norm growing like eps^-q* with q* = (d + m - delta - d/k)/2
     when q* >= 0, so a Dirac derivative of order m is bounded iff q* < 0.
-    A smooth kernel is bounded, with q* = 0.
+    A Riesz kernel is bounded iff its core is, q* < 0 or delta >= 1 + 2 n0
+    (the second clause keeps the study's verdict on the q* = 0 boundary),
+    and its tail |x|^-(d + eps0 - 2) is windowed L^k.  A smooth kernel is
+    bounded, with q* = 0.
     """
     if isinstance(variant, DiracDerivative):
         m = variant.order
@@ -383,7 +379,7 @@ def _expected_membership(variant, delta, k, dim):
     if isinstance(variant, DiracDerivative):
         return ("bounded" if q < 0 else "unbounded"), q
     tail = dim + variant.eps0 - 2.0
-    bounded = delta >= 1 + 2 * variant.n0 and (tail <= 0 or k < dim / tail)
+    bounded = (delta >= 1 + 2 * variant.n0 or q < 0) and (tail <= 0 or k < dim / tail)
     return ("bounded" if bounded else "unbounded"), q
 
 
@@ -395,9 +391,7 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
     tol = DEFAULT_TOLERANCES["membership_exponent"]
     for delta, k in zip(o["deltas"], o["ks"]):
         idx = SobolevIndex(delta, k)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "truncated .* unresolvable mollification times")
-            study = kernel_norm_study(spec, idx, list(_MEMBERSHIP_EPS), grid)
+        study = kernel_norm_study(spec, idx, list(_MEMBERSHIP_EPS), grid)
         expect, q = _expected_membership(spec.variant, idx.delta, idx.k, grid.dim)
         label = f"membership(delta={delta:g},k={k:g})"
         report.add(label + ".verdict", 1.0, 1.0 if study.verdict == expect else 0.0,
@@ -506,12 +500,12 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
     # exponent from the certified lower bracket: the single-witness pairing
     # tracks the windowed scaling, while the cell-sum surrogate inflates with
     # the spatial spread of the difference (its fit is a looser check)
-    slope, _, _ = fit_exponent(list(zip(t_grid, np.mean(los, axis=0))))
+    slope = fit_exponent(list(zip(t_grid, np.mean(los, axis=0))))
     report.add("stability_slope", theory_slope, slope,
                DEFAULT_TOLERANCES["stability_slope"])
     his = np.array(his)
     mean_hi = his.mean(axis=0)
-    slope_hi, _, _ = fit_exponent(list(zip(t_grid, mean_hi)))
+    slope_hi = fit_exponent(list(zip(t_grid, mean_hi)))
     report.add("stability_slope_upper_bracket", theory_slope, slope_hi,
                DEFAULT_TOLERANCES["stability_slope_upper_bracket"])
     lin = np.max((his.max(axis=0) - his.min(axis=0)) / mean_hi)

@@ -26,15 +26,12 @@ __all__ = [
     "heat_apply",
     "bessel_apply",
     "bessel_sharpen",
-    "field_derivative",
     "rfft",
     "irfft",
     "rfft_wavenumbers",
     "gaussian_density",
     "grid_delta",
 ]
-
-MAX_DERIVATIVE_ORDER = 4
 
 # Gaussian std below this many grid cells is flagged as under-resolved.
 _RESOLUTION_CELLS = 2.0
@@ -47,10 +44,13 @@ def _require_int(name: str, value, least: int = 1):
         raise ValueError(f"{name} must be a {kind} int, got {value!r}")
 
 
-def _require_number(name: str, value):
-    """Raise unless ``value`` is an int or a float (not a bool)."""
+def _require_number(name: str, value, finite: bool = False):
+    """Raise unless ``value`` is an int or a float (not a bool), and, with
+    ``finite``, neither infinite nor NaN."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,12 @@ class GridSpec:
     extent: float
 
     def __post_init__(self):
+        _require_int("dim", self.dim)
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         n = self.points_per_dim
+        _require_int("points_per_dim", n)
+        _require_number("extent", self.extent)
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_dim must be a power of two >= 16, got {n}")
         if not (np.isfinite(self.extent) and self.extent > 0):
@@ -314,29 +317,6 @@ def _bessel_power(f: ScalarField, s: float) -> ScalarField:
     if s == 0:
         return f.copy()
     return ScalarField(f.grid, _apply_half(f.values, (1.0 + rfft_wavenumbers(f.grid)[1]) ** s))
-
-
-def field_derivative(f: ScalarField, order) -> ScalarField:
-    """Spectral partial derivative for a multi-index ``order`` with |order| <= 4.
-
-    A bare int is accepted in one dimension.  Exact on band-limited inputs.
-    """
-    if isinstance(order, (int, np.integer)):
-        if f.grid.dim != 1:
-            raise ValueError("a bare int order is only valid for dim=1; pass a multi-index")
-        order = (order,)
-    order = tuple(int(o) for o in order)
-    if len(order) != f.grid.dim:
-        raise ValueError(f"multi-index length {len(order)} does not match dim {f.grid.dim}")
-    if any(o < 0 for o in order):
-        raise ValueError(f"derivative orders must be nonnegative, got {order}")
-    total = sum(order)
-    if total > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"unsupported derivative order |{order}| = {total} > {MAX_DERIVATIVE_ORDER}")
-    if total == 0:
-        return f.copy()
-    mult = _derivative_multiplier(f.grid, order)
-    return ScalarField(f.grid, _apply_half(f.values, mult))
 
 
 def _periodic_sq_distance(grid: GridSpec, center) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +69,10 @@ class RieszOrder:
     eps0: float = 0.0
 
     def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be a nonnegative integer, got {self.n0}")
+        for x in self.c:
+            _require_number("c", x, finite=True)
+        _require_int("n0", self.n0, 0)
+        _require_number("eps0", self.eps0)
         if not (0.0 <= self.eps0 < 2.0):
             raise ValueError(f"eps0 must lie in [0, 2), got {self.eps0}")
         if self.n0 >= 1 and self.eps0 == 0.0:
@@ -87,6 +88,8 @@ class DiracDerivative:
     direction: int = 0
 
     def __post_init__(self):
+        _require_int("order", self.order, 0)
+        _require_int("direction", self.direction, 0)
         if self.order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {self.order}")
         if self.direction not in (0, 1):
@@ -97,6 +100,10 @@ class DiracDerivative:
 class ConstantVector:
     c: tuple = (1.0,)
 
+    def __post_init__(self):
+        for x in self.c:
+            _require_number("c", x, finite=True)
+
 
 @dataclass(frozen=True)
 class TimeModulation:
@@ -105,6 +112,7 @@ class TimeModulation:
     kappa: float = 0.0
 
     def __post_init__(self):
+        _require_number("kappa", self.kappa)
         if not 0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
 
@@ -121,6 +129,7 @@ class KernelSpec:
     modulation: TimeModulation = field(default_factory=TimeModulation)
 
     def __post_init__(self):
+        _require_number("eps", self.mollification_eps, finite=True)  # the catalog's name
         if self.mollification_eps < 0:
             raise ValueError("mollification_eps must be >= 0")
 
@@ -350,8 +359,7 @@ class NemytskiiSpec:
     modulation: TimeModulation = field(default_factory=TimeModulation)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"derivative depth n must be >= 1, got {self.n}")
+        _require_int("derivative depth n", self.n)
         if self.n - 1 > 4:
             raise ValueError(f"unsupported derivative depth n={self.n} (n-1 > 4)")
         if self.family not in _NEMYTSKII:
@@ -438,6 +446,9 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
                       grid: GridSpec) -> NormStudy:
     """Windowed-norm trace of the mollified kernel across mollification times.
 
+    Times with ``sqrt(eps)`` below the grid spacing are dropped;
+    ``eps_values`` holds the ones traced.
+
     Verdict rule (documented): with ``s_j = (n_{j+1} - n_j) / log(eps_j / eps_{j+1})``
     the norm increment per unit of log(1/eps), the verdict is unbounded iff
     the log-log slope exponent q exceeds 0.05 and ``s_last >= s_prev``.  A
@@ -450,9 +461,6 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     usable = [e for e in eps_list if math.sqrt(e) >= grid.spacing]
-    if len(usable) < len(eps_list):
-        warnings.warn(f"truncated {len(eps_list) - len(usable)} unresolvable "
-                      f"mollification times (sqrt(eps) < spacing)", stacklevel=2)
     if len(usable) < 3:
         raise ValueError("need at least 3 resolvable mollification times")
     if kernel_vanishes(spec):
@@ -486,11 +494,8 @@ _CATALOG = {
 def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
     """The catalog kernel ``name`` on ``grid``, from the parameters it reads.
 
-    Raises ``ValueError`` for an unknown name, a parameter the kernel does
-    not read, a sequence where it reads a number (only the constant
-    kernel's ``c`` may be a vector), anything but an int where the
-    catalog's default is one, or anything but an int or a float (a bool
-    included) where it reads a number.
+    Raises ``ValueError`` for an unknown name or a parameter the kernel does
+    not read; the variant, envelope and spec constructors check the values.
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown kernel {name!r}; catalog: {sorted(_CATALOG)}")
@@ -499,25 +504,14 @@ def make_kernel(name: str, grid: GridSpec, **kw) -> KernelSpec:
     if unknown:
         raise ValueError(f"unknown kernel parameters {unknown} for kernel {name!r}; "
                          f"it reads {list(reads)}")
-    sequences = sorted(k for k, v in kw.items() if isinstance(v, (tuple, list, np.ndarray))
-                       and (name, k) != ("constant", "c"))
-    if sequences:
-        raise ValueError(f"kernel {name!r} reads a number for {sequences}, got a sequence")
-    for k, v in kw.items():
-        if isinstance(reads[k], int):
-            _require_int(k, v, 0)
-        elif v is not None or reads[k] is not None:  # eps = None: the default mollifier
-            for x in v if isinstance(v, (tuple, list)) else (v,):
-                _require_number(k, x)
     p = {**reads, **kw}
     if name == "riesz":
-        variant = RieszOrder((float(p["c"]),) * grid.dim, p["n0"], float(p["eps0"]))
+        variant = RieszOrder((p["c"],) * grid.dim, p["n0"], p["eps0"])
     elif name == "dirac":
         variant = DiracDerivative(p["order"], p["direction"])
     else:
         c = p.get("c", 0.0)  # the zero kernel is the constant 0
-        variant = ConstantVector(tuple(float(x) for x in c) if np.iterable(c)
-                                 else (float(c),) * grid.dim)
+        variant = ConstantVector(tuple(c) if np.iterable(c) else (c,) * grid.dim)
     eps = p.get("eps", 0.0)  # only the singular kernels are mollified
-    eps = float(default_mollification(grid) if eps is None else eps)
-    return KernelSpec(variant, eps, TimeModulation(kappa=float(p["kappa"])))
+    eps = default_mollification(grid) if eps is None else eps
+    return KernelSpec(variant, eps, TimeModulation(kappa=p["kappa"]))

@@ -73,8 +73,8 @@ def _transport_distance(rho: ScalarField, other, q: float) -> float:
     density = isinstance(other, ScalarField)
     if density and other.grid != rho.grid:
         raise ValueError("densities must share a grid")
-    if q < 1:
-        raise ValueError(f"order q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:  # a NaN fails here
+        raise ValueError(f"order q must be >= 1 and finite, got {q}")
     rho.require_density()
     u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
     if density:

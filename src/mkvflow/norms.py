@@ -25,6 +25,7 @@ from .grids import (
     _heat_multiplier,
     _magnitude,
     _periodic_sq_distance,
+    _require_number,
     bessel_apply,
     bessel_sharpen,
     irfft,
@@ -63,6 +64,8 @@ class SobolevIndex:
     k: float
 
     def __post_init__(self):
+        _require_number("delta", self.delta)
+        _require_number("k", self.k)
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
         if not self.k >= 1:
@@ -219,7 +222,6 @@ def heat_norm_exponent(i: int, frm: SobolevIndex, to: SobolevIndex, dim: int) ->
 @dataclass
 class ProbeFit:
     slope: float
-    intercept: float
     t_values: np.ndarray
     estimates: np.ndarray
 
@@ -317,5 +319,5 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
                 ratios = _probe_norms(grid, spectra[live], mults, to) / nin[live]
                 best = max(best, np.max(ratios, initial=0.0))
             estimates[j] = best
-    slope, intercept = np.polyfit(np.log(t_grid), np.log(estimates), 1)
-    return ProbeFit(float(slope), float(intercept), t_grid, estimates)
+    slope = np.polyfit(np.log(t_grid), np.log(estimates), 1)[0]
+    return ProbeFit(float(slope), t_grid, estimates)

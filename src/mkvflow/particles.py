@@ -69,6 +69,8 @@ class SimConfig:
 
     def __post_init__(self):
         _require_int("seed", self.seed, 0)
+        if not isinstance(self.kernel, (KernelSpec, type(None))):
+            raise ValueError(f"kernel must be a KernelSpec or None, got {self.kernel!r}")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ValueError(f"dt and T must be positive and finite, got dt={self.dt}, "
                              f"T={self.T}")

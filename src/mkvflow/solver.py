@@ -98,6 +98,7 @@ class FlowParams:
             raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
+        _require_int("dim", self.dim)
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         # eight equally spaced output times unless given
@@ -159,17 +160,12 @@ class SolveReport:
     gap_series: list = field(default_factory=list)
 
 
-def _stack_of(x, kind) -> list:
-    """``x`` as a list of members: one ``kind`` is a stack of one."""
-    return [x] if isinstance(x, kind) else list(x)
-
-
 def _frozen_drift(drift, mu, grid: GridSpec, nodes):
     """Iterator over the drift components of ``drift`` at each of ``nodes``, in
     order, with the flows frozen at ``mu``.
 
-    ``mu`` is a flow or a sequence of flows on the same times, the members
-    of a stack; each component has shape ``(members, *grid.shape)``.
+    ``mu`` is a list of flows on the same times, the members of a stack;
+    each component has shape ``(members, *grid.shape)``.
     Both spec kinds are ``kernels.drift_map``, built once here, times the
     envelope; it rejects any other drift.  A convolution drift is linear in
     the density and the frozen flow is linear in time between its fields
@@ -186,13 +182,12 @@ def _frozen_drift(drift, mu, grid: GridSpec, nodes):
     checked here, before the first node.
     """
     evaluate = drift_map(drift, grid)
-    flows = _stack_of(mu, MeasureFlow)
-    fields = [[f.initial] + list(f.densities) for f in flows]
+    fields = [[f.initial] + list(f.densities) for f in mu]
     for f in itertools.chain.from_iterable(fields):
         f.require_density()
     # one (members, *grid.shape) stack per frozen time
     stacks = [np.stack([f.values for f in at]) for at in zip(*fields)]
-    bracket = flows[0]._bracket
+    bracket = mu[0]._bracket
     if isinstance(drift, KernelSpec):
         convs = [evaluate(values) for values in stacks]
 
@@ -202,11 +197,11 @@ def _frozen_drift(drift, mu, grid: GridSpec, nodes):
             a, b = factor * (1 - w), factor * w
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
         return map(field_at, nodes)
-    size = max(1, _BLOCK_VALUES // (len(flows) * grid.num_points))
+    size = max(1, _BLOCK_VALUES // (len(mu) * grid.num_points))
 
     def block_at(block: list) -> list:
         """Components at each node of ``block``, from one call of the map."""
-        rho = np.empty((len(block), len(flows)) + grid.shape)
+        rho = np.empty((len(block), len(mu)) + grid.shape)
         factors = np.empty((len(block),) + (1,) * (grid.dim + 1))
         for i, s in enumerate(block):
             j, w = bracket(s)
@@ -247,8 +242,8 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     return vals / (float(vals.sum()) * grid.cell_volume)
 
 
-def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
-    """Law flow of the diffusion whose drift is frozen from the flow ``mu``.
+def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
+    """Law flows of the diffusions whose drifts are frozen from the flows ``mu``.
 
     Marches the mild identity with an exponential Heun (predictor-corrector)
     step on the density's real-FFT spectrum, over ``steps`` nodes refined
@@ -261,13 +256,13 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
     density is an accuracy parameter of the fixed point, not just a sampling
     choice.
 
-    ``gamma`` is one density or a sequence of densities on one grid, and
-    ``mu`` then None, one flow or a sequence of as many flows.  The march
-    state is a ``(members, *grid.shape)`` stack, one row per density, with
-    the heat multipliers and the drift interpolation weights shared by all
-    rows; each row is marched, mass-projected, checked and clipped as its
-    density alone would be, bit for bit.  Returns one flow for one density,
-    else a list of flows in the order of ``gamma``.
+    ``gammas`` is a sequence of densities on one grid and ``mu`` None or a
+    sequence of as many flows.  The march state is a
+    ``(members, *grid.shape)`` stack, one row per density, with the heat
+    multipliers and the drift interpolation weights shared by all rows; each
+    row is marched, mass-projected, checked and clipped as its density alone
+    would be, bit for bit.  Returns the list of flows in the order of
+    ``gammas``.
 
     Raises
     ------
@@ -280,13 +275,13 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
         density or the march state turns non-finite.
     """
     _require_int("steps", steps)
-    gammas = _stack_of(gamma, ScalarField)
+    gammas = list(gammas)
     if not gammas:
         raise ValueError("phi_apply needs at least one initial density")
     grid = gammas[0].grid
     if any(g.grid != grid for g in gammas):
         raise ValueError("the initial densities must share one grid")
-    frozen = None if mu is None else _stack_of(mu, MeasureFlow)
+    frozen = None if mu is None else list(mu)
     if frozen is not None and len(frozen) != len(gammas):
         raise ValueError(f"{len(frozen)} frozen flows for {len(gammas)} initial densities")
     if params.dim != grid.dim:
@@ -351,9 +346,8 @@ def phi_apply(gamma, mu, drift, params: FlowParams, steps: int = 600):
         if log["clip_mass"] > 1e-3:
             raise DegradedAccuracyError(
                 f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3")
-    flows = [MeasureFlow(out_times, d, g, meta=log)
-             for d, g, log in zip(densities, gammas, logs)]
-    return flows[0] if isinstance(gamma, ScalarField) else flows
+    return [MeasureFlow(out_times, d, g, meta=log)
+            for d, g, log in zip(densities, gammas, logs)]
 
 
 def _dual_norm_series(mu: MeasureFlow, nu: MeasureFlow, idx: SobolevIndex) -> np.ndarray:
@@ -429,7 +423,6 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
     current = phi_apply(gammas, None, drift, params, steps)
     gap_series = [[] for _ in gammas]  # per member, per-iteration per-time gaps
     dists = [[] for _ in gammas]  # per member, per-iteration weighted distance
-    residual = [math.inf] * len(gammas)
     clip_mass = [flow.meta["clip_mass"] for flow in current]
     active = list(range(len(gammas)))
 
@@ -440,9 +433,8 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
             clip_mass[i] = max(clip_mass[i], flow.meta["clip_mass"])
             gap_series[i].append(_dual_norm_series(flow, current[i], params.running_index))
             current[i] = flow
-            residual[i] = float(np.max(weight * gap_series[i][-1]))
-            dists[i].append(residual[i])
-            if residual[i] < tol:
+            dists[i].append(float(np.max(weight * gap_series[i][-1])))
+            if dists[i][-1] < tol:
                 continue
             ratios = _ratios(dists[i])[-3:]
             if len(ratios) == 3 and min(ratios) >= 1.0:
@@ -450,14 +442,13 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
                     f"no contraction after {it + 1} iterations "
                     f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
                     f"weaken the drift or shorten the horizon T")
-        active = [i for i in active if not residual[i] < tol]
+        active = [i for i in active if not dists[i][-1] < tol]
         if not active:
             break
     return [(flow, SolveReport(
                 iterations=len(gaps), contraction_ratios=_ratios(dist), lam_used=0.0,
-                clip_mass=clipped, residual=res, gap_series=gaps))
-            for flow, gaps, dist, clipped, res
-            in zip(current, gap_series, dists, clip_mass, residual)]
+                clip_mass=clipped, residual=dist[-1], gap_series=gaps))
+            for flow, gaps, dist, clipped in zip(current, gap_series, dists, clip_mass)]
 
 
 def picard_solve(gamma: ScalarField, drift, params: FlowParams, tol: float = 1e-8,

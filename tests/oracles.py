@@ -3,7 +3,8 @@
 Closed forms for isotropic Gaussians, the sup-norm bound of the windowed
 norm, the Bessel potential assembled as a Gamma-weighted integral of heat
 flows instead of its closed-form multiplier, the gradient of the heat flow
-of a single field, the full complex frequency lattice, the particle drift
+of a single field, the full complex frequency lattice and partial
+derivatives on it, the particle drift
 summed over pairs instead of binned, read through a corner-by-corner
 periodic interpolation, the solver's frozen drift evaluated node by node
 on the interpolated density, the 2-d Riesz image sum over the whole grid,
@@ -101,6 +102,15 @@ def heat_gradient(f: ScalarField, t: float) -> VectorField:
 def freqs(grid) -> tuple:
     """Angular frequencies on the full lattice, one array per axis (fftfreq order)."""
     return grid._lattice(grid.freq_axis())
+
+
+def full_lattice_derivative(f: ScalarField, order) -> np.ndarray:
+    """Partial derivative of multi-index ``order``: the full-lattice spectrum
+    times ``prod_j (i xi_j)^o_j``, transformed back, then ``.real``."""
+    mult = np.ones(f.grid.shape, dtype=complex)
+    for xi, o in zip(freqs(f.grid), order):
+        mult = mult * (1j * xi) ** o
+    return np.fft.ifftn(np.fft.fftn(f.values) * mult).real
 
 
 def freq_sq(grid) -> np.ndarray:

@@ -100,10 +100,11 @@ def _is_all(node) -> bool:
 
 
 def _referenced_names(nodes) -> set:
-    """Names, attributes, imported names and string constants under ``nodes``.
+    """Names, attributes and imported names under ``nodes``.
 
-    String constants count because the benchmark's tracer names the
-    functions it wraps by string.
+    String constants do not count: the benchmark's tracer names each
+    function it wraps by string, and skips a name the package no longer
+    defines, so naming a function there is no use of it.
     """
     out = set()
     for root in nodes:
@@ -114,8 +115,6 @@ def _referenced_names(nodes) -> set:
                 out.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 out |= {a.name for a in node.names}
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
     return out
 
 

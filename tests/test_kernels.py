@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +9,15 @@ from mkvflow import kernels
 from mkvflow.grids import (
     GridSpec,
     _magnitude,
-    field_derivative,
     gaussian_density,
     grid_delta,
     heat_apply,
     rfft_wavenumbers,
 )
+from mkvflow.experiments import parse_config
 from mkvflow.norms import SobolevIndex, local_neg_norm, measure_dual_norm
+from mkvflow.particles import SimConfig
+from mkvflow.solver import FlowParams
 from mkvflow.kernels import (
     ConstantVector,
     DiracDerivative,
@@ -31,7 +32,7 @@ from mkvflow.kernels import (
     realize_kernel,
 )
 import oracles
-from oracles import drift_field
+from oracles import drift_field, full_lattice_derivative
 
 GRID = GridSpec(1, 2048, 16.0)
 EPS = 4.0 * GRID.spacing**2
@@ -85,7 +86,7 @@ class TestRealizeKernel:
             want = [np.full(grid.shape, c) for c in variant.c]
         else:
             order = tuple(variant.order * (j == variant.direction) for j in range(grid.dim))
-            core = field_derivative(heat_apply(grid_delta(grid), eps), order).values
+            core = full_lattice_derivative(heat_apply(grid_delta(grid), eps), order)
             want = [core if j == variant.direction else np.zeros(grid.shape)
                     for j in range(grid.dim)]
         got = realize_kernel(KernelSpec(variant, eps), grid).components
@@ -409,11 +410,9 @@ class TestKernelNormStudy:
         # bounded iff delta > d = 1 at k = inf; unbounded side grows like the
         # heat-kernel oracle, and at delta = d like log(1/eps)
         spec = KernelSpec(DiracDerivative(0, 0), 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            above = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), EPS_LIST, GRID)
-            at = kernel_norm_study(spec, SobolevIndex(1.0, math.inf), EPS_LIST, GRID)
-            below = kernel_norm_study(spec, SobolevIndex(0.5, math.inf), EPS_LIST, GRID)
+        above = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), EPS_LIST, GRID)
+        at = kernel_norm_study(spec, SobolevIndex(1.0, math.inf), EPS_LIST, GRID)
+        below = kernel_norm_study(spec, SobolevIndex(0.5, math.inf), EPS_LIST, GRID)
         assert above.verdict == "bounded"
         assert at.verdict == "unbounded"
         assert below.verdict == "unbounded"
@@ -432,9 +431,7 @@ class TestKernelNormStudy:
     @pytest.mark.parametrize("delta", [0.5, 1.5])
     def test_norms_match_frozen_oracle(self, delta):
         spec = KernelSpec(DiracDerivative(0, 0), 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            study = kernel_norm_study(spec, SobolevIndex(delta, math.inf), EPS_LIST, GRID)
+        study = kernel_norm_study(spec, SobolevIndex(delta, math.inf), EPS_LIST, GRID)
         for measured, frozen in zip(study.norms, DIRAC_ORACLE[delta]):
             assert measured == pytest.approx(frozen, rel=2e-3)
 
@@ -453,9 +450,8 @@ class TestKernelNormStudy:
     def test_truncates_unresolvable(self):
         spec = KernelSpec(DiracDerivative(0, 0), 1.0)
         eps = [0.02, 0.01, 0.005, 1e-7]
-        with pytest.warns(UserWarning, match="truncated"):
-            study = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), eps, GRID)
-        assert len(study.norms) == 3
+        study = kernel_norm_study(spec, SobolevIndex(1.5, math.inf), eps, GRID)
+        assert study.eps_values == eps[:3] and len(study.norms) == 3
 
     def test_vanishing_kernel_is_bounded(self):
         spec = make_kernel("zero", GRID)
@@ -560,3 +556,36 @@ class TestCatalog:
         (key,) = kw
         with pytest.raises(ValueError, match=f"^{key} must be a non-negative int"):
             make_kernel(name, GRID, **kw)
+
+
+# each was accepted, or failed with a TypeError or AttributeError that names
+# no field; through a config a NaN amplitude reached the march and a NaN eps
+# the calibration
+REFUSED_CONSTRUCTIONS = {
+    "riesz-c-nan": lambda: RieszOrder((math.nan,)),
+    "riesz-c-inf": lambda: RieszOrder((math.inf,)),
+    "riesz-n0-float": lambda: RieszOrder(n0=1.5),
+    "constant-c-nan": lambda: ConstantVector((math.nan,)),
+    "spec-eps-nan": lambda: KernelSpec(ConstantVector(), math.nan),
+    "spec-eps-inf": lambda: KernelSpec(ConstantVector(), math.inf),
+    "dirac-order-bool": lambda: DiracDerivative(order=True),
+    "dirac-order-float": lambda: DiracDerivative(order=1.0),
+    "modulation-bool": lambda: TimeModulation(True),
+    "nemytskii-n-float": lambda: NemytskiiSpec(2.5, "density"),
+    "grid-dim-bool": lambda: GridSpec(True, 1024, 16),
+    "grid-points-float": lambda: GridSpec(1, 1024.0, 16),
+    "flow-dim-bool": lambda: FlowParams(1, 2, dim=True),
+    "index-delta-bool": lambda: SobolevIndex(True, 2),
+    "sim-nemytskii-kernel": lambda: SimConfig(GRID, 0.01, 0.1, 0,
+                                              kernel=NemytskiiSpec(1, "density")),
+    "config-c-nan": lambda: parse_config("experiment = solve\nkernel = riesz\n"
+                                         "kernel.c = nan\n"),
+    "config-eps-nan": lambda: parse_config("experiment = solve\nkernel = riesz\n"
+                                           "kernel.eps = nan\n"),
+}
+
+
+@pytest.mark.parametrize("build", REFUSED_CONSTRUCTIONS.values(), ids=REFUSED_CONSTRUCTIONS)
+def test_constructors_refuse_what_they_cannot_realize(build):
+    with pytest.raises(ValueError, match="must be"):
+        build()

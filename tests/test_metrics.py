@@ -113,16 +113,18 @@ class TestWasserstein1d:
         with pytest.raises(ValueError, match="one-dimensional"):
             wasserstein_1d(a, a, 1.0)
 
-    @pytest.mark.parametrize("case", ["2d", "q-below-one", "negated", "mass"])
+    @pytest.mark.parametrize("case", ["2d", "q-below-one", "q-inf", "q-nan", "negated", "mass"])
     def test_empirical_route_checks_as_the_density_route(self, case):
         # the empirical route returned 0.0255 at q = 0.5 and 0.0341 against a
-        # negated density, and ended in a scipy error on a 2-d density
+        # negated density, and ended in a scipy error on a 2-d density; both
+        # routes took q = inf and q = nan (1.0 and nan between N(0, 0.04) and
+        # N(0.3, 0.04), whose W_q distance is 0.3 for every finite q >= 1)
         samples = np.random.default_rng(3).standard_normal(1000)
         target, q = gaussian_density(GRID, 0.0, 1.0), 1.0
         if case == "2d":
             target = gaussian_density(GridSpec(2, 64, 8.0), [0, 0], 0.09)
-        elif case == "q-below-one":
-            q = 0.5
+        elif case.startswith("q-"):
+            q = {"q-below-one": 0.5, "q-inf": math.inf, "q-nan": math.nan}[case]
         elif case == "negated":
             target = ScalarField(GRID, -target.values)
         else:

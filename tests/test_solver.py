@@ -115,7 +115,7 @@ class TestPhiApply:
     def test_zero_drift_is_heat_flow(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for()
-        flow = phi_apply(gamma, None, None, params, steps=200)
+        (flow,) = phi_apply([gamma], None, None, params, steps=200)
         for t, rho in zip(flow.times, flow.densities):
             expect = gaussian_density(GRID, 0.0, 0.04 + t)
             assert np.abs(rho.values - expect.values).max() < 1e-8
@@ -125,8 +125,8 @@ class TestPhiApply:
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for()
         kern = KernelSpec(ConstantVector((c,)))
-        base = phi_apply(gamma, None, None, params, steps=200)
-        flow = phi_apply(gamma, base, kern, params, steps=2000)
+        (base,) = phi_apply([gamma], None, None, params, steps=200)
+        (flow,) = phi_apply([gamma], [base], kern, params, steps=2000)
         for t, rho in zip(flow.times, flow.densities):
             expect = gaussian_density(GRID, c * t, 0.04 + t)
             assert np.abs(rho.values - expect.values).max() < 1e-6
@@ -163,8 +163,8 @@ class TestPhiApply:
         kern = small_kernel(c=0.5)
         params = params_for()
         gamma = gaussian_density(GRID, 0.0, 0.04)
-        base = phi_apply(gamma, None, None, params, steps=300)
-        flow = phi_apply(gamma, base, kern, params, steps=300)
+        (base,) = phi_apply([gamma], None, None, params, steps=300)
+        (flow,) = phi_apply([gamma], [base], kern, params, steps=300)
         for rho in flow.densities:
             assert abs(rho.mass() - 1.0) < 1e-9
             assert rho.values.min() >= -1e-6
@@ -178,7 +178,7 @@ class TestStepArguments:
         params = params_for(n=2)
         match = "steps must be a positive int"
         with pytest.raises(ValueError, match=match):
-            phi_apply(gamma, None, None, params, steps=steps)
+            phi_apply([gamma], None, None, params, steps=steps)
         with pytest.raises(ValueError, match=match):
             picard_solve(gamma, small_kernel(), params, steps=steps)
         with pytest.raises(ValueError, match=match):
@@ -215,9 +215,9 @@ class TestSpectralMarch:
             spec = KernelSpec(RieszOrder((0.2, 0.2), 0, 1.0), 0.04, TimeModulation(0.75))
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
-        mu = phi_apply(gamma, None, None, params, steps=60)
+        (mu,) = phi_apply([gamma], None, None, params, steps=60)
         nodes = (0.0, 0.03, 0.07, 0.1, 0.17, 0.3337, 0.49, 0.5)
-        drifts = _frozen_drift(spec, mu, grid, nodes)
+        drifts = _frozen_drift(spec, [mu], grid, nodes)
         for s in nodes:
             got = next(drifts)
             want = drift_field(spec, density_at(mu, s), s).components
@@ -238,10 +238,10 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
         gamma = gaussian_density(grid, 0.0, 0.09)
-        mu = phi_apply(gamma, None, None, params, steps=40)
+        (mu,) = phi_apply([gamma], None, None, params, steps=40)
         realize_kernel(spec, grid)  # calibrated from here on
         calls = count_transforms(monkeypatch)
-        phi_apply(gamma, mu, spec, params, steps=40)
+        phi_apply([gamma], [mu], spec, params, steps=40)
         march_steps = len(solver._internal_grid(params.time_grid, 40)) - 1
         frozen = len(params.time_grid) + 1
         assert len(calls) == (2 * dim + 2) * march_steps + 1 + frozen * (1 + dim)
@@ -255,9 +255,9 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5))
         gamma = gaussian_density(GRID, 0.0, 0.09)
-        mu = phi_apply(gamma, None, None, params, steps=40)
+        (mu,) = phi_apply([gamma], None, None, params, steps=40)
         calls = count_transforms(monkeypatch)
-        phi_apply(gamma, mu, spec, params, steps=40)
+        phi_apply([gamma], [mu], spec, params, steps=40)
         nodes = solver._internal_grid(params.time_grid, 40)
         blocks = math.ceil(len(nodes) / (solver._BLOCK_VALUES // GRID.num_points))
         assert 1 < blocks < len(nodes)
@@ -273,11 +273,11 @@ class TestSpectralMarch:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5,
                             time_grid=(0.1, 0.25, 0.5), dim=dim)
         gamma = gaussian_density(grid, 0.0, 0.09)
-        mu = phi_apply(gamma, None, None, params, steps=40)
+        (mu,) = phi_apply([gamma], None, None, params, steps=40)
         calls = count_transforms(monkeypatch)
-        plain = phi_apply(gamma, None, None, params, steps=40)
+        (plain,) = phi_apply([gamma], None, None, params, steps=40)
         heat_only = len(calls)
-        zero = phi_apply(gamma, mu, make_kernel("zero", grid), params, steps=40)
+        (zero,) = phi_apply([gamma], [mu], make_kernel("zero", grid), params, steps=40)
         assert len(calls) - heat_only == heat_only
         for a, b in zip(zero.densities, plain.densities):
             assert np.array_equal(a.values, b.values)
@@ -285,29 +285,29 @@ class TestSpectralMarch:
     def test_negative_frozen_density_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for(n=2)
-        mu = phi_apply(gamma, None, None, params, steps=20)
+        (mu,) = phi_apply([gamma], None, None, params, steps=20)
         vals = mu.densities[0].values.copy()
         vals[0] = -1e-7
         mu.densities[0] = ScalarField(GRID, vals / (vals.sum() * GRID.cell_volume))
         with pytest.raises(ValueError, match="not a density"):
-            phi_apply(gamma, mu, small_kernel(), params, steps=20)
+            phi_apply([gamma], [mu], small_kernel(), params, steps=20)
 
     def test_drift_spec_checked_before_frozen_densities(self):
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5))
-        mu = phi_apply(gaussian_density(GRID, 0.0, 0.09), None, None, params, steps=10)
+        (mu,) = phi_apply([gaussian_density(GRID, 0.0, 0.09)], None, None, params, steps=10)
         mu.densities[0] = ScalarField(GRID, mu.densities[0].values - 1e-3)
         with pytest.raises(TypeError, match="no drift map for function"):
-            _frozen_drift(lambda rho, t: None, mu, GRID, mu.times)
+            _frozen_drift(lambda rho, t: None, [mu], GRID, mu.times)
         with pytest.raises(ValueError, match="not a density"):
-            _frozen_drift(small_kernel(), mu, GRID, mu.times)
+            _frozen_drift(small_kernel(), [mu], GRID, mu.times)
 
     def test_non_finite_state_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for(n=2)
-        mu = phi_apply(gamma, None, None, params, steps=20)
+        (mu,) = phi_apply([gamma], None, None, params, steps=20)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="march state is not finite"):
-            phi_apply(gamma, mu, KernelSpec(ConstantVector((1e300,))), params, steps=20)
+            phi_apply([gamma], [mu], KernelSpec(ConstantVector((1e300,))), params, steps=20)
 
     @pytest.mark.parametrize("drift", [RieszOrder(), "riesz", 3.0,
                                        pytest.param(lambda rho, t: None, id="callable")])
@@ -315,9 +315,9 @@ class TestSpectralMarch:
         # a callable is not a drift spec either: drift_map is the one source
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5))
         gamma = gaussian_density(GRID, 0.0, 0.09)
-        mu = phi_apply(gamma, None, None, params, steps=10)
+        (mu,) = phi_apply([gamma], None, None, params, steps=10)
         with pytest.raises(TypeError, match="no drift map"):
-            phi_apply(gamma, mu, drift, params, steps=10)
+            phi_apply([gamma], [mu], drift, params, steps=10)
 
 
 class TestPicardSolve:
@@ -349,7 +349,7 @@ class TestPicardSolve:
         assert max(rep.contraction_ratios) < 0.9
         assert rep.residual < 1e-6
         # fixed-point consistency: one more application stays within 2 tol
-        again = phi_apply(gamma, flow, kern, params, steps=400)
+        (again,) = phi_apply([gamma], [flow], kern, params, steps=400)
         gaps = solver._dual_norm_series(again, flow, params.running_index)
         assert np.max(flow.times**(params.eta / 2) * gaps) < 2e-6
 
@@ -499,10 +499,10 @@ class TestNemytskiiDriftSolve:
     def test_weight_count_checked_when_the_map_is_built(self, dim, weights):
         grid = GRID if dim == 1 else GridSpec(2, 64, 8.0)
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.25, 0.5), dim=dim)
-        mu = phi_apply(gaussian_density(grid, 0.0, 0.09), None, None, params, steps=10)
+        (mu,) = phi_apply([gaussian_density(grid, 0.0, 0.09)], None, None, params, steps=10)
         spec = NemytskiiSpec(2, "linear", (("weights", weights),))
         with pytest.raises(ValueError, match=f"need {1 + dim} weights"):
-            _frozen_drift(spec, mu, grid, mu.times)
+            _frozen_drift(spec, [mu], grid, mu.times)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("family", ["linear", "clipped_gradient"])
@@ -541,7 +541,7 @@ class TestTwoDimensional:
         gamma = gaussian_density(grid, [0.0, 0.0], 0.09)
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.4,
                             time_grid=(0.2, 0.4), dim=2)
-        flow = phi_apply(gamma, None, None, params, steps=50)
+        (flow,) = phi_apply([gamma], None, None, params, steps=50)
         expect = gaussian_density(grid, [0.0, 0.0], 0.09 + 0.4)
         assert np.abs(flow.densities[-1].values - expect.values).max() < 1e-8
 
@@ -564,7 +564,7 @@ class TestTwoDimensional:
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.3, time_grid=(0.15, 0.3))
         with pytest.raises(ValueError, match=r"dim = 1, .* 2-d grid"):
             if solve == "phi_apply":
-                phi_apply(gamma, None, None, params, steps=20)
+                phi_apply([gamma], None, None, params, steps=20)
             else:
                 picard_solve(gamma, KernelSpec(ConstantVector((0.4, -0.2))), params, steps=20)
 
@@ -626,19 +626,21 @@ class TestStackedSolve:
         assert str(stacked.value) == str(alone.value)
 
     def test_one_datum_is_a_stack_of_one(self):
-        gamma = gaussian_density(self.GRID, 0.0, 0.04)
+        # phi_apply takes and returns lists; one datum marches as the first
+        # row of a larger stack does
+        data = [gaussian_density(self.GRID, 0.0, var) for var in (0.04, 0.09)]
         params = params_for()
-        base = phi_apply(gamma, None, None, params, steps=50)
-        (stacked,) = phi_apply([gamma], [base], small_kernel(), params, steps=50)
-        flow = phi_apply(gamma, base, small_kernel(), params, steps=50)
-        assert isinstance(flow, MeasureFlow)
-        for a, b in zip(stacked.densities, flow.densities):
+        bases = phi_apply(data, None, None, params, steps=50)
+        alone = phi_apply(data[:1], bases[:1], small_kernel(), params, steps=50)
+        pair = phi_apply(data, bases, small_kernel(), params, steps=50)
+        assert isinstance(alone, list) and isinstance(alone[0], MeasureFlow)
+        for a, b in zip(alone[0].densities, pair[0].densities):
             assert np.array_equal(a.values, b.values)
 
     def test_stack_inputs_checked(self):
         gamma = gaussian_density(self.GRID, 0.0, 0.04)
         params = params_for(n=2)
-        base = phi_apply(gamma, None, None, params, steps=20)
+        (base,) = phi_apply([gamma], None, None, params, steps=20)
         with pytest.raises(ValueError, match="1 frozen flows for 2 initial densities"):
             phi_apply([gamma, gamma], [base], small_kernel(), params, steps=20)
         with pytest.raises(ValueError, match="share one grid"):
@@ -672,7 +674,7 @@ class TestMeasureFlow:
     def test_interpolation_endpoints(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for()
-        flow = phi_apply(gamma, None, None, params, steps=100)
+        (flow,) = phi_apply([gamma], None, None, params, steps=100)
         assert np.array_equal(density_at(flow, 0.0).values, gamma.values)
         assert np.array_equal(density_at(flow, 99.0).values, flow.densities[-1].values)
 
@@ -680,7 +682,7 @@ class TestMeasureFlow:
         # the frozen drift interpolates between the fields _bracket names:
         # the initial datum, then each density
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.1, 0.25, 0.5))
-        flow = phi_apply(gaussian_density(GRID, 0.0, 0.04), None, None, params, steps=20)
+        (flow,) = phi_apply([gaussian_density(GRID, 0.0, 0.04)], None, None, params, steps=20)
         assert flow._bracket(-1.0) == (0, 0.0)
         assert flow._bracket(0.0) == (0, 0.0)
         assert flow._bracket(0.1) == (1, 0.0)
@@ -691,7 +693,7 @@ class TestMeasureFlow:
     def test_l1_increments_modulus(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for()
-        flow = phi_apply(gamma, None, None, params, steps=100)
+        (flow,) = phi_apply([gamma], None, None, params, steps=100)
         vals = np.array([rho.values for rho in flow.densities])
         inc = np.abs(np.diff(vals, axis=0)).sum(axis=1) * GRID.cell_volume
         assert np.all(inc < 0.5)

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .flowio import write_csv_rows
@@ -305,8 +304,7 @@ def _report(cfg: ExperimentConfig, grid: GridSpec) -> RunReport:
         "seed": cfg.seed,
         "grid": f"dim={grid.dim} n={grid.points_per_dim} extent={grid.extent:g}",
         "version": 1,
-        "versions": {"mkvflow": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"mkvflow": __version__, "numpy": np.__version__},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
 

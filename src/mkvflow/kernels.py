@@ -54,6 +54,14 @@ class MollificationError(ValueError):
     """Singular kernel realized without a positive mollification time."""
 
 
+def _require_amplitudes(c):
+    """Raise unless ``c`` is a non-empty tuple of finite numbers."""
+    if not isinstance(c, tuple) or not c:
+        raise ValueError(f"c must be a non-empty tuple of numbers, got {c!r}")
+    for x in c:
+        _require_number("c", x, finite=True)
+
+
 @dataclass(frozen=True)
 class RieszOrder:
     """Kernel ``c * z / |z|^(d + 2*n0 + eps0)`` (componentwise in c).
@@ -69,8 +77,7 @@ class RieszOrder:
     eps0: float = 0.0
 
     def __post_init__(self):
-        for x in self.c:
-            _require_number("c", x, finite=True)
+        _require_amplitudes(self.c)
         _require_int("n0", self.n0, 0)
         _require_number("eps0", self.eps0)
         if not (0.0 <= self.eps0 < 2.0):
@@ -101,8 +108,7 @@ class ConstantVector:
     c: tuple = (1.0,)
 
     def __post_init__(self):
-        for x in self.c:
-            _require_number("c", x, finite=True)
+        _require_amplitudes(self.c)
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,11 @@ class TimeModulation:
         return t**self.kappa
 
 
+def _require_modulation(modulation):
+    if not isinstance(modulation, TimeModulation):
+        raise ValueError(f"modulation must be a TimeModulation, got {modulation!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     variant: object
@@ -129,7 +140,11 @@ class KernelSpec:
     modulation: TimeModulation = field(default_factory=TimeModulation)
 
     def __post_init__(self):
+        if not isinstance(self.variant, (RieszOrder, DiracDerivative, ConstantVector)):
+            raise ValueError("variant must be a RieszOrder, DiracDerivative or "
+                             f"ConstantVector, got {self.variant!r}")
         _require_number("eps", self.mollification_eps, finite=True)  # the catalog's name
+        _require_modulation(self.modulation)
         if self.mollification_eps < 0:
             raise ValueError("mollification_eps must be >= 0")
 
@@ -284,10 +299,8 @@ def _kernel_symbols(spec: KernelSpec, grid: GridSpec) -> list:
         return [core if j == v.direction else np.zeros_like(core) for j in range(grid.dim)]
     if isinstance(v, ConstantVector):
         units = [grid.extent**grid.dim * (xi_sq == 0)] * grid.dim
-    elif isinstance(v, RieszOrder):
+    else:  # RieszOrder, the one variant left
         units = _riesz_unit_symbols(v.n0, v.eps0, grid, eps)
-    else:
-        raise TypeError(f"unknown kernel variant {type(v).__name__}")
     return [_component(v.c, j) * u for j, u in enumerate(units)]
 
 
@@ -360,6 +373,7 @@ class NemytskiiSpec:
 
     def __post_init__(self):
         _require_int("derivative depth n", self.n)
+        _require_modulation(self.modulation)
         if self.n - 1 > 4:
             raise ValueError(f"unsupported derivative depth n={self.n} (n-1 > 4)")
         if self.family not in _NEMYTSKII:

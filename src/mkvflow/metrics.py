@@ -43,11 +43,46 @@ class GaussianSpec:
 # one-dimensional transport via quantiles
 
 
-def _density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
-    """Quantile function of a 1-d grid density at ``u``: inverse interpolation
-    of monotone CDF samples on a refined axis."""
-    from scipy.interpolate import PchipInterpolator  # here: it loads scipy.optimize
+def _pchip(xs: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Monotone piecewise-cubic Hermite (PCHIP) interpolant of the table
+    ``(xs, ys)``, at least three nodes, evaluated at ``at`` in [xs[0], xs[-1]].
 
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980) with the derivative
+    rules and the term order of scipy's ``PchipInterpolator``, whose values
+    it reproduces bit for bit.  Flat or tiny slopes divide by zero or
+    overflow; the caller sets ``np.errstate``.
+    """
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    # interior: weighted harmonic mean of the neighbouring slopes, zero
+    # where they differ in sign or either one is zero
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.zeros_like(ys)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[1:-1][(np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)] = 0.0
+    # ends: Moler's one-sided three-point rule, limited to keep the shape
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            e = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(e) > 3 * abs(m0):
+            e = 3 * m0
+        d[end] = e
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c2, c3 = (m - d[:-1]) / h - t, t / h
+    i = np.clip(np.searchsorted(xs, at, side="right") - 1, 0, h.size - 1)
+    s = at - xs[i]
+    # scipy's term order, not Horner's: it is what keeps the bits
+    return ys[i] + d[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
+
+
+def _density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
+    """Quantile function of a 1-d grid density at ``u``.
+
+    The cumulative table at the cell edges is interpolated by the monotone
+    Fritsch-Carlson cubic (``_pchip``), sampled 16 times per cell, and the
+    samples are inverted by linear interpolation.
+    """
     grid = rho.grid
     x = grid.axis_coords()
     h = grid.spacing
@@ -55,12 +90,11 @@ def _density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
     cdf = np.concatenate([[0.0], np.cumsum(rho.values) * h])
     xs = np.concatenate([[x[0] - 0.5 * h], x + 0.5 * h])
     cdf = np.maximum.accumulate(cdf / cdf[-1])
+    fine_x = np.linspace(xs[0], xs[-1], 16 * len(xs))  # 16 points per cell
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # flat tail segments make the monotone interpolant divide by zero
-        # slopes internally; its zero-derivative handling is what we want
-        interp = PchipInterpolator(xs, cdf)
-        fine_x = np.linspace(xs[0], xs[-1], 16 * len(xs))  # 16 points per cell
-        fine_c = np.maximum.accumulate(np.clip(interp(fine_x), 0.0, 1.0))
+        # flat tail segments divide by zero slopes and tiny ones overflow;
+        # the interpolant's zero derivatives there are what we want
+        fine_c = np.maximum.accumulate(np.clip(_pchip(xs, cdf, fine_x), 0.0, 1.0))
     return np.interp(u, fine_c, fine_x)
 
 

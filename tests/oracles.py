@@ -8,12 +8,14 @@ derivatives on it, the particle drift
 summed over pairs instead of binned, read through a corner-by-corner
 periodic interpolation, the solver's frozen drift evaluated node by node
 on the interpolated density, the 2-d Riesz image sum over the whole grid,
-and random band-limited test inputs.
+the transport metrics' quantile functions through scipy's PCHIP, and
+random band-limited test inputs.
 """
 
 import math
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
 from mkvflow.grids import (
@@ -25,6 +27,7 @@ from mkvflow.grids import (
     rfft_wavenumbers,
 )
 from mkvflow.kernels import _component, drift_map, realize_kernel
+from mkvflow.metrics import QUANTILE_NODES, empirical_quantiles
 
 
 def gaussian_w2(a, b) -> float:
@@ -192,6 +195,33 @@ def riesz_image_sum_2d(spec, grid) -> list:
             comps[0] += za * inv
             comps[1] += zb * inv
     return [_component(spec.c, j) * comps[j] for j in range(2)]
+
+
+def pchip_density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
+    """Quantile function of a 1-d grid density at ``u``, as the transport
+    metrics compute it but through scipy's ``PchipInterpolator``."""
+    grid = rho.grid
+    x = grid.axis_coords()
+    h = grid.spacing
+    cdf = np.concatenate([[0.0], np.cumsum(rho.values) * h])
+    xs = np.concatenate([[x[0] - 0.5 * h], x + 0.5 * h])
+    cdf = np.maximum.accumulate(cdf / cdf[-1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        interp = PchipInterpolator(xs, cdf)
+        fine_x = np.linspace(xs[0], xs[-1], 16 * len(xs))
+        fine_c = np.maximum.accumulate(np.clip(interp(fine_x), 0.0, 1.0))
+    return np.interp(u, fine_c, fine_x)
+
+
+def pchip_transport_distance(rho: ScalarField, other, q: float) -> float:
+    """Order-q transport distance between the density ``rho`` and a density
+    or 1-d samples ``other``, with ``pchip_density_quantiles``."""
+    u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
+    if isinstance(other, ScalarField):
+        other_q = pchip_density_quantiles(other, u)
+    else:
+        other_q = empirical_quantiles(np.asarray(other).ravel(), u)
+    return float(np.mean(np.abs(pchip_density_quantiles(rho, u) - other_q) ** q) ** (1.0 / q))
 
 
 def random_band_limited(grid, band: int, rng) -> ScalarField:

@@ -692,7 +692,7 @@ class TestCli:
             "lambda_monotone"]
         prov = json.loads(report_csv.with_suffix(".json").read_text())["provenance"]
         assert prov["solver"] == {"tol": 1e-8, "max_iter": 25, "steps": 50}
-        assert set(prov["versions"]) == {"mkvflow", "numpy", "scipy"}
+        assert set(prov["versions"]) == {"mkvflow", "numpy"}
         grid = GridSpec(1, 256, 16.0)
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.1,
                             time_grid=tuple(np.linspace(0.01, 0.1, 10)))

@@ -47,27 +47,42 @@ def test_package_imports_resolve():
             assert getattr(mkvflow, alias.name) is getattr(module, alias.name)
 
 
-def _loaded_by_cli_import(modules: tuple) -> list:
-    """Those of ``modules`` that ``import mkvflow.cli`` loads in a fresh process."""
+def _loaded_by_cli_import(then: str = "") -> set:
+    """Modules loaded in a fresh process by ``import mkvflow.cli`` and then
+    the statements ``then``."""
     src = str(Path(mkvflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = f"import sys, mkvflow.cli; print([m for m in {modules!r} if m in sys.modules])"
+    code = f"import sys, mkvflow.cli\n{then}\nprint(sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    return ast.literal_eval(out.strip())
+    return set(ast.literal_eval(out.strip()))
 
 
 def test_cli_start_up_skips_optimize_and_interpolate():
-    # the first two take about 0.3 s to import and only the transport
-    # metrics need them; nothing in the package needs sparse matrices
-    assert _loaded_by_cli_import(("scipy.optimize", "scipy.interpolate", "scipy.sparse")) == []
+    # the first two take about 0.3 s to import; nothing in the package
+    # needs them or sparse matrices
+    assert not _loaded_by_cli_import() & {"scipy.optimize", "scipy.interpolate", "scipy.sparse"}
 
 
 def test_cli_start_up_skips_scipy_fft_and_special():
     # numpy.fft does every transform; scipy.fft takes about 0.4 s to import,
     # most of it in scipy.special, which nothing else on this path needs
-    assert _loaded_by_cli_import(("scipy.fft", "scipy.special")) == []
+    assert not _loaded_by_cli_import() & {"scipy.fft", "scipy.special"}
+
+
+def test_transport_metrics_load_no_scipy():
+    # the metrics' PCHIP loaded scipy.interpolate and scipy.optimize, about
+    # 0.55 s and 45 MB of peak memory in every process that computed a W_q
+    loaded = _loaded_by_cli_import(
+        "import numpy as np\n"
+        "from mkvflow.grids import GridSpec, gaussian_density\n"
+        "from mkvflow.metrics import wasserstein_1d, wasserstein_1d_empirical\n"
+        "grid = GridSpec(1, 256, 8.0)\n"
+        "a, b = gaussian_density(grid, 0.0, 0.1), gaussian_density(grid, 0.5, 0.2)\n"
+        "wasserstein_1d(a, b, 2.0)\n"
+        "wasserstein_1d_empirical(np.linspace(-1.0, 1.0, 100), a)")
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 
 
 # every draw goes through ``np.random`` or a generator made by one of these

@@ -558,34 +558,45 @@ class TestCatalog:
             make_kernel(name, GRID, **kw)
 
 
-# each was accepted, or failed with a TypeError or AttributeError that names
-# no field; through a config a NaN amplitude reached the march and a NaN eps
-# the calibration
-REFUSED_CONSTRUCTIONS = {
-    "riesz-c-nan": lambda: RieszOrder((math.nan,)),
-    "riesz-c-inf": lambda: RieszOrder((math.inf,)),
-    "riesz-n0-float": lambda: RieszOrder(n0=1.5),
-    "constant-c-nan": lambda: ConstantVector((math.nan,)),
-    "spec-eps-nan": lambda: KernelSpec(ConstantVector(), math.nan),
-    "spec-eps-inf": lambda: KernelSpec(ConstantVector(), math.inf),
-    "dirac-order-bool": lambda: DiracDerivative(order=True),
-    "dirac-order-float": lambda: DiracDerivative(order=1.0),
-    "modulation-bool": lambda: TimeModulation(True),
-    "nemytskii-n-float": lambda: NemytskiiSpec(2.5, "density"),
-    "grid-dim-bool": lambda: GridSpec(True, 1024, 16),
-    "grid-points-float": lambda: GridSpec(1, 1024.0, 16),
-    "flow-dim-bool": lambda: FlowParams(1, 2, dim=True),
-    "index-delta-bool": lambda: SobolevIndex(True, 2),
-    "sim-nemytskii-kernel": lambda: SimConfig(GRID, 0.01, 0.1, 0,
-                                              kernel=NemytskiiSpec(1, "density")),
-    "config-c-nan": lambda: parse_config("experiment = solve\nkernel = riesz\n"
-                                         "kernel.c = nan\n"),
-    "config-eps-nan": lambda: parse_config("experiment = solve\nkernel = riesz\n"
-                                           "kernel.eps = nan\n"),
+# each was accepted, or failed with a TypeError, AttributeError or
+# IndexError that names no field; through a config a NaN amplitude reached
+# the march and a NaN eps the calibration; a string variant constructed and
+# failed at realization, and a number as modulation constructed and realized
+REFUSED_CONSTRUCTIONS = {  # id: (the field the message names, construction)
+    "riesz-c-nan": ("c", lambda: RieszOrder((math.nan,))),
+    "riesz-c-inf": ("c", lambda: RieszOrder((math.inf,))),
+    "riesz-c-scalar": ("c", lambda: RieszOrder(c=0.5)),
+    "riesz-c-empty": ("c", lambda: RieszOrder(c=())),
+    "riesz-n0-float": ("n0", lambda: RieszOrder(n0=1.5)),
+    "constant-c-nan": ("c", lambda: ConstantVector((math.nan,))),
+    "constant-c-scalar": ("c", lambda: ConstantVector(c=1.0)),
+    "spec-eps-nan": ("eps", lambda: KernelSpec(ConstantVector(), math.nan)),
+    "spec-eps-inf": ("eps", lambda: KernelSpec(ConstantVector(), math.inf)),
+    "spec-variant-str": ("variant", lambda: KernelSpec("riesz", 0.1)),
+    "spec-modulation-float": ("modulation",
+                              lambda: KernelSpec(RieszOrder(), 0.1, modulation=0.75)),
+    "spec-modulation-none": ("modulation",
+                             lambda: KernelSpec(RieszOrder(), 0.1, modulation=None)),
+    "dirac-order-bool": ("order", lambda: DiracDerivative(order=True)),
+    "dirac-order-float": ("order", lambda: DiracDerivative(order=1.0)),
+    "modulation-bool": ("kappa", lambda: TimeModulation(True)),
+    "nemytskii-n-float": ("derivative depth n", lambda: NemytskiiSpec(2.5, "density")),
+    "nemytskii-modulation-float": ("modulation",
+                                   lambda: NemytskiiSpec(1, "density", modulation=0.75)),
+    "grid-dim-bool": ("dim", lambda: GridSpec(True, 1024, 16)),
+    "grid-points-float": ("points_per_dim", lambda: GridSpec(1, 1024.0, 16)),
+    "flow-dim-bool": ("dim", lambda: FlowParams(1, 2, dim=True)),
+    "index-delta-bool": ("delta", lambda: SobolevIndex(True, 2)),
+    "sim-nemytskii-kernel": ("kernel", lambda: SimConfig(GRID, 0.01, 0.1, 0,
+                                                         kernel=NemytskiiSpec(1, "density"))),
+    "config-c-nan": ("c", lambda: parse_config("experiment = solve\nkernel = riesz\n"
+                                               "kernel.c = nan\n")),
+    "config-eps-nan": ("eps", lambda: parse_config("experiment = solve\nkernel = riesz\n"
+                                                   "kernel.eps = nan\n")),
 }
 
 
-@pytest.mark.parametrize("build", REFUSED_CONSTRUCTIONS.values(), ids=REFUSED_CONSTRUCTIONS)
-def test_constructors_refuse_what_they_cannot_realize(build):
-    with pytest.raises(ValueError, match="must be"):
+@pytest.mark.parametrize("name, build", REFUSED_CONSTRUCTIONS.values(), ids=REFUSED_CONSTRUCTIONS)
+def test_constructors_refuse_what_they_cannot_realize(name, build):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         build()

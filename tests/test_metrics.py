@@ -3,15 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
-from mkvflow.grids import GridSpec, ScalarField, gaussian_density, heat_apply
+from mkvflow.grids import GridSpec, ScalarField, gaussian_density, grid_delta, heat_apply
 from mkvflow.metrics import (
     GaussianSpec,
+    _density_quantiles,
+    _pchip,
     relative_entropy,
     wasserstein_1d,
     wasserstein_1d_empirical,
 )
-from oracles import gaussian_entropy, gaussian_w2
+from oracles import (
+    gaussian_entropy,
+    gaussian_w2,
+    pchip_density_quantiles,
+    pchip_transport_distance,
+)
 
 GRID = GridSpec(1, 2048, 16.0)
 
@@ -141,6 +149,69 @@ class TestWasserstein1d:
         samples = rng.standard_normal(200_000)
         w1 = wasserstein_1d_empirical(samples, target, 1.0)
         assert w1 < 0.01
+
+
+def random_table(rng, kind):
+    """Nodes and values of a random interpolation table of one ``kind``."""
+    n = int(rng.integers(3, 300))
+    xs = np.linspace(-4.0, 4.0, n)
+    if kind == "uneven":
+        xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+    if kind == "non-monotone":
+        return xs, rng.standard_normal(n)
+    steps = rng.exponential(size=n) * (rng.uniform(size=n) < 0.6)  # flat runs
+    steps[0] = 0.0
+    return xs, np.cumsum(steps) / max(steps.sum(), 1.0)
+
+
+def zero_tail_density() -> ScalarField:
+    """Gaussian cut to exact zeros outside [-2, 1], then renormalized."""
+    rho = gaussian_density(GRID, -0.3, 0.5)
+    x = GRID.axis_coords()
+    vals = np.where((x > -2.0) & (x < 1.0), rho.values, 0.0)
+    return ScalarField(GRID, vals / (vals.sum() * GRID.spacing))
+
+
+class TestPchip:
+    @pytest.mark.parametrize("kind", ["monotone-flat-runs", "non-monotone", "uneven"])
+    def test_matches_scipy(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            xs, ys = random_table(rng, kind)
+            at = np.concatenate([np.linspace(xs[0], xs[-1], 7 * xs.size), xs])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = _pchip(xs, ys, at)
+            want = PchipInterpolator(xs, ys)(at)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(ys))
+
+    def test_overflowing_tail_slopes_warn_nothing(self):
+        # the left tail of a narrow Gaussian has subnormal slopes, whose
+        # weighted harmonic mean overflows in w/m; the quantile route must
+        # absorb that (pytest turns any warning into an error)
+        rho = gaussian_density(GRID, 0.0, 0.01)
+        x = GRID.axis_coords()
+        h = GRID.spacing
+        xs = np.concatenate([[x[0] - 0.5 * h], x + 0.5 * h])
+        cdf = np.concatenate([[0.0], np.cumsum(rho.values) * h])
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflow"):
+            _pchip(xs, cdf / cdf[-1], xs)
+        u = (np.arange(4096) + 0.5) / 4096
+        got = _density_quantiles(rho, u)
+        assert np.max(np.abs(got - pchip_density_quantiles(rho, u))) <= 1e-14
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("case", ["gaussians", "grid-delta", "zero-tail"])
+    def test_transport_metrics_match_the_scipy_route(self, case, q):
+        rho = gaussian_density(GRID, 0.2, 0.09)
+        other = {"gaussians": lambda: gaussian_density(GRID, -0.4, 0.3),
+                 "grid-delta": lambda: grid_delta(GRID),
+                 "zero-tail": zero_tail_density}[case]()
+        samples = np.random.default_rng(5).normal(0.1, 0.5, 2000)
+        for got, want in [(wasserstein_1d(rho, other, q), pchip_transport_distance(rho, other, q)),
+                          (wasserstein_1d_empirical(samples, other, q),
+                           pchip_transport_distance(other, samples, q))]:
+            assert abs(got - want) <= 1e-14 * want
 
 
 class TestRelativeEntropy:

@@ -129,6 +129,7 @@ class TimeModulation:
 
 
 def _require_modulation(modulation):
+    """Raise unless ``modulation`` is a ``TimeModulation``."""
     if not isinstance(modulation, TimeModulation):
         raise ValueError(f"modulation must be a TimeModulation, got {modulation!r}")
 

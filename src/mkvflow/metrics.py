@@ -44,13 +44,12 @@ class GaussianSpec:
 
 
 def _pchip(xs: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Monotone piecewise-cubic Hermite (PCHIP) interpolant of the table
-    ``(xs, ys)``, at least three nodes, evaluated at ``at`` in [xs[0], xs[-1]].
+    """Fritsch-Carlson monotone cubic interpolant of the table ``(xs, ys)``,
+    at least three nodes, evaluated at ``at`` in [xs[0], xs[-1]].
 
-    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980) with the derivative
-    rules and the term order of scipy's ``PchipInterpolator``, whose values
-    it reproduces bit for bit.  Flat or tiny slopes divide by zero or
-    overflow; the caller sets ``np.errstate``.
+    It has the derivative rules and the term order of scipy's
+    ``PchipInterpolator``, whose values it reproduces bit for bit.  Flat or
+    tiny slopes divide by zero or overflow; the caller sets ``np.errstate``.
     """
     h = np.diff(xs)
     m = np.diff(ys) / h
@@ -80,8 +79,9 @@ def _density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
     """Quantile function of a 1-d grid density at ``u``.
 
     The cumulative table at the cell edges is interpolated by the monotone
-    Fritsch-Carlson cubic (``_pchip``), sampled 16 times per cell, and the
-    samples are inverted by linear interpolation.
+    piecewise-cubic Hermite (PCHIP) interpolant of Fritsch & Carlson (SIAM
+    J. Numer. Anal. 17, 1980), ``_pchip``, sampled 16 times per cell, and
+    the samples are inverted by linear interpolation.
     """
     grid = rho.grid
     x = grid.axis_coords()

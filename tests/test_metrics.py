@@ -154,9 +154,7 @@ class TestWasserstein1d:
 def random_table(rng, kind):
     """Nodes and values of a random interpolation table of one ``kind``."""
     n = int(rng.integers(3, 300))
-    xs = np.linspace(-4.0, 4.0, n)
-    if kind == "uneven":
-        xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+    xs = np.cumsum(rng.uniform(0.01, 1.0, n)) if kind == "uneven" else np.linspace(-4.0, 4.0, n)
     if kind == "non-monotone":
         return xs, rng.standard_normal(n)
     steps = rng.exponential(size=n) * (rng.uniform(size=n) < 0.6)  # flat runs

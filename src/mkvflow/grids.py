@@ -53,6 +53,14 @@ def _require_number(name: str, value, finite: bool = False):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_numbers(name: str, values):
+    """Raise unless ``values`` is a non-empty tuple of finite numbers."""
+    if not isinstance(values, tuple) or not values:
+        raise ValueError(f"{name} must be a non-empty tuple of numbers, got {values!r}")
+    for x in values:
+        _require_number(name, x, finite=True)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on a centered torus.

@@ -26,6 +26,7 @@ from .grids import (
     _derivative_multiplier,
     _require_int,
     _require_number,
+    _require_numbers,
     irfft,
     rfft,
     rfft_wavenumbers,
@@ -54,14 +55,6 @@ class MollificationError(ValueError):
     """Singular kernel realized without a positive mollification time."""
 
 
-def _require_amplitudes(c):
-    """Raise unless ``c`` is a non-empty tuple of finite numbers."""
-    if not isinstance(c, tuple) or not c:
-        raise ValueError(f"c must be a non-empty tuple of numbers, got {c!r}")
-    for x in c:
-        _require_number("c", x, finite=True)
-
-
 @dataclass(frozen=True)
 class RieszOrder:
     """Kernel ``c * z / |z|^(d + 2*n0 + eps0)`` (componentwise in c).
@@ -77,7 +70,7 @@ class RieszOrder:
     eps0: float = 0.0
 
     def __post_init__(self):
-        _require_amplitudes(self.c)
+        _require_numbers("c", self.c)
         _require_int("n0", self.n0, 0)
         _require_number("eps0", self.eps0)
         if not (0.0 <= self.eps0 < 2.0):
@@ -108,7 +101,7 @@ class ConstantVector:
     c: tuple = (1.0,)
 
     def __post_init__(self):
-        _require_amplitudes(self.c)
+        _require_numbers("c", self.c)
 
 
 @dataclass(frozen=True)

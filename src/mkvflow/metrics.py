@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ScalarField
+from .grids import ScalarField, _require_numbers
 
 __all__ = [
     "GaussianSpec",
@@ -27,7 +27,8 @@ QUANTILE_NODES = 32768  # midpoint nodes in u of the quantile integrals
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Isotropic Gaussian law: finite mean, per-coordinate variance in (0, inf)."""
+    """Isotropic Gaussian law: mean a non-empty tuple of finite numbers, one per
+    coordinate, and per-coordinate variance in (0, inf)."""
 
     mean: tuple
     variance: float
@@ -35,8 +36,7 @@ class GaussianSpec:
     def __post_init__(self):
         if not 0 < self.variance < math.inf:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
-        if not all(math.isfinite(m) for m in self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
+        _require_numbers("mean", self.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -98,24 +98,40 @@ def _density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:
     return np.interp(u, fine_c, fine_x)
 
 
-def _transport_distance(rho: ScalarField, other, q: float) -> float:
+def _samples(positions) -> np.ndarray:
+    """Flat view of 1-d sample positions, raising unless they are finite and
+    of shape (N,) or (N, 1) with N >= 1."""
+    x = np.asarray(positions)
+    if x.ndim not in (1, 2) or x.shape[1:] not in ((), (1,)):
+        raise ValueError(f"samples must have shape (N,) or (N, 1), got {x.shape}")
+    if not x.size:
+        raise ValueError("samples must not be empty")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    return x.ravel()
+
+
+def _transport_distances(rho: ScalarField, others, q: float) -> list:
     """Order-q transport distance between the 1-d grid density ``rho`` and
-    ``other``, a density on its grid or 1-d sample positions: the inputs
-    checked, then the midpoint rule in u of |F^{-1}(u) - G^{-1}(u)|^q."""
+    each of ``others``, densities on its grid or 1-d sample positions: the
+    inputs checked, then the midpoint rule in u of |F^{-1}(u) - G^{-1}(u)|^q,
+    with the quantiles of ``rho`` built once."""
     if rho.grid.dim != 1:
         raise ValueError(f"one-dimensional densities required, got dim {rho.grid.dim}")
-    density = isinstance(other, ScalarField)
-    if density and other.grid != rho.grid:
+    if any(isinstance(o, ScalarField) and o.grid != rho.grid for o in others):
         raise ValueError("densities must share a grid")
     if not 1 <= q < math.inf:  # a NaN fails here
         raise ValueError(f"order q must be >= 1 and finite, got {q}")
     rho.require_density()
+    others = [o.require_density() if isinstance(o, ScalarField) else _samples(o)
+              for o in others]
     u = (np.arange(QUANTILE_NODES) + 0.5) / QUANTILE_NODES
-    if density:
-        other_q = _density_quantiles(other.require_density(), u)
-    else:
-        other_q = empirical_quantiles(np.asarray(other).ravel(), u)
-    return float(np.mean(np.abs(_density_quantiles(rho, u) - other_q) ** q) ** (1.0 / q))
+    rho_q = _density_quantiles(rho, u)
+    distances = []
+    for o in others:
+        o_q = _density_quantiles(o, u) if isinstance(o, ScalarField) else empirical_quantiles(o, u)
+        distances.append(float(np.mean(np.abs(rho_q - o_q) ** q) ** (1.0 / q)))
+    return distances
 
 
 def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0) -> float:
@@ -126,7 +142,7 @@ def wasserstein_1d(rho1: ScalarField, rho2: ScalarField, q: float = 1.0) -> floa
     cumulative tables (the monotone rearrangement is the optimal coupling
     for every q >= 1).
     """
-    return _transport_distance(rho1, rho2, q)
+    return _transport_distances(rho1, [rho2], q)[0]
 
 
 def empirical_quantiles(positions: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -138,9 +154,16 @@ def empirical_quantiles(positions: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def wasserstein_1d_empirical(positions: np.ndarray, rho: ScalarField,
                              q: float = 1.0) -> float:
-    """Transport distance of order q between an empirical sample and a
-    density on a 1-d grid, checked and integrated as ``wasserstein_1d``."""
-    return _transport_distance(rho, positions, q)
+    """Transport distance of order q between an empirical sample, finite
+    positions of shape (N,) or (N, 1), and a density on a 1-d grid, checked
+    and integrated as ``wasserstein_1d``."""
+    return wasserstein_1d_empirical_many([positions], rho, q)[0]
+
+
+def wasserstein_1d_empirical_many(samples, rho: ScalarField, q: float = 1.0) -> list:
+    """``wasserstein_1d_empirical`` of each of ``samples`` against ``rho``, bit for
+    bit, with the quantiles of ``rho`` built once."""
+    return _transport_distances(rho, list(samples), q)
 
 
 # ---------------------------------------------------------------------------

@@ -231,13 +231,15 @@ def _packets(grid: GridSpec, widths, freqs) -> np.ndarray:
     (width, frequency, carrier phase): phases 0 and pi/2, only 0 at frequency 0.
 
     Both norms are translation invariant, so centering loses nothing; the two
-    phases cover grid alignment.
+    phases cover grid alignment.  Each envelope and each carrier is evaluated
+    once; the rows are their products, width-major.
     """
-    rows = [(s, q, phase) for s in widths for q in freqs
-            for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi))]
-    width, freq, phase = np.reshape(rows, (-1, 3) + (1,) * grid.dim).swapaxes(0, 1)
+    axes = (1,) * grid.dim
+    waves = [(q, phase) for q in freqs for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi))]
+    freq, phase = np.reshape(waves, (-1, 2) + axes).swapaxes(0, 1)
+    width = np.reshape(widths, (-1, 1) + axes)
     env = np.exp(-0.5 * _periodic_sq_distance(grid, (0.0,) * grid.dim) / width**2)
-    return env * np.cos(freq * grid.coords()[0] + phase)
+    return (env * np.cos(freq * grid.coords()[0] + phase)).reshape((-1,) + grid.shape)
 
 
 def _probe_family(grid: GridSpec) -> np.ndarray:

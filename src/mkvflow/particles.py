@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import GridSpec, ScalarField, _require_int, heat_apply
 from .kernels import KernelSpec, drift_map
-from .metrics import wasserstein_1d_empirical
+from .metrics import GaussianSpec, wasserstein_1d_empirical_many
 from .solver import MeasureFlow
 
 __all__ = [
@@ -64,13 +64,18 @@ class SimConfig:
     T: float
     seed: int
     kernel: KernelSpec | None = None
-    initial: object = None        # GaussianSpec-like, or None for a point
+    initial: GaussianSpec | None = None  # None for a point at the origin
     checkpoints: tuple = ()
 
     def __post_init__(self):
         _require_int("seed", self.seed, 0)
         if not isinstance(self.kernel, (KernelSpec, type(None))):
             raise ValueError(f"kernel must be a KernelSpec or None, got {self.kernel!r}")
+        if not isinstance(self.initial, (GaussianSpec, type(None))):
+            raise ValueError(f"initial must be a GaussianSpec or None, got {self.initial!r}")
+        if self.initial is not None and len(self.initial.mean) != self.grid.dim:
+            raise ValueError(f"initial mean {self.initial.mean} has {len(self.initial.mean)} "
+                             f"entries on a {self.grid.dim}-d grid")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ValueError(f"dt and T must be positive and finite, got dt={self.dt}, "
                              f"T={self.T}")
@@ -121,10 +126,8 @@ def _sample_initial(cfg: SimConfig, N: int, rng) -> np.ndarray:
     dim = cfg.grid.dim
     if init is None:
         return np.zeros((N, dim))
-    if hasattr(init, "mean") and hasattr(init, "variance"):
-        mean = np.asarray(init.mean, dtype=float)
-        return mean + math.sqrt(init.variance) * rng.standard_normal((N, dim))
-    raise TypeError(f"unsupported initial sampler {type(init).__name__}")
+    mean = np.asarray(init.mean, dtype=float)
+    return mean + math.sqrt(init.variance) * rng.standard_normal((N, dim))
 
 
 class _Workspace:
@@ -334,7 +337,9 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     alone, so a seed failure propagates as a diagnostic under its own
     (N, repeat) while the others continue.  ``repeats`` must be a positive
     int and ``N_list`` distinct ints >= 2; the particles must run on the
-    flow's grid.
+    flow's grid, and the flow must hold a density at each checkpoint.  The
+    W1 of all runs at one checkpoint comes from one quantile table of its
+    target.
     """
     _check_study_sizes(N_list, repeats)
     if cfg.grid.dim != 1:
@@ -347,9 +352,8 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
         j = int(np.argmin(np.abs(pde_flow.times - t)))
         if abs(pde_flow.times[j] - t) > 1e-9:
             raise ValueError(f"checkpoint {t} missing from the solved flow")
-        flow_at[t] = pde_flow.densities[j]
+        flow_at[t] = pde_flow.densities[j].require_density()
     bw = 4.0 * cfg.grid.spacing
-    rows = []
     failures = []
 
     run_cfg = replace(cfg, checkpoints=tuple(checkpoints))
@@ -357,20 +361,26 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     batch = _safe_run(_simulate, (run_cfg, seeds, N_list), [])
 
     def run_one(N, rep):
-        snaps = (batch[rep][N_list.index(N)] if batch
-                 else simulate_particles(replace(run_cfg, seed=seeds[rep]), N))
-        out = []
-        for ens in snaps:
-            target = flow_at[min(flow_at, key=lambda t: abs(t - ens.time))]
-            w1 = wasserstein_1d_empirical(ens.positions[:, 0], target, 1.0)
-            kde = empirical_density(ens, cfg.grid, bw)
-            l1 = float(np.abs(kde.values - target.values).sum()) * cfg.grid.cell_volume
-            out.append((N, seeds[rep], ens.time, w1, l1))
-        return out
+        return (batch[rep][N_list.index(N)] if batch
+                else simulate_particles(replace(run_cfg, seed=seeds[rep]), N))
 
-    for N in N_list:
-        for rep in range(repeats):
-            rows.extend(_safe_run(run_one, (N, rep), failures) or ())
+    def target(ens):
+        return flow_at[min(flow_at, key=lambda t: abs(t - ens.time))]
+
+    runs = [(N, rep, _safe_run(run_one, (N, rep), failures))
+            for N in N_list for rep in range(repeats)]
+    runs = [run for run in runs if run[2] is not None]
+    # snapshot k of every run is at one time: one target quantile table
+    # serves the W1 of them all
+    w1 = [wasserstein_1d_empirical_many([ens.positions[:, 0] for ens in at_k],
+                                        target(at_k[0]), 1.0)
+          for at_k in zip(*(snaps for *_, snaps in runs))]
+    rows = []
+    for i, (N, rep, snaps) in enumerate(runs):
+        for ens, w1_k in zip(snaps, w1):
+            kde = empirical_density(ens, cfg.grid, bw)
+            l1 = float(np.abs(kde.values - target(ens).values).sum()) * cfg.grid.cell_volume
+            rows.append((N, seeds[rep], ens.time, w1_k[i], l1))
     summary = {}
     for N in N_list:
         w1s = [w for (n, _, t, w, _) in rows if n == N and abs(t - cfg.T) < 1e-9]

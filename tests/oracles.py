@@ -8,8 +8,8 @@ derivatives on it, the particle drift
 summed over pairs instead of binned, read through a corner-by-corner
 periodic interpolation, the solver's frozen drift evaluated node by node
 on the interpolated density, the 2-d Riesz image sum over the whole grid,
-the transport metrics' quantile functions through scipy's PCHIP, and
-random band-limited test inputs.
+the transport metrics' quantile functions through scipy's PCHIP, the
+probe packets built row by row, and random band-limited test inputs.
 """
 
 import math
@@ -22,6 +22,7 @@ from mkvflow.grids import (
     ScalarField,
     VectorField,
     _heat_multiplier,
+    _periodic_sq_distance,
     irfft,
     rfft,
     rfft_wavenumbers,
@@ -222,6 +223,16 @@ def pchip_transport_distance(rho: ScalarField, other, q: float) -> float:
     else:
         other_q = empirical_quantiles(np.asarray(other).ravel(), u)
     return float(np.mean(np.abs(pchip_density_quantiles(rho, u) - other_q) ** q) ** (1.0 / q))
+
+
+def row_packets(grid, widths, freqs) -> np.ndarray:
+    """Drop-in for ``norms._packets``: envelope and carrier evaluated anew on
+    every (width, frequency, phase) row."""
+    rows = [(s, q, phase) for s in widths for q in freqs
+            for phase in ((0.0,) if q == 0.0 else (0.0, 0.5 * math.pi))]
+    width, freq, phase = np.reshape(rows, (-1, 3) + (1,) * grid.dim).swapaxes(0, 1)
+    env = np.exp(-0.5 * _periodic_sq_distance(grid, (0.0,) * grid.dim) / width**2)
+    return env * np.cos(freq * grid.coords()[0] + phase)
 
 
 def random_band_limited(grid, band: int, rng) -> ScalarField:

@@ -13,6 +13,7 @@ from mkvflow.metrics import (
     relative_entropy,
     wasserstein_1d,
     wasserstein_1d_empirical,
+    wasserstein_1d_empirical_many,
 )
 from oracles import (
     gaussian_entropy,
@@ -150,6 +151,34 @@ class TestWasserstein1d:
         w1 = wasserstein_1d_empirical(samples, target, 1.0)
         assert w1 < 0.01
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_many_samples_equal_one_at_a_time(self, q):
+        rng = np.random.default_rng(5)
+        target = gaussian_density(GRID, 0.1, 0.3)
+        samples = [rng.standard_normal(n) for n in (2, 17, 1000, 4000)]
+        samples += [samples[2][:, None], list(samples[1])]
+        got = wasserstein_1d_empirical_many(samples, target, q)
+        assert got == [wasserstein_1d_empirical(x, target, q) for x in samples]
+        assert got[4] == got[2] and got[5] == got[1]  # (N, 1) and a list read as (N,)
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.empty(0), "must not be empty"),
+        (np.empty((0, 1)), "must not be empty"),
+        (np.array([0.1, math.nan, 0.2]), "must be finite"),
+        (np.array([0.1, math.inf]), "must be finite"),
+        (np.array([-math.inf, 0.3]), "must be finite"),
+        (np.zeros((50, 2)), r"shape \(N,\) or \(N, 1\)"),
+        (np.zeros((50, 1, 1)), r"shape \(N,\) or \(N, 1\)"),
+        (np.float64(0.5), r"shape \(N,\) or \(N, 1\)"),
+    ], ids=["empty", "empty-column", "nan", "inf", "minus-inf", "two-columns", "3d", "scalar"])
+    def test_bad_samples_are_refused(self, samples, message):
+        # they returned nan, inf, an IndexError, and the flattened columns
+        target = gaussian_density(GRID, 0.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            wasserstein_1d_empirical(samples, target, 1.0)
+        with pytest.raises(ValueError, match=message):
+            wasserstein_1d_empirical_many([np.zeros(10), samples], target, 1.0)
+
 
 def random_table(rng, kind):
     """Nodes and values of a random interpolation table of one ``kind``."""
@@ -263,6 +292,18 @@ class TestRelativeEntropy:
             before = relative_entropy(a, b)
             after = relative_entropy(heat_apply(a, 0.2), heat_apply(b, 0.2))
             assert after <= before + 1e-9
+
+
+class TestGaussianSpec:
+    @pytest.mark.parametrize("mean", [0.0, (), [0.0], (True,), ("0.1",)],
+                             ids=["scalar", "empty", "list", "bool", "string"])
+    def test_mean_must_be_a_non_empty_tuple_of_finite_numbers(self, mean):
+        # a scalar ended in a TypeError; empty and bool means constructed
+        with pytest.raises(ValueError, match="mean must be"):
+            GaussianSpec(mean, 1.0)
+
+    def test_numbers_of_any_kind_are_accepted(self):
+        assert GaussianSpec((0, np.float64(0.5), np.int64(-1)), 0.2).mean == (0, 0.5, -1)
 
 
 class TestGaussianOracles:

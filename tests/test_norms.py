@@ -17,6 +17,7 @@ from mkvflow import norms
 from mkvflow.norms import (
     SobolevIndex,
     _matched_packets,
+    _packets,
     _probe_candidates,
     _probe_family,
     heat_norm_exponent,
@@ -25,7 +26,7 @@ from mkvflow.norms import (
     measure_dual_norm,
     operator_exponent_probe,
 )
-from oracles import heat_gradient, random_band_limited, sup_comparison_constant
+from oracles import heat_gradient, random_band_limited, row_packets, sup_comparison_constant
 
 GRID = GridSpec(1, 1024, 16.0)
 
@@ -306,3 +307,28 @@ class TestOperatorExponentProbe:
         with pytest.raises(ValueError):
             operator_exponent_probe(0, SobolevIndex(0.0, 2.0), SobolevIndex(1.0, 2.0),
                                     self.T_GRID)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1024, 16.0), GridSpec(2, 64, 8.0)],
+                         ids=["1d", "2d"])
+class TestPackets:
+    """Envelopes and carriers evaluated once give the row-by-row packets bit
+    for bit."""
+
+    def test_packets_match_rows(self, grid):
+        widths = np.geomspace(4 * grid.spacing, grid.extent / 8.0, 3)
+        for freqs in ((0.0,), (0.0, 1.5, 7.0), (2.0,), ()):
+            want = row_packets(grid, widths, freqs)
+            assert np.array_equal(_packets(grid, widths, freqs), want)
+        assert _packets(grid, [], (0.0, 1.0)).shape == (0,) + grid.shape
+
+    def test_probe_family_matches_rows(self, grid, monkeypatch):
+        got = _probe_family(grid)
+        monkeypatch.setattr(norms, "_packets", row_packets)
+        assert np.array_equal(got, _probe_family(grid))
+
+    @pytest.mark.parametrize("t", [1e-6, 0.01, 0.3])  # 1e-6: no width resolvable
+    def test_matched_packets_match_rows(self, grid, monkeypatch, t):
+        got = _matched_packets(grid, t)
+        monkeypatch.setattr(norms, "_packets", row_packets)
+        assert np.array_equal(got, _matched_packets(grid, t))

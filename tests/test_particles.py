@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mkvflow import particles
-from mkvflow.grids import GridSpec, gaussian_density
+from mkvflow import metrics, particles
+from mkvflow.grids import GridSpec, ScalarField, gaussian_density
 from mkvflow.kernels import ConstantVector, KernelSpec, RieszOrder
 from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical
 from mkvflow.particles import (
@@ -20,7 +20,7 @@ from mkvflow.particles import (
     empirical_density,
     simulate_particles,
 )
-from mkvflow.solver import FlowParams, picard_solve
+from mkvflow.solver import FlowParams, MeasureFlow, picard_solve
 from oracles import pairwise_drift, periodic_interp
 
 GRID = GridSpec(1, 1024, 16.0)
@@ -60,6 +60,18 @@ class TestSimConfig:
         # raised only when run
         with pytest.raises(ValueError, match="checkpoint"):
             SimConfig(grid=GRID, dt=0.1, T=0.5, seed=0, checkpoints=(t,))
+
+    @pytest.mark.parametrize("grid, mean", [(GRID, (0.0, 0.0)), (GridSpec(2, 64, 8.0), (0.0,))],
+                             ids=["2-mean-1d-grid", "1-mean-2d-grid"])
+    def test_initial_mean_has_one_entry_per_coordinate(self, grid, mean):
+        # two entries on a 1-d grid ended in "output array does not match result
+        # of ndarray.take"; one entry on a 2-d grid was broadcast to both axes
+        with pytest.raises(ValueError, match="initial mean"):
+            SimConfig(grid=grid, dt=0.1, T=0.5, seed=0, initial=GaussianSpec(mean, 0.04))
+
+    def test_initial_must_be_a_gaussian_or_none(self):
+        with pytest.raises(ValueError, match="initial must be a GaussianSpec or None"):
+            SimConfig(grid=GRID, dt=0.1, T=0.5, seed=0, initial=0.04)
 
 
 class TestSimulate:
@@ -336,6 +348,37 @@ class TestChaosStudy:
         a = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         b = chaos_convergence_study(cfg, [250, 500], heat_flow, repeats=3)
         assert a["rows"] == b["rows"]
+
+    @pytest.mark.parametrize("N_list, repeats", [([50, 200], 1), ([50, 200, 400], 3)])
+    def test_one_quantile_table_per_checkpoint(self, heat_flow, monkeypatch, N_list, repeats):
+        # every (N, seed) run built its own table of the same target: 60 per
+        # study of three counts, ten repeats and two checkpoints
+        built = []
+        quantiles = metrics._density_quantiles
+
+        def counted(rho, u):
+            built.append(rho)
+            return quantiles(rho, u)
+
+        monkeypatch.setattr(metrics, "_density_quantiles", counted)
+        cfg = SimConfig(grid=GRID, dt=0.025, T=0.5, seed=11, kernel=None,
+                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.25, 0.5))
+        study = chaos_convergence_study(cfg, N_list, heat_flow, repeats=repeats)
+        assert len(study["rows"]) == 2 * len(N_list) * repeats
+        assert [id(rho) for rho in built] == [id(rho) for rho in heat_flow.densities]
+
+    def test_target_that_is_not_a_density_is_refused_at_entry(self, heat_flow, monkeypatch):
+        # every run used to fail alone, each with the same diagnostic
+        monkeypatch.setattr(particles, "_simulate", None)  # must not be reached
+        dipped = heat_flow.densities[1].values.copy()
+        dipped[0] -= 0.01
+        dipped[1] += 0.01
+        flow = MeasureFlow(heat_flow.times, [heat_flow.densities[0], ScalarField(GRID, dipped)],
+                           heat_flow.initial)
+        cfg = SimConfig(grid=GRID, dt=0.025, T=0.5, seed=11, kernel=None,
+                        initial=GaussianSpec((0.0,), 0.04), checkpoints=(0.5,))
+        with pytest.raises(ValueError, match="not a density"):
+            chaos_convergence_study(cfg, [50], flow, repeats=2)
 
     @staticmethod
     def riesz_cfg():

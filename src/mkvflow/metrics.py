@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ScalarField, _require_numbers
+from .grids import ScalarField, _require_number, _require_numbers
 
 __all__ = [
     "GaussianSpec",
@@ -28,12 +28,13 @@ QUANTILE_NODES = 32768  # midpoint nodes in u of the quantile integrals
 @dataclass(frozen=True)
 class GaussianSpec:
     """Isotropic Gaussian law: mean a non-empty tuple of finite numbers, one per
-    coordinate, and per-coordinate variance in (0, inf)."""
+    coordinate, and per-coordinate variance a number in (0, inf)."""
 
     mean: tuple
     variance: float
 
     def __post_init__(self):
+        _require_number("variance", self.variance)
         if not 0 < self.variance < math.inf:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         _require_numbers("mean", self.mean)

@@ -302,6 +302,12 @@ class TestGaussianSpec:
         with pytest.raises(ValueError, match="mean must be"):
             GaussianSpec(mean, 1.0)
 
+    @pytest.mark.parametrize("variance", [True, "1.0"], ids=["bool", "string"])
+    def test_variance_must_be_a_number(self, variance):
+        # True constructed a unit variance; a string ended in a TypeError
+        with pytest.raises(ValueError, match="variance must be a number"):
+            GaussianSpec((0.0,), variance)
+
     def test_numbers_of_any_kind_are_accepted(self):
         assert GaussianSpec((0, np.float64(0.5), np.int64(-1)), 0.2).mean == (0, 0.5, -1)
 

@@ -346,11 +346,12 @@ def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg, grid)
     # fit below the unit-window saturation scale: 1.5 decades inside [0.01, 1]
     t_grid = np.geomspace(0.01, 0.01 * 10**1.5, 12)
-    for i, delta, eps, k, p in _HEAT_CASES:
-        frm, to = SobolevIndex(float(delta), float(k)), SobolevIndex(float(eps), float(p))
-        fit = operator_exponent_probe(i, frm, to, t_grid, grid=grid)
+    cases = [(i, SobolevIndex(float(delta), float(k)), SobolevIndex(float(eps), float(p)))
+             for i, delta, eps, k, p in _HEAT_CASES]
+    fits = operator_exponent_probe(cases, t_grid, grid=grid)
+    for (i, frm, to), fit in zip(cases, fits):
         theory = heat_norm_exponent(i, frm, to, grid.dim)
-        label = f"heat_slope(i={i},delta={delta:g},eps={eps:g},k={k:g},p={p:g})"
+        label = f"heat_slope(i={i},delta={frm.delta:g},eps={to.delta:g},k={frm.k:g},p={to.k:g})"
         report.add(label, theory, fit.slope, DEFAULT_TOLERANCES["heat_slope"])
         report.figures[label] = list(zip(fit.t_values, fit.estimates))
     return report

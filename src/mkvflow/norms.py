@@ -1,7 +1,10 @@
 """Windowed negative-Sobolev norms and the dual norm on measures.
 
 The function norm is ``sup_z || 1_{B(z,1)} (1-Lap)^{-delta/2} f ||_{L^k}``
-with the sup taken over a lattice of ball centers ``_CENTER_SPACING`` apart.
+with the sup taken over a lattice of ball centers ``_CENTER_SPACING`` apart;
+each center's windowed integral is read off prefix sums along the ball's
+chords, so only the lattice centers are computed, on a torus wider than the
+ball.
 The dual norm on (differences of) measures is not computable exactly; it is
 bracketed by a certified lower bound (the best pairing with three structured
 test functions) and an upper surrogate (cell-partition sum dual to the
@@ -82,33 +85,65 @@ class SobolevIndex:
 
 
 @functools.lru_cache(maxsize=16)
-def _ball_spectrum(grid: GridSpec) -> np.ndarray:
-    """Half-lattice spectrum of the unit-ball indicator (real: the ball is even)."""
-    spec = rfft((grid.periodic_radius() <= BALL_RADIUS).astype(float))
-    spec.setflags(write=False)
-    return spec
+def _ball_chords(grid: GridSpec, stride: int) -> tuple:
+    """The cut points and prefix-sum indices that ``_windowed_sups`` reads,
+    read-only.
 
-
-def _windowed_power_sums(grid: GridSpec, power_values: np.ndarray) -> np.ndarray:
-    """Integral of ``power_values`` (a field or a stack) over each grid point's unit ball."""
-    conv = irfft(rfft(power_values, grid.dim) * _ball_spectrum(grid), grid.shape)
-    return np.maximum(conv, 0.0) * grid.cell_volume
+    The ball ``periodic_radius() <= BALL_RADIUS`` sits at grid index ``n/2``
+    on each axis and meets each grid line along the last axis in one run of
+    points, a chord: one chord in 1-d, one per line it crosses in 2-d.  The
+    centers are ``(m * stride + n/2) mod n`` on each axis.  ``cuts`` are the
+    sorted points of the last axis where some chord starts or stops at some
+    center, 0 included.  ``hi`` and ``lo``, of shape (centers on the leading
+    axis or 1, centers on the last axis, chords), index the flat prefix sums
+    over the segments between cuts: a chord's sum at a center is
+    ``prefix[hi] - prefix[lo]``.
+    """
+    n = grid.points_per_dim
+    ball = (grid.periodic_radius() <= BALL_RADIUS).reshape(-1, n).astype(np.int8)
+    edges = np.diff(ball, axis=1, prepend=0, append=0)
+    lines, starts = np.nonzero(edges == 1)
+    stops = np.nonzero(edges == -1)[1]
+    centers = (np.arange(0, n, stride) + n // 2) % n
+    # the line of a chord at a center on the leading axis; 1-d has one line
+    rows = (centers[:, None] + lines - n // 2) % n if grid.dim == 2 else lines[None, :]
+    # chord ends along the line, in (-n/2, 3n/2): the chord is [lo end, hi end)
+    ends = [centers[:, None] + e - n // 2 for e in (stops, starts)]
+    cuts = np.unique(np.concatenate([[0]] + [e.ravel() % n for e in ends]))
+    # prefix sums of each line take 3 * len(cuts) entries: periods -1, 0 and 1
+    base = (rows * 3 * len(cuts))[:, None, :]
+    hi, lo = (base + (e // n + 1) * len(cuts) + np.searchsorted(cuts, e % n) for e in ends)
+    for a in (cuts, hi, lo):
+        a.setflags(write=False)
+    return cuts, hi, lo
 
 
 def _windowed_sups(grid: GridSpec, g: np.ndarray, idx: SobolevIndex) -> list:
     """``sup_z ||1_{B(z,1)} g||_{L^k}`` of each field in the stack ``g >= 0``.
 
-    For finite k one FFT convolution with the ball indicator gives the
-    windowed integrals at all grid centers, subsampled every
-    ``_CENTER_SPACING``; for k = inf every point lies in some ball: the sup is
-    the global sup.
+    The centers ``z`` are the grid points every ``_CENTER_SPACING``, offset
+    to include the origin.  For finite k the windowed integral of ``g**k``
+    at each center is a sum over the ball's chords of differences of prefix
+    sums along the last axis, taken over the segments between the chord
+    ends (``_ball_chords``), so only the centers read are computed; for
+    k = inf every point lies in some ball: the sup is the global sup.  A
+    torus of extent at most ``2 * BALL_RADIUS`` is refused: the ball would
+    cover it.
     """
+    if grid.extent <= 2 * BALL_RADIUS:
+        raise ValueError(f"torus extent {grid.extent} too small for unit-ball windows")
     if math.isinf(idx.k):
         return list(g.reshape(len(g), -1).max(axis=1))
-    stride = max(1, int(_CENTER_SPACING / grid.spacing))
-    sub = (slice(None),) + (slice(None, None, stride),) * grid.dim
-    sums = _windowed_power_sums(grid, g**idx.k)[sub]
-    return [m ** (1.0 / idx.k) for m in sums.reshape(len(g), -1).max(axis=1)]
+    cuts, hi, lo = _ball_chords(grid, max(1, int(_CENTER_SPACING / grid.spacing)))
+    segments = np.add.reduceat(g**idx.k, cuts, axis=-1)
+    cum = np.zeros(segments.shape[:-1] + (len(cuts) + 1,))
+    np.cumsum(segments, axis=-1, out=cum[..., 1:])
+    below, total = cum[..., :-1], cum[..., -1:]
+    # the periodic prefix sum over three periods, nondecreasing like ``cum``
+    prefix = np.concatenate([below - total, below, below + total], axis=-1).reshape(len(g), -1)
+    sums = (prefix[:, hi] - prefix[:, lo]).sum(axis=-1)
+    top = sums.reshape(len(g), -1).max(axis=1) * grid.cell_volume
+    return [m ** (1.0 / idx.k) for m in top]
 
 
 def local_neg_norm(f, idx: SobolevIndex) -> float:
@@ -119,8 +154,6 @@ def local_neg_norm(f, idx: SobolevIndex) -> float:
     field.
     """
     grid = f.grid
-    if grid.extent <= 2 * BALL_RADIUS:
-        raise ValueError(f"torus extent {grid.extent} too small for unit-ball windows")
     if isinstance(f, VectorField):
         g = _magnitude([bessel_apply(ScalarField(grid, c), idx.delta / 2.0).values
                         for c in f.components])
@@ -279,24 +312,29 @@ def _probe_norms(grid: GridSpec, spectra: np.ndarray, mults, idx: SobolevIndex) 
     return np.array(norms)
 
 
-def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
-                            t_grid, grid: GridSpec | None = None) -> ProbeFit:
-    """Fit the time exponent of the heat operator norm between two indices.
+def operator_exponent_probe(cases, t_grid, grid: GridSpec | None = None) -> list:
+    """Fit the time exponent of the heat operator norm between two indices,
+    one ``ProbeFit`` per case ``(i, frm, to)`` of the sequence ``cases``.
 
     For each t the operator norm is estimated from below by maximizing the
     output/input norm ratio over the inputs ``(1-Lap)^{frm.delta/2} f``, of
     input norm that of ``|f|``, with ``f`` from ``_probe_family`` and
     ``_matched_packets(t)``; each output is one multiplier product on the
-    spectrum.  The log-log slope across ``t_grid`` is fitted by least
-    squares; the fit is deterministic.
+    spectrum.  ``t_grid`` is swept once: each time's matched packets, their
+    spectrum and the heat multiplier serve every case.  The log-log slope
+    across ``t_grid`` is fitted by least squares; the fit is deterministic.
 
-    Preconditions: ``to.delta <= frm.delta``, ``frm.k <= to.k`` and a time
-    grid spanning at least 1.5 decades.
+    Preconditions: ``i`` in {0, 1}, ``to.delta <= frm.delta``,
+    ``frm.k <= to.k`` and a time grid spanning at least 1.5 decades.
     """
-    if i not in (0, 1):
-        raise ValueError(f"derivative count i must be 0 or 1, got {i}")
-    if to.delta > frm.delta or to.k < frm.k:
-        raise ValueError("target index must have smaller delta and larger k")
+    cases = list(cases)
+    if not cases:
+        raise ValueError("need at least one (i, frm, to) case")
+    for i, frm, to in cases:
+        if i not in (0, 1):
+            raise ValueError(f"derivative count i must be 0 or 1, got {i}")
+        if to.delta > frm.delta or to.k < frm.k:
+            raise ValueError("target index must have smaller delta and larger k")
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size < 4 or t_grid[0] <= 0:
         raise ValueError("need at least 4 positive times")
@@ -304,22 +342,28 @@ def operator_exponent_probe(i: int, frm: SobolevIndex, to: SobolevIndex,
         raise ValueError("time grid must span at least 1.5 decades")
     grid = grid or GridSpec(1, 2048, 16.0)
     ixi, xi_sq = rfft_wavenumbers(grid)
-    bessel = (1.0 + xi_sq) ** ((frm.delta - to.delta) / 2.0)  # sharpen, then smooth
-    out_comps = [bessel] if i == 0 else [bessel * ik for ik in ixi]
-    family = rfft(_probe_family(grid), grid.dim)
-    family_in = _probe_norms(grid, family, [1.0], frm)
-    estimates = np.empty_like(t_grid)
+    out_comps = []
+    for i, frm, to in cases:
+        bessel = (1.0 + xi_sq) ** ((frm.delta - to.delta) / 2.0)  # sharpen, then smooth
+        out_comps.append([bessel] if i == 0 else [bessel * ik for ik in ixi])
+    base = _probe_family(grid)
+    family = rfft(base, grid.dim)
+    np.abs(base, out=base)  # the input norms read |f|
+    family_in = [np.array(_windowed_sups(grid, base, frm)) for _, frm, _ in cases]
+    estimates = np.zeros((len(cases), t_grid.size))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small probe times are intentional
         for j, t in enumerate(t_grid):
-            mults = [_heat_multiplier(grid, t) * m for m in out_comps]
-            matched = rfft(_matched_packets(grid, t), grid.dim)
-            best = 0.0
-            for spectra, nin in ((family, family_in),
-                                 (matched, _probe_norms(grid, matched, [1.0], frm))):
-                live = nin > 1e-12
-                ratios = _probe_norms(grid, spectra[live], mults, to) / nin[live]
-                best = max(best, np.max(ratios, initial=0.0))
-            estimates[j] = best
-    slope = np.polyfit(np.log(t_grid), np.log(estimates), 1)[0]
-    return ProbeFit(float(slope), t_grid, estimates)
+            heat = _heat_multiplier(grid, t)
+            packets = _matched_packets(grid, t)
+            matched = rfft(packets, grid.dim)
+            np.abs(packets, out=packets)
+            for c, (_, frm, to) in enumerate(cases):
+                mults = [heat * m for m in out_comps[c]]
+                matched_in = np.array(_windowed_sups(grid, packets, frm))
+                for spectra, nin in ((family, family_in[c]), (matched, matched_in)):
+                    live = nin > 1e-12
+                    ratios = _probe_norms(grid, spectra[live], mults, to) / nin[live]
+                    estimates[c, j] = max(estimates[c, j], np.max(ratios, initial=0.0))
+    log_t = np.log(t_grid)
+    return [ProbeFit(float(np.polyfit(log_t, np.log(e), 1)[0]), t_grid, e) for e in estimates]

@@ -251,3 +251,25 @@ def random_band_limited(grid, band: int, rng) -> ScalarField:
     if scale > 0:
         vals *= 1.0 / scale
     return ScalarField(grid, vals)
+
+
+def fft_windowed_sups(grid, g, k, center_spacing: float = 0.5) -> np.ndarray:
+    """``norms._windowed_sups`` of the stack ``g >= 0`` by convolving over the
+    whole grid, then reading every ``center_spacing`` from index 0.
+
+    For finite k: the full complex FFT convolution of ``g**k`` with the
+    unit-ball indicator, clipped at 0, times the cell volume.  For k = inf:
+    the largest value of ``g`` in each ball, by one roll per ball point.
+    """
+    axes = tuple(range(1, grid.dim + 1))
+    ball = grid.periodic_radius() <= 1.0
+    stride = max(1, int(center_spacing / grid.spacing))
+    sub = (slice(None),) + (slice(None, None, stride),) * grid.dim
+    if math.isinf(k):
+        window = np.zeros_like(g)
+        for pos in np.argwhere(ball):
+            window = np.maximum(window, np.roll(g, tuple(pos), axis=axes))
+        return window[sub].reshape(len(g), -1).max(axis=1)
+    spec = np.fft.fftn(g**k, axes=axes) * np.fft.fftn(ball.astype(float))
+    window = np.maximum(np.fft.ifftn(spec, axes=axes).real, 0.0) * grid.cell_volume
+    return window[sub].reshape(len(g), -1).max(axis=1) ** (1.0 / k)

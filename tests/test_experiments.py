@@ -551,10 +551,22 @@ class TestProbeReportRows:
         idx = SobolevIndex(1.0, 2.0)
         grid = GridSpec(1, 256, 16.0)
         t_grid = np.geomspace(0.05, 1.6, 6)
-        fit = operator_exponent_probe(0, idx, idx, t_grid, grid=grid)
+        (fit,) = operator_exponent_probe([(0, idx, idx)], t_grid, grid=grid)
         assert len(fit.t_values) == len(fit.estimates) == 6
         assert fit.t_values[0] == pytest.approx(0.05)
         assert fit.estimates[0] > 0
+
+    def test_matched_packets_built_once_per_time(self, monkeypatch):
+        # the three cases share one sweep of the 12 times: packets are built
+        # once per time, not once per (case, time), which is 36 builds
+        from mkvflow import norms
+        calls = []
+        build = norms._matched_packets
+        monkeypatch.setattr(norms, "_matched_packets",
+                            lambda grid, t: calls.append(t) or build(grid, t))
+        report = run_experiment(ExperimentConfig("heat_exponent", options=(("grid_n", 256),)))
+        assert len(report.rows) == len(experiments._HEAT_CASES) == 3
+        assert len(calls) == len(set(calls)) == 12
 
 
 class TestSeedIndependence:

@@ -19,7 +19,6 @@ from mkvflow.grids import (
     irfft,
     rfft,
 )
-from mkvflow.norms import _windowed_power_sums
 from oracles import bessel_gamma_quadrature, freq_sq, freqs, heat_gradient, random_band_limited
 
 GRID1 = GridSpec(1, 1024, 16.0)
@@ -296,16 +295,6 @@ class TestHalfLatticeMultipliers:
         for xi, o in zip(freqs(grid), order):
             mult = mult * (1j * xi) ** o
         _assert_matches_oracle([_derivative(f, order).values], spec, [mult])
-
-    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-    def test_windowed_power_sums(self, dim):
-        grid = HALF_LATTICE_GRIDS[dim]
-        p = np.abs(_nyquist_field(grid)[0].values) ** 1.5
-        ball = (grid.periodic_radius() <= 1.0).astype(float)
-        want = np.fft.ifftn(np.fft.fftn(p) * np.fft.fftn(ball)).real
-        want = np.maximum(want, 0.0) * grid.cell_volume
-        got = _windowed_power_sums(grid, p)
-        assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 class TestFieldDerivative:

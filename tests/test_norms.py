@@ -26,7 +26,13 @@ from mkvflow.norms import (
     measure_dual_norm,
     operator_exponent_probe,
 )
-from oracles import heat_gradient, random_band_limited, row_packets, sup_comparison_constant
+from oracles import (
+    fft_windowed_sups,
+    heat_gradient,
+    random_band_limited,
+    row_packets,
+    sup_comparison_constant,
+)
 
 GRID = GridSpec(1, 1024, 16.0)
 
@@ -225,6 +231,15 @@ class TestMeasureDualNorm:
         with pytest.raises(ValueError):
             measure_dual_norm(d, SobolevIndex(1.0, 1.0), "amalgam")
 
+    @pytest.mark.parametrize("k", [2.0, math.inf])
+    def test_probe_rejects_torus_within_ball(self, k):
+        # at extent 2 the unit ball covers the torus: no window is a ball,
+        # whatever k is
+        grid = GridSpec(1, 64, 2.0)
+        rho = gaussian_density(grid, 0.0, 0.04, normalize=True)
+        with pytest.raises(ValueError, match="too small for unit-ball windows"):
+            measure_dual_norm(rho, SobolevIndex(1.0, k), "probe")
+
     def test_rejects_bad_mass(self):
         f = ScalarField(GRID, gaussian_density(GRID, 0, 0.04).values * 0.5)
         with pytest.raises(ValueError):
@@ -247,35 +262,72 @@ class TestMeasureDualNorm:
             assert tv <= c * lower * (1 + 1e-6)
 
 
+WINDOW_GRIDS = [GridSpec(1, 2048, 16.0), GridSpec(1, 1024, 10.0), GridSpec(2, 128, 16.0),
+                GridSpec(2, 64, 8.0)]
+
+
+class TestWindowedSups:
+    """The sums read at the lattice centers only, against the convolution
+    over the whole grid read every ``_CENTER_SPACING``."""
+
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 3.0, math.inf], ids=lambda k: f"k{k:g}")
+    @pytest.mark.parametrize("grid", WINDOW_GRIDS,
+                             ids=lambda g: f"{g.dim}d-{g.points_per_dim}-L{g.extent:g}")
+    def test_matches_fft_oracle(self, grid, k):
+        # 1024 points on extent 10: the center stride 51 does not divide n/2
+        rng = np.random.default_rng(14)
+        g = np.array([np.abs(random_band_limited(grid, band, rng).values) for band in (2, 8, 32)]
+                     + [gaussian_density(grid, 0.3, 0.01).values, np.ones(grid.shape)])
+        got = norms._windowed_sups(grid, g, SobolevIndex(0.0, k))
+        np.testing.assert_allclose(got, fft_windowed_sups(grid, g, k), rtol=1e-13, atol=0)
+
+    def test_one_chord_per_line(self):
+        # 32 centers per axis, each with one chord per line the ball crosses;
+        # in 1-d the line is cut only at the 64 chord ends
+        cuts, hi, lo = norms._ball_chords(GridSpec(1, 2048, 16.0), 64)
+        assert hi.shape == lo.shape == (1, 32, 1)
+        assert len(cuts) == 64
+        cuts, hi, lo = norms._ball_chords(GridSpec(2, 128, 16.0), 4)
+        assert hi.shape == lo.shape == (32, 32, 17)
+
+
 class TestOperatorExponentProbe:
     T_GRID = np.geomspace(0.01, 10**-0.5, 12)
 
+    LOOP_GRID = GridSpec(1, 256, 16.0)
+    LOOP_TIMES = np.geomspace(0.02, 0.02 * 10**1.5, 5)
+    LOOP_CASES = ((0, SobolevIndex(1.0, 2.0), SobolevIndex(0.5, 4.0)),
+                  (1, SobolevIndex(0.5, 2.0), SobolevIndex(0.0, math.inf)))
+
+    @pytest.fixture(scope="class")
+    def loop_fits(self):
+        """Both cases of the loop comparison, fitted in one call."""
+        return operator_exponent_probe(self.LOOP_CASES, self.LOOP_TIMES, grid=self.LOOP_GRID)
+
     def test_flat_case_slope_zero(self):
         idx = SobolevIndex(1.0, 2.0)
-        fit = operator_exponent_probe(0, idx, idx, self.T_GRID)
+        (fit,) = operator_exponent_probe([(0, idx, idx)], self.T_GRID)
         assert abs(fit.slope) < 0.05
 
     def test_smoothing_case(self):
         frm = SobolevIndex(1.0, 2.0)
         to = SobolevIndex(0.0, math.inf)
-        fit = operator_exponent_probe(0, frm, to, self.T_GRID)
+        (fit,) = operator_exponent_probe([(0, frm, to)], self.T_GRID)
         assert abs(fit.slope - (-0.75)) < 0.08
 
     def test_gradient_case(self):
         idx = SobolevIndex(0.0, math.inf)
-        fit = operator_exponent_probe(1, idx, idx, self.T_GRID)
+        (fit,) = operator_exponent_probe([(1, idx, idx)], self.T_GRID)
         assert abs(fit.slope - (-0.5)) < 0.05
 
-    @pytest.mark.parametrize("i, frm, to", [
-        (0, SobolevIndex(1.0, 2.0), SobolevIndex(0.5, 4.0)),
-        (1, SobolevIndex(0.5, 2.0), SobolevIndex(0.0, math.inf)),
-    ], ids=["i0-finite-k", "i1-inf-k"])
-    def test_matches_a_loop_over_public_operators(self, i, frm, to):
-        # the stacked estimate against one heat_apply / heat_gradient and
+    @pytest.mark.parametrize("case", [0, 1], ids=["i0-finite-k", "i1-inf-k"])
+    def test_matches_a_loop_over_public_operators(self, loop_fits, case):
+        # each fit of the one call against one heat_apply / heat_gradient and
         # local_neg_norm call per probe (1-Lap)^{frm.delta/2} f and time
-        grid = GridSpec(1, 256, 16.0)
-        t_grid = np.geomspace(0.02, 0.02 * 10**1.5, 5)
-        fit = operator_exponent_probe(i, frm, to, t_grid, grid=grid)
+        grid, t_grid = self.LOOP_GRID, self.LOOP_TIMES
+        i, frm, to = self.LOOP_CASES[case]
+        fit = loop_fits[case]
+        assert len(loop_fits) == len(self.LOOP_CASES)
 
         def probes(stack):
             return [bessel_sharpen(ScalarField(grid, f), frm.delta / 2.0) for f in stack]
@@ -301,12 +353,24 @@ class TestOperatorExponentProbe:
     def test_rejects_short_span(self):
         idx = SobolevIndex(1.0, 2.0)
         with pytest.raises(ValueError):
-            operator_exponent_probe(0, idx, idx, [0.1, 0.2, 0.4, 0.8])
+            operator_exponent_probe([(0, idx, idx)], [0.1, 0.2, 0.4, 0.8])
 
     def test_rejects_wrong_ordering(self):
-        with pytest.raises(ValueError):
-            operator_exponent_probe(0, SobolevIndex(0.0, 2.0), SobolevIndex(1.0, 2.0),
+        idx = SobolevIndex(1.0, 2.0)
+        with pytest.raises(ValueError, match="target index"):
+            operator_exponent_probe([(0, idx, idx), (0, SobolevIndex(0.0, 2.0), idx)],
                                     self.T_GRID)
+
+    def test_rejects_no_case(self):
+        with pytest.raises(ValueError, match="at least one"):
+            operator_exponent_probe([], self.T_GRID)
+
+    @pytest.mark.parametrize("k", [2.0, math.inf])
+    def test_rejects_torus_within_ball(self, k):
+        # at extent 2 the unit ball covers the torus: refused, not fitted
+        idx = SobolevIndex(0.0, k)
+        with pytest.raises(ValueError, match="too small for unit-ball windows"):
+            operator_exponent_probe([(0, idx, idx)], self.T_GRID, grid=GridSpec(1, 256, 2.0))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1024, 16.0), GridSpec(2, 64, 8.0)],

@@ -9,7 +9,8 @@ summed over pairs instead of binned, read through a corner-by-corner
 periodic interpolation, the solver's frozen drift evaluated node by node
 on the interpolated density, the 2-d Riesz image sum over the whole grid,
 the transport metrics' quantile functions through scipy's PCHIP, the
-probe packets built row by row, and random band-limited test inputs.
+probe packets built row by row, the windowed norms' sums by an FFT
+convolution over the whole grid, and random band-limited test inputs.
 """
 
 import math

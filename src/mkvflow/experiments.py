@@ -67,30 +67,6 @@ DEFAULT_TOLERANCES = {
     "w1_monotone_in_N": 1.0,
 }
 
-# Every key each experiment reads, with its default, whose type is the key's
-# kind: one value of a tuple key reads as a one-element tuple, an int key
-# takes a positive int, and t_first (None: T/10) a float.  An experiment that
-# reads `kernel` also reads the `kernel.<param>` keys, which make_kernel checks.
-_GRID = {"dim": 1, "grid_n": 1024, "grid_extent": 16.0}
-_KERNEL = {"kernel": "zero", "kappa": 0.0}
-_SOLVER = {"steps": 600, "max_iter": 25, "tol": 1e-8}
-_FLOW = {"T": 0.5, "n_times": 8, "delta": 1.0, "k": 2.0}  # geometric output times
-_LINEAR_FLOW = {**_FLOW, "t_first": None, "n_times": 10}  # linear from t_first
-_OPTIONS = {
-    "heat_exponent": {"grid_n": 2048, "grid_extent": 16.0},
-    "kernel_membership": {**_GRID, **_KERNEL, "deltas": (1.5, 0.5), "ks": (math.inf,) * 2},
-    "solve": {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER, "max_iter": 20,
-              "tol": DEFAULT_TOLERANCES["residual"], "gamma_var": 0.04},
-    "decay": {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER, "r_list": (0.02, 0.01, 0.005)},
-    "stability": {**_GRID, **_KERNEL, **_FLOW, **_SOLVER, "T": 0.2, "gamma_var": 0.002,
-                  "h_list": (0.02, 0.05, 0.1)},
-    "entropy_cost": {**_GRID, **_KERNEL, **_FLOW, **_SOLVER, "gamma_var": 0.04,
-                     "gamma_shift": 0.1},
-    # stops at picard_solve's default tolerance 1e-8
-    "particles": {**_GRID, **_KERNEL, **_LINEAR_FLOW, "steps": 400, "max_iter": 25,
-                  "gamma_var": 0.04, "dt": 0.0025, "N_list": (250, 1000, 4000), "repeats": 10},
-}
-EXPERIMENTS = tuple(_OPTIONS)
 # settings that no config key sets
 _HEAT_CASES = ((0, 1.0, 0.0, 2.0, math.inf),  # (i, delta, eps, k, p) per fit
                (1, 0.0, 0.0, math.inf, math.inf),
@@ -238,10 +214,10 @@ def fit_exponent(pairs) -> float:
 
 
 def _options(cfg: ExperimentConfig) -> dict:
-    """The experiment's ``_OPTIONS`` entry with the config's values over its
-    defaults, each of its default's kind, and the config's ``kernel.<param>``
+    """The experiment's defaults in ``_EXPERIMENTS`` with the config's values
+    over them, each of its default's kind, and the config's ``kernel.<param>``
     keys; a key the experiment does not read, or one set twice, is a ``ValueError``."""
-    entry, keys = _OPTIONS[cfg.experiment], [k for k, _ in cfg.options]
+    entry, keys = _EXPERIMENTS[cfg.experiment][1], [k for k, _ in cfg.options]
     kernel = "kernel" in entry
     unread = [k for k in keys if k not in entry and not (kernel and k.startswith("kernel."))]
     if unread:
@@ -340,10 +316,7 @@ def _decay(flow, params: FlowParams):
 # experiments
 
 
-def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
-    o = _options(cfg)
-    grid = _grid(o)
-    report = _report(cfg, grid)
+def _exp_heat_exponent(o: dict, grid: GridSpec, report: RunReport):
     # fit below the unit-window saturation scale: 1.5 decades inside [0.01, 1]
     t_grid = np.geomspace(0.01, 0.01 * 10**1.5, 12)
     cases = [(i, SobolevIndex(float(delta), float(k)), SobolevIndex(float(eps), float(p)))
@@ -354,7 +327,6 @@ def _exp_heat_exponent(cfg: ExperimentConfig) -> RunReport:
         label = f"heat_slope(i={i},delta={frm.delta:g},eps={to.delta:g},k={frm.k:g},p={to.k:g})"
         report.add(label, theory, fit.slope, DEFAULT_TOLERANCES["heat_slope"])
         report.figures[label] = list(zip(fit.t_values, fit.estimates))
-    return report
 
 
 def _expected_membership(variant, delta, k, dim):
@@ -382,10 +354,7 @@ def _expected_membership(variant, delta, k, dim):
     return ("bounded" if bounded else "unbounded"), q
 
 
-def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
-    o = _options(cfg)
-    grid = _grid(o)
-    report = _report(cfg, grid)
+def _exp_kernel_membership(o: dict, grid: GridSpec, report: RunReport):
     spec = _kernel(o, grid)
     tol = DEFAULT_TOLERANCES["membership_exponent"]
     for delta, k in zip(o["deltas"], o["ks"]):
@@ -402,14 +371,11 @@ def _exp_kernel_membership(cfg: ExperimentConfig) -> RunReport:
             else:
                 report.add(label + ".growth_exponent", q, study.growth_exponent, tol)
         report.figures[label] = list(zip(study.eps_values, study.norms))
-    return report
 
 
-def _solve_setup(cfg: ExperimentConfig, t_lo=None):
-    """Options, grid, flow parameters and kernel; ``n_times`` output times up
-    to T, linear from ``t_first``, or geometric from ``t_lo`` if given."""
-    o = _options(cfg)
-    grid = _grid(o)
+def _solve_setup(o: dict, grid: GridSpec, t_lo=None):
+    """Flow parameters and kernel; ``n_times`` output times up to T, linear
+    from ``t_first``, or geometric from ``t_lo`` if given."""
     T = o["T"]
     if t_lo is None:
         t_first = T / 10 if o["t_first"] is None else o["t_first"]
@@ -418,13 +384,12 @@ def _solve_setup(cfg: ExperimentConfig, t_lo=None):
         time_grid = np.geomspace(t_lo, T, o["n_times"])
     params = FlowParams(delta=o["delta"], k=o["k"], kappa=o["kappa"], T=T,
                         time_grid=tuple(time_grid), dim=grid.dim)
-    return o, grid, params, _kernel(o, grid)
+    return params, _kernel(o, grid)
 
 
-def _exp_solve(cfg: ExperimentConfig) -> RunReport:
-    o, grid, params, kern = _solve_setup(cfg)
+def _exp_solve(o: dict, grid: GridSpec, report: RunReport):
+    params, kern = _solve_setup(o, grid)
     _gate(params)
-    report = _report(cfg, grid)
     gamma = gaussian_density(grid, 0.0, o["gamma_var"])
     ((report.flow, rep),) = _solve(o, report, [gamma], kern, params)
     ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
@@ -441,13 +406,11 @@ def _exp_solve(cfg: ExperimentConfig) -> RunReport:
     report.add("lambda_monotone", 1.0, 1.0 if mono else 0.0, 0.0, mono)
     report.figures["contraction_ratio_vs_lambda"] = list(zip(_LAMBDAS, worst))
     report.figures["decay_trajectory"] = list(zip(report.flow.times, trajectory))
-    return report
 
 
-def _exp_decay(cfg: ExperimentConfig) -> RunReport:
-    o, grid, params, kern = _solve_setup(cfg)
+def _exp_decay(o: dict, grid: GridSpec, report: RunReport):
+    params, kern = _solve_setup(o, grid)
     _gate(params)
-    report = _report(cfg, grid)
     sups = []
     r_list = o["r_list"]
     gammas = [gaussian_density(grid, 0.0, r, normalize=True) for r in r_list]
@@ -471,16 +434,14 @@ def _exp_decay(cfg: ExperimentConfig) -> RunReport:
                 if min(dists) > 0 else math.nan)
         tol = DEFAULT_TOLERANCES["shift_limit_rate"]
         report.add("shift_limit_rate", 0.5, rate, tol, rate >= 0.5 - tol)
-    return report
 
 
-def _exp_stability(cfg: ExperimentConfig) -> RunReport:
+def _exp_stability(o: dict, grid: GridSpec, report: RunReport):
     # the fit window stays below the Bessel length scale: at sqrt(t) ~ 1 the
     # subleading part of the smoothing weight bends the true norm slope away
     # from its short-time exponent (same effect as in the heat-exponent fits)
-    o, grid, params, kern = _solve_setup(cfg, t_lo=0.02)
+    params, kern = _solve_setup(o, grid, t_lo=0.02)
     _gate(params, window=True)
-    report = _report(cfg, grid)
     r, h_list = o["gamma_var"], o["h_list"]
     t_grid = np.asarray(params.time_grid)
     idx = params.running_index
@@ -509,13 +470,11 @@ def _exp_stability(cfg: ExperimentConfig) -> RunReport:
                DEFAULT_TOLERANCES["stability_slope_upper_bracket"])
     lin = np.max((his.max(axis=0) - his.min(axis=0)) / mean_hi)
     report.add("stability_linearity", 0.0, lin, DEFAULT_TOLERANCES["stability_linearity"])
-    return report
 
 
-def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
-    o, grid, params, kern = _solve_setup(cfg, t_lo=0.05)
+def _exp_entropy_cost(o: dict, grid: GridSpec, report: RunReport):
+    params, kern = _solve_setup(o, grid, t_lo=0.05)
     _gate(params, window=True)
-    report = _report(cfg, grid)
     r, h = o["gamma_var"], o["gamma_shift"]
     t_grid = np.asarray(params.time_grid)
     g1 = gaussian_density(grid, 0.0, r, normalize=True)
@@ -533,16 +492,14 @@ def _exp_entropy_cost(cfg: ExperimentConfig) -> RunReport:
     bound = DEFAULT_TOLERANCES["entropy_zero_bound" if zero else "entropy_kernel_bound"]
     report.add("entropy_ratio_bound" if zero else "entropy_envelope", bound,
                float(measured.max()), bound, bool(measured.max() <= bound))
-    return report
 
 
-def _exp_particles(cfg: ExperimentConfig) -> RunReport:
-    o, grid, params, kern = _solve_setup(cfg)
-    report = _report(cfg, grid)
+def _exp_particles(o: dict, grid: GridSpec, report: RunReport):
+    params, kern = _solve_setup(o, grid)
     r0 = o["gamma_var"]
     ((flow, _),) = _solve(o, report, [gaussian_density(grid, 0.0, r0)], kern, params)
     zero = kernel_vanishes(kern)
-    sim = SimConfig(grid=grid, dt=o["dt"], T=params.T, seed=cfg.seed,
+    sim = SimConfig(grid=grid, dt=o["dt"], T=params.T, seed=report.provenance["seed"],
                     kernel=None if zero else kern,
                     initial=GaussianSpec((0.0,), r0), checkpoints=(params.T,))
     study = chaos_convergence_study(sim, list(o["N_list"]), flow, repeats=o["repeats"])
@@ -561,23 +518,45 @@ def _exp_particles(cfg: ExperimentConfig) -> RunReport:
     report.add("w1_monotone_in_N", 0.0, inversions, DEFAULT_TOLERANCES["w1_monotone_in_N"])
     report.add("seed_failures", 0.0, float(len(study["failures"])), 0.0,
                not study["failures"])
-    return report
 
 
-_RUNNERS = {
-    "heat_exponent": _exp_heat_exponent,
-    "kernel_membership": _exp_kernel_membership,
-    "solve": _exp_solve,
-    "decay": _exp_decay,
-    "stability": _exp_stability,
-    "entropy_cost": _exp_entropy_cost,
-    "particles": _exp_particles,
+# Each experiment's runner and every key it reads, with its default, whose
+# type is the key's kind: one value of a tuple key reads as a one-element
+# tuple, an int key takes a positive int, and t_first (None: T/10) a float.
+# Reading `kernel` also reads the `kernel.<param>` keys, which make_kernel checks.
+_GRID = {"dim": 1, "grid_n": 1024, "grid_extent": 16.0}
+_KERNEL = {"kernel": "zero", "kappa": 0.0}
+_SOLVER = {"steps": 600, "max_iter": 25, "tol": 1e-8}
+_FLOW = {"T": 0.5, "n_times": 8, "delta": 1.0, "k": 2.0}  # geometric output times
+_LINEAR_FLOW = {**_FLOW, "t_first": None, "n_times": 10}  # linear from t_first
+_EXPERIMENTS = {
+    "heat_exponent": (_exp_heat_exponent, {"grid_n": 2048, "grid_extent": 16.0}),
+    "kernel_membership": (_exp_kernel_membership, {**_GRID, **_KERNEL, "deltas": (1.5, 0.5),
+                                                   "ks": (math.inf,) * 2}),
+    "solve": (_exp_solve, {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER, "max_iter": 20,
+                           "tol": DEFAULT_TOLERANCES["residual"], "gamma_var": 0.04}),
+    "decay": (_exp_decay, {**_GRID, **_KERNEL, **_LINEAR_FLOW, **_SOLVER,
+                           "r_list": (0.02, 0.01, 0.005)}),
+    "stability": (_exp_stability, {**_GRID, **_KERNEL, **_FLOW, **_SOLVER, "T": 0.2,
+                                   "gamma_var": 0.002, "h_list": (0.02, 0.05, 0.1)}),
+    "entropy_cost": (_exp_entropy_cost, {**_GRID, **_KERNEL, **_FLOW, **_SOLVER,
+                                         "gamma_var": 0.04, "gamma_shift": 0.1}),
+    # stops at picard_solve's default tolerance 1e-8
+    "particles": (_exp_particles, {**_GRID, **_KERNEL, **_LINEAR_FLOW, "steps": 400,
+                                   "max_iter": 25, "gamma_var": 0.04, "dt": 0.0025,
+                                   "N_list": (250, 1000, 4000), "repeats": 10}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Dispatch one experiment; deterministic given (config, seed)."""
-    return _RUNNERS[cfg.experiment](cfg)
+    """Resolve the config's options, grid and report once; the experiment's
+    runner fills the report.  Deterministic given (config, seed)."""
+    o = _options(cfg)
+    grid = _grid(o)
+    report = _report(cfg, grid)
+    _EXPERIMENTS[cfg.experiment][0](o, grid, report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,10 @@ class VectorField:
 
 
 def _magnitude(components) -> np.ndarray:
-    """Pointwise Euclidean norm of a sequence of component arrays."""
+    """Pointwise Euclidean norm of a sequence of component arrays; a lone
+    component's absolute value, which no square underflows."""
+    if len(components) == 1:
+        return np.abs(components[0])
     out = components[0] ** 2
     for c in components[1:]:
         out = out + c**2

@@ -373,6 +373,12 @@ class NemytskiiSpec:
         if self.family not in _NEMYTSKII:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"choose from {sorted(_NEMYTSKII)}")
+        pairs = isinstance(self.params, tuple) and all(
+            isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str) for p in self.params)
+        names = [p[0] for p in self.params] if pairs else []
+        if not pairs or len(set(names)) < len(names):
+            raise ValueError(f"params must be a tuple of (name, value) pairs with distinct "
+                             f"names, got {self.params!r}")
         reads = _NEMYTSKII_PARAMETERS[self.family]
         unread = sorted(set(self.param_dict) - set(reads))
         if unread:
@@ -381,10 +387,14 @@ class NemytskiiSpec:
         if self.family == "clipped_gradient" and self.n < 2:
             raise ValueError("clipped_gradient needs derivative depth n >= 2")
         cap = self.param_dict.get("cap")
-        if self.family == "clipped_gradient" and cap is not None and not 0 < cap < math.inf:
-            raise ValueError(f"clipped_gradient needs a cap with 0 < cap < inf, got {cap}")
-        if self.family == "linear" and "weights" not in self.param_dict:
-            raise ValueError("linear family needs 'weights'")
+        if cap is not None:
+            _require_number("cap", cap)
+            if not 0 < cap < math.inf:
+                raise ValueError(f"clipped_gradient needs a cap with 0 < cap < inf, got {cap}")
+        if self.family == "linear":
+            if "weights" not in self.param_dict:
+                raise ValueError("linear family needs 'weights'")
+            _require_numbers("weights", self.param_dict["weights"])
 
     @property
     def param_dict(self) -> dict:

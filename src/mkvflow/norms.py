@@ -168,13 +168,11 @@ def local_neg_norm(f, idx: SobolevIndex) -> float:
 
 def _partition_cells(grid: GridSpec):
     """Disjoint cubes of side ~1 tiling the torus, each inside some unit ball."""
-    per_side = max(2, int(round(grid.extent)))
+    # the least power of two, so a divisor of n, at or above the rounded extent
+    per_side = 1 << (max(2, int(round(grid.extent))) - 1).bit_length()
+    if per_side > grid.points_per_dim:
+        raise ValueError("cannot tile grid into cells")
     side_pts = grid.points_per_dim // per_side
-    while side_pts * per_side != grid.points_per_dim:
-        per_side += 1
-        side_pts = grid.points_per_dim // per_side
-        if per_side > grid.points_per_dim:
-            raise ValueError("cannot tile grid into cells")
     # cells of side extent/per_side <= 2/sqrt(dim) keeps probe <= amalgam rigorous
     side = grid.extent / per_side
     if side > 2.0 / math.sqrt(grid.dim):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, _require_int, heat_apply
+from .grids import GridSpec, ScalarField, _require_int, _require_number, heat_apply
 from .kernels import KernelSpec, drift_map
 from .metrics import GaussianSpec, wasserstein_1d_empirical_many
 from .solver import MeasureFlow
@@ -76,6 +76,8 @@ class SimConfig:
         if self.initial is not None and len(self.initial.mean) != self.grid.dim:
             raise ValueError(f"initial mean {self.initial.mean} has {len(self.initial.mean)} "
                              f"entries on a {self.grid.dim}-d grid")
+        _require_number("dt", self.dt)
+        _require_number("T", self.T)
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ValueError(f"dt and T must be positive and finite, got dt={self.dt}, "
                              f"T={self.T}")

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (_RESOLUTION_CELLS, GridSpec, ScalarField, _require_int, heat_apply, irfft,
-                    rfft, rfft_wavenumbers)
+from .grids import (_RESOLUTION_CELLS, GridSpec, ScalarField, _require_int, _require_number,
+                    heat_apply, irfft, rfft, rfft_wavenumbers)
 from .kernels import KernelSpec, drift_map, kernel_vanishes
 from .norms import SobolevIndex, measure_dual_norm
 
@@ -94,6 +94,10 @@ class FlowParams:
 
     def __post_init__(self):
         SobolevIndex(self.delta, self.k)  # raises on an index pair outside the scale
+        _require_number("kappa", self.kappa)
+        _require_number("T", self.T)
+        for t in self.time_grid:
+            _require_number("each time_grid entry", t)
         if not 0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if not 0 < self.T < math.inf:

@@ -154,3 +154,33 @@ def test_every_export_has_a_caller(module):
         if name not in elsewhere | _referenced_names(outside):
             uncalled.append(name)
     assert not uncalled, f"{module.__name__} exports names nothing calls: {uncalled}"
+
+
+def _module_level_privates(tree) -> dict:
+    """Each private name a module defines at top level, with its definition."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((n.id, node) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return {name: node for name, node in out.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_helper_has_a_caller():
+    """A private function, class or constant of a package module is used by
+    its own module outside its definition or by another package module; a
+    helper that only tests reach, or that a refactor left behind, fails."""
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(Path(mkvflow.__file__).parent.glob("*.py"))}
+    uncalled = []
+    for name, tree in trees.items():
+        elsewhere = _referenced_names(t for other, t in trees.items() if other != name)
+        for helper, definition in _module_level_privates(tree).items():
+            own = _referenced_names(node for node in tree.body if node is not definition)
+            if helper not in elsewhere | own:
+                uncalled.append(f"{name}:{helper}")
+    assert not uncalled, f"private names nothing in the package uses: {uncalled}"

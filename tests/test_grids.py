@@ -141,6 +141,12 @@ class TestHeatGradient:
         assert abs(slope - (-1.0)) < 0.1
 
 
+def test_magnitude_of_one_component_is_its_absolute_value():
+    # the square of 1e-200 underflows to 0, which summing squares returned
+    x = np.array([1e-200, -1e-200, -2.5, 0.0])
+    assert np.array_equal(_magnitude([x]), np.abs(x))
+
+
 class TestBesselApply:
     def test_r_zero_is_identity(self):
         rng = np.random.default_rng(3)

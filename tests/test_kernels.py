@@ -561,7 +561,9 @@ class TestCatalog:
 # each was accepted, or failed with a TypeError, AttributeError or
 # IndexError that names no field; through a config a NaN amplitude reached
 # the march and a NaN eps the calibration; a string variant constructed and
-# failed at realization, and a number as modulation constructed and realized
+# failed at realization, and a number as modulation constructed and realized;
+# a bool took the value 0 or 1, a NaN weight gave a NaN drift, string weights
+# failed only in drift_map, and of a parameter named twice the last one won
 REFUSED_CONSTRUCTIONS = {  # id: (the field the message names, construction)
     "riesz-c-nan": ("c", lambda: RieszOrder((math.nan,))),
     "riesz-c-inf": ("c", lambda: RieszOrder((math.inf,))),
@@ -583,10 +585,32 @@ REFUSED_CONSTRUCTIONS = {  # id: (the field the message names, construction)
     "nemytskii-n-float": ("derivative depth n", lambda: NemytskiiSpec(2.5, "density")),
     "nemytskii-modulation-float": ("modulation",
                                    lambda: NemytskiiSpec(1, "density", modulation=0.75)),
+    "nemytskii-weights-str": ("weights", lambda: NemytskiiSpec(2, "linear",
+                                                                (("weights", ("a", "b")),))),
+    "nemytskii-weights-scalar": ("weights", lambda: NemytskiiSpec(2, "linear",
+                                                                   (("weights", 0.1),))),
+    "nemytskii-weights-nan": ("weights", lambda: NemytskiiSpec(2, "linear",
+                                                                (("weights", (math.nan, 0.1)),))),
+    "nemytskii-cap-bool": ("cap", lambda: NemytskiiSpec(2, "clipped_gradient",
+                                                         (("cap", True),))),
+    "nemytskii-cap-str": ("cap", lambda: NemytskiiSpec(2, "clipped_gradient", (("cap", "1"),))),
+    "nemytskii-params-scalar": ("params", lambda: NemytskiiSpec(2, "clipped_gradient", 0.2)),
+    "nemytskii-params-flat": ("params", lambda: NemytskiiSpec(2, "clipped_gradient",
+                                                               ("cap", 0.2))),
+    "nemytskii-params-twice": ("params", lambda: NemytskiiSpec(
+        2, "clipped_gradient", (("cap", 0.2), ("cap", 0.5)))),
     "grid-dim-bool": ("dim", lambda: GridSpec(True, 1024, 16)),
     "grid-points-float": ("points_per_dim", lambda: GridSpec(1, 1024.0, 16)),
     "flow-dim-bool": ("dim", lambda: FlowParams(1, 2, dim=True)),
+    "flow-kappa-bool": ("kappa", lambda: FlowParams(1, 2, kappa=True)),
+    "flow-kappa-str": ("kappa", lambda: FlowParams(1, 2, kappa="0.5")),
+    "flow-T-bool": ("T", lambda: FlowParams(1, 2, T=True)),
+    "flow-time-grid-bool": ("each time_grid entry",
+                            lambda: FlowParams(1, 2, T=1.0, time_grid=(0.5, True))),
     "index-delta-bool": ("delta", lambda: SobolevIndex(True, 2)),
+    "sim-dt-bool": ("dt", lambda: SimConfig(GRID, True, 1.0, 0)),
+    "sim-dt-str": ("dt", lambda: SimConfig(GRID, "0.1", 1.0, 0)),
+    "sim-T-str": ("T", lambda: SimConfig(GRID, 0.1, "1", 0)),
     "sim-nemytskii-kernel": ("kernel", lambda: SimConfig(GRID, 0.01, 0.1, 0,
                                                          kernel=NemytskiiSpec(1, "density"))),
     "config-c-nan": ("c", lambda: parse_config("experiment = solve\nkernel = riesz\n"

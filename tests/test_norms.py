@@ -262,6 +262,21 @@ class TestMeasureDualNorm:
             assert tv <= c * lower * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("dim, n, extent, per_side", [
+    (1, 1024, 16.0, 16), (1, 1024, 10.0, 16), (1, 256, 5.0, 8), (1, 64, 2.0, 2),
+    (1, 64, 0.5, 2), (1, 64, 2.5, 2), (1, 64, 3.5, 4), (2, 128, 16.0, 16), (2, 64, 8.0, 8),
+])
+def test_partition_cells_count_is_the_least_power_of_two_at_the_rounded_extent(
+        dim, n, extent, per_side):
+    assert norms._partition_cells(GridSpec(dim, n, extent)) == (per_side, n // per_side)
+
+
+@pytest.mark.parametrize("dim, n, extent", [(1, 16, 20.0), (2, 16, 17.0)])
+def test_partition_cells_refuses_more_cells_than_points(dim, n, extent):
+    with pytest.raises(ValueError, match="cannot tile grid into cells"):
+        norms._partition_cells(GridSpec(dim, n, extent))
+
+
 WINDOW_GRIDS = [GridSpec(1, 2048, 16.0), GridSpec(1, 1024, 10.0), GridSpec(2, 128, 16.0),
                 GridSpec(2, 64, 8.0)]
 

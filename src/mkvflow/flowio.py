@@ -3,16 +3,16 @@
 Binary layout (documented, little-endian throughout):
 
     magic   4 bytes  b"MKVF"
-    version u32      currently 1
+    version u32      currently 2
     dim     u32
     n       u32      points per axis
     extent  f64      torus side length
     m       u32      number of stored times
     times   m * f64
-    data    m * n**dim * f64   densities, C order, time-major
+    data    (m + 1) * n**dim * f64   the initial datum, then the densities,
+                                     C order, time-major
 
-The initial datum is not stored; round trips reattach the first stored
-density as the anchor.
+Version 1 files, which lack the initial datum, are refused.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .solver import MeasureFlow
 __all__ = ["write_flow", "read_flow", "write_csv_rows", "flow_density_table"]
 
 MAGIC = b"MKVF"
-VERSION = 1
+VERSION = 2
 
 
 def _create(path, mode: str, **kw):
@@ -46,7 +46,7 @@ def write_flow(flow: MeasureFlow, path):
         fh.write(struct.pack("<d", grid.extent))
         fh.write(struct.pack("<I", flow.times.size))
         fh.write(flow.times.astype("<f8").tobytes())
-        for rho in flow.densities:
+        for rho in [flow.initial, *flow.densities]:
             fh.write(np.ascontiguousarray(rho.values, dtype="<f8").tobytes())
 
 
@@ -72,15 +72,14 @@ def read_flow(path) -> MeasureFlow:
         times = np.frombuffer(read(8 * m, "times"), dtype="<f8").copy()
         grid = GridSpec(dim, n, extent)
         count = n**dim
-        densities = []
-        for _ in range(m):
-            vals = np.frombuffer(read(8 * count, "data"), dtype="<f8").copy()
-            densities.append(ScalarField(grid, vals.reshape(grid.shape)))
+        initial, *densities = [
+            ScalarField(grid, np.frombuffer(read(8 * count, "data"), dtype="<f8")
+                        .reshape(grid.shape).copy()) for _ in range(m + 1)]
         if fh.read(1):
-            raise ValueError(f"flow binary {path} has trailing bytes after {m} "
-                             f"densities of {n}**{dim} points: the header does not "
-                             f"match the data")
-    return MeasureFlow(times, densities, densities[0])
+            raise ValueError(f"flow binary {path} has trailing bytes after the initial "
+                             f"datum and {m} densities of {n}**{dim} points: the header "
+                             f"does not match the data")
+    return MeasureFlow(times, densities, initial)
 
 
 def flow_density_table(flow: MeasureFlow, path):

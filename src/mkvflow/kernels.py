@@ -8,7 +8,8 @@ heat-mollified at time ``mollification_eps`` when singular, and
 convolution drift and the pointwise density-derivative (Nemytskii) drift
 are both a ``t**kappa`` time envelope times a map from the density to a
 vector field; ``drift_map`` is the one evaluator of that map, and every
-caller applies the envelope itself.
+caller applies the envelope itself.  Nemytskii ``linear`` weights are used as
+given, and refused above Euclidean norm 1.
 """
 
 from __future__ import annotations
@@ -319,41 +320,29 @@ def realize_kernel(spec: KernelSpec, grid: GridSpec) -> VectorField:
 # density-derivative (Nemytskii) drifts
 
 
-def _nemytskii_families():
-    """Built-in pointwise maps F(H) -> drift vector, 1-Lipschitz in H.
-
-    Each family builds its map from the stack length, the spatial dimension
-    and the spec's parameters.  H is the list of flattened derivative stacks
-    (rho, grad rho, ...) in the order of ``_derivative_orders``; the map
-    emits one component per spatial dimension.  No family depends on the
-    position.
-    """
-
-    def zero(size, dim, params):
-        return lambda H: [np.zeros_like(H[0])] * dim
-
-    def density(size, dim, params):
-        return lambda H: [H[0]] + [np.zeros_like(H[0])] * (dim - 1)
-
-    def clipped_gradient(size, dim, params):
-        cap = params.get("cap", 1.0)
-        return lambda H: [np.clip(H[1 + j], -cap, cap) for j in range(dim)]
-
-    def linear(size, dim, params):
-        w = np.asarray(params["weights"], dtype=float)
-        if w.size != size:
-            raise ValueError(f"need {size} weights, got {w.size}")
-        w = w / max(np.linalg.norm(w), 1.0)  # keep the unit Lipschitz bound
-        return lambda H: [sum(wi * h for wi, h in zip(w, H))] + [np.zeros_like(H[0])] * (dim - 1)
-
-    return {"zero": zero, "density": density,
-            "clipped_gradient": clipped_gradient, "linear": linear}
+def _clipped_gradient(size: int, dim: int, params: dict):
+    cap = params.get("cap", 1.0)
+    return lambda H: [np.clip(H[1 + j], -cap, cap) for j in range(dim)]
 
 
-_NEMYTSKII = _nemytskii_families()
-# the parameters each family reads
-_NEMYTSKII_PARAMETERS = {"zero": (), "density": (), "clipped_gradient": ("cap",),
-                         "linear": ("weights",)}
+def _linear(size: int, dim: int, params: dict):
+    w = params["weights"]
+    if len(w) != size:
+        raise ValueError(f"need {size} weights, got {len(w)}")
+    return lambda H: [sum(wi * h for wi, h in zip(w, H))] + [np.zeros_like(H[0])] * (dim - 1)
+
+
+# family -> (the parameters it reads, the builder of its map F(H) -> drift from
+# the stack length, the dimension and the parameters).  H is the stack (rho,
+# grad rho, ...) in the order of ``_derivative_orders``; F is 1-Lipschitz in H,
+# emits one component per dimension and does not depend on the position
+_NEMYTSKII = {
+    "zero": ((), lambda size, dim, params: lambda H: [np.zeros_like(H[0])] * dim),
+    "density": ((), lambda size, dim, params:
+                lambda H: [H[0]] + [np.zeros_like(H[0])] * (dim - 1)),
+    "clipped_gradient": (("cap",), _clipped_gradient),
+    "linear": (("weights",), _linear),
+}
 
 
 @dataclass(frozen=True)
@@ -379,7 +368,7 @@ class NemytskiiSpec:
         if not pairs or len(set(names)) < len(names):
             raise ValueError(f"params must be a tuple of (name, value) pairs with distinct "
                              f"names, got {self.params!r}")
-        reads = _NEMYTSKII_PARAMETERS[self.family]
+        reads = _NEMYTSKII[self.family][0]
         unread = sorted(set(self.param_dict) - set(reads))
         if unread:
             raise ValueError(f"family {self.family!r} does not read parameters {unread}; "
@@ -395,6 +384,9 @@ class NemytskiiSpec:
             if "weights" not in self.param_dict:
                 raise ValueError("linear family needs 'weights'")
             _require_numbers("weights", self.param_dict["weights"])
+            norm = math.hypot(*self.param_dict["weights"])
+            if norm > 1.0:
+                raise ValueError(f"linear weights need Euclidean norm <= 1, got norm {norm:.6g}")
 
     @property
     def param_dict(self) -> dict:
@@ -435,7 +427,7 @@ def drift_map(spec, grid: GridSpec):
         F = None  # the convolutions are the drift
     elif isinstance(spec, NemytskiiSpec):
         mults = [_derivative_multiplier(grid, o) for o in _derivative_orders(grid.dim, spec.n)]
-        F = _NEMYTSKII[spec.family](1 + len(mults), grid.dim, spec.param_dict)
+        F = _NEMYTSKII[spec.family][1](1 + len(mults), grid.dim, spec.param_dict)
     else:
         raise TypeError(f"no drift map for {type(spec).__name__}")
 

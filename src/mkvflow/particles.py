@@ -10,9 +10,9 @@ alongside it.  A run realizes the keys with one Philox generator that it
 re-keys at counter 0, bit-identical to a fresh generator per key.  The drift
 at a particle is ``kernels.drift_map`` of its ensemble's histogram,
 interpolated linearly at the particle.  A batch runs ensembles of several
-counts under several seeds side by side, each bit-identical to its own run;
-a convergence study is one batch.  The step loop writes into buffers
-allocated once per run.
+counts under several seeds side by side, each bit-identical to its own run
+(a coordinate that leaves the torus wraps alone); a convergence study is one
+batch.  A snapshot is positions and time.  Buffers are allocated once per run.
 """
 
 from __future__ import annotations
@@ -38,26 +38,25 @@ __all__ = [
 
 @dataclass
 class ParticleEnsemble:
-    dim: int
     positions: np.ndarray  # (N, dim)
     time: float
-    wrap_count: int = 0
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if self.positions.shape[0] < 2:
             raise ValueError("need at least 2 particles")
-        if self.positions.shape[1] != self.dim:
-            raise ValueError(f"positions are {self.positions.shape[1]}-dimensional, "
-                             f"expected {self.dim}")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.positions.shape[1]
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Step size, horizon, seed (a non-negative int), kernel and sampling recipe
-    for one run."""
+    for one run, with its snapshot times; no checkpoints means one at ``T``."""
 
     grid: GridSpec
     dt: float
@@ -88,6 +87,7 @@ class SimConfig:
                 and self.dt > self.kernel.mollification_eps:
             raise ValueError(f"stability heuristic violated: dt={self.dt} > "
                              f"mollification_eps={self.kernel.mollification_eps}")
+        object.__setattr__(self, "checkpoints", tuple(self.checkpoints) or (self.T,))
         for t in self.checkpoints:
             m = t / self.dt
             if abs(m - round(m)) > 1e-9 or not 0 <= round(m) <= self.steps:
@@ -97,9 +97,6 @@ class SimConfig:
     @property
     def steps(self) -> int:
         return int(round(self.T / self.dt))
-
-    def checkpoint_steps(self):
-        return [int(round(t / self.dt)) for t in self.checkpoints or (self.T,)]
 
 
 _INITIAL_WORD = 2**63  # second key word of the initial draw; steps count from 0
@@ -238,9 +235,9 @@ def simulate_particles(cfg: SimConfig, N: int):
     """Euler-Maruyama trajectory of the interacting ensemble.
 
     Returns a list of ``ParticleEnsemble`` snapshots at the configured
-    checkpoints.  Deterministic given (seed, N, cfg); positions wrap
-    periodically with a counter, and a NaN anywhere aborts with step
-    diagnostics.
+    checkpoints.  Deterministic given (seed, N, cfg); each coordinate that
+    leaves the torus wraps back on its own, and a NaN anywhere aborts with
+    step diagnostics.
     """
     return _simulate(cfg, [cfg.seed], [N])[0][0]
 
@@ -248,7 +245,8 @@ def simulate_particles(cfg: SimConfig, N: int):
 def _simulate(cfg: SimConfig, seeds, counts) -> list:
     """Snapshots ``[seed][count]`` of ensembles of ``counts`` particles under each
     of ``seeds``, which replace ``cfg.seed``, run as one batch.  Each ensemble
-    takes the first rows of its seed's draws and wraps alone, as in its own run."""
+    takes the first rows of its seed's draws, and each coordinate wraps alone,
+    so every ensemble moves as in its own run."""
     if min(counts) < 2:
         raise ValueError("need at least 2 particles")
     grid, d = cfg.grid, cfg.grid.dim
@@ -268,11 +266,10 @@ def _simulate(cfg: SimConfig, seeds, counts) -> list:
     reach = np.empty_like(positions)
     half_L = 0.5 * grid.extent
     sqdt = math.sqrt(cfg.dt)
-    wrap_count = np.zeros(sizes.size, dtype=int)
-    taken = []  # (time, positions, wrap counts) at the checkpoints
-    checkpoint_at = set(cfg.checkpoint_steps())
+    taken = []  # (time, positions) at the checkpoints
+    checkpoint_at = {int(round(t / cfg.dt)) for t in cfg.checkpoints}
     if 0 in checkpoint_at:
-        taken.append((0.0, positions.copy(), wrap_count.copy()))
+        taken.append((0.0, positions.copy()))
     for m in range(cfg.steps):
         t = m * cfg.dt
         drift = _empirical_drift(cfg, positions, t, work)
@@ -287,14 +284,11 @@ def _simulate(cfg: SimConfig, seeds, counts) -> list:
             raise RuntimeError(f"non-finite position at step {m + 1} (t={t + cfg.dt:.4f}), "
                                f"particle {rows[bad] % big} of seed {seeds[rows[bad] // big]}")
         if farthest > half_L:
-            hits = np.bincount(ens, (reach > half_L).sum(axis=1), sizes.size).astype(int)
-            wrap_count += hits
-            moved = hits[ens] > 0
-            positions[moved] = (positions[moved] + half_L) % grid.extent - half_L
+            out = reach > half_L
+            positions[out] = (positions[out] + half_L) % grid.extent - half_L
         if m + 1 in checkpoint_at:
-            taken.append(((m + 1) * cfg.dt, positions.copy(), wrap_count.copy()))
-    return [[[ParticleEnsemble(d, x[ends[e] - sizes[e]:ends[e]], time, int(w[e]))
-              for time, x, w in taken]
+            taken.append(((m + 1) * cfg.dt, positions.copy()))
+    return [[[ParticleEnsemble(x[ends[e] - sizes[e]:ends[e]], time) for time, x in taken]
              for e in range(r * len(counts), (r + 1) * len(counts))]
             for r in range(len(seeds))]
 
@@ -348,9 +342,8 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
         raise ValueError("study implemented for dim=1")
     if cfg.grid != pde_flow.grid:
         raise ValueError(f"particles run on {cfg.grid}, the flow lives on {pde_flow.grid}")
-    checkpoints = cfg.checkpoints or (cfg.T,)
     flow_at = {}
-    for t in checkpoints:
+    for t in cfg.checkpoints:
         j = int(np.argmin(np.abs(pde_flow.times - t)))
         if abs(pde_flow.times[j] - t) > 1e-9:
             raise ValueError(f"checkpoint {t} missing from the solved flow")
@@ -358,13 +351,12 @@ def chaos_convergence_study(cfg: SimConfig, N_list, pde_flow: MeasureFlow,
     bw = 4.0 * cfg.grid.spacing
     failures = []
 
-    run_cfg = replace(cfg, checkpoints=tuple(checkpoints))
     seeds = [cfg.seed + 1000 * rep for rep in range(repeats)]
-    batch = _safe_run(_simulate, (run_cfg, seeds, N_list), [])
+    batch = _safe_run(_simulate, (cfg, seeds, N_list), [])
 
     def run_one(N, rep):
         return (batch[rep][N_list.index(N)] if batch
-                else simulate_particles(replace(run_cfg, seed=seeds[rep]), N))
+                else simulate_particles(replace(cfg, seed=seeds[rep]), N))
 
     def target(ens):
         return flow_at[min(flow_at, key=lambda t: abs(t - ens.time))]

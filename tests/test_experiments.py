@@ -25,10 +25,11 @@ from mkvflow.experiments import (
     ReportRow,
 )
 from mkvflow.flowio import flow_density_table, read_flow, write_flow
-from mkvflow.grids import GridSpec, gaussian_density
-from mkvflow.kernels import make_kernel
+from mkvflow.grids import GridSpec, gaussian_density, grid_delta
+from mkvflow.kernels import NemytskiiSpec, TimeModulation, make_kernel
 from mkvflow.norms import SobolevIndex, measure_dual_norm
-from mkvflow.solver import FlowParams, phi_apply, picard_solve, picard_solve_many
+from mkvflow.solver import (FlowParams, phi_apply, picard_solve, picard_solve_many,
+                            time_shift_solve)
 
 REPO = Path(__file__).resolve().parents[1]
 # a small Riesz solve that stops at picard_solve's defaults, 1e-8 or 25 iterations
@@ -597,6 +598,33 @@ class TestFlowBinary:
         for a, b in zip(back.densities, flow.densities):
             assert np.array_equal(a.values, b.values)
 
+    def test_time_shift_flow_keeps_its_initial_datum(self, tmp_path):
+        # the initial datum is the r-smoothed law, not the density at the first
+        # stored time, which the reader used to reattach in its place; a
+        # read-back flow frozen as a drift source took [0, times[0]] from it
+        grid = GridSpec(1, 64, 8.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
+        spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),), TimeModulation(0.75))
+        flow = time_shift_solve(grid_delta(grid), 0.1, spec, params, steps=50)
+        path = tmp_path / "flow.bin"
+        write_flow(flow, path)
+        back = read_flow(path)
+        assert np.array_equal(back.initial.values, flow.initial.values)
+        assert not np.array_equal(back.initial.values, flow.densities[0].values)
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(back.densities, flow.densities, strict=True))
+
+    def test_version_1_is_refused(self, tmp_path):
+        grid = GridSpec(1, 64, 8.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
+        (flow,) = phi_apply([gaussian_density(grid, 0.0, 0.09)], None, None, params, steps=50)
+        path = tmp_path / "flow.bin"
+        write_flow(flow, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+        with pytest.raises(ValueError, match="unsupported flow binary version 1"):
+            read_flow(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)
@@ -607,18 +635,19 @@ class TestFlowBinary:
     BAD_TIME_COUNTS = {"zero_times": (0, "stores no times"),
                        "trailing_bytes": (1, "trailing bytes")}
 
-    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067, *BAD_TIME_COUNTS])
+    @pytest.mark.parametrize("cut", [10, 24, 36, 50, 1067, 1579, *BAD_TIME_COUNTS])
     def test_rejects_truncated(self, tmp_path, cut):
-        # header is 28 bytes, the two times end at 44, the data runs to 1068;
-        # a named cut keeps all bytes and rewrites the header's time count: a
-        # count of one leaves the last 520 bytes unread
+        # header is 28 bytes, the two times end at 44, the initial datum and
+        # the two densities run to 1580; a named cut keeps all bytes and
+        # rewrites the header's time count: a count of one leaves the last
+        # 520 bytes unread
         grid = GridSpec(1, 64, 8.0)
         params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
         (flow,) = phi_apply([gaussian_density(grid, 0.0, 0.09)], None, None, params, steps=50)
         path = tmp_path / "flow.bin"
         write_flow(flow, path)
         data = path.read_bytes()
-        assert len(data) == 44 + 2 * 64 * 8
+        assert len(data) == 44 + 3 * 64 * 8
         if cut in self.BAD_TIME_COUNTS:
             m, message = self.BAD_TIME_COUNTS[cut]
             path.write_bytes(data[:24] + struct.pack("<I", m) + data[28:])

@@ -336,7 +336,7 @@ class TestNemytskiiDrift:
         # map over 1000 random pairs of 1-d stacks (rho, rho'), against the
         # envelope K(t) t^kappa
         spec = NemytskiiSpec(2, "clipped_gradient", modulation=TimeModulation(kappa=0.5))
-        fn = kernels._NEMYTSKII[spec.family](spec.n, 1, spec.param_dict)
+        fn = kernels._NEMYTSKII[spec.family][1](spec.n, 1, spec.param_dict)
         factor = spec.modulation.factor(0.3)
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -371,6 +371,39 @@ class TestNemytskiiDrift:
         # each constructed, and its drift ignored the parameter
         with pytest.raises(ValueError, match=f"family '{family}' does not read"):
             NemytskiiSpec(n, family, options)
+
+    @pytest.mark.parametrize("family", sorted(kernels._NEMYTSKII))
+    def test_builder_reads_exactly_the_declared_parameters(self, family):
+        # the constructor rejects any parameter outside the table entry, so a
+        # builder that read another one could never receive it
+        class Recording(dict):
+            def __init__(self, **params):
+                super().__init__(**params)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                self.read.add(key)
+                return super().__contains__(key)
+
+        params = Recording(cap=0.2, weights=(0.1, 0.1))
+        reads, build = kernels._NEMYTSKII[family]
+        build(2, 1, params)([np.ones(4), np.ones(4)])
+        assert params.read == set(reads)
+
+    def test_linear_weights_above_unit_norm_are_refused(self):
+        # the map builder divided such weights by their norm, so (2, 0)
+        # realized the weights (1, 0)
+        with pytest.raises(ValueError, match="Euclidean norm <= 1, got norm 2"):
+            NemytskiiSpec(2, "linear", (("weights", (2.0, 0.0)),))
+        NemytskiiSpec(2, "linear", (("weights", (0.6, 0.8)),))  # norm 1 is kept
 
     @pytest.mark.parametrize("cap", [math.nan, -0.2, 0.0, math.inf])
     def test_clipped_gradient_cap_must_be_positive_and_finite(self, cap):

@@ -6,7 +6,7 @@ import pytest
 
 from mkvflow import metrics, particles
 from mkvflow.grids import GridSpec, ScalarField, gaussian_density
-from mkvflow.kernels import ConstantVector, KernelSpec, RieszOrder
+from mkvflow.kernels import ConstantVector, KernelSpec, RieszOrder, TimeModulation
 from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical
 from mkvflow.particles import (
     ParticleEnsemble,
@@ -145,18 +145,36 @@ class TestSimulate:
         cfg = SimConfig(grid=GRID, dt=0.5, T=20.0, seed=3, kernel=None,
                         initial=POINT, checkpoints=(10.0, 20.0))
         batch = _simulate(cfg, [cfg.seed], [2, 50])[0]
-        assert batch[0][0].wrap_count == 0 < batch[1][0].wrap_count
         for N, snaps in zip([2, 50], batch):
             for got, want in zip(snaps, simulate_particles(cfg, N), strict=True):
                 assert np.array_equal(got.positions, want.positions)
-                assert (got.time, got.wrap_count) == (want.time, want.wrap_count)
+                assert got.time == want.time
 
     def test_wrap_counter(self):
         cfg = SimConfig(grid=GRID, dt=0.5, T=40.0, seed=1, kernel=None,
                         initial=POINT, checkpoints=(40.0,))
         snaps = simulate_particles(cfg, 50)
         assert np.all(np.abs(snaps[-1].positions) <= GRID.extent / 2)
-        assert snaps[-1].wrap_count > 0
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(2, 16, 4.0)], ids=["1d", "2d"])
+    def test_wrap_leaves_the_coordinates_inside_untouched(self, grid):
+        # a free run adds sqrt(dt) times step m's draw to each coordinate; one
+        # that stays inside the torus keeps that sum bit for bit, one that
+        # leaves comes back by a whole extent.  Re-wrapping every coordinate
+        # of an ensemble that has a particle outside rounded the ones inside
+        cfg = SimConfig(grid=grid, dt=0.5, T=20.0, seed=1, kernel=None,
+                        checkpoints=tuple(0.5 * m for m in range(41)))
+        snaps = simulate_particles(cfg, 50)
+        half_L, wrapped = 0.5 * grid.extent, 0
+        for m, (now, nxt) in enumerate(zip(snaps, snaps[1:])):
+            want = now.positions + math.sqrt(cfg.dt) * TestStreamContract.oracle(
+                cfg.seed, m, 50, grid.dim)
+            inside = np.abs(want) <= half_L
+            wrapped += int((~inside).sum())
+            assert np.array_equal(nxt.positions[inside], want[inside])
+            assert np.allclose(nxt.positions[~inside],
+                               (want[~inside] + half_L) % grid.extent - half_L, atol=1e-12)
+        assert wrapped > 0
 
 
 class TestStreamContract:
@@ -188,7 +206,6 @@ class TestStreamContract:
         for m in range(cfg.steps):
             want = want + math.sqrt(cfg.dt) * self.oracle(seed, m, 37, dim)
         got = simulate_particles(cfg, 37)[-1]
-        assert got.wrap_count == 0
         assert np.array_equal(got.positions, want)
 
     def test_batch_of_seeds_equals_solo_runs_2d(self):
@@ -206,7 +223,7 @@ class TestStreamContract:
                 solo = simulate_particles(dataclasses.replace(cfg, seed=seed), N)
                 for got, want in zip(snaps, solo, strict=True):
                     assert np.array_equal(got.positions, want.positions)
-                    assert (got.time, got.wrap_count) == (want.time, want.wrap_count)
+                    assert got.time == want.time
 
 
 class TestBinPositions:
@@ -264,14 +281,14 @@ class TestWorkspace:
 
 class TestEmpiricalDensity:
     def test_point_pair_is_gaussian(self):
-        ens = ParticleEnsemble(1, np.zeros((2, 1)), 0.0)
+        ens = ParticleEnsemble(np.zeros((2, 1)), 0.0)
         kde = empirical_density(ens, GRID, 0.25)
         expect = gaussian_density(GRID, 0.0, 0.25**2)
         assert np.abs(kde.values - expect.values).max() < 1e-12
 
     def test_mass_exactly_one(self):
         rng = np.random.default_rng(4)
-        ens = ParticleEnsemble(1, rng.normal(size=(500, 1)), 0.0)
+        ens = ParticleEnsemble(rng.normal(size=(500, 1)), 0.0)
         kde = empirical_density(ens, GRID, 0.1)
         assert kde.mass() == pytest.approx(1.0, abs=1e-14)
 
@@ -283,7 +300,7 @@ class TestEmpiricalDensity:
         assert l1 < 0.02
 
     def test_bandwidth_floor(self):
-        ens = ParticleEnsemble(1, np.zeros((2, 1)), 0.0)
+        ens = ParticleEnsemble(np.zeros((2, 1)), 0.0)
         with pytest.raises(ValueError):
             empirical_density(ens, GRID, GRID.spacing / 2)
 
@@ -292,7 +309,7 @@ class TestEmpiricalDensity:
     def test_ensemble_dimension_must_match_the_grid(self, dim, grid):
         # 1-d particles on a 2-d grid gave a unit-mass density along the
         # diagonal; 2-d particles on a 1-d grid a numpy broadcast error
-        ens = ParticleEnsemble(dim, np.random.default_rng(0).normal(size=(500, dim)), 0.0)
+        ens = ParticleEnsemble(np.random.default_rng(0).normal(size=(500, dim)), 0.0)
         with pytest.raises(ValueError, match=f"{dim}-d ensemble .* {grid.dim}-d grid"):
             empirical_density(ens, grid, 0.5)
 
@@ -436,3 +453,45 @@ class TestChaosStudy:
             means_r2.append(s2["summary"][500][0])
             means_r8.append(s8["summary"][500][0])
         assert np.std(means_r8) < np.std(means_r2)
+
+
+class TestExactOracles:
+    """Particle paths whose expected values are known exactly.
+
+    Parabolic scaling (see ``test_solver.TestExactOracles``): the system on
+    the torus of extent L/lam with step dt/lam^2, Riesz amplitude
+    c lam^(2+2kappa-d-s), mollification eps/lam^2 and initial variance
+    var/lam^2, driven by the same draws, moves every particle to its unscaled
+    position divided by lam.  For lam a power of two the rescaling is exact in
+    floating point: the largest gap is 4e-16.  A translation by whole cells
+    moves every path by as many cells.
+    """
+
+    N, L, VAR = 256, 16.0, 0.04
+
+    @classmethod
+    def cfg(cls, lam=1.0, mean=0.0, c=0.2, eps0=1.0, kappa=0.75):
+        grid = GridSpec(1, cls.N, cls.L / lam)
+        kern = KernelSpec(RieszOrder((c * lam ** (2 + 2 * kappa - 1 - eps0),), 0, eps0),
+                          4.0 * grid.spacing**2, TimeModulation(kappa))
+        return SimConfig(grid=grid, dt=0.01 / lam**2, T=0.5 / lam**2, seed=3, kernel=kern,
+                         initial=GaussianSpec((mean / lam,), cls.VAR / lam**2),
+                         checkpoints=(0.1 / lam**2, 0.5 / lam**2))
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5, 4.0])
+    def test_paths_are_scale_covariant(self, lam):
+        # fails if TimeModulation.factor returns (t + 1e-4)**kappa
+        runs = [simulate_particles(self.cfg(scale), 2000) for scale in (1.0, lam)]
+        for ens, scaled in zip(*runs, strict=True):
+            assert scaled.time * lam**2 == pytest.approx(ens.time, rel=1e-15)
+            assert np.abs(lam * scaled.positions - ens.positions).max() < 1e-13
+
+    def test_translation_by_whole_cells(self):
+        # half a torus puts the bulk on the seam, where histograms, drift
+        # reads and wraps all cross the ends of the grid; fails if cell
+        # indices are clipped to [0, n - 1] instead of wrapped modulo n
+        half = 0.5 * self.L
+        runs = [simulate_particles(self.cfg(mean=mean), 2000) for mean in (0.0, half)]
+        for ens, moved in zip(*runs, strict=True):
+            gap = (moved.positions - ens.positions) % self.L - half
+            assert np.abs(gap).max() < 1e-13

@@ -703,3 +703,119 @@ class TestMeasureFlow:
         bad = ScalarField(GRID, gamma.values * 1.5)
         with pytest.raises(ValueError, match="mass"):
             MeasureFlow(np.array([0.5]), [bad], gamma)
+
+
+class TestExactOracles:
+    """Checks whose expected values are known exactly, with no recorded reference.
+
+    Parabolic scaling: if rho solves d_t rho = 1/2 Lap rho - div(rho b) with
+    b = c t^kappa K * rho, K(x) = x |x|^(-d-s) and s = 2 n0 + eps0, then
+    u(t, y) = lam^d rho(lam^2 t, lam y) solves the same equation with
+    amplitude c lam^(2+2kappa-d-s), on the torus of extent L/lam, with
+    mollification eps/lam^2 and data variance var/lam^2.  With the same
+    number of points the grid points map to grid points, and for lam a power
+    of two every rescaling is exact in floating point, so the two solves
+    agree to round-off: 2e-15 in L1 at n = 256.  Translations by whole cells
+    and, for an odd kernel, the reflection x -> -x map solutions to solutions
+    as exactly.  Each test names a mutation of the package that fails it.
+    """
+
+    N, L, T, VAR = 256, 16.0, 0.5, 0.04
+
+    @classmethod
+    def problem(cls, lam=1.0, kappa=0.75):
+        grid = GridSpec(1, cls.N, cls.L / lam)
+        params = FlowParams(delta=1.0, k=2.0, kappa=kappa, T=cls.T / lam**2,
+                            time_grid=tuple(np.linspace(cls.T / 10, cls.T, 10) / lam**2))
+        return grid, params
+
+    @classmethod
+    def riesz(cls, grid, lam=1.0, c=0.2, eps0=1.0, kappa=0.75):
+        c_lam = c * lam ** (2 + 2 * kappa - grid.dim - eps0)
+        return KernelSpec(RieszOrder((c_lam,), 0, eps0), 4.0 * grid.spacing**2,
+                          TimeModulation(kappa))
+
+    @classmethod
+    def gap(cls, flow, scaled, lam=1.0) -> float:
+        """Sup over times of the L1 distance between ``flow`` and ``scaled``
+        mapped back to the unscaled torus."""
+        cell = cls.L / cls.N
+        return max(float(np.abs(b.values / lam - a.values).sum()) * cell
+                   for a, b in zip(flow.densities, scaled.densities, strict=True))
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    @pytest.mark.parametrize("c, eps0, kappa", [(0.2, 1.0, 0.75), (0.2, 0.5, 0.75),
+                                                (0.05, 1.5, 1.25)])
+    def test_riesz_solve_is_scale_covariant(self, lam, c, eps0, kappa):
+        # fails if TimeModulation.factor returns (t + 1e-4)**kappa: a time
+        # offset that does not rescale opens a gap near 1e-5
+        flows = []
+        for scale in (1.0, lam):
+            grid, params = self.problem(scale, kappa)
+            flow, rep = picard_solve(gaussian_density(grid, 0.0, self.VAR / scale**2),
+                                     self.riesz(grid, scale, c, eps0, kappa), params,
+                                     tol=1e-13, steps=100)
+            assert rep.residual < 1e-13
+            flows.append(flow)
+        assert self.gap(*flows, lam) < 1e-13
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_stacked_solve_is_scale_covariant(self, lam):
+        # two data with different means and variances march as one stack;
+        # fails under the same (t + 1e-4)**kappa envelope
+        solves = []
+        for scale in (1.0, lam):
+            grid, params = self.problem(scale)
+            data = [gaussian_density(grid, mean / scale, var / scale**2)
+                    for mean, var in [(0.0, self.VAR), (0.5, 0.09)]]
+            solves.append(picard_solve_many(data, self.riesz(grid, scale), params,
+                                            tol=1e-13, steps=100))
+        for (flow, _), (scaled, _) in zip(*solves, strict=True):
+            assert self.gap(flow, scaled, lam) < 1e-13
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_nemytskii_solve_is_scale_covariant(self, lam):
+        # b = t^kappa (a_0 rho + a_1 d rho) rescales with a_j lam^(1+2kappa-d-j);
+        # both weight sets have norm below 1, so the linear family uses them
+        # as given.  Fails if the family divides its weights by their norm
+        flows = []
+        for scale in (1.0, lam):
+            grid, params = self.problem(scale)
+            weights = tuple(0.1 * scale ** (1 + 2 * 0.75 - 1 - j) for j in range(2))
+            spec = NemytskiiSpec(2, "linear", (("weights", weights),), TimeModulation(0.75))
+            flows.append(picard_solve(gaussian_density(grid, 0.0, self.VAR / scale**2),
+                                      spec, params, tol=1e-13, steps=100)[0])
+        assert self.gap(*flows, lam) < 1e-13
+
+    @pytest.mark.parametrize("cells", [128, -120])
+    def test_translation_by_whole_cells(self, cells):
+        # the shift carries the datum's bulk across the ends of the array;
+        # fails if the Nemytskii derivative stack is taken by np.gradient,
+        # whose one-sided differences at the ends are not periodic
+        grid, params = self.problem()
+        gamma = gaussian_density(grid, 0.0, 0.25)
+        spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),), TimeModulation(0.75))
+        flow = picard_solve(gamma, spec, params, tol=1e-13, steps=100)[0]
+        moved = picard_solve(ScalarField(grid, np.roll(gamma.values, cells)), spec, params,
+                             tol=1e-13, steps=100)[0]
+        assert max(float(np.abs(np.roll(a.values, cells) - b.values).sum()) * grid.spacing
+                   for a, b in zip(flow.densities, moved.densities)) < 1e-13
+
+    def test_reflection_parity_of_an_odd_kernel(self):
+        # x -> -x takes grid index i to n - i; with an odd kernel the solve
+        # from the reflected datum is the reflected solve.  Fails if the
+        # kernel's symbols are rooted one cell off zero displacement
+        # (multiplied by exp(-i xi h))
+        grid, params = self.problem()
+        lopsided = ScalarField(grid, 0.7 * gaussian_density(grid, -0.5, 0.04).values
+                               + 0.3 * gaussian_density(grid, 0.8, 0.09).values)
+
+        def reflect(values):
+            return np.roll(values[::-1], 1)
+
+        kernel = self.riesz(grid)
+        flow = picard_solve(lopsided, kernel, params, tol=1e-13, steps=100)[0]
+        mirrored = picard_solve(ScalarField(grid, reflect(lopsided.values)), kernel, params,
+                                tol=1e-13, steps=100)[0]
+        assert max(float(np.abs(reflect(a.values) - b.values).sum()) * grid.spacing
+                   for a, b in zip(flow.densities, mirrored.densities)) < 1e-13

@@ -109,7 +109,8 @@ def _ball_chords(grid: GridSpec, stride: int) -> tuple:
     rows = (centers[:, None] + lines - n // 2) % n if grid.dim == 2 else lines[None, :]
     # chord ends along the line, in (-n/2, 3n/2): the chord is [lo end, hi end)
     ends = [centers[:, None] + e - n // 2 for e in (stops, starts)]
-    cuts = np.unique(np.concatenate([[0]] + [e.ravel() % n for e in ends]))
+    cuts = np.sort(np.concatenate([[0]] + [e.ravel() % n for e in ends]))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     # prefix sums of each line take 3 * len(cuts) entries: periods -1, 0 and 1
     base = (rows * 3 * len(cuts))[:, None, :]
     hi, lo = (base + (e // n + 1) * len(cuts) + np.searchsorted(cuts, e % n) for e in ends)

@@ -8,16 +8,17 @@ whose mild form is
 
 with ``H`` the heat semigroup.  ``phi_apply`` marches this Volterra identity
 with a second-order exponential Heun step on a graded internal grid, keeping
-the real-FFT spectrum of the density as its state: heat is a multiplier and
-mass projection pins the zero mode.  The state is a stack, one row per
-initial datum (a single datum is a stack of one), so the data of an
-experiment march together and every transform serves all of them; each row
-equals the march of its datum alone bit for bit.  Both drift specs are
+the real-FFT spectrum of the density as its state: heat is a multiplier built
+per block of steps, the step keeps the zero mode, so the mass is projected in
+the first step or two, and finiteness is read at the outputs.  The state is a
+stack, one row per initial datum (a single datum is a stack of one), so the
+data of an experiment march together and every transform serves all of them;
+each row equals the march of its datum alone bit for bit.  Both drift specs are
 evaluated by ``kernels.drift_map``, built once per map: a convolution drift
 on each frozen density, interpolated linearly in time in physical space,
 which is exact by linearity; a Nemytskii drift on the raw interpolated
-values, which do not depend on the march state, so one call of the map
-serves a block of marching nodes.
+values, which do not depend on the march state, so one interpolation and
+one call of the map serve a block of marching nodes.
 The Picard loop, ``picard_solve_many``, feeds the output flows back in until
 the distance between successive iterates falls below tolerance; a member
 leaves the stack at the iteration where its own distance does, so it sees
@@ -61,8 +62,8 @@ __all__ = [
 # exponent of the internal marching grid's refinement toward t = 0
 GRADING = 1.5
 
-# grid values per stacked Nemytskii drift evaluation (128 KB of floats per
-# array): 16 marching nodes of one member at n = 1024, one at 128^2
+# grid values per block (128 KB of floats per array): 16 Nemytskii drift nodes
+# of one member or 31 heat-multiplier steps at n = 1024, one of either at 128^2
 _BLOCK_VALUES = 2**14
 
 
@@ -175,11 +176,12 @@ def _frozen_drift(drift, mu, grid: GridSpec, nodes):
     the density and the frozen flow is linear in time between its fields
     (``MeasureFlow._bracket``), so the map of each frozen field, evaluated
     once here on the stack of every member's field and interpolated the same
-    way, gives it exactly at any node.  A Nemytskii drift is the map of the interpolated values.  It
-    does not depend on the march, so it is evaluated ahead of it, one map
-    call per block of up to ``_BLOCK_VALUES // (members * grid.num_points)``
-    nodes, whose components are checked finite together; stacked transforms
-    equal per-node and per-member ones bit for bit.
+    way, gives it exactly at any node.  A Nemytskii drift is the map of the
+    interpolated values.  It does not depend on the march, so it is evaluated
+    ahead of it per block of up to ``_BLOCK_VALUES // (members * grid.num_points)``
+    nodes: one ``(1-w) S_j + w S_{j+1}`` over the stacked knots ``S`` (the knot
+    itself at w = 0 or 1), one map call, its components checked finite
+    together; this equals the per-node and per-member route bit for bit.
     Each frozen field passes the density check once: every node sees a convex
     combination of two of them, whose minimum and mass lie between theirs.
     The spec's type, the map's parameters and the frozen densities are
@@ -189,11 +191,11 @@ def _frozen_drift(drift, mu, grid: GridSpec, nodes):
     fields = [[f.initial] + list(f.densities) for f in mu]
     for f in itertools.chain.from_iterable(fields):
         f.require_density()
-    # one (members, *grid.shape) stack per frozen time
-    stacks = [np.stack([f.values for f in at]) for at in zip(*fields)]
+    # the knots: one (members, *grid.shape) stack per frozen time
+    knots = np.stack([[f.values for f in flow] for flow in fields], axis=1)
     bracket = mu[0]._bracket
     if isinstance(drift, KernelSpec):
-        convs = [evaluate(values) for values in stacks]
+        convs = [evaluate(values) for values in knots]
 
         def field_at(s: float) -> list:
             j, w = bracket(s)
@@ -202,16 +204,14 @@ def _frozen_drift(drift, mu, grid: GridSpec, nodes):
             return [a * c0 + b * c1 for c0, c1 in zip(convs[j], convs[j + 1])]
         return map(field_at, nodes)
     size = max(1, _BLOCK_VALUES // (len(mu) * grid.num_points))
+    per_node = (-1,) + (1,) * (grid.dim + 1)
 
     def block_at(block: list) -> list:
         """Components at each node of ``block``, from one call of the map."""
-        rho = np.empty((len(block), len(mu)) + grid.shape)
-        factors = np.empty((len(block),) + (1,) * (grid.dim + 1))
-        for i, s in enumerate(block):
-            j, w = bracket(s)
-            rho[i] = (stacks[j + int(w)] if w == 0.0 or w == 1.0
-                      else (1 - w) * stacks[j] + w * stacks[j + 1])
-            factors[i] = drift.modulation.factor(s)
+        j, w = (np.array(a) for a in zip(*map(bracket, block)))
+        w = w.reshape(per_node)
+        rho = (1 - w) * knots[j] + w * knots[j + 1]
+        factors = np.array([drift.modulation.factor(s) for s in block]).reshape(per_node)
         comps = [factors * c for c in evaluate(rho)]
         finite = np.all([np.isfinite(c).reshape(len(block), -1).all(axis=1)
                          for c in comps], axis=0)
@@ -227,7 +227,8 @@ def _internal_grid(out_times, steps: int) -> np.ndarray:
     output times (the drift envelope t^kappa and rough initial data live near
     t = 0; the step integral's own endpoint is handled by the scheme)."""
     base = out_times[-1] * (np.arange(steps + 1) / steps) ** GRADING
-    return np.unique(np.round(np.concatenate([base, out_times]), 14))
+    nodes = np.sort(np.round(np.concatenate([base, out_times]), 14))
+    return nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
 
 
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
@@ -263,10 +264,13 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
     ``gammas`` is a sequence of densities on one grid and ``mu`` None or a
     sequence of as many flows.  The march state is a
     ``(members, *grid.shape)`` stack, one row per density, with the heat
-    multipliers and the drift interpolation weights shared by all rows; each
-    row is marched, mass-projected, checked and clipped as its density alone
-    would be, bit for bit.  Returns the list of flows in the order of
-    ``gammas``.
+    multipliers (one ``exp`` per block of steps) and the drift interpolation
+    weights shared by all rows; each row is marched and clipped as its
+    density alone would be, bit for bit.  The step keeps the zero mode, so
+    the mass is projected only until it reads ``1/cell_volume`` exactly.
+    The state is checked finite at the output times: a NaN or inf spreads
+    to every entry at the next transform, so a blow-up is reported at the
+    first output time at or after it.  Returns flows in the order of ``gammas``.
 
     Raises
     ------
@@ -276,7 +280,7 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
         If ``steps`` is not a positive int, ``params.dim`` is not the
         dimension of the density's grid, the densities do not share one grid
         or number other than the frozen flows, a frozen density is not a
-        density or the march state turns non-finite.
+        density or the march state is non-finite at an output time.
     """
     _require_int("steps", steps)
     gammas = list(gammas)
@@ -321,12 +325,15 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
 
     densities = [[None] * out_times.size for _ in gammas]
     b_next = None if drifts is None else next(drifts)
-    for m_idx in range(len(nodes) - 1):
+    rows = max(1, _BLOCK_VALUES // xi_sq.size)  # heat multipliers per exp
+    heats = itertools.chain.from_iterable(
+        np.exp(np.multiply.outer(-0.5 * np.diff(nodes[i:i + rows + 1]), xi_sq))
+        for i in range(0, len(nodes) - 1, rows))
+    unprojected = True
+    for m_idx, mult in enumerate(heats):
         s0, s1 = nodes[m_idx], nodes[m_idx + 1]
         h = s1 - s0
         # in place, each update is the product or sum of the same operands
-        mult = -0.5 * h * xi_sq
-        np.exp(mult, out=mult)
         rho_hat *= mult
         if drifts is not None:
             b0, b_next = b_next, next(drifts)
@@ -337,13 +344,15 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
             corrector += heated_F0
             corrector *= 0.5 * h
             rho_hat += corrector
-        rho_hat /= rho_hat[zero_mode].real * cell_volume
+        if unprojected:  # the step keeps the zero mode; at 1/cell_volume it stays
+            rho_hat /= rho_hat[zero_mode].real * cell_volume
+            unprojected = (rho_hat[zero_mode].real * cell_volume != 1.0).any()
         slot = out_slot.get(m_idx + 1)
         if slot is not None or drifts is not None:
             irfft(rho_hat, shape, rho)
+        if slot is not None:
             if not np.isfinite(rho).all():
                 raise ValueError(f"march state is not finite at t={s1:.6g}")
-        if slot is not None:
             for out, row, log in zip(densities, rho, logs):
                 out[slot] = ScalarField(grid, _clip_output(row.copy(), grid, log))
     for log in logs:

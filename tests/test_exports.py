@@ -85,6 +85,20 @@ def test_transport_metrics_load_no_scipy():
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 
 
+def test_march_and_windowed_norm_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 13 ms and 1.6 MB;
+    # the marching grid and the windowed norm's chord cuts sort instead
+    loaded = _loaded_by_cli_import(
+        "from mkvflow.grids import GridSpec, gaussian_density\n"
+        "from mkvflow.norms import SobolevIndex, local_neg_norm\n"
+        "from mkvflow.solver import FlowParams, phi_apply\n"
+        "grid = GridSpec(1, 256, 8.0)\n"
+        "gamma = gaussian_density(grid, 0.0, 0.1)\n"
+        "phi_apply([gamma], None, None, FlowParams(1.0, 2.0, T=0.5), steps=10)\n"
+        "local_neg_norm(gamma, SobolevIndex(1.0, 2.0))")
+    assert "numpy.ma" not in loaded
+
+
 # every draw goes through ``np.random`` or a generator made by one of these
 _RANDOM_ATTRS = {"default_rng", "Generator"}
 

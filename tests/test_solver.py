@@ -11,6 +11,7 @@ from mkvflow.grids import (
     gaussian_density,
     grid_delta,
     heat_apply,
+    rfft_wavenumbers,
 )
 from mkvflow import solver
 from mkvflow.kernels import (
@@ -282,6 +283,37 @@ class TestSpectralMarch:
         for a, b in zip(zero.densities, plain.densities):
             assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(2, 64, 8.0)], ids=["1d", "2d"])
+    def test_heat_march_over_blocks_is_heat_apply(self, grid):
+        # the heat multipliers are built a block of steps at a time; reading
+        # each block one step late (``np.roll`` of its steps by one) misses by far
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.1, 0.25, 0.5),
+                            dim=grid.dim)
+        gamma = gaussian_density(grid, 0.0, 0.09)
+        steps = 100
+        rows = solver._BLOCK_VALUES // rfft_wavenumbers(grid)[1].size
+        assert len(solver._internal_grid(params.time_grid, steps)) - 1 > 2 * rows
+        (flow,) = phi_apply([gamma], None, None, params, steps=steps)
+        for t, rho in zip(params.time_grid, flow.densities):
+            want = heat_apply(gamma, t).values
+            assert np.abs(rho.values - want).max() <= 1e-12 * want.max()
+
+    def test_nemytskii_block_interpolation_is_per_node(self):
+        # the "density" family at kappa = 0 returns the interpolated values
+        # themselves; a block of nodes equals the per-node (1-w) f_j + w f_{j+1}
+        # bit for bit, the knot itself at w = 0 and 1.  Swapping w and 1 - w
+        # fails at every node but a midpoint
+        spec = NemytskiiSpec(1, "density", (), TimeModulation(0.0))
+        params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.1, 0.25, 0.5))
+        mus = [phi_apply([gaussian_density(GRID, m, 0.09)], None, None, params, steps=20)[0]
+               for m in (0.0, 0.4)]
+        nodes = (0.0, 0.03, 0.1, 0.17, 0.25, 0.5)
+        ws = [mus[0]._bracket(s)[1] for s in nodes]
+        assert ws[0] == ws[2] == ws[4] == 0.0 and ws[-1] == 1.0 and 0 < ws[3] != 0.5
+        for s, (got,) in zip(nodes, _frozen_drift(spec, mus, GRID, nodes)):
+            for row, mu in zip(got, mus):
+                assert np.array_equal(row, density_at(mu, s).values)
+
     def test_negative_frozen_density_rejected(self):
         gamma = gaussian_density(GRID, 0.0, 0.04)
         params = params_for(n=2)
@@ -306,8 +338,10 @@ class TestSpectralMarch:
         params = params_for(n=2)
         (mu,) = phi_apply([gamma], None, None, params, steps=20)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="march state is not finite"):
+                pytest.raises(ValueError, match="march state is not finite") as err:
             phi_apply([gamma], [mu], KernelSpec(ConstantVector((1e300,))), params, steps=20)
+        # finiteness is read at the outputs only: the error names one of them
+        assert any(str(err.value).endswith(f"t={t:.6g}") for t in params.time_grid)
 
     @pytest.mark.parametrize("drift", [RieszOrder(), "riesz", 3.0,
                                        pytest.param(lambda rho, t: None, id="callable")])

@@ -153,17 +153,10 @@ def empirical_quantiles(positions: np.ndarray, u: np.ndarray) -> np.ndarray:
     return xs[idx]
 
 
-def wasserstein_1d_empirical(positions: np.ndarray, rho: ScalarField,
-                             q: float = 1.0) -> float:
-    """Transport distance of order q between an empirical sample, finite
-    positions of shape (N,) or (N, 1), and a density on a 1-d grid, checked
-    and integrated as ``wasserstein_1d``."""
-    return wasserstein_1d_empirical_many([positions], rho, q)[0]
-
-
 def wasserstein_1d_empirical_many(samples, rho: ScalarField, q: float = 1.0) -> list:
-    """``wasserstein_1d_empirical`` of each of ``samples`` against ``rho``, bit for
-    bit, with the quantiles of ``rho`` built once."""
+    """Transport distance of order q from each of ``samples``, finite positions
+    of shape (N,) or (N, 1), to a density ``rho`` on a 1-d grid, checked and
+    integrated as ``wasserstein_1d``, with the quantiles of ``rho`` built once."""
     return _transport_distances(rho, list(samples), q)
 
 

@@ -8,9 +8,9 @@ whose mild form is
 
 with ``H`` the heat semigroup.  ``phi_apply`` marches this Volterra identity
 with a second-order exponential Heun step on a graded internal grid, keeping
-the real-FFT spectrum of the density as its state: heat is a multiplier built
-per block of steps, the step keeps the zero mode, so the mass is projected in
-the first step or two, and finiteness is read at the outputs.  The state is a
+the real-FFT spectrum of the density as its state: heat is an exact
+multiplier, the step keeps the zero mode, the mass of each output is set where
+it is clipped, and finiteness is read at the outputs.  The state is a
 stack, one row per initial datum (a single datum is a stack of one), so the
 data of an experiment march together and every transform serves all of them;
 each row equals the march of its datum alone bit for bit.  Both drift specs are
@@ -62,8 +62,8 @@ __all__ = [
 # exponent of the internal marching grid's refinement toward t = 0
 GRADING = 1.5
 
-# grid values per block (128 KB of floats per array): 16 Nemytskii drift nodes
-# of one member or 31 heat-multiplier steps at n = 1024, one of either at 128^2
+# grid values per block of Nemytskii drift nodes (128 KB of floats per array):
+# 16 nodes of one member at n = 1024, one at 128^2
 _BLOCK_VALUES = 2**14
 
 
@@ -232,8 +232,10 @@ def _internal_grid(out_times, steps: int) -> np.ndarray:
 
 
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
-    """Clip negatives at zero and re-project the mass, on outputs only.
+    """Clip negatives at zero and divide by the mass, on outputs only.
 
+    Every output's mass is set here, not in the march: the march keeps the
+    zero mode and is linear in its state, and clip and division ignore a positive scale.
     Outputs are the next iteration's frozen densities and must pass its
     density check.  Internal marching states stay untouched: rough initial
     data legitimately passes through oscillatory under-resolved transients
@@ -263,11 +265,11 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
 
     ``gammas`` is a sequence of densities on one grid and ``mu`` None or a
     sequence of as many flows.  The march state is a
-    ``(members, *grid.shape)`` stack, one row per density, with the heat
-    multipliers (one ``exp`` per block of steps) and the drift interpolation
-    weights shared by all rows; each row is marched and clipped as its
-    density alone would be, bit for bit.  The step keeps the zero mode, so
-    the mass is projected only until it reads ``1/cell_volume`` exactly.
+    ``(members, *grid.shape)`` stack, one row per density, with each step's
+    heat multiplier and the drift interpolation weights shared by all rows;
+    each row is marched and clipped as its density alone would be, bit for
+    bit.  The step keeps the zero mode and the march never projects the
+    mass; ``_clip_output`` sets it at every output time.
     The state is checked finite at the output times: a NaN or inf spreads
     to every entry at the next transform, so a blow-up is reported at the
     first output time at or after it.  Returns flows in the order of ``gammas``.
@@ -306,8 +308,7 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
     logs = [{"clip_mass": 0.0} for _ in gammas]
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]
-    zero_mode = (slice(None),) + (slice(0, 1),) * grid.dim  # per row, kept as an axis
-    shape, cell_volume = grid.shape, grid.cell_volume
+    shape = grid.shape
     drifts = None
     if frozen is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
         drifts = _frozen_drift(drift, frozen, grid, nodes)
@@ -325,14 +326,9 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
 
     densities = [[None] * out_times.size for _ in gammas]
     b_next = None if drifts is None else next(drifts)
-    rows = max(1, _BLOCK_VALUES // xi_sq.size)  # heat multipliers per exp
-    heats = itertools.chain.from_iterable(
-        np.exp(np.multiply.outer(-0.5 * np.diff(nodes[i:i + rows + 1]), xi_sq))
-        for i in range(0, len(nodes) - 1, rows))
-    unprojected = True
-    for m_idx, mult in enumerate(heats):
-        s0, s1 = nodes[m_idx], nodes[m_idx + 1]
+    for m_idx, (s0, s1) in enumerate(zip(nodes, nodes[1:])):
         h = s1 - s0
+        mult = np.exp(-0.5 * h * xi_sq)
         # in place, each update is the product or sum of the same operands
         rho_hat *= mult
         if drifts is not None:
@@ -344,9 +340,6 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
             corrector += heated_F0
             corrector *= 0.5 * h
             rho_hat += corrector
-        if unprojected:  # the step keeps the zero mode; at 1/cell_volume it stays
-            rho_hat /= rho_hat[zero_mode].real * cell_volume
-            unprojected = (rho_hat[zero_mode].real * cell_volume != 1.0).any()
         slot = out_slot.get(m_idx + 1)
         if slot is not None or drifts is not None:
             irfft(rho_hat, shape, rho)
@@ -426,11 +419,14 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
     NoContractionError
         After three consecutive contraction ratios of a member at or above one.
     ValueError
-        If ``steps`` or ``max_iter`` is not a positive int, or ``tol`` is not
-        positive and finite.
+        If ``steps`` or ``max_iter`` is not a positive int, ``tol`` is not
+        positive and finite, or ``age`` is not a finite number at least 0.
     """
     _require_int("max_iter", max_iter)
     _require_tol(tol)
+    _require_number("age", age)
+    if not 0 <= age < math.inf:  # a NaN fails here
+        raise ValueError(f"age must be >= 0 and finite, got {age!r}")
     gammas = list(gammas)
     weight = _weight(params, age + np.asarray(params.time_grid), 0.0)
     current = phi_apply(gammas, None, drift, params, steps)
@@ -479,9 +475,10 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     is the plain solve started from the r-smoothed datum, its Picard
     distance weighted from the start, ``(r + t)^(eta/2)``.  The returned flow
     is indexed by the time after r, its initial datum is the r-smoothed law
-    and ``meta["report"]`` holds its report.  ``steps``, ``max_iter`` and
-    ``tol`` are checked as ``picard_solve`` checks them.
+    and ``meta["report"]`` holds its report.  ``r`` must be a finite number;
+    ``steps``, ``max_iter`` and ``tol`` are checked as ``picard_solve`` checks them.
     """
+    _require_number("r", r, finite=True)
     if r <= 0:
         raise ValueError(f"shift r must be positive, got {r}")
     if math.sqrt(r) < _RESOLUTION_CELLS * gamma0.grid.spacing:

@@ -77,11 +77,11 @@ def test_transport_metrics_load_no_scipy():
     loaded = _loaded_by_cli_import(
         "import numpy as np\n"
         "from mkvflow.grids import GridSpec, gaussian_density\n"
-        "from mkvflow.metrics import wasserstein_1d, wasserstein_1d_empirical\n"
+        "from mkvflow.metrics import wasserstein_1d, wasserstein_1d_empirical_many\n"
         "grid = GridSpec(1, 256, 8.0)\n"
         "a, b = gaussian_density(grid, 0.0, 0.1), gaussian_density(grid, 0.5, 0.2)\n"
         "wasserstein_1d(a, b, 2.0)\n"
-        "wasserstein_1d_empirical(np.linspace(-1.0, 1.0, 100), a)")
+        "wasserstein_1d_empirical_many([np.linspace(-1.0, 1.0, 100)], a)")
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 
 

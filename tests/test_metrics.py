@@ -12,7 +12,6 @@ from mkvflow.metrics import (
     _pchip,
     relative_entropy,
     wasserstein_1d,
-    wasserstein_1d_empirical,
     wasserstein_1d_empirical_many,
 )
 from oracles import (
@@ -141,14 +140,14 @@ class TestWasserstein1d:
         with pytest.raises(ValueError) as density_route:
             wasserstein_1d(target, target, q)
         with pytest.raises(ValueError) as empirical_route:
-            wasserstein_1d_empirical(samples, target, q)
+            wasserstein_1d_empirical_many([samples], target, q)
         assert str(empirical_route.value) == str(density_route.value)
 
     def test_empirical_route(self):
         rng = np.random.default_rng(3)
         target = gaussian_density(GRID, 0.0, 1.0)
         samples = rng.standard_normal(200_000)
-        w1 = wasserstein_1d_empirical(samples, target, 1.0)
+        w1 = wasserstein_1d_empirical_many([samples], target, 1.0)[0]
         assert w1 < 0.01
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
@@ -158,7 +157,7 @@ class TestWasserstein1d:
         samples = [rng.standard_normal(n) for n in (2, 17, 1000, 4000)]
         samples += [samples[2][:, None], list(samples[1])]
         got = wasserstein_1d_empirical_many(samples, target, q)
-        assert got == [wasserstein_1d_empirical(x, target, q) for x in samples]
+        assert got == [wasserstein_1d_empirical_many([x], target, q)[0] for x in samples]
         assert got[4] == got[2] and got[5] == got[1]  # (N, 1) and a list read as (N,)
 
     @pytest.mark.parametrize("samples, message", [
@@ -175,7 +174,7 @@ class TestWasserstein1d:
         # they returned nan, inf, an IndexError, and the flattened columns
         target = gaussian_density(GRID, 0.0, 1.0)
         with pytest.raises(ValueError, match=message):
-            wasserstein_1d_empirical(samples, target, 1.0)
+            wasserstein_1d_empirical_many([samples], target, 1.0)
         with pytest.raises(ValueError, match=message):
             wasserstein_1d_empirical_many([np.zeros(10), samples], target, 1.0)
 
@@ -236,7 +235,7 @@ class TestPchip:
                  "zero-tail": zero_tail_density}[case]()
         samples = np.random.default_rng(5).normal(0.1, 0.5, 2000)
         for got, want in [(wasserstein_1d(rho, other, q), pchip_transport_distance(rho, other, q)),
-                          (wasserstein_1d_empirical(samples, other, q),
+                          (wasserstein_1d_empirical_many([samples], other, q)[0],
                            pchip_transport_distance(other, samples, q))]:
             assert abs(got - want) <= 1e-14 * want
 

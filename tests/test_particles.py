@@ -7,7 +7,7 @@ import pytest
 from mkvflow import metrics, particles
 from mkvflow.grids import GridSpec, ScalarField, gaussian_density
 from mkvflow.kernels import ConstantVector, KernelSpec, RieszOrder, TimeModulation
-from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical
+from mkvflow.metrics import GaussianSpec, wasserstein_1d_empirical_many
 from mkvflow.particles import (
     ParticleEnsemble,
     SimConfig,
@@ -414,7 +414,7 @@ class TestChaosStudy:
                 run_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1000 * rep)
                 for ens in simulate_particles(run_cfg, N):
                     target = heat_flow.densities[list(heat_flow.times).index(ens.time)]
-                    w1 = wasserstein_1d_empirical(ens.positions[:, 0], target, 1.0)
+                    w1 = wasserstein_1d_empirical_many([ens.positions[:, 0]], target, 1.0)[0]
                     kde = empirical_density(ens, GRID, 4 * GRID.spacing)
                     l1 = float(np.abs(kde.values - target.values).sum()) * GRID.cell_volume
                     want.append((N, run_cfg.seed, ens.time, w1, l1))

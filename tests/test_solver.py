@@ -11,7 +11,6 @@ from mkvflow.grids import (
     gaussian_density,
     grid_delta,
     heat_apply,
-    rfft_wavenumbers,
 )
 from mkvflow import solver
 from mkvflow.kernels import (
@@ -202,6 +201,21 @@ class TestStepArguments:
             time_shift_solve(grid_delta(GRID), 0.02, small_kernel(), params_for(n=2),
                              tol=tol, steps=20)
 
+    @pytest.mark.parametrize("age", [-1.0, math.nan, math.inf, True, "0"])
+    def test_age_must_be_a_finite_number_at_least_zero(self, monkeypatch, age):
+        # -1, nan and inf used to run all max_iter iterations to a nan residual
+        monkeypatch.setattr(solver, "phi_apply", None)  # must not be reached
+        gamma = gaussian_density(GRID, 0.0, 0.04)
+        with pytest.raises(ValueError, match="age must be"):
+            picard_solve_many([gamma], small_kernel(), params_for(n=2), steps=20, age=age)
+
+    @pytest.mark.parametrize("r", [True, "0.02", None, math.nan, math.inf])
+    def test_shift_must_be_a_finite_number(self, monkeypatch, r):
+        # a bool r used to run a shift of 1.0
+        monkeypatch.setattr(solver, "picard_solve_many", None)  # must not be reached
+        with pytest.raises(ValueError, match="r must be"):
+            time_shift_solve(grid_delta(GRID), r, small_kernel(), params_for(n=2), steps=20)
+
 
 class TestSpectralMarch:
     """The spectral-state march against the per-call physical drift."""
@@ -284,19 +298,34 @@ class TestSpectralMarch:
             assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("grid", [GRID, GridSpec(2, 64, 8.0)], ids=["1d", "2d"])
-    def test_heat_march_over_blocks_is_heat_apply(self, grid):
-        # the heat multipliers are built a block of steps at a time; reading
-        # each block one step late (``np.roll`` of its steps by one) misses by far
+    def test_heat_march_is_heat_apply(self, grid):
+        # each step multiplies by exp(-h |xi|^2 / 2); a multiplier without
+        # its 1/2 marches twice the time and misses by far
         params = FlowParams(delta=1.0, k=2.0, T=0.5, time_grid=(0.1, 0.25, 0.5),
                             dim=grid.dim)
         gamma = gaussian_density(grid, 0.0, 0.09)
-        steps = 100
-        rows = solver._BLOCK_VALUES // rfft_wavenumbers(grid)[1].size
-        assert len(solver._internal_grid(params.time_grid, steps)) - 1 > 2 * rows
-        (flow,) = phi_apply([gamma], None, None, params, steps=steps)
+        (flow,) = phi_apply([gamma], None, None, params, steps=100)
         for t, rho in zip(params.time_grid, flow.densities):
             want = heat_apply(gamma, t).values
             assert np.abs(rho.values - want).max() <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("extent", [16.0, 7.3])
+    def test_output_mass_is_set_at_the_output(self, extent):
+        # the march never projects the mass: it is linear in its state and
+        # keeps the zero mode, and _clip_output divides by the mass, so a
+        # datum of mass 1 + 5e-7 (still a density) gives the unit datum's
+        # flow to rounding.  At extent 7.3 the cell volume is not a power of two
+        grid = GridSpec(1, 256, extent)
+        gamma = gaussian_density(grid, 0.0, 0.09)
+        scaled = ScalarField(grid, gamma.values * (1 + 5e-7)).require_density()
+        params = params_for()
+        kern = KernelSpec(RieszOrder((0.2,), 0, 1.0), 4 * grid.spacing**2,
+                          TimeModulation(kappa=0.75))
+        (base,) = phi_apply([gamma], None, None, params, steps=100)
+        unit, off = phi_apply([gamma, scaled], [base, base], kern, params, steps=100)
+        for a, b in zip(off.densities, unit.densities):
+            assert np.abs(a.values - b.values).max() <= 1e-14 * np.abs(b.values).max()
+            assert abs(a.mass() - 1.0) <= 1e-12 and abs(b.mass() - 1.0) <= 1e-12
 
     def test_nemytskii_block_interpolation_is_per_node(self):
         # the "density" family at kappa = 0 returns the interpolated values

@@ -32,8 +32,7 @@ from .norms import (
     operator_exponent_probe,
 )
 from .particles import SimConfig, _check_study_sizes, chaos_convergence_study
-from .solver import (FlowParams, _require_tol, contraction_ratios, picard_solve,
-                     picard_solve_many)
+from .solver import FlowParams, contraction_ratios, picard_solve, picard_solve_many
 
 __all__ = [
     "ExperimentConfig",
@@ -99,7 +98,7 @@ class ExperimentConfig:
         _require_int("seed", self.seed, 0)
         o = _options(self)
         if "tol" in o:
-            _require_tol(o["tol"], "tol")
+            _require_number("tol", o["tol"], 0, strict=True)
         grid = _grid(o)
         if "kernel" in o:
             kern = _kernel(o, grid)
@@ -566,7 +565,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 _REPORT_HEADER = ["quantity", "theory", "measured", "tol", "pass"]
 
 
-def emit_report(report: RunReport, out_dir, name: str = "report"):
+def emit_report(report: RunReport, out_dir, name: str):
     """Write ``<name>.csv``, the rows in fixed column order, and ``<name>.json``,
     the rows with the provenance block, the figures (label -> ``[[t, value], ...]``)
     and the tables (name -> ``{"header", "rows"}``); return both paths."""

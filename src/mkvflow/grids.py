@@ -44,13 +44,19 @@ def _require_int(name: str, value, least: int = 1):
         raise ValueError(f"{name} must be a {kind} int, got {value!r}")
 
 
-def _require_number(name: str, value, finite: bool = False):
-    """Raise unless ``value`` is an int or a float (not a bool), and, with
-    ``finite``, neither infinite nor NaN."""
+def _require_number(name: str, value, low=None, high=math.inf, strict: bool = False):
+    """Raise unless ``value`` is an int or a float (not a bool) in its interval.
+
+    The interval is ``[low, high)``, or ``(low, high)`` with ``strict``; NaN
+    lies in no interval, and ``(-inf, inf)`` with ``strict`` admits exactly
+    the finite numbers.  With ``low`` None only the type is checked.  Each
+    ``ValueError`` names the argument, and a value out of range the interval.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if finite and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if low is not None and not ((low < value if strict else low <= value) and value < high):
+        interval = f"{'(' if strict else '['}{low:g}, {high:g})"
+        raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
 
 
 def _require_numbers(name: str, values):
@@ -58,7 +64,7 @@ def _require_numbers(name: str, values):
     if not isinstance(values, tuple) or not values:
         raise ValueError(f"{name} must be a non-empty tuple of numbers, got {values!r}")
     for x in values:
-        _require_number(name, x, finite=True)
+        _require_number(name, x, -math.inf, strict=True)
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,9 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         n = self.points_per_dim
         _require_int("points_per_dim", n)
-        _require_number("extent", self.extent)
+        _require_number("extent", self.extent, 0, strict=True)
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_dim must be a power of two >= 16, got {n}")
-        if not (np.isfinite(self.extent) and self.extent > 0):
-            raise ValueError(f"extent must be positive and finite, got {self.extent}")
 
     @property
     def spacing(self) -> float:
@@ -274,11 +278,10 @@ def _apply_half(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
 def _heat_multiplier(grid: GridSpec, t: float) -> np.ndarray:
     """``exp(-t |xi|^2 / 2)`` on the real-FFT half lattice of ``grid``.
 
-    Raises ``ValueError`` unless ``t`` is positive and finite; warns when the
+    Raises ``ValueError`` unless ``t`` is a number in (0, inf); warns when the
     Gaussian std is under ``_RESOLUTION_CELLS`` grid cells.
     """
-    if not (t > 0 and np.isfinite(t)):
-        raise ValueError(f"heat time must be positive and finite, got {t}")
+    _require_number("t", t, 0, strict=True)
     if math.sqrt(t) < _RESOLUTION_CELLS * grid.spacing:
         warnings.warn(f"heat kernel under-resolved: std {math.sqrt(t):.3g} < "
                       f"{_RESOLUTION_CELLS:g} * spacing {grid.spacing:.3g}", stacklevel=3)
@@ -295,8 +298,9 @@ def heat_apply(f: ScalarField, t: float) -> ScalarField:
     Raises
     ------
     ValueError
-        If ``t <= 0``.  Very small positive ``t`` (std below two cells) only
-        warns, since operator-norm probing sweeps small times on purpose.
+        Unless ``t`` is a number in (0, inf).  Very small positive ``t``
+        (std below two cells) only warns, since operator-norm probing sweeps
+        small times on purpose.
     """
     return ScalarField(f.grid, _apply_half(f.values, _heat_multiplier(f.grid, t)))
 
@@ -309,17 +313,15 @@ def bessel_apply(f: ScalarField, r: float) -> ScalarField:
     Raises
     ------
     ValueError
-        If ``r < 0``.
+        Unless ``r`` is a number in [0, inf).
     """
-    if r < 0:
-        raise ValueError(f"Bessel order must be nonnegative, got {r}")
+    _require_number("r", r, 0)
     return _bessel_power(f, -r)
 
 
 def bessel_sharpen(f: ScalarField, r: float) -> ScalarField:
     """Inverse Bessel smoothing, multiplier ``(1+|xi|^2)^{+r}`` (band-limited)."""
-    if r < 0:
-        raise ValueError(f"order must be nonnegative, got {r}")
+    _require_number("r", r, 0)
     return _bessel_power(f, r)
 
 
@@ -346,8 +348,7 @@ def gaussian_density(grid: GridSpec, mean=0.0, variance: float = 1.0,
     With ``normalize=True`` the grid mass is rescaled to exactly one, which is
     what the solver wants for initial data whose tails or width are marginal.
     """
-    if not 0 < variance < math.inf:
-        raise ValueError(f"variance must be positive and finite, got {variance}")
+    _require_number("variance", variance, 0, strict=True)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if mean.size == 1:
         mean = np.repeat(mean, grid.dim)

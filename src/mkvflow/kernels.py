@@ -73,9 +73,7 @@ class RieszOrder:
     def __post_init__(self):
         _require_numbers("c", self.c)
         _require_int("n0", self.n0, 0)
-        _require_number("eps0", self.eps0)
-        if not (0.0 <= self.eps0 < 2.0):
-            raise ValueError(f"eps0 must lie in [0, 2), got {self.eps0}")
+        _require_number("eps0", self.eps0, 0, 2)
         if self.n0 >= 1 and self.eps0 == 0.0:
             raise ValueError(f"even order 2*n0 + eps0 = {2 * self.n0} has a polynomial "
                              "symbol and no inverse-power realization; use eps0 > 0")
@@ -112,9 +110,7 @@ class TimeModulation:
     kappa: float = 0.0
 
     def __post_init__(self):
-        _require_number("kappa", self.kappa)
-        if not 0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
+        _require_number("kappa", self.kappa, 0)
 
     def factor(self, t: float) -> float:
         if t < 0:
@@ -138,10 +134,8 @@ class KernelSpec:
         if not isinstance(self.variant, (RieszOrder, DiracDerivative, ConstantVector)):
             raise ValueError("variant must be a RieszOrder, DiracDerivative or "
                              f"ConstantVector, got {self.variant!r}")
-        _require_number("eps", self.mollification_eps, finite=True)  # the catalog's name
+        _require_number("eps", self.mollification_eps, 0)  # the catalog's name
         _require_modulation(self.modulation)
-        if self.mollification_eps < 0:
-            raise ValueError("mollification_eps must be >= 0")
 
 
 def kernel_vanishes(spec: KernelSpec) -> bool:
@@ -377,9 +371,7 @@ class NemytskiiSpec:
             raise ValueError("clipped_gradient needs derivative depth n >= 2")
         cap = self.param_dict.get("cap")
         if cap is not None:
-            _require_number("cap", cap)
-            if not 0 < cap < math.inf:
-                raise ValueError(f"clipped_gradient needs a cap with 0 < cap < inf, got {cap}")
+            _require_number("cap", cap, 0, strict=True)
         if self.family == "linear":
             if "weights" not in self.param_dict:
                 raise ValueError("linear family needs 'weights'")

@@ -34,9 +34,7 @@ class GaussianSpec:
     variance: float
 
     def __post_init__(self):
-        _require_number("variance", self.variance)
-        if not 0 < self.variance < math.inf:
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        _require_number("variance", self.variance, 0, strict=True)
         _require_numbers("mean", self.mean)
 
 
@@ -121,8 +119,7 @@ def _transport_distances(rho: ScalarField, others, q: float) -> list:
         raise ValueError(f"one-dimensional densities required, got dim {rho.grid.dim}")
     if any(isinstance(o, ScalarField) and o.grid != rho.grid for o in others):
         raise ValueError("densities must share a grid")
-    if not 1 <= q < math.inf:  # a NaN fails here
-        raise ValueError(f"order q must be >= 1 and finite, got {q}")
+    _require_number("q", q, 1)
     rho.require_density()
     others = [o.require_density() if isinstance(o, ScalarField) else _samples(o)
               for o in others]

@@ -67,10 +67,8 @@ class SobolevIndex:
     k: float
 
     def __post_init__(self):
-        _require_number("delta", self.delta)
+        _require_number("delta", self.delta, 0)
         _require_number("k", self.k)
-        if not 0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
         if not self.k >= 1:
             raise ValueError(f"k must be >= 1 (or inf), got {self.k}")
 
@@ -311,7 +309,7 @@ def _probe_norms(grid: GridSpec, spectra: np.ndarray, mults, idx: SobolevIndex) 
     return np.array(norms)
 
 
-def operator_exponent_probe(cases, t_grid, grid: GridSpec | None = None) -> list:
+def operator_exponent_probe(cases, t_grid, grid: GridSpec) -> list:
     """Fit the time exponent of the heat operator norm between two indices,
     one ``ProbeFit`` per case ``(i, frm, to)`` of the sequence ``cases``.
 
@@ -339,7 +337,6 @@ def operator_exponent_probe(cases, t_grid, grid: GridSpec | None = None) -> list
         raise ValueError("need at least 4 positive times")
     if t_grid[-1] / t_grid[0] < 10**1.5:
         raise ValueError("time grid must span at least 1.5 decades")
-    grid = grid or GridSpec(1, 2048, 16.0)
     ixi, xi_sq = rfft_wavenumbers(grid)
     out_comps = []
     for i, frm, to in cases:

@@ -75,11 +75,8 @@ class SimConfig:
         if self.initial is not None and len(self.initial.mean) != self.grid.dim:
             raise ValueError(f"initial mean {self.initial.mean} has {len(self.initial.mean)} "
                              f"entries on a {self.grid.dim}-d grid")
-        _require_number("dt", self.dt)
-        _require_number("T", self.T)
-        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
-            raise ValueError(f"dt and T must be positive and finite, got dt={self.dt}, "
-                             f"T={self.T}")
+        _require_number("dt", self.dt, 0, strict=True)
+        _require_number("T", self.T, 0, strict=True)
         n_steps = self.T / self.dt
         if abs(n_steps - round(n_steps)) > 1e-9:
             raise ValueError(f"T={self.T} is not a multiple of dt={self.dt}")
@@ -89,6 +86,7 @@ class SimConfig:
                              f"mollification_eps={self.kernel.mollification_eps}")
         object.__setattr__(self, "checkpoints", tuple(self.checkpoints) or (self.T,))
         for t in self.checkpoints:
+            _require_number("checkpoint", t, 0)
             m = t / self.dt
             if abs(m - round(m)) > 1e-9 or not 0 <= round(m) <= self.steps:
                 raise ValueError(f"checkpoint {t} is not a step time in [0, T={self.T}] "
@@ -302,8 +300,7 @@ def empirical_density(ens: ParticleEnsemble, grid: GridSpec,
     """
     if ens.dim != grid.dim:
         raise ValueError(f"a {ens.dim}-d ensemble has no density on a {grid.dim}-d grid")
-    if bandwidth < grid.spacing:
-        raise ValueError(f"bandwidth {bandwidth} below grid spacing {grid.spacing}")
+    _require_number("bandwidth", bandwidth, grid.spacing)
     hist = _bin_positions(ens.positions, grid)
     out = heat_apply(hist, bandwidth**2)
     out.values /= out.mass()

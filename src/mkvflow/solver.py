@@ -95,14 +95,10 @@ class FlowParams:
 
     def __post_init__(self):
         SobolevIndex(self.delta, self.k)  # raises on an index pair outside the scale
-        _require_number("kappa", self.kappa)
-        _require_number("T", self.T)
+        _require_number("kappa", self.kappa, 0)
+        _require_number("T", self.T, 0, strict=True)
         for t in self.time_grid:
             _require_number("each time_grid entry", t)
-        if not 0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         _require_int("dim", self.dim)
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
@@ -381,13 +377,6 @@ def _ratios(dists: list) -> list:
     return [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
 
 
-def _require_tol(tol, name: str = "tol"):
-    """Raise unless ``tol`` is positive and finite: below 0, or at NaN, no
-    residual stops the loop, and at inf the first one does."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-
-
 def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
                       max_iter: int = 25, steps: int = 600, age: float = 0.0) -> list:
     """Fixed-point iteration for the self-consistent law flow of each datum.
@@ -419,14 +408,12 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
     NoContractionError
         After three consecutive contraction ratios of a member at or above one.
     ValueError
-        If ``steps`` or ``max_iter`` is not a positive int, ``tol`` is not
-        positive and finite, or ``age`` is not a finite number at least 0.
+        If ``steps`` or ``max_iter`` is not a positive int, ``tol`` is not a
+        number in (0, inf), or ``age`` is not a number in [0, inf).
     """
     _require_int("max_iter", max_iter)
-    _require_tol(tol)
-    _require_number("age", age)
-    if not 0 <= age < math.inf:  # a NaN fails here
-        raise ValueError(f"age must be >= 0 and finite, got {age!r}")
+    _require_number("tol", tol, 0, strict=True)  # at inf the first residual stops the loop
+    _require_number("age", age, 0)
     gammas = list(gammas)
     weight = _weight(params, age + np.asarray(params.time_grid), 0.0)
     current = phi_apply(gammas, None, drift, params, steps)
@@ -475,12 +462,10 @@ def time_shift_solve(gamma0: ScalarField, r: float, drift, params: FlowParams,
     is the plain solve started from the r-smoothed datum, its Picard
     distance weighted from the start, ``(r + t)^(eta/2)``.  The returned flow
     is indexed by the time after r, its initial datum is the r-smoothed law
-    and ``meta["report"]`` holds its report.  ``r`` must be a finite number;
-    ``steps``, ``max_iter`` and ``tol`` are checked as ``picard_solve`` checks them.
+    and ``meta["report"]`` holds its report.  ``r`` must be a number in
+    (0, inf); ``steps``, ``max_iter`` and ``tol`` are checked as ``picard_solve`` checks them.
     """
-    _require_number("r", r, finite=True)
-    if r <= 0:
-        raise ValueError(f"shift r must be positive, got {r}")
+    _require_number("r", r, 0, strict=True)
     if math.sqrt(r) < _RESOLUTION_CELLS * gamma0.grid.spacing:
         raise ValueError(f"shift r={r} below grid resolvability")
     ((flow, report),) = picard_solve_many((heat_apply(gamma0, r),), drift, params, tol,

@@ -221,7 +221,7 @@ class TestOptionTable:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith(
-            f"mkvflow experiment: error: {key} must be positive and finite, got ")
+            f"mkvflow experiment: error: {key} must be a number in (0, inf), got ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
 

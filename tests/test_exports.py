@@ -123,6 +123,26 @@ def test_only_particles_draw_random_numbers():
     assert not drawn, f"random numbers drawn outside particles.py: {sorted(drawn)}"
 
 
+def _is_inf(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "inf" and getattr(
+        node.value, "id", None) in ("math", "np", "numpy")
+
+
+def test_range_checks_go_through_require_number():
+    # a hand-written ``lo < x < math.inf`` check words its own message and can
+    # skip the type check; grids._require_number does both for any interval
+    found = []
+    for path in sorted(Path(mkvflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(node) for fn in tree.body
+                  if path.name == "grids.py" and getattr(fn, "name", None) == "_require_number"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in helper
+                  and any(map(_is_inf, [node.left, *node.comparators]))]
+    assert not found, f"comparisons against inf outside _require_number: {found}"
+
+
 def _is_all(node) -> bool:
     return isinstance(node, ast.Assign) and any(
         getattr(t, "id", None) == "__all__" for t in node.targets)

@@ -9,15 +9,18 @@ from mkvflow import kernels
 from mkvflow.grids import (
     GridSpec,
     _magnitude,
+    bessel_apply,
+    bessel_sharpen,
     gaussian_density,
     grid_delta,
     heat_apply,
     rfft_wavenumbers,
 )
 from mkvflow.experiments import parse_config
+from mkvflow.metrics import wasserstein_1d
 from mkvflow.norms import SobolevIndex, local_neg_norm, measure_dual_norm
-from mkvflow.particles import SimConfig
-from mkvflow.solver import FlowParams
+from mkvflow.particles import ParticleEnsemble, SimConfig, empirical_density
+from mkvflow.solver import FlowParams, picard_solve_many
 from mkvflow.kernels import (
     ConstantVector,
     DiracDerivative,
@@ -409,7 +412,7 @@ class TestNemytskiiDrift:
     def test_clipped_gradient_cap_must_be_positive_and_finite(self, cap):
         # otherwise a nan cap fails only mid-solve and a negative one solves
         # with a constant drift
-        with pytest.raises(ValueError, match="0 < cap < inf"):
+        with pytest.raises(ValueError, match=r"^cap must be a number in \(0, inf\), got "):
             NemytskiiSpec(2, "clipped_gradient", (("cap", cap),))
 
 
@@ -524,7 +527,7 @@ class TestModulation:
         assert TimeModulation().factor(0.0) == TimeModulation().factor(0.3) == 1.0
         with pytest.raises(ValueError, match="time must be >= 0"):
             mod.factor(-0.1)
-        with pytest.raises(ValueError, match="kappa must be >= 0"):
+        with pytest.raises(ValueError, match=r"^kappa must be a number in \[0, inf\), got "):
             TimeModulation(-0.5)
 
 
@@ -657,3 +660,33 @@ REFUSED_CONSTRUCTIONS = {  # id: (the field the message names, construction)
 def test_constructors_refuse_what_they_cannot_realize(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build()
+
+
+# each was accepted, or failed with a TypeError or OverflowError that names
+# no argument: a bool took the value 0 or 1, wasserstein_1d(a, b, True)
+# returned 0.0 and an infinite Bessel order returned a field
+_GAUSS = gaussian_density(GRID, 0.0, 1.0, normalize=True)
+_PAIR = ParticleEnsemble(np.zeros((4, 1)), 0.0)
+REFUSED_ARGUMENTS = {  # id: (the argument the message names, call)
+    "gaussian-variance-bool": ("variance", lambda: gaussian_density(GRID, 0.0, True)),
+    "gaussian-variance-str": ("variance", lambda: gaussian_density(GRID, 0.0, "0.5")),
+    "heat-t-bool": ("t", lambda: heat_apply(_GAUSS, True)),
+    "bessel-r-inf": ("r", lambda: bessel_apply(_GAUSS, math.inf)),
+    "bessel-r-bool": ("r", lambda: bessel_apply(_GAUSS, True)),
+    "sharpen-r-nan": ("r", lambda: bessel_sharpen(_GAUSS, math.nan)),
+    "picard-tol-bool": ("tol", lambda: picard_solve_many(
+        [_GAUSS], KernelSpec(ConstantVector()), FlowParams(1, 2), tol=True)),
+    "wasserstein-q-bool": ("q", lambda: wasserstein_1d(_GAUSS, _GAUSS, True)),
+    "kde-bandwidth-inf": ("bandwidth", lambda: empirical_density(_PAIR, GRID, math.inf)),
+    "kde-bandwidth-str": ("bandwidth", lambda: empirical_density(_PAIR, GRID, "1")),
+    "sim-checkpoint-str": ("checkpoint", lambda: SimConfig(GRID, 0.1, 1.0, 0,
+                                                           checkpoints=("0.5",))),
+    "sim-checkpoint-inf": ("checkpoint", lambda: SimConfig(GRID, 0.1, 1.0, 0,
+                                                           checkpoints=(math.inf,))),
+}
+
+
+@pytest.mark.parametrize("name, call", REFUSED_ARGUMENTS.values(), ids=REFUSED_ARGUMENTS)
+def test_functions_refuse_arguments_outside_their_interval(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()

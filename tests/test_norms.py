@@ -308,6 +308,7 @@ class TestWindowedSups:
 
 class TestOperatorExponentProbe:
     T_GRID = np.geomspace(0.01, 10**-0.5, 12)
+    GRID = GridSpec(1, 2048, 16.0)
 
     LOOP_GRID = GridSpec(1, 256, 16.0)
     LOOP_TIMES = np.geomspace(0.02, 0.02 * 10**1.5, 5)
@@ -321,18 +322,18 @@ class TestOperatorExponentProbe:
 
     def test_flat_case_slope_zero(self):
         idx = SobolevIndex(1.0, 2.0)
-        (fit,) = operator_exponent_probe([(0, idx, idx)], self.T_GRID)
+        (fit,) = operator_exponent_probe([(0, idx, idx)], self.T_GRID, self.GRID)
         assert abs(fit.slope) < 0.05
 
     def test_smoothing_case(self):
         frm = SobolevIndex(1.0, 2.0)
         to = SobolevIndex(0.0, math.inf)
-        (fit,) = operator_exponent_probe([(0, frm, to)], self.T_GRID)
+        (fit,) = operator_exponent_probe([(0, frm, to)], self.T_GRID, self.GRID)
         assert abs(fit.slope - (-0.75)) < 0.08
 
     def test_gradient_case(self):
         idx = SobolevIndex(0.0, math.inf)
-        (fit,) = operator_exponent_probe([(1, idx, idx)], self.T_GRID)
+        (fit,) = operator_exponent_probe([(1, idx, idx)], self.T_GRID, self.GRID)
         assert abs(fit.slope - (-0.5)) < 0.05
 
     @pytest.mark.parametrize("case", [0, 1], ids=["i0-finite-k", "i1-inf-k"])
@@ -368,17 +369,17 @@ class TestOperatorExponentProbe:
     def test_rejects_short_span(self):
         idx = SobolevIndex(1.0, 2.0)
         with pytest.raises(ValueError):
-            operator_exponent_probe([(0, idx, idx)], [0.1, 0.2, 0.4, 0.8])
+            operator_exponent_probe([(0, idx, idx)], [0.1, 0.2, 0.4, 0.8], self.GRID)
 
     def test_rejects_wrong_ordering(self):
         idx = SobolevIndex(1.0, 2.0)
         with pytest.raises(ValueError, match="target index"):
             operator_exponent_probe([(0, idx, idx), (0, SobolevIndex(0.0, 2.0), idx)],
-                                    self.T_GRID)
+                                    self.T_GRID, self.GRID)
 
     def test_rejects_no_case(self):
         with pytest.raises(ValueError, match="at least one"):
-            operator_exponent_probe([], self.T_GRID)
+            operator_exponent_probe([], self.T_GRID, self.GRID)
 
     @pytest.mark.parametrize("k", [2.0, math.inf])
     def test_rejects_torus_within_ball(self, k):

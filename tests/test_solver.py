@@ -194,7 +194,7 @@ class TestStepArguments:
         # 0, -1 and nan used to run all max_iter iterations, inf to stop after one
         monkeypatch.setattr(solver, "phi_apply", None)  # must not be reached
         gamma = gaussian_density(GRID, 0.0, 0.04)
-        match = "tol must be positive and finite"
+        match = r"^tol must be a number in \(0, inf\), got "
         with pytest.raises(ValueError, match=match):
             picard_solve(gamma, small_kernel(), params_for(n=2), tol=tol, steps=20)
         with pytest.raises(ValueError, match=match):

@@ -457,9 +457,12 @@ def kernel_norm_study(spec: KernelSpec, idx: SobolevIndex, eps_list,
     shrinking increment is a convergent tail; a constant one is log growth
     and a growing one power growth.  The q floor keeps noise-level increments
     of a plateaued trace from counting as growth.  A vanishing kernel has
-    zero norms, no log-log slope and verdict bounded with q = 0.
+    zero norms, no log-log slope and verdict bounded with q = 0.  Each
+    ``eps_list`` entry must be a number in (0, inf).
     """
     eps_list = list(eps_list)
+    for e in eps_list:
+        _require_number("each eps_list entry", e, 0, strict=True)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     usable = [e for e in eps_list if math.sqrt(e) >= grid.spacing]

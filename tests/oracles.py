@@ -7,7 +7,8 @@ of a single field, the full complex frequency lattice and partial
 derivatives on it, the particle drift
 summed over pairs instead of binned, read through a corner-by-corner
 periodic interpolation, the solver's frozen drift evaluated node by node
-on the interpolated density, the 2-d Riesz image sum over the whole grid,
+on the interpolated density, the Picard loop that marches one iterate
+after the other, the 2-d Riesz image sum over the whole grid,
 the transport metrics' quantile functions through scipy's PCHIP, the
 probe packets built row by row, the windowed norms' sums by an FFT
 convolution over the whole grid, and random band-limited test inputs.
@@ -30,6 +31,14 @@ from mkvflow.grids import (
 )
 from mkvflow.kernels import _component, drift_map, realize_kernel
 from mkvflow.metrics import QUANTILE_NODES, empirical_quantiles
+from mkvflow.solver import (
+    NoContractionError,
+    SolveReport,
+    _gap,
+    _ratios,
+    _weight,
+    phi_apply,
+)
 
 
 def gaussian_w2(a, b) -> float:
@@ -178,6 +187,47 @@ def per_node_drift(spec, mus, grid, nodes):
     return ([np.stack(c) for c in zip(*(drift_field(spec, density_at(mu, s), s).components
                                          for mu in mus))]
             for s in nodes)
+
+
+def dual_norm_series(mu, nu, idx) -> np.ndarray:
+    """The dual-norm gap between the flows ``mu`` and ``nu`` at each of their times."""
+    return np.asarray([_gap(a, b, idx) for a, b in zip(mu.densities, nu.densities)])
+
+
+def sequential_picard(gammas, drift, params, tol=1e-8, max_iter=25, steps=600, age=0.0):
+    """Drop-in for ``solver.picard_solve_many`` on valid arguments: the
+    Picard loop that runs each iterate to its end before the next starts,
+    one ``phi_apply`` per iteration over the members still above ``tol``."""
+    gammas = list(gammas)
+    weight = _weight(params, age + np.asarray(params.time_grid), 0.0)
+    current = phi_apply(gammas, None, drift, params, steps)
+    gap_series = [[] for _ in gammas]
+    dists = [[] for _ in gammas]
+    clip_mass = [flow.meta["clip_mass"] for flow in current]
+    active = list(range(len(gammas)))
+    for it in range(max_iter):
+        nxt = phi_apply([gammas[i] for i in active], [current[i] for i in active],
+                        drift, params, steps)
+        for i, flow in zip(active, nxt):
+            clip_mass[i] = max(clip_mass[i], flow.meta["clip_mass"])
+            gap_series[i].append(dual_norm_series(flow, current[i], params.running_index))
+            current[i] = flow
+            dists[i].append(float(np.max(weight * gap_series[i][-1])))
+            if dists[i][-1] < tol:
+                continue
+            ratios = _ratios(dists[i])[-3:]
+            if len(ratios) == 3 and min(ratios) >= 1.0:
+                raise NoContractionError(
+                    f"no contraction after {it + 1} iterations "
+                    f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
+                    f"weaken the drift or shorten the horizon T")
+        active = [i for i in active if not dists[i][-1] < tol]
+        if not active:
+            break
+    return [(flow, SolveReport(
+                iterations=len(gaps), contraction_ratios=_ratios(dist), lam_used=0.0,
+                clip_mass=clipped, residual=dist[-1], gap_series=gaps))
+            for flow, gaps, dist, clipped in zip(current, gap_series, dists, clip_mass)]
 
 
 def riesz_image_sum_2d(spec, grid) -> list:

@@ -30,6 +30,7 @@ from mkvflow.kernels import NemytskiiSpec, TimeModulation, make_kernel
 from mkvflow.norms import SobolevIndex, measure_dual_norm
 from mkvflow.solver import (FlowParams, phi_apply, picard_solve, picard_solve_many,
                             time_shift_solve)
+from oracles import sequential_picard
 
 REPO = Path(__file__).resolve().parents[1]
 # a small Riesz solve that stops at picard_solve's defaults, 1e-8 or 25 iterations
@@ -418,22 +419,42 @@ class TestStackedSolves:
             assert len(masses) == flow.times.size
             assert all(abs(m - 1.0) <= 1e-9 for m in masses), masses
 
-    def test_stability_marches_once_per_iteration(self, monkeypatch):
-        # marching each member on its own would make one phi_apply call per
-        # member and iteration, the sum of their counts
+    def test_stability_marches_each_iterate_once_and_pipelines(self, monkeypatch):
+        # each iterate marches its stack once, over the members that still
+        # need it: one march per member and iteration would make the sum of
+        # their counts, and a march per member of iterate k fails the row
+        # count.  The pipelined iterates then make fewer transform calls than
+        # the loop that marches one iterate after the other
         marches = []
-        real = solver.phi_apply
+        real = solver._march_steps
 
-        def counting(*args, **kwargs):
-            marches.append(args)
-            return real(*args, **kwargs)
+        def counting(march, *args, **kwargs):
+            marches.append(len(march.gammas))
+            return real(march, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "phi_apply", counting)
+        monkeypatch.setattr(solver, "_march_steps", counting)
         solved = self.capture(monkeypatch)
-        run_experiment(parse_config(self.CONFIGS["stability"]))
+        calls = []
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, self.counted(getattr(np.fft, name), calls))
+        cfg = parse_config(self.CONFIGS["stability"])
+        run_experiment(cfg)
         iterations = [rep.iterations for _, rep in solved]
         assert len(iterations) == 3
-        assert len(marches) == 1 + max(iterations)
+        assert marches == [3] + [sum(n >= k for n in iterations)
+                                 for k in range(1, max(iterations) + 1)]
+        pipelined = len(calls)
+        calls.clear()
+        monkeypatch.setattr(experiments, "picard_solve_many", sequential_picard)
+        run_experiment(cfg)
+        assert pipelined < len(calls)
+
+    @staticmethod
+    def counted(fn, calls: list):
+        def counting(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return counting
 
 
 class TestEmitReport:

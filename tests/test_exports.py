@@ -87,15 +87,25 @@ def test_transport_metrics_load_no_scipy():
 
 def test_march_and_windowed_norm_load_no_numpy_ma():
     # np.unique imports numpy.ma on its first call, about 13 ms and 1.6 MB;
-    # the marching grid and the windowed norm's chord cuts sort instead
+    # the marching grid and the windowed norm's chord cuts sort instead, and
+    # the pipelined Picard loop groups its rows without it, in 1-d and 2-d
     loaded = _loaded_by_cli_import(
         "from mkvflow.grids import GridSpec, gaussian_density\n"
+        "from mkvflow.kernels import KernelSpec, RieszOrder, TimeModulation\n"
         "from mkvflow.norms import SobolevIndex, local_neg_norm\n"
-        "from mkvflow.solver import FlowParams, phi_apply\n"
+        "from mkvflow.solver import FlowParams, phi_apply, picard_solve_many\n"
         "grid = GridSpec(1, 256, 8.0)\n"
         "gamma = gaussian_density(grid, 0.0, 0.1)\n"
         "phi_apply([gamma], None, None, FlowParams(1.0, 2.0, T=0.5), steps=10)\n"
-        "local_neg_norm(gamma, SobolevIndex(1.0, 2.0))")
+        "local_neg_norm(gamma, SobolevIndex(1.0, 2.0))\n"
+        "riesz = KernelSpec(RieszOrder((0.2,), 0, 1.0), 0.01, TimeModulation(0.75))\n"
+        "stack = [gamma, gaussian_density(grid, 0.5, 0.2)]\n"
+        "solved = picard_solve_many(stack, riesz, FlowParams(1.0, 2.0, 0.75, T=0.5), steps=40)\n"
+        "assert solved[0][1].iterations > 2\n"
+        "plane = GridSpec(2, 64, 16.0)\n"
+        "riesz = KernelSpec(RieszOrder((0.2, 0.2), 0, 1.0), 0.04, TimeModulation(0.75))\n"
+        "picard_solve_many([gaussian_density(plane, 0.0, 0.25, True)], riesz,\n"
+        "                  FlowParams(1.0, 2.0, 0.75, T=0.3, dim=2), steps=20)")
     assert "numpy.ma" not in loaded
 
 

@@ -662,11 +662,13 @@ def test_constructors_refuse_what_they_cannot_realize(name, build):
         build()
 
 
-# each was accepted, or failed with a TypeError or OverflowError that names
-# no argument: a bool took the value 0 or 1, wasserstein_1d(a, b, True)
-# returned 0.0 and an infinite Bessel order returned a field
+# each was accepted, or failed with a TypeError, OverflowError or ValueError
+# that names no argument: a bool took the value 0 or 1, wasserstein_1d(a, b,
+# True) returned 0.0, an infinite Bessel order returned a field, and a
+# negative mollification time ended in "math domain error"
 _GAUSS = gaussian_density(GRID, 0.0, 1.0, normalize=True)
 _PAIR = ParticleEnsemble(np.zeros((4, 1)), 0.0)
+_RIESZ = KernelSpec(RieszOrder(), 0.1)
 REFUSED_ARGUMENTS = {  # id: (the argument the message names, call)
     "gaussian-variance-bool": ("variance", lambda: gaussian_density(GRID, 0.0, True)),
     "gaussian-variance-str": ("variance", lambda: gaussian_density(GRID, 0.0, "0.5")),
@@ -683,6 +685,14 @@ REFUSED_ARGUMENTS = {  # id: (the argument the message names, call)
                                                            checkpoints=("0.5",))),
     "sim-checkpoint-inf": ("checkpoint", lambda: SimConfig(GRID, 0.1, 1.0, 0,
                                                            checkpoints=(math.inf,))),
+    "norm-study-eps-negative": ("each eps_list entry", lambda: kernel_norm_study(
+        _RIESZ, SobolevIndex(0.0, 2.0), [1.0, 0.5, -1.0], GRID)),
+    "norm-study-eps-nan": ("each eps_list entry", lambda: kernel_norm_study(
+        _RIESZ, SobolevIndex(0.0, 2.0), [1.0, 0.5, math.nan], GRID)),
+    "norm-study-eps-bool": ("each eps_list entry", lambda: kernel_norm_study(
+        _RIESZ, SobolevIndex(0.0, 2.0), [True, 0.5, 0.25], GRID)),
+    "norm-study-eps-str": ("each eps_list entry", lambda: kernel_norm_study(
+        _RIESZ, SobolevIndex(0.0, 2.0), [1.0, 0.5, "0.25"], GRID)),
 }
 
 

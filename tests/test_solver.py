@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -35,7 +36,7 @@ from mkvflow.solver import (
     picard_solve_many,
     time_shift_solve,
 )
-from oracles import density_at, drift_field, per_node_drift
+from oracles import density_at, drift_field, dual_norm_series, per_node_drift, sequential_picard
 
 GRID = GridSpec(1, 1024, 16.0)
 EPS = 4.0 * GRID.spacing**2
@@ -64,6 +65,21 @@ def count_transforms(monkeypatch) -> list:
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counting(name))
     return calls
+
+
+def assert_same_solve(got, want):
+    """Two ``(flow, report)`` pairs equal bit for bit."""
+    (flow, rep), (flow0, rep0) = got, want
+    assert flow.times.tolist() == flow0.times.tolist()
+    for a, b in zip([flow.initial] + flow.densities, [flow0.initial] + flow0.densities):
+        assert np.array_equal(a.values, b.values)
+    assert rep.iterations == rep0.iterations
+    assert rep.residual == rep0.residual
+    assert rep.contraction_ratios == rep0.contraction_ratios
+    assert rep.clip_mass == rep0.clip_mass
+    assert len(rep.gap_series) == len(rep0.gap_series)
+    for a, b in zip(rep.gap_series, rep0.gap_series):
+        assert np.array_equal(a, b)
 
 
 def params_for(T=0.5, n=10, kappa=0.75, **kw):
@@ -413,7 +429,7 @@ class TestPicardSolve:
         assert rep.residual < 1e-6
         # fixed-point consistency: one more application stays within 2 tol
         (again,) = phi_apply([gamma], [flow], kern, params, steps=400)
-        gaps = solver._dual_norm_series(again, flow, params.running_index)
+        gaps = dual_norm_series(again, flow, params.running_index)
         assert np.max(flow.times**(params.eta / 2) * gaps) < 2e-6
 
     def test_no_contraction_error(self):
@@ -638,19 +654,6 @@ class TestStackedSolve:
     GRID = GridSpec(1, 256, 16.0)
     ENVELOPE = TimeModulation(kappa=0.75)
 
-    def assert_same_solve(self, got, want):
-        (flow, rep), (flow0, rep0) = got, want
-        assert flow.times.tolist() == flow0.times.tolist()
-        for a, b in zip([flow.initial] + flow.densities, [flow0.initial] + flow0.densities):
-            assert np.array_equal(a.values, b.values)
-        assert rep.iterations == rep0.iterations
-        assert rep.residual == rep0.residual
-        assert rep.contraction_ratios == rep0.contraction_ratios
-        assert rep.clip_mass == rep0.clip_mass
-        assert len(rep.gap_series) == len(rep0.gap_series)
-        for a, b in zip(rep.gap_series, rep0.gap_series):
-            assert np.array_equal(a, b)
-
     # each tol sits between the two members' residuals at the smaller count
     @pytest.mark.parametrize("route, tol, age", [
         ("riesz", 1e-8, 0.0),
@@ -672,7 +675,7 @@ class TestStackedSolve:
         stacked = picard_solve_many(data, spec, params, tol=tol, steps=100, age=age)
         assert len(stacked) == 2
         for got, want in zip(stacked, solos):
-            self.assert_same_solve(got, want)
+            assert_same_solve(got, want)
 
     def test_clipped_gradient_member_raises_as_alone(self):
         grid = self.GRID
@@ -710,6 +713,174 @@ class TestStackedSolve:
             phi_apply([gamma, gaussian_density(GRID, 0.0, 0.04)], None, None, params, steps=20)
         with pytest.raises(ValueError, match="at least one initial density"):
             phi_apply([], None, None, params, steps=20)
+
+
+def outcome(solve):
+    """What ``solve()`` returns, or the type and message of what it raises."""
+    try:
+        return solve()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPipelinedPicard:
+    """``picard_solve_many``, whose iterates march as a pipeline, against the
+    loop that marches one iterate after the other
+    (``oracles.sequential_picard``): flows and reports equal bit for bit,
+    errors equal in type and message.  Each test names a mutation of the
+    solver that fails it."""
+
+    GRID = GridSpec(1, 256, 16.0)
+    ENVELOPE = TimeModulation(kappa=0.75)
+
+    def riesz(self, c=0.2):
+        return KernelSpec(RieszOrder((c,), 0, 1.0), 4 * self.GRID.spacing**2, self.ENVELOPE)
+
+    def assert_as_sequential(self, monkeypatch, solve, overlap=True) -> list:
+        """``solve(picard)`` equal for both routes; returns what it returned.
+        With ``overlap`` a solve that returns makes fewer transform calls in
+        the pipeline, else as many."""
+        want = outcome(lambda: solve(sequential_picard))  # realizes the kernel too
+        calls = count_transforms(monkeypatch)
+        got = outcome(lambda: solve(picard_solve_many))
+        if isinstance(want, tuple):
+            assert got == want
+            return got
+        assert len(got) == len(want)
+        for pair, pair0 in zip(got, want):
+            assert_same_solve(pair, pair0)
+        pipelined = len(calls)
+        calls.clear()
+        solve(sequential_picard)
+        assert (pipelined < len(calls)) if overlap else (pipelined == len(calls))
+        return got
+
+    def test_members_retire_at_different_iterations(self, monkeypatch):
+        # geometric times up to 0.06, where a successor lags its predecessor
+        # by less than a later output interval, so it waits for knots; three
+        # times, 0.010000000000000002 among them, are not their rounded
+        # nodes.  At iteration 4 the first member's weighted distance is below
+        # tol and its unweighted gap at 0.09 is not.  Fails when a successor
+        # starts on an unweighted gap >= tol, and (IndexError) when a node is
+        # taken to read the knots up to j only: knot j + 1 enters even at w = 0
+        data = [gaussian_density(self.GRID, 0.0, var, normalize=True)
+                for var in (0.2, 0.04, 0.005)]
+        times = tuple(0.1 * np.array([0.04, 0.1, 0.3, 0.6, 0.8, 0.9, 1.0]))
+        assert sum(t != round(t, 14) for t in times) == 3
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.1, time_grid=times)
+        got = self.assert_as_sequential(monkeypatch, lambda picard: picard(
+            data, self.riesz(), params, tol=1.5e-9, steps=100))
+        assert [rep.iterations for _, rep in got] == [4, 5, 5]
+
+    def test_time_shift(self, monkeypatch):
+        # age > 0 weights the gaps from age; fails when the distance is
+        # weighted from 0
+        gamma0, r = grid_delta(self.GRID), 0.02
+
+        def solve(picard):
+            if picard is picard_solve_many:
+                flow = time_shift_solve(gamma0, r, self.riesz(), params_for(), steps=100)
+                return [(flow, flow.meta.pop("report"))]
+            return picard([heat_apply(gamma0, r)], self.riesz(), params_for(), steps=100,
+                          age=r)
+
+        self.assert_as_sequential(monkeypatch, solve)
+
+    def test_max_iter_stops_the_pipeline(self, monkeypatch):
+        # no iterate past max_iter starts; fails when a successor of iterate
+        # max_iter may start
+        data = [gaussian_density(self.GRID, 0.0, var) for var in (0.04, 0.01)]
+        got = self.assert_as_sequential(monkeypatch, lambda picard: picard(
+            data, self.riesz(), params_for(), tol=1e-14, max_iter=2, steps=100))
+        assert [rep.iterations for _, rep in got] == [2, 2]
+
+    def test_nemytskii_linear(self, monkeypatch):
+        # a Nemytskii block of a successor ends at the last knot written;
+        # fails (IndexError) when blocks are not cut there
+        spec = NemytskiiSpec(2, "linear", (("weights", (0.1, 0.1)),), self.ENVELOPE)
+        data = [gaussian_density(self.GRID, 0.0, var, normalize=True) for var in (0.04, 0.005)]
+        self.assert_as_sequential(monkeypatch, lambda picard: picard(
+            data, spec, params_for(), tol=1e-12, steps=100))
+
+    def test_clipped_gradient_no_contraction(self, monkeypatch):
+        # the first member in index order raises, at the iteration that ended,
+        # while its successor is in flight; fails when the message counts the
+        # iterates started
+        spec = NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),), self.ENVELOPE)
+        data = [gaussian_density(self.GRID, 0.0, 1.0), gaussian_density(self.GRID, 0.0, 0.04)]
+        got = self.assert_as_sequential(monkeypatch, lambda picard: picard(
+            data, spec, params_for(), steps=100))
+        assert got[0] is NoContractionError
+
+    def test_two_dimensional_grid_marches_one_iterate_at_a_time(self, monkeypatch):
+        # fails when iterates overlap in 2-d: the transform count drops
+        grid = GridSpec(2, 64, 16.0)
+        spec = KernelSpec(RieszOrder((0.2, 0.2), 0, 1.0), 0.04, self.ENVELOPE)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.3,
+                            time_grid=(0.1, 0.2, 0.3), dim=2)
+        data = [gaussian_density(grid, [0.3, -0.2], 0.25, normalize=True),
+                gaussian_density(grid, 0.0, 0.16, normalize=True)]
+        got = self.assert_as_sequential(monkeypatch, lambda picard: picard(
+            data, spec, params, steps=40), overlap=False)
+        assert all(rep.iterations > 2 for _, rep in got)
+
+    @pytest.mark.parametrize("poisoned", [{1: 0.45, 2: 0.1}, {2: 0.1}],
+                             ids=["predecessor-fails-later", "successor-fails"])
+    def test_non_finite_state_in_loop_order(self, monkeypatch, poisoned):
+        # the drift of iterate k turns NaN from time poisoned[k] on.  The
+        # successor fails first in time, while its predecessor still marches;
+        # its error counts only once the predecessor has ended.  Fails when a
+        # successor's error is raised as soon as it occurs
+        real = solver._frozen_drift
+        built = []
+
+        def poisoning(drift, mu, grid, nodes):
+            built.append(None)
+            onset = poisoned.get(len(built), math.inf)
+            return ([c * (math.nan if s >= onset else 1.0) for c in comps]
+                    for s, comps in zip(list(nodes), real(drift, mu, grid, nodes)))
+
+        monkeypatch.setattr(solver, "_frozen_drift", poisoning)
+        data = [gaussian_density(self.GRID, 0.0, 0.04)]
+
+        def solve(picard):
+            built.clear()
+            with np.errstate(invalid="ignore"):
+                return picard(data, self.riesz(), params_for(), steps=100)
+
+        got = self.assert_as_sequential(monkeypatch, solve)
+        onset = min(poisoned.values()) if 1 not in poisoned else poisoned[1]
+        assert got == (ValueError, f"march state is not finite at t={onset:.6g}")
+
+    @pytest.mark.parametrize("poisoned", [{}, {1: 0.05}, {2: 0.1}, {1: 0.45, 2: 0.1}],
+                             ids=["solve", "head-fails", "successor-fails", "both-fail"])
+    def test_no_reference_cycles(self, monkeypatch, poisoned):
+        # nothing of a solve, returned or raised, is left for the cycle
+        # collector; the drift of iterate k turns NaN from time poisoned[k].
+        # Fails when an iterate keeps a reference to its successor and back,
+        # and (both-fail) when a successor's error, never raised, is kept with
+        # the traceback whose frames hold its march
+        real, built = solver._frozen_drift, []
+
+        def poisoning(drift, mu, grid, nodes):
+            built.append(None)
+            onset = poisoned.get(len(built), math.inf)
+            return ([c * (math.nan if s >= onset else 1.0) for c in comps]
+                    for s, comps in zip(list(nodes), real(drift, mu, grid, nodes)))
+
+        monkeypatch.setattr(solver, "_frozen_drift", poisoning)
+        data = [gaussian_density(self.GRID, 0.0, var) for var in (0.04, 0.01)]
+        gc.collect()
+        gc.disable()
+        try:
+            with np.errstate(invalid="ignore"):
+                solved = outcome(lambda: picard_solve_many(data, self.riesz(), params_for(),
+                                                           steps=100))
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert (solved[0] is ValueError) == bool(poisoned)
+        assert freed == 0
 
 
 class TestDriftRoutes:

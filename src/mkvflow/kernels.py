@@ -273,7 +273,9 @@ def _kernel_symbols(spec: KernelSpec, grid: GridSpec) -> list:
     Each is the spectrum rooted at zero displacement with the cell volume
     folded in, so ``irfft(m * rfft(values))`` convolves the kernel with the
     density ``values``.  Raises ``MollificationError`` for a singular
-    variant (Riesz or Dirac derivative) with ``mollification_eps == 0``.
+    variant (Riesz or Dirac derivative) with ``mollification_eps == 0``, and
+    ``ValueError`` for amplitudes ``c`` with more entries than ``grid.dim``,
+    which no component would realize.
     """
     v = spec.variant
     eps = spec.mollification_eps
@@ -286,6 +288,9 @@ def _kernel_symbols(spec: KernelSpec, grid: GridSpec) -> list:
         order = tuple(v.order if j == v.direction else 0 for j in range(grid.dim))
         core = _derivative_multiplier(grid, order) * np.exp(-0.5 * eps * xi_sq)
         return [core if j == v.direction else np.zeros_like(core) for j in range(grid.dim)]
+    if len(v.c) > grid.dim:
+        raise ValueError(f"c has {len(v.c)} amplitudes, more than the {grid.dim} "
+                         f"components of a {grid.dim}-d grid")
     if isinstance(v, ConstantVector):
         units = [grid.extent**grid.dim * (xi_sq == 0)] * grid.dim
     else:  # RieszOrder, the one variant left

@@ -25,9 +25,10 @@ leaves the stack at the iteration where its own distance does, so it sees
 exactly the iterates of its solo solve.  The frozen-drift map is causal: the
 next iterate up to a node reads the current one only up to the knot after
 that node.  So on a 1-d grid the iterates march as a pipeline, each one
-output interval or more behind its predecessor, and each transform phase is
-one call for the rows of every iterate in flight; the outputs are those of
-the loop that runs one iterate after the other, bit for bit.
+output interval or more behind its predecessor; a transform phase is one
+call for every iterate in flight when all of them step, else one per iterate.
+The outputs are those of the loop that runs one iterate after the other, bit
+for bit.  A solve's knots live in its node table (``_Nodes``) alone.
 Rough initial data enters through the time-shift route: pure diffusion on
 [0, r], one exact heat step, then the plain solve from the smoothed law,
 whose drift runs on the time after r; the march itself knows no shift.
@@ -136,7 +137,9 @@ def _bracket(knots: list, t: float) -> tuple:
 
 @dataclass
 class MeasureFlow:
-    """Time-indexed densities with the initial datum attached."""
+    """Time-indexed densities with the initial datum attached: the times are
+    positive and strictly increasing, each density has unit mass on the
+    initial datum's grid, and anything else is refused here."""
 
     times: np.ndarray
     densities: list
@@ -147,8 +150,11 @@ class MeasureFlow:
         self.times = np.asarray(self.times, dtype=float)
         if len(self.densities) != self.times.size:
             raise ValueError("one density per time required")
-        self._knots = [0.0] + self.times.tolist()
+        if self.times.ndim != 1 or not (np.diff(self.times, prepend=0.0) > 0).all():
+            raise ValueError(f"flow times must be positive and increasing, got {self.times}")
         for rho in self.densities:
+            if rho.grid != self.grid:
+                raise ValueError(f"flow density on {rho.grid}, off its initial datum's grid")
             m = rho.mass()
             if abs(m - 1.0) > 1e-6:
                 raise ValueError(f"flow density mass {m:.8f} out of tolerance")
@@ -157,23 +163,15 @@ class MeasureFlow:
     def grid(self) -> GridSpec:
         return self.initial.grid
 
-    def _bracket(self, t: float) -> tuple:
-        """``(j, w)`` with the flow at ``t`` equal to ``(1-w) f_j + w f_{j+1}``,
-        where ``f`` is the initial datum followed by the densities and ``t`` is
-        clamped to ``[0, times[-1]]``."""
-        return _bracket(self._knots, t)
-
 
 class _Written:
     """The part of a flow that a march has written so far, read as a frozen
-    flow is read: its initial datum, its densities in time order and its knots."""
+    flow is read: its initial datum and its densities in time order."""
 
-    __slots__ = ("initial", "densities", "_knots")
-    grid = MeasureFlow.grid
-    _bracket = MeasureFlow._bracket
+    __slots__ = ("initial", "densities")
 
-    def __init__(self, knots: list, initial: ScalarField):
-        self.initial, self.densities, self._knots = initial, [], knots
+    def __init__(self, initial: ScalarField):
+        self.initial, self.densities = initial, []
 
 
 @dataclass
@@ -187,22 +185,27 @@ class SolveReport:
 
 
 class _Nodes:
-    """Marching node times and what each node reads of a frozen flow whose
-    knots (the initial time, then its output times) are ``knots``.
+    """Marching node times against ``knots``, the initial time and then the
+    output times: the times of every flow a march reads or writes.
 
-    Per node: its ``bracket`` ``(j, w)``, and ``need``, the number of knots
-    it reads (``j + 2``: knot ``j + 1`` enters even at w = 0).  The brackets
-    are computed, not inferred from the output slots: a rounded output node
-    can lie just below its knot, and then its bracket is the interval before.
-    ``envelope`` gives per node the factor and the weights ``factor (1-w)``
-    and ``factor w`` of one envelope.  Every march of a solve reads one table.
-    Iterating yields the node times.
+    Per node: its ``bracket`` ``(j, w)`` (``_bracket`` of the knots), and
+    ``need``, the number of knots it reads (``j + 2``: knot ``j + 1`` enters
+    even at w = 0).  The brackets are computed, not inferred from the output
+    slots: a rounded output node can lie just below its knot, and then its
+    bracket is the interval before.  ``slot`` maps each output node (it
+    holds the rounded output time) to its output slot.  ``envelope`` gives
+    per node the factor and the weights ``factor (1-w)`` and ``factor w`` of
+    one envelope.  Every march of a solve reads one table; iterating yields
+    the node times.
     """
 
-    def __init__(self, times, knots: list):
-        self.times = list(times)
-        self.brackets = [_bracket(knots, s) for s in self.times]
+    def __init__(self, times, knots):
+        # Python floats: the same values as an array's, cheaper to step through
+        self.times, self.knots = np.asarray(times, float).tolist(), list(knots)
+        self.brackets = [_bracket(self.knots, s) for s in self.times]
         self.need = [j + 2 for j, _ in self.brackets]
+        self.slot = {j: i for i, j in enumerate(
+            np.searchsorted(self.times, np.round(self.knots[1:], 14)).tolist())}
         self._envelopes = {}
 
     def __iter__(self):
@@ -221,19 +224,18 @@ class _Nodes:
         return self._envelopes[modulation]
 
 
-def _frozen_drift(drift, mu, grid: GridSpec, nodes):
+def _frozen_drift(drift, mu, grid: GridSpec, nodes: _Nodes):
     """Iterator over the drift components of ``drift`` at each of ``nodes``, in
     order, with the flows frozen at ``mu``.
 
-    ``mu`` is a list of flows on the same times, the members of a stack;
-    each component has shape ``(members, *grid.shape)``.  ``nodes`` is a
-    sequence of times or a ``_Nodes`` table of them against ``mu``'s knots.
+    ``mu`` is a list of flows on the knots of the node table ``nodes``, the
+    members of a stack; each component has shape ``(members, *grid.shape)``.
     Both spec kinds are ``kernels.drift_map``, built once here, times the
     envelope; it rejects any other drift.  A convolution drift is linear in
     the density and the frozen flow is linear in time between its fields
-    (``MeasureFlow._bracket``), so the map of each frozen field, evaluated
-    on the stack of every member's field and interpolated the same way,
-    gives it exactly at any node; each knot's map is evaluated when a node
+    (``_bracket``), so the map of each frozen field, evaluated on the stack
+    of every member's field and interpolated the same way, gives it exactly
+    at any node; each knot's map is evaluated when a node
     first reads it and dropped once the nodes have passed it.  A Nemytskii
     drift is the map of the interpolated values.  It does not depend on the
     march, so it is evaluated ahead of it per block of up to
@@ -255,12 +257,10 @@ def _frozen_drift(drift, mu, grid: GridSpec, nodes):
         for rho in [f.initial] + list(f.densities):
             rho.require_density()
     checked = 1 + len(mu[0].densities)
-    if not isinstance(nodes, _Nodes):
-        nodes = _Nodes(nodes, mu[0]._knots)
     brackets = nodes.brackets
     factors, a, b = nodes.envelope(drift.modulation)
     convolution = isinstance(drift, KernelSpec)
-    held = [None] * len(mu[0]._knots)  # per knot: its map for a kernel, else its stack
+    held = [None] * len(nodes.knots)  # per knot: its map for a kernel, else its stack
     low = 0  # no node from here on reads a knot below this one
 
     def knot(j: int) -> np.ndarray:
@@ -325,12 +325,6 @@ def _internal_grid(out_times, steps: int) -> np.ndarray:
     return nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
 
 
-def _out_slots(times: list, out_times: np.ndarray) -> dict:
-    """Node index -> output slot; the nodes hold the rounded output times."""
-    return {j: i for i, j in
-            enumerate(np.searchsorted(times, np.round(out_times, 14)).tolist())}
-
-
 def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
     """Clip negatives at zero and divide by the mass, on outputs only.
 
@@ -350,18 +344,23 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
 
 
 class _March:
-    """One march of the frozen-drift map over a stack of data: the outputs
-    written so far, the clip logs, the node its state is at, its rows in
-    its group's arrays and, once done, its flows or the error it stopped at."""
+    """One march of the frozen-drift map over a stack of data: its step
+    generator, outputs written so far, clip logs, the node its state is at,
+    its views of its group's arrays and, once done, its flows or the error it
+    stopped at.  In a Picard solve it is iterate ``k`` of ``members``, frozen
+    at its predecessor's outputs ``frozen``, with per member the gaps to them
+    read so far and whether one, weighted, is at or above the tolerance; it
+    holds no reference to its predecessor or to its successor."""
 
-    __slots__ = ("gammas", "outs", "logs", "node", "rows", "rho", "rho_hat", "prod",
-                 "flux", "pred", "pred_hat", "flows", "error")
+    __slots__ = ("gammas", "k", "members", "frozen", "gaps", "proved", "steps", "outs",
+                 "logs", "node", "rho", "rho_hat", "prod", "flux", "pred", "pred_hat",
+                 "flows", "error")
 
-    def __init__(self, gammas: list, knots: list):
-        self.gammas = gammas
-        self.outs = [_Written(knots, g) for g in gammas]
-        self.logs = [{"clip_mass": 0.0} for _ in gammas]
-        self.node = 0
+    def __init__(self, gammas: list, k: int = 0, members: list = (), frozen=None):
+        self.gammas, self.k, self.members, self.frozen = gammas, k, members, frozen
+        self.outs, self.logs = [_Written(g) for g in gammas], [{"clip_mass": 0.0} for _ in gammas]
+        self.gaps, self.proved = [[] for _ in gammas], [False] * len(gammas)
+        self.node, self.steps = 0, None
         self.rho = self.flows = self.error = None
 
 
@@ -376,8 +375,8 @@ def _transport(m: _March, minus_ixi: list, b, vals: np.ndarray):
     return out
 
 
-def _march_steps(m: _March, times: list, out_slot: dict, grid: GridSpec, drifts):
-    """The march ``m`` over the nodes ``times``, one step per round.
+def _march_steps(m: _March, nodes: _Nodes, grid: GridSpec, drifts):
+    """The march ``m`` over the node table ``nodes``, one step per round.
 
     It yields each transform it needs as ``(kind, input, output)``, the kind
     ``_FORWARD``, ``_PREDICT`` or ``_STATE`` and the output its rows of the
@@ -388,6 +387,7 @@ def _march_steps(m: _March, times: list, out_slot: dict, grid: GridSpec, drifts)
     ``phi_apply`` documents."""
     ixi, xi_sq = rfft_wavenumbers(grid)
     minus_ixi = [-ik for ik in ixi]
+    times, out_slot = nodes.times, nodes.slot
     last = len(times) - 1
     b_next = None if drifts is None else next(drifts)
     for i in range(last):
@@ -420,38 +420,37 @@ def _march_steps(m: _March, times: list, out_slot: dict, grid: GridSpec, drifts)
         if log["clip_mass"] > 1e-3:
             raise DegradedAccuracyError(
                 f"negative undershoot mass {log['clip_mass']:.2e} exceeds 1e-3")
-    m.flows = [MeasureFlow(np.asarray(out._knots[1:]), out.densities, g, meta=log)
+    m.flows = [MeasureFlow(np.asarray(nodes.knots[1:]), out.densities, g, meta=log)
                for out, g, log in zip(m.outs, m.gammas, m.logs)]
 
 
 class _Group:
-    """Marches in flight whose rows share one set of arrays, in order: the
-    state, its spectrum, the predictor and the flux spectrum, and on a 1-d
-    grid, where iterates overlap, the flux product and the predictor
-    spectrum, the inputs of their transforms.  A transform phase of several
-    marches is one call per run of adjacent rows.  In 2-d each march has
-    the group alone and its inputs are temporaries: at 128^2 two more held
-    arrays make every pass over the step's arrays slower.  The arrays are
-    laid out anew when a march starts or stops; a continuing march's state
-    is carried over."""
+    """Marches in flight, ``marches`` in row order, whose rows share one set
+    of arrays: the state, its spectrum, the predictor and the flux spectrum,
+    and on a 1-d grid, where iterates overlap, the flux product and the
+    predictor spectrum, the inputs of their transforms.  In 2-d each march
+    has the group alone and its inputs are temporaries: at 128^2 two more
+    held arrays make every pass over the step's arrays slower.  The arrays
+    are laid out anew when a march starts or stops; a continuing march's
+    state is carried over."""
 
     def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.steps = {}  # march -> its step generator, in row order
+        self.grid, self.marches = grid, []
         # marches overlap, and share their transform inputs, on 1-d grids only
         self.overlap = grid.dim == 1
 
     def start(self, march: _March, steps):
-        self.steps[march] = steps
+        march.steps = steps
+        self.marches.append(march)
         self._layout()
 
     def stop(self, march: _March):
-        del self.steps[march]
+        self.marches.remove(march)
         self._layout()
 
     def _layout(self):
         grid = self.grid
-        real = (sum(len(m.gammas) for m in self.steps),) + grid.shape
+        real = (sum(len(m.gammas) for m in self.marches),) + grid.shape
         half = real[:-1] + (real[-1] // 2 + 1,)
         rho, pred = np.empty(real), np.empty(real)
         rho_hat, flux = np.empty(half, complex), np.empty(half, complex)
@@ -460,14 +459,14 @@ class _Group:
         # per transform kind: the arrays of its input and output
         self.kinds = {_FORWARD: (prod, flux), _PREDICT: (pred_hat, pred), _STATE: (rho_hat, rho)}
         lo = 0
-        for m in self.steps:
+        for m in self.marches:
             hi = lo + len(m.gammas)
             if m.rho is None:  # a new march starts from its data
                 rho[lo:hi] = [g.values for g in m.gammas]
                 rfft(rho[lo:hi], grid.dim, rho_hat[lo:hi])
             else:
                 rho[lo:hi], rho_hat[lo:hi] = m.rho, m.rho_hat
-            m.rows, m.rho, m.rho_hat = (lo, hi), rho[lo:hi], rho_hat[lo:hi]
+            m.rho, m.rho_hat = rho[lo:hi], rho_hat[lo:hi]
             m.flux, m.pred = flux[lo:hi], pred[lo:hi]
             m.prod, m.pred_hat = (None, None) if prod is None else (prod[lo:hi], pred_hat[lo:hi])
             lo = hi
@@ -479,30 +478,18 @@ class _Group:
         else:
             irfft(src, self.grid.shape, dst)
 
-    def runs(self, marches: list) -> list:
-        """The rows of ``marches``, given in row order, as ``(lo, hi)`` runs of
-        adjacent rows; ``(None, None)`` when they are every row."""
-        if len(marches) == len(self.steps):
-            return [(None, None)]
-        runs = []
-        for m in marches:
-            if runs and runs[-1][1] == m.rows[0]:
-                runs[-1] = (runs[-1][0], m.rows[1])
-            else:
-                runs.append(m.rows)
-        return runs
-
     def advance(self, marches: list):
-        """One step of each of ``marches``, given in row order: each transform
-        phase is one call per run of adjacent rows.  The marches of one solve
-        all carry a drift or all are heat flows, so they ask for the same
-        transforms in the same order.  An error ends its march and is kept as
-        ``m.error``; the caller raises it in the order the iterates would have
-        met it one after another.  A successor's error may never be raised, so
-        it is kept without the traceback whose frames hold its march."""
+        """One step of each of ``marches``, given in row order.  A transform
+        phase is one call on the group's arrays when every march of the group
+        steps, else one call per march on its own rows; the marches of one
+        solve ask for the same transforms in the same order.  An error ends its
+        march and is kept as ``m.error``, for the caller to raise in the order
+        of the loop that runs one iterate after the other.  A successor's error
+        may never be raised, so it is kept without the traceback whose frames
+        hold its march."""
         if len(marches) == 1:  # no bookkeeping for a lone march
             try:
-                for ask in self.steps[marches[0]]:
+                for ask in marches[0].steps:
                     if ask is None:
                         break
                     self.transform(*ask)
@@ -510,28 +497,26 @@ class _Group:
             except (ValueError, DegradedAccuracyError) as exc:
                 marches[0].error = exc  # a lone march is the oldest: raised next
             return
-        live = [(m, self.steps[m]) for m in marches]
-        runs = self.runs(marches)
+        live = list(marches)
         while live:
             asks = []
-            for m, steps in live:
+            for m in live:
                 try:
-                    asks.append(next(steps))
+                    asks.append(next(m.steps))
                 except StopIteration:
                     asks.append(None)
                 except (ValueError, DegradedAccuracyError) as exc:
                     m.error = exc.with_traceback(None)
                     asks.append(None)
             if None in asks:  # steps done, or marches stopped
-                live = [x for x, ask in zip(live, asks) if ask is not None]
+                live = [m for m, ask in zip(live, asks) if ask is not None]
                 asks = [ask for ask in asks if ask is not None]
-                if not live:
-                    return
-                runs = self.runs([m for m, _ in live])
-            kind = asks[0][0]
-            src, dst = self.kinds[kind]
-            for lo, hi in runs:
-                self.transform(kind, src[lo:hi], dst[lo:hi])
+            if len(live) == len(self.marches):
+                kind = asks[0][0]
+                self.transform(kind, *self.kinds[kind])
+            else:
+                for ask in asks:
+                    self.transform(*ask)
 
 
 def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
@@ -549,15 +534,16 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
     choice.
 
     ``gammas`` is a sequence of densities on one grid and ``mu`` None or a
-    sequence of as many flows.  The march state is a
-    ``(members, *grid.shape)`` stack, one row per density, with each step's
-    heat multiplier and the drift interpolation weights shared by all rows;
-    each row is marched and clipped as its density alone would be, bit for
-    bit.  The step keeps the zero mode and the march never projects the
-    mass; ``_clip_output`` sets it at every output time.
-    The state is checked finite at the output times: a NaN or inf spreads
-    to every entry at the next transform, so a blow-up is reported at the
-    first output time at or after it.  Returns flows in the order of ``gammas``.
+    sequence of as many flows, each on the densities' grid at the output
+    times ``params.time_grid``, as every output of this map is.  The march
+    state is a ``(members, *grid.shape)`` stack, one row per density, with
+    each step's heat multiplier and the drift interpolation weights shared
+    by all rows; each row is marched and clipped as its density alone would
+    be, bit for bit.  The step keeps the zero mode and the march never
+    projects the mass; ``_clip_output`` sets it at every output time.  The
+    state is checked finite at the output times: a NaN or inf spreads to
+    every entry at the next transform, so a blow-up is reported at the first
+    output time at or after it.  Returns flows in the order of ``gammas``.
     ``picard_solve_many`` runs the same step (``_march_steps``) on several
     marches at once.
 
@@ -568,8 +554,9 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
     ValueError
         If ``steps`` is not a positive int, ``params.dim`` is not the
         dimension of the density's grid, the densities do not share one grid
-        or number other than the frozen flows, a frozen density is not a
-        density or the march state is non-finite at an output time.
+        or number other than the frozen flows, a frozen flow is not on their
+        grid at ``params.time_grid``, a frozen density is not a density or
+        the march state is non-finite at an output time.
     """
     _require_int("steps", steps)
     gammas = list(gammas)
@@ -581,22 +568,21 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
     frozen = None if mu is None else list(mu)
     if frozen is not None and len(frozen) != len(gammas):
         raise ValueError(f"{len(frozen)} frozen flows for {len(gammas)} initial densities")
+    if frozen is not None and any(f.grid != grid or f.times.tolist() != list(params.time_grid)
+                                  for f in frozen):
+        raise ValueError("a frozen flow is off the densities' grid or params.time_grid")
     if params.dim != grid.dim:
         raise ValueError(f"FlowParams.dim = {params.dim}, but the density is on a "
                          f"{grid.dim}-d grid")
     for g in gammas:
         g.require_density()
-    out_times = np.asarray(params.time_grid)
-    # Python floats: the same values as the array's, cheaper to step through
-    times = _internal_grid(out_times, steps).tolist()
+    nodes = _Nodes(_internal_grid(params.time_grid, steps), (0.0,) + params.time_grid)
     drifts = None
     if frozen is not None and not (isinstance(drift, KernelSpec) and kernel_vanishes(drift)):
-        drifts = _frozen_drift(drift, frozen, grid, times)
-    march = _March(gammas, [0.0] + out_times.tolist())
-    group = _Group(grid)
-    run = _march_steps(march, times, _out_slots(times, out_times), grid, drifts)
-    group.start(march, run)
-    for ask in run:
+        drifts = _frozen_drift(drift, frozen, grid, nodes)
+    march, group = _March(gammas), _Group(grid)
+    group.start(march, _march_steps(march, nodes, grid, drifts))
+    for ask in march.steps:
         if ask is not None:
             group.transform(*ask)
             del ask  # a temporary input is freed before the step goes on
@@ -627,21 +613,6 @@ def _ratios(dists: list) -> list:
     return [d1 / max(d0, 1e-300) for d0, d1 in zip(dists, dists[1:])]
 
 
-class _Iterate:
-    """Picard iterate ``k`` in flight: the members it marches, its march, the
-    flows it is frozen at (its predecessor's, possibly still being written)
-    and, per member, the gaps to them read so far and whether one of them,
-    weighted, is at or above the tolerance.  It holds no reference to its
-    predecessor's iterate or to its successor."""
-
-    __slots__ = ("k", "members", "march", "frozen", "gaps", "proved")
-
-    def __init__(self, k: int, members: list, march: _March, frozen: list):
-        self.k, self.members, self.march, self.frozen = k, members, march, frozen
-        self.gaps = [[] for _ in members]
-        self.proved = [False] * len(members)
-
-
 def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
                       max_iter: int = 25, steps: int = 600, age: float = 0.0) -> list:
     """Fixed-point iteration for the self-consistent law flow of each datum.
@@ -669,9 +640,10 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
     would run iterate k + 1 for it.  Otherwise iterate k + 1 starts when
     iterate k ends, with the members still above ``tol``.  An iterate steps
     into a node only once its predecessor has written every knot that node
-    reads (``_Nodes.need``); each round, every iterate that can steps once,
-    and each transform phase is one call for the rows of all of them, while
-    the pointwise arithmetic stays per iterate.  Iterates overlap only on a
+    reads (``_Nodes.need``); each round, every iterate that can steps once.
+    A transform phase is one call on the group's arrays when every iterate
+    in flight steps, else one call per stepping iterate on its own rows; the
+    pointwise arithmetic stays per iterate.  Iterates overlap only on a
     1-d grid: there one call's fixed cost is most of a row's, while at 128^2
     one call already carries 128 rows per member and a stack of iterates
     costs about their sum in time and more in memory.  Errors come in the
@@ -705,40 +677,39 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
     clip_mass = [flow.meta["clip_mass"] for flow in current]
     grid, idx = gammas[0].grid, params.running_index
     heat = isinstance(drift, KernelSpec) and kernel_vanishes(drift)
-    nodes = _Nodes(_internal_grid(current[0].times, steps).tolist(), current[0]._knots)
-    out_slot = _out_slots(nodes.times, current[0].times)
-    group, chain = _Group(grid), []  # the iterates in flight, oldest first
+    nodes = _Nodes(_internal_grid(params.time_grid, steps), (0.0,) + params.time_grid)
+    group = _Group(grid)
+    chain = group.marches  # the iterates in flight, oldest first
 
     def begin(k: int, members: list, frozen: list):
-        march = _March([gammas[i] for i in members], current[0]._knots)
+        march = _March([gammas[i] for i in members], k, members, frozen)
         drifts = None if heat else _frozen_drift(drift, frozen, grid, nodes)
-        chain.append(_Iterate(k, members, march, frozen))
-        group.start(march, _march_steps(march, nodes.times, out_slot, grid, drifts))
+        group.start(march, _march_steps(march, nodes, grid, drifts))
 
-    def ready(it: _Iterate) -> bool:
-        return it.march.error is None and (
-            heat or len(it.frozen[0].densities) + 1 >= nodes.need[it.march.node + 1])
+    def ready(m: _March) -> bool:
+        return m.error is None and (
+            heat or len(m.frozen[0].densities) + 1 >= nodes.need[m.node + 1])
 
-    def read_gaps(it: _Iterate):
-        """The gaps of the outputs ``it`` wrote since the last call, and whether
+    def read_gaps(m: _March):
+        """The gaps of the outputs ``m`` wrote since the last call, and whether
         each member's weighted gap has reached ``tol``."""
-        for j in range(len(it.gaps[0]), len(it.march.outs[0].densities)):
-            for r, (out, old) in enumerate(zip(it.march.outs, it.frozen)):
-                it.gaps[r].append(_gap(out.densities[j], old.densities[j], idx))
-                it.proved[r] = it.proved[r] or weight[j] * it.gaps[r][-1] >= tol
+        for j in range(len(m.gaps[0]), len(m.outs[0].densities)):
+            for r, (out, old) in enumerate(zip(m.outs, m.frozen)):
+                m.gaps[r].append(_gap(out.densities[j], old.densities[j], idx))
+                m.proved[r] = m.proved[r] or weight[j] * m.gaps[r][-1] >= tol
 
-    def finish(it: _Iterate) -> list:
-        """Record the ended iterate ``it``; the members still above ``tol``.
-        Nothing of ``it`` and its frozen flows outlives this call."""
-        if it.march.error:
-            error, it.march.error = it.march.error, None
+    def finish(m: _March) -> list:
+        """Record and stop the ended iterate ``m``; the members still above
+        ``tol``.  Nothing of ``m`` and its frozen flows outlives this call."""
+        if m.error:
+            error, m.error = m.error, None
             try:
                 raise error
             finally:
                 del error  # the traceback holds this frame
-        group.stop(it.march)
-        read_gaps(it)
-        for i, flow, gaps in zip(it.members, it.march.flows, it.gaps):
+        group.stop(m)
+        read_gaps(m)
+        for i, flow, gaps in zip(m.members, m.flows, m.gaps):
             clip_mass[i] = max(clip_mass[i], flow.meta["clip_mass"])
             gap_series[i].append(np.asarray(gaps))
             current[i] = flow
@@ -748,26 +719,29 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
             ratios = _ratios(dists[i])[-3:]
             if len(ratios) == 3 and min(ratios) >= 1.0:
                 raise NoContractionError(
-                    f"no contraction after {it.k} iterations "
+                    f"no contraction after {m.k} iterations "
                     f"(last ratios {[f'{r:.3f}' for r in ratios]}); "
                     f"weaken the drift or shorten the horizon T")
-        return [i for i in it.members if not dists[i][-1] < tol]
+        return [i for i in m.members if not dists[i][-1] < tol]
 
     begin(1, list(range(len(gammas))), current)
-    while chain:
-        group.advance([it.march for it in chain if ready(it)])
-        if group.overlap:  # a successor can start before its predecessor ends
-            for it in chain:
-                read_gaps(it)
-        while chain and (chain[0].march.error or chain[0].march.flows):
-            k = chain[0].k
-            members = finish(chain.pop(0))
-            if not chain and members and k < max_iter:
-                begin(k + 1, members, [current[i] for i in members])
-        if chain and group.overlap:
-            it = chain[-1]
-            if it.k < max_iter and all(it.proved) and it.march.error is None:
-                begin(it.k + 1, it.members, it.march.outs)
+    try:
+        while chain:
+            group.advance([m for m in chain if ready(m)])
+            if group.overlap:  # a successor can start before its predecessor ends
+                for m in chain:
+                    read_gaps(m)
+            while chain and (chain[0].error or chain[0].flows):
+                k, members = chain[0].k, finish(chain[0])
+                if not chain and members and k < max_iter:
+                    begin(k + 1, members, [current[i] for i in members])
+            if chain and group.overlap:
+                m = chain[-1]
+                if m.k < max_iter and all(m.proved) and m.error is None:
+                    begin(m.k + 1, m.members, m.outs)
+    finally:  # a suspended step generator's frame holds its march
+        for m in chain:
+            m.steps = None
     return [(flow, SolveReport(
                 iterations=len(gaps), contraction_ratios=_ratios(dist), lam_used=0.0,
                 clip_mass=clipped, residual=dist[-1], gap_series=gaps))

@@ -11,14 +11,15 @@ on the interpolated density, the Picard loop that marches one iterate
 after the other, the 2-d Riesz image sum over the whole grid,
 the transport metrics' quantile functions through scipy's PCHIP, the
 probe packets built row by row, the windowed norms' sums by an FFT
-convolution over the whole grid, and random band-limited test inputs.
+convolution over the whole grid, random band-limited test inputs, and
+viscous Burgers solved exactly through the Cole-Hopf transform.
 """
 
 import math
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from mkvflow.grids import (
     ScalarField,
@@ -34,6 +35,7 @@ from mkvflow.metrics import QUANTILE_NODES, empirical_quantiles
 from mkvflow.solver import (
     NoContractionError,
     SolveReport,
+    _bracket,
     _gap,
     _ratios,
     _weight,
@@ -164,13 +166,14 @@ def pairwise_drift(cfg, positions, t, work):
     return cfg.kernel.modulation.factor(t) * out
 
 
-def density_at(flow, t: float) -> ScalarField:
-    """Linear interpolation of ``flow`` in time; the initial datum anchors t=0."""
+def density_at(flow, knots, t: float) -> ScalarField:
+    """Linear interpolation in time of ``flow``, whose fields (the initial
+    datum, then its densities) sit at ``knots``."""
     fields = [flow.initial] + list(flow.densities)
-    j, w = flow._bracket(t)
+    j, w = _bracket(knots, t)
     if w == 0.0 or w == 1.0:
         return fields[j + int(w)]
-    return ScalarField(flow.grid, (1 - w) * fields[j].values + w * fields[j + 1].values)
+    return ScalarField(flow.initial.grid, (1 - w) * fields[j].values + w * fields[j + 1].values)
 
 
 def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
@@ -182,10 +185,10 @@ def drift_field(spec, rho: ScalarField, t: float) -> VectorField:
 
 def per_node_drift(spec, mus, grid, nodes):
     """Drop-in for ``solver._frozen_drift`` on a sequence of frozen flows:
-    ``drift_field`` of each flow's density interpolated at each node, one
-    node and one flow at a time, stacked over the flows."""
-    return ([np.stack(c) for c in zip(*(drift_field(spec, density_at(mu, s), s).components
-                                         for mu in mus))]
+    ``drift_field`` of each flow's density interpolated at each node of the
+    table ``nodes``, one node and one flow at a time, stacked over the flows."""
+    return ([np.stack(c) for c in zip(*(
+                drift_field(spec, density_at(mu, nodes.knots, s), s).components for mu in mus))]
             for s in nodes)
 
 
@@ -324,3 +327,22 @@ def fft_windowed_sups(grid, g, k, center_spacing: float = 0.5) -> np.ndarray:
     spec = np.fft.fftn(g**k, axes=axes) * np.fft.fftn(ball.astype(float))
     window = np.maximum(np.fft.ifftn(spec, axes=axes).real, 0.0) * grid.cell_volume
     return window[sub].reshape(len(g), -1).max(axis=1) ** (1.0 / k)
+
+
+def burgers_density(grid, a0: float, var: float, t: float) -> ScalarField:
+    """Exact density at time ``t`` of the Nemytskii ``linear`` drift
+    ``b = a0 rho`` (depth 1, no envelope) on the line.
+
+    ``d_t rho = 1/2 rho'' - a0 (rho^2)'`` is viscous Burgers for
+    ``u = 2 a0 rho`` with viscosity 1/2, which the Cole-Hopf transform turns
+    into the heat equation:
+    ``rho = -(1/(2 a0)) d_x log(1 + B Phi(x / s))`` with
+    ``B = exp(-2 a0) - 1``, ``s = sqrt(var + t)`` and ``Phi`` the standard
+    normal CDF; at ``var = 0`` it starts from the Dirac mass at 0.  The
+    derivative is taken in closed form.  The grid's tails must be negligible:
+    the torus then sees the line solution.
+    """
+    b, s = math.expm1(-2.0 * a0), math.sqrt(var + t)
+    z = grid.axis_coords() / s
+    phi = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    return ScalarField(grid, -b * phi / (2.0 * a0 * s * (1.0 + b * ndtr(z))))

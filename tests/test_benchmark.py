@@ -1,10 +1,10 @@
 """The benchmark's gate on the solves it pins, run as a test.
 
-``perfbench/workloads.py`` gates the Picard and time-shift solves of its
-nemytskii-shift-1d workload and the 2-d Riesz solve of its solve-2d
-workload against ``perfbench/reference.json``; a change to any of these
-routes shows here before a benchmark run does.  The tests only read
-``perfbench/``.
+``perfbench/workloads.py`` gates the 1-d solve configs of its solve-1d
+workload, the Picard and time-shift solves of its nemytskii-shift-1d
+workload and the 2-d Riesz solve of its solve-2d workload against
+``perfbench/reference.json``; a change to any of these routes shows here
+before a benchmark run does.  The tests only read ``perfbench/``.
 """
 
 import contextlib
@@ -35,6 +35,17 @@ def workloads():
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     yield module
     del sys.modules["perfbench_workloads"]
+
+
+@pytest.mark.parametrize("op", ["contraction", "entropy_kernel", "stability_small"])
+def test_solve_1d_configs_pass_the_benchmark_gate(workloads, op, tmp_path):
+    wl = workloads.Solve1D(0, tmp_path)
+    wl.setup()
+    (chosen,) = [o for o in wl.ops if o.name == op]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[wl.name][op]
+    outcome = chosen.check(chosen.run(NullTracer()))
+    assert {q for q, _, _ in outcome.rows} >= set(reference)
+    assert workloads.gate(reference, outcome) == []
 
 
 @pytest.mark.parametrize("op", ["picard_gaussian", "time_shift_delta"])

@@ -646,6 +646,19 @@ class TestFlowBinary:
         with pytest.raises(ValueError, match="unsupported flow binary version 1"):
             read_flow(path)
 
+    @pytest.mark.parametrize("times", [(0.5, 0.25), (0.0, 0.5)], ids=["decreasing", "zero"])
+    def test_rejects_times_not_positive_and_increasing(self, tmp_path, times):
+        # a crafted binary: the reader used to return a flow on these times
+        grid = GridSpec(1, 64, 8.0)
+        params = FlowParams(delta=1.0, k=2.0, kappa=0.75, T=0.5, time_grid=(0.25, 0.5))
+        (flow,) = phi_apply([gaussian_density(grid, 0.0, 0.09)], None, None, params, steps=50)
+        path = tmp_path / "flow.bin"
+        write_flow(flow, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:28] + struct.pack("<2d", *times) + data[44:])
+        with pytest.raises(ValueError, match="times must be positive and increasing"):
+            read_flow(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)

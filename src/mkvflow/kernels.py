@@ -155,9 +155,14 @@ def default_mollification(grid: GridSpec) -> float:
 # realization
 
 
-def _component(c: tuple, j: int) -> float:
-    """Amplitude of component ``j``; a shorter ``c`` repeats its first entry."""
-    return float(c[j] if j < len(c) else c[0])
+def _components(c: tuple, dim: int) -> list:
+    """Amplitude of each of the ``dim`` components; a shorter ``c`` repeats
+    its first entry, and a longer one, whose extra entries no component would
+    realize, is refused."""
+    if len(c) > dim:
+        raise ValueError(f"c has {len(c)} amplitudes, more than the {dim} "
+                         f"components of a {dim}-d grid")
+    return [float(c[j] if j < len(c) else c[0]) for j in range(dim)]
 
 
 def riesz_direct(spec: RieszOrder, grid: GridSpec):
@@ -174,7 +179,10 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec):
     under ``j -> n - j``; both axes share one coordinate array, so the
     second component is the first transposed.  Row and column 0
     (``x = -L/2``) have no mirror on the grid and lie in the quadrant.
+    Raises ``ValueError`` for amplitudes ``c`` with more entries than
+    ``grid.dim``.
     """
+    amps = _components(spec.c, grid.dim)
     p = grid.dim + 2 * spec.n0 + spec.eps0
     L = grid.extent
     if grid.dim == 1:
@@ -209,7 +217,7 @@ def riesz_direct(spec: RieszOrder, grid: GridSpec):
         full[h:, :h] = -quad[h - 2:0:-1]
         full[:, h:] = full[:, h - 2:0:-1]
         comps = [full, full.T]
-    return [_component(spec.c, j) * comps[j] for j in range(grid.dim)]
+    return [a * comp for a, comp in zip(amps, comps)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -288,14 +296,12 @@ def _kernel_symbols(spec: KernelSpec, grid: GridSpec) -> list:
         order = tuple(v.order if j == v.direction else 0 for j in range(grid.dim))
         core = _derivative_multiplier(grid, order) * np.exp(-0.5 * eps * xi_sq)
         return [core if j == v.direction else np.zeros_like(core) for j in range(grid.dim)]
-    if len(v.c) > grid.dim:
-        raise ValueError(f"c has {len(v.c)} amplitudes, more than the {grid.dim} "
-                         f"components of a {grid.dim}-d grid")
+    amps = _components(v.c, grid.dim)
     if isinstance(v, ConstantVector):
         units = [grid.extent**grid.dim * (xi_sq == 0)] * grid.dim
     else:  # RieszOrder, the one variant left
         units = _riesz_unit_symbols(v.n0, v.eps0, grid, eps)
-    return [_component(v.c, j) * u for j, u in enumerate(units)]
+    return [a * u for a, u in zip(amps, units)]
 
 
 def _physical(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:

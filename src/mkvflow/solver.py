@@ -344,15 +344,16 @@ def _clip_output(vals: np.ndarray, grid: GridSpec, log: dict):
 
 
 class _March:
-    """One march of the frozen-drift map over a stack of data: its step
-    generator, outputs written so far, clip logs, the node its state is at,
-    its views of its group's arrays and, once done, its flows or the error it
-    stopped at.  In a Picard solve it is iterate ``k`` of ``members``, frozen
-    at its predecessor's outputs ``frozen``, with per member the gaps to them
-    read so far and whether one, weighted, is at or above the tolerance; it
-    holds no reference to its predecessor or to its successor."""
+    """One march of the frozen-drift map over a stack of data: its outputs
+    written so far, clip logs, the node its state is at, its views of its
+    group's arrays and, once done, its flows or the error it stopped at.  In
+    a Picard solve it is iterate ``k`` of ``members``, frozen at its
+    predecessor's outputs ``frozen``, with per member the gaps to them read
+    so far and whether one, weighted, is at or above the tolerance.  It holds
+    no reference to its predecessor, its successor or its step generator,
+    whose frame holds the march."""
 
-    __slots__ = ("gammas", "k", "members", "frozen", "gaps", "proved", "steps", "outs",
+    __slots__ = ("gammas", "k", "members", "frozen", "gaps", "proved", "outs",
                  "logs", "node", "rho", "rho_hat", "prod", "flux", "pred", "pred_hat",
                  "flows", "error")
 
@@ -360,8 +361,15 @@ class _March:
         self.gammas, self.k, self.members, self.frozen = gammas, k, members, frozen
         self.outs, self.logs = [_Written(g) for g in gammas], [{"clip_mass": 0.0} for _ in gammas]
         self.gaps, self.proved = [[] for _ in gammas], [False] * len(gammas)
-        self.node, self.steps = 0, None
-        self.rho = self.flows = self.error = None
+        self.node, self.rho, self.flows, self.error = 0, None, None, None
+
+    def raise_error(self):
+        """Raise the error the march stopped at, which it then no longer holds."""
+        error, self.error = self.error, None
+        try:
+            raise error
+        finally:
+            del error  # the traceback holds this frame
 
 
 def _transport(m: _March, minus_ixi: list, b, vals: np.ndarray):
@@ -425,27 +433,28 @@ def _march_steps(m: _March, nodes: _Nodes, grid: GridSpec, drifts):
 
 
 class _Group:
-    """Marches in flight, ``marches`` in row order, whose rows share one set
-    of arrays: the state, its spectrum, the predictor and the flux spectrum,
-    and on a 1-d grid, where iterates overlap, the flux product and the
-    predictor spectrum, the inputs of their transforms.  In 2-d each march
-    has the group alone and its inputs are temporaries: at 128^2 two more
-    held arrays make every pass over the step's arrays slower.  The arrays
-    are laid out anew when a march starts or stops; a continuing march's
-    state is carried over."""
+    """Marches in flight, ``marches`` in row order and ``steps`` their step
+    generators, whose rows share one set of arrays: the state, its spectrum,
+    the predictor and the flux spectrum, and on a 1-d grid, where iterates
+    overlap, the flux product and the predictor spectrum, the inputs of their
+    transforms.  In 2-d each march has the group alone and its inputs are
+    temporaries: at 128^2 two more held arrays make every pass over the
+    step's arrays slower.  The arrays are laid out anew when a march starts
+    or stops; a continuing march's state is carried over."""
 
     def __init__(self, grid: GridSpec):
-        self.grid, self.marches = grid, []
+        self.grid, self.marches, self.steps = grid, [], {}
         # marches overlap, and share their transform inputs, on 1-d grids only
         self.overlap = grid.dim == 1
 
     def start(self, march: _March, steps):
-        march.steps = steps
         self.marches.append(march)
+        self.steps[march] = steps
         self._layout()
 
     def stop(self, march: _March):
         self.marches.remove(march)
+        del self.steps[march]
         self._layout()
 
     def _layout(self):
@@ -484,25 +493,15 @@ class _Group:
         steps, else one call per march on its own rows; the marches of one
         solve ask for the same transforms in the same order.  An error ends its
         march and is kept as ``m.error``, for the caller to raise in the order
-        of the loop that runs one iterate after the other.  A successor's error
-        may never be raised, so it is kept without the traceback whose frames
-        hold its march."""
-        if len(marches) == 1:  # no bookkeeping for a lone march
-            try:
-                for ask in marches[0].steps:
-                    if ask is None:
-                        break
-                    self.transform(*ask)
-                    del ask  # a temporary input is freed before the step goes on
-            except (ValueError, DegradedAccuracyError) as exc:
-                marches[0].error = exc  # a lone march is the oldest: raised next
-            return
+        of the loop that runs one iterate after the other; a successor's error
+        may never be raised, so none keeps the traceback whose frames hold its
+        march."""
         live = list(marches)
         while live:
             asks = []
             for m in live:
                 try:
-                    asks.append(next(m.steps))
+                    asks.append(next(self.steps[m]))
                 except StopIteration:
                     asks.append(None)
                 except (ValueError, DegradedAccuracyError) as exc:
@@ -511,12 +510,12 @@ class _Group:
             if None in asks:  # steps done, or marches stopped
                 live = [m for m, ask in zip(live, asks) if ask is not None]
                 asks = [ask for ask in asks if ask is not None]
-            if len(live) == len(self.marches):
+            if len(asks) > 1 and len(asks) == len(self.marches):
                 kind = asks[0][0]
                 self.transform(kind, *self.kinds[kind])
             else:
-                for ask in asks:
-                    self.transform(*ask)
+                while asks:  # a temporary input is freed before the step goes on
+                    self.transform(*asks.pop(0))
 
 
 def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
@@ -582,10 +581,10 @@ def phi_apply(gammas, mu, drift, params: FlowParams, steps: int = 600) -> list:
         drifts = _frozen_drift(drift, frozen, grid, nodes)
     march, group = _March(gammas), _Group(grid)
     group.start(march, _march_steps(march, nodes, grid, drifts))
-    for ask in march.steps:
-        if ask is not None:
-            group.transform(*ask)
-            del ask  # a temporary input is freed before the step goes on
+    while march.flows is None and march.error is None:
+        group.advance([march])
+    if march.error:
+        march.raise_error()
     return march.flows
 
 
@@ -702,11 +701,7 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
         """Record and stop the ended iterate ``m``; the members still above
         ``tol``.  Nothing of ``m`` and its frozen flows outlives this call."""
         if m.error:
-            error, m.error = m.error, None
-            try:
-                raise error
-            finally:
-                del error  # the traceback holds this frame
+            m.raise_error()
         group.stop(m)
         read_gaps(m)
         for i, flow, gaps in zip(m.members, m.flows, m.gaps):
@@ -725,23 +720,19 @@ def picard_solve_many(gammas, drift, params: FlowParams, tol: float = 1e-8,
         return [i for i in m.members if not dists[i][-1] < tol]
 
     begin(1, list(range(len(gammas))), current)
-    try:
-        while chain:
-            group.advance([m for m in chain if ready(m)])
-            if group.overlap:  # a successor can start before its predecessor ends
-                for m in chain:
-                    read_gaps(m)
-            while chain and (chain[0].error or chain[0].flows):
-                k, members = chain[0].k, finish(chain[0])
-                if not chain and members and k < max_iter:
-                    begin(k + 1, members, [current[i] for i in members])
-            if chain and group.overlap:
-                m = chain[-1]
-                if m.k < max_iter and all(m.proved) and m.error is None:
-                    begin(m.k + 1, m.members, m.outs)
-    finally:  # a suspended step generator's frame holds its march
-        for m in chain:
-            m.steps = None
+    while chain:
+        group.advance([m for m in chain if ready(m)])
+        if group.overlap:  # a successor can start before its predecessor ends
+            for m in chain:
+                read_gaps(m)
+        while chain and (chain[0].error or chain[0].flows):
+            k, members = chain[0].k, finish(chain[0])
+            if not chain and members and k < max_iter:
+                begin(k + 1, members, [current[i] for i in members])
+        if chain and group.overlap:
+            m = chain[-1]
+            if m.k < max_iter and all(m.proved) and m.error is None:
+                begin(m.k + 1, m.members, m.outs)
     return [(flow, SolveReport(
                 iterations=len(gaps), contraction_ratios=_ratios(dist), lam_used=0.0,
                 clip_mass=clipped, residual=dist[-1], gap_series=gaps))

@@ -30,7 +30,7 @@ from mkvflow.grids import (
     rfft,
     rfft_wavenumbers,
 )
-from mkvflow.kernels import _component, drift_map, realize_kernel
+from mkvflow.kernels import _components, drift_map, realize_kernel
 from mkvflow.metrics import QUANTILE_NODES, empirical_quantiles
 from mkvflow.solver import (
     NoContractionError,
@@ -249,7 +249,7 @@ def riesz_image_sum_2d(spec, grid) -> list:
                 inv = np.where(r > 0, r**-p, 0.0)
             comps[0] += za * inv
             comps[1] += zb * inv
-    return [_component(spec.c, j) * comps[j] for j in range(2)]
+    return [a * comp for a, comp in zip(_components(spec.c, 2), comps)]
 
 
 def pchip_density_quantiles(rho: ScalarField, u: np.ndarray) -> np.ndarray:

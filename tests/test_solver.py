@@ -719,9 +719,9 @@ class TestStackedSolve:
 
     def test_no_march_outlives_a_raising_solve(self):
         # the successor in flight when the first member raises is suspended in
-        # its step generator, whose frame holds its march: a cycle that
-        # gc.collect() counts as 0 freed, so what survives is counted instead.
-        # Fails when the loop leaves its marches' step generators in place
+        # its step generator, whose frame holds its march.  Were the march to
+        # hold its generator, that cycle would outlive the solve, and
+        # gc.collect() counts it as 0 freed, so what survives is counted
         spec = NemytskiiSpec(2, "clipped_gradient", (("cap", 0.2),), self.ENVELOPE)
         data = [gaussian_density(self.GRID, 0.0, 1.0), gaussian_density(self.GRID, 0.0, 0.04)]
         gc.collect()
